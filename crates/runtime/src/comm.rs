@@ -77,6 +77,7 @@
 //! bit-identical to their blocking twins. Contract and examples in
 //! `docs/RUNTIME.md` §8.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -1011,8 +1012,17 @@ impl ThreadedComm {
     /// Enqueues `bytes` to `dst`, evaluating drop and delay rules.
     /// Does not charge virtual time (p2p charges happen at delivery;
     /// collective data phases are charged by their closing barrier).
-    fn raw_send(&self, op: &'static str, dst: usize, bytes: Vec<u8>) -> Result<(), RuntimeError> {
-        self.raw_send_at(op, dst, bytes, None)
+    ///
+    /// `bytes` may be borrowed: a socket only reads it, so a fan-out
+    /// passes `&msg` once per destination without cloning. A mailbox
+    /// needs an owned buffer and copies a borrowed one at the push.
+    fn raw_send<'a>(
+        &self,
+        op: &'static str,
+        dst: usize,
+        bytes: impl Into<Cow<'a, [u8]>>,
+    ) -> Result<(), RuntimeError> {
+        self.raw_send_at(op, dst, bytes.into(), None)
     }
 
     /// [`raw_send`](Self::raw_send) with an optional pre-computed
@@ -1023,7 +1033,7 @@ impl ThreadedComm {
         &self,
         op: &'static str,
         dst: usize,
-        bytes: Vec<u8>,
+        bytes: Cow<'_, [u8]>,
         vready: Option<f64>,
     ) -> Result<(), RuntimeError> {
         let plane = &self.plane;
@@ -1108,7 +1118,7 @@ impl ThreadedComm {
             }
             st.mail[dst].push_back(Envelope {
                 src: self.rank,
-                bytes,
+                bytes: bytes.into_owned(),
                 delay,
                 sent_at: Instant::now(),
                 lamport: stamp,
@@ -1435,11 +1445,11 @@ impl ThreadedComm {
 
     /// Sends a schedule-internal message, tolerating a dead receiver
     /// (its edge of the schedule simply drops).
-    fn send_tolerant(
+    fn send_tolerant<'a>(
         &self,
         op: &'static str,
         dst: usize,
-        bytes: Vec<u8>,
+        bytes: impl Into<Cow<'a, [u8]>>,
     ) -> Result<(), RuntimeError> {
         match self.raw_send(op, dst, bytes) {
             Ok(()) => Ok(()),
@@ -1561,7 +1571,7 @@ impl ThreadedComm {
         let msg = framed.to_bytes();
         for (_, child_vi) in collective::binomial_children(vi, q) {
             let child_abs = Self::pos_to_abs(&live, vroot, child_vi);
-            self.send_tolerant(op, child_abs, msg.clone())?;
+            self.send_tolerant(op, child_abs, &msg)?;
         }
         if vi == 0 {
             self.deposit(charge_of(&collective::bcast_rounds(
@@ -1613,7 +1623,7 @@ impl ThreadedComm {
                 if dst == hub {
                     continue;
                 }
-                self.send_tolerant(op, dst, blob.clone())?;
+                self.send_tolerant(op, dst, &blob)?;
                 moved += blob.len() as u64;
             }
             let in_lens: Vec<u64> = live
@@ -2196,7 +2206,7 @@ impl ThreadedComm {
                         if dst == self.rank {
                             continue;
                         }
-                        self.send_tolerant(op, dst, bytes.clone())?;
+                        self.send_tolerant(op, dst, &bytes)?;
                     }
                     let lens = vec![bytes.len() as u64; live.len()];
                     let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
@@ -2267,7 +2277,7 @@ impl ThreadedComm {
                             continue;
                         }
                         sent += encoded[dst].len() as u64;
-                        self.send_tolerant(op, dst, encoded[dst].clone())?;
+                        self.send_tolerant(op, dst, &encoded[dst])?;
                     }
                     let lens: Vec<u64> =
                         live.iter().map(|&r| encoded[r].len() as u64).collect();
@@ -2358,7 +2368,7 @@ impl ThreadedComm {
                 if dst == hub {
                     continue;
                 }
-                self.send_tolerant(op, dst, bytes.clone())?;
+                self.send_tolerant(op, dst, &bytes)?;
             }
             let lens = vec![8u64; live.len()];
             let mut rounds = vec![collective::star_gather_round(&live, hub, &lens)];

@@ -304,7 +304,7 @@ impl<T: Wire> BcastRequest<'_, T> {
                 let q = live.len();
                 for (_, child_vi) in collective::binomial_children(vi, q) {
                     let child_abs = ThreadedComm::pos_to_abs(&live, vroot, child_vi);
-                    if let Err(e) = comm.send_tolerant(Self::OP, child_abs, msg.clone()) {
+                    if let Err(e) = comm.send_tolerant(Self::OP, child_abs, &msg) {
                         if inner.data_err.is_none() {
                             inner.data_err = Some(e);
                         }
@@ -550,7 +550,7 @@ impl<T: Wire> AllgathervRequest<'_, T> {
                             } else {
                                 // Hub death is fatal for the hub
                                 // schedule — single point of failure.
-                                if let Err(e) = comm.raw_send(Self::OP, hub, own.clone()) {
+                                if let Err(e) = comm.raw_send(Self::OP, hub, &own) {
                                     inner.data_err = Some(e);
                                     inner.machine = AgMachine::Done;
                                     continue;
@@ -668,7 +668,7 @@ impl<T: Wire> AllgathervRequest<'_, T> {
                         if dst == hub {
                             continue;
                         }
-                        if let Err(e) = comm.send_tolerant(Self::OP, dst, blob.clone()) {
+                        if let Err(e) = comm.send_tolerant(Self::OP, dst, &blob) {
                             if inner.data_err.is_none() {
                                 inner.data_err = Some(e);
                             }
@@ -960,7 +960,7 @@ impl ThreadedComm {
                 .expect("sim poisoned")
                 .post_send(self.rank, dst, bytes.len() as f64)
         });
-        self.raw_send_at(OP, dst, bytes, vready)?;
+        self.raw_send_at(OP, dst, bytes.into(), vready)?;
         Ok(SendRequest {
             comm: self,
             start,
@@ -1159,7 +1159,7 @@ impl ThreadedComm {
                     if dst == self.rank {
                         continue;
                     }
-                    self.send_tolerant(op, dst, bytes.clone())?;
+                    self.send_tolerant(op, dst, &bytes)?;
                 }
                 let lens = vec![bytes.len() as u64; live.len()];
                 let rounds = vec![collective::star_scatter_round(&live, self.rank, &lens)];

@@ -49,6 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use fupermod_core::telemetry::{self, Counter};
 use fupermod_core::trace::{null_sink, TraceSink};
 
 use crate::collective::AlgorithmPolicy;
@@ -60,7 +61,7 @@ use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 use crate::wire::Wire;
 
-use frame::{read_frame, write_frame, Frame, FrameKind};
+use frame::{is_checksum_mismatch, read_frame, write_frame, Frame, FrameKind};
 
 /// Default bound on the whole bootstrap (listen, dial, handshake).
 const BOOT_TIMEOUT_SECS: f64 = 30.0;
@@ -83,6 +84,43 @@ pub(crate) fn hub_of(agreed: &[bool]) -> usize {
     agreed.iter().position(|&a| a).unwrap_or(0)
 }
 
+/// Frame and payload-byte counters for one direction of the mesh
+/// (`net_frames_total{dir}`, `net_payload_bytes_total{dir}` in the
+/// process-wide telemetry registry). Every post-bootstrap frame
+/// counts — DATA and the ARRIVE/RELEASE/BYE control frames alike.
+/// Handles are resolved at mesh build (tx) and reader start (rx),
+/// never per frame.
+struct DirCounters {
+    frames: Counter,
+    payload_bytes: Counter,
+}
+
+impl DirCounters {
+    fn new(dir: &str) -> Self {
+        let registry = telemetry::global();
+        Self {
+            frames: registry.counter(
+                "net_frames_total",
+                "Frames moved over the TCP mesh after bootstrap, by direction.",
+                &[("dir", dir)],
+            ),
+            payload_bytes: registry.counter(
+                "net_payload_bytes_total",
+                "Frame payload bytes moved over the TCP mesh after bootstrap, by direction.",
+                &[("dir", dir)],
+            ),
+        }
+    }
+
+    /// One relaxed load when the registry is disabled.
+    fn record(&self, payload_len: usize) {
+        if telemetry::global().enabled() {
+            self.frames.inc();
+            self.payload_bytes.add(payload_len as u64);
+        }
+    }
+}
+
 /// The per-process transport half of a [`crate::comm`] data plane:
 /// one locked writer per peer. Reader threads are owned by the
 /// [`TcpComm`] guard, not by the plane, so the plane's `Arc` cycle-
@@ -96,6 +134,7 @@ pub(crate) fn hub_of(agreed: &[bool]) -> usize {
 pub(crate) struct NetPlane {
     pub(crate) local: usize,
     writers: Vec<Option<Mutex<TcpStream>>>,
+    tx: DirCounters,
 }
 
 impl NetPlane {
@@ -166,18 +205,27 @@ impl NetPlane {
             .lock()
             .map_err(|_| io::Error::other("writer lock poisoned"))?;
         write_frame(&mut *stream, kind, self.local, lamport, gen, delay, payload)?;
-        stream.flush()
+        stream.flush()?;
+        self.tx.record(payload.len());
+        Ok(())
     }
 }
 
 /// Per-peer reader: drains frames into the shared plane until the
 /// peer disconnects.
 fn reader_loop(plane: Arc<Plane>, src: usize, mut stream: TcpStream) {
+    let rx = DirCounters::new("rx");
+    let crc_rejects = telemetry::global().counter(
+        "net_crc_rejects_total",
+        "Frames rejected by a reader for a payload checksum mismatch.",
+        &[],
+    );
     let mut saw_bye = false;
     loop {
         match read_frame(&mut stream) {
             Ok(Some(f)) => {
-                if f.src != src || !apply_frame(&plane, src, &f, &mut saw_bye) {
+                rx.record(f.payload.len());
+                if f.src != src || !apply_frame(&plane, src, f, &mut saw_bye) {
                     disconnect(&plane, src, saw_bye);
                     return;
                 }
@@ -194,7 +242,10 @@ fn reader_loop(plane: Arc<Plane>, src: usize, mut stream: TcpStream) {
                 // Only set during our own teardown: stop reading.
                 return;
             }
-            Err(_) => {
+            Err(e) => {
+                if is_checksum_mismatch(&e) {
+                    crc_rejects.inc();
+                }
                 disconnect(&plane, src, saw_bye);
                 return;
             }
@@ -202,8 +253,9 @@ fn reader_loop(plane: Arc<Plane>, src: usize, mut stream: TcpStream) {
     }
 }
 
-/// Applies one post-bootstrap frame; `false` flags a protocol error.
-fn apply_frame(plane: &Arc<Plane>, src: usize, f: &Frame, saw_bye: &mut bool) -> bool {
+/// Applies one post-bootstrap frame, consuming it: a DATA payload
+/// moves into the mailbox. `false` flags a protocol error.
+fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> bool {
     let local = plane.net.as_ref().expect("net plane").local;
     match f.kind {
         FrameKind::Data => {
@@ -211,7 +263,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: &Frame, saw_bye: &mut bool) ->
             st.lamport[src] = st.lamport[src].max(f.lamport);
             st.mail[local].push_back(crate::comm::Envelope {
                 src,
-                bytes: f.payload.clone(),
+                bytes: f.payload,
                 delay: f.delay,
                 sent_at: Instant::now(),
                 lamport: f.lamport,
@@ -711,6 +763,7 @@ fn finish(cfg: TcpConfig, streams: Vec<Option<TcpStream>>) -> Result<TcpComm, Ru
     let net = NetPlane {
         local: cfg.rank,
         writers,
+        tx: DirCounters::new("tx"),
     };
     let plane = build_net_plane(cfg.world, cfg.plan, cfg.sink, cfg.policy, net);
     let readers = peers

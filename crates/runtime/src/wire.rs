@@ -44,6 +44,40 @@ pub trait Wire: Sized {
     /// input.
     fn decode_from(bytes: &[u8]) -> Result<(Self, usize), RuntimeError>;
 
+    /// Appends the encodings of `items`, in order, to `out` — the
+    /// element run of a vector, without its length prefix. The
+    /// fixed-width scalars override it with one bulk conversion, so a
+    /// `Vec<f64>` panel encodes at copy speed; the bytes are those of
+    /// calling [`Wire::encode`] per element.
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` consecutive values from the front of `bytes`,
+    /// returning them and the number of bytes consumed — the element
+    /// run of a vector. `len` must already be bounded by the bytes
+    /// present (`Vec<T>::decode_from`, the caller, rejects hostile
+    /// counts first). The fixed-width scalars override it with one
+    /// checked bulk conversion; values and errors are those of calling
+    /// [`Wire::decode_from`] `len` times.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Decode`] on truncated or malformed
+    /// input.
+    fn decode_many_from(bytes: &[u8], len: usize) -> Result<(Vec<Self>, usize), RuntimeError> {
+        let mut items = Vec::with_capacity(len);
+        let mut used = 0;
+        for _ in 0..len {
+            let (item, n) = Self::decode_from(&bytes[used..])?;
+            used += n;
+            items.push(item);
+        }
+        Ok((items, used))
+    }
+
     /// Encodes `self` into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -78,14 +112,18 @@ pub trait Wire: Sized {
     }
 }
 
+fn truncated(what: &'static str) -> RuntimeError {
+    RuntimeError::Decode {
+        what,
+        detail: "truncated".to_owned(),
+    }
+}
+
 fn take<const N: usize>(bytes: &[u8], what: &'static str) -> Result<[u8; N], RuntimeError> {
     bytes
         .get(..N)
         .and_then(|s| s.try_into().ok())
-        .ok_or(RuntimeError::Decode {
-            what,
-            detail: "truncated".to_owned(),
-        })
+        .ok_or_else(|| truncated(what))
 }
 
 macro_rules! impl_wire_scalar {
@@ -99,6 +137,29 @@ macro_rules! impl_wire_scalar {
                 const N: usize = std::mem::size_of::<$ty>();
                 let raw = take::<N>(bytes, $what)?;
                 Ok((<$ty>::from_le_bytes(raw), N))
+            }
+            fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+                const N: usize = std::mem::size_of::<$ty>();
+                let start = out.len();
+                out.resize(start + items.len() * N, 0);
+                for (raw, item) in out[start..].chunks_exact_mut(N).zip(items) {
+                    raw.copy_from_slice(&item.to_le_bytes());
+                }
+            }
+            fn decode_many_from(
+                bytes: &[u8],
+                len: usize,
+            ) -> Result<(Vec<Self>, usize), RuntimeError> {
+                const N: usize = std::mem::size_of::<$ty>();
+                let raw = len
+                    .checked_mul(N)
+                    .and_then(|need| bytes.get(..need))
+                    .ok_or_else(|| truncated($what))?;
+                let items = raw
+                    .chunks_exact(N)
+                    .map(|c| <$ty>::from_le_bytes(c.try_into().expect("chunks_exact(N)")))
+                    .collect();
+                Ok((items, raw.len()))
             }
         }
     };
@@ -141,12 +202,10 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_many(self, out);
     }
     fn decode_from(bytes: &[u8]) -> Result<(Self, usize), RuntimeError> {
-        let (len, mut used) = u64::decode_from(bytes)?;
+        let (len, used) = u64::decode_from(bytes)?;
         let len = usize::try_from(len).map_err(|_| RuntimeError::Decode {
             what: "vec length",
             detail: "length exceeds usize".to_owned(),
@@ -168,13 +227,8 @@ impl<T: Wire> Wire for Vec<T> {
                 detail: format!("{len} elements in a {}-byte payload", bytes.len()),
             });
         }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            let (item, n) = T::decode_from(&bytes[used..])?;
-            used += n;
-            items.push(item);
-        }
-        Ok((items, used))
+        let (items, n) = T::decode_many_from(&bytes[used..], len)?;
+        Ok((items, used + n))
     }
 }
 
@@ -373,6 +427,107 @@ mod tests {
             decode_is_total_and_canonical::<Option<Vec<u64>>>(&bytes);
             decode_is_total_and_canonical::<Vec<Option<Vec<u8>>>>(&bytes);
         }
+    }
+
+    /// The element-at-a-time definition of the two bulk methods (the
+    /// trait's provided bodies, written out so the scalar overrides
+    /// have something to be compared against).
+    fn encode_each<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for item in items {
+            item.encode(&mut out);
+        }
+        out
+    }
+
+    fn decode_each<T: Wire>(bytes: &[u8], len: usize) -> Result<(Vec<T>, usize), RuntimeError> {
+        let mut items = Vec::new();
+        let mut used = 0;
+        for _ in 0..len {
+            let (item, n) = T::decode_from(&bytes[used..])?;
+            used += n;
+            items.push(item);
+        }
+        Ok((items, used))
+    }
+
+    /// Bulk decode of `len` scalars from arbitrary bytes is the
+    /// per-element decode: the same values to the bit and the same
+    /// consumed count, or the same error.
+    fn bulk_decode_is_per_element<T: Wire + std::fmt::Debug>(bytes: &[u8], len: usize) {
+        match (
+            T::decode_many_from(bytes, len),
+            decode_each::<T>(bytes, len),
+        ) {
+            (Ok((bulk, used)), Ok((each, used_each))) => {
+                assert_eq!(used, used_each);
+                assert_eq!(bulk.len(), len);
+                assert_eq!(encode_each(&bulk), encode_each(&each), "values differ");
+                let mut out = vec![0xAA];
+                T::encode_many(&bulk, &mut out);
+                assert_eq!(out[0], 0xAA, "bulk encode must append");
+                assert_eq!(&out[1..], &bytes[..used], "bulk encode differs");
+            }
+            (Err(bulk), Err(each)) => assert_eq!(bulk.to_string(), each.to_string()),
+            (bulk, each) => panic!("bulk {bulk:?} but per-element {each:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn scalar_bulk_codec_equals_per_element(
+            bytes in proptest::collection::vec(0u8..=255u8, 0usize..200),
+            len in 0usize..40,
+        ) {
+            bulk_decode_is_per_element::<u8>(&bytes, len);
+            bulk_decode_is_per_element::<u32>(&bytes, len);
+            bulk_decode_is_per_element::<u64>(&bytes, len);
+            bulk_decode_is_per_element::<f64>(&bytes, len);
+        }
+    }
+
+    #[test]
+    fn bulk_decode_checks_the_count_it_is_given() {
+        // A count whose byte size overflows is truncation, not a panic.
+        assert!(u64::decode_many_from(&[0u8; 16], usize::MAX).is_err());
+        assert!(f64::decode_many_from(&[0u8; 16], 3).is_err());
+        assert_eq!(
+            u32::decode_many_from(&[1, 0, 0, 0, 9], 1).unwrap(),
+            (vec![1], 4)
+        );
+        assert_eq!(u8::decode_many_from(&[], 0).unwrap(), (vec![], 0));
+    }
+
+    /// Element types without a bulk override go through the provided
+    /// per-element bodies: same bytes as before, prefix then elements.
+    #[test]
+    fn composite_vectors_keep_their_encoding() {
+        fn check<T: Wire + PartialEq + std::fmt::Debug>(v: Vec<T>) {
+            let want = [(v.len() as u64).to_bytes(), encode_each(&v)].concat();
+            assert_eq!(v.to_bytes(), want);
+            assert_eq!(Vec::<T>::decode(&want).unwrap(), v);
+        }
+        check(vec![vec![1u32, 2], vec![], vec![u32::MAX]]);
+        check(vec![
+            Point::single(5, 0.1 + 0.2),
+            Point::single(7, 1.0 / 3.0),
+        ]);
+        check(vec![Some(vec![1.5f64, -0.0]), None, Some(vec![])]);
+        check(vec![true, false, true]);
+        check(vec![f64::NAN.to_bits(), 0, u64::MAX]);
+        // NaN payloads and signed zero survive the bulk path bit for bit.
+        let odd = vec![
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            -0.0,
+            f64::MIN_POSITIVE / 2.0,
+        ];
+        let back = Vec::<f64>::decode(&odd.to_bytes()).unwrap();
+        assert_eq!(
+            back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            odd.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -319,3 +319,121 @@ fn deadline_is_anchored_at_op_entry_on_both_backends() {
         }
     }
 }
+
+/// The transport's telemetry against the schedule: on two ranks under
+/// the hub schedules every barrier (a collective's closing one
+/// included) is ARRIVE + RELEASE, `send` is one DATA frame, a
+/// broadcast is one DATA frame down, and `allgatherv` is the leaf's
+/// slot up plus the slot vector down. Teardown adds one BYE each way.
+///
+/// The registry is process-global and the tests of this binary run
+/// concurrently, so the counting happens in a child process that runs
+/// [`net_counters_child`] alone.
+#[test]
+fn net_counters_match_the_schedule_frame_count() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([
+            "--exact",
+            "net_counters_child",
+            "--ignored",
+            "--test-threads",
+            "1",
+        ])
+        .output()
+        .expect("spawn child test process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+#[ignore = "run by net_counters_match_the_schedule_frame_count in a process of its own"]
+fn net_counters_child() {
+    use fupermod_core::telemetry;
+    use fupermod_runtime::collective::encoded_slots_len;
+    use fupermod_runtime::Wire;
+
+    const PANEL: usize = 1000;
+    let counter = |name: &str, dir: &str| {
+        let snap = telemetry::global().snapshot();
+        let labels: &[(&str, &str)] = if dir.is_empty() { &[] } else { &[("dir", dir)] };
+        match snap.find(name, labels) {
+            Some(telemetry::SampleValue::Counter(n)) => *n,
+            other => panic!("{name}{{dir={dir:?}}}: {other:?}"),
+        }
+    };
+
+    // Disabled (the default): a whole job leaves the counters at zero.
+    let run = || {
+        run_tcp(2, AlgorithmPolicy::hub(), &FaultPlan::none(), |c| {
+            let rank = c.rank();
+            c.barrier()?;
+            if rank == 0 {
+                c.send(1, &7u64)?;
+            } else {
+                let _: u64 = c.recv(0)?;
+            }
+            let panel = payload(1, 0, PANEL);
+            c.bcast(0, (rank == 0).then_some(&panel))?;
+            c.allgatherv(&vec![rank as f64; 3])?;
+            Ok(())
+        })
+        .into_iter()
+        .for_each(|r| r.expect("fault-free job failed"));
+    };
+    run();
+    assert_eq!(counter("net_frames_total", "tx"), 0);
+    assert_eq!(counter("net_payload_bytes_total", "rx"), 0);
+
+    telemetry::global().set_enabled(true);
+    run();
+    let barriers = 1 + 2; // the explicit one + bcast's and allgatherv's closing ones
+    let data_frames = 1 + 1 + 2;
+    let byes = 2;
+    let frames = 2 * barriers + data_frames + byes;
+    let membership = vec![true, true].to_bytes().len() as u64;
+    let slot = vec![0.0f64; 3].to_bytes().len() as u64;
+    let bytes = barriers * membership
+        + 7u64.to_bytes().len() as u64
+        + payload(1, 0, PANEL).to_bytes().len() as u64
+        + slot
+        + encoded_slots_len(2, &[slot; 2]);
+    for dir in ["tx", "rx"] {
+        assert_eq!(counter("net_frames_total", dir), frames, "frames {dir}");
+        assert_eq!(
+            counter("net_payload_bytes_total", dir),
+            bytes,
+            "bytes {dir}"
+        );
+    }
+    assert_eq!(counter("net_crc_rejects_total", ""), 0);
+
+    // A payload damaged on the wire: the reader counts the reject and
+    // drops the link, which the application sees as the peer's death.
+    use fupermod_runtime::net::frame::{encode_frame, read_frame, write_frame, FrameKind};
+    use std::io::Write;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener addr");
+    let peer = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(addr).expect("dial rank 0");
+        write_frame(&mut s, FrameKind::Hello, 1, 0, 0, 0.0, b"2 127.0.0.1:1").expect("HELLO");
+        read_frame(&mut s).expect("read PEERS").expect("PEERS");
+        let mut damaged = encode_frame(FrameKind::Data, 1, 0, 0, 0.0, &7u64.to_bytes());
+        *damaged.last_mut().expect("payload") ^= 1;
+        s.write_all(&damaged).expect("send damaged frame");
+        s // stays open until the assertions are done
+    });
+    let mut c = connect_with_listener(TcpConfig::new(0, 2, addr.to_string()), listener)
+        .expect("rank 0 boots");
+    match c.recv::<u64>(1) {
+        Err(RuntimeError::RankDead { rank: 1, .. }) => {}
+        other => panic!("a damaged frame must surface as the peer's death, got {other:?}"),
+    }
+    assert_eq!(counter("net_crc_rejects_total", ""), 1);
+    drop(peer.join().expect("peer thread"));
+    c.shutdown();
+}

@@ -109,6 +109,21 @@ run ./target/release/fupermod_tracetool report "$TCP_DIR/tcp_merged.jsonl" \
     --json --out "$TCP_DIR/tcp_summary.json"
 run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TCP_DIR/tcp_summary.json"
+# Harness gate: the benchmark's two TCP workloads check TCP == threads
+# == sim (fingerprint and virtual time) on the optimised bulk path, in
+# release codegen. One second each; the last stdout line must report
+# a correct run with no failed operation (benchmark/README.md).
+for workload in tcp_bulk tcp_rounds; do
+    echo "==> harness gate: $workload"
+    timeout 300 cargo run --release --quiet --offline \
+        --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        | tail -n 1 > "$TCP_DIR/harness_$workload.json"
+    grep -q '"correct": true' "$TCP_DIR/harness_$workload.json" \
+        && grep -q '"failed": 0' "$TCP_DIR/harness_$workload.json" \
+        || { echo "harness workload $workload failed its checks:" >&2
+             cat "$TCP_DIR/harness_$workload.json" >&2; exit 1; }
+done
 # Serving gate: the partitioning-as-a-service daemon (fupermod_served,
 # docs/SERVE.md) must accept concurrent clients streaming model points
 # and answer a partition query **byte-identical** to the offline
