@@ -17,7 +17,7 @@
 use std::fmt;
 use std::sync::{Barrier, Mutex};
 
-use fupermod_num::stats::{IncrementalStats, OnlineStats};
+use fupermod_num::stats::{ConfidenceInterval, IncrementalStats, OnlineStats};
 
 use crate::kernel::{Kernel, KernelContext};
 use crate::trace::{metrics, null_sink, TraceEvent, TraceSink};
@@ -109,27 +109,31 @@ impl<'a> Benchmark<'a> {
         let p = self.precision;
 
         let mut stats = OnlineStats::new();
+        let mut ci = None;
         for rep in 0..p.reps_max {
             let t = ctx.run()?.as_secs_f64();
             samples.push(t);
             spent += t;
             metrics().record_bench_rep(t);
             stats = self.effective_stats(&samples);
+            // The one interval of this repetition: the sample event,
+            // the stopping rule and the final point all read it.
+            ci = stats.confidence_interval(p.cl);
             self.trace.record(&TraceEvent::BenchmarkSample {
                 rank: 0,
                 d,
                 rep,
                 time: t,
-                ci_rel: relative_ci(&stats, p),
+                ci_rel: relative_ci(ci),
             });
-            if rep + 1 >= p.reps_min && reliable(&stats, p, spent) {
+            if rep + 1 >= p.reps_min && reliable(ci, p, spent) {
                 break;
             }
         }
         let outliers = samples.count() - stats.count();
         metrics().add_reps(samples.count());
         metrics().add_outliers(outliers);
-        let point = point_from_stats(d, &stats, p);
+        let point = point_from_stats(d, &stats, ci);
         self.trace.record(&TraceEvent::BenchmarkDone {
             rank: 0,
             d,
@@ -186,7 +190,7 @@ impl<'a> Benchmark<'a> {
         let error: Mutex<Option<CoreError>> = Mutex::new(None);
 
         let this = *self;
-        let results: Vec<OnlineStats> = std::thread::scope(|scope| {
+        let points: Vec<Point> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, mut ctx) in contexts.into_iter().enumerate() {
                 let barrier = &barrier;
@@ -196,6 +200,7 @@ impl<'a> Benchmark<'a> {
                 handles.push(scope.spawn(move || {
                     let mut samples = IncrementalStats::new();
                     let mut stats = OnlineStats::new();
+                    let mut ci = None;
                     let mut spent = 0.0;
                     for rep in 0..p.reps_max {
                         // Synchronised start: maximum resource sharing.
@@ -214,6 +219,7 @@ impl<'a> Benchmark<'a> {
                             }
                         }
                         stats = this.effective_stats(&samples);
+                        ci = stats.confidence_interval(p.cl);
                         if let Some(t) = rep_time {
                             metrics().record_bench_rep(t);
                             this.trace.record(&TraceEvent::BenchmarkSample {
@@ -221,7 +227,7 @@ impl<'a> Benchmark<'a> {
                                 d,
                                 rep,
                                 time: t,
-                                ci_rel: relative_ci(&stats, p),
+                                ci_rel: relative_ci(ci),
                             });
                         }
                         // Publish own verdict, then synchronise so every
@@ -230,8 +236,7 @@ impl<'a> Benchmark<'a> {
                         // would deadlock the next repetition's barrier).
                         {
                             let mut flags = done.lock().expect("poisoned");
-                            flags[rank] =
-                                rep + 1 >= p.reps_min && reliable(&stats, p, spent);
+                            flags[rank] = rep + 1 >= p.reps_min && reliable(ci, p, spent);
                         }
                         barrier.wait();
                         let all_done = done.lock().expect("poisoned").iter().all(|f| *f);
@@ -254,7 +259,7 @@ impl<'a> Benchmark<'a> {
                             outliers_rejected: outliers as u32,
                         });
                     }
-                    stats
+                    point_from_stats(d, &stats, ci)
                 }));
             }
             handles
@@ -266,45 +271,30 @@ impl<'a> Benchmark<'a> {
         if let Some(e) = error.into_inner().expect("poisoned") {
             return Err(e);
         }
-        Ok(results
-            .iter()
-            .zip(sizes)
-            .map(|(stats, &d)| point_from_stats(d, stats, p))
-            .collect())
+        Ok(points)
     }
 }
 
 /// Relative confidence-interval half-width of the mean, or `inf`
 /// before enough samples exist to compute one.
-fn relative_ci(stats: &OnlineStats, p: &Precision) -> f64 {
-    stats
-        .confidence_interval(p.cl)
-        .map(|ci| ci.relative_error())
-        .unwrap_or(f64::INFINITY)
+fn relative_ci(ci: Option<ConfidenceInterval>) -> f64 {
+    ci.map_or(f64::INFINITY, |ci| ci.relative_error())
 }
 
 /// Stopping rule: the confidence interval is tight enough, the data is
 /// degenerate-but-stable (zero variance), or the time budget ran out.
-fn reliable(stats: &OnlineStats, p: &Precision, spent: f64) -> bool {
-    if spent >= p.max_seconds {
-        return true;
-    }
-    match stats.confidence_interval(p.cl) {
-        Some(ci) => ci.relative_error() <= p.rel_err,
-        None => false,
-    }
+fn reliable(ci: Option<ConfidenceInterval>, p: &Precision, spent: f64) -> bool {
+    spent >= p.max_seconds || ci.is_some_and(|ci| ci.relative_error() <= p.rel_err)
 }
 
-fn point_from_stats(d: u64, stats: &OnlineStats, p: &Precision) -> Point {
-    let ci = stats
-        .confidence_interval(p.cl)
-        .map(|ci| ci.half_width)
-        .unwrap_or(0.0);
+/// The reported point: `ci` is the interval of `stats`, as computed
+/// after the last repetition.
+fn point_from_stats(d: u64, stats: &OnlineStats, ci: Option<ConfidenceInterval>) -> Point {
     Point {
         d,
         t: stats.mean(),
         reps: stats.count() as u32,
-        ci,
+        ci: ci.map_or(0.0, |ci| ci.half_width),
     }
 }
 

@@ -17,10 +17,33 @@ use crate::{CoreError, Point};
 ///
 /// With a single experimental point the model degenerates to the
 /// constant model (a line through the origin).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AkimaModel {
     points: Vec<Point>,
     spline: Option<AkimaSpline>,
+    /// The fastest observed per-unit time, `min(tᵢ / dᵢ)` over
+    /// `points` (`+∞` while empty) — the rate behind the floor of
+    /// [`Model::time`]. Kept here, and brought up to date by every
+    /// method that changes `points`, so a prediction does not rescan
+    /// the points. A minimum is exact in floating point, so the value
+    /// is the same whichever order the points were seen in.
+    floor_rate: f64,
+}
+
+impl Default for AkimaModel {
+    fn default() -> Self {
+        Self {
+            points: Vec::new(),
+            spline: None,
+            floor_rate: f64::INFINITY,
+        }
+    }
+}
+
+/// A point's per-unit time, the quantity [`AkimaModel::floor_rate`]
+/// minimises.
+fn unit_time(p: &Point) -> f64 {
+    p.t / p.d as f64
 }
 
 impl AkimaModel {
@@ -29,7 +52,16 @@ impl AkimaModel {
         Self::default()
     }
 
+    fn rescan_floor_rate(&mut self) {
+        self.floor_rate = self
+            .points
+            .iter()
+            .map(unit_time)
+            .fold(f64::INFINITY, f64::min);
+    }
+
     fn refresh(&mut self) -> Result<(), CoreError> {
+        self.rescan_floor_rate();
         if self.points.is_empty() {
             self.spline = None;
             return Ok(());
@@ -50,12 +82,20 @@ impl AkimaModel {
         Ok(())
     }
 
-    /// After the point at sorted index `i` changed (same size, new
-    /// time), patch the matching spline node instead of rebuilding.
-    /// Node `i + 1` because the spline is anchored at the origin.
-    /// Bit-identical to [`Self::refresh`] by the `AkimaSpline::set_y`
-    /// contract; falls back to a rebuild when no spline exists yet.
-    fn patch_node(&mut self, i: usize) -> Result<Refresh, CoreError> {
+    /// After the point at sorted index `i` changed from `old` (same
+    /// size, new time), patch the matching spline node instead of
+    /// rebuilding. Node `i + 1` because the spline is anchored at the
+    /// origin. Bit-identical to [`Self::refresh`] by the
+    /// `AkimaSpline::set_y` contract; falls back to a rebuild when no
+    /// spline exists yet. The floor rate follows in O(1) unless the
+    /// moved node held the minimum and moved up.
+    fn patch_node(&mut self, i: usize, old: &Point) -> Result<Refresh, CoreError> {
+        let rate = unit_time(&self.points[i]);
+        if rate <= self.floor_rate {
+            self.floor_rate = rate;
+        } else if unit_time(old) == self.floor_rate {
+            self.rescan_floor_rate();
+        }
         match self.spline.as_mut() {
             Some(spline) if spline.xs().len() == self.points.len() + 1 => {
                 spline
@@ -87,8 +127,8 @@ impl AkimaModel {
     pub fn absorb(&mut self, point: Point) -> Result<Refresh, CoreError> {
         match insert_point_indexed(&mut self.points, point)? {
             None => Ok(Refresh::Patched), // zero-size: nothing moved
-            Some((i, true)) => self.patch_node(i),
-            Some((_, false)) => {
+            Some((i, Some(old))) => self.patch_node(i, &old),
+            Some((_, None)) => {
                 self.refresh()?;
                 Ok(Refresh::Rebuilt)
             }
@@ -118,8 +158,8 @@ impl AkimaModel {
         }
         match self.points.binary_search_by(|p| p.d.cmp(&point.d)) {
             Ok(i) => {
-                self.points[i] = point;
-                self.patch_node(i)
+                let old = std::mem::replace(&mut self.points[i], point);
+                self.patch_node(i, &old)
             }
             Err(i) => {
                 self.points.insert(i, point);
@@ -134,12 +174,7 @@ impl AkimaModel {
     /// never produce zero or negative times (which would blow up
     /// speeds).
     fn time_floor(&self, x: f64) -> f64 {
-        let best: f64 = self
-            .points
-            .iter()
-            .map(|p| p.t / p.d as f64)
-            .fold(f64::INFINITY, f64::min);
-        1e-3 * best * x
+        1e-3 * self.floor_rate * x
     }
 }
 
@@ -253,11 +288,25 @@ mod tests {
     }
 
     /// The two models must agree bit-for-bit, not merely compare
-    /// equal: probe times at many abscissas via `to_bits`.
+    /// equal: probe times at many abscissas via `to_bits` — a coarse
+    /// sweep plus the neighbourhood of every point, where a spike pulls
+    /// the spline under the floor. The kept floor rate (part of the
+    /// structural comparison) must also be what a scan of the points
+    /// gives.
     fn assert_models_bitwise_eq(a: &AkimaModel, b: &AkimaModel, ctx: &str) {
         assert_eq!(a, b, "{ctx}: structural mismatch");
-        for i in 0..200 {
-            let x = i as f64 * 7.3;
+        let scanned = a.points.iter().map(unit_time).fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            a.floor_rate.to_bits(),
+            scanned.to_bits(),
+            "{ctx}: floor rate"
+        );
+        let sweep = (0..200).map(|i| i as f64 * 7.3);
+        let near_points = a
+            .points
+            .iter()
+            .flat_map(|p| [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75].map(|dx| p.d as f64 + dx));
+        for x in sweep.chain(near_points) {
             let (ta, tb) = (a.time(x), b.time(x));
             match (ta, tb) {
                 (Some(ta), Some(tb)) => {
@@ -297,6 +346,94 @@ mod tests {
             assert_models_bitwise_eq(&inc, &ref_model, &format!("step {step}"));
         }
         assert!(patched >= 4, "patch path never exercised: {patched}");
+    }
+
+    /// The model `update` builds from scratch out of `m`'s points: the
+    /// reference for every incremental path (its floor rate comes from
+    /// a full scan).
+    fn rebuilt(m: &AkimaModel) -> AkimaModel {
+        let mut fresh = AkimaModel::new();
+        for p in m.points() {
+            fresh.update(*p).unwrap();
+        }
+        fresh
+    }
+
+    #[test]
+    fn floor_rate_follows_every_way_the_points_change() {
+        // `time_floor_prevents_nonpositive_predictions`'s data plus a
+        // point at 14 that sends the spline far below zero on the way
+        // to 100: the spike at 11 holds the minimum per-unit time, and
+        // the floor it sets decides predictions.
+        let spike = [(10u64, 5.0), (11, 0.001), (12, 5.0), (14, 1.0), (100, 6.0)];
+        let mut m = AkimaModel::new();
+        for (step, &(d, t)) in spike.iter().enumerate() {
+            m.update(Point::single(d, t)).unwrap();
+            assert_models_bitwise_eq(&m, &rebuilt(&m), &format!("update {step}"));
+        }
+        let binds = |m: &AkimaModel| {
+            (1..400)
+                .map(|i| i as f64 * 0.25)
+                .any(|x| m.time(x).unwrap().to_bits() == (1e-3 * m.floor_rate * x).to_bits())
+        };
+        assert!(binds(&m), "the floor never decides a prediction");
+
+        // absorb, patch path: the minimum-holding node merges upward
+        // (the minimum stays there, larger), another node merges
+        // (minimum untouched), then the holder moves above its
+        // neighbours' rate so the minimum changes hands.
+        for (step, (d, t)) in [(11u64, 0.003), (12, 4.0), (11, 400.0)]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(m.absorb(Point::single(d, t)).unwrap(), Refresh::Patched);
+            assert_models_bitwise_eq(&m, &rebuilt(&m), &format!("absorb patch {step}"));
+        }
+        assert!(m.floor_rate > 0.001 / 11.0);
+        // absorb, rebuild path: a new size with a new minimum.
+        assert_eq!(
+            m.absorb(Point::single(50, 0.002)).unwrap(),
+            Refresh::Rebuilt
+        );
+        assert_models_bitwise_eq(&m, &rebuilt(&m), "absorb rebuild");
+        assert_eq!(m.floor_rate.to_bits(), (0.002f64 / 50.0).to_bits());
+        assert!(binds(&m));
+
+        // set_point: replace the minimum-holding node downward, then
+        // upward past every other node (a rescan), then a non-holder.
+        for (step, (d, t)) in [(50u64, 0.0005), (50, 70.0), (100, 5.5)]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(m.set_point(Point::single(d, t)).unwrap(), Refresh::Patched);
+            assert_models_bitwise_eq(&m, &rebuilt(&m), &format!("set_point {step}"));
+        }
+        assert_eq!(
+            m.set_point(Point::single(9, 0.0009)).unwrap(),
+            Refresh::Rebuilt
+        );
+        assert_models_bitwise_eq(&m, &rebuilt(&m), "set_point insert");
+
+        // model::io: a saved and reloaded model is the same model.
+        let mut file = Vec::new();
+        crate::model::io::write_points(&mut file, m.points()).unwrap();
+        let mut reloaded = AkimaModel::new();
+        for p in crate::model::io::read_points(file.as_slice()).unwrap() {
+            reloaded.update(p).unwrap();
+        }
+        assert_models_bitwise_eq(&reloaded, &m, "io reload");
+    }
+
+    #[test]
+    fn an_empty_model_equals_a_new_one_whatever_it_was_offered() {
+        // Zero-size points are ignored; the floor rate of "no points"
+        // must be the same value on every path that can leave a model
+        // empty.
+        let mut m = AkimaModel::new();
+        m.update(Point::single(0, 0.0)).unwrap();
+        m.absorb(Point::single(0, 0.0)).unwrap();
+        m.set_point(Point::single(0, 0.0)).unwrap();
+        assert_eq!(m, AkimaModel::new());
     }
 
     #[test]

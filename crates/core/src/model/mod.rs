@@ -70,6 +70,12 @@ pub trait Model {
 
     /// Predicted execution time of `x` computation units, or `None` if
     /// the model has no data yet. `time(0) = 0` for every model.
+    ///
+    /// Must be pure: between two [`Model::update`]s the same `x` gives
+    /// the same bits, whatever was asked in between. The partitioners
+    /// remember values across the steps of one solve
+    /// ([`GeometricPartitioner`](crate::partition::GeometricPartitioner)
+    /// evaluates each abscissa once) and would otherwise mix answers.
     fn time(&self, x: f64) -> Option<f64>;
 
     /// Derivative of the time function at `x`, if the model has data.
@@ -92,14 +98,15 @@ pub(crate) fn insert_point(points: &mut Vec<Point>, point: Point) -> Result<(), 
 }
 
 /// [`insert_point`], reporting *where* the point landed: `Some((i,
-/// merged))` with the sorted index and whether it merged into an
-/// existing size, or `None` for an ignored zero-size point. The index
-/// is what lets [`AkimaModel::absorb`] patch the matching spline node
-/// instead of rebuilding.
+/// replaced))` with the sorted index and, when it merged into an
+/// existing size, the point that was there before; or `None` for an
+/// ignored zero-size point. The index is what lets
+/// [`AkimaModel::absorb`] patch the matching spline node instead of
+/// rebuilding, the replaced point what lets it keep its floor rate.
 pub(crate) fn insert_point_indexed(
     points: &mut Vec<Point>,
     point: Point,
-) -> Result<Option<(usize, bool)>, CoreError> {
+) -> Result<Option<(usize, Option<Point>)>, CoreError> {
     if !point.t.is_finite() || (point.d > 0 && point.t <= 0.0) || point.t < 0.0 {
         return Err(CoreError::Model(format!(
             "invalid experimental point: d={}, t={}",
@@ -121,11 +128,11 @@ pub(crate) fn insert_point_indexed(
                 reps: old.reps.saturating_add(point.reps),
                 ci: old.ci.max(point.ci),
             };
-            Ok(Some((i, true)))
+            Ok(Some((i, Some(old))))
         }
         Err(i) => {
             points.insert(i, point);
-            Ok(Some((i, false)))
+            Ok(Some((i, None)))
         }
     }
 }

@@ -1,8 +1,64 @@
-use fupermod_num::solve::{bisect, RootOptions};
+//! The geometrical partitioner and its inner solve.
+//!
+//! The algorithm is two nested bisections: an outer one over the time
+//! `T`, and, for every `T` it tries, one inner bisection per process
+//! for the size `dᵢ(T)` with `timeᵢ(dᵢ) = T`. The outer loop only asks
+//! whether `Σ dᵢ(T) < D`. Done literally that is ≈ 40 outer steps ×
+//! `p` inner bisections × ≈ 31 levels of [`Model::time`] each, nearly
+//! all of it repeated or unneeded. This module makes the same
+//! decisions — every `mid`, every tolerance test, every `signum`
+//! comparison of [`fupermod_num::solve::bisect`], the same
+//! bracket-doubling and `time(0)` pre-checks, the same in-order
+//! floating-point sum — from a few dozen evaluations per process, and
+//! returns the same bits. What is saved, and what each saving rests on:
+//!
+//! * **Repeated abscissae.** All inner bisections of one process start
+//!   from `[0, hi]`, so the descents for consecutive `T` visit the same
+//!   `mid`s until their decisions first differ. Each [`Descent`]
+//!   remembers `time(mid)` along its latest path (and its doubling
+//!   probes and `time(0)`) and reads a value back when the same
+//!   abscissa comes up again. That is memoisation, not approximation,
+//!   and requires only that **`Model::time` is pure** — the same `x`
+//!   gives the same bits for as long as the model is not updated, which
+//!   the shared borrow of the models guarantees for the length of one
+//!   `partition` call. What is remembered lives for exactly that call.
+//!
+//! * **Repeated decisions.** An iteration reads `T` only to compare it
+//!   with `time(mid)`, so a whole descent goes the same way for every
+//!   `T` between the largest `time(mid)` that sent it up and the
+//!   smallest that sent it down. While `T` stays in there the descent
+//!   is simply taken up where the previous `T` left it
+//!   ([`InnerSolve::start`] has the details).
+//!
+//! * **Unneeded depth.** The outer comparison needs the truth of
+//!   `Σ dᵢ(T) < D`, not the sum. Two facts make a partial answer
+//!   exact: (1) *a bisection's result lies in its current bracket* —
+//!   every later `mid` is `0.5·(lo + hi)` of a nested bracket, and the
+//!   rounded midpoint of two floats lies between them; (2) *the
+//!   in-order floating-point sum is monotone in every addend* —
+//!   round-to-nearest never reorders, so replacing an addend by a
+//!   larger one cannot make `((0 + d₁) + d₂) + …` smaller. Hence the
+//!   same in-order sum taken over the brackets' upper ends bounds the
+//!   full-depth sum from above, and over their lower ends from below:
+//!   if the first is `< D` so is the real one, if the second is `≥ D`
+//!   so is the real one. The descents are advanced, widest bracket
+//!   first, until one of the two holds; only the final sizes at `T*`
+//!   run to full depth.
+//!
+//! Stopping a descent early could hide the `NoConvergence` error its
+//! remaining levels would have hit. It cannot: the inner bracket is
+//! `[0, hi]` with `x_tol = 1e-9·hi`, and `2⁻³⁰ < 1e-9 < 2⁻²⁹` with 7 %
+//! to spare against roundings of relative size `2⁻⁵²`, so the width
+//! test first passes, and always passes, on the 31st level
+//! ([`X_TOL_LEVELS`]). With `max_iter ≥ 31` no descent can fail; with
+//! less, every descent is run to its end before the sums are compared,
+//! so an input that was an error stays one.
+
+use fupermod_num::NumError;
 
 use super::{check_inputs, finalize, Distribution, Partitioner};
 use crate::model::Model;
-use crate::CoreError;
+use crate::{telemetry, CoreError};
 
 /// The geometrical data-partitioning algorithm of Lastovetsky–Reddy
 /// \[10\]: iterative bisection of the speed functions with lines through
@@ -33,65 +89,412 @@ impl Default for GeometricPartitioner {
     }
 }
 
-impl GeometricPartitioner {
-    /// The size process `m` can complete within `t` seconds: the
-    /// intersection of its speed function with the line of slope `1/t`.
-    fn size_at_time(&self, m: &dyn Model, t: f64) -> Result<f64, CoreError> {
-        if t <= 0.0 {
-            return Ok(0.0);
-        }
-        let time = |x: f64| m.time(x).unwrap_or(f64::INFINITY);
+/// The level on which an inner bisection's width test first passes,
+/// and always passes (see the module docs): a descent is at most this
+/// deep, and with this many iterations allowed it cannot fail.
+const X_TOL_LEVELS: usize = 31;
 
-        // Beyond the last experimental point the speed is constant, so
-        // the time function grows without bound: doubling finds an
-        // upper bracket.
-        let mut hi = m
-            .points()
-            .last()
-            .map(|p| p.d as f64)
-            .unwrap_or(1.0)
-            .max(1.0);
-        let mut guard = 0;
-        while time(hi) < t {
-            hi *= 2.0;
-            guard += 1;
-            if guard > 200 {
-                return Err(CoreError::Partition(format!(
-                    "time function never reaches {t} s (unbounded speed?)"
-                )));
-            }
-        }
-        if time(0.0) >= t {
-            return Ok(0.0);
-        }
-        let root = bisect(
-            |x| time(x) - t,
-            0.0,
-            hi,
-            RootOptions {
-                x_tol: 1e-9 * hi.max(1.0),
-                f_tol: 1e-12 * t.max(1.0),
-                max_iter: self.max_iter,
-            },
-        )
-        .map_err(CoreError::from)?;
-        Ok(root)
+/// What one `partition` call did, summed in locals and published once
+/// at its end.
+#[derive(Default)]
+struct Tally {
+    model_evals: u64,
+    outer_iterations: u64,
+    decided_early: u64,
+}
+
+/// One process's inner bisection for the size that takes `t` seconds —
+/// `bisect(|x| time(x) − t, 0, hi, …)` after the bracket-doubling and
+/// `time(0)` pre-checks — held as a value, so that it can be advanced a
+/// level at a time and taken up again for the next `t`, together with
+/// what it has learnt about the process's time function.
+struct Descent<'m> {
+    model: &'m dyn Model,
+
+    // Known for the whole call.
+    /// Where the upper bracket starts: the last experimental size.
+    hi0: f64,
+    /// `time(0)`, once asked for.
+    at_zero: Option<f64>,
+    /// `probes[j] = time(hi0 · 2ʲ)`, as far as any doubling has gone.
+    probes: Vec<f64>,
+
+    /// The path of the latest descent: it started from `[0, top]`,
+    /// `turns` has bit `k` set where it kept the upper half after
+    /// level `k`, and the first `known` entries of this process's row
+    /// of [`InnerSolve::at_mids`] hold `time(mid)` of its levels. A
+    /// bracket follows from the starting bracket and the turns taken,
+    /// and a `mid` from its bracket, so a descent that has made the
+    /// same turns so far is about to visit the same abscissa.
+    top: f64,
+    turns: u32,
+    known: u32,
+
+    // The descent itself: `level` iterations from `[0, top]`.
+    level: u32,
+    lo: f64,
+    hi: f64,
+    /// `time(lo) − t`. Only its sign is read, and that is the sign of
+    /// `time(0) − t`, which every `t` that gets past the pre-checks
+    /// shares — so it need not follow `t`.
+    flo: f64,
+    /// The root, once a level (or a pre-check) has returned it.
+    root: Option<f64>,
+    /// The `t` for which this descent would have come the same way:
+    /// above `after`, the largest `time(mid)` that sent it up, and not
+    /// above `upto`, the smallest that sent it down (see
+    /// [`InnerSolve::start`]).
+    after: f64,
+    upto: f64,
+}
+
+/// In-order sums of the descents' brackets — a finished descent's is
+/// its root twice — which bound the full-depth sum from both sides.
+struct Brackets {
+    below: f64,
+    above: f64,
+    /// Width of the widest bracket still open, if any is.
+    widest: Option<f64>,
+}
+
+/// The inner solves of one `partition` call.
+struct InnerSolve<'m, 't> {
+    descents: Vec<Descent<'m>>,
+    /// `levels` entries per process, process-major: see [`Descent::top`].
+    at_mids: Vec<f64>,
+    levels: usize,
+    max_iter: usize,
+    /// Brackets at least this wide were stepped in the latest round.
+    step_width: f64,
+    tally: &'t mut Tally,
+}
+
+/// `Model::time` as the solver sees it: a model that cannot answer is
+/// infinitely slow.
+fn time_of(model: &dyn Model, x: f64, tally: &mut Tally) -> f64 {
+    tally.model_evals += 1;
+    model.time(x).unwrap_or(f64::INFINITY)
+}
+
+/// `bisect`'s residual tolerance for the root of `time(x) − t`.
+fn f_tol(t: f64) -> f64 {
+    1e-12 * t.max(1.0)
+}
+
+impl Descent<'_> {
+    /// A pre-check answered for this `t`; the levels below are not its
+    /// way there, so no later `t` may take them up.
+    fn settle(&mut self, root: f64) {
+        self.root = Some(root);
+        self.after = f64::INFINITY;
+    }
+
+    /// `bisect`'s width tolerance for a descent from `[0, top]`.
+    fn x_tol(&self) -> f64 {
+        1e-9 * self.top.max(1.0)
     }
 }
 
-impl Partitioner for GeometricPartitioner {
-    fn partition(&self, total: u64, models: &[&dyn Model]) -> Result<Distribution, CoreError> {
-        check_inputs(models)?;
-        if total == 0 {
-            return finalize(total, &vec![0.0; models.len()], models);
+impl<'m, 't> InnerSolve<'m, 't> {
+    fn new(models: &[&'m dyn Model], max_iter: usize, tally: &'t mut Tally) -> Self {
+        let levels = max_iter.min(X_TOL_LEVELS);
+        let descents = models
+            .iter()
+            .map(|&model| Descent {
+                model,
+                // Beyond the last experimental point the speed is
+                // constant, so the time function grows without bound:
+                // doubling from there finds an upper bracket.
+                hi0: model
+                    .points()
+                    .last()
+                    .map(|p| p.d as f64)
+                    .unwrap_or(1.0)
+                    .max(1.0),
+                at_zero: None,
+                probes: Vec::new(),
+                top: 0.0,
+                turns: 0,
+                known: 0,
+                level: 0,
+                lo: 0.0,
+                hi: 0.0,
+                flo: 0.0,
+                root: None,
+                after: f64::INFINITY,
+                upto: f64::INFINITY,
+            })
+            .collect();
+        Self {
+            descents,
+            at_mids: vec![0.0; models.len() * levels],
+            levels,
+            max_iter,
+            step_width: f64::INFINITY,
+            tally,
         }
-        let d = total as f64;
+    }
 
+    /// Begins process `i`'s descent for time `t`: everything
+    /// `size_at_time` did before, and `bisect` did at, its first
+    /// iteration — which may already give the root — and then puts the
+    /// descent where the bisection for `t` would be after as many
+    /// iterations as can be told without making them.
+    ///
+    /// That is level 0, unless the descent left behind by the previous
+    /// `t` came the way this one would. An iteration reads `t` twice:
+    /// it returns `mid` if `|time(mid) − t| ≤ f_tol`, and otherwise
+    /// keeps the upper half iff `time(mid) − t` has the sign of `flo`,
+    /// which is to say iff `time(mid) < t` (`flo` is negative, or NaN
+    /// along with `time(0)`, and then every level goes down whatever
+    /// `t` is). So the levels behind the old descent turn the same way
+    /// for `t` if `t` is above every `time(mid)` that sent it up and
+    /// not above any that sent it down, and none of them returns if
+    /// the nearest on either side — `after` and `upto`; rounding a
+    /// difference is monotone — is farther than `f_tol` from `t`. If
+    /// the old descent had returned at its last level, that level must
+    /// return again: always when it was the width that stopped it,
+    /// else if `time(mid)` is still within `f_tol`.
+    fn start(&mut self, i: usize, t: f64) -> Result<(), CoreError> {
+        let tally = &mut *self.tally;
+        let d = &mut self.descents[i];
+        if t <= 0.0 {
+            d.settle(0.0);
+            return Ok(());
+        }
+
+        let mut hi = d.hi0;
+        let mut doublings = 0;
+        let at_hi = loop {
+            if doublings == d.probes.len() {
+                d.probes.push(time_of(d.model, hi, tally));
+            }
+            let at_hi = d.probes[doublings];
+            if at_hi < t {
+                hi *= 2.0;
+                doublings += 1;
+                if doublings > 200 {
+                    return Err(CoreError::Partition(format!(
+                        "time function never reaches {t} s (unbounded speed?)"
+                    )));
+                }
+            } else {
+                break at_hi;
+            }
+        };
+        let model = d.model;
+        let at_zero = *d.at_zero.get_or_insert_with(|| time_of(model, 0.0, tally));
+        if at_zero >= t {
+            d.settle(0.0);
+            return Ok(());
+        }
+
+        // `bisect`'s entry checks. The bracket `[0, hi]` is always
+        // valid (`1 ≤ hi ≤ 2⁶⁴·2²⁰⁰`). Of the residuals at its ends,
+        // `time(0) − t` is negative or NaN and `time(hi) − t` is not
+        // negative — the two tests above — so the lower end is no
+        // root, the signs can never be found equal, and what is left
+        // is the upper end being the root.
+        let flo = at_zero - t;
+        if at_hi - t == 0.0 {
+            d.settle(hi);
+            return Ok(());
+        }
+
+        let far = |at_mid: f64| (at_mid - t).abs() > f_tol(t);
+        let turns_the_same =
+            hi == d.top && d.after < t && t <= d.upto && far(d.after) && far(d.upto);
+        let ends_the_same = || {
+            d.root.is_none()
+                || (d.hi - d.lo) <= d.x_tol()
+                || !far(self.at_mids[i * self.levels + d.level as usize - 1])
+        };
+        if turns_the_same && ends_the_same() {
+            return Ok(());
+        }
+        if hi != d.top {
+            d.top = hi;
+            d.known = 0;
+        }
+        d.level = 0;
+        d.lo = 0.0;
+        d.hi = hi;
+        d.flo = flo;
+        d.root = None;
+        d.after = f64::NEG_INFINITY;
+        d.upto = f64::INFINITY;
+        Ok(())
+    }
+
+    /// One iteration of `bisect` for process `i`'s unfinished descent.
+    fn step(&mut self, i: usize, t: f64) -> Result<(), CoreError> {
+        let level = self.descents[i].level as usize;
+        if level == self.max_iter {
+            let d = &self.descents[i];
+            return Err(NumError::NoConvergence {
+                method: "bisect",
+                residual: d.hi - d.lo,
+            }
+            .into());
+        }
+        // In range: no descent goes deeper than `X_TOL_LEVELS`.
+        let at_mid = &mut self.at_mids[i * self.levels..][..self.levels][level];
+        let d = &mut self.descents[i];
+        let mid = 0.5 * (d.lo + d.hi);
+        if d.level == d.known {
+            *at_mid = time_of(d.model, mid, self.tally);
+            d.known += 1;
+        }
+        let at_mid = *at_mid;
+        let fmid = at_mid - t;
+        if fmid.abs() <= f_tol(t) || (d.hi - d.lo) <= d.x_tol() {
+            d.root = Some(mid);
+        } else {
+            let up = fmid.signum() == d.flo.signum();
+            if up {
+                d.lo = mid;
+                d.flo = fmid;
+                d.after = d.after.max(at_mid);
+            } else {
+                d.hi = mid;
+                // A NaN bounds nothing (and `min` drops it).
+                d.upto = d.upto.min(at_mid);
+            }
+            // Turning off the remembered path forgets what lay beyond.
+            let bit = 1 << level;
+            if (d.turns & bit != 0) != up {
+                d.turns ^= bit;
+                d.known = d.level + 1;
+            }
+        }
+        d.level += 1;
+        Ok(())
+    }
+
+    /// Runs process `i`'s descent to its root.
+    fn finish(&mut self, i: usize, t: f64) -> Result<f64, CoreError> {
+        loop {
+            if let Some(root) = self.descents[i].root {
+                return Ok(root);
+            }
+            self.step(i, t)?;
+        }
+    }
+
+    /// Moves every descent on with `advance`, then sums the brackets
+    /// they are left with, in process order like the sum they bound.
+    fn sweep(
+        &mut self,
+        mut advance: impl FnMut(&mut Self, usize) -> Result<(), CoreError>,
+    ) -> Result<Brackets, CoreError> {
+        let mut sums = Brackets {
+            below: 0.0,
+            above: 0.0,
+            widest: None,
+        };
+        for i in 0..self.descents.len() {
+            advance(self, i)?;
+            let d = &self.descents[i];
+            let (lo, hi) = d.root.map_or((d.lo, d.hi), |root| (root, root));
+            sums.below += lo;
+            sums.above += hi;
+            if d.root.is_none() {
+                sums.widest = Some(sums.widest.map_or(hi - lo, |w: f64| w.max(hi - lo)));
+            }
+        }
+        Ok(sums)
+    }
+
+    /// The truth of `Σ dᵢ(t) < total`, from as few levels as settle it.
+    ///
+    /// Which descents move, and when, changes only the cost: the
+    /// answer is read off brackets that hold whatever was done to
+    /// them. The cheapest way to narrow the sum is to halve its widest
+    /// brackets, so each round steps those at least half as wide as
+    /// the widest; and a descent that had to begin again first walks
+    /// the levels it remembers down to the width the others were left
+    /// at, which costs no evaluation.
+    fn sum_is_below(&mut self, t: f64, total: f64) -> Result<bool, CoreError> {
+        self.tally.outer_iterations += 1;
+        // Below `X_TOL_LEVELS` a descent may run out of iterations, and
+        // the comparison must not be answered past that error.
+        let may_stop_early = self.max_iter >= X_TOL_LEVELS;
+        let mut sums = self.sweep(|solve, i| {
+            solve.start(i, t)?;
+            if !may_stop_early {
+                solve.finish(i, t)?;
+            }
+            loop {
+                let d = &solve.descents[i];
+                if d.root.is_some() || d.level == d.known || d.hi - d.lo < solve.step_width {
+                    return Ok(());
+                }
+                solve.step(i, t)?;
+            }
+        })?;
+        loop {
+            // With no descent open both sums are the full-depth sum.
+            let Some(widest) = sums.widest else {
+                return Ok(sums.above < total);
+            };
+            if sums.above < total || sums.below >= total {
+                self.tally.decided_early += 1;
+                return Ok(sums.above < total);
+            }
+            self.step_width = 0.5 * widest;
+            sums = self.sweep(|solve, i| {
+                let d = &solve.descents[i];
+                if d.root.is_some() || d.hi - d.lo < solve.step_width {
+                    return Ok(());
+                }
+                solve.step(i, t)
+            })?;
+        }
+    }
+
+    /// Every `dᵢ(t)`, at full depth.
+    fn sizes_at(&mut self, t: f64) -> Result<Vec<f64>, CoreError> {
+        (0..self.descents.len())
+            .map(|i| {
+                self.start(i, t)?;
+                self.finish(i, t)
+            })
+            .collect()
+    }
+}
+
+impl GeometricPartitioner {
+    fn solve(
+        &self,
+        total: u64,
+        models: &[&dyn Model],
+        tally: &mut Tally,
+    ) -> Result<Distribution, CoreError> {
+        check_inputs(models)?;
+        let continuous = if total == 0 {
+            vec![0.0; models.len()]
+        } else {
+            self.sizes_at_optimum(total as f64, models, tally)?
+        };
+        let dist = finalize(total, &continuous, models)?;
+        tally.model_evals += models.len() as u64; // the parts' predicted times
+        Ok(dist)
+    }
+
+    /// The outer bisection of the line slope (equivalently of `T`);
+    /// returns the continuous sizes at `T*`.
+    fn sizes_at_optimum(
+        &self,
+        d: f64,
+        models: &[&dyn Model],
+        tally: &mut Tally,
+    ) -> Result<Vec<f64>, CoreError> {
         // Upper bracket on T*: the time the single slowest process
         // would need for the whole workload — by then every process can
         // absorb D on its own.
         let mut t_hi: f64 = 0.0;
         for m in models {
+            tally.model_evals += 1;
             let t = m.time(d).unwrap_or(0.0);
             t_hi = t_hi.max(t);
         }
@@ -101,20 +504,12 @@ impl Partitioner for GeometricPartitioner {
             ));
         }
 
-        let sum_at = |t: f64| -> Result<f64, CoreError> {
-            let mut sum = 0.0;
-            for m in models {
-                sum += self.size_at_time(*m, t)?;
-            }
-            Ok(sum)
-        };
-
-        // Bisection of the line slope (equivalently of T).
+        let mut inner = InnerSolve::new(models, self.max_iter, tally);
         let mut lo = 0.0;
         let mut hi = t_hi;
         // Make sure the bracket really covers D (numerical safety).
         let mut guard = 0;
-        while sum_at(hi)? < d {
+        while inner.sum_is_below(hi, d)? {
             hi *= 2.0;
             guard += 1;
             if guard > 100 {
@@ -128,34 +523,207 @@ impl Partitioner for GeometricPartitioner {
             if (hi - lo) <= self.rel_tol * hi {
                 break;
             }
-            if sum_at(mid)? < d {
+            if inner.sum_is_below(mid, d)? {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let t_star = hi;
+        inner.sizes_at(hi)
+    }
+}
 
-        let mut continuous = Vec::with_capacity(models.len());
-        for m in models {
-            continuous.push(self.size_at_time(*m, t_star)?);
+impl Partitioner for GeometricPartitioner {
+    fn partition(&self, total: u64, models: &[&dyn Model]) -> Result<Distribution, CoreError> {
+        let mut tally = Tally::default();
+        let result = self.solve(total, models, &mut tally);
+        if telemetry::global().enabled() {
+            let c = counters();
+            c.calls.inc();
+            c.model_evals.add(tally.model_evals);
+            c.outer_iterations.add(tally.outer_iterations);
+            c.decided_early.add(tally.decided_early);
         }
-        finalize(total, &continuous, models)
+        result
+    }
+}
+
+/// This algorithm's series in the process-wide telemetry registry.
+struct Counters {
+    calls: telemetry::Counter,
+    model_evals: telemetry::Counter,
+    outer_iterations: telemetry::Counter,
+    decided_early: telemetry::Counter,
+}
+
+/// The handles, registered on first use by an enabled registry.
+fn counters() -> &'static Counters {
+    static COUNTERS: std::sync::OnceLock<Counters> = std::sync::OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let counter = |name, help| {
+            telemetry::global().counter(name, help, &[("algorithm", "geometric")])
+        };
+        Counters {
+            calls: counter("partition_calls_total", "Partitioner calls, by algorithm."),
+            model_evals: counter(
+                "partition_model_evals_total",
+                "Model evaluations made by partitioner calls, by algorithm.",
+            ),
+            outer_iterations: counter(
+                "partition_outer_iterations_total",
+                "Outer comparisons (is the sum of sizes at T below the total) evaluated, by algorithm.",
+            ),
+            decided_early: counter(
+                "partition_decided_early_total",
+                "Outer comparisons settled from brackets before every inner solve reached full depth, by algorithm.",
+            ),
+        }
+    })
+}
+
+/// The solve this module replaced, kept verbatim as the reference the
+/// tests hold the new one to: every inner bisection is a fresh call of
+/// [`fupermod_num::solve::bisect`] from `[0, hi]`, run to full depth.
+#[cfg(test)]
+mod oracle {
+    use fupermod_num::solve::{bisect, RootOptions};
+
+    use super::super::{check_inputs, finalize, Distribution};
+    use super::GeometricPartitioner;
+    use crate::model::Model;
+    use crate::CoreError;
+
+    impl GeometricPartitioner {
+        /// The size process `m` can complete within `t` seconds: the
+        /// intersection of its speed function with the line of slope `1/t`.
+        fn size_at_time(&self, m: &dyn Model, t: f64) -> Result<f64, CoreError> {
+            if t <= 0.0 {
+                return Ok(0.0);
+            }
+            let time = |x: f64| m.time(x).unwrap_or(f64::INFINITY);
+
+            // Beyond the last experimental point the speed is constant, so
+            // the time function grows without bound: doubling finds an
+            // upper bracket.
+            let mut hi = m
+                .points()
+                .last()
+                .map(|p| p.d as f64)
+                .unwrap_or(1.0)
+                .max(1.0);
+            let mut guard = 0;
+            while time(hi) < t {
+                hi *= 2.0;
+                guard += 1;
+                if guard > 200 {
+                    return Err(CoreError::Partition(format!(
+                        "time function never reaches {t} s (unbounded speed?)"
+                    )));
+                }
+            }
+            if time(0.0) >= t {
+                return Ok(0.0);
+            }
+            let root = bisect(
+                |x| time(x) - t,
+                0.0,
+                hi,
+                RootOptions {
+                    x_tol: 1e-9 * hi.max(1.0),
+                    f_tol: 1e-12 * t.max(1.0),
+                    max_iter: self.max_iter,
+                },
+            )
+            .map_err(CoreError::from)?;
+            Ok(root)
+        }
+
+        pub(super) fn oracle_partition(
+            &self,
+            total: u64,
+            models: &[&dyn Model],
+        ) -> Result<Distribution, CoreError> {
+            check_inputs(models)?;
+            if total == 0 {
+                return finalize(total, &vec![0.0; models.len()], models);
+            }
+            let d = total as f64;
+
+            // Upper bracket on T*: the time the single slowest process
+            // would need for the whole workload — by then every process can
+            // absorb D on its own.
+            let mut t_hi: f64 = 0.0;
+            for m in models {
+                let t = m.time(d).unwrap_or(0.0);
+                t_hi = t_hi.max(t);
+            }
+            if t_hi <= 0.0 {
+                return Err(CoreError::Partition(
+                    "all models predict zero time for the whole workload".to_owned(),
+                ));
+            }
+
+            let sum_at = |t: f64| -> Result<f64, CoreError> {
+                let mut sum = 0.0;
+                for m in models {
+                    sum += self.size_at_time(*m, t)?;
+                }
+                Ok(sum)
+            };
+
+            // Bisection of the line slope (equivalently of T).
+            let mut lo = 0.0;
+            let mut hi = t_hi;
+            // Make sure the bracket really covers D (numerical safety).
+            let mut guard = 0;
+            while sum_at(hi)? < d {
+                hi *= 2.0;
+                guard += 1;
+                if guard > 100 {
+                    return Err(CoreError::Partition(
+                        "failed to bracket the optimal line".to_owned(),
+                    ));
+                }
+            }
+            for _ in 0..self.max_iter {
+                let mid = 0.5 * (lo + hi);
+                if (hi - lo) <= self.rel_tol * hi {
+                    break;
+                }
+                if sum_at(mid)? < d {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let t_star = hi;
+
+            let mut continuous = Vec::with_capacity(models.len());
+            for m in models {
+                continuous.push(self.size_at_time(*m, t_star)?);
+            }
+            finalize(total, &continuous, models)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ConstantModel, Model, PiecewiseModel};
+    use crate::model::{AkimaModel, ConstantModel, Model, PiecewiseModel};
     use crate::Point;
+    use proptest::prelude::*;
 
-    fn pwm(data: &[(u64, f64)]) -> PiecewiseModel {
-        let mut m = PiecewiseModel::new();
+    fn fed<M: Model + Default>(data: &[(u64, f64)]) -> M {
+        let mut m = M::default();
         for &(d, t) in data {
             m.update(Point::single(d, t)).unwrap();
         }
         m
+    }
+
+    fn pwm(data: &[(u64, f64)]) -> PiecewiseModel {
+        fed(data)
     }
 
     #[test]
@@ -247,5 +815,238 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0] >= w[1]);
         }
+    }
+
+    /// A model whose time function is whatever the test says: straight
+    /// lines through `(0, at_zero)` and the points, continued past the
+    /// last point at `slope_beyond` (which may be zero or negative).
+    /// Nothing about it is monotone, positive or even finite.
+    struct Wild {
+        points: Vec<Point>,
+        at_zero: f64,
+        slope_beyond: f64,
+    }
+
+    impl Model for Wild {
+        fn points(&self) -> &[Point] {
+            &self.points
+        }
+        fn update(&mut self, _: Point) -> Result<(), CoreError> {
+            unreachable!("the partitioner only reads")
+        }
+        fn time(&self, x: f64) -> Option<f64> {
+            let (mut x0, mut y0) = (0.0, self.at_zero);
+            for p in &self.points {
+                let (x1, y1) = (p.d as f64, p.t);
+                if x <= x1 {
+                    return Some(y0 + (y1 - y0) * (x - x0) / (x1 - x0));
+                }
+                (x0, y0) = (x1, y1);
+            }
+            Some(y0 + self.slope_beyond * (x - x0))
+        }
+        fn time_derivative(&self, _: f64) -> Option<f64> {
+            None
+        }
+        fn speed(&self, _: f64) -> Option<f64> {
+            None
+        }
+    }
+
+    /// SplitMix64: the cases below are drawn from one seed each, so a
+    /// failure names the seed that reproduces it.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    /// Sorted distinct sizes with times that are either those of a
+    /// steady device with a cliff, or noise.
+    fn random_points(draw: &mut Draw) -> Vec<(u64, f64)> {
+        let n = 1 + draw.below(8);
+        let mut d = 0;
+        let speed = 1.0 + 1000.0 * draw.unit();
+        let cliff = draw.below(5000) as f64;
+        let wild = draw.below(3) == 0;
+        (0..n)
+            .map(|_| {
+                d += 1 + draw.below(2000);
+                let x = d as f64;
+                let t = if wild {
+                    1e-3 + 10.0 * draw.unit()
+                } else {
+                    (x.min(cliff) + 8.0 * (x - cliff).max(0.0)) / speed
+                };
+                (d, t)
+            })
+            .collect()
+    }
+
+    fn random_model(draw: &mut Draw) -> Box<dyn Model> {
+        let points = random_points(draw);
+        match draw.below(8) {
+            0..=2 => Box::new(fed::<PiecewiseModel>(&points)),
+            3..=5 => Box::new(fed::<AkimaModel>(&points)),
+            6 => Box::new(fed::<ConstantModel>(&points)),
+            _ => Box::new(Wild {
+                points: points.iter().map(|&(d, t)| Point::single(d, t)).collect(),
+                at_zero: draw.pick(&[0.0, 0.0, 0.0, 0.5, f64::NAN]),
+                slope_beyond: draw.pick(&[1e-3, 1.0, 0.0, -1e-3]),
+            }),
+        }
+    }
+
+    /// One to sixteen models of any kind.
+    fn random_models(draw: &mut Draw) -> Vec<Box<dyn Model>> {
+        let p = 1 + draw.below(16);
+        (0..p).map(|_| random_model(draw)).collect()
+    }
+
+    /// New solve against the oracle on one drawn case: `Ok` results
+    /// equal in sizes and in the bits of every predicted time, an
+    /// error where there was one (and the same one).
+    fn same_as_oracle(seed: u64) -> Result<(), String> {
+        let mut draw = Draw(seed);
+        let models = random_models(&mut draw);
+        let p = models.len();
+        let refs: Vec<&dyn Model> = models.iter().map(|m| &**m).collect();
+        let reach: u64 = refs.iter().map(|m| m.points().last().unwrap().d).sum();
+        let total = match draw.below(6) {
+            0 => 0,
+            1 => draw.below(p as u64 + 1),
+            2 => 4 * reach + draw.below(reach),
+            _ => draw.below(reach + 1),
+        };
+        let partitioner = GeometricPartitioner {
+            rel_tol: draw.pick(&[1e-10, 1e-10, 1e-6, 1e-2]),
+            max_iter: draw.pick(&[0, 5, 12, 30, 31, 32, 40, 200, 200]),
+        };
+        let got = partitioner.partition(total, &refs);
+        let want = partitioner.oracle_partition(total, &refs);
+        let bits = |d: &Distribution| -> Vec<(u64, u64)> {
+            d.parts()
+                .iter()
+                .map(|part| (part.d, part.t.to_bits()))
+                .collect()
+        };
+        let same = match (&got, &want) {
+            (Ok(got), Ok(want)) => bits(got) == bits(want),
+            (Err(got), Err(want)) => got.to_string() == want.to_string(),
+            _ => false,
+        };
+        if same {
+            Ok(())
+        } else {
+            Err(format!(
+                "seed {seed}: {partitioner:?}, total {total}, p {p}:\n  got  {got:?}\n  want {want:?}"
+            ))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn partitions_are_the_oracles_to_the_bit(seed in 0u64..u64::MAX) {
+            let outcome = same_as_oracle(seed);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn the_drawn_cases_reach_every_kind_of_outcome() {
+        // The identity test above is only as good as its cases: they
+        // must include errors, early-decided and full-depth solves.
+        let (mut oks, mut errs) = (0, 0);
+        for seed in 0..400 {
+            let models = random_models(&mut Draw(seed));
+            let refs: Vec<&dyn Model> = models.iter().map(|m| &**m).collect();
+            match GeometricPartitioner::default().partition(1000, &refs) {
+                Ok(_) => oks += 1,
+                Err(_) => errs += 1,
+            }
+        }
+        assert!(oks >= 100 && errs >= 20, "{oks} ok, {errs} errors");
+    }
+
+    /// Sizes and predicted-time bits the solve this module replaced
+    /// (commit 49defd0) returned for three fixed inputs. They pin the
+    /// output should the oracle above ever be deleted.
+    #[test]
+    fn three_partitions_pinned_from_the_previous_solve() {
+        #[track_caller]
+        fn pinned(g: GeometricPartitioner, total: u64, models: &[&dyn Model], want: &[(u64, u64)]) {
+            let dist = g.partition(total, models).unwrap();
+            let got: Vec<(u64, u64)> = dist.parts().iter().map(|p| (p.d, p.t.to_bits())).collect();
+            assert_eq!(got, want);
+        }
+
+        let cliff = fed::<PiecewiseModel>(&[(100, 1.0), (500, 5.0), (600, 30.0), (1000, 100.0)]);
+        let steady = fed::<PiecewiseModel>(&[(100, 2.0), (1000, 20.0)]);
+        pinned(
+            GeometricPartitioner::default(),
+            1200,
+            &[&cliff, &steady],
+            &[(569, 0x402966db6db6db6e), (631, 0x40293d70a3d70a3d)],
+        );
+
+        let a = fed::<AkimaModel>(&[
+            (100, 1.0),
+            (200, 2.5),
+            (400, 4.0),
+            (800, 12.0),
+            (1600, 30.0),
+        ]);
+        let b = fed::<AkimaModel>(&[(10, 1.0), (60, 10.0), (900, 100.0), (4000, 1000.0)]);
+        let c = fed::<AkimaModel>(&[(50, 0.9), (100, 2.4), (200, 4.5), (400, 8.0), (900, 28.0)]);
+        pinned(
+            GeometricPartitioner::default(),
+            3000,
+            &[&a, &b, &c],
+            &[
+                (1750, 0x4040c80000000000),
+                (242, 0x4040c6cb6180c036),
+                (1008, 0x4040c47ae147ae14),
+            ],
+        );
+
+        // Every kind of model, a total far beyond all their points, and
+        // both fields off their defaults.
+        let c1 = fed::<ConstantModel>(&[(100, 1.0)]);
+        let c2 = fed::<PiecewiseModel>(&[(64, 0.5), (256, 2.5), (1024, 14.0)]);
+        let c3 = fed::<AkimaModel>(&[(32, 0.1), (128, 0.5), (512, 3.0), (2048, 20.0)]);
+        let c4 = fed::<ConstantModel>(&[(10, 3.0)]);
+        let c5 = fed::<PiecewiseModel>(&[(1000, 1.0), (10000, 10.0)]);
+        pinned(
+            GeometricPartitioner {
+                rel_tol: 1e-6,
+                max_iter: 40,
+            },
+            1_000_000,
+            &[&c1, &c2, &c3, &c4, &c5],
+            &[
+                (79866, 0x4088f547ae147ae1),
+                (58417, 0x4088f55c00000000),
+                (60391, 0x4088f554aaaaaaab),
+                (2662, 0x4088f4cccccccccc),
+                (798664, 0x4088f54fdf3b645a),
+            ],
+        );
     }
 }

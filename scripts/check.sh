@@ -110,10 +110,13 @@ run ./target/release/fupermod_tracetool report "$TCP_DIR/tcp_merged.jsonl" \
 run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TCP_DIR/tcp_summary.json"
 # Harness gate: the benchmark's two TCP workloads check TCP == threads
-# == sim (fingerprint and virtual time) on the optimised bulk path, in
-# release codegen. One second each; the last stdout line must report
-# a correct run with no failed operation (benchmark/README.md).
-for workload in tcp_bulk tcp_rounds; do
+# == sim (fingerprint and virtual time) on the optimised bulk path, and
+# its two partitioning workloads check the measure -> model -> partition
+# path against goldens (sizes fingerprint, the 8 balancing steps and
+# the bits of the simulated time), all in release codegen. One second
+# each; the last stdout line must report a correct run with no failed
+# operation (benchmark/README.md).
+for workload in tcp_bulk tcp_rounds offline_fpm sim_balance; do
     echo "==> harness gate: $workload"
     timeout 300 cargo run --release --quiet --offline \
         --manifest-path benchmark/Cargo.toml -- \

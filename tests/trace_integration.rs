@@ -166,3 +166,60 @@ fn trace_extension_infers_csv_format() {
         "a .csv path should produce the CSV encoding"
     );
 }
+
+/// One interval per repetition feeds the sample event, the stopping
+/// rule and the final point alike: tracing a measurement must change
+/// neither the point nor — byte for byte — the events, which are
+/// pinned here as the commit before that change (49defd0) wrote them.
+#[test]
+fn traced_and_untraced_measurements_agree_and_the_jsonl_is_unchanged() {
+    use fupermod::core::benchmark::Benchmark;
+    use fupermod::core::kernel::DeviceKernel;
+    use fupermod::core::trace::JsonlSink;
+    use fupermod::core::Precision;
+    use fupermod::platform::{cluster, Device, WorkloadProfile};
+
+    const PINNED: &str = r#"{"trace":"fupermod","schema":4}
+{"event":"benchmark_sample","rank":0,"d":300,"rep":0,"time":0.000376139,"ci_rel":1e9999}
+{"event":"benchmark_sample","rank":0,"d":300,"rep":1,"time":0.000405963,"ci_rel":0.4845274018627667}
+{"event":"benchmark_sample","rank":0,"d":300,"rep":2,"time":0.00040739,"ci_rel":0.0222926013164287}
+{"event":"benchmark_sample","rank":0,"d":300,"rep":3,"time":0.0004265,"ci_rel":0.08192194987931836}
+{"event":"benchmark_sample","rank":0,"d":300,"rep":4,"time":0.000406511,"ci_rel":0.00439783954655957}
+{"event":"benchmark_done","rank":0,"d":300,"reps":3,"mean":0.00040662133333333334,"stderr":0.0000004156169443663753,"elapsed":0.002022503,"outliers_rejected":2}
+"#;
+
+    let kernel = || {
+        let spec = cluster::fast_cpu("c", 11).spec().clone();
+        DeviceKernel::new(
+            Device::new("c", spec, 0.08, 11),
+            WorkloadProfile::matrix_update(16),
+        )
+    };
+    let precision = Precision {
+        reps_min: 3,
+        reps_max: 12,
+        cl: 0.95,
+        rel_err: 0.02,
+        max_seconds: 1e9,
+    };
+    let bench = Benchmark::new(&precision).with_outlier_rejection(5.0);
+
+    let untraced = bench.measure(&mut kernel(), 300).unwrap();
+    let sink = JsonlSink::new(Vec::new());
+    let traced = bench.with_trace(&sink).measure(&mut kernel(), 300).unwrap();
+    let jsonl = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+
+    for point in [untraced, traced] {
+        assert_eq!(point.d, 300);
+        assert_eq!(point.reps, 3);
+        assert_eq!(point.t.to_bits(), 0x3f3aa5f9541a0e4f);
+        assert_eq!(point.ci.to_bits(), 0x3ebe007f957f2d42);
+    }
+    assert_eq!(jsonl, PINNED);
+
+    // The lockstep group takes the same path per member.
+    let (mut a, mut b) = (kernel(), kernel());
+    let mut members: Vec<&mut dyn fupermod::core::kernel::Kernel> = vec![&mut a, &mut b];
+    let grouped = bench.measure_group(&mut members, &[300, 300]).unwrap();
+    assert_eq!(grouped, vec![untraced, untraced]);
+}
