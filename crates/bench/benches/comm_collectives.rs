@@ -8,10 +8,11 @@
 //! * **virtual seconds** of the simulated backend, reported via
 //!   `vtime_*` bench names whose "time" is the Hockney virtual clock
 //!   charged by each schedule (1 iter = 1 virtual run). These are the
-//!   numbers `scripts/bench_record.sh` (MODE=pr4) records into
-//!   `BENCH_PR4.json`: the serialized hub grows O(p) per collective
-//!   while tree grows O(log p) and ring pipelines, so at p = 64 the
-//!   hub loses by well over the 4x the acceptance bar asks for.
+//!   numbers PR 4 recorded in
+//!   `results/bench_history/BENCH_PR4.json`: the serialized hub grows
+//!   O(p) per collective while tree grows O(log p) and ring
+//!   pipelines, so at p = 64 the hub loses by well over the 4x the
+//!   acceptance bar asks for.
 
 use std::time::Duration;
 

@@ -1,6 +1,6 @@
 //! Criterion bench: hot-path cost of the live telemetry registry
-//! (`fupermod_core::telemetry`), recorded by `bench_record.sh
-//! MODE=pr10` into `BENCH_PR10.json`.
+//! (`fupermod_core::telemetry`); PR 10's recording of it is
+//! `results/bench_history/BENCH_PR10.json`.
 //!
 //! Four bars, one question each:
 //!
@@ -11,7 +11,7 @@
 //!   `record` against a disabled registry. The gating discipline says
 //!   each call must collapse to a single relaxed `AtomicBool` load,
 //!   so this bar minus the baseline is the price every *untraced* run
-//!   pays — acceptance-checked to a few ns/op by the recorder.
+//!   pays — a few ns/op.
 //! * `registry_enabled` — the same two calls recording for real: two
 //!   relaxed `fetch_add`s for the counter, a log2 bucket index plus
 //!   two more for the histogram.

@@ -1,42 +1,10 @@
-//! Criterion bench: cost of the schema-v3 observability additions on
-//! hot paths.
-//!
-//! Three questions, one bar each:
-//!
-//! * `histogram_gate_off` — the latency histograms are gated by one
-//!   relaxed `AtomicBool` (`Metrics::set_histograms_enabled`); with
-//!   the gate off (the untraced default) a `record_comm_latency`
-//!   call must cost a single boolean load, preserving the always-on
-//!   counters' "no measurable overhead" property.
-//! * `histogram_gate_on` — the accepted price of recording: a log2
-//!   bucket index plus two relaxed atomic adds.
-//! * `comm_event_encode` — encoding one stamped `comm` event to
-//!   canonical JSONL, the per-operation serialization cost a traced
-//!   runtime run pays.
+//! Criterion bench: `comm_event_encode` — encoding one stamped `comm`
+//! event to canonical JSONL, the per-operation serialization cost a
+//! traced runtime run pays. (The gate a disabled registry charges per
+//! record is `telemetry_overhead`'s subject.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fupermod_core::trace::{metrics, TraceEvent};
-
-fn bench_histogram_gate(c: &mut Criterion) {
-    let m = metrics();
-
-    m.set_histograms_enabled(false);
-    c.bench_function("trace_overhead/histogram_gate_off", |b| {
-        b.iter(|| {
-            m.record_comm_latency(black_box("send"), black_box(3.2e-6));
-            m.record_bench_rep(black_box(1.4e-3));
-        })
-    });
-
-    m.set_histograms_enabled(true);
-    c.bench_function("trace_overhead/histogram_gate_on", |b| {
-        b.iter(|| {
-            m.record_comm_latency(black_box("send"), black_box(3.2e-6));
-            m.record_bench_rep(black_box(1.4e-3));
-        })
-    });
-    m.set_histograms_enabled(false);
-}
+use fupermod_core::trace::TraceEvent;
 
 fn bench_comm_event_encode(c: &mut Criterion) {
     let event = TraceEvent::Comm {
@@ -55,5 +23,5 @@ fn bench_comm_event_encode(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_histogram_gate, bench_comm_event_encode);
+criterion_group!(benches, bench_comm_event_encode);
 criterion_main!(benches);

@@ -12,44 +12,44 @@ use std::sync::Arc;
 
 use fupermod_core::model::Model;
 use fupermod_core::partition::Partitioner;
-use fupermod_core::trace::{metrics, null_sink, JsonlSink, TraceSink};
+use fupermod_core::telemetry;
+use fupermod_core::trace::{null_sink, TraceSink};
 use fupermod_core::{CoreError, Point, Precision};
 use fupermod_platform::{Platform, WorkloadProfile};
 
-/// Opens the structured trace sink for the experiment binary `name`
-/// when tracing was requested — via `--trace PATH` (exact file, wins),
-/// `--trace-dir DIR` on the command line, or the `FUPERMOD_TRACE_DIR`
-/// environment variable (the unified trace flags every `fupermod_*`
-/// binary accepts). The directory forms write
-/// `DIR/<name>.trace.jsonl` next to the CSV the binary prints to
-/// stdout (schema in `docs/OBSERVABILITY.md`). Opening a sink also
-/// enables the process-wide latency histograms, which
-/// [`finish_experiment_trace`] exports as `metrics` snapshot events.
+/// Starts the run's observability for the experiment binary `name`
+/// ([`telemetry::open_run_trace`] — the same open the `fupermod_*`
+/// binaries use, so the process-wide registry is enabled either way)
+/// and opens its structured trace sink when tracing was requested —
+/// via `--trace PATH` (exact file, wins), `--trace-dir DIR` on the
+/// command line, or the `FUPERMOD_TRACE_DIR` environment variable.
+/// The directory forms write `DIR/<name>.trace.jsonl` next to the CSV
+/// the binary prints to stdout (schema in `docs/OBSERVABILITY.md`);
+/// [`finish_experiment_trace`] exports the registry into it at exit.
 ///
 /// Returns `None` when tracing was not requested. Exits with status 1
 /// when the requested directory/file cannot be created — a requested
 /// trace that silently vanishes would be worse than no trace.
 pub fn experiment_trace(name: &str) -> Option<Arc<dyn TraceSink>> {
-    let path = match flag_value("--trace") {
-        Some(path) => PathBuf::from(path),
-        None => {
-            let dir = flag_value("--trace-dir")
-                .or_else(|| std::env::var("FUPERMOD_TRACE_DIR").ok())?;
-            let dir = PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("cannot create trace directory {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-            dir.join(format!("{name}.trace.jsonl"))
+    let path = flag_value("--trace").map(PathBuf::from).or_else(|| {
+        let dir = flag_value("--trace-dir")
+            .or_else(|| std::env::var("FUPERMOD_TRACE_DIR").ok())?;
+        let dir = PathBuf::from(dir);
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("cannot create trace directory {}: {e}", dir.display());
+            std::process::exit(1);
         }
-    };
-    match JsonlSink::create(&path) {
+        Some(dir.join(format!("{name}.trace.jsonl")))
+    });
+    match telemetry::open_run_trace(path.as_deref()) {
         Ok(sink) => {
-            eprintln!("# trace -> {}", path.display());
-            metrics().set_histograms_enabled(true);
-            Some(Arc::new(sink))
+            if let Some(path) = &path {
+                eprintln!("# trace -> {}", path.display());
+            }
+            sink
         }
         Err(e) => {
+            let path = path.unwrap_or_default();
             eprintln!("cannot create trace file {}: {e}", path.display());
             std::process::exit(1);
         }
@@ -82,19 +82,19 @@ pub fn parallelism_from_args() -> usize {
     }
 }
 
-/// Exports the latency-histogram snapshots as `metrics` events and
-/// flushes an experiment trace sink (if one was opened), then prints
-/// the process-wide metrics summary to stderr. Call once before
-/// exiting. Exits with status 1 on a deferred trace write error.
+/// Ends the run ([`telemetry::finish_run_trace`]): exports the
+/// process-wide telemetry registry as `metrics` events into the
+/// experiment trace sink (if one was opened) and flushes it, then
+/// prints the run-totals summary to stderr. Call once before exiting.
+/// Exits with status 1 on a deferred trace write error.
 pub fn finish_experiment_trace(sink: Option<&Arc<dyn TraceSink>>) {
-    if let Some(sink) = sink {
-        metrics().export_histogram_events(sink.as_ref());
-        if let Err(e) = sink.flush() {
+    match telemetry::finish_run_trace(sink.map(|s| s.as_ref())) {
+        Ok(summary) => eprintln!("# {summary}"),
+        Err(e) => {
             eprintln!("trace write failed: {e}");
             std::process::exit(1);
         }
     }
-    eprintln!("# {}", metrics().summary());
 }
 
 /// The sink to hand to `*_traced` helpers: the opened experiment sink,

@@ -84,3 +84,50 @@ fn exp4_emits_growing_ratio() {
         "ratio not monotone: {ratios:?}"
     );
 }
+
+/// The experiment binaries open and finish their trace through the
+/// same pair as the `fupermod_*` binaries, so a traced run exports the
+/// whole process-wide registry — each series exactly once.
+#[test]
+fn exp2_trace_carries_every_registry_series_once() {
+    let dir = std::env::temp_dir().join(format!("fupermod-smoke-exp2-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_exp2_dynamic_cost"))
+        .args(["--runtime", "thread", "--trace-dir"])
+        .arg(&dir)
+        .output()
+        .expect("binary failed to launch");
+    assert!(
+        out.status.success(),
+        "exp2 failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(dir.join("exp2_dynamic_cost.trace.jsonl"))
+        .expect("trace file missing");
+    let field = |line: &str, key: &str| -> String {
+        let rest = line.split(&format!("\"{key}\":\"")).nth(1).expect("field");
+        rest[..rest.find('"').expect("closing quote")].to_owned()
+    };
+    let mut series: Vec<(String, String)> = trace
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"metrics\""))
+        .map(|l| (field(l, "scope"), field(l, "labels")))
+        .collect();
+    for scope in [
+        "partition_calls_total",
+        "fupermod_comm_duration_seconds",
+        "fupermod_bench_rep_seconds",
+        "fupermod_kernels_executed_total",
+        "fupermod_faults_total",
+    ] {
+        assert!(series.iter().any(|(s, _)| s == scope), "no {scope} in the trace");
+    }
+    assert!(
+        !series.iter().any(|(s, _)| s.starts_with("comm.") || s == "bench.rep"),
+        "retired histogram scopes reappeared: {series:?}"
+    );
+    let exported = series.len();
+    series.sort();
+    series.dedup();
+    assert_eq!(series.len(), exported, "a scope/label set was exported twice");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -20,7 +20,8 @@ use std::sync::{Barrier, Mutex};
 use fupermod_num::stats::{ConfidenceInterval, IncrementalStats, OnlineStats};
 
 use crate::kernel::{Kernel, KernelContext};
-use crate::trace::{metrics, null_sink, TraceEvent, TraceSink};
+use crate::telemetry::run_totals;
+use crate::trace::{null_sink, TraceEvent, TraceSink};
 use crate::{CoreError, Point, Precision};
 
 /// Benchmark runner parameterised by a [`Precision`].
@@ -103,7 +104,7 @@ impl<'a> Benchmark<'a> {
     /// Propagates kernel initialisation/execution failures.
     pub fn measure(&self, kernel: &mut dyn Kernel, d: u64) -> Result<Point, CoreError> {
         let mut ctx = kernel.context(d)?;
-        metrics().add_kernel();
+        run_totals().kernels_executed.inc();
         let mut samples = IncrementalStats::new();
         let mut spent = 0.0;
         let p = self.precision;
@@ -114,7 +115,7 @@ impl<'a> Benchmark<'a> {
             let t = ctx.run()?.as_secs_f64();
             samples.push(t);
             spent += t;
-            metrics().record_bench_rep(t);
+            run_totals().bench_rep_seconds.record(t);
             stats = self.effective_stats(&samples);
             // The one interval of this repetition: the sample event,
             // the stopping rule and the final point all read it.
@@ -131,8 +132,8 @@ impl<'a> Benchmark<'a> {
             }
         }
         let outliers = samples.count() - stats.count();
-        metrics().add_reps(samples.count());
-        metrics().add_outliers(outliers);
+        run_totals().bench_reps.add(samples.count());
+        run_totals().outliers_rejected.add(outliers);
         let point = point_from_stats(d, &stats, ci);
         self.trace.record(&TraceEvent::BenchmarkDone {
             rank: 0,
@@ -182,7 +183,7 @@ impl<'a> Benchmark<'a> {
         let mut contexts: Vec<Box<dyn KernelContext>> = Vec::with_capacity(n);
         for (k, &d) in kernels.iter_mut().zip(sizes) {
             contexts.push(k.context(d)?);
-            metrics().add_kernel();
+            run_totals().kernels_executed.inc();
         }
 
         let barrier = Barrier::new(n);
@@ -221,7 +222,7 @@ impl<'a> Benchmark<'a> {
                         stats = this.effective_stats(&samples);
                         ci = stats.confidence_interval(p.cl);
                         if let Some(t) = rep_time {
-                            metrics().record_bench_rep(t);
+                            run_totals().bench_rep_seconds.record(t);
                             this.trace.record(&TraceEvent::BenchmarkSample {
                                 rank,
                                 d,
@@ -246,8 +247,8 @@ impl<'a> Benchmark<'a> {
                         }
                     }
                     let outliers = samples.count() - stats.count();
-                    metrics().add_reps(samples.count());
-                    metrics().add_outliers(outliers);
+                    run_totals().bench_reps.add(samples.count());
+                    run_totals().outliers_rejected.add(outliers);
                     if error.lock().expect("poisoned").is_none() {
                         this.trace.record(&TraceEvent::BenchmarkDone {
                             rank,

@@ -21,10 +21,10 @@
 //!   the failing one, later ranks' events are dropped, and the error is
 //!   returned — again exactly what the serial loop would have done.
 //!
-//! The only observable difference is the process-wide
-//! [`metrics`](crate::trace::metrics) counters, which may include work
-//! from ranks that a serial build would never have reached after an
-//! error; they are diagnostic totals, not part of the trace schema.
+//! The only observable difference is the process-wide run totals
+//! ([`crate::telemetry::run_summary`]), which may include work from
+//! ranks that a serial build would never have reached after an error;
+//! they are diagnostic totals, not part of the event stream.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use crate::model::Model;
 use crate::partition::{Distribution, Part, Partitioner};
-use crate::trace::{metrics, NullSink, TraceEvent, TraceSink};
+use crate::telemetry::run_totals;
+use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::{CoreError, Point};
 
 /// Outcome of one dynamic step.
@@ -312,7 +313,7 @@ impl DynamicContext {
             .sum::<u64>()
             / 2;
         let converged = imbalance <= self.eps || units_moved == 0;
-        metrics().add_units_moved(units_moved);
+        run_totals().units_moved.add(units_moved);
         self.trace.record(&TraceEvent::PartitionStep {
             iter: self.iter,
             dist: new_dist.sizes(),

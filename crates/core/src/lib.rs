@@ -27,8 +27,9 @@
 //!
 //! Every stage can emit structured observability events through the
 //! [`trace`] module: benchmark samples and summaries, model updates and
-//! dynamic repartitioning steps, recorded as JSONL or CSV with a
-//! versioned schema (see `docs/OBSERVABILITY.md` in the repository).
+//! dynamic repartitioning steps, recorded as JSONL with a versioned
+//! schema (see `docs/OBSERVABILITY.md` in the repository) and read
+//! back through the workspace's one JSON parser ([`json`]).
 //! The [`telemetry`] module adds the *live* side of the same story: a
 //! lock-free registry of labelled counters, gauges and latency
 //! histograms, snapshotable at any time and renderable as Prometheus
@@ -79,6 +80,7 @@ pub mod benchmark;
 pub mod builder;
 pub mod dynamic;
 pub mod hierarchy;
+pub mod json;
 pub mod kernel;
 pub mod matrix2d;
 pub mod model;

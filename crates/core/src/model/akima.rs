@@ -117,8 +117,8 @@ impl AkimaModel {
     /// Akima window is recomputed (O(1)); a new size still rebuilds
     /// (O(n)). The resulting model is **bit-identical** to the
     /// `update` path either way — the returned [`Refresh`] only
-    /// reports which path ran (the model store's refresh counters and
-    /// the `store_serve` bench consume it).
+    /// reports which path ran (the model store's refresh counters
+    /// consume it).
     ///
     /// # Errors
     ///

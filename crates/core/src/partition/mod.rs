@@ -178,7 +178,7 @@ pub(crate) fn finalize(
     continuous: &[f64],
     models: &[&dyn Model],
 ) -> Result<Distribution, CoreError> {
-    crate::trace::metrics().add_repartition();
+    crate::telemetry::run_totals().repartitions.inc();
     let weights: Vec<f64> = continuous.iter().map(|d| d.max(0.0)).collect();
     let shares = largest_remainder(&weights, total).map_err(CoreError::from)?;
     let parts = shares

@@ -6,8 +6,7 @@
 //!
 //! The hot path is lock-free: recording into a registered handle is
 //! a couple of relaxed atomic operations, and a *disabled* registry
-//! costs exactly one relaxed boolean load per record — the same
-//! gating discipline as [`crate::trace::Metrics`]'s histograms, so
+//! costs exactly one relaxed boolean load per record, so
 //! untelemetered runs pay nothing measurable (see the
 //! `telemetry_overhead` bench). Registration takes a mutex, but is
 //! expected once per (name, label-set) at startup; handles are cheap
@@ -17,16 +16,19 @@
 //! names with a unit suffix (`_total` for counters,
 //! `_duration_seconds` for latency histograms), label keys
 //! `[a-zA-Z_][a-zA-Z0-9_]*`. The process-wide [`global`] registry
-//! starts **disabled**; `fupermod_served` owns a per-store registry
-//! that is always enabled, and traced CLI runs enable the global one
-//! alongside the trace sink.
+//! starts **disabled** and libraries leave it that way;
+//! `fupermod_served` owns a per-store registry that is always
+//! enabled, and every binary enables the global one for the length of
+//! its run through [`open_run_trace`] / [`finish_run_trace`].
 
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::trace::{
-    fmt_float, HistogramSnapshot, LatencyHistogram, TraceEvent, TraceSink, COMM_OPS,
+    fmt_float, HistogramSnapshot, JsonlSink, LatencyHistogram, TraceEvent, TraceSink, COMM_OPS,
 };
 
 /// Fault tags fed to [`record_fault`] by the runtime's fault
@@ -478,8 +480,9 @@ impl RegistrySnapshot {
     /// each (scope = family name, `kind`/`labels` filled in; counter
     /// value in `count`, gauge value in `sum`), and returns how many
     /// events were written. Label values are sanitised to escape-free
-    /// tags (`,`/`;`/`=`/quotes/newlines become `_`) so the events
-    /// survive both wire encodings.
+    /// tags (`,`/`;`/`=`/quotes/newlines become `_`) so the `labels`
+    /// field stays one unambiguous `k=v;k=v` string (and one CSV cell
+    /// in `fupermod_tracetool export --format csv`).
     pub fn export_trace_events(&self, rank: usize, sink: &dyn TraceSink) -> usize {
         let mut emitted = 0;
         for family in &self.families {
@@ -646,12 +649,30 @@ fn fmt_sample(v: f64) -> String {
 
 /// The process-wide telemetry bundle: the registry plus
 /// pre-registered hot-path handles (per-op communication latency,
-/// per-kind fault counters) so the runtime's record paths never take
-/// the registration mutex.
+/// per-kind fault counters, the measurement/partitioning run totals)
+/// so the record paths never take the registration mutex.
 struct GlobalTelemetry {
     registry: Registry,
     comm: Vec<Histogram>,
     faults: Vec<Counter>,
+    run: RunTotals,
+}
+
+/// Handles for what the measurement and partitioning machinery counts
+/// over a run; the exit line ([`run_summary`]) reads them back.
+pub(crate) struct RunTotals {
+    /// `fupermod_kernels_executed_total`.
+    pub(crate) kernels_executed: Counter,
+    /// `fupermod_bench_reps_total`.
+    pub(crate) bench_reps: Counter,
+    /// `fupermod_outliers_rejected_total`.
+    pub(crate) outliers_rejected: Counter,
+    /// `fupermod_repartitions_total`.
+    pub(crate) repartitions: Counter,
+    /// `fupermod_units_moved_total`.
+    pub(crate) units_moved: Counter,
+    /// `fupermod_bench_rep_seconds`.
+    pub(crate) bench_rep_seconds: Histogram,
 }
 
 fn global_telemetry() -> &'static GlobalTelemetry {
@@ -680,18 +701,95 @@ fn global_telemetry() -> &'static GlobalTelemetry {
                 )
             })
             .collect();
+        let total = |name, help| registry.counter(name, help, &[]);
+        let run = RunTotals {
+            kernels_executed: total(
+                "fupermod_kernels_executed_total",
+                "Kernel measurement sessions (contexts) executed.",
+            ),
+            bench_reps: total(
+                "fupermod_bench_reps_total",
+                "Benchmark repetitions across all measurements.",
+            ),
+            outliers_rejected: total(
+                "fupermod_outliers_rejected_total",
+                "Samples rejected by MAD outlier filtering.",
+            ),
+            repartitions: total(
+                "fupermod_repartitions_total",
+                "Partitioner invocations that produced a distribution.",
+            ),
+            units_moved: total(
+                "fupermod_units_moved_total",
+                "Computation units that changed owner across all dynamic steps.",
+            ),
+            bench_rep_seconds: registry.histogram(
+                "fupermod_bench_rep_seconds",
+                "Benchmark repetition time.",
+                &[],
+            ),
+        };
         GlobalTelemetry {
             registry,
             comm,
             faults,
+            run,
         }
     })
 }
 
-/// The process-wide registry (starts disabled; traced/scraped runs
-/// flip it on via [`Registry::set_enabled`]).
+/// The process-wide registry (starts disabled; binaries flip it on
+/// through [`open_run_trace`], tests via [`Registry::set_enabled`]).
 pub fn global() -> &'static Registry {
     &global_telemetry().registry
+}
+
+/// The global run-total handles (one relaxed load per record while
+/// the global registry is disabled).
+pub(crate) fn run_totals() -> &'static RunTotals {
+    &global_telemetry().run
+}
+
+/// One-line human-readable summary of the global run totals, for
+/// process-exit reporting.
+pub fn run_summary() -> String {
+    let t = run_totals();
+    format!(
+        "fupermod metrics: kernels={} reps={} outliers_rejected={} repartitions={} units_moved={}",
+        t.kernels_executed.get(),
+        t.bench_reps.get(),
+        t.outliers_rejected.get(),
+        t.repartitions.get(),
+        t.units_moved.get()
+    )
+}
+
+/// Starts a binary's run: enables the global registry — traced or
+/// not, so the exit summary counts either way — and creates the JSONL
+/// trace sink when a path was asked for.
+///
+/// # Errors
+///
+/// Propagates the file-creation error.
+pub fn open_run_trace(path: Option<&Path>) -> io::Result<Option<Arc<dyn TraceSink>>> {
+    global().set_enabled(true);
+    path.map(|p| JsonlSink::create(p).map(|sink| Arc::new(sink) as Arc<dyn TraceSink>))
+        .transpose()
+}
+
+/// Ends a binary's run: exports the global registry snapshot into the
+/// sink as `metrics` events and flushes it (when there is one), then
+/// returns the [`run_summary`] line for the caller to print.
+///
+/// # Errors
+///
+/// Returns the first deferred trace write error.
+pub fn finish_run_trace(sink: Option<&dyn TraceSink>) -> io::Result<String> {
+    if let Some(sink) = sink {
+        global().snapshot().export_trace_events(0, sink);
+        sink.flush()?;
+    }
+    Ok(run_summary())
 }
 
 /// Records one communication-operation latency into the global
@@ -833,10 +931,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Every exported event survives both wire encodings.
+        // Every exported event survives the wire encoding.
         for e in sink.events() {
             assert_eq!(TraceEvent::from_jsonl(&e.to_jsonl()).unwrap(), e);
-            assert_eq!(TraceEvent::from_csv_row(&e.to_csv_row()).unwrap(), e);
         }
     }
 
@@ -862,6 +959,19 @@ mod tests {
             SampleValue::Counter(v) => assert!(*v >= 1),
             other => panic!("unexpected {other:?}"),
         }
+        // The run totals are registry series like any other, and the
+        // exit line reads the same atomics.
+        run_totals().units_moved.add(40);
+        run_totals().bench_rep_seconds.record(1e-3);
+        let snap = global().snapshot();
+        assert!(snap.counter_total("fupermod_units_moved_total") >= 40);
+        match snap.find("fupermod_bench_rep_seconds", &[]).unwrap() {
+            SampleValue::Histogram(h) => assert!(h.count >= 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        let summary = run_summary();
+        assert!(summary.starts_with("fupermod metrics: kernels="), "{summary}");
+        assert!(!summary.ends_with("units_moved=0"), "{summary}");
         global().set_enabled(was);
     }
 }

@@ -20,28 +20,32 @@
 //!   [`TraceEvent::Fault`] per injected or observed fault
 //!   (schema v2 additions).
 //!
-//! Four sinks are provided: [`NullSink`] (the default — zero work),
-//! [`MemorySink`] (in-process inspection and tests), [`JsonlSink`]
-//! (one JSON object per line) and [`CsvSink`] (fixed wide columns).
-//! Both file encodings are **schema-versioned** ([`SCHEMA_VERSION`])
-//! and specified field-by-field in `docs/OBSERVABILITY.md`; the JSONL
-//! form round-trips through [`TraceEvent::from_jsonl`] so a recorded
-//! trace can be replayed into fresh models ([`replay_into_models`]),
-//! giving simulation/prediction work machine-readable ground truth.
+//! Three sinks are provided: [`NullSink`] (the default — zero work),
+//! [`MemorySink`] (in-process inspection and tests) and [`JsonlSink`]
+//! (one JSON object per line — the one trace file encoding;
+//! `fupermod_tracetool export --format csv` derives a spreadsheet
+//! view from it). The encoding is **schema-versioned**
+//! ([`SCHEMA_VERSION`]) and specified field-by-field in
+//! `docs/OBSERVABILITY.md`; it round-trips through
+//! [`TraceEvent::from_jsonl`] so a recorded trace can be replayed into
+//! fresh models ([`replay_into_models`]), giving
+//! simulation/prediction work machine-readable ground truth.
 //!
 //! Everything here is `std`-only and thread-safe: sinks take `&self`
 //! and are `Send + Sync`, so the group benchmark's worker threads can
-//! share one sink. A process-wide counters facade ([`metrics`])
-//! aggregates totals (kernels, repetitions, outliers, repartitions,
-//! units moved) for an at-exit summary.
+//! share one sink. Run totals (kernels, repetitions, outliers,
+//! repartitions, units moved) and latency histograms live in the
+//! process-wide telemetry registry ([`crate::telemetry`]), whose
+//! storage is the [`LatencyHistogram`] defined here.
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::Json;
 use crate::model::Model;
 use crate::{CoreError, Point};
 
@@ -182,18 +186,17 @@ pub enum TraceEvent {
         seconds: f64,
     },
     /// A metric sample (schema v3; `kind`/`labels` are the schema-v4
-    /// addendum): a latency-histogram snapshot exported by
-    /// [`Metrics::export_histogram_events`], or a labelled counter /
-    /// gauge / histogram exported by the live telemetry registry
-    /// (`telemetry` module).
+    /// addendum): one labelled counter, gauge or latency histogram of
+    /// a telemetry registry, exported by
+    /// [`RegistrySnapshot::export_trace_events`](crate::telemetry::RegistrySnapshot::export_trace_events).
     Metrics {
         /// Rank the sample describes (`0` for process-wide
-        /// metrics, which is what the built-in facades export).
+        /// metrics, which is what the binaries export).
         rank: usize,
-        /// Metric scope tag: `comm.<op>` (per-operation
-        /// communication latency), `bench.rep` (benchmark repetition
-        /// time), or a registry metric name such as
-        /// `served_requests_total`.
+        /// Metric scope tag: a registry metric name such as
+        /// `fupermod_comm_duration_seconds` or `served_requests_total`
+        /// (v3 traces carry the retired `comm.<op>` / `bench.rep`
+        /// histogram scopes here).
         scope: String,
         /// Samples recorded (histograms), or the counter value.
         /// `0` for gauges, whose value rides in `sum`.
@@ -380,33 +383,36 @@ impl TraceEvent {
     /// Returns [`CoreError::Trace`] on malformed JSON, an unknown event
     /// tag, or missing fields.
     pub fn from_jsonl(line: &str) -> Result<TraceEvent, CoreError> {
-        let fields = json::parse_flat_object(line)?;
-        let tag = fields
-            .iter()
-            .find(|(k, _)| k == "event")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or_else(|| CoreError::Trace("missing \"event\" tag".to_owned()))?
-            .to_owned();
+        let doc = parse_line(line)?;
+        let tag = doc
+            .get("event")
+            .and_then(Json::as_str)
+            .ok_or_else(|| CoreError::Trace("missing \"event\" tag".to_owned()))?;
+        // Trace floats spell NaN as `null` (see [`fmt_float`]).
         let num = |key: &str| -> Result<f64, CoreError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_f64())
-                .ok_or_else(|| {
-                    CoreError::Trace(format!("event '{tag}': missing numeric field '{key}'"))
-                })
+            match doc.get(key) {
+                Some(Json::Num(x)) => Ok(*x),
+                Some(Json::Null) => Ok(f64::NAN),
+                _ => Err(CoreError::Trace(format!(
+                    "event '{tag}': missing numeric field '{key}'"
+                ))),
+            }
         };
         let text = |key: &str| -> Result<String, CoreError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str())
+            doc.get(key)
+                .and_then(Json::as_str)
                 .map(str::to_owned)
                 .ok_or_else(|| {
                     CoreError::Trace(format!("event '{tag}': missing string field '{key}'"))
                 })
         };
-        match tag.as_str() {
+        let ints = |key: &str| -> Result<Vec<u64>, CoreError> {
+            doc.get(key)
+                .and_then(Json::as_array)
+                .and_then(|items| items.iter().map(|x| Some(x.as_f64()? as u64)).collect())
+                .ok_or_else(|| CoreError::Trace(format!("{tag}: missing '{key}' array")))
+        };
+        match tag {
             "benchmark_sample" => Ok(TraceEvent::BenchmarkSample {
                 rank: num("rank")? as usize,
                 d: num("d")? as u64,
@@ -430,24 +436,12 @@ impl TraceEvent {
                 reps: num("reps")? as u32,
                 points: num("points")? as usize,
             }),
-            "partition_step" => {
-                let dist = fields
-                    .iter()
-                    .find(|(k, _)| k == "dist")
-                    .and_then(|(_, v)| v.as_array())
-                    .ok_or_else(|| {
-                        CoreError::Trace("partition_step: missing 'dist' array".to_owned())
-                    })?
-                    .iter()
-                    .map(|x| *x as u64)
-                    .collect();
-                Ok(TraceEvent::PartitionStep {
-                    iter: num("iter")? as u64,
-                    dist,
-                    imbalance: num("imbalance")?,
-                    units_moved: num("units_moved")? as u64,
-                })
-            }
+            "partition_step" => Ok(TraceEvent::PartitionStep {
+                iter: num("iter")? as u64,
+                dist: ints("dist")?,
+                imbalance: num("imbalance")?,
+                units_moved: num("units_moved")? as u64,
+            }),
             "dynamic_converged" => Ok(TraceEvent::DynamicConverged {
                 steps: num("steps")? as u64,
                 imbalance: num("imbalance")?,
@@ -475,318 +469,25 @@ impl TraceEvent {
                 attempt: num("attempt")? as u32,
                 seconds: num("seconds")?,
             }),
-            "metrics" => {
-                let buckets = fields
-                    .iter()
-                    .find(|(k, _)| k == "buckets")
-                    .and_then(|(_, v)| v.as_array())
-                    .ok_or_else(|| {
-                        CoreError::Trace("metrics: missing 'buckets' array".to_owned())
-                    })?
-                    .iter()
-                    .map(|x| *x as u64)
-                    .collect();
-                Ok(TraceEvent::Metrics {
-                    rank: num("rank")? as usize,
-                    scope: text("scope")?,
-                    count: num("count")? as u64,
-                    sum: num("sum")?,
-                    buckets,
-                    // `kind`/`labels` are the schema-v4 addendum;
-                    // pre-v4 traces lack them — decode as empty.
-                    kind: text("kind").unwrap_or_default(),
-                    labels: text("labels").unwrap_or_default(),
-                })
-            }
-            other => Err(CoreError::Trace(format!("unknown event tag '{other}'"))),
-        }
-    }
-
-    /// Encodes the event as one CSV data row matching [`CSV_HEADER`].
-    pub fn to_csv_row(&self) -> String {
-        // Columns: event,iter,rank,d,rep,reps,time,mean,stderr,ci_rel,
-        //          elapsed,outliers_rejected,t,points,imbalance,
-        //          units_moved,steps,dist,op,kind,peer,bytes,seconds,
-        //          attempt,algorithm,rounds,lamport,gen,scope,count,
-        //          sum,buckets,labels
-        // (`kind` — column 19 — is shared by fault and metrics rows,
-        // like rank/peer/seconds are shared across variants.)
-        let mut c: [String; CSV_COLUMNS] = std::array::from_fn(|_| String::new());
-        c[0] = self.name().to_owned();
-        match self {
-            TraceEvent::BenchmarkSample {
-                rank,
-                d,
-                rep,
-                time,
-                ci_rel,
-            } => {
-                c[2] = rank.to_string();
-                c[3] = d.to_string();
-                c[4] = rep.to_string();
-                c[6] = fmt_float(*time);
-                c[9] = fmt_float(*ci_rel);
-            }
-            TraceEvent::BenchmarkDone {
-                rank,
-                d,
-                reps,
-                mean,
-                stderr,
-                elapsed,
-                outliers_rejected,
-            } => {
-                c[2] = rank.to_string();
-                c[3] = d.to_string();
-                c[5] = reps.to_string();
-                c[7] = fmt_float(*mean);
-                c[8] = fmt_float(*stderr);
-                c[10] = fmt_float(*elapsed);
-                c[11] = outliers_rejected.to_string();
-            }
-            TraceEvent::ModelUpdate {
-                rank,
-                d,
-                t,
-                reps,
-                points,
-            } => {
-                c[2] = rank.to_string();
-                c[3] = d.to_string();
-                c[5] = reps.to_string();
-                c[12] = fmt_float(*t);
-                c[13] = points.to_string();
-            }
-            TraceEvent::PartitionStep {
-                iter,
-                dist,
-                imbalance,
-                units_moved,
-            } => {
-                c[1] = iter.to_string();
-                c[14] = fmt_float(*imbalance);
-                c[15] = units_moved.to_string();
-                c[17] = dist
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(";");
-            }
-            TraceEvent::DynamicConverged { steps, imbalance } => {
-                c[14] = fmt_float(*imbalance);
-                c[16] = steps.to_string();
-            }
-            TraceEvent::Comm {
-                rank,
-                op,
-                peer,
-                bytes,
-                seconds,
-                algorithm,
-                rounds,
-                lamport,
-                gen,
-            } => {
-                c[2] = rank.to_string();
-                c[18] = op.clone();
-                c[20] = peer.to_string();
-                c[21] = bytes.to_string();
-                c[22] = fmt_float(*seconds);
-                c[24] = algorithm.clone();
-                c[25] = rounds.to_string();
-                c[26] = lamport.to_string();
-                c[27] = gen.to_string();
-            }
-            TraceEvent::Fault {
-                rank,
-                kind,
-                peer,
-                attempt,
-                seconds,
-            } => {
-                c[2] = rank.to_string();
-                c[19] = kind.clone();
-                c[20] = peer.to_string();
-                c[22] = fmt_float(*seconds);
-                c[23] = attempt.to_string();
-            }
-            TraceEvent::Metrics {
-                rank,
-                scope,
-                count,
-                sum,
-                buckets,
-                kind,
-                labels,
-            } => {
-                c[2] = rank.to_string();
-                c[19] = kind.clone();
-                c[28] = scope.clone();
-                c[29] = count.to_string();
-                c[30] = fmt_float(*sum);
-                c[31] = buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(";");
-                c[32] = labels.clone();
-            }
-        }
-        c.join(",")
-    }
-
-    /// Decodes one CSV data row produced by [`TraceEvent::to_csv_row`]
-    /// (the exact inverse over the canonical [`CSV_HEADER`] column
-    /// layout). Rows from older layouts — 24 columns (pre-addendum
-    /// v2), 26 columns (v2 + `algorithm`/`rounds`) — decode with the
-    /// same defaults the JSONL reader applies (empty algorithm,
-    /// zero rounds/lamport/gen).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Trace`] on an unknown event tag, a missing
-    /// or malformed required column, or a row with fewer than 24
-    /// columns.
-    pub fn from_csv_row(row: &str) -> Result<TraceEvent, CoreError> {
-        let cols: Vec<&str> = row.split(',').collect();
-        if cols.len() < 24 {
-            return Err(CoreError::Trace(format!(
-                "CSV row has {} columns, expected at least 24",
-                cols.len()
-            )));
-        }
-        let tag = cols[0];
-        let cell = |i: usize| -> &str { cols.get(i).copied().unwrap_or("") };
-        let req_f64 = |i: usize, name: &str| -> Result<f64, CoreError> {
-            parse_csv_float(cell(i)).ok_or_else(|| {
-                CoreError::Trace(format!("event '{tag}': missing numeric column '{name}'"))
-            })
-        };
-        let req_u64 = |i: usize, name: &str| -> Result<u64, CoreError> {
-            cell(i).parse::<u64>().map_err(|_| {
-                CoreError::Trace(format!("event '{tag}': missing integer column '{name}'"))
-            })
-        };
-        let req_i64 = |i: usize, name: &str| -> Result<i64, CoreError> {
-            cell(i).parse::<i64>().map_err(|_| {
-                CoreError::Trace(format!("event '{tag}': missing integer column '{name}'"))
-            })
-        };
-        let opt_u64 = |i: usize| -> u64 { cell(i).parse::<u64>().unwrap_or(0) };
-        let semis = |i: usize, name: &str| -> Result<Vec<u64>, CoreError> {
-            let raw = cell(i);
-            if raw.is_empty() {
-                return Ok(Vec::new());
-            }
-            raw.split(';')
-                .map(|x| {
-                    x.parse::<u64>().map_err(|_| {
-                        CoreError::Trace(format!(
-                            "event '{tag}': malformed '{name}' entry '{x}'"
-                        ))
-                    })
-                })
-                .collect()
-        };
-        match tag {
-            "benchmark_sample" => Ok(TraceEvent::BenchmarkSample {
-                rank: req_u64(2, "rank")? as usize,
-                d: req_u64(3, "d")?,
-                rep: req_u64(4, "rep")? as u32,
-                time: req_f64(6, "time")?,
-                ci_rel: req_f64(9, "ci_rel")?,
-            }),
-            "benchmark_done" => Ok(TraceEvent::BenchmarkDone {
-                rank: req_u64(2, "rank")? as usize,
-                d: req_u64(3, "d")?,
-                reps: req_u64(5, "reps")? as u32,
-                mean: req_f64(7, "mean")?,
-                stderr: req_f64(8, "stderr")?,
-                elapsed: req_f64(10, "elapsed")?,
-                outliers_rejected: req_u64(11, "outliers_rejected")? as u32,
-            }),
-            "model_update" => Ok(TraceEvent::ModelUpdate {
-                rank: req_u64(2, "rank")? as usize,
-                d: req_u64(3, "d")?,
-                t: req_f64(12, "t")?,
-                reps: req_u64(5, "reps")? as u32,
-                points: req_u64(13, "points")? as usize,
-            }),
-            "partition_step" => Ok(TraceEvent::PartitionStep {
-                iter: req_u64(1, "iter")?,
-                dist: semis(17, "dist")?,
-                imbalance: req_f64(14, "imbalance")?,
-                units_moved: req_u64(15, "units_moved")?,
-            }),
-            "dynamic_converged" => Ok(TraceEvent::DynamicConverged {
-                steps: req_u64(16, "steps")?,
-                imbalance: req_f64(14, "imbalance")?,
-            }),
-            "comm" => Ok(TraceEvent::Comm {
-                rank: req_u64(2, "rank")? as usize,
-                op: cell(18).to_owned(),
-                peer: req_i64(20, "peer")?,
-                bytes: req_u64(21, "bytes")?,
-                seconds: req_f64(22, "seconds")?,
-                algorithm: cell(24).to_owned(),
-                rounds: opt_u64(25),
-                lamport: opt_u64(26),
-                gen: opt_u64(27),
-            }),
-            "fault" => Ok(TraceEvent::Fault {
-                rank: req_u64(2, "rank")? as usize,
-                kind: cell(19).to_owned(),
-                peer: req_i64(20, "peer")?,
-                attempt: req_u64(23, "attempt")? as u32,
-                seconds: req_f64(22, "seconds")?,
-            }),
             "metrics" => Ok(TraceEvent::Metrics {
-                rank: req_u64(2, "rank")? as usize,
-                scope: cell(28).to_owned(),
-                count: req_u64(29, "count")?,
-                sum: req_f64(30, "sum")?,
-                buckets: semis(31, "buckets")?,
-                kind: cell(19).to_owned(),
-                labels: cell(32).to_owned(),
+                rank: num("rank")? as usize,
+                scope: text("scope")?,
+                count: num("count")? as u64,
+                sum: num("sum")?,
+                buckets: ints("buckets")?,
+                // `kind`/`labels` are the schema-v4 addendum;
+                // pre-v4 traces lack them — decode as empty.
+                kind: text("kind").unwrap_or_default(),
+                labels: text("labels").unwrap_or_default(),
             }),
             other => Err(CoreError::Trace(format!("unknown event tag '{other}'"))),
         }
     }
 }
 
-/// Parses a CSV float cell: empty → `None`, `null` → NaN, otherwise
-/// IEEE-754 parse (so `1e9999`/`-1e9999` overflow to infinities, the
-/// exact inverse of [`fmt_float`]).
-fn parse_csv_float(cell: &str) -> Option<f64> {
-    match cell {
-        "" => None,
-        "null" => Some(f64::NAN),
-        other => other.parse().ok(),
-    }
-}
-
-/// Number of columns in the canonical CSV layout ([`CSV_HEADER`]).
-pub const CSV_COLUMNS: usize = 33;
-
-/// Column header row of the CSV encoding (preceded in files by the
-/// `# fupermod-trace schema=4` comment line). The six columns
-/// starting at `op` (`op..attempt`) are the schema-v2 additions for
-/// the `comm`/`fault` events; `algorithm,rounds` are the schema-v2
-/// *addendum* columns describing the collective schedule a `comm`
-/// event used; `lamport,gen` are the schema-v3 causal stamps on
-/// `comm` rows, and `scope,count,sum,buckets` carry the schema-v3
-/// `metrics` event (histogram snapshots — `buckets` is
-/// `;`-separated like `dist`). Schema v4 adds `labels` (the metric
-/// label set, `;`-separated `key=value` pairs) and reuses `kind` for
-/// the metric kind tag on `metrics` rows. Absent columns are
-/// empty/`0` for older rows and non-applicable events.
-pub const CSV_HEADER: &str = "event,iter,rank,d,rep,reps,time,mean,stderr,ci_rel,\
-elapsed,outliers_rejected,t,points,imbalance,units_moved,steps,dist,\
-op,kind,peer,bytes,seconds,attempt,algorithm,rounds,lamport,gen,\
-scope,count,sum,buckets,labels";
-
-/// Formats a float for both encodings: shortest round-trip via Rust's
-/// `Display`, with non-finite values mapped to `null`-compatible text
+/// Formats a float for the trace encoding (and everything derived
+/// from it): shortest round-trip via Rust's `Display`, with
+/// non-finite values mapped to `null`-compatible text
 /// (`null` for NaN, `±1e9999` for the infinities, which parse back to
 /// `±inf`). Public so downstream consumers (`fupermod-trace`'s
 /// report) can reproduce trace values **bit-for-bit**.
@@ -818,7 +519,7 @@ fn push_int(s: &mut String, key: &str, v: u64) {
 
 /// Pushes a string field. Trace string fields are restricted to the
 /// fixed ASCII tags listed on [`TraceEvent`] (no quotes or escapes),
-/// matching the escape-free flat-JSON parser.
+/// so lines stay greppable and the CSV export needs no quoting.
 fn push_str(s: &mut String, key: &str, v: &str) {
     debug_assert!(
         !v.contains(['"', '\\', '\n']),
@@ -827,171 +528,10 @@ fn push_str(s: &mut String, key: &str, v: &str) {
     let _ = write!(s, ",\"{key}\":\"{v}\"");
 }
 
-/// Minimal flat-JSON machinery for the trace subsystem (std-only; the
-/// build environment is offline, so no serde_json).
-mod json {
-    use crate::CoreError;
-
-    /// A parsed JSON value restricted to what trace lines contain.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// A number (or `null`, mapped to NaN).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array of numbers.
-        Arr(Vec<f64>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[f64]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one flat JSON object (`{"k": v, ...}` where `v` is a
-    /// number, string, `null`, or array of numbers) into key/value
-    /// pairs in source order.
-    pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, CoreError> {
-        let mut p = Parser {
-            bytes: line.trim().as_bytes(),
-            pos: 0,
-        };
-        p.expect(b'{')?;
-        let mut out = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            return Ok(out);
-        }
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            out.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
-        }
-        Ok(out)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, msg: &str) -> CoreError {
-            CoreError::Trace(format!("bad trace JSON at byte {}: {msg}", self.pos))
-        }
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn next(&mut self) -> Option<u8> {
-            let b = self.peek();
-            self.pos += 1;
-            b
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t')) {
-                self.pos += 1;
-            }
-        }
-        fn expect(&mut self, want: u8) -> Result<(), CoreError> {
-            self.skip_ws();
-            if self.next() == Some(want) {
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", want as char)))
-            }
-        }
-        fn string(&mut self) -> Result<String, CoreError> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?
-                        .to_owned();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                if b == b'\\' {
-                    return Err(self.err("escapes are not used by trace lines"));
-                }
-                self.pos += 1;
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn number(&mut self) -> Result<f64, CoreError> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| self.err("malformed number"))
-        }
-        fn value(&mut self) -> Result<Value, CoreError> {
-            match self.peek() {
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut arr = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::Arr(arr));
-                    }
-                    loop {
-                        self.skip_ws();
-                        arr.push(self.number()?);
-                        self.skip_ws();
-                        match self.next() {
-                            Some(b',') => continue,
-                            Some(b']') => break,
-                            _ => return Err(self.err("expected ',' or ']'")),
-                        }
-                    }
-                    Ok(Value::Arr(arr))
-                }
-                Some(b'n') => {
-                    if self.bytes[self.pos..].starts_with(b"null") {
-                        self.pos += 4;
-                        Ok(Value::Num(f64::NAN))
-                    } else {
-                        Err(self.err("unknown literal"))
-                    }
-                }
-                _ => Ok(Value::Num(self.number()?)),
-            }
-        }
-    }
+/// Parses one trace line (header or event) with the workspace JSON
+/// reader, mapping syntax errors onto [`CoreError::Trace`].
+fn parse_line(line: &str) -> Result<Json, CoreError> {
+    Json::parse(line).map_err(|e| CoreError::Trace(format!("bad trace line: {e}")))
 }
 
 /// Destination for [`TraceEvent`]s.
@@ -1155,85 +695,15 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Streams events as CSV: a `# fupermod-trace schema=2` comment line,
-/// the [`CSV_HEADER`] row, then one fixed-width row per event.
-pub struct CsvSink<W: Write + Send> {
-    state: Mutex<WriterState<W>>,
-}
-
-impl CsvSink<BufWriter<File>> {
-    /// Creates (truncating) a CSV trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps a writer; immediately writes the schema comment and the
-    /// column header row.
-    pub fn new(writer: W) -> Self {
-        let mut state = WriterState {
-            writer,
-            error: None,
-        };
-        state.write_line(&format!("# fupermod-trace schema={SCHEMA_VERSION}"));
-        state.write_line(CSV_HEADER);
-        Self {
-            state: Mutex::new(state),
-        }
-    }
-
-    /// Consumes the sink, flushes, and returns the writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first deferred write error, if any.
-    pub fn into_inner(self) -> io::Result<W> {
-        let mut state = self.state.into_inner().expect("trace sink poisoned");
-        state.flush()?;
-        Ok(state.writer)
-    }
-}
-
-impl<W: Write + Send> TraceSink for CsvSink<W> {
-    fn record(&self, event: &TraceEvent) {
-        self.state
-            .lock()
-            .expect("trace sink poisoned")
-            .write_line(&event.to_csv_row());
-    }
-
-    fn flush(&self) -> io::Result<()> {
-        self.state.lock().expect("trace sink poisoned").flush()
-    }
-}
-
-/// On-disk encoding of a trace file, detected from its header line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// JSON Lines: `{"trace":"fupermod","schema":N}` header, one
-    /// object per event.
-    Jsonl,
-    /// CSV: `# fupermod-trace schema=N` comment, [`CSV_HEADER`] row,
-    /// one fixed-arity row per event.
-    Csv,
-}
-
 /// A streaming trace reader: validates the header eagerly, then
 /// decodes one event per [`Iterator::next`] call without buffering
 /// the file — multi-gigabyte traces stream in constant memory
-/// (`fupermod_tracetool merge` relies on this). Detects both trace
-/// encodings from the first line.
+/// (`fupermod_tracetool merge` relies on this).
 ///
 /// The eager [`read_jsonl_trace`] is a thin wrapper over this type.
 pub struct TraceReader<R: BufRead> {
     lines: io::Lines<R>,
     schema: u32,
-    format: TraceFormat,
 }
 
 impl TraceReader<io::BufReader<File>> {
@@ -1253,84 +723,54 @@ impl TraceReader<io::BufReader<File>> {
     }
 }
 
+/// Validates a trace header line and returns the schema version it
+/// declares.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Trace`] on a foreign or malformed header, or
+/// a schema version newer than [`SCHEMA_VERSION`] (forward
+/// compatibility is rejected, not guessed at).
+pub fn parse_header(line: &str) -> Result<u32, CoreError> {
+    let header = parse_line(line)?;
+    if header.get("trace").and_then(Json::as_str) != Some("fupermod") {
+        return Err(CoreError::Trace(
+            "not a fupermod trace (missing header line)".to_owned(),
+        ));
+    }
+    let schema = header
+        .get("schema")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| CoreError::Trace("header missing schema version".to_owned()))?
+        as u32;
+    if schema > SCHEMA_VERSION {
+        return Err(CoreError::Trace(format!(
+            "trace schema {schema} is newer than supported {SCHEMA_VERSION}"
+        )));
+    }
+    Ok(schema)
+}
+
 impl<R: BufRead> TraceReader<R> {
-    /// Wraps a reader, consuming and validating the header line(s).
+    /// Wraps a reader, consuming and validating the header line.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Trace`] on I/O failure, a missing or
-    /// foreign header, or a schema version newer than
-    /// [`SCHEMA_VERSION`] (forward compatibility is rejected, not
-    /// guessed at).
+    /// Returns [`CoreError::Trace`] on I/O failure or a header
+    /// [`parse_header`] rejects.
     pub fn new(reader: R) -> Result<Self, CoreError> {
         let mut lines = reader.lines();
         let header = lines
             .next()
             .ok_or_else(|| CoreError::Trace("empty trace file".to_owned()))?
             .map_err(|e| CoreError::Trace(format!("trace read failed: {e}")))?;
-        let (format, schema) = if let Some(rest) = header.strip_prefix('#') {
-            // CSV: "# fupermod-trace schema=N", then the column
-            // header row (consumed here so iteration yields data
-            // rows only).
-            let rest = rest.trim();
-            let schema = rest
-                .strip_prefix("fupermod-trace")
-                .map(str::trim)
-                .and_then(|s| s.strip_prefix("schema="))
-                .and_then(|s| s.trim().parse::<u32>().ok())
-                .ok_or_else(|| {
-                    CoreError::Trace("not a fupermod trace (bad CSV schema comment)".to_owned())
-                })?;
-            let cols = lines
-                .next()
-                .ok_or_else(|| CoreError::Trace("CSV trace missing column header".to_owned()))?
-                .map_err(|e| CoreError::Trace(format!("trace read failed: {e}")))?;
-            if !cols.starts_with("event,") {
-                return Err(CoreError::Trace(
-                    "CSV trace missing 'event,...' column header".to_owned(),
-                ));
-            }
-            (TraceFormat::Csv, schema)
-        } else {
-            let fields = json::parse_flat_object(&header)?;
-            if fields
-                .iter()
-                .find(|(k, _)| k == "trace")
-                .and_then(|(_, v)| v.as_str())
-                != Some("fupermod")
-            {
-                return Err(CoreError::Trace(
-                    "not a fupermod trace (missing header line)".to_owned(),
-                ));
-            }
-            let schema = fields
-                .iter()
-                .find(|(k, _)| k == "schema")
-                .and_then(|(_, v)| v.as_f64())
-                .ok_or_else(|| CoreError::Trace("header missing schema version".to_owned()))?
-                as u32;
-            (TraceFormat::Jsonl, schema)
-        };
-        if schema > SCHEMA_VERSION {
-            return Err(CoreError::Trace(format!(
-                "trace schema {schema} is newer than supported {SCHEMA_VERSION}"
-            )));
-        }
-        Ok(Self {
-            lines,
-            schema,
-            format,
-        })
+        let schema = parse_header(&header)?;
+        Ok(Self { lines, schema })
     }
 
     /// Schema version declared by the trace header.
     pub fn schema(&self) -> u32 {
         self.schema
-    }
-
-    /// Encoding detected from the header.
-    pub fn format(&self) -> TraceFormat {
-        self.format
     }
 }
 
@@ -1348,10 +788,7 @@ impl<R: BufRead> Iterator for TraceReader<R> {
             if line.trim().is_empty() {
                 continue;
             }
-            return Some(match self.format {
-                TraceFormat::Jsonl => TraceEvent::from_jsonl(&line),
-                TraceFormat::Csv => TraceEvent::from_csv_row(&line),
-            });
+            return Some(TraceEvent::from_jsonl(&line));
         }
     }
 }
@@ -1417,8 +854,9 @@ pub fn replay_into_models(
 /// relative error) at constant memory.
 pub const HISTOGRAM_BUCKETS: usize = 48;
 
-/// Operation tags with a dedicated per-op communication-latency
-/// histogram in [`Metrics`] (the tags `comm` events use).
+/// Operation tags of `comm` events; each has a
+/// `fupermod_comm_duration_seconds{op=…}` latency histogram in the
+/// global telemetry registry ([`crate::telemetry::record_comm`]).
 pub const COMM_OPS: [&str; 8] = [
     "send",
     "recv",
@@ -1504,17 +942,6 @@ impl LatencyHistogram {
             buckets,
         }
     }
-
-    /// Resets every bin and counter to zero.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
-        self.under.store(0, Ordering::Relaxed);
-        self.over.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A point-in-time copy of a [`LatencyHistogram`], in the exact shape
@@ -1587,213 +1014,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Process-wide observability counters and latency histograms,
-/// updated by the measurement and partitioning machinery regardless
-/// of the configured sink. The counters are always on (a relaxed
-/// atomic add); the schema-v3 latency histograms are gated behind
-/// [`Metrics::set_histograms_enabled`] so untraced runs pay nothing
-/// beyond one relaxed boolean load.
-#[derive(Debug)]
-pub struct Metrics {
-    kernels_executed: AtomicU64,
-    total_reps: AtomicU64,
-    outliers_rejected: AtomicU64,
-    repartitions: AtomicU64,
-    units_moved: AtomicU64,
-    histograms_enabled: AtomicBool,
-    comm_hists: [LatencyHistogram; COMM_OPS.len()],
-    bench_hist: LatencyHistogram,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A point-in-time copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Kernel measurement sessions (contexts) executed.
-    pub kernels_executed: u64,
-    /// Total benchmark repetitions across all measurements.
-    pub total_reps: u64,
-    /// Samples rejected by MAD outlier filtering.
-    pub outliers_rejected: u64,
-    /// Partitioner invocations that produced a distribution.
-    pub repartitions: u64,
-    /// Computation units that changed owner across all dynamic steps.
-    pub units_moved: u64,
-}
-
-// `[CONST; N]` array-initialisation idiom (see `ATOMIC_ZERO`).
-#[allow(clippy::declare_interior_mutable_const)]
-const HIST_ZERO: LatencyHistogram = LatencyHistogram::new();
-
-impl Metrics {
-    /// A zeroed instance (const-constructible for the process-wide
-    /// static).
-    pub const fn new() -> Self {
-        Self {
-            kernels_executed: AtomicU64::new(0),
-            total_reps: AtomicU64::new(0),
-            outliers_rejected: AtomicU64::new(0),
-            repartitions: AtomicU64::new(0),
-            units_moved: AtomicU64::new(0),
-            histograms_enabled: AtomicBool::new(false),
-            comm_hists: [HIST_ZERO; COMM_OPS.len()],
-            bench_hist: LatencyHistogram::new(),
-        }
-    }
-
-    pub(crate) fn add_kernel(&self) {
-        self.kernels_executed.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_reps(&self, n: u64) {
-        self.total_reps.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_outliers(&self, n: u64) {
-        self.outliers_rejected.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_repartition(&self) {
-        self.repartitions.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_units_moved(&self, n: u64) {
-        self.units_moved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads all counters at once.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            kernels_executed: self.kernels_executed.load(Ordering::Relaxed),
-            total_reps: self.total_reps.load(Ordering::Relaxed),
-            outliers_rejected: self.outliers_rejected.load(Ordering::Relaxed),
-            repartitions: self.repartitions.load(Ordering::Relaxed),
-            units_moved: self.units_moved.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Enables or disables the latency histograms. Disabled (the
-    /// default), [`Metrics::record_comm_latency`] and
-    /// [`Metrics::record_bench_rep`] are single-boolean-load no-ops.
-    pub fn set_histograms_enabled(&self, enabled: bool) {
-        self.histograms_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the latency histograms are recording.
-    pub fn histograms_enabled(&self) -> bool {
-        self.histograms_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Records one communication-operation latency into the per-op
-    /// histogram. `op` must be one of [`COMM_OPS`] (unknown tags are
-    /// ignored); a no-op unless histograms are enabled. The sample is
-    /// also offered to the live telemetry registry
-    /// (`fupermod_comm_duration_seconds{op=...}`), which applies its
-    /// own single-relaxed-load gate, so scrapeable runs need no extra
-    /// instrumentation at the call sites.
-    pub fn record_comm_latency(&self, op: &str, seconds: f64) {
-        crate::telemetry::record_comm(op, seconds);
-        if !self.histograms_enabled() {
-            return;
-        }
-        if let Some(i) = COMM_OPS.iter().position(|&o| o == op) {
-            self.comm_hists[i].record(seconds);
-        }
-    }
-
-    /// Records one benchmark repetition time; a no-op unless
-    /// histograms are enabled.
-    pub fn record_bench_rep(&self, seconds: f64) {
-        if !self.histograms_enabled() {
-            return;
-        }
-        self.bench_hist.record(seconds);
-    }
-
-    /// Snapshot of the per-op communication-latency histogram for
-    /// `op` (`None` for tags outside [`COMM_OPS`]).
-    pub fn comm_histogram(&self, op: &str) -> Option<HistogramSnapshot> {
-        COMM_OPS
-            .iter()
-            .position(|&o| o == op)
-            .map(|i| self.comm_hists[i].snapshot())
-    }
-
-    /// Snapshot of the benchmark repetition-time histogram.
-    pub fn bench_histogram(&self) -> HistogramSnapshot {
-        self.bench_hist.snapshot()
-    }
-
-    /// Emits one [`TraceEvent::Metrics`] per non-empty histogram
-    /// (`comm.<op>` scopes in [`COMM_OPS`] order, then `bench.rep`)
-    /// into `sink`, and returns how many events were written.
-    /// Typically called once at the end of a traced run.
-    pub fn export_histogram_events(&self, sink: &dyn TraceSink) -> usize {
-        let mut emitted = 0;
-        for (op, hist) in COMM_OPS.iter().zip(&self.comm_hists) {
-            let snap = hist.snapshot();
-            if snap.count == 0 {
-                continue;
-            }
-            sink.record(&TraceEvent::Metrics {
-                rank: 0,
-                scope: format!("comm.{op}"),
-                count: snap.count,
-                sum: snap.sum_seconds,
-                buckets: snap.buckets,
-                kind: "histogram".to_owned(),
-                labels: String::new(),
-            });
-            emitted += 1;
-        }
-        let snap = self.bench_hist.snapshot();
-        if snap.count > 0 {
-            sink.record(&TraceEvent::Metrics {
-                rank: 0,
-                scope: "bench.rep".to_owned(),
-                count: snap.count,
-                sum: snap.sum_seconds,
-                buckets: snap.buckets,
-                kind: "histogram".to_owned(),
-                labels: String::new(),
-            });
-            emitted += 1;
-        }
-        emitted
-    }
-
-    /// Resets every counter and histogram to zero (tests and
-    /// long-lived processes). The histogram enable flag is left
-    /// untouched.
-    pub fn reset(&self) {
-        self.kernels_executed.store(0, Ordering::Relaxed);
-        self.total_reps.store(0, Ordering::Relaxed);
-        self.outliers_rejected.store(0, Ordering::Relaxed);
-        self.repartitions.store(0, Ordering::Relaxed);
-        self.units_moved.store(0, Ordering::Relaxed);
-        for h in &self.comm_hists {
-            h.reset();
-        }
-        self.bench_hist.reset();
-    }
-
-    /// One-line human-readable summary for process-exit reporting.
-    pub fn summary(&self) -> String {
-        let s = self.snapshot();
-        format!(
-            "fupermod metrics: kernels={} reps={} outliers_rejected={} repartitions={} units_moved={}",
-            s.kernels_executed, s.total_reps, s.outliers_rejected, s.repartitions, s.units_moved
-        )
-    }
-}
-
-/// The process-wide [`Metrics`] instance.
-pub fn metrics() -> &'static Metrics {
-    static METRICS: Metrics = Metrics::new();
-    &METRICS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1853,7 +1073,7 @@ mod tests {
             },
             TraceEvent::Metrics {
                 rank: 0,
-                scope: "comm.allgatherv".to_owned(),
+                scope: "fupermod_comm_duration_seconds".to_owned(),
                 count: 12,
                 sum: 0.037,
                 buckets: {
@@ -1863,7 +1083,7 @@ mod tests {
                     b
                 },
                 kind: "histogram".to_owned(),
-                labels: String::new(),
+                labels: "op=allgatherv".to_owned(),
             },
             TraceEvent::Metrics {
                 rank: 0,
@@ -1894,8 +1114,8 @@ mod tests {
             let line = event.to_jsonl();
             assert!(line.starts_with('{') && line.ends_with('}'));
             assert!(!line.contains('\n'));
-            let fields = json::parse_flat_object(&line).unwrap();
-            assert_eq!(fields[0].0, "event");
+            let doc = Json::parse(&line).unwrap();
+            assert_eq!(doc.as_object().unwrap()[0].0, "event");
         }
     }
 
@@ -1923,69 +1143,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_have_stable_column_count() {
-        let n_cols = CSV_HEADER.split(',').count();
-        assert_eq!(n_cols, CSV_COLUMNS);
-        for event in sample_events() {
-            let row = event.to_csv_row();
-            assert_eq!(
-                row.split(',').count(),
-                n_cols,
-                "row has wrong arity: {row}"
-            );
-            assert_eq!(row.split(',').next(), Some(event.name()));
-        }
-    }
-
-    #[test]
-    fn csv_rows_round_trip_every_event() {
-        for event in sample_events() {
-            let row = event.to_csv_row();
-            let back = TraceEvent::from_csv_row(&row).unwrap();
-            assert_eq!(event, back, "row: {row}");
-        }
-    }
-
-    #[test]
-    fn pre_v3_csv_rows_decode_with_defaults() {
-        // A 26-column (v2 + addendum) comm row lacks lamport/gen and
-        // the metrics columns entirely.
-        let row = "comm,,2,,,,,,,,,,,,,,,,allgatherv,,-1,4096,0.0031,,ring,3";
-        assert_eq!(row.split(',').count(), 26);
-        let back = TraceEvent::from_csv_row(row).unwrap();
-        assert_eq!(
-            back,
-            TraceEvent::Comm {
-                rank: 2,
-                op: "allgatherv".to_owned(),
-                peer: -1,
-                bytes: 4096,
-                seconds: 0.0031,
-                algorithm: "ring".to_owned(),
-                rounds: 3,
-                lamport: 0,
-                gen: 0,
-            }
-        );
-        assert!(TraceEvent::from_csv_row("comm,oops").is_err());
-        assert!(TraceEvent::from_csv_row(&"nope,".repeat(30)).is_err());
-    }
-
-    #[test]
-    fn pre_v4_metrics_rows_decode_with_defaults() {
-        // A 32-column v3 metrics row lacks the `labels` column and
-        // the `kind` cell; both must decode as empty.
-        let bins = vec!["0"; HISTOGRAM_BUCKETS + 2].join(";");
-        let mut cols = vec![String::new(); 32];
-        cols[0] = "metrics".to_owned();
-        cols[2] = "0".to_owned();
-        cols[28] = "comm.send".to_owned();
-        cols[29] = "3".to_owned();
-        cols[30] = "0.001".to_owned();
-        cols[31] = bins;
-        let row = cols.join(",");
-        assert_eq!(row.split(',').count(), 32);
-        match TraceEvent::from_csv_row(&row).unwrap() {
+    fn pre_v4_metrics_lines_decode_with_defaults() {
+        // A v3 metrics line lacks the `kind`/`labels` keys; both must
+        // decode as empty.
+        let line = "{\"event\":\"metrics\",\"rank\":0,\"scope\":\"comm.send\",\
+                    \"count\":3,\"sum\":0.001,\"buckets\":[1,2]}";
+        match TraceEvent::from_jsonl(line).unwrap() {
             TraceEvent::Metrics {
                 scope,
                 count,
@@ -1995,16 +1158,6 @@ mod tests {
             } => {
                 assert_eq!(scope, "comm.send");
                 assert_eq!(count, 3);
-                assert_eq!(kind, "");
-                assert_eq!(labels, "");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        // Likewise for a v3 JSONL metrics line (no kind/labels keys).
-        let line = "{\"event\":\"metrics\",\"rank\":0,\"scope\":\"comm.send\",\
-                    \"count\":3,\"sum\":0.001,\"buckets\":[1,2]}";
-        match TraceEvent::from_jsonl(line).unwrap() {
-            TraceEvent::Metrics { kind, labels, .. } => {
                 assert_eq!(kind, "");
                 assert_eq!(labels, "");
             }
@@ -2048,24 +1201,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_writes_schema_comment_and_header() {
-        let sink = CsvSink::new(Vec::new());
-        for e in sample_events() {
-            sink.record(&e);
-        }
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next(),
-            Some(format!("# fupermod-trace schema={SCHEMA_VERSION}").as_str())
-        );
-        assert_eq!(lines.next(), Some(CSV_HEADER));
-        assert_eq!(lines.count(), sample_events().len());
-    }
-
-    #[test]
-    fn trace_reader_streams_both_encodings() {
-        // JSONL
+    fn trace_reader_streams_events() {
         let sink = JsonlSink::new(Vec::new());
         for e in sample_events() {
             sink.record(&e);
@@ -2073,35 +1209,10 @@ mod tests {
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         let reader = TraceReader::new(text.as_bytes()).unwrap();
         assert_eq!(reader.schema(), SCHEMA_VERSION);
-        assert_eq!(reader.format(), TraceFormat::Jsonl);
         let events: Vec<_> = reader.map(Result::unwrap).collect();
         assert_eq!(events, sample_events());
-
-        // CSV (same events, same decode)
-        let sink = CsvSink::new(Vec::new());
-        for e in sample_events() {
-            sink.record(&e);
-        }
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-        let reader = TraceReader::new(text.as_bytes()).unwrap();
-        assert_eq!(reader.schema(), SCHEMA_VERSION);
-        assert_eq!(reader.format(), TraceFormat::Csv);
-        let events: Vec<_> = reader.map(Result::unwrap).collect();
-        assert_eq!(events, sample_events());
-    }
-
-    #[test]
-    fn trace_reader_rejects_future_csv_schema() {
-        let csv = format!(
-            "# fupermod-trace schema={}\n{CSV_HEADER}\n",
-            SCHEMA_VERSION + 1
-        );
-        assert!(TraceReader::new(csv.as_bytes()).is_err());
-        // Unparseable comment line.
-        assert!(TraceReader::new("# something else\n".as_bytes()).is_err());
-        // Missing column header.
-        let csv = format!("# fupermod-trace schema={SCHEMA_VERSION}\n");
-        assert!(TraceReader::new(csv.as_bytes()).is_err());
+        // The retired CSV encoding is no longer a trace file.
+        assert!(TraceReader::new("# fupermod-trace schema=4\nevent,iter\n".as_bytes()).is_err());
     }
 
     #[test]
@@ -2127,53 +1238,6 @@ mod tests {
         // upper bound 4 ns.
         assert!((s.quantile(0.5).unwrap() - 4e-9).abs() < 1e-18);
         assert_eq!(s.quantile(1.0), Some(f64::INFINITY));
-        h.reset();
-        assert_eq!(h.snapshot().count, 0);
-    }
-
-    #[test]
-    fn metrics_histograms_gate_and_export() {
-        let m = Metrics::new();
-        // Disabled by default: recording is a no-op.
-        m.record_comm_latency("send", 1e-6);
-        m.record_bench_rep(1e-3);
-        assert_eq!(m.comm_histogram("send").unwrap().count, 0);
-        assert_eq!(m.bench_histogram().count, 0);
-
-        m.set_histograms_enabled(true);
-        assert!(m.histograms_enabled());
-        m.record_comm_latency("send", 1e-6);
-        m.record_comm_latency("allgatherv", 2e-6);
-        m.record_comm_latency("not-an-op", 3e-6); // ignored
-        m.record_bench_rep(1e-3);
-        assert_eq!(m.comm_histogram("send").unwrap().count, 1);
-        assert_eq!(m.comm_histogram("allgatherv").unwrap().count, 1);
-        assert!(m.comm_histogram("not-an-op").is_none());
-        assert_eq!(m.bench_histogram().count, 1);
-
-        let sink = MemorySink::new();
-        let emitted = m.export_histogram_events(&sink);
-        assert_eq!(emitted, 3); // send, allgatherv, bench.rep
-        let scopes: Vec<String> = sink
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Metrics { scope, .. } => scope.clone(),
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(scopes, ["comm.send", "comm.allgatherv", "bench.rep"]);
-        // Exported events round-trip through both encodings.
-        for e in sink.events() {
-            assert_eq!(TraceEvent::from_jsonl(&e.to_jsonl()).unwrap(), e);
-            assert_eq!(TraceEvent::from_csv_row(&e.to_csv_row()).unwrap(), e);
-        }
-
-        m.reset();
-        assert_eq!(m.comm_histogram("send").unwrap().count, 0);
-        assert_eq!(m.bench_histogram().count, 0);
-        assert!(m.histograms_enabled()); // flag survives reset
-        m.set_histograms_enabled(false);
     }
 
     #[test]
@@ -2198,6 +1262,25 @@ mod tests {
         assert!(TraceEvent::from_jsonl("not json").is_err());
         assert!(TraceEvent::from_jsonl("{\"event\":\"nope\"}").is_err());
         assert!(TraceEvent::from_jsonl("{\"event\":\"model_update\"}").is_err());
+        // `null` is NaN for a float field, never an array element.
+        assert!(TraceEvent::from_jsonl(
+            "{\"event\":\"partition_step\",\"iter\":0,\"dist\":[null],\"imbalance\":0,\"units_moved\":0}"
+        )
+        .is_err());
+        assert!(TraceEvent::from_jsonl("{\"event\":\"dynamic_converged\",\"steps\":1,\"imbalance\":0} x").is_err());
+    }
+
+    #[test]
+    fn nesting_bombs_are_errors_not_stack_overflows() {
+        let bomb = format!(
+            "{{\"event\":\"partition_step\",\"dist\":{}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        let err = TraceEvent::from_jsonl(&bomb).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = TraceReader::new(bomb.as_bytes()).err().expect("rejected").to_string();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]
@@ -2244,30 +1327,6 @@ mod tests {
         // Rank out of range is an error.
         let mut only: Vec<&mut dyn Model> = vec![&mut m0];
         assert!(replay_into_models(&events, &mut only).is_err());
-    }
-
-    #[test]
-    fn metrics_counts_and_resets() {
-        let m = Metrics::default();
-        m.add_kernel();
-        m.add_reps(10);
-        m.add_outliers(2);
-        m.add_repartition();
-        m.add_units_moved(40);
-        let s = m.snapshot();
-        assert_eq!(
-            (
-                s.kernels_executed,
-                s.total_reps,
-                s.outliers_rejected,
-                s.repartitions,
-                s.units_moved
-            ),
-            (1, 10, 2, 1, 40)
-        );
-        assert!(m.summary().contains("reps=10"));
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -1,10 +1,17 @@
-//! Property tests for the trace wire formats: every [`TraceEvent`]
-//! variant must survive JSONL → decode → JSONL and
-//! JSONL → CSV → decode → JSONL unchanged, including non-finite
-//! floats (`null` / `1e9999` / `-1e9999`) and the schema-v3
-//! `lamport`/`gen`/histogram fields. Because `NaN != NaN`, round
-//! trips are compared on the *canonical JSONL encoding*, which is
-//! total.
+//! The trace wire format, pinned from both sides.
+//!
+//! * Property: every [`TraceEvent`] variant survives
+//!   JSONL → decode → JSONL unchanged, including non-finite floats
+//!   (`null` / `1e9999` / `-1e9999`) and the schema-v3
+//!   `lamport`/`gen`/histogram fields. Because `NaN != NaN`, round
+//!   trips are compared on the *canonical JSONL encoding*, which is
+//!   total.
+//! * Fixtures: one v1, v2, v3 and v4 trace under `tests/fixtures/`,
+//!   each with the table of events the four-parser build (`e763e9a`)
+//!   decoded from it — the one JSON reader must decode every line to
+//!   the same event. (The event → CSV-row goldens over the same v4
+//!   fixture live with the exporter, in
+//!   `crates/trace/tests/csv_export.rs`.)
 
 use std::io::Cursor;
 
@@ -47,7 +54,11 @@ const KINDS: [&str; 7] = [
     "timeout",
     "degraded",
 ];
-const SCOPES: [&str; 3] = ["comm.send", "comm.allreduce", "bench.rep"];
+const SCOPES: [&str; 3] = [
+    "fupermod_comm_duration_seconds",
+    "fupermod_bench_rep_seconds",
+    "comm.send", // a v3 trace's scope
+];
 // Schema-v4 metric kind/label addendum values, including the empty
 // legacy spellings.
 const METRIC_KINDS: [&str; 4] = ["", "counter", "gauge", "histogram"];
@@ -135,7 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn jsonl_and_csv_round_trip_every_variant(
+    fn jsonl_round_trips_every_variant(
         variant in 0usize..8,
         rank in 0usize..64,
         big in u64_strategy(),
@@ -156,16 +167,41 @@ proptest! {
         );
         let canonical = event.to_jsonl();
 
-        // JSONL -> decode -> JSONL.
         let decoded = TraceEvent::from_jsonl(&canonical).unwrap();
-        prop_assert_eq!(decoded.to_jsonl(), canonical.clone());
-
-        // JSONL -> CSV -> decode -> JSONL (the CSV columns must carry
-        // every field of every variant, non-finite spellings included).
-        let row = event.to_csv_row();
-        let from_csv = TraceEvent::from_csv_row(&row).unwrap();
-        prop_assert_eq!(from_csv.to_jsonl(), canonical);
+        prop_assert_eq!(decoded.to_jsonl(), canonical);
     }
+}
+
+/// Every line of the committed v1–v4 traces decodes to the event the
+/// parent build decoded (its `{:?}`, one per line — NaN-safe, unlike
+/// `==`), and the header declares the version the file name says.
+#[test]
+fn fixture_traces_decode_as_the_parent_build_decoded_them() {
+    const FIXTURES: [(u32, &str, &str); 4] = [
+        (1, include_str!("fixtures/trace_v1.jsonl"), include_str!("fixtures/trace_v1.decoded")),
+        (2, include_str!("fixtures/trace_v2.jsonl"), include_str!("fixtures/trace_v2.decoded")),
+        (3, include_str!("fixtures/trace_v3.jsonl"), include_str!("fixtures/trace_v3.decoded")),
+        (4, include_str!("fixtures/trace_v4.jsonl"), include_str!("fixtures/trace_v4.decoded")),
+    ];
+    for (version, trace, decoded) in FIXTURES {
+        let reader = TraceReader::new(Cursor::new(trace.as_bytes())).unwrap();
+        assert_eq!(reader.schema(), version);
+        let events: Vec<String> = reader.map(|e| format!("{:?}", e.unwrap())).collect();
+        let expected: Vec<&str> = decoded.lines().collect();
+        assert_eq!(events.len(), expected.len(), "v{version}: line count");
+        for (i, (got, want)) in events.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "v{version} event {i}");
+        }
+    }
+    // The v4 fixture exercises all eight variants and the `null` floats.
+    let v4 = FIXTURES[3].2;
+    for variant in [
+        "BenchmarkSample", "BenchmarkDone", "ModelUpdate", "PartitionStep",
+        "DynamicConverged", "Comm", "Fault", "Metrics",
+    ] {
+        assert!(v4.lines().any(|l| l.starts_with(variant)), "no {variant} in the v4 fixture");
+    }
+    assert!(v4.contains("NaN") && v4.contains("-inf"));
 }
 
 #[test]
@@ -193,10 +229,9 @@ fn non_finite_floats_round_trip_explicitly() {
         steps: 2,
         imbalance: f64::NEG_INFINITY,
     };
-    let row = event.to_csv_row();
-    let back = TraceEvent::from_csv_row(&row).unwrap();
-    assert_eq!(back.to_jsonl(), event.to_jsonl());
-    assert!(event.to_jsonl().contains("-1e9999"));
+    let line = event.to_jsonl();
+    assert!(line.contains("-1e9999"), "line: {line}");
+    assert_eq!(TraceEvent::from_jsonl(&line).unwrap(), event);
 }
 
 #[test]

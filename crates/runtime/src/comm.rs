@@ -960,7 +960,7 @@ impl ThreadedComm {
     /// schema-v2 addendum `algorithm`/`rounds` fields describing the
     /// schedule that carried the operation and the schema-v3 causal
     /// `lamport`/`gen` stamps; also feeds the per-op latency
-    /// histogram ([`fupermod_core::trace::Metrics`]).
+    /// histogram ([`fupermod_core::telemetry::record_comm`]).
     #[allow(clippy::too_many_arguments)] // one flat epilogue beats a one-shot struct
     fn op_end(
         &self,
@@ -977,7 +977,7 @@ impl ThreadedComm {
             ClockMode::Sim => self.plane.virtual_time_of(self.rank) - start.virt,
         };
         let lamport = self.plane.lock().lamport[self.rank];
-        fupermod_core::trace::metrics().record_comm_latency(op, seconds);
+        fupermod_core::telemetry::record_comm(op, seconds);
         self.plane.sink.record(&TraceEvent::Comm {
             rank: self.rank,
             op: op.to_owned(),

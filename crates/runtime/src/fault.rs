@@ -5,8 +5,8 @@
 //! and evaluated deterministically: rules fire on **counts** of
 //! matching operations (`every`-th match), not on random draws, so a
 //! faulty run replays identically. Plans are written as JSON (schema
-//! in `docs/RUNTIME.md`) and parsed by [`FaultPlan::from_json`] with
-//! an std-only parser — the build environment has no serde_json.
+//! in `docs/RUNTIME.md`) and read by [`FaultPlan::from_json`] through
+//! the workspace's one JSON parser ([`fupermod_core::json`]).
 //!
 //! ```
 //! use fupermod_runtime::FaultPlan;
@@ -18,6 +18,8 @@
 //! assert_eq!(plan.stragglers.len(), 1);
 //! assert!((plan.straggler_factor(1) - 4.0).abs() < 1e-12);
 //! ```
+
+use fupermod_core::json::Json;
 
 use crate::error::RuntimeError;
 
@@ -145,7 +147,7 @@ impl FaultPlan {
     /// Returns [`RuntimeError::InvalidPlan`] on malformed JSON,
     /// unknown keys, or out-of-range values.
     pub fn from_json(text: &str) -> Result<Self, RuntimeError> {
-        let value = json::parse(text).map_err(RuntimeError::InvalidPlan)?;
+        let value = Json::parse(text).map_err(|e| RuntimeError::InvalidPlan(e.to_string()))?;
         let obj = value
             .as_object()
             .ok_or_else(|| RuntimeError::InvalidPlan("top level must be an object".to_owned()))?;
@@ -201,17 +203,17 @@ fn bad(msg: &str) -> RuntimeError {
     RuntimeError::InvalidPlan(msg.to_owned())
 }
 
-fn num(v: &json::Value, what: &str) -> Result<f64, RuntimeError> {
+fn num(v: &Json, what: &str) -> Result<f64, RuntimeError> {
     v.as_f64()
         .ok_or_else(|| bad(&format!("'{what}' must be a number")))
 }
 
-fn arr<'a>(v: &'a json::Value, what: &str) -> Result<&'a [json::Value], RuntimeError> {
+fn arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], RuntimeError> {
     v.as_array()
         .ok_or_else(|| bad(&format!("'{what}' must be an array")))
 }
 
-fn index(v: &json::Value, what: &str) -> Result<usize, RuntimeError> {
+fn index(v: &Json, what: &str) -> Result<usize, RuntimeError> {
     let x = num(v, what)?;
     if x < 0.0 || x.fract() != 0.0 {
         return Err(bad(&format!("'{what}' must be a non-negative integer")));
@@ -220,21 +222,21 @@ fn index(v: &json::Value, what: &str) -> Result<usize, RuntimeError> {
 }
 
 struct Fields<'a> {
-    obj: &'a [(String, json::Value)],
+    obj: &'a [(String, Json)],
     what: &'static str,
 }
 
 impl<'a> Fields<'a> {
-    fn new(v: &'a json::Value, what: &'static str) -> Result<Self, RuntimeError> {
+    fn new(v: &'a Json, what: &'static str) -> Result<Self, RuntimeError> {
         let obj = v
             .as_object()
             .ok_or_else(|| bad(&format!("each '{what}' rule must be an object")))?;
         Ok(Self { obj, what })
     }
-    fn get(&self, key: &str) -> Option<&'a json::Value> {
+    fn get(&self, key: &str) -> Option<&'a Json> {
         self.obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
-    fn require(&self, key: &str) -> Result<&'a json::Value, RuntimeError> {
+    fn require(&self, key: &str) -> Result<&'a Json, RuntimeError> {
         self.get(key)
             .ok_or_else(|| bad(&format!("'{}' rule missing '{key}'", self.what)))
     }
@@ -261,7 +263,7 @@ fn parse_every(f: &Fields<'_>) -> Result<u64, RuntimeError> {
     Ok(every)
 }
 
-fn parse_delay(v: &json::Value) -> Result<DelayRule, RuntimeError> {
+fn parse_delay(v: &Json) -> Result<DelayRule, RuntimeError> {
     let f = Fields::new(v, "delays")?;
     f.check_keys(&["src", "dst", "every", "seconds"])?;
     let seconds = num(f.require("seconds")?, "seconds")?;
@@ -276,7 +278,7 @@ fn parse_delay(v: &json::Value) -> Result<DelayRule, RuntimeError> {
     })
 }
 
-fn parse_drop(v: &json::Value) -> Result<DropRule, RuntimeError> {
+fn parse_drop(v: &Json) -> Result<DropRule, RuntimeError> {
     let f = Fields::new(v, "drops")?;
     f.check_keys(&["src", "dst", "every", "max_retries", "backoff_seconds"])?;
     let max_retries = f
@@ -301,7 +303,7 @@ fn parse_drop(v: &json::Value) -> Result<DropRule, RuntimeError> {
     })
 }
 
-fn parse_straggler(v: &json::Value) -> Result<StragglerRule, RuntimeError> {
+fn parse_straggler(v: &Json) -> Result<StragglerRule, RuntimeError> {
     let f = Fields::new(v, "stragglers")?;
     f.check_keys(&["rank", "comm_seconds", "compute_factor"])?;
     let comm_seconds = f
@@ -327,195 +329,13 @@ fn parse_straggler(v: &json::Value) -> Result<StragglerRule, RuntimeError> {
     })
 }
 
-fn parse_death(v: &json::Value) -> Result<DeathRule, RuntimeError> {
+fn parse_death(v: &Json) -> Result<DeathRule, RuntimeError> {
     let f = Fields::new(v, "deaths")?;
     f.check_keys(&["rank", "after_ops"])?;
     Ok(DeathRule {
         rank: index(f.require("rank")?, "rank")?,
         after_ops: index(f.require("after_ops")?, "after_ops")? as u64,
     })
-}
-
-/// Minimal recursive-descent JSON parser (std-only; offline build).
-/// Supports objects, arrays, numbers, strings (escape-free), `true`,
-/// `false`, `null` — the full grammar a fault plan uses.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// A string (escape sequences are rejected).
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, msg: &str) -> String {
-            format!("bad JSON at byte {}: {msg}", self.pos)
-        }
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-        fn eat(&mut self, want: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.peek() == Some(want) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", want as char)))
-            }
-        }
-        fn literal(&mut self, word: &[u8], v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(self.err("unknown literal"))
-            }
-        }
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                match b {
-                    b'"' => {
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?
-                            .to_owned();
-                        self.pos += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => return Err(self.err("string escapes are not supported")),
-                    _ => self.pos += 1,
-                }
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| self.err("malformed number"))
-        }
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut obj = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b'}') {
-                        self.pos += 1;
-                        return Ok(Value::Obj(obj));
-                    }
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.eat(b':')?;
-                        let v = self.value()?;
-                        obj.push((key, v));
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b'}') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(self.err("expected ',' or '}'")),
-                        }
-                    }
-                    Ok(Value::Obj(obj))
-                }
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut arr = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::Arr(arr));
-                    }
-                    loop {
-                        arr.push(self.value()?);
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(self.err("expected ',' or ']'")),
-                        }
-                    }
-                    Ok(Value::Arr(arr))
-                }
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal(b"true", Value::Bool(true)),
-                Some(b'f') => self.literal(b"false", Value::Bool(false)),
-                Some(b'n') => self.literal(b"null", Value::Null),
-                _ => Ok(Value::Num(self.number()?)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -592,14 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_handles_nesting_and_literals() {
-        let v = json::parse(r#"{"a": [true, false, null, "x", {"b": 1e-3}]}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        let arr = obj[0].1.as_array().unwrap();
-        assert_eq!(arr.len(), 5);
-        assert_eq!(arr[0], json::Value::Bool(true));
-        assert_eq!(arr[2], json::Value::Null);
-        let inner = arr[4].as_object().unwrap();
-        assert!((inner[0].1.as_f64().unwrap() - 1e-3).abs() < 1e-15);
+    fn nesting_bombs_and_escapes_follow_the_one_grammar() {
+        let bomb = format!(
+            "{{\"delays\":{}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        match FaultPlan::from_json(&bomb) {
+            Err(RuntimeError::InvalidPlan(msg)) => {
+                assert!(msg.contains("nesting deeper than"), "{msg}")
+            }
+            other => panic!("bomb not rejected: {other:?}"),
+        }
+        // Escapes are decoded before keys are matched.
+        let plan = FaultPlan::from_json(r#"{"dea\u0064line": 2.0}"#).unwrap();
+        assert_eq!(plan.deadline, Some(2.0));
     }
 }

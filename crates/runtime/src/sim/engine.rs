@@ -345,7 +345,7 @@ impl EventSim {
         self.events += 1;
         let seconds = self.sim.time(rank) - start.virt;
         let lamport = self.lamport[rank];
-        fupermod_core::trace::metrics().record_comm_latency(op, seconds);
+        fupermod_core::telemetry::record_comm(op, seconds);
         self.sink.record(&TraceEvent::Comm {
             rank,
             op: op.to_owned(),

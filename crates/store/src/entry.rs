@@ -194,8 +194,7 @@ impl ModelEntry {
     /// off: pushes the observation, then always rebuilds the model
     /// from scratch. This *is* the reference the incremental path is
     /// measured and tested against — the `prefix_identity` suite
-    /// asserts bitwise equality between the two at every prefix, and
-    /// the `store_serve` bench reports their throughput ratio.
+    /// asserts bitwise equality between the two at every prefix.
     pub fn ingest_sample_rebuilding(&mut self, d: u64, t: f64) -> Result<(), StoreError> {
         Self::validate(d, t)?;
         if self.samples.is_empty() && !self.model.points().is_empty() {

@@ -1,12 +1,12 @@
 //! The daemon's line-delimited JSON protocol (`docs/SERVE.md`).
 //!
 //! One request object per line in, one response object per line out,
-//! over a plain TCP stream. The vocabulary is deliberately flat —
-//! scalar fields plus arrays of scalars — so the hand-rolled parser
-//! below (the build environment has no serde_json) stays small and
-//! auditable. Floats are emitted with
-//! [`fupermod_core::trace::fmt_float`], the repo-wide shortest
-//! round-trip encoding, so a value survives
+//! over a plain TCP stream. Lines are read with the workspace's one
+//! JSON parser ([`fupermod_core::json`]: escapes decoded, unescaped
+//! control characters and lone surrogates rejected, nesting capped at
+//! 64); this module keeps only the typed field access. Floats are
+//! emitted with [`fupermod_core::trace::fmt_float`], the repo-wide
+//! shortest round-trip encoding, so a value survives
 //! serve → parse → re-serve bit-exactly.
 //!
 //! | op | request fields | response |
@@ -22,6 +22,7 @@
 //! carries `"ok": true|false`; failures carry `"error"` instead of
 //! result fields.
 
+use fupermod_core::json::{quote, Json};
 use fupermod_core::model::Refresh;
 use fupermod_core::partition::{
     ConstantPartitioner, EvenPartitioner, GeometricPartitioner, NumericalPartitioner,
@@ -97,38 +98,54 @@ impl Request {
 /// [`StoreError::Protocol`] on malformed JSON, unknown `op`, or
 /// missing/mistyped fields.
 pub fn parse_request(line: &str) -> Result<Request, StoreError> {
-    let fields = json::parse_flat_object(line).map_err(StoreError::Protocol)?;
-    let op = json::get_str(&fields, "op")?;
+    let mut fields = match Json::parse(line).map_err(|e| StoreError::Protocol(e.to_string()))? {
+        Json::Obj(fields) => fields,
+        other => {
+            return Err(StoreError::Protocol(format!(
+                "a request must be an object, got {}",
+                other.type_name()
+            )))
+        }
+    };
+    let fields = &mut fields;
+    let op = take_str(fields, "op")?;
     match op.as_str() {
         "ingest" => Ok(Request::Ingest {
-            key: key_of(&fields)?,
-            d: json::get_u64(&fields, "d")?,
-            t: json::get_f64(&fields, "t")?,
+            key: key_of(fields)?,
+            d: take_u64(fields, "d")?,
+            t: take_f64(fields, "t")?,
         }),
         "ingest_point" => Ok(Request::IngestPoint {
-            key: key_of(&fields)?,
+            key: key_of(fields)?,
             point: Point {
-                d: json::get_u64(&fields, "d")?,
-                t: json::get_f64(&fields, "t")?,
-                reps: json::get_u64(&fields, "reps")? as u32,
-                ci: json::get_f64(&fields, "ci")?,
+                d: take_u64(fields, "d")?,
+                t: take_f64(fields, "t")?,
+                reps: take_u64(fields, "reps")? as u32,
+                ci: take_f64(fields, "ci")?,
             },
         }),
         "lookup" => Ok(Request::Lookup {
-            key: key_of(&fields)?,
+            key: key_of(fields)?,
         }),
         "partition" => {
-            let fingerprints = json::get_str_array(&fields, "fingerprints")?;
-            let kernel = json::get_str(&fields, "kernel")?;
-            let config = json::get_str(&fields, "config")?;
+            let mistyped =
+                || StoreError::Protocol("field 'fingerprints' must be an array of strings".to_owned());
+            let Json::Arr(fingerprints) = take(fields, "fingerprints")? else {
+                return Err(mistyped());
+            };
+            let kernel = take_str(fields, "kernel")?;
+            let config = take_str(fields, "config")?;
             let keys = fingerprints
                 .into_iter()
-                .map(|fp| StoreKey::new(fp, kernel.clone(), config.clone()))
-                .collect();
+                .map(|fp| match fp {
+                    Json::Str(fp) => Ok(StoreKey::new(fp, kernel.clone(), config.clone())),
+                    _ => Err(mistyped()),
+                })
+                .collect::<Result<_, _>>()?;
             Ok(Request::Partition {
                 keys,
-                total: json::get_u64(&fields, "total")?,
-                algorithm: json::get_str(&fields, "algorithm")?,
+                total: take_u64(fields, "total")?,
+                algorithm: take_str(fields, "algorithm")?,
             })
         }
         "stats" => Ok(Request::Stats),
@@ -137,11 +154,54 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
     }
 }
 
-fn key_of(fields: &[(String, json::Value)]) -> Result<StoreKey, StoreError> {
+/// The members of a request object, in document order. The typed
+/// accessors below move each value out (a request reads a field
+/// once), so strings reach the [`Request`] without a copy.
+type Fields = Vec<(String, Json)>;
+
+fn take(fields: &mut Fields, key: &str) -> Result<Json, StoreError> {
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
+        .ok_or_else(|| StoreError::Protocol(format!("missing field '{key}'")))
+}
+
+fn take_str(fields: &mut Fields, key: &str) -> Result<String, StoreError> {
+    match take(fields, key)? {
+        Json::Str(s) => Ok(s),
+        other => Err(StoreError::Protocol(format!(
+            "field '{key}' must be a string, got {}",
+            other.type_name()
+        ))),
+    }
+}
+
+fn take_f64(fields: &mut Fields, key: &str) -> Result<f64, StoreError> {
+    match take(fields, key)? {
+        Json::Num(v) => Ok(v),
+        other => Err(StoreError::Protocol(format!(
+            "field '{key}' must be a number, got {}",
+            other.type_name()
+        ))),
+    }
+}
+
+fn take_u64(fields: &mut Fields, key: &str) -> Result<u64, StoreError> {
+    let v = take_f64(fields, key)?;
+    if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        return Err(StoreError::Protocol(format!(
+            "field '{key}' must be a non-negative integer, got {v}"
+        )));
+    }
+    Ok(v as u64)
+}
+
+fn key_of(fields: &mut Fields) -> Result<StoreKey, StoreError> {
     Ok(StoreKey::new(
-        json::get_str(fields, "fingerprint")?,
-        json::get_str(fields, "kernel")?,
-        json::get_str(fields, "config")?,
+        take_str(fields, "fingerprint")?,
+        take_str(fields, "kernel")?,
+        take_str(fields, "config")?,
     ))
 }
 
@@ -176,8 +236,9 @@ fn outcome_tag(o: IngestOutcome) -> &'static str {
     }
 }
 
-fn error_line(e: &StoreError) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json::quote(&e.to_string()))
+/// The response line of a failed request: `{"ok":false,"error":…}`.
+pub(crate) fn error_line(e: &StoreError) -> String {
+    format!("{{\"ok\":false,\"error\":{}}}", quote(&e.to_string()))
 }
 
 fn num_array(values: impl Iterator<Item = String>) -> String {
@@ -283,317 +344,6 @@ fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreErro
     }
 }
 
-/// Minimal flat-JSON support for the protocol: objects whose values
-/// are strings, numbers, booleans, `null`, or arrays of strings /
-/// numbers. (The trace module's flat parser is private and only
-/// handles numeric arrays, so the protocol carries its own.)
-pub mod json {
-    /// A parsed value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// A string.
-        Str(String),
-        /// A number (JSON numbers are all doubles).
-        Num(f64),
-        /// A boolean.
-        Bool(bool),
-        /// `null`.
-        Null,
-        /// An array of strings.
-        StrArray(Vec<String>),
-        /// An array of numbers (also produced for `[]`).
-        NumArray(Vec<f64>),
-    }
-
-    /// Parses one flat JSON object into `(key, value)` pairs in
-    /// document order.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first syntax error.
-    pub fn parse_flat_object(s: &str) -> Result<Vec<(String, Value)>, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.skip_ws();
-                let key = p.parse_string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                let value = p.parse_value()?;
-                fields.push((key, value));
-                p.skip_ws();
-                match p.next() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing bytes after object".to_owned());
-        }
-        Ok(fields)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn next(&mut self) -> Option<u8> {
-            let b = self.peek()?;
-            self.pos += 1;
-            Some(b)
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                self.pos += 1;
-            }
-        }
-        fn expect(&mut self, want: u8) -> Result<(), String> {
-            match self.next() {
-                Some(b) if b == want => Ok(()),
-                other => Err(format!("expected {:?}, got {other:?}", want as char)),
-            }
-        }
-
-        fn parse_string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.next() {
-                    None => return Err("unterminated string".to_owned()),
-                    Some(b'"') => return Ok(out),
-                    Some(b'\\') => match self.next() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .next()
-                                    .and_then(|b| (b as char).to_digit(16))
-                                    .ok_or("bad \\u escape")?;
-                                code = code * 16 + d;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or("surrogate \\u escapes unsupported")?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some(b) if b < 0x20 => {
-                        return Err("unescaped control character in string".to_owned())
-                    }
-                    Some(b) => {
-                        // Re-assemble UTF-8 multibyte sequences verbatim.
-                        let start = self.pos - 1;
-                        let len = utf8_len(b)?;
-                        if start + len > self.bytes.len() {
-                            return Err("truncated UTF-8 sequence".to_owned());
-                        }
-                        self.pos = start + len;
-                        let chunk = std::str::from_utf8(&self.bytes[start..start + len])
-                            .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                        out.push_str(chunk);
-                    }
-                }
-            }
-        }
-
-        fn parse_number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| "invalid number".to_owned())
-        }
-
-        fn parse_value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'[') => self.parse_array(),
-                Some(_) => Ok(Value::Num(self.parse_number()?)),
-                None => Err("expected value, got end of input".to_owned()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("expected literal '{word}'"))
-            }
-        }
-
-        fn parse_array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::NumArray(Vec::new()));
-            }
-            if self.peek() == Some(b'"') {
-                let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_string()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Value::StrArray(items)),
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-            }
-            let mut items = Vec::new();
-            loop {
-                self.skip_ws();
-                items.push(self.parse_number()?);
-                self.skip_ws();
-                match self.next() {
-                    Some(b',') => continue,
-                    Some(b']') => return Ok(Value::NumArray(items)),
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> Result<usize, String> {
-        match first {
-            0x00..=0x7f => Ok(1),
-            0xc0..=0xdf => Ok(2),
-            0xe0..=0xef => Ok(3),
-            0xf0..=0xf7 => Ok(4),
-            _ => Err("invalid UTF-8 lead byte".to_owned()),
-        }
-    }
-
-    /// Renders a JSON string literal (quotes + escapes).
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    use crate::StoreError;
-
-    fn find<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, StoreError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| StoreError::Protocol(format!("missing field '{key}'")))
-    }
-
-    /// Extracts a string field.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Protocol`] when missing or not a string.
-    pub fn get_str(fields: &[(String, Value)], key: &str) -> Result<String, StoreError> {
-        match find(fields, key)? {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(StoreError::Protocol(format!(
-                "field '{key}' must be a string, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Extracts a finite numeric field.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Protocol`] when missing or not a number.
-    pub fn get_f64(fields: &[(String, Value)], key: &str) -> Result<f64, StoreError> {
-        match find(fields, key)? {
-            Value::Num(v) => Ok(*v),
-            other => Err(StoreError::Protocol(format!(
-                "field '{key}' must be a number, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Extracts a non-negative integer field.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Protocol`] when missing, non-numeric, negative,
-    /// or not integral.
-    pub fn get_u64(fields: &[(String, Value)], key: &str) -> Result<u64, StoreError> {
-        let v = get_f64(fields, key)?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-            return Err(StoreError::Protocol(format!(
-                "field '{key}' must be a non-negative integer, got {v}"
-            )));
-        }
-        Ok(v as u64)
-    }
-
-    /// Extracts a string-array field (an empty array qualifies).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Protocol`] when missing or not a string array.
-    pub fn get_str_array(
-        fields: &[(String, Value)],
-        key: &str,
-    ) -> Result<Vec<String>, StoreError> {
-        match find(fields, key)? {
-            Value::StrArray(v) => Ok(v.clone()),
-            Value::NumArray(v) if v.is_empty() => Ok(Vec::new()),
-            other => Err(StoreError::Protocol(format!(
-                "field '{key}' must be an array of strings, got {other:?}"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,7 +395,7 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let quoted = json::quote("a\"b\\c\nd\te\u{1}f");
+        let quoted = quote("a\"b\\c\nd\te\u{1}f");
         let line = format!("{{\"op\":\"lookup\",\"fingerprint\":{quoted},\"kernel\":\"k\",\"config\":\"c\"}}");
         match parse_request(&line).unwrap() {
             Request::Lookup { key } => assert_eq!(key.fingerprint, "a\"b\\c\nd\te\u{1}f"),
@@ -671,13 +421,10 @@ mod tests {
         )
         .unwrap();
         let resp = handle(&store, &lookup);
-        let fields = json::parse_flat_object(&resp).unwrap();
-        let ts = match fields.iter().find(|(k, _)| k == "ts").map(|(_, v)| v) {
-            Some(json::Value::NumArray(v)) => v.clone(),
-            other => panic!("bad ts field: {other:?}"),
-        };
+        let resp = Json::parse(&resp).unwrap();
+        let ts = resp.get("ts").and_then(Json::as_array).expect("ts array");
         assert_eq!(ts.len(), 1);
-        assert_eq!(ts[0].to_bits(), t.to_bits());
+        assert_eq!(ts[0].as_f64().map(f64::to_bits), Some(t.to_bits()));
     }
 
     #[test]
@@ -689,10 +436,28 @@ mod tests {
         .unwrap();
         let resp = handle(&store, &req);
         assert!(resp.starts_with("{\"ok\":false,\"error\":"), "{resp}");
-        let fields = json::parse_flat_object(&resp).unwrap();
-        assert!(matches!(
-            fields.iter().find(|(k, _)| k == "ok").map(|(_, v)| v),
-            Some(json::Value::Bool(false))
-        ));
+        assert_eq!(Json::parse(&resp).unwrap().get("ok"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn nesting_bombs_and_raw_control_characters_are_rejected() {
+        let bomb = format!(
+            "{{\"op\":\"partition\",\"fingerprints\":{}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        match parse_request(&bomb) {
+            Err(StoreError::Protocol(msg)) => {
+                assert!(msg.contains("nesting deeper than"), "{msg}")
+            }
+            other => panic!("bomb not rejected: {other:?}"),
+        }
+        assert!(parse_request("{\"op\":\"sta\u{1}ts\"}").is_err());
+        assert!(parse_request(r#"{"op":"lookup","fingerprint":"\ud800","kernel":"k","config":"c"}"#).is_err());
+        assert!(parse_request(r#"["op","stats"]"#).is_err());
+        assert!(parse_request(
+            r#"{"op":"partition","fingerprints":["a",1],"kernel":"k","config":"c","total":1,"algorithm":"even"}"#
+        )
+        .is_err());
     }
 }

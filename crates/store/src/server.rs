@@ -186,14 +186,7 @@ fn handle_connection(
                 let is_shutdown = request == Request::Shutdown;
                 (request.op(), protocol::handle(store, &request), is_shutdown)
             }
-            Err(e) => (
-                "invalid",
-                format!(
-                    "{{\"ok\":false,\"error\":{}}}",
-                    protocol::json::quote(&e.to_string())
-                ),
-                false,
-            ),
+            Err(e) => ("invalid", protocol::error_line(&e), false),
         };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;

@@ -138,9 +138,8 @@ impl StoreMetrics {
 
     /// Emits one `metrics` trace event per non-zero counter (scope
     /// `store.<counter>`, the counter value in `count`, no latency
-    /// payload — `sum = 0`, empty buckets), following the
-    /// `Metrics::export_histogram_events` convention. Returns how
-    /// many events were written.
+    /// payload — `sum = 0`, empty buckets). Returns how many events
+    /// were written.
     pub fn export_events(&self, rank: usize, sink: &dyn TraceSink) -> usize {
         let s = self.snapshot();
         let counters = [

@@ -3,7 +3,7 @@
 //! Post-mortem analysis for traces produced by the reproduction's
 //! observability layer (`fupermod_core::trace`, schema v3):
 //!
-//! * [`merge`] — k-way **causal merge** of per-rank JSONL/CSV traces
+//! * [`merge`] — k-way **causal merge** of per-rank JSONL traces
 //!   into one global timeline, ordered by the Lamport stamps the
 //!   runtime piggybacks on its message envelopes. Deterministic:
 //!   the same run traced twice (any backend, any file interleaving)
@@ -22,8 +22,11 @@
 //!   causal order the batch merge produces, printed as the files
 //!   grow, with rolling per-op latency quantiles (torn-write-safe;
 //!   picks up files that appear late in a `--trace-dir`).
-//! * [`json`] / [`schema`] — a std-only JSON parser and a small
-//!   JSON-Schema-subset validator, enough to check tracetool output
+//! * [`csv`] — the fixed wide-column CSV **export** of a merged
+//!   trace (one-way: a trace file is JSONL, nothing reads CSV back).
+//! * [`schema`] — a small JSON-Schema-subset validator over the
+//!   workspace's one JSON parser (`fupermod_core::json`, re-exported
+//!   here as [`json`] / [`Json`]), enough to check tracetool output
 //!   against committed schemas in an offline build environment.
 //!
 //! The `fupermod_tracetool` binary (in the facade crate) fronts all
@@ -31,14 +34,15 @@
 //! subcommands.
 
 pub mod chrome;
-pub mod json;
+pub mod csv;
 pub mod merge;
 pub mod report;
 pub mod schema;
 pub mod tail;
 
 pub use chrome::export_chrome;
-pub use json::Json;
+pub use csv::export_csv;
+pub use fupermod_core::json::{self, Json};
 pub use merge::{event_rank, merge_events, Merge, StampedEvent};
 pub use report::Report;
 pub use schema::validate;

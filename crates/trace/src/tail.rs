@@ -41,7 +41,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use fupermod_core::trace::{LatencyHistogram, TraceEvent, SCHEMA_VERSION};
+use fupermod_core::trace::{parse_header, LatencyHistogram, TraceEvent, SCHEMA_VERSION};
 use fupermod_core::CoreError;
 
 use crate::merge::{Stamper, StampedEvent};
@@ -139,7 +139,7 @@ impl Follower {
                 continue;
             }
             if !self.header_seen {
-                self.check_header(line)?;
+                parse_header(line).map_err(|e| self.err(&e.to_string()))?;
                 self.header_seen = true;
                 continue;
             }
@@ -149,34 +149,6 @@ impl Follower {
         }
         self.partial = buf.split_off(start);
         Ok(true)
-    }
-
-    /// Validates the trace header line (JSONL only: the follow path
-    /// does not speak CSV).
-    fn check_header(&self, line: &str) -> Result<(), CoreError> {
-        if !line.starts_with('{') {
-            return Err(self.err(
-                "not a JSONL trace header (tail follows JSONL traces only)",
-            ));
-        }
-        if !line.contains("\"trace\":\"fupermod\"") {
-            return Err(self.err("not a fupermod trace header"));
-        }
-        let schema: u32 = line
-            .split("\"schema\":")
-            .nth(1)
-            .and_then(|rest| {
-                let digits: String =
-                    rest.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse().ok()
-            })
-            .ok_or_else(|| self.err("trace header missing schema version"))?;
-        if schema > SCHEMA_VERSION {
-            return Err(self.err(&format!(
-                "trace schema v{schema} is newer than this tool (v{SCHEMA_VERSION})"
-            )));
-        }
-        Ok(())
     }
 
     fn err(&self, msg: &str) -> CoreError {

@@ -1,5 +1,5 @@
 //! Acceptance: the report's collective critical path reproduces the
-//! schedule ranking measured in `BENCH_PR4.json`.
+//! schedule ranking measured in `results/bench_history/BENCH_PR4.json`.
 //!
 //! That benchmark's `vtime_collectives` series (deterministic Hockney
 //! virtual time, p = 16) ranks the rootless-collective schedules

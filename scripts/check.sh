@@ -13,8 +13,9 @@ run() {
 
 run cargo build --workspace --release "${EXTRA[@]+"${EXTRA[@]}"}"
 run cargo test --workspace -q "${EXTRA[@]+"${EXTRA[@]}"}"
-# The criterion benches must at least compile — they are the evidence
-# trail for the performance work (see docs/PERFORMANCE.md).
+# The criterion benches that remain (subjects the benchmark harness
+# has no per-layer row for — see docs/PERFORMANCE.md) must at least
+# compile.
 run cargo bench --workspace --no-run -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The kernel numerical-identity tests (gemm_parallel vs blocked/naive)
 # are fast and worth re-running with optimisations on: release codegen
@@ -42,6 +43,15 @@ run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TRACE_TMP/summary.json"
 run ./target/release/fupermod_tracetool export "$TRACE_FILE" \
     --format chrome --out "$TRACE_TMP/chrome.json"
+# CSV is an export of the JSONL trace (docs/OBSERVABILITY.md §2.2):
+# schema comment, header row, and every row as wide as the header.
+run ./target/release/fupermod_tracetool export "$TRACE_FILE" \
+    --format csv --out "$TRACE_TMP/trace.csv"
+awk -F, 'NR == 1 { if ($0 !~ /^# fupermod-trace schema=[0-9]+$/) exit 1; next }
+         NR == 2 { cols = NF; next }
+         NF != cols { exit 1 }
+         END { if (NR < 3) exit 1 }' "$TRACE_TMP/trace.csv" \
+    || { echo "export --format csv wrote a malformed or ragged table" >&2; exit 1; }
 # Live-tail parity: following the (already complete) trace until idle
 # must print exactly the sequence the batch merge produces
 # (docs/OBSERVABILITY.md §9).
@@ -110,13 +120,15 @@ run ./target/release/fupermod_tracetool report "$TCP_DIR/tcp_merged.jsonl" \
 run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TCP_DIR/tcp_summary.json"
 # Harness gate: the benchmark's two TCP workloads check TCP == threads
-# == sim (fingerprint and virtual time) on the optimised bulk path, and
-# its two partitioning workloads check the measure -> model -> partition
+# == sim (fingerprint and virtual time) on the optimised bulk path, its
+# two partitioning workloads check the measure -> model -> partition
 # path against goldens (sizes fingerprint, the 8 balancing steps and
-# the bits of the simulated time), all in release codegen. One second
-# each; the last stdout line must report a correct run with no failed
-# operation (benchmark/README.md).
-for workload in tcp_bulk tcp_rounds offline_fpm sim_balance; do
+# the bits of the simulated time), and its two serving workloads drive
+# the daemon's request parser and check every response against the
+# offline solve, all in release codegen. One second each; the last
+# stdout line must report a correct run with no failed operation
+# (benchmark/README.md).
+for workload in tcp_bulk tcp_rounds offline_fpm sim_balance serve_read serve_ingest; do
     echo "==> harness gate: $workload"
     timeout 300 cargo run --release --quiet --offline \
         --manifest-path benchmark/Cargo.toml -- \
@@ -248,39 +260,14 @@ if timeout 10 ./target/release/fupermod_served --mode scrape \
     echo "metrics listener still answering after shutdown" >&2
     exit 1
 fi
-# Bench regression gate (opt-in — needs two recorded BENCH_PR*.json
-# files from this host; see scripts/bench_compare.sh):
-#   BENCH_COMPARE_BASELINE=old.json BENCH_COMPARE_CURRENT=new.json scripts/check.sh
-# When only BENCH_COMPARE_CURRENT is set, the baseline defaults to the
-# newest committed BENCH_*.json that shares at least one benchmark
-# with the current file (different recording MODEs measure disjoint
-# bench sets, which bench_compare.sh rightly refuses to compare).
-if [ -n "${BENCH_COMPARE_BASELINE:-}" ] || [ -n "${BENCH_COMPARE_CURRENT:-}" ]; then
-    : "${BENCH_COMPARE_CURRENT:?set both BENCH_COMPARE_BASELINE and BENCH_COMPARE_CURRENT (or at least CURRENT)}"
-    if [ -z "${BENCH_COMPARE_BASELINE:-}" ]; then
-        for candidate in $(ls -t BENCH_*.json 2>/dev/null \
-                | grep -vFx "$BENCH_COMPARE_CURRENT" || true); do
-            if python3 -c '
-import json, sys
-names = lambda p: set(json.load(open(p)).get("results_stats", {}))
-sys.exit(0 if names(sys.argv[1]) & names(sys.argv[2]) else 1)
-' "$candidate" "$BENCH_COMPARE_CURRENT" 2>/dev/null; then
-                BENCH_COMPARE_BASELINE=$candidate
-                break
-            fi
-        done
-        if [ -n "${BENCH_COMPARE_BASELINE:-}" ]; then
-            echo "==> bench compare baseline auto-selected: $BENCH_COMPARE_BASELINE"
-        else
-            # First recording of a new MODE has nothing to diff
-            # against — note it and move on rather than fail.
-            echo "==> bench compare skipped: no BENCH_*.json shares benchmarks with $BENCH_COMPARE_CURRENT"
-        fi
-    fi
-    if [ -n "${BENCH_COMPARE_BASELINE:-}" ]; then
-        run scripts/bench_compare.sh "$BENCH_COMPARE_BASELINE" "$BENCH_COMPARE_CURRENT"
-    fi
-fi
+# One definition each (ROADMAP aim 2): JSON text is parsed in
+# crates/core/src/json.rs and nowhere else, and the CSV sink, the
+# --trace-format knob (src/cli.rs keeps the one line rejecting it) and
+# the second metrics system stay deleted.
+[ "$(grep -rlE 'fn parse_flat_object|struct Parser\b' crates src)" = "crates/core/src/json.rs" ] \
+    || { echo "a JSON parser outside crates/core/src/json.rs" >&2; exit 1; }
+! grep -rnE 'CsvSink|from_csv_row|trace-format|set_histograms_enabled' crates src --include='*.rs' \
+    | grep -v '^src/cli.rs:' || { echo "a retired trace/metrics path reappeared" >&2; exit 1; }
 # The runtime crate must also be clippy-clean on its own — including
 # the discrete-event simulator (`src/sim/`), whose hot dispatch loop
 # is exactly where sloppy clones and needless collects would hide.

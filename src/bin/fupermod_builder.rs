@@ -9,7 +9,6 @@
 //!                         [--lo L --hi H --points N] [--out DIR]
 //!                         [--parallelism N]
 //!                         [--trace PATH | --trace-dir DIR]
-//!                         [--trace-format jsonl|csv]
 //!   --platform      uniform4 | two-speed | multicore | hybrid | grid (default: two-speed)
 //!   --seed          platform seed (default: 1)
 //!   --block         matmul blocking factor (default: 16)
@@ -22,7 +21,6 @@
 //!                   repetition and model update (see docs/OBSERVABILITY.md)
 //!   --trace-dir     like --trace, but write DIR/fupermod_builder.trace.jsonl
 //!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
-//!   --trace-format  jsonl (default) or csv
 //! ```
 
 use fupermod::cli;

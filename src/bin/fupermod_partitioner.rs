@@ -7,7 +7,6 @@
 //!                             [--algorithm even|constant|geometric|numerical]
 //!                             [--model cpm|linear|piecewise|akima]
 //!                             [--trace PATH | --trace-dir DIR]
-//!                             [--trace-format jsonl|csv]
 //!   --models        directory of *.points files (rank order = sorted name)
 //!   --total         workload in computation units
 //!   --algorithm     partitioning algorithm (default: geometric)
@@ -16,7 +15,6 @@
 //!                   (see docs/OBSERVABILITY.md)
 //!   --trace-dir     like --trace, but write DIR/fupermod_partitioner.trace.jsonl
 //!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
-//!   --trace-format  jsonl (default) or csv
 //! ```
 
 use fupermod::cli;

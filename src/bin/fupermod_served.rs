@@ -20,7 +20,7 @@
 //!   --plan-budget B plan-cache byte budget (default 1048576)
 //!   --outlier-k K   outlier rejection threshold (default 5)
 //!   --confidence C  confidence level for point CIs (default 0.95)
-//!   --trace PATH | --trace-dir DIR | --trace-format jsonl|csv
+//!   --trace PATH | --trace-dir DIR
 //!                   export the telemetry registry as metrics trace
 //!                   events on shutdown (see docs/OBSERVABILITY.md)
 //!
@@ -49,10 +49,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use fupermod::cli;
+use fupermod::core::json::{quote, Json};
 use fupermod::core::model::io;
 use fupermod::core::trace::fmt_float;
 use fupermod::store::http::{http_get, serve_http};
-use fupermod::store::protocol::json::{self, Value};
 use fupermod::store::server::{serve_with, Client, ServeOptions};
 use fupermod::store::ModelStore;
 
@@ -174,48 +174,43 @@ fn connect(args: &HashMap<String, String>) -> Client {
 
 /// Sends one line and parses the response object, exiting non-zero on
 /// transport errors or an `"ok": false` response.
-fn exchange(client: &mut Client, line: &str) -> Vec<(String, Value)> {
+fn exchange(client: &mut Client, line: &str) -> Json {
     let response = client.request(line).unwrap_or_else(|e| {
         eprintln!("request failed: {e}");
         std::process::exit(1);
     });
-    let fields = json::parse_flat_object(&response).unwrap_or_else(|e| {
+    let fields = Json::parse(&response).unwrap_or_else(|e| {
         eprintln!("unparsable response {response:?}: {e}");
         std::process::exit(1);
     });
-    let ok = matches!(field(&fields, "ok"), Some(Value::Bool(true)));
-    if !ok {
-        match field(&fields, "error") {
-            Some(Value::Str(msg)) => eprintln!("daemon error: {msg}"),
-            _ => eprintln!("daemon error: {response}"),
+    if fields.get("ok") != Some(&Json::Bool(true)) {
+        match fields.get("error").and_then(Json::as_str) {
+            Some(msg) => eprintln!("daemon error: {msg}"),
+            None => eprintln!("daemon error: {response}"),
         }
         std::process::exit(1);
     }
     fields
 }
 
-fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+fn mistyped(key: &str, found: Option<&Json>) -> ! {
+    eprintln!("response field '{key}' missing or mistyped: {found:?}");
+    std::process::exit(1);
 }
 
-fn nums(fields: &[(String, Value)], key: &str) -> Vec<f64> {
-    match field(fields, key) {
-        Some(Value::NumArray(v)) => v.clone(),
-        other => {
-            eprintln!("response field '{key}' missing or mistyped: {other:?}");
-            std::process::exit(1);
-        }
-    }
+fn nums(fields: &Json, key: &str) -> Vec<f64> {
+    let found = fields.get(key);
+    found
+        .and_then(Json::as_array)
+        .and_then(|items| items.iter().map(Json::as_f64).collect())
+        .unwrap_or_else(|| mistyped(key, found))
 }
 
-fn num(fields: &[(String, Value)], key: &str) -> f64 {
-    match field(fields, key) {
-        Some(Value::Num(v)) => *v,
-        other => {
-            eprintln!("response field '{key}' missing or mistyped: {other:?}");
-            std::process::exit(1);
-        }
-    }
+fn num(fields: &Json, key: &str) -> f64 {
+    let found = fields.get(key);
+    found
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| mistyped(key, found))
 }
 
 fn required<'a>(args: &'a HashMap<String, String>, key: &str) -> &'a str {
@@ -228,9 +223,9 @@ fn required<'a>(args: &'a HashMap<String, String>, key: &str) -> &'a str {
 fn key_fields(args: &HashMap<String, String>, fingerprint: &str) -> String {
     format!(
         "\"fingerprint\":{},\"kernel\":{},\"config\":{}",
-        json::quote(fingerprint),
-        json::quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        json::quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(fingerprint),
+        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
+        quote(args.get("config").map(String::as_str).unwrap_or("default")),
     )
 }
 
@@ -282,18 +277,18 @@ fn run_partition(client: &mut Client, args: &HashMap<String, String>) {
         .get("algorithm")
         .map(String::as_str)
         .unwrap_or("geometric");
-    let quoted: Vec<String> = fingerprints.iter().map(|f| json::quote(f)).collect();
+    let quoted: Vec<String> = fingerprints.iter().map(|f| quote(f)).collect();
     let line = format!(
         "{{\"op\":\"partition\",\"fingerprints\":[{}],\"kernel\":{},\"config\":{},\"total\":{total},\"algorithm\":{}}}",
         quoted.join(","),
-        json::quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        json::quote(args.get("config").map(String::as_str).unwrap_or("default")),
-        json::quote(algorithm),
+        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
+        quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(algorithm),
     );
     let fields = exchange(client, &line);
     let ds = nums(&fields, "ds");
     let ts = nums(&fields, "ts");
-    let cached = matches!(field(&fields, "cached"), Some(Value::Bool(true)));
+    let cached = fields.get("cached") == Some(&Json::Bool(true));
 
     // Exactly fupermod_partitioner's output (fingerprints stand in for
     // the model file names), so the two are byte-diffable.
@@ -333,12 +328,12 @@ fn run_lookup(client: &mut Client, args: &HashMap<String, String>) {
 
 fn run_stats(client: &mut Client) {
     let fields = exchange(client, r#"{"op":"stats"}"#);
-    for (k, v) in &fields {
+    for (k, v) in fields.as_object().unwrap_or_default() {
         if k == "ok" {
             continue;
         }
         match v {
-            Value::Num(n) => println!("{k} {}", fmt_float(*n)),
+            Json::Num(n) => println!("{k} {}", fmt_float(*n)),
             other => println!("{k} {other:?}"),
         }
     }

@@ -13,7 +13,6 @@
 //!                          [--transport local|tcp] [--rank-id K] [--world N]
 //!                          [--rendezvous HOST:PORT]
 //!                          [--trace PATH | --trace-dir DIR]
-//!                          [--trace-format jsonl|csv]
 //!   --app           which application to simulate; `balance` runs the
 //!                   distributed dynamic-balancing loop on the runtime
 //!   --platform      uniform4 | two-speed | multicore | hybrid | grid (default: two-speed)
@@ -61,7 +60,6 @@
 //!   --trace         write a structured trace (see docs/OBSERVABILITY.md)
 //!   --trace-dir     like --trace, but write DIR/fupermod_simulate.trace.jsonl
 //!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
-//!   --trace-format  jsonl (default) or csv
 //!   --gantt yes     (matmul only) dump the Gantt-style activity CSV to stderr
 //! ```
 

@@ -5,7 +5,7 @@
 //! Usage: fupermod_tracetool <command> [options] FILE...
 //!
 //!   merge FILE... [--out PATH]
-//!       Causally merge per-rank JSONL/CSV traces into one global
+//!       Causally merge per-rank JSONL traces into one global
 //!       JSONL timeline, ordered by the schema-v3 Lamport stamps
 //!       (deterministic: rank breaks ties). Output goes to stdout
 //!       unless --out is given.
@@ -17,11 +17,13 @@
 //!       Text by default; --json emits summary JSON matching
 //!       scripts/tracetool_schema.json.
 //!
-//!   export FILE... [--format chrome] [--out PATH]
-//!       Merge, then export a Chrome trace-event / Perfetto JSON
-//!       timeline: one track per rank, barrier-aligned slices.
-//!       Load the output at https://ui.perfetto.dev or
-//!       chrome://tracing.
+//!   export FILE... [--format chrome|csv] [--out PATH]
+//!       Merge, then export. `chrome` (default): a Chrome trace-event
+//!       / Perfetto JSON timeline, one track per rank, barrier-aligned
+//!       slices — load it at https://ui.perfetto.dev or
+//!       chrome://tracing. `csv`: the fixed wide-column spreadsheet
+//!       view (schema comment, header row, one row per event; see
+//!       docs/OBSERVABILITY.md §2.2).
 //!
 //!   validate --schema SCHEMA.json FILE
 //!       Validate a JSON document against a committed JSON-Schema
@@ -45,7 +47,7 @@ use std::path::PathBuf;
 
 use fupermod::core::trace::SCHEMA_VERSION;
 use fupermod::trace::{
-    export_chrome, tail, validate, Json, Merge, Report, StampedEvent, TailOptions,
+    export_chrome, export_csv, tail, validate, Json, Merge, Report, StampedEvent, TailOptions,
 };
 
 fn main() {
@@ -77,7 +79,7 @@ fn usage() -> ! {
          \n\
          merge    FILE... [--out PATH]              merged global JSONL timeline\n\
          report   FILE... [--json] [--out PATH]     summary report (text or JSON)\n\
-         export   FILE... [--format chrome] [--out PATH]  Perfetto/Chrome JSON\n\
+         export   FILE... [--format chrome|csv] [--out PATH]  Perfetto JSON or CSV\n\
          validate --schema SCHEMA.json FILE         check JSON against a schema\n\
          tail     FILE... | --trace-dir DIR [--poll MS] [--idle-exit SECS]\n\
                   [--stats-every SECS] [--out PATH] follow growing traces live"
@@ -228,8 +230,8 @@ fn cmd_report(rest: &[String]) -> i32 {
 fn cmd_export(rest: &[String]) -> i32 {
     let (opts, _, files) = split_args(rest);
     let format = opt(&opts, "format").unwrap_or("chrome");
-    if format != "chrome" {
-        eprintln!("--format must be 'chrome' (got '{format}')");
+    if !matches!(format, "chrome" | "csv") {
+        eprintln!("--format must be chrome or csv (got '{format}')");
         return 2;
     }
     let merge = match open_merge(&files) {
@@ -241,11 +243,13 @@ fn cmd_export(rest: &[String]) -> i32 {
         Err(e) => return fail("export", &e.to_string()),
     };
     let result = drain_merge(merge, |events| {
-        export_chrome(events, &mut out).map_err(|e| e.to_string())
+        match format {
+            "csv" => export_csv(events, &mut out),
+            _ => export_chrome(events, &mut out).and_then(|()| writeln!(out)),
+        }
+        .map_err(|e| e.to_string())
     })
-    .and_then(|()| {
-        writeln!(out).and_then(|()| out.flush()).map_err(|e| e.to_string())
-    });
+    .and_then(|()| out.flush().map_err(|e| e.to_string()));
     match result {
         Ok(()) => 0,
         Err(e) => fail("export", &e),

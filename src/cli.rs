@@ -1,19 +1,20 @@
 //! Shared helpers for the `fupermod_*` command-line binaries: flag
 //! parsing, platform/partitioner selection, and trace-sink wiring for
-//! the `--trace PATH`, `--trace-dir DIR` and
-//! `--trace-format jsonl|csv` flags every binary accepts (see
-//! `docs/OBSERVABILITY.md`). `FUPERMOD_TRACE_DIR` in the environment
-//! acts like `--trace-dir`, so a whole pipeline of binaries can be
-//! traced without editing each invocation.
+//! the `--trace PATH` and `--trace-dir DIR` flags every binary accepts
+//! (see `docs/OBSERVABILITY.md`). `FUPERMOD_TRACE_DIR` in the
+//! environment acts like `--trace-dir`, so a whole pipeline of
+//! binaries can be traced without editing each invocation.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use fupermod_core::partition::{
     ConstantPartitioner, EvenPartitioner, GeometricPartitioner, NumericalPartitioner,
     Partitioner,
 };
-use fupermod_core::trace::{metrics, CsvSink, JsonlSink, TraceSink};
+use fupermod_core::telemetry;
+use fupermod_core::trace::TraceSink;
 use fupermod_platform::Platform;
 use fupermod_runtime::{AlgorithmPolicy, FaultPlan, RuntimeConfig, SimEngine};
 
@@ -354,9 +355,9 @@ pub fn runtime_config(
 /// Resolves the trace path requested by the unified trace flags:
 /// `--trace PATH` (exact file) wins over `--trace-dir DIR`, which
 /// wins over the `FUPERMOD_TRACE_DIR` environment variable. The
-/// directory forms name the file `DIR/<name>.trace.jsonl` (or
-/// `.trace.csv` under `--trace-format csv`), where `name` is the
-/// binary's own name. Returns `None` when tracing was not requested.
+/// directory forms name the file `DIR/<name>.trace.jsonl`, where
+/// `name` is the binary's own name. Returns `None` when tracing was
+/// not requested.
 pub fn trace_path(args: &HashMap<String, String>) -> Option<String> {
     trace_path_for_rank(args, None)
 }
@@ -389,24 +390,19 @@ pub fn trace_path_for_rank(
         .ok()
         .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
         .unwrap_or_else(|| "fupermod".to_owned());
-    let ext = match args.get("trace-format").map(String::as_str) {
-        Some("csv") => "csv",
-        _ => "jsonl",
-    };
     let infix = rank.map(|r| format!(".rank{r}")).unwrap_or_default();
-    Some(format!("{dir}/{name}{infix}.trace.{ext}"))
+    Some(format!("{dir}/{name}{infix}.trace.jsonl"))
 }
 
-/// Opens the structured-trace sink requested by `--trace PATH`,
-/// `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`) and
-/// `--trace-format jsonl|csv` (default `jsonl`, or inferred from a
-/// `.csv` extension) — see [`trace_path`]. Returns `None` when no
-/// trace was requested. Opening a sink also enables the process-wide
-/// latency histograms ([`metrics`]), which [`finish_trace`] exports
-/// as `metrics` snapshot events.
+/// Starts the run's observability
+/// ([`telemetry::open_run_trace`]: the process-wide registry is
+/// enabled either way) and opens the JSONL trace sink requested by
+/// `--trace PATH` or `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`) — see
+/// [`trace_path`]. Returns `None` when no trace was requested;
+/// [`finish_trace`] exports the registry into the sink at exit.
 ///
-/// Exits with status 2 on an unknown format and status 1 when the file
-/// cannot be created.
+/// Exits with status 2 on the retired `--trace-format` flag and status
+/// 1 when the file cannot be created.
 pub fn open_trace_sink(args: &HashMap<String, String>) -> Option<Arc<dyn TraceSink>> {
     open_trace_sink_for_rank(args, None)
 }
@@ -418,60 +414,33 @@ pub fn open_trace_sink_for_rank(
     args: &HashMap<String, String>,
     rank: Option<usize>,
 ) -> Option<Arc<dyn TraceSink>> {
-    let path = &trace_path_for_rank(args, rank)?;
-    let format = args
-        .get("trace-format")
-        .map(String::as_str)
-        .unwrap_or_else(|| {
-            if path.ends_with(".csv") {
-                "csv"
-            } else {
-                "jsonl"
-            }
-        });
-    let sink: Arc<dyn TraceSink> = match format {
-        "jsonl" => match JsonlSink::create(path) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("cannot create trace file {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        "csv" => match CsvSink::create(path) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("cannot create trace file {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        other => {
-            eprintln!("--trace-format must be jsonl or csv (got '{other}')");
-            std::process::exit(2);
-        }
-    };
-    metrics().set_histograms_enabled(true);
-    fupermod_core::telemetry::global().set_enabled(true);
-    Some(sink)
+    if args.contains_key("trace-format") {
+        eprintln!(
+            "--trace-format was removed: a trace file is JSONL; \
+             run `fupermod_tracetool export --format csv FILE` for the CSV view"
+        );
+        std::process::exit(2);
+    }
+    let path = trace_path_for_rank(args, rank);
+    telemetry::open_run_trace(path.as_deref().map(Path::new)).unwrap_or_else(|e| {
+        eprintln!("cannot create trace file {}: {e}", path.unwrap_or_default());
+        std::process::exit(1);
+    })
 }
 
-/// Exports the latency-histogram snapshots and the process-wide
-/// telemetry registry ([`fupermod_core::telemetry::global`]) as
-/// `metrics` events, then flushes the optional trace sink, exiting
-/// with status 1 on a deferred write error, and prints the
-/// process-wide metrics summary to stderr. Call once, right before
-/// the binary exits.
+/// Ends the run ([`telemetry::finish_run_trace`]): exports the
+/// process-wide telemetry registry as `metrics` events into the
+/// optional trace sink and flushes it, exiting with status 1 on a
+/// deferred write error, then prints the run-totals summary to
+/// stderr. Call once, right before the binary exits.
 pub fn finish_trace(sink: Option<&Arc<dyn TraceSink>>) {
-    if let Some(sink) = sink {
-        metrics().export_histogram_events(sink.as_ref());
-        fupermod_core::telemetry::global()
-            .snapshot()
-            .export_trace_events(0, sink.as_ref());
-        if let Err(e) = sink.flush() {
+    match telemetry::finish_run_trace(sink.map(|s| s.as_ref())) {
+        Ok(summary) => eprintln!("{summary}"),
+        Err(e) => {
             eprintln!("trace write failed: {e}");
             std::process::exit(1);
         }
     }
-    eprintln!("{}", metrics().summary());
 }
 
 /// Builds the model-store configuration for `fupermod_served` from

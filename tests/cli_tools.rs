@@ -1,6 +1,8 @@
 //! Integration: the offline CLI utilities (`fupermod_builder`,
 //! `fupermod_partitioner`) work end to end through real files, the
-//! paper's "build models once, partition many times" workflow.
+//! paper's "build models once, partition many times" workflow — and
+//! the binaries that read JSON from a file turn a hostile one into a
+//! one-line error, not a crash.
 
 use std::process::Command;
 
@@ -106,4 +108,48 @@ fn partitioner_rejects_empty_model_dir() {
         .expect("partitioner failed to launch");
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `[[[[…` 200 000 deep, closed: far past any stack budget of a
+/// recursive-descent parser without a depth cap.
+fn nesting_bomb() -> String {
+    "[".repeat(200_000) + &"]".repeat(200_000)
+}
+
+/// Both commands aborted with `fatal runtime error: stack overflow`
+/// (SIGABRT) while the tracetool and the fault-plan reader each had a
+/// parser of their own without a nesting limit.
+#[test]
+fn tracetool_validate_rejects_a_nesting_bomb() {
+    let dir = temp_dir("bomb-validate");
+    let doc = dir.join("deep.json");
+    std::fs::write(&doc, nesting_bomb()).unwrap();
+    let schema =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scripts/tracetool_schema.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_tracetool"))
+        .args(["validate", "--schema"])
+        .arg(&schema)
+        .arg(&doc)
+        .output()
+        .expect("tracetool failed to launch");
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+#[test]
+fn simulate_rejects_a_nesting_bomb_fault_plan() {
+    let dir = temp_dir("bomb-plan");
+    let plan = dir.join("plan.json");
+    std::fs::write(&plan, format!("{{\"delays\":{}}}", nesting_bomb())).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+        .args(["--app", "balance", "--runtime", "thread", "--fault-plan"])
+        .arg(&plan)
+        .output()
+        .expect("simulate failed to launch");
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }

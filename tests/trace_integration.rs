@@ -7,9 +7,8 @@ use std::io::BufReader;
 use std::process::Command;
 
 use fupermod::core::model::{Model, PiecewiseModel};
-use fupermod::core::trace::{
-    read_jsonl_trace, replay_into_models, TraceEvent, CSV_HEADER, SCHEMA_VERSION,
-};
+use fupermod::core::trace::{read_jsonl_trace, replay_into_models, TraceEvent, SCHEMA_VERSION};
+use fupermod::trace::csv::CSV_HEADER;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("fupermod-trace-{tag}-{}", std::process::id()));
@@ -98,10 +97,28 @@ fn simulate_jsonl_trace_matches_documented_schema() {
     assert!(models.iter().any(|m| !m.points().is_empty()));
 }
 
+/// Runs `fupermod_tracetool export --format csv` over `trace` and
+/// returns its stdout.
+fn export_csv(trace: &std::path::Path) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_tracetool"))
+        .args(["export", "--format", "csv"])
+        .arg(trace)
+        .output()
+        .expect("fupermod_tracetool failed to launch");
+    assert!(
+        out.status.success(),
+        "export failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("CSV is UTF-8")
+}
+
+/// CSV is an export of the JSONL trace, with the header lines and
+/// column layout the retired CSV sink wrote.
 #[test]
 fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
     let dir = temp_dir("csv");
-    let path = dir.join("matmul.trace.csv");
+    let path = dir.join("matmul.trace.jsonl");
     simulate(&[
         "--app",
         "matmul",
@@ -109,11 +126,9 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
         "48",
         "--trace",
         path.to_str().unwrap(),
-        "--trace-format",
-        "csv",
     ]);
 
-    let text = std::fs::read_to_string(&path).expect("trace file missing");
+    let text = export_csv(&path);
     let mut lines = text.lines();
     assert_eq!(
         lines.next(),
@@ -137,7 +152,7 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
                 "model_update",
                 "partition_step",
                 "dynamic_converged",
-                // Schema v3: histogram snapshots exported at exit.
+                // The registry snapshot exported at exit.
                 "metrics",
             ]
             .contains(&event),
@@ -145,11 +160,55 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
         );
         rows += 1;
     }
-    assert!(rows > 0, "CSV trace carried no events");
+    assert!(rows > 0, "CSV export carried no events");
+
+    // Pinned against the sink it replaces: `fixtures/matmul48.parent.csv`
+    // is the file the parent build (`e763e9a`) wrote for this same
+    // command under `--trace-format csv`. Header lines byte for byte;
+    // rows as a multiset (the export goes through the causal merge, the
+    // sink wrote in emission order) — but for what this change does to
+    // the `metrics` rows on purpose: the `bench.rep` histogram is now
+    // the registry's `fupermod_bench_rep_seconds`, and the five run
+    // totals are registry series as well.
+    let split = |text: &str| -> (Vec<String>, Vec<String>) {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let mut rows = lines.split_off(2);
+        rows.sort_unstable();
+        (lines, rows)
+    };
+    let (headers, rows) = split(&text);
+    let (parent_headers, parent_rows) = split(include_str!("fixtures/matmul48.parent.csv"));
+    assert_eq!(headers, parent_headers);
+    let only_new: Vec<&String> = rows.iter().filter(|r| !parent_rows.contains(r)).collect();
+    let only_parent: Vec<&String> = parent_rows.iter().filter(|r| !rows.contains(r)).collect();
+    assert_eq!(rows.len() - only_new.len(), parent_rows.len() - only_parent.len());
+    let [retired] = only_parent.as_slice() else {
+        panic!("rows only the parent wrote: {only_parent:#?}");
+    };
+    let mut scopes: Vec<&str> = only_new
+        .iter()
+        .map(|r| r.split(',').nth(28).expect("scope column"))
+        .collect();
+    scopes.sort_unstable();
+    assert_eq!(
+        scopes,
+        [
+            "fupermod_bench_rep_seconds",
+            "fupermod_bench_reps_total",
+            "fupermod_kernels_executed_total",
+            "fupermod_outliers_rejected_total",
+            "fupermod_repartitions_total",
+            "fupermod_units_moved_total",
+        ]
+    );
+    let renamed = retired.replace(",bench.rep,", ",fupermod_bench_rep_seconds,");
+    assert!(only_new.contains(&&renamed), "bench.rep's samples went missing: {retired}");
 }
 
+/// A trace file is JSONL whatever it is called, and the flag that
+/// used to pick the encoding names its replacement and exits 2.
 #[test]
-fn trace_extension_infers_csv_format() {
+fn trace_format_flag_is_retired_and_a_csv_extension_still_writes_jsonl() {
     let dir = temp_dir("infer");
     let path = dir.join("inferred.csv");
     simulate(&[
@@ -162,8 +221,19 @@ fn trace_extension_infers_csv_format() {
     ]);
     let text = std::fs::read_to_string(&path).expect("trace file missing");
     assert!(
-        text.starts_with("# fupermod-trace schema="),
-        "a .csv path should produce the CSV encoding"
+        text.starts_with("{\"trace\":\"fupermod\",\"schema\":"),
+        "the extension must not pick the encoding"
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+        .args(["--app", "jacobi", "--size", "80", "--trace-format", "csv"])
+        .output()
+        .expect("fupermod_simulate failed to launch");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("fupermod_tracetool export --format csv"),
+        "the rejection must name the replacement: {stderr}"
     );
 }
 
