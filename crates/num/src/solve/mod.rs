@@ -9,12 +9,10 @@
 //! * [`solve_dense`] — Gaussian elimination with partial pivoting for
 //!   the Newton steps.
 
-mod broyden;
 mod lin;
 mod newton;
 mod scalar;
 
-pub use broyden::broyden_system;
 pub use lin::{solve_dense, solve_tridiagonal};
 pub use newton::{finite_difference_jacobian, newton_system, NewtonOptions, NewtonReport};
 pub use scalar::{bisect, brent, RootOptions};

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// Error produced by the communication substrate.
 ///
 /// Historically the per-rank byte-count paths (`allgatherv`,
-/// `scatterv`, `gatherv`, `redistribute`) and the in-process
+/// `redistribute`) and the in-process
 /// point-to-point operations panicked on malformed input or a
 /// disconnected peer; they now surface these conditions as typed
 /// errors so callers (in particular long-running dynamic-balancing
@@ -343,29 +343,6 @@ impl SimComm {
         }
     }
 
-    /// Broadcast of `bytes` bytes from `root` along a binomial tree:
-    /// every rank ends at the root's send time plus
-    /// `ceil(log2 p)` worst-link costs (and no earlier than its own
-    /// clock).
-    pub fn bcast(&mut self, root: usize, bytes: f64) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let rounds = (usize::BITS - (p - 1).leading_zeros()) as f64;
-        let arrival = self.clocks[root] + rounds * self.link().cost(bytes);
-        for r in 0..p {
-            let before = self.clocks[r];
-            if self.clocks[r] < arrival {
-                self.clocks[r] = arrival;
-                if r != root {
-                    self.comm_seconds += arrival - before;
-                }
-                self.note(r, before, arrival, Activity::Communication);
-            }
-        }
-    }
-
     /// Point-to-point transfer of `bytes` bytes. The receiver cannot
     /// finish before the sender has sent; the sender pays one latency
     /// (eager send).
@@ -453,98 +430,6 @@ impl SimComm {
         }
         let _ = total;
         Ok(())
-    }
-
-    /// Scatter: `root` sends `bytes[r]` bytes to each rank `r` in rank
-    /// order (linear algorithm — the root's NIC serialises the sends).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::SizeMismatch`] if
-    /// `bytes.len() != self.size()`.
-    pub fn scatterv(&mut self, root: usize, bytes: &[f64]) -> Result<(), PlatformError> {
-        self.check_per_rank("scatterv", bytes.len())?;
-        let root_before = self.clocks[root];
-        let mut send_clock = root_before;
-        for (r, &b) in bytes.iter().enumerate() {
-            if r == root {
-                continue;
-            }
-            send_clock += self.topo.link(root, r).cost(b);
-            let before = self.clocks[r];
-            self.clocks[r] = self.clocks[r].max(send_clock);
-            self.comm_seconds += self.clocks[r] - before;
-            let after = self.clocks[r];
-            self.note(r, before, after, Activity::Communication);
-        }
-        self.comm_seconds += send_clock - root_before;
-        self.clocks[root] = send_clock;
-        self.note(root, root_before, send_clock, Activity::Communication);
-        Ok(())
-    }
-
-    /// Gather: `root` receives `bytes[r]` bytes from each rank `r` in
-    /// rank order (linear algorithm). Senders pay a latency; the root
-    /// cannot receive a message before its sender has produced it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::SizeMismatch`] if
-    /// `bytes.len() != self.size()`.
-    pub fn gatherv(&mut self, root: usize, bytes: &[f64]) -> Result<(), PlatformError> {
-        self.check_per_rank("gatherv", bytes.len())?;
-        let root_before = self.clocks[root];
-        let mut recv_clock = root_before;
-        for (r, &b) in bytes.iter().enumerate() {
-            if r == root {
-                continue;
-            }
-            let link = self.topo.link(root, r);
-            recv_clock = recv_clock.max(self.clocks[r]) + link.cost(b);
-            let before = self.clocks[r];
-            self.clocks[r] += link.latency_sec;
-            self.note(
-                r,
-                before,
-                before + link.latency_sec,
-                Activity::Communication,
-            );
-        }
-        self.comm_seconds += recv_clock - root_before;
-        self.clocks[root] = recv_clock;
-        self.note(root, root_before, recv_clock, Activity::Communication);
-        Ok(())
-    }
-
-    /// Reduction of `bytes`-sized contributions to `root` along a
-    /// binomial tree: the root finishes `ceil(log2 p)` worst-link costs
-    /// after the last contributor; non-roots pay one link cost.
-    pub fn reduce(&mut self, root: usize, bytes: f64) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let rounds = (usize::BITS - (p - 1).leading_zeros()) as f64;
-        let cost = self.link().cost(bytes);
-        let finish = self.max_time() + rounds * cost;
-        for r in 0..p {
-            let before = self.clocks[r];
-            if r == root {
-                self.comm_seconds += finish - before;
-                self.clocks[r] = finish;
-            } else {
-                self.comm_seconds += cost;
-                self.clocks[r] += cost;
-            }
-            let after = self.clocks[r];
-            self.note(r, before, after, Activity::Communication);
-        }
-    }
-
-    /// All-reduce: a reduction to rank 0 followed by a broadcast.
-    pub fn allreduce(&mut self, bytes: f64) {
-        self.reduce(0, bytes);
-        self.bcast(0, bytes);
     }
 
     /// Charges an explicit per-hop collective schedule: `rounds` is a
@@ -1011,28 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_uses_logarithmic_rounds() {
-        let link = LinkModel {
-            latency_sec: 1.0,
-            bytes_per_sec: f64::INFINITY,
-        };
-        let mut c = SimComm::new(8, link);
-        c.bcast(0, 0.0);
-        // 8 ranks → 3 rounds of 1 s latency each.
-        for r in 0..8 {
-            assert_eq!(c.time(r), 3.0);
-        }
-    }
-
-    #[test]
-    fn bcast_does_not_rewind_late_ranks() {
-        let mut c = SimComm::new(2, LinkModel::ethernet());
-        c.advance(1, 100.0);
-        c.bcast(0, 1e6);
-        assert_eq!(c.time(1), 100.0);
-    }
-
-    #[test]
     fn send_orders_receiver_after_sender() {
         let link = LinkModel {
             latency_sec: 0.5,
@@ -1080,8 +943,6 @@ mod tests {
                 got: 2
             })
         ));
-        assert!(c.scatterv(0, &[1.0; 4]).is_err());
-        assert!(c.gatherv(1, &[1.0; 2]).is_err());
         assert!(c.redistribute(&[1, 2], &[1, 2, 0], 8.0).is_err());
         // Clocks untouched by any rejected call.
         assert_eq!(c.max_time(), 0.0);
@@ -1122,7 +983,7 @@ mod tests {
         c.enable_trace();
         for i in 0..5 {
             c.advance(i % 3, 0.5 + i as f64 * 0.1);
-            c.bcast(i % 3, 1e5);
+            c.send(i % 3, (i + 1) % 3, 1e5);
             c.barrier();
         }
         for rank in 0..3 {
@@ -1131,59 +992,6 @@ mod tests {
                 assert!(e.start >= last_end - 1e-12, "overlap on rank {rank}");
                 last_end = e.end;
             }
-        }
-    }
-
-    #[test]
-    fn scatterv_serialises_at_the_root() {
-        let link = LinkModel {
-            latency_sec: 1.0,
-            bytes_per_sec: f64::INFINITY,
-        };
-        let mut c = SimComm::new(3, link);
-        c.scatterv(0, &[0.0, 10.0, 10.0]).unwrap();
-        // Root sends to 1 then 2: arrivals at 1 s and 2 s.
-        assert_eq!(c.time(1), 1.0);
-        assert_eq!(c.time(2), 2.0);
-        assert_eq!(c.time(0), 2.0);
-    }
-
-    #[test]
-    fn gatherv_waits_for_slow_senders() {
-        let link = LinkModel {
-            latency_sec: 1.0,
-            bytes_per_sec: f64::INFINITY,
-        };
-        let mut c = SimComm::new(3, link);
-        c.advance(2, 10.0);
-        c.gatherv(0, &[0.0, 5.0, 5.0]).unwrap();
-        // Rank 1's message arrives at 1 s; rank 2's at max(1, 10) + 1.
-        assert_eq!(c.time(0), 11.0);
-    }
-
-    #[test]
-    fn reduce_charges_logarithmic_rounds_to_root() {
-        let link = LinkModel {
-            latency_sec: 1.0,
-            bytes_per_sec: f64::INFINITY,
-        };
-        let mut c = SimComm::new(8, link);
-        c.reduce(3, 64.0);
-        assert_eq!(c.time(3), 3.0);
-        assert_eq!(c.time(0), 1.0);
-    }
-
-    #[test]
-    fn allreduce_is_reduce_plus_bcast() {
-        let link = LinkModel {
-            latency_sec: 1.0,
-            bytes_per_sec: f64::INFINITY,
-        };
-        let mut c = SimComm::new(4, link);
-        c.allreduce(8.0);
-        // 2 rounds reduce + 2 rounds bcast.
-        for r in 0..4 {
-            assert_eq!(c.time(r), 4.0, "rank {r}");
         }
     }
 

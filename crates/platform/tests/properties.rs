@@ -22,9 +22,8 @@ proptest! {
         let mut last_max = 0.0;
         for (a, b, amount) in ops {
             match (a + b) % 4 {
-                0 => comm.advance(a, amount),
+                0 | 2 => comm.advance(a, amount),
                 1 => comm.barrier(),
-                2 => comm.bcast(a, amount * 1e6),
                 _ => comm.send(a, b, amount * 1e6),
             }
             let now = comm.max_time();

@@ -37,6 +37,10 @@
 //! is what keeps the three algorithms bitwise identical (see
 //! `Communicator::allreduce`).
 
+use crate::comm::ReduceOp;
+use crate::error::RuntimeError;
+use crate::wire::{decode_as, Wire};
+
 /// Requested collective algorithm (per operation, see
 /// [`AlgorithmPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -588,6 +592,93 @@ pub fn barrier_tree_rounds(live: &[usize]) -> Rounds {
         round.sort_unstable();
     }
     rounds
+}
+
+/// Round count of a rooted schedule (`bcast`, `scatterv`, `gatherv`)
+/// over `live` agreed-live ranks, for the trace addendum.
+pub(crate) fn rooted_rounds(resolved: Resolved, live: usize) -> u64 {
+    if live <= 1 {
+        return 0;
+    }
+    match resolved {
+        Resolved::Hub => 1,
+        Resolved::Ring | Resolved::Tree => u64::from(ceil_log2(live)),
+    }
+}
+
+/// Round count of a rootless schedule (`allgatherv`, `allreduce`)
+/// over `live` agreed-live ranks, for the trace addendum.
+pub(crate) fn rootless_rounds(resolved: Resolved, live: usize) -> u64 {
+    if live <= 1 {
+        return 0;
+    }
+    match resolved {
+        Resolved::Hub => 2,
+        Resolved::Ring => (live - 1) as u64,
+        Resolved::Tree => {
+            let q2 = prev_pow2(live);
+            u64::from(ceil_log2(q2)) + if live > q2 { 2 } else { 0 }
+        }
+    }
+}
+
+/// Absolute-rank-indexed collective payload slots: `None` marks a
+/// dead rank or a contribution lost to one.
+pub(crate) type Slots = Vec<Option<Vec<u8>>>;
+
+/// Strict decode of a gathered slot vector in ascending rank order
+/// (`allgatherv`): the first hole is a [`RuntimeError::RankDead`], the
+/// first undecodable payload a [`RuntimeError::Decode`] — whichever
+/// comes first.
+pub(crate) fn strict_slots<T: Wire>(
+    op: &'static str,
+    slots: &Slots,
+) -> Result<Vec<T>, RuntimeError> {
+    let mut values = Vec::with_capacity(slots.len());
+    for (rank, slot) in slots.iter().enumerate() {
+        match slot {
+            Some(bytes) => values.push(decode_as::<T>(op, bytes)?),
+            None => return Err(RuntimeError::RankDead { op, rank }),
+        }
+    }
+    Ok(values)
+}
+
+/// Hole-tolerant decode of a gathered slot vector
+/// (`allgatherv_available`): a hole stays `None`.
+pub(crate) fn available_slots<T: Wire>(
+    op: &'static str,
+    slots: &Slots,
+) -> Result<Vec<Option<T>>, RuntimeError> {
+    slots
+        .iter()
+        .map(|slot| {
+            slot.as_deref()
+                .map(|bytes| decode_as::<T>(op, bytes))
+                .transpose()
+        })
+        .collect()
+}
+
+/// Folds gathered raw contributions **left-associated, in ascending
+/// rank order, skipping dead (`None`) slots** — the pinned reduction
+/// order every `allreduce` schedule of every backend shares, so hub,
+/// ring and tree results stay bitwise identical (float reduction is
+/// not associative).
+pub(crate) fn fold_slots(
+    op: &'static str,
+    slots: &Slots,
+    rop: ReduceOp,
+) -> Result<f64, RuntimeError> {
+    let mut acc: Option<f64> = None;
+    for slot in slots.iter().flatten() {
+        let x = decode_as::<f64>(op, slot)?;
+        acc = Some(match acc {
+            None => x,
+            Some(a) => rop.fold(a, x),
+        });
+    }
+    acc.ok_or(RuntimeError::NoContributions { op })
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@
 //! Collectives skip dead receivers and deliver posthumous messages
 //! (a rank that sent before dying still contributes).
 //!
-//! # Nonblocking requests
+//! # Nonblocking requests, and the blocking collectives built on them
 //!
 //! The [`request`] submodule adds MPI-style nonblocking operations
 //! (`isend`/`irecv`/`ibcast`/`iallgatherv` returning scope-tied
@@ -73,9 +73,20 @@
 //! excluded while any request is outstanding; on the sim backend a
 //! request charges its hop plan at *completion* against a clock
 //! snapshot taken at *post* time, so each step costs
-//! `max(compute, communication)` while fault-free runs stay
-//! bit-identical to their blocking twins. Contract and examples in
+//! `max(compute, communication)`. Contract and examples in
 //! `docs/RUNTIME.md` §8.
+//!
+//! The broadcast and all-gather schedules are defined there and
+//! nowhere else: a blocking [`Communicator::bcast`],
+//! [`Communicator::allgatherv`], [`Communicator::allgatherv_available`]
+//! or ring/tree [`Communicator::allreduce`] on this backend **is its
+//! request, posted and completed in one call**. What differs is what
+//! the call passes — the op tag (`bcast`, not `ibcast`), the deadline
+//! (anchored at operation entry, not at the entry to `wait`) and no
+//! overlap base — so with nothing between post and `wait` the two
+//! forms agree to the bit by construction. `scatterv`, `gatherv`, the
+//! hub `allreduce` and `barrier` have no nonblocking form and are
+//! written here as straight-line blocking code.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -85,10 +96,12 @@ use std::time::{Duration, Instant};
 use fupermod_core::trace::{null_sink, TraceEvent, TraceSink};
 use fupermod_platform::comm::{LinkModel, SimComm, Topology};
 
-use crate::collective::{self, AlgorithmPolicy, Resolved, Rounds};
+use crate::collective::{
+    self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved, Rounds, Slots,
+};
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
-use crate::wire::Wire;
+use crate::wire::{decode_as, Wire};
 
 pub mod request;
 
@@ -404,6 +417,7 @@ impl RuntimeConfig {
                 delay_counts: vec![0; self.plan.delays.len()],
                 drop_counts: vec![0; self.plan.drops.len()],
                 op_deadline: vec![None; size],
+                wake_seq: 0,
             }),
             cv: Condvar::new(),
             mode: if sim.is_some() {
@@ -457,6 +471,7 @@ pub(crate) fn build_net_plane(
             delay_counts: vec![0; plan.delays.len()],
             drop_counts: vec![0; plan.drops.len()],
             op_deadline: vec![None; size],
+            wake_seq: 0,
         }),
         cv: Condvar::new(),
         mode: ClockMode::Wall,
@@ -649,6 +664,12 @@ pub(crate) struct PlaneState {
     /// pins for nonblocking requests and shared verbatim by the
     /// threaded and TCP backends.
     op_deadline: Vec<Option<Instant>>,
+    /// Count of condvar notifications, bumped under this lock by
+    /// [`Plane::notify`]. A waiter that cannot hold the lock from its
+    /// failed poll to its sleep (a split collective's `step`, then
+    /// `park`) reads it before polling and refuses to sleep if it
+    /// moved — the wake-up it would otherwise lose.
+    pub(crate) wake_seq: u64,
 }
 
 impl PlaneState {
@@ -677,6 +698,14 @@ pub(crate) struct Plane {
 impl Plane {
     pub(crate) fn lock(&self) -> MutexGuard<'_, PlaneState> {
         self.state.lock().expect("runtime plane poisoned")
+    }
+
+    /// Wakes every waiter: each change a blocked rank may be waiting
+    /// for (mail, a completed generation, a death) goes through here,
+    /// so [`PlaneState::wake_seq`] counts them all.
+    pub(crate) fn notify(&self, st: &mut PlaneState) {
+        st.wake_seq = st.wake_seq.wrapping_add(1);
+        self.cv.notify_all();
     }
 
     pub(crate) fn fault(&self, rank: usize, kind: &str, peer: i64, attempt: u32, seconds: f64) {
@@ -752,7 +781,7 @@ impl Plane {
         for b in st.overlap_base.iter_mut() {
             *b = None;
         }
-        self.cv.notify_all();
+        self.notify(st);
     }
 
     /// Completes the current barrier generation if every live
@@ -798,7 +827,7 @@ impl Plane {
             *b = None;
         }
         net.broadcast_release(st.generation, join, &st.agreed_alive, &st.dead);
-        self.cv.notify_all();
+        self.notify(st);
     }
 
     /// Marks `rank` dead (fail-stop), completes a barrier the death
@@ -809,7 +838,7 @@ impl Plane {
         }
         st.dead[rank] = true;
         self.maybe_complete(st);
-        self.cv.notify_all();
+        self.notify(st);
     }
 
     /// Charges `seconds` of injected latency to `rank`: virtual time
@@ -1049,19 +1078,9 @@ impl ThreadedComm {
             if st.dead[dst] {
                 return Err(RuntimeError::RankDead { op, rank: dst });
             }
-            // First matching drop rule governs this attempt.
-            let mut dropped: Option<(u32, f64)> = None;
-            for (i, rule) in plane.plan.drops.iter().enumerate() {
-                if rule.src.is_none_or(|s| s == self.rank) && rule.dst.is_none_or(|d| d == dst) {
-                    st.drop_counts[i] += 1;
-                    if st.drop_counts[i].is_multiple_of(rule.every) {
-                        let backoff =
-                            rule.backoff_seconds * f64::from(1u32 << attempt.min(16));
-                        dropped = Some((rule.max_retries, backoff));
-                    }
-                    break;
-                }
-            }
+            let dropped = plane
+                .plan
+                .drop_verdict(&mut st.drop_counts, self.rank, dst, attempt);
             if let Some((max_retries, backoff)) = dropped {
                 drop(st);
                 plane.fault(self.rank, "drop", dst as i64, attempt, 0.0);
@@ -1078,17 +1097,9 @@ impl ThreadedComm {
                 plane.charge_latency(self.rank, backoff);
                 continue;
             }
-            // First matching delay rule governs this message.
-            let mut delay = 0.0;
-            for (i, rule) in plane.plan.delays.iter().enumerate() {
-                if rule.src.is_none_or(|s| s == self.rank) && rule.dst.is_none_or(|d| d == dst) {
-                    st.delay_counts[i] += 1;
-                    if st.delay_counts[i].is_multiple_of(rule.every) {
-                        delay = rule.seconds;
-                    }
-                    break;
-                }
-            }
+            let delay = plane
+                .plan
+                .delay_seconds(&mut st.delay_counts, self.rank, dst);
             // Causal stamp: the sender's clock at enqueue time,
             // merged by the receiver at delivery.
             let stamp = st.lamport[self.rank];
@@ -1124,7 +1135,7 @@ impl ThreadedComm {
                 lamport: stamp,
                 vready,
             });
-            plane.cv.notify_all();
+            plane.notify(&mut st);
             drop(st);
             if delay > 0.0 {
                 plane.fault(self.rank, "delay", dst as i64, 0, delay);
@@ -1384,13 +1395,6 @@ impl ThreadedComm {
         st.dead.iter().map(|&d| !d).collect()
     }
 
-    fn decode_as<T: Wire>(op: &'static str, bytes: &[u8]) -> Result<T, RuntimeError> {
-        T::decode(bytes).map_err(|e| match e {
-            RuntimeError::Decode { detail, .. } => RuntimeError::Decode { what: op, detail },
-            other => other,
-        })
-    }
-
     /// Hub-side gather core shared by `gatherv`, `gather_available`,
     /// `allgatherv` and `allreduce`: returns each live rank's payload
     /// (`None` for dead contributors).
@@ -1473,27 +1477,6 @@ impl ThreadedComm {
         }
     }
 
-    /// Folds gathered raw contributions **left-associated, in
-    /// ascending rank order, skipping dead (`None`) slots** — the
-    /// pinned reduction order every `allreduce` schedule shares, so
-    /// hub, ring and tree results stay bitwise identical (float
-    /// reduction is not associative).
-    fn fold_slots(
-        op_tag: &'static str,
-        slots: &Slots,
-        rop: ReduceOp,
-    ) -> Result<f64, RuntimeError> {
-        let mut acc: Option<f64> = None;
-        for slot in slots.iter().flatten() {
-            let x = Self::decode_as::<f64>(op_tag, slot)?;
-            acc = Some(match acc {
-                None => x,
-                Some(a) => rop.fold(a, x),
-            });
-        }
-        acc.ok_or(RuntimeError::NoContributions { op: op_tag })
-    }
-
     /// The rank list every schedule of the current barrier generation
     /// is built over: the membership recorded at the last completed
     /// generation (see [`PlaneState::agreed_alive`]). Ascending, and
@@ -1503,6 +1486,13 @@ impl ThreadedComm {
     fn agreed_live(&self) -> Vec<usize> {
         let st = self.plane.lock();
         Self::live_list(&st.agreed_alive)
+    }
+
+    /// Size of the agreed membership, for the trace addendum's round
+    /// counts.
+    fn agreed_live_count(&self) -> usize {
+        let st = self.plane.lock();
+        st.agreed_alive.iter().filter(|&&alive| alive).count()
     }
 
     /// Position of this rank in the agreed live list. A rank that
@@ -1533,281 +1523,7 @@ impl ThreadedComm {
             .filter_map(|(r, &a)| a.then_some(r))
             .collect()
     }
-
-    /// Tree broadcast data phase: the blob flows root-outward along
-    /// the binomial tree, `Option`-framed so an upstream death
-    /// propagates as an explicit `None` in one hop per level instead
-    /// of cascading deadline fail-stops through the subtree.
-    /// Returns `(blob, framed message length)`; `None` means the
-    /// value never reached this rank.
-    fn bcast_tree_data(
-        &self,
-        op: &'static str,
-        root: usize,
-        own: Option<Vec<u8>>,
-    ) -> Result<(Option<Vec<u8>>, u64), RuntimeError> {
-        let live = self.agreed_live();
-        let q = live.len();
-        // A root that died before the agreement is consistently
-        // unreachable for every remaining rank.
-        let Some(vroot) = live.iter().position(|&r| r == root) else {
-            return Err(RuntimeError::RankDead { op, rank: root });
-        };
-        let pos = self.agreed_pos(op, &live)?;
-        let vi = (pos + q - vroot) % q;
-        let framed: Option<Vec<u8>> = if vi == 0 {
-            own
-        } else {
-            let parent_abs = Self::pos_to_abs(
-                &live,
-                vroot,
-                collective::binomial_parent(vi).expect("vi > 0 has a parent"),
-            );
-            match self.recv_tolerant(op, parent_abs)? {
-                Some(bytes) => Self::decode_as::<Option<Vec<u8>>>(op, &bytes)?,
-                None => None,
-            }
-        };
-        let msg = framed.to_bytes();
-        for (_, child_vi) in collective::binomial_children(vi, q) {
-            let child_abs = Self::pos_to_abs(&live, vroot, child_vi);
-            self.send_tolerant(op, child_abs, &msg)?;
-        }
-        if vi == 0 {
-            self.deposit(charge_of(&collective::bcast_rounds(
-                &live,
-                vroot,
-                msg.len() as u64,
-            )));
-        }
-        Ok((framed, msg.len() as u64))
-    }
-
-    /// Rootless all-gather core: returns the per-rank contribution
-    /// slots (absolute-rank-indexed; `None` = dead or lost), under
-    /// the resolved schedule. Shared by `allgatherv`,
-    /// `allgatherv_available` and the ring/tree `allreduce`.
-    fn allgather_slots(
-        &self,
-        op: &'static str,
-        own: Vec<u8>,
-        resolved: Resolved,
-    ) -> Result<(Slots, u64), RuntimeError> {
-        let size = self.plane.size;
-        if size == 1 {
-            return Ok((vec![Some(own)], 0));
-        }
-        match resolved {
-            Resolved::Hub => self.allgather_hub(op, own),
-            Resolved::Ring => self.allgather_ring(op, own),
-            Resolved::Tree => self.allgather_butterfly(op, own),
-        }
-    }
-
-    /// Hub all-gather: star fan-in to the lowest agreed-live rank, then a
-    /// star fan-out of the full slot vector. Two rounds, both
-    /// serialised at the hub's ports — the `O(p·m)` bottleneck the
-    /// ring and tree schedules exist to remove.
-    fn allgather_hub(
-        &self,
-        op: &'static str,
-        own: Vec<u8>,
-    ) -> Result<(Slots, u64), RuntimeError> {
-        let live = self.agreed_live();
-        let hub = live[0];
-        let mut moved = own.len() as u64;
-        if self.rank == hub {
-            let slots = self.collect_payloads(op, &own)?;
-            let blob = slots.to_bytes();
-            for &dst in &live {
-                if dst == hub {
-                    continue;
-                }
-                self.send_tolerant(op, dst, &blob)?;
-                moved += blob.len() as u64;
-            }
-            let in_lens: Vec<u64> = live
-                .iter()
-                .map(|&r| slots[r].as_ref().map_or(0, |b| b.len() as u64))
-                .collect();
-            let out_lens = vec![blob.len() as u64; live.len()];
-            let mut rounds = vec![collective::star_gather_round(&live, hub, &in_lens)];
-            rounds.push(collective::star_scatter_round(&live, hub, &out_lens));
-            self.deposit(charge_of(&rounds));
-            Ok((slots, moved))
-        } else {
-            // Hub death is fatal for the hub schedule — that is the
-            // single point of failure `ring`/`tree` remove.
-            self.raw_send(op, hub, own)?;
-            let blob = self.raw_recv(op, hub, false)?;
-            moved += blob.len() as u64;
-            let slots: Slots = Self::decode_as(op, &blob)?;
-            if slots.len() != self.plane.size {
-                return Err(RuntimeError::Decode {
-                    what: op,
-                    detail: format!(
-                        "hub blob has {} slots, communicator size is {}",
-                        slots.len(),
-                        self.plane.size
-                    ),
-                });
-            }
-            Ok((slots, moved))
-        }
-    }
-
-    /// Ring all-gather: `p - 1` pipelined nearest-neighbour rounds.
-    /// Every rank sends and receives the same bytes — no hot rank.
-    /// Blocks travel `Option`-framed so a hole in the ring degrades
-    /// to `None` slots downstream instead of stalling the pipeline.
-    fn allgather_ring(
-        &self,
-        op: &'static str,
-        own: Vec<u8>,
-    ) -> Result<(Slots, u64), RuntimeError> {
-        let size = self.plane.size;
-        let live = self.agreed_live();
-        let q = live.len();
-        let pos = self.agreed_pos(op, &live)?;
-        let mut held: Slots = vec![None; size];
-        held[self.rank] = Some(own);
-        if q == 1 {
-            return Ok((held, 0));
-        }
-        let next = live[(pos + 1) % q];
-        let prev = live[(pos + q - 1) % q];
-        let mut moved = 0u64;
-        for k in 0..q - 1 {
-            let origin_send = live[(pos + q - k) % q];
-            let origin_recv = live[(pos + q - 1 - k) % q];
-            let msg = held[origin_send].to_bytes();
-            moved += msg.len() as u64;
-            self.send_tolerant(op, next, msg)?;
-            if let Some(bytes) = self.recv_tolerant(op, prev)? {
-                moved += bytes.len() as u64;
-                held[origin_recv] = Self::decode_as::<Option<Vec<u8>>>(op, &bytes)?;
-            }
-        }
-        if self.rank == live[0] {
-            // Charge the framed block sizes (1 tag + 8 length + raw
-            // bytes per present block) over the agreed ring.
-            let lens: Vec<u64> = live
-                .iter()
-                .map(|&r| held[r].as_ref().map_or(1, |b| 9 + b.len() as u64))
-                .collect();
-            self.deposit(charge_of(&collective::ring_rounds(&live, &lens)));
-        }
-        Ok((held, moved))
-    }
-
-    /// Recursive-doubling all-gather: `ceil(log2 p)` pairwise
-    /// exchange rounds (plus a fold-in/fold-out round pair when `p`
-    /// is not a power of two). Messages are absolute-rank-indexed
-    /// slot vectors, so partner death degrades to `None` slots.
-    fn allgather_butterfly(
-        &self,
-        op: &'static str,
-        own: Vec<u8>,
-    ) -> Result<(Slots, u64), RuntimeError> {
-        let size = self.plane.size;
-        let live = self.agreed_live();
-        let q = live.len();
-        let pos = self.agreed_pos(op, &live)?;
-        let q2 = collective::prev_pow2(q);
-        let mut held: Slots = vec![None; size];
-        let own_len = own.len() as u64;
-        held[self.rank] = Some(own);
-        let mut moved = 0u64;
-        if q == 1 {
-            return Ok((held, 0));
-        }
-        if pos >= q2 {
-            // Fold into the core, wait for the full result.
-            let partner = live[pos - q2];
-            let msg = held.to_bytes();
-            moved += msg.len() as u64;
-            self.send_tolerant(op, partner, msg)?;
-            if let Some(bytes) = self.recv_tolerant(op, partner)? {
-                moved += bytes.len() as u64;
-                let full: Slots = Self::decode_as(op, &bytes)?;
-                if full.len() == size {
-                    merge_slots(&mut held, full);
-                }
-            }
-            return Ok((held, moved));
-        }
-        if pos + q2 < q {
-            if let Some(bytes) = self.recv_tolerant(op, live[pos + q2])? {
-                moved += bytes.len() as u64;
-                let folded: Slots = Self::decode_as(op, &bytes)?;
-                if folded.len() == size {
-                    merge_slots(&mut held, folded);
-                }
-            }
-        }
-        let mut mask = 1usize;
-        while mask < q2 {
-            let partner = live[pos ^ mask];
-            let msg = held.to_bytes();
-            moved += msg.len() as u64;
-            self.send_tolerant(op, partner, msg)?;
-            if let Some(bytes) = self.recv_tolerant(op, partner)? {
-                moved += bytes.len() as u64;
-                let theirs: Slots = Self::decode_as(op, &bytes)?;
-                if theirs.len() == size {
-                    merge_slots(&mut held, theirs);
-                }
-            }
-            mask <<= 1;
-        }
-        if pos + q2 < q {
-            let msg = held.to_bytes();
-            moved += msg.len() as u64;
-            self.send_tolerant(op, live[pos + q2], msg)?;
-        }
-        if self.rank == live[0] {
-            let lens: Vec<u64> = live
-                .iter()
-                .map(|&r| held[r].as_ref().map_or(own_len, |b| b.len() as u64))
-                .collect();
-            self.deposit(charge_of(&collective::butterfly_rounds(size, &live, &lens)));
-        }
-        Ok((held, moved))
-    }
-
-    /// Round count of a rootless schedule over the agreed live
-    /// ranks, for the trace addendum.
-    fn rootless_rounds(&self, resolved: Resolved) -> u64 {
-        let p = self.agreed_live().len();
-        if p <= 1 {
-            return 0;
-        }
-        match resolved {
-            Resolved::Hub => 2,
-            Resolved::Ring => (p - 1) as u64,
-            Resolved::Tree => {
-                let q2 = collective::prev_pow2(p);
-                u64::from(collective::ceil_log2(q2)) + if p > q2 { 2 } else { 0 }
-            }
-        }
-    }
-
-    /// Round count of a rooted schedule over the agreed live ranks.
-    fn rooted_rounds(&self, resolved: Resolved) -> u64 {
-        let p = self.agreed_live().len();
-        if p <= 1 {
-            return 0;
-        }
-        match resolved {
-            Resolved::Hub => 1,
-            Resolved::Ring | Resolved::Tree => u64::from(collective::ceil_log2(p)),
-        }
-    }
 }
-
-/// Absolute-rank-indexed collective payload slots: `None` marks a
-/// dead rank or a contribution lost to one.
-type Slots = Vec<Option<Vec<u8>>>;
 
 /// Fills `None` slots of `into` from `from` (a present slot is never
 /// overwritten, so the first copy of a contribution wins — all copies
@@ -1849,7 +1565,7 @@ impl Communicator for ThreadedComm {
         self.check_rank(OP, src)?;
         let start = self.op_begin(OP)?;
         let bytes = self.raw_recv(OP, src, true)?;
-        let value = Self::decode_as::<T>(OP, &bytes)?;
+        let value = decode_as::<T>(OP, &bytes)?;
         self.op_end(
             OP,
             src as i64,
@@ -1891,23 +1607,16 @@ impl Communicator for ThreadedComm {
         Ok(())
     }
 
+    // `bcast`, `allgatherv`, `allgatherv_available` and the ring/tree
+    // `allreduce` *are* their requests (see [`request`]), posted and
+    // completed in one call: the op tag, the deadline anchor
+    // (`op_begin`, not the entry to `wait`) and the absent overlap
+    // base are all that differ from `ibcast`/`iallgatherv`.
+
     fn bcast<T: Wire>(&mut self, root: usize, value: Option<&T>) -> Result<T, RuntimeError> {
         const OP: &str = "bcast";
-        self.check_rank(OP, root)?;
-        let start = self.op_begin(OP)?;
-        let resolved = self.plane.policy.bcast.resolve_rooted(self.plane.size);
-        let outcome = self.bcast_data(OP, root, value, resolved);
-        let ((result, moved), gen) = self.close_op(OP, outcome)?;
-        self.op_end(
-            OP,
-            root as i64,
-            moved,
-            &start,
-            resolved.name(),
-            self.rooted_rounds(resolved),
-            gen,
-        );
-        Ok(result)
+        let mut split = self.post_bcast(OP, root, value, false)?;
+        split.complete(self.op_deadline_at(), |bytes| decode_as::<T>(OP, &bytes))
     }
 
     fn scatterv<T: Wire>(&mut self, root: usize, parts: Option<&[T]>) -> Result<T, RuntimeError> {
@@ -1923,7 +1632,7 @@ impl Communicator for ThreadedComm {
             moved,
             &start,
             resolved.name(),
-            self.rooted_rounds(resolved),
+            collective::rooted_rounds(resolved, self.agreed_live_count()),
             gen,
         );
         Ok(result)
@@ -1960,32 +1669,9 @@ impl Communicator for ThreadedComm {
 
     fn allgatherv<T: Wire>(&mut self, value: &T) -> Result<Vec<T>, RuntimeError> {
         const OP: &str = "allgatherv";
-        let start = self.op_begin(OP)?;
-        let own = value.to_bytes();
-        let resolved = self
-            .plane
-            .policy
-            .allgatherv
-            .resolve_allgatherv(self.plane.size, own.len() as u64);
-        let outcome = self.allgather_slots(OP, own, resolved);
-        let ((slots, moved), gen) = self.close_op(OP, outcome)?;
-        let mut values = Vec::with_capacity(slots.len());
-        for (rank, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(bytes) => values.push(Self::decode_as::<T>(OP, &bytes)?),
-                None => return Err(RuntimeError::RankDead { op: OP, rank }),
-            }
-        }
-        self.op_end(
-            OP,
-            -1,
-            moved,
-            &start,
-            resolved.name(),
-            self.rootless_rounds(resolved),
-            gen,
-        );
-        Ok(values)
+        let mut split =
+            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len), false)?;
+        split.complete(self.op_deadline_at(), |slots| strict_slots::<T>(OP, &slots))
     }
 
     fn allgatherv_available<T: Wire>(
@@ -1993,55 +1679,26 @@ impl Communicator for ThreadedComm {
         value: &T,
     ) -> Result<Vec<Option<T>>, RuntimeError> {
         const OP: &str = "allgatherv";
-        let start = self.op_begin(OP)?;
-        let own = value.to_bytes();
-        let resolved = self
-            .plane
-            .policy
-            .allgatherv
-            .resolve_allgatherv(self.plane.size, own.len() as u64);
-        let outcome = self.allgather_slots(OP, own, resolved);
-        let ((slots, moved), gen) = self.close_op(OP, outcome)?;
-        let mut values = Vec::with_capacity(slots.len());
-        for slot in slots {
-            values.push(match slot {
-                Some(bytes) => Some(Self::decode_as::<T>(OP, &bytes)?),
-                None => None,
-            });
-        }
-        self.op_end(
-            OP,
-            -1,
-            moved,
-            &start,
-            resolved.name(),
-            self.rootless_rounds(resolved),
-            gen,
-        );
-        Ok(values)
+        let mut split =
+            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len), false)?;
+        split.complete(self.op_deadline_at(), |slots| {
+            available_slots::<T>(OP, &slots)
+        })
     }
 
     fn allreduce(&mut self, value: f64, op: ReduceOp) -> Result<f64, RuntimeError> {
         const OP: &str = "allreduce";
-        let start = self.op_begin(OP)?;
-        let own = value.to_bytes();
         let resolved = self.plane.policy.allreduce.resolve_allreduce(self.plane.size);
         // Every schedule gathers the raw contributions and folds them
-        // through [`ThreadedComm::fold_slots`] — the pinned
-        // rank-ascending order that keeps results bitwise identical
-        // across hub, ring and tree (see the module docs of
-        // `collective` and `wire`).
-        let outcome = match resolved {
-            Resolved::Hub => self.allreduce_hub(OP, own, op),
-            Resolved::Ring | Resolved::Tree => {
-                match self.allgather_slots(OP, own, resolved) {
-                    Ok((slots, moved)) => {
-                        Self::fold_slots(OP, &slots, op).map(|folded| (folded, moved))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        };
+        // through [`fold_slots`] — the pinned rank-ascending order that
+        // keeps results bitwise identical across hub, ring and tree
+        // (see the module docs of `collective` and `wire`).
+        if resolved != Resolved::Hub {
+            let mut split = self.post_allgather(OP, &value, |_| resolved, false)?;
+            return split.complete(self.op_deadline_at(), |slots| fold_slots(OP, &slots, op));
+        }
+        let start = self.op_begin(OP)?;
+        let outcome = self.allreduce_hub(OP, value.to_bytes(), op);
         let ((result, moved), gen) = self.close_op(OP, outcome)?;
         self.op_end(
             OP,
@@ -2049,7 +1706,7 @@ impl Communicator for ThreadedComm {
             moved,
             &start,
             resolved.name(),
-            self.rootless_rounds(resolved),
+            collective::rootless_rounds(resolved, self.agreed_live_count()),
             gen,
         );
         Ok(result)
@@ -2081,7 +1738,7 @@ impl ThreadedComm {
                 let mut values = Vec::with_capacity(slots.len());
                 for slot in slots {
                     values.push(match slot {
-                        Some(bytes) => Some(Self::decode_as::<T>(op, &bytes)?),
+                        Some(bytes) => Some(decode_as::<T>(op, &bytes)?),
                         None => None,
                     });
                 }
@@ -2094,7 +1751,7 @@ impl ThreadedComm {
             moved,
             &start,
             resolved.name(),
-            self.rooted_rounds(resolved),
+            collective::rooted_rounds(resolved, self.agreed_live_count()),
             gen,
         );
         Ok(result)
@@ -2153,7 +1810,7 @@ impl ThreadedComm {
             let child_abs = Self::pos_to_abs(&live, vroot, child_vi);
             if let Some(bytes) = self.recv_tolerant(op, child_abs)? {
                 moved += bytes.len() as u64;
-                let bundle: Slots = Self::decode_as(op, &bytes)?;
+                let bundle: Slots = decode_as(op, &bytes)?;
                 if bundle.len() == size {
                     merge_slots(&mut slots, bundle);
                 }
@@ -2183,63 +1840,6 @@ impl ThreadedComm {
             // the root degrades them to `None` slots.
             self.send_tolerant(op, parent_abs, msg)?;
             Ok((None, moved))
-        }
-    }
-
-    /// Hub broadcast/scatter and tree broadcast/scatter data phases.
-    fn bcast_data<T: Wire>(
-        &mut self,
-        op: &'static str,
-        root: usize,
-        value: Option<&T>,
-        resolved: Resolved,
-    ) -> Result<(T, u64), RuntimeError> {
-        match resolved {
-            Resolved::Hub => {
-                if self.rank == root {
-                    let value = value.ok_or_else(|| {
-                        RuntimeError::App("bcast: root must supply Some(value)".to_owned())
-                    })?;
-                    let bytes = value.to_bytes();
-                    let live = self.agreed_live();
-                    for &dst in &live {
-                        if dst == self.rank {
-                            continue;
-                        }
-                        self.send_tolerant(op, dst, &bytes)?;
-                    }
-                    let lens = vec![bytes.len() as u64; live.len()];
-                    let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-                    self.deposit(charge_of(&rounds));
-                    Ok((Self::decode_as::<T>(op, &bytes)?, bytes.len() as u64))
-                } else {
-                    let bytes = self.raw_recv(op, root, false)?;
-                    Ok((Self::decode_as::<T>(op, &bytes)?, bytes.len() as u64))
-                }
-            }
-            Resolved::Ring | Resolved::Tree => {
-                let own = if self.rank == root {
-                    Some(
-                        value
-                            .ok_or_else(|| {
-                                RuntimeError::App(
-                                    "bcast: root must supply Some(value)".to_owned(),
-                                )
-                            })?
-                            .to_bytes(),
-                    )
-                } else {
-                    None
-                };
-                let (blob, msg_len) = self.bcast_tree_data(op, root, own)?;
-                match blob {
-                    Some(bytes) => Ok((Self::decode_as::<T>(op, &bytes)?, msg_len)),
-                    // The value never reached this rank: somewhere on
-                    // the root-to-here path a rank died. Surfaced as
-                    // the broadcast root being unreachable.
-                    None => Err(RuntimeError::RankDead { op, rank: root }),
-                }
-            }
         }
     }
 
@@ -2283,10 +1883,10 @@ impl ThreadedComm {
                         live.iter().map(|&r| encoded[r].len() as u64).collect();
                     let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
                     self.deposit(charge_of(&rounds));
-                    Ok((Self::decode_as::<T>(op, &encoded[self.rank])?, sent))
+                    Ok((decode_as::<T>(op, &encoded[self.rank])?, sent))
                 } else {
                     let bytes = self.raw_recv(op, root, false)?;
-                    Ok((Self::decode_as::<T>(op, &bytes)?, bytes.len() as u64))
+                    Ok((decode_as::<T>(op, &bytes)?, bytes.len() as u64))
                 }
             }
             Resolved::Ring | Resolved::Tree => {
@@ -2316,7 +1916,7 @@ impl ThreadedComm {
                     match self.recv_tolerant(op, parent_abs)? {
                         Some(bytes) => {
                             moved += bytes.len() as u64;
-                            let bundle: Slots = Self::decode_as(op, &bytes)?;
+                            let bundle: Slots = decode_as(op, &bytes)?;
                             if bundle.len() == size {
                                 bundle
                             } else {
@@ -2342,7 +1942,7 @@ impl ThreadedComm {
                     self.send_tolerant(op, child_abs, msg)?;
                 }
                 match &slots[self.rank] {
-                    Some(bytes) => Ok((Self::decode_as::<T>(op, bytes)?, moved)),
+                    Some(bytes) => Ok((decode_as::<T>(op, bytes)?, moved)),
                     None => Err(RuntimeError::RankDead { op, rank: root }),
                 }
             }
@@ -2362,7 +1962,7 @@ impl ThreadedComm {
         let hub = live[0];
         if self.rank == hub {
             let slots = self.collect_payloads(op, &own)?;
-            let folded = Self::fold_slots(op, &slots, rop)?;
+            let folded = fold_slots(op, &slots, rop)?;
             let bytes = folded.to_bytes();
             for &dst in &live {
                 if dst == hub {
@@ -2378,7 +1978,7 @@ impl ThreadedComm {
         } else {
             self.raw_send(op, hub, own)?;
             let bytes = self.raw_recv(op, hub, false)?;
-            Ok((Self::decode_as::<f64>(op, &bytes)?, 16))
+            Ok((decode_as::<f64>(op, &bytes)?, 16))
         }
     }
 }

@@ -34,6 +34,21 @@
 //!   without `wait` completes it silently (result discarded), so
 //!   peers never deadlock at the closing barrier.
 //!
+//! # One definition per schedule
+//!
+//! A split collective is an untyped resumable data phase (`Bcast`:
+//! bytes in, bytes out; `Allgather`: bytes in, slots out) under one
+//! driver (`Split`) that owns the post, the closing barrier, the
+//! error precedence, the trace event and the completing `Drop`. The
+//! payload type appears only in thin decoders applied to what the
+//! machine yields. The *blocking* `bcast`, `allgatherv`,
+//! `allgatherv_available` and ring/tree `allreduce` of
+//! [`Communicator`](super::Communicator) post the same machines and
+//! complete them in the same call, differing in three arguments: the
+//! op tag carried by trace events and errors, the deadline instant
+//! (anchored at `op_begin` instead of the entry to `wait`) and
+//! whether the post-time clock is recorded as an overlap base.
+//!
 //! # Faults and deadlines
 //!
 //! Fault-plan deaths and deadline violations surface as the same
@@ -50,15 +65,15 @@
 //! progress only while its owner drives it.
 
 use std::marker::PhantomData;
+use std::mem;
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
-use crate::collective::{self, Resolved};
+use crate::collective::{self, strict_slots, Resolved, Rounds, Slots};
 use crate::error::RuntimeError;
-use crate::wire::Wire;
+use crate::wire::{decode_as, Wire};
 
-use super::{charge_of, OpStart, Slots, ThreadedComm};
-
-use std::mem;
+use super::{charge_of, OpStart, ThreadedComm};
 
 /// A nonblocking operation in flight. Consume it with
 /// [`wait`](Request::wait) (block until complete) or
@@ -168,7 +183,7 @@ pub struct RecvRequest<'c, T: Wire> {
 impl<T: Wire> RecvRequest<'_, T> {
     fn finish(&self, bytes: &[u8]) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
-        let value = ThreadedComm::decode_as::<T>(OP, bytes)?;
+        let value = decode_as::<T>(OP, bytes)?;
         self.comm.op_end(
             OP,
             self.src as i64,
@@ -203,13 +218,286 @@ impl<T: Wire> Request for RecvRequest<'_, T> {
     }
 }
 
-/// How far a split collective has progressed.
-enum StepProgress {
-    /// Progress needs a message (or barrier completion) that has not
-    /// arrived yet.
-    Blocked,
-    /// The stage completed.
-    Done,
+/// The resumable, untyped data phase of one split collective:
+/// everything between `op_begin` and the closing barrier, written as a
+/// state machine over nonblocking receives so that `test` can poll it
+/// and `wait` (or a blocking collective) can park between attempts.
+/// This is the only definition of the schedule on the mailbox plane.
+pub(super) trait DataPhase {
+    /// What the phase yields: raw bytes or raw [`Slots`].
+    type Output;
+
+    /// Drives the phase as far as arrived mail allows. Sends tagged
+    /// `op` happen on the way; `moved` accumulates the bytes through
+    /// this rank for the trace event. An error ends the phase.
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<Self::Output>, RuntimeError>;
+
+    /// The trace addendum: `(peer, schedule, rounds)` over `live`
+    /// agreed-live ranks.
+    fn describe(&self, live: usize) -> (i64, Resolved, u64);
+}
+
+/// A split collective in flight: one [`DataPhase`] plus the closing
+/// barrier of the BSP collective, driven to completion by
+/// [`complete`](Self::complete) or polled by [`test`](Self::test).
+/// The nonblocking requests wrap one; a blocking collective posts one
+/// and completes it in the same call.
+pub(super) struct Split<'c, P: DataPhase> {
+    comm: &'c ThreadedComm,
+    op: &'static str,
+    start: OpStart,
+    phase: P,
+    moved: u64,
+    /// How the data phase ended, once it has.
+    data: Option<Result<P::Output, RuntimeError>>,
+    /// The closing-barrier generation joined, once arrived.
+    fence: Option<Result<u64, RuntimeError>>,
+    /// Completed and released; nothing left for `Drop` to do.
+    done: bool,
+}
+
+impl<'c, P: DataPhase> Split<'c, P> {
+    /// Claims the rank's collective slot, runs the op prologue and
+    /// builds the phase (after `op_begin`, so a payload is encoded
+    /// inside the operation it belongs to). `overlap` records the
+    /// post-time clock as the baseline the hop plan is charged from.
+    pub(super) fn post(
+        comm: &'c ThreadedComm,
+        op: &'static str,
+        overlap: bool,
+        phase: impl FnOnce() -> P,
+    ) -> Result<Self, RuntimeError> {
+        comm.coll_acquire(op)?;
+        let start = match comm.op_begin(op) {
+            Ok(s) => s,
+            Err(e) => {
+                comm.coll_release();
+                return Err(e);
+            }
+        };
+        if overlap {
+            comm.note_overlap_base();
+        }
+        Ok(Self {
+            comm,
+            op,
+            start,
+            phase: phase(),
+            moved: 0,
+            data: None,
+            fence: None,
+            done: false,
+        })
+    }
+
+    /// One nonblocking attempt at the data phase. Once it has ended,
+    /// this rank joins the closing barrier — exactly once, *even when
+    /// the phase failed*, so a mid-collective error on one rank cannot
+    /// leave the others' generation short. Returns whether the barrier
+    /// has been joined.
+    fn advance(&mut self) -> bool {
+        if self.data.is_none() {
+            match self.phase.step(self.comm, self.op, &mut self.moved) {
+                Ok(Poll::Pending) => return false,
+                Ok(Poll::Ready(out)) => self.data = Some(Ok(out)),
+                Err(e) => self.data = Some(Err(e)),
+            }
+        }
+        if self.fence.is_none() {
+            self.fence = Some(self.comm.raw_barrier_arrive(self.op, None));
+        }
+        true
+    }
+
+    /// Blocks until the collective completes or `deadline_at` passes
+    /// (the caller fail-stops), then yields `decode` of the raw output.
+    pub(super) fn complete<O>(
+        &mut self,
+        deadline_at: Instant,
+        decode: impl FnOnce(P::Output) -> Result<O, RuntimeError>,
+    ) -> Result<O, RuntimeError> {
+        loop {
+            let seen = self.comm.wake_seq();
+            if self.advance() {
+                break;
+            }
+            if let Err(e) = self.comm.park(self.op, deadline_at, seen) {
+                self.data = Some(Err(e));
+            }
+        }
+        let fence = match self.fence.take().expect("advance joined the barrier") {
+            Ok(gen) => self.comm.raw_barrier_wait(self.op, gen, deadline_at),
+            Err(e) => Err(e),
+        };
+        self.finish(fence, decode)
+    }
+
+    /// [`complete`](Self::complete) against the request deadline: the
+    /// budget runs from the entry to `wait`, so compute between post
+    /// and `wait` is never billed against it.
+    fn wait<O>(
+        &mut self,
+        decode: impl FnOnce(P::Output) -> Result<O, RuntimeError>,
+    ) -> Result<O, RuntimeError> {
+        self.complete(Instant::now() + self.comm.plane.deadline, decode)
+    }
+
+    /// Polls without blocking: `None` while the collective is pending.
+    fn test<O>(
+        &mut self,
+        decode: impl FnOnce(P::Output) -> Result<O, RuntimeError>,
+    ) -> Option<Result<O, RuntimeError>> {
+        if !self.advance() {
+            return None;
+        }
+        if let Some(Ok(gen)) = self.fence {
+            if !self.comm.barrier_done(gen) {
+                return None;
+            }
+        }
+        let fence = self.fence.take().expect("advance joined the barrier");
+        Some(self.finish(fence, decode))
+    }
+
+    /// Epilogue: releases the rank's collective slot and surfaces, in
+    /// this order of precedence, the data-phase error, the barrier
+    /// error, the decode error — or emits the trace event and yields
+    /// the decoded value.
+    fn finish<O>(
+        &mut self,
+        fence: Result<u64, RuntimeError>,
+        decode: impl FnOnce(P::Output) -> Result<O, RuntimeError>,
+    ) -> Result<O, RuntimeError> {
+        self.done = true;
+        self.comm.coll_release();
+        let raw = self.data.take().expect("the data phase has ended")?;
+        let gen = fence?;
+        let out = decode(raw)?;
+        let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_live_count());
+        self.comm.op_end(
+            self.op,
+            peer,
+            self.moved,
+            &self.start,
+            resolved.name(),
+            rounds,
+            gen,
+        );
+        Ok(out)
+    }
+}
+
+impl<P: DataPhase> Drop for Split<'_, P> {
+    fn drop(&mut self) {
+        if !self.done && !std::thread::panicking() {
+            // Complete silently: peers must not be left one arrival
+            // short at the closing barrier.
+            let _ = self.wait(|_| Ok(()));
+        }
+    }
+}
+
+/// Broadcast data phase: the root's sends, or a non-root's one receive
+/// (and, on the tree, its forwards).
+pub(super) struct Bcast {
+    root: usize,
+    resolved: Resolved,
+    /// The root's encoded value; `None` elsewhere, and on a root that
+    /// supplied none.
+    own: Option<Vec<u8>>,
+}
+
+impl DataPhase for Bcast {
+    type Output = Vec<u8>;
+
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<Vec<u8>>, RuntimeError> {
+        let is_root = comm.rank == self.root;
+        if is_root && self.own.is_none() {
+            return Err(RuntimeError::App(format!(
+                "{op}: root must supply Some(value)"
+            )));
+        }
+        match self.resolved {
+            Resolved::Hub if is_root => {
+                let bytes = self.own.take().expect("checked above");
+                let live = comm.agreed_live();
+                for &dst in live.iter().filter(|&&dst| dst != comm.rank) {
+                    comm.send_tolerant(op, dst, &bytes)?;
+                }
+                let lens = vec![bytes.len() as u64; live.len()];
+                let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
+                comm.deposit(charge_of(&rounds));
+                *moved = bytes.len() as u64;
+                Ok(Poll::Ready(bytes))
+            }
+            Resolved::Hub => Ok(match comm.try_take(op, self.root, false)? {
+                Some(bytes) => {
+                    *moved = bytes.len() as u64;
+                    Poll::Ready(bytes)
+                }
+                None => Poll::Pending,
+            }),
+            // The blob flows root-outward along the binomial tree,
+            // `Option`-framed so an upstream death propagates as an
+            // explicit `None` in one hop per level instead of
+            // cascading deadline fail-stops through the subtree.
+            Resolved::Ring | Resolved::Tree => {
+                let live = comm.agreed_live();
+                let q = live.len();
+                // A root that died before the agreement is consistently
+                // unreachable for every remaining rank.
+                let Some(vroot) = live.iter().position(|&r| r == self.root) else {
+                    return Err(RuntimeError::RankDead {
+                        op,
+                        rank: self.root,
+                    });
+                };
+                let vi = (comm.agreed_pos(op, &live)? + q - vroot) % q;
+                let framed: Option<Vec<u8>> = match collective::binomial_parent(vi) {
+                    None => self.own.take(),
+                    Some(parent_vi) => {
+                        let parent = ThreadedComm::pos_to_abs(&live, vroot, parent_vi);
+                        match comm.try_recv_tolerant(op, parent)? {
+                            Poll::Pending => return Ok(Poll::Pending),
+                            Poll::Ready(Some(raw)) => decode_as(op, &raw)?,
+                            Poll::Ready(None) => None,
+                        }
+                    }
+                };
+                let msg = framed.to_bytes();
+                for (_, child_vi) in collective::binomial_children(vi, q) {
+                    let child = ThreadedComm::pos_to_abs(&live, vroot, child_vi);
+                    comm.send_tolerant(op, child, &msg)?;
+                }
+                if vi == 0 {
+                    let rounds = collective::bcast_rounds(&live, vroot, msg.len() as u64);
+                    comm.deposit(charge_of(&rounds));
+                }
+                *moved = msg.len() as u64;
+                // `None`: somewhere on the root-to-here path a rank
+                // died. Surfaced as the root being unreachable.
+                framed.map(Poll::Ready).ok_or(RuntimeError::RankDead {
+                    op,
+                    rank: self.root,
+                })
+            }
+        }
+    }
+
+    fn describe(&self, live: usize) -> (i64, Resolved, u64) {
+        let rounds = collective::rooted_rounds(self.resolved, live);
+        (self.root as i64, self.resolved, rounds)
+    }
 }
 
 /// An in-flight nonblocking broadcast (see [`ThreadedComm::ibcast`]).
@@ -222,174 +510,13 @@ enum StepProgress {
 /// any error.
 #[must_use = "a request does nothing more unless waited or tested"]
 pub struct BcastRequest<'c, T: Wire> {
-    comm: &'c ThreadedComm,
-    inner: Option<BcastInner>,
+    split: Split<'c, Bcast>,
     _payload: PhantomData<fn() -> T>,
 }
 
-struct BcastInner {
-    start: OpStart,
-    root: usize,
-    resolved: Resolved,
-    /// Bytes moved through this rank, for the trace event.
-    moved: u64,
-    /// The broadcast blob once this rank holds it.
-    bytes: Option<Vec<u8>>,
-    /// First data-phase error; takes precedence over barrier errors
-    /// (the same rule as the blocking collectives' `close_op`).
-    data_err: Option<RuntimeError>,
-    /// Closing-barrier generation once this rank arrived.
-    gen: Option<u64>,
-    /// Data phase finished (successfully or not).
-    data_done: bool,
-}
-
 impl<T: Wire> BcastRequest<'_, T> {
-    const OP: &'static str = "ibcast";
-
-    /// Nonblocking data-phase step for a non-root rank: take the
-    /// parent/hub message if present, forward it down the tree.
-    fn step_data(&mut self) -> Result<StepProgress, RuntimeError> {
-        let inner = self.inner.as_mut().expect("request already completed");
-        if inner.data_done {
-            return Ok(StepProgress::Done);
-        }
-        let comm = self.comm;
-        match inner.resolved {
-            Resolved::Hub => match comm.try_take(Self::OP, inner.root, false) {
-                Ok(Some(bytes)) => {
-                    inner.moved = bytes.len() as u64;
-                    inner.bytes = Some(bytes);
-                }
-                Ok(None) => return Ok(StepProgress::Blocked),
-                Err(e) => inner.data_err = Some(e),
-            },
-            Resolved::Ring | Resolved::Tree => {
-                let (live, vroot, vi) = match comm.bcast_position(Self::OP, inner.root) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        inner.data_err = Some(e);
-                        inner.data_done = true;
-                        return Ok(StepProgress::Done);
-                    }
-                };
-                let parent_abs = ThreadedComm::pos_to_abs(
-                    &live,
-                    vroot,
-                    collective::binomial_parent(vi).expect("non-root has a parent"),
-                );
-                let framed = match comm.try_take(Self::OP, parent_abs, false) {
-                    Ok(Some(raw)) => {
-                        match ThreadedComm::decode_as::<Option<Vec<u8>>>(Self::OP, &raw) {
-                            Ok(f) => f,
-                            Err(e) => {
-                                inner.data_err = Some(e);
-                                None
-                            }
-                        }
-                    }
-                    Ok(None) => return Ok(StepProgress::Blocked),
-                    // A dead parent degrades this edge: the value
-                    // never reaches this subtree.
-                    Err(RuntimeError::RankDead { rank, .. }) if rank == parent_abs => None,
-                    Err(e) => {
-                        inner.data_err = Some(e);
-                        None
-                    }
-                };
-                // Forward down the tree even when the frame is empty,
-                // so descendants degrade in one hop instead of
-                // stalling to their deadline.
-                let msg = framed.to_bytes();
-                let q = live.len();
-                for (_, child_vi) in collective::binomial_children(vi, q) {
-                    let child_abs = ThreadedComm::pos_to_abs(&live, vroot, child_vi);
-                    if let Err(e) = comm.send_tolerant(Self::OP, child_abs, &msg) {
-                        if inner.data_err.is_none() {
-                            inner.data_err = Some(e);
-                        }
-                    }
-                }
-                match framed {
-                    Some(bytes) => {
-                        inner.moved = msg.len() as u64;
-                        inner.bytes = Some(bytes);
-                    }
-                    None => {
-                        if inner.data_err.is_none() {
-                            inner.data_err = Some(RuntimeError::RankDead {
-                                op: Self::OP,
-                                rank: inner.root,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        inner.data_done = true;
-        Ok(StepProgress::Done)
-    }
-
-    /// Arrives at the closing barrier once the data phase is done.
-    fn arrive(&mut self) {
-        let inner = self.inner.as_mut().expect("request already completed");
-        if inner.gen.is_some() {
-            return;
-        }
-        match self.comm.raw_barrier_arrive(Self::OP, None) {
-            Ok(gen) => inner.gen = Some(gen),
-            Err(e) => {
-                if inner.data_err.is_none() {
-                    inner.data_err = Some(e);
-                }
-            }
-        }
-    }
-
-    /// Epilogue shared by `wait`, a ready `test` and `Drop`: release
-    /// the per-rank collective slot, emit the trace event, surface
-    /// the data error (with precedence) or the decoded value.
-    fn finish(&mut self, fence: Result<u64, RuntimeError>) -> Result<T, RuntimeError> {
-        let inner = self.inner.take().expect("request already completed");
-        self.comm.coll_release();
-        match (inner.data_err, fence) {
-            (Some(e), _) => Err(e),
-            (None, Err(e)) => Err(e),
-            (None, Ok(gen)) => {
-                self.comm.op_end(
-                    Self::OP,
-                    inner.root as i64,
-                    inner.moved,
-                    &inner.start,
-                    inner.resolved.name(),
-                    self.comm.rooted_rounds(inner.resolved),
-                    gen,
-                );
-                let bytes = inner.bytes.expect("no data error implies a value");
-                ThreadedComm::decode_as::<T>(Self::OP, &bytes)
-            }
-        }
-    }
-
-    fn complete_blocking(&mut self) -> Result<T, RuntimeError> {
-        let deadline_at = Instant::now() + self.comm.plane.deadline;
-        loop {
-            match self.step_data()? {
-                StepProgress::Done => break,
-                StepProgress::Blocked => self.comm.park(Self::OP, deadline_at)?,
-            }
-        }
-        self.arrive();
-        let fence = match self.inner.as_ref().expect("not completed").gen {
-            Some(gen) => self.comm.raw_barrier_wait(Self::OP, gen, deadline_at),
-            // Never arrived (the arrival itself failed); the error is
-            // already recorded as the data error.
-            None => Err(RuntimeError::RankDead {
-                op: Self::OP,
-                rank: self.comm.rank,
-            }),
-        };
-        self.finish(fence)
+    fn decode(bytes: Vec<u8>) -> Result<T, RuntimeError> {
+        decode_as::<T>("ibcast", &bytes)
     }
 }
 
@@ -397,41 +524,329 @@ impl<T: Wire> Request for BcastRequest<'_, T> {
     type Output = T;
 
     fn wait(mut self) -> Result<T, RuntimeError> {
-        self.complete_blocking()
+        self.split.wait(Self::decode)
     }
 
     fn test(mut self) -> Result<Progress<Self>, RuntimeError> {
-        match self.step_data()? {
-            StepProgress::Blocked => return Ok(Progress::Pending(self)),
-            StepProgress::Done => {}
-        }
-        self.arrive();
-        match self.inner.as_ref().expect("not completed").gen {
-            Some(gen) => {
-                if self.comm.barrier_done(gen) {
-                    self.finish(Ok(gen)).map(Progress::Ready)
-                } else {
-                    Ok(Progress::Pending(self))
-                }
-            }
-            None => {
-                let fence = Err(RuntimeError::RankDead {
-                    op: Self::OP,
-                    rank: self.comm.rank,
-                });
-                self.finish(fence).map(Progress::Ready)
-            }
+        match self.split.test(Self::decode) {
+            None => Ok(Progress::Pending(self)),
+            Some(done) => done.map(Progress::Ready),
         }
     }
 }
 
-impl<T: Wire> Drop for BcastRequest<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_some() && !std::thread::panicking() {
-            // Complete silently: peers must not be left one arrival
-            // short at the closing barrier.
-            let _ = self.complete_blocking();
+/// All-gather data phase under the three rootless schedules (hub
+/// star, pipelined ring, recursive-doubling butterfly), shared by
+/// `allgatherv`, `allgatherv_available`, `iallgatherv` and the
+/// ring/tree `allreduce`. Yields the contribution slots,
+/// absolute-rank-indexed; `None` = dead or lost.
+pub(super) struct Allgather {
+    resolved: Resolved,
+    /// The agreed-live ranks the schedule runs over and this rank's
+    /// position among them, fixed by the first step (the agreement
+    /// cannot move before this rank reaches the closing barrier).
+    live: Vec<usize>,
+    pos: usize,
+    /// Contributions held so far.
+    held: Slots,
+    own_len: u64,
+    at: At,
+}
+
+/// Where an [`Allgather`] resumes. The sends of a stage happen on the
+/// transition *into* it; a step re-polls only the receives.
+enum At {
+    /// Nothing sent yet.
+    Start,
+    /// Non-hub rank awaiting the hub's slot blob.
+    HubLeaf,
+    /// Hub collecting contributions in ascending rank order.
+    HubCenter { next_src: usize },
+    /// Ring rank inside round `k`, awaiting the block from `prev`.
+    Ring { k: usize },
+    /// Folded butterfly rank (`pos >= 2^⌊log q⌋`) awaiting the core's
+    /// result from its partner.
+    BflyFold,
+    /// Core butterfly rank: optional fold-in, then the mask rounds.
+    BflyCore {
+        /// Still awaiting the folded partner's contribution.
+        fold_pending: bool,
+        mask: usize,
+        /// The current mask round's send has been posted.
+        sent: bool,
+    },
+}
+
+impl Allgather {
+    fn new(comm: &ThreadedComm, own: Vec<u8>, resolved: Resolved) -> Self {
+        let mut held: Slots = vec![None; comm.plane.size];
+        let own_len = own.len() as u64;
+        held[comm.rank] = Some(own);
+        Self {
+            resolved,
+            live: Vec::new(),
+            pos: 0,
+            held,
+            own_len,
+            at: At::Start,
         }
+    }
+
+    /// Merges a partner's slot vector, counting it as moved. A dead
+    /// partner (`None`) or a wrong-sized vector leaves holes.
+    fn absorb(
+        &mut self,
+        op: &'static str,
+        moved: &mut u64,
+        mail: Option<Vec<u8>>,
+    ) -> Result<(), RuntimeError> {
+        if let Some(bytes) = mail {
+            *moved += bytes.len() as u64;
+            let theirs: Slots = decode_as(op, &bytes)?;
+            if theirs.len() == self.held.len() {
+                super::merge_slots(&mut self.held, theirs);
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends everything held so far to `dst`, counting it as moved.
+    fn send_held(
+        &self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+        dst: usize,
+    ) -> Result<(), RuntimeError> {
+        let msg = self.held.to_bytes();
+        *moved += msg.len() as u64;
+        comm.send_tolerant(op, dst, msg)
+    }
+
+    /// Sends the ring block that originated `back` positions upstream
+    /// to the next neighbour, `Option`-framed so a hole in the ring
+    /// degrades to `None` slots downstream instead of stalling the
+    /// pipeline.
+    fn send_block(
+        &self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+        back: usize,
+    ) -> Result<(), RuntimeError> {
+        let q = self.live.len();
+        let msg = self.held[self.live[(self.pos + q - back) % q]].to_bytes();
+        *moved += msg.len() as u64;
+        comm.send_tolerant(op, self.live[(self.pos + 1) % q], msg)
+    }
+
+    /// The schedule is over: the lowest agreed-live rank deposits its
+    /// charge, every rank yields its slots.
+    fn done(&mut self, comm: &ThreadedComm, rounds: impl FnOnce(&Self) -> Rounds) -> Poll<Slots> {
+        if comm.rank == self.live[0] {
+            comm.deposit(charge_of(&rounds(self)));
+        }
+        Poll::Ready(mem::take(&mut self.held))
+    }
+
+    /// Per-position payload lengths for the charge, `hole` standing in
+    /// for a lost contribution.
+    fn lens(&self, hole: u64, present: impl Fn(u64) -> u64) -> Vec<u64> {
+        self.live
+            .iter()
+            .map(|&r| {
+                self.held[r]
+                    .as_ref()
+                    .map_or(hole, |b| present(b.len() as u64))
+            })
+            .collect()
+    }
+}
+
+impl DataPhase for Allgather {
+    type Output = Slots;
+
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<Slots>, RuntimeError> {
+        let size = comm.plane.size;
+        if let At::Start = self.at {
+            if size == 1 {
+                return Ok(Poll::Ready(mem::take(&mut self.held)));
+            }
+            self.live = comm.agreed_live();
+            self.pos = comm.agreed_pos(op, &self.live)?;
+            let (q, pos) = (self.live.len(), self.pos);
+            if q == 1 && self.resolved != Resolved::Hub {
+                return Ok(Poll::Ready(mem::take(&mut self.held)));
+            }
+            self.at = match self.resolved {
+                // Star fan-in to the lowest agreed-live rank, then a
+                // star fan-out of the full slot vector: two rounds,
+                // both serialised at the hub's ports.
+                Resolved::Hub => {
+                    *moved = self.own_len;
+                    let hub = self.live[0];
+                    if comm.rank == hub {
+                        At::HubCenter { next_src: 0 }
+                    } else {
+                        // Hub death is fatal for the hub schedule —
+                        // the single point of failure `ring`/`tree`
+                        // remove.
+                        let own = self.held[comm.rank].take().expect("own contribution");
+                        comm.raw_send(op, hub, own)?;
+                        At::HubLeaf
+                    }
+                }
+                // `q - 1` pipelined nearest-neighbour rounds; round 0
+                // forwards the own block.
+                Resolved::Ring => {
+                    self.send_block(comm, op, moved, 0)?;
+                    At::Ring { k: 0 }
+                }
+                // `ceil(log2 q)` pairwise exchange rounds, plus a
+                // fold-in/fold-out pair when `q` is not a power of two.
+                Resolved::Tree => {
+                    let q2 = collective::prev_pow2(q);
+                    if pos >= q2 {
+                        self.send_held(comm, op, moved, self.live[pos - q2])?;
+                        At::BflyFold
+                    } else {
+                        At::BflyCore {
+                            fold_pending: pos + q2 < q,
+                            mask: 1,
+                            sent: false,
+                        }
+                    }
+                }
+            };
+        }
+        let (q, pos) = (self.live.len(), self.pos);
+        match self.at {
+            At::Start => unreachable!("left above"),
+            At::HubLeaf => {
+                let Some(blob) = comm.try_take(op, self.live[0], false)? else {
+                    return Ok(Poll::Pending);
+                };
+                *moved += blob.len() as u64;
+                let slots: Slots = decode_as(op, &blob)?;
+                if slots.len() != size {
+                    return Err(RuntimeError::Decode {
+                        what: op,
+                        detail: format!(
+                            "hub blob has {} slots, communicator size is {size}",
+                            slots.len()
+                        ),
+                    });
+                }
+                Ok(Poll::Ready(slots))
+            }
+            At::HubCenter { mut next_src } => {
+                while next_src < size {
+                    if next_src != comm.rank {
+                        let Poll::Ready(slot) = comm.try_recv_tolerant(op, next_src)? else {
+                            self.at = At::HubCenter { next_src };
+                            return Ok(Poll::Pending);
+                        };
+                        self.held[next_src] = slot;
+                    }
+                    next_src += 1;
+                }
+                let blob = self.held.to_bytes();
+                for &dst in &self.live[1..] {
+                    comm.send_tolerant(op, dst, &blob)?;
+                    *moved += blob.len() as u64;
+                }
+                Ok(self.done(comm, |ag| {
+                    let hub = ag.live[0];
+                    let out_lens = vec![blob.len() as u64; q];
+                    vec![
+                        collective::star_gather_round(&ag.live, hub, &ag.lens(0, |n| n)),
+                        collective::star_scatter_round(&ag.live, hub, &out_lens),
+                    ]
+                }))
+            }
+            At::Ring { mut k } => {
+                let prev = self.live[(pos + q - 1) % q];
+                while k < q - 1 {
+                    let Poll::Ready(mail) = comm.try_recv_tolerant(op, prev)? else {
+                        self.at = At::Ring { k };
+                        return Ok(Poll::Pending);
+                    };
+                    if let Some(bytes) = mail {
+                        *moved += bytes.len() as u64;
+                        self.held[self.live[(pos + q - 1 - k) % q]] = decode_as(op, &bytes)?;
+                    }
+                    k += 1;
+                    if k < q - 1 {
+                        self.send_block(comm, op, moved, k)?;
+                    }
+                }
+                // Framed block sizes: 1 tag byte, plus 8 length bytes
+                // and the payload for a present block.
+                Ok(self.done(comm, |ag| {
+                    collective::ring_rounds(&ag.live, &ag.lens(1, |n| 9 + n))
+                }))
+            }
+            At::BflyFold => {
+                let partner = self.live[pos - collective::prev_pow2(q)];
+                let Poll::Ready(mail) = comm.try_recv_tolerant(op, partner)? else {
+                    return Ok(Poll::Pending);
+                };
+                self.absorb(op, moved, mail)?;
+                Ok(Poll::Ready(mem::take(&mut self.held)))
+            }
+            // Messages are absolute-rank-indexed slot vectors, so a
+            // partner's death degrades to `None` slots.
+            At::BflyCore {
+                fold_pending,
+                mut mask,
+                mut sent,
+            } => {
+                let q2 = collective::prev_pow2(q);
+                if fold_pending {
+                    let Poll::Ready(mail) = comm.try_recv_tolerant(op, self.live[pos + q2])? else {
+                        return Ok(Poll::Pending);
+                    };
+                    self.absorb(op, moved, mail)?;
+                }
+                while mask < q2 {
+                    let partner = self.live[pos ^ mask];
+                    if !sent {
+                        self.send_held(comm, op, moved, partner)?;
+                    }
+                    let Poll::Ready(mail) = comm.try_recv_tolerant(op, partner)? else {
+                        self.at = At::BflyCore {
+                            fold_pending: false,
+                            mask,
+                            sent: true,
+                        };
+                        return Ok(Poll::Pending);
+                    };
+                    self.absorb(op, moved, mail)?;
+                    mask <<= 1;
+                    sent = false;
+                }
+                if pos + q2 < q {
+                    self.send_held(comm, op, moved, self.live[pos + q2])?;
+                }
+                let hole = self.own_len;
+                Ok(self.done(comm, |ag| {
+                    collective::butterfly_rounds(size, &ag.live, &ag.lens(hole, |n| n))
+                }))
+            }
+        }
+    }
+
+    fn describe(&self, live: usize) -> (i64, Resolved, u64) {
+        (
+            -1,
+            self.resolved,
+            collective::rootless_rounds(self.resolved, live),
+        )
     }
 }
 
@@ -446,442 +861,13 @@ impl<T: Wire> Drop for BcastRequest<'_, T> {
 /// silently, so peers never deadlock at the closing barrier.
 #[must_use = "a request does nothing more unless waited or tested"]
 pub struct AllgathervRequest<'c, T: Wire> {
-    comm: &'c ThreadedComm,
-    inner: Option<AgInner>,
+    split: Split<'c, Allgather>,
     _payload: PhantomData<fn() -> T>,
 }
 
-struct AgInner {
-    start: OpStart,
-    resolved: Resolved,
-    machine: AgMachine,
-    moved: u64,
-    slots: Option<Slots>,
-    data_err: Option<RuntimeError>,
-    gen: Option<u64>,
-}
-
-/// Resumable data-phase state for the three all-gather schedules.
-/// Entry sends of each stage happen on the transition *into* the
-/// stage; `step` re-polls only the receives.
-enum AgMachine {
-    /// Not started: entry sends happen on the first step.
-    Start { own: Vec<u8> },
-    /// Non-hub rank awaiting the hub's slot blob.
-    HubLeaf { hub: usize, own_len: u64 },
-    /// Hub rank collecting contributions in ascending rank order.
-    HubCenter { held: Slots, next_src: usize },
-    /// Ring rank inside round `k`, awaiting the block from `prev`.
-    Ring { held: Slots, k: usize },
-    /// Folded butterfly rank (`pos >= 2^⌊log p⌋`) awaiting the core
-    /// result from its partner.
-    BflyFold { held: Slots, partner: usize },
-    /// Core butterfly rank: optional fold-in, then the mask rounds.
-    BflyCore {
-        held: Slots,
-        /// Still awaiting the folded partner's contribution.
-        fold_pending: bool,
-        /// Current exchange mask; `0` means the round's send has not
-        /// happened yet (set on entry).
-        mask: usize,
-        /// The current mask round's send has been posted.
-        sent: bool,
-        own_len: u64,
-    },
-    /// Data phase finished.
-    Done,
-}
-
 impl<T: Wire> AllgathervRequest<'_, T> {
-    const OP: &'static str = "iallgatherv";
-
-    /// Nonblocking receive helper with the tolerant-degrade rule:
-    /// `Ok(None)` = not yet, `Ok(Some(None))` = source dead (edge
-    /// degraded), `Ok(Some(Some(bytes)))` = delivered.
-    fn try_take_tolerant(
-        comm: &ThreadedComm,
-        src: usize,
-    ) -> Result<Option<Option<Vec<u8>>>, RuntimeError> {
-        match comm.try_take(Self::OP, src, false) {
-            Ok(Some(bytes)) => Ok(Some(Some(bytes))),
-            Ok(None) => Ok(None),
-            Err(RuntimeError::RankDead { rank, .. }) if rank == src => Ok(Some(None)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Drives the data phase as far as arrived mail allows. Mirrors
-    /// the blocking `allgather_slots` schedules operation for
-    /// operation, so the resulting slot vectors (and the deposited
-    /// virtual-time charge) are identical to the blocking path's.
-    #[allow(clippy::too_many_lines)] // one resumable machine per schedule
-    fn step_data(&mut self) -> Result<StepProgress, RuntimeError> {
-        let comm = self.comm;
-        let size = comm.plane.size;
-        let inner = self.inner.as_mut().expect("request already completed");
-        loop {
-            match &mut inner.machine {
-                AgMachine::Done => return Ok(StepProgress::Done),
-                AgMachine::Start { own } => {
-                    let own = mem::take(own);
-                    if size == 1 {
-                        inner.slots = Some(vec![Some(own)]);
-                        inner.machine = AgMachine::Done;
-                        continue;
-                    }
-                    let live = comm.agreed_live();
-                    let q = live.len();
-                    let pos = match comm.agreed_pos(Self::OP, &live) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            inner.data_err = Some(e);
-                            inner.machine = AgMachine::Done;
-                            continue;
-                        }
-                    };
-                    match inner.resolved {
-                        Resolved::Hub => {
-                            inner.moved = own.len() as u64;
-                            let hub = live[0];
-                            if comm.rank == hub {
-                                let mut held: Slots = vec![None; size];
-                                held[comm.rank] = Some(own);
-                                inner.machine = AgMachine::HubCenter { held, next_src: 0 };
-                            } else {
-                                // Hub death is fatal for the hub
-                                // schedule — single point of failure.
-                                if let Err(e) = comm.raw_send(Self::OP, hub, &own) {
-                                    inner.data_err = Some(e);
-                                    inner.machine = AgMachine::Done;
-                                    continue;
-                                }
-                                inner.machine = AgMachine::HubLeaf {
-                                    hub,
-                                    own_len: own.len() as u64,
-                                };
-                            }
-                        }
-                        Resolved::Ring => {
-                            let mut held: Slots = vec![None; size];
-                            held[comm.rank] = Some(own);
-                            if q == 1 {
-                                inner.slots = Some(held);
-                                inner.machine = AgMachine::Done;
-                                continue;
-                            }
-                            // Entry send of round 0: own block to the
-                            // next ring neighbour.
-                            let next = live[(pos + 1) % q];
-                            let msg = held[comm.rank].to_bytes();
-                            inner.moved += msg.len() as u64;
-                            if let Err(e) = comm.send_tolerant(Self::OP, next, msg) {
-                                inner.data_err = Some(e);
-                                inner.machine = AgMachine::Done;
-                                continue;
-                            }
-                            inner.machine = AgMachine::Ring { held, k: 0 };
-                        }
-                        Resolved::Tree => {
-                            let q2 = collective::prev_pow2(q);
-                            let own_len = own.len() as u64;
-                            let mut held: Slots = vec![None; size];
-                            held[comm.rank] = Some(own);
-                            if q == 1 {
-                                inner.slots = Some(held);
-                                inner.machine = AgMachine::Done;
-                                continue;
-                            }
-                            if pos >= q2 {
-                                let partner = live[pos - q2];
-                                let msg = held.to_bytes();
-                                inner.moved += msg.len() as u64;
-                                if let Err(e) = comm.send_tolerant(Self::OP, partner, msg) {
-                                    inner.data_err = Some(e);
-                                    inner.machine = AgMachine::Done;
-                                    continue;
-                                }
-                                inner.machine = AgMachine::BflyFold { held, partner };
-                            } else {
-                                inner.machine = AgMachine::BflyCore {
-                                    held,
-                                    fold_pending: pos + q2 < q,
-                                    mask: 1,
-                                    sent: false,
-                                    own_len,
-                                };
-                            }
-                        }
-                    }
-                }
-                AgMachine::HubLeaf { hub, own_len } => {
-                    let hub = *hub;
-                    let own_len = *own_len;
-                    match comm.try_take(Self::OP, hub, false) {
-                        Ok(None) => return Ok(StepProgress::Blocked),
-                        Ok(Some(blob)) => {
-                            inner.moved = own_len + blob.len() as u64;
-                            match ThreadedComm::decode_as::<Slots>(Self::OP, &blob) {
-                                Ok(slots) if slots.len() == size => inner.slots = Some(slots),
-                                Ok(slots) => {
-                                    inner.data_err = Some(RuntimeError::Decode {
-                                        what: Self::OP,
-                                        detail: format!(
-                                            "hub blob has {} slots, communicator size is {}",
-                                            slots.len(),
-                                            size
-                                        ),
-                                    })
-                                }
-                                Err(e) => inner.data_err = Some(e),
-                            }
-                            inner.machine = AgMachine::Done;
-                        }
-                        Err(e) => {
-                            inner.data_err = Some(e);
-                            inner.machine = AgMachine::Done;
-                        }
-                    }
-                }
-                AgMachine::HubCenter { held, next_src } => {
-                    while *next_src < size {
-                        let src = *next_src;
-                        if src == comm.rank {
-                            *next_src += 1;
-                            continue;
-                        }
-                        match Self::try_take_tolerant(comm, src)? {
-                            None => return Ok(StepProgress::Blocked),
-                            Some(slot) => {
-                                held[src] = slot;
-                                *next_src += 1;
-                            }
-                        }
-                    }
-                    // All contributions in: fan the blob out and
-                    // deposit the star charge, as the blocking hub
-                    // does.
-                    let slots = mem::take(held);
-                    let live = comm.agreed_live();
-                    let hub = comm.rank;
-                    let blob = slots.to_bytes();
-                    for &dst in &live {
-                        if dst == hub {
-                            continue;
-                        }
-                        if let Err(e) = comm.send_tolerant(Self::OP, dst, &blob) {
-                            if inner.data_err.is_none() {
-                                inner.data_err = Some(e);
-                            }
-                        }
-                        inner.moved += blob.len() as u64;
-                    }
-                    let in_lens: Vec<u64> = live
-                        .iter()
-                        .map(|&r| slots[r].as_ref().map_or(0, |b| b.len() as u64))
-                        .collect();
-                    let out_lens = vec![blob.len() as u64; live.len()];
-                    let rounds = vec![
-                        collective::star_gather_round(&live, hub, &in_lens),
-                        collective::star_scatter_round(&live, hub, &out_lens),
-                    ];
-                    comm.deposit(charge_of(&rounds));
-                    inner.slots = Some(slots);
-                    inner.machine = AgMachine::Done;
-                }
-                AgMachine::Ring { held, k } => {
-                    let live = comm.agreed_live();
-                    let q = live.len();
-                    let pos = comm.agreed_pos(Self::OP, &live)?;
-                    let next = live[(pos + 1) % q];
-                    let prev = live[(pos + q - 1) % q];
-                    while *k < q - 1 {
-                        let origin_recv = live[(pos + q - 1 - *k) % q];
-                        match Self::try_take_tolerant(comm, prev)? {
-                            None => return Ok(StepProgress::Blocked),
-                            Some(Some(bytes)) => {
-                                inner.moved += bytes.len() as u64;
-                                held[origin_recv] = ThreadedComm::decode_as::<Option<Vec<u8>>>(
-                                    Self::OP, &bytes,
-                                )?;
-                            }
-                            Some(None) => {} // dead neighbour: hole stays
-                        }
-                        *k += 1;
-                        if *k < q - 1 {
-                            // Entry send of the next round.
-                            let origin_send = live[(pos + q - *k) % q];
-                            let msg = held[origin_send].to_bytes();
-                            inner.moved += msg.len() as u64;
-                            comm.send_tolerant(Self::OP, next, msg)?;
-                        }
-                    }
-                    let held = mem::take(held);
-                    if comm.rank == live[0] {
-                        let lens: Vec<u64> = live
-                            .iter()
-                            .map(|&r| held[r].as_ref().map_or(1, |b| 9 + b.len() as u64))
-                            .collect();
-                        comm.deposit(charge_of(&collective::ring_rounds(&live, &lens)));
-                    }
-                    inner.slots = Some(held);
-                    inner.machine = AgMachine::Done;
-                }
-                AgMachine::BflyFold { held, partner } => {
-                    let partner = *partner;
-                    match Self::try_take_tolerant(comm, partner)? {
-                        None => return Ok(StepProgress::Blocked),
-                        Some(Some(bytes)) => {
-                            inner.moved += bytes.len() as u64;
-                            let full: Slots = ThreadedComm::decode_as(Self::OP, &bytes)?;
-                            if full.len() == size {
-                                super::merge_slots(held, full);
-                            }
-                        }
-                        Some(None) => {}
-                    }
-                    inner.slots = Some(mem::take(held));
-                    inner.machine = AgMachine::Done;
-                }
-                AgMachine::BflyCore {
-                    held,
-                    fold_pending,
-                    mask,
-                    sent,
-                    own_len,
-                } => {
-                    let live = comm.agreed_live();
-                    let q = live.len();
-                    let pos = comm.agreed_pos(Self::OP, &live)?;
-                    let q2 = collective::prev_pow2(q);
-                    if *fold_pending {
-                        match Self::try_take_tolerant(comm, live[pos + q2])? {
-                            None => return Ok(StepProgress::Blocked),
-                            Some(Some(bytes)) => {
-                                inner.moved += bytes.len() as u64;
-                                let folded: Slots = ThreadedComm::decode_as(Self::OP, &bytes)?;
-                                if folded.len() == size {
-                                    super::merge_slots(held, folded);
-                                }
-                            }
-                            Some(None) => {}
-                        }
-                        *fold_pending = false;
-                    }
-                    while *mask < q2 {
-                        let partner = live[pos ^ *mask];
-                        if !*sent {
-                            let msg = held.to_bytes();
-                            inner.moved += msg.len() as u64;
-                            comm.send_tolerant(Self::OP, partner, msg)?;
-                            *sent = true;
-                        }
-                        match Self::try_take_tolerant(comm, partner)? {
-                            None => return Ok(StepProgress::Blocked),
-                            Some(Some(bytes)) => {
-                                inner.moved += bytes.len() as u64;
-                                let theirs: Slots = ThreadedComm::decode_as(Self::OP, &bytes)?;
-                                if theirs.len() == size {
-                                    super::merge_slots(held, theirs);
-                                }
-                            }
-                            Some(None) => {}
-                        }
-                        *mask <<= 1;
-                        *sent = false;
-                    }
-                    if pos + q2 < q {
-                        let msg = held.to_bytes();
-                        inner.moved += msg.len() as u64;
-                        comm.send_tolerant(Self::OP, live[pos + q2], msg)?;
-                    }
-                    let held = mem::take(held);
-                    if comm.rank == live[0] {
-                        let lens: Vec<u64> = live
-                            .iter()
-                            .map(|&r| held[r].as_ref().map_or(*own_len, |b| b.len() as u64))
-                            .collect();
-                        comm.deposit(charge_of(&collective::butterfly_rounds(
-                            size, &live, &lens,
-                        )));
-                    }
-                    inner.slots = Some(held);
-                    inner.machine = AgMachine::Done;
-                }
-            }
-        }
-    }
-
-    fn arrive(&mut self) {
-        let inner = self.inner.as_mut().expect("request already completed");
-        if inner.gen.is_some() {
-            return;
-        }
-        match self.comm.raw_barrier_arrive(Self::OP, None) {
-            Ok(gen) => inner.gen = Some(gen),
-            Err(e) => {
-                if inner.data_err.is_none() {
-                    inner.data_err = Some(e);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, fence: Result<u64, RuntimeError>) -> Result<Vec<T>, RuntimeError> {
-        let inner = self.inner.take().expect("request already completed");
-        self.comm.coll_release();
-        match (inner.data_err, fence) {
-            (Some(e), _) => Err(e),
-            (None, Err(e)) => Err(e),
-            (None, Ok(gen)) => {
-                self.comm.op_end(
-                    Self::OP,
-                    -1,
-                    inner.moved,
-                    &inner.start,
-                    inner.resolved.name(),
-                    self.comm.rootless_rounds(inner.resolved),
-                    gen,
-                );
-                let slots = inner.slots.expect("no data error implies slots");
-                let mut values = Vec::with_capacity(slots.len());
-                for (rank, slot) in slots.into_iter().enumerate() {
-                    match slot {
-                        Some(bytes) => {
-                            values.push(ThreadedComm::decode_as::<T>(Self::OP, &bytes)?)
-                        }
-                        None => return Err(RuntimeError::RankDead { op: Self::OP, rank }),
-                    }
-                }
-                Ok(values)
-            }
-        }
-    }
-
-    fn complete_blocking(&mut self) -> Result<Vec<T>, RuntimeError> {
-        let deadline_at = Instant::now() + self.comm.plane.deadline;
-        loop {
-            match self.step_data() {
-                Ok(StepProgress::Done) => break,
-                Ok(StepProgress::Blocked) => self.comm.park(Self::OP, deadline_at)?,
-                Err(e) => {
-                    let inner = self.inner.as_mut().expect("not completed");
-                    if inner.data_err.is_none() {
-                        inner.data_err = Some(e);
-                    }
-                    inner.machine = AgMachine::Done;
-                    break;
-                }
-            }
-        }
-        self.arrive();
-        let fence = match self.inner.as_ref().expect("not completed").gen {
-            Some(gen) => self.comm.raw_barrier_wait(Self::OP, gen, deadline_at),
-            None => Err(RuntimeError::RankDead {
-                op: Self::OP,
-                rank: self.comm.rank,
-            }),
-        };
-        self.finish(fence)
+    fn decode(slots: Slots) -> Result<Vec<T>, RuntimeError> {
+        strict_slots::<T>("iallgatherv", &slots)
     }
 }
 
@@ -889,45 +875,13 @@ impl<T: Wire> Request for AllgathervRequest<'_, T> {
     type Output = Vec<T>;
 
     fn wait(mut self) -> Result<Vec<T>, RuntimeError> {
-        self.complete_blocking()
+        self.split.wait(Self::decode)
     }
 
     fn test(mut self) -> Result<Progress<Self>, RuntimeError> {
-        match self.step_data() {
-            Ok(StepProgress::Blocked) => return Ok(Progress::Pending(self)),
-            Ok(StepProgress::Done) => {}
-            Err(e) => {
-                let inner = self.inner.as_mut().expect("not completed");
-                if inner.data_err.is_none() {
-                    inner.data_err = Some(e);
-                }
-                inner.machine = AgMachine::Done;
-            }
-        }
-        self.arrive();
-        match self.inner.as_ref().expect("not completed").gen {
-            Some(gen) => {
-                if self.comm.barrier_done(gen) {
-                    self.finish(Ok(gen)).map(Progress::Ready)
-                } else {
-                    Ok(Progress::Pending(self))
-                }
-            }
-            None => {
-                let fence = Err(RuntimeError::RankDead {
-                    op: Self::OP,
-                    rank: self.comm.rank,
-                });
-                self.finish(fence).map(Progress::Ready)
-            }
-        }
-    }
-}
-
-impl<T: Wire> Drop for AllgathervRequest<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_some() && !std::thread::panicking() {
-            let _ = self.complete_blocking();
+        match self.split.test(Self::decode) {
+            None => Ok(Progress::Pending(self)),
+            Some(done) => done.map(Progress::Ready),
         }
     }
 }
@@ -1016,60 +970,16 @@ impl ThreadedComm {
         root: usize,
         value: Option<&T>,
     ) -> Result<BcastRequest<'_, T>, RuntimeError> {
-        const OP: &str = "ibcast";
-        self.check_rank(OP, root)?;
-        self.coll_acquire(OP)?;
-        let start = match self.op_begin(OP) {
-            Ok(s) => s,
-            Err(e) => {
-                self.coll_release();
-                return Err(e);
-            }
-        };
-        self.note_overlap_base();
-        let resolved = self.plane.policy.bcast.resolve_rooted(self.plane.size);
-        let mut inner = BcastInner {
-            start,
-            root,
-            resolved,
-            moved: 0,
-            bytes: None,
-            data_err: None,
-            gen: None,
-            data_done: self.rank == root,
-        };
+        let mut split = self.post_bcast("ibcast", root, value, true)?;
         if self.rank == root {
-            match value {
-                None => {
-                    inner.data_err = Some(RuntimeError::App(
-                        "ibcast: root must supply Some(value)".to_owned(),
-                    ))
-                }
-                Some(value) => {
-                    let bytes = value.to_bytes();
-                    match self.ibcast_root_data(OP, resolved, bytes) {
-                        Ok((bytes, moved)) => {
-                            inner.bytes = Some(bytes);
-                            inner.moved = moved;
-                        }
-                        Err(e) => inner.data_err = Some(e),
-                    }
-                }
-            }
-            // The root's data phase is done; join the closing barrier
-            // now so a fast non-root `wait` can already complete it.
-            match self.raw_barrier_arrive(OP, None) {
-                Ok(gen) => inner.gen = Some(gen),
-                Err(e) => {
-                    if inner.data_err.is_none() {
-                        inner.data_err = Some(e);
-                    }
-                }
-            }
+            // The root's data phase is its sends: run them, and join
+            // the closing barrier, now — so children can pick the
+            // payload up while the root computes and a fast non-root
+            // `wait` can already complete the barrier.
+            split.advance();
         }
         Ok(BcastRequest {
-            comm: self,
-            inner: Some(inner),
+            split,
             _payload: PhantomData,
         })
     }
@@ -1091,33 +1001,14 @@ impl ThreadedComm {
         &self,
         value: &T,
     ) -> Result<AllgathervRequest<'_, T>, RuntimeError> {
-        const OP: &str = "iallgatherv";
-        self.coll_acquire(OP)?;
-        let start = match self.op_begin(OP) {
-            Ok(s) => s,
-            Err(e) => {
-                self.coll_release();
-                return Err(e);
-            }
-        };
-        self.note_overlap_base();
-        let own = value.to_bytes();
-        let resolved = self
-            .plane
-            .policy
-            .allgatherv
-            .resolve_allgatherv(self.plane.size, own.len() as u64);
+        let split = self.post_allgather(
+            "iallgatherv",
+            value,
+            |len| self.allgatherv_schedule(len),
+            true,
+        )?;
         Ok(AllgathervRequest {
-            comm: self,
-            inner: Some(AgInner {
-                start,
-                resolved,
-                machine: AgMachine::Start { own },
-                moved: 0,
-                slots: None,
-                data_err: None,
-                gen: None,
-            }),
+            split,
             _payload: PhantomData,
         })
     }
@@ -1143,52 +1034,61 @@ impl ThreadedComm {
         Ok(())
     }
 
-    /// Root-side `ibcast` data phase: run the sends (and deposit the
-    /// virtual-time charge) immediately, returning the root's own
-    /// copy of the payload.
-    fn ibcast_root_data(
-        &self,
-        op: &'static str,
-        resolved: Resolved,
-        bytes: Vec<u8>,
-    ) -> Result<(Vec<u8>, u64), RuntimeError> {
-        match resolved {
-            Resolved::Hub => {
-                let live = self.agreed_live();
-                for &dst in &live {
-                    if dst == self.rank {
-                        continue;
-                    }
-                    self.send_tolerant(op, dst, &bytes)?;
-                }
-                let lens = vec![bytes.len() as u64; live.len()];
-                let rounds = vec![collective::star_scatter_round(&live, self.rank, &lens)];
-                self.deposit(charge_of(&rounds));
-                let n = bytes.len() as u64;
-                Ok((bytes, n))
-            }
-            Resolved::Ring | Resolved::Tree => {
-                let (blob, msg_len) = self.bcast_tree_data(op, self.rank, Some(bytes))?;
-                let blob = blob.expect("the root always holds its own value");
-                Ok((blob, msg_len))
-            }
-        }
-    }
-
-    /// Agreed-tree coordinates of this (non-root) rank for a rooted
-    /// schedule: `(live list, virtual root position, virtual index)`.
-    fn bcast_position(
+    /// Posts the broadcast split collective under the op tag `op`;
+    /// only the root's `value` is read.
+    pub(super) fn post_bcast<T: Wire>(
         &self,
         op: &'static str,
         root: usize,
-    ) -> Result<(Vec<usize>, usize, usize), RuntimeError> {
-        let live = self.agreed_live();
-        let q = live.len();
-        let Some(vroot) = live.iter().position(|&r| r == root) else {
-            return Err(RuntimeError::RankDead { op, rank: root });
-        };
-        let pos = self.agreed_pos(op, &live)?;
-        Ok((live, vroot, (pos + q - vroot) % q))
+        value: Option<&T>,
+        overlap: bool,
+    ) -> Result<Split<'_, Bcast>, RuntimeError> {
+        self.check_rank(op, root)?;
+        let resolved = self.plane.policy.bcast.resolve_rooted(self.plane.size);
+        Split::post(self, op, overlap, || Bcast {
+            root,
+            resolved,
+            own: value.filter(|_| self.rank == root).map(Wire::to_bytes),
+        })
+    }
+
+    /// Posts the all-gather split collective under the op tag `op`,
+    /// with the schedule `resolve` picks for the encoded length.
+    pub(super) fn post_allgather<T: Wire>(
+        &self,
+        op: &'static str,
+        value: &T,
+        resolve: impl FnOnce(u64) -> Resolved,
+        overlap: bool,
+    ) -> Result<Split<'_, Allgather>, RuntimeError> {
+        Split::post(self, op, overlap, || {
+            let own = value.to_bytes();
+            let resolved = resolve(own.len() as u64);
+            Allgather::new(self, own, resolved)
+        })
+    }
+
+    /// The policy's all-gather schedule for a `len`-byte contribution.
+    pub(super) fn allgatherv_schedule(&self, len: u64) -> Resolved {
+        let policy = self.plane.policy.allgatherv;
+        policy.resolve_allgatherv(self.plane.size, len)
+    }
+
+    /// One nonblocking attempt at a schedule-internal receive, with
+    /// the tolerant-degrade rule of [`recv_tolerant`](Self::recv_tolerant):
+    /// `Ready(None)` means the sender is dead and the data that edge
+    /// carried is lost.
+    fn try_recv_tolerant(
+        &self,
+        op: &'static str,
+        src: usize,
+    ) -> Result<Poll<Option<Vec<u8>>>, RuntimeError> {
+        match self.try_take(op, src, false) {
+            Ok(Some(bytes)) => Ok(Poll::Ready(Some(bytes))),
+            Ok(None) => Ok(Poll::Pending),
+            Err(RuntimeError::RankDead { rank, .. }) if rank == src => Ok(Poll::Ready(None)),
+            Err(e) => Err(e),
+        }
     }
 
     /// Claims this rank's single outstanding-collective-request slot.
@@ -1222,15 +1122,28 @@ impl ThreadedComm {
         }
     }
 
+    /// The plane's wake-up count, read *before* a nonblocking attempt
+    /// whose failure leads to [`park`](Self::park).
+    fn wake_seq(&self) -> u64 {
+        self.plane.lock().wake_seq
+    }
+
     /// Parks the calling rank until mail (or a barrier completion)
     /// may have arrived, or the deadline passes — the blocking glue
-    /// between nonblocking `step` attempts.
-    fn park(&self, op: &'static str, deadline_at: Instant) -> Result<(), RuntimeError> {
+    /// between nonblocking `step` attempts. `seen` is the
+    /// [`wake_seq`](Self::wake_seq) read before the attempt that just
+    /// failed: if a wake-up landed since, it may be the very one that
+    /// attempt missed, so this returns at once instead of sleeping a
+    /// full poll tick through it.
+    fn park(&self, op: &'static str, deadline_at: Instant, seen: u64) -> Result<(), RuntimeError> {
         let plane = &self.plane;
         let mut st = plane.lock();
         let now = Instant::now();
         if now >= deadline_at {
             return Err(self.timeout(op, &mut st));
+        }
+        if st.wake_seq != seen {
+            return Ok(());
         }
         let mut wait = (deadline_at - now).min(Duration::from_millis(50));
         if let Some(ready_in) = self.next_delay_wakeup(&st) {
@@ -1241,5 +1154,53 @@ impl ThreadedComm {
             .wait_timeout(st, wait)
             .expect("runtime plane poisoned");
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comm::RuntimeConfig;
+
+    /// The lost wake-up, forced: mail lands after a failed poll and
+    /// before the rank parks, when nobody is on the condvar to hear the
+    /// notification. `park` must notice that the wake count moved past
+    /// what the poll saw instead of sleeping its 50 ms tick through it.
+    #[test]
+    fn park_returns_at_once_when_a_wakeup_raced_the_poll() {
+        let comms = RuntimeConfig::thread().build(2);
+        let (waiter, sender) = (&comms[0], &comms[1]);
+        let deadline_at = Instant::now() + Duration::from_secs(5);
+        // Best of three: one descheduling of this thread cannot fail
+        // a bound that a sleeping `park` misses tenfold.
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            let seen = waiter.wake_seq();
+            assert_eq!(
+                waiter.try_take("test", 1, false),
+                Ok(None),
+                "the failed poll"
+            );
+            sender
+                .raw_send("test", 0, vec![7u8])
+                .expect("the racing send");
+            let parked = Instant::now();
+            waiter
+                .park("test", deadline_at, seen)
+                .expect("deadline is far");
+            best = best.min(parked.elapsed());
+            assert_eq!(waiter.try_take("test", 1, false), Ok(Some(vec![7u8])));
+        }
+        assert!(
+            best < Duration::from_millis(5),
+            "park slept {best:?} through a wake-up"
+        );
+        // With nothing new since the poll it still sleeps its tick.
+        let seen = waiter.wake_seq();
+        let parked = Instant::now();
+        waiter
+            .park("test", deadline_at, seen)
+            .expect("deadline is far");
+        assert!(parked.elapsed() >= Duration::from_millis(45), "park spun");
     }
 }

@@ -83,7 +83,7 @@ impl BalanceOutcome {
     }
 }
 
-fn app_err(e: CoreError) -> RuntimeError {
+pub(crate) fn app_err(e: CoreError) -> RuntimeError {
     RuntimeError::App(e.to_string())
 }
 
@@ -279,8 +279,9 @@ where
     }
 }
 
-/// Measures this rank's share, applying the straggler compute factor.
-fn measure_share<M>(
+/// Measures `rank`'s share, applying the straggler compute factor.
+/// Shared with the event engine's balancing loop ([`crate::sim`]).
+pub(crate) fn measure_share<M>(
     rank: usize,
     d: u64,
     measure: &M,
@@ -288,7 +289,7 @@ fn measure_share<M>(
     sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
 ) -> Result<Point, RuntimeError>
 where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
+    M: Fn(usize, u64) -> Result<Point, CoreError>,
 {
     let mut point = measure(rank, d.max(1)).map_err(app_err)?;
     if factor != 1.0 {
@@ -304,6 +305,49 @@ where
         });
     }
     Ok(point)
+}
+
+/// Turns one gathered slot into the observation rank 0 absorbs. A
+/// dead rank (`None`) is deactivated the first time it is seen — its
+/// load repartitioned across the survivors, with a `degraded` fault
+/// event on rank 0 — and contributes an empty point from then on.
+pub(crate) fn observation(
+    ctx: &mut DynamicContext,
+    rank: usize,
+    slot: Option<Point>,
+    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
+) -> Point {
+    slot.unwrap_or_else(|| {
+        if ctx.active()[rank] {
+            ctx.deactivate(rank);
+            fupermod_core::telemetry::record_fault("degraded");
+            sink.record(&TraceEvent::Fault {
+                rank: 0,
+                kind: "degraded".to_owned(),
+                peer: rank as i64,
+                attempt: 0,
+                seconds: 0.0,
+            });
+        }
+        Point::single(0, 0.0)
+    })
+}
+
+/// The `[share, converged]` message the overlapped loops push to a
+/// worker.
+pub(crate) fn encode_share(share: u64, converged: bool) -> Vec<u64> {
+    vec![share, u64::from(converged)]
+}
+
+/// Decodes an [`encode_share`] message.
+pub(crate) fn decode_share(msg: &[u64]) -> Result<(u64, bool), RuntimeError> {
+    match msg {
+        [share, converged] => Ok((*share, *converged != 0)),
+        _ => Err(RuntimeError::Decode {
+            what: "share",
+            detail: format!("share message has {} words, expected 2", msg.len()),
+        }),
+    }
 }
 
 fn root_loop<M>(
@@ -325,27 +369,11 @@ where
         let gathered = comm
             .gather_available(0, &point)?
             .expect("root receives the gather");
-        let mut observed = Vec::with_capacity(gathered.len());
-        for (rank, slot) in gathered.into_iter().enumerate() {
-            match slot {
-                Some(p) => observed.push(p),
-                None => {
-                    // Rank died: repartition its load across survivors.
-                    if ctx.active()[rank] {
-                        ctx.deactivate(rank);
-                        fupermod_core::telemetry::record_fault("degraded");
-                        sink.record(&TraceEvent::Fault {
-                            rank: comm.rank(),
-                            kind: "degraded".to_owned(),
-                            peer: rank as i64,
-                            attempt: 0,
-                            seconds: 0.0,
-                        });
-                    }
-                    observed.push(Point::single(0, 0.0));
-                }
-            }
-        }
+        let observed = gathered
+            .into_iter()
+            .enumerate()
+            .map(|(rank, slot)| observation(ctx, rank, slot, sink))
+            .collect();
         let step = ctx.absorb_observed(observed).map_err(app_err)?;
         let converged = step.converged;
         steps.push(step);
@@ -389,7 +417,7 @@ fn send_share_tolerant(
     share: u64,
     converged: bool,
 ) -> Result<(), RuntimeError> {
-    match comm.isend(dst, &vec![share, u64::from(converged)]) {
+    match comm.isend(dst, &encode_share(share, converged)) {
         Ok(req) => req.wait(),
         Err(RuntimeError::RankDead { rank, .. }) if rank == dst => Ok(()),
         Err(e) => Err(e),
@@ -445,24 +473,7 @@ where
                     Err(e) => return Err(e),
                 },
             };
-            match slot {
-                Some(point) => observed.push(point),
-                None => {
-                    // Rank died: repartition its load across survivors.
-                    if ctx.active()[src] {
-                        ctx.deactivate(src);
-                        fupermod_core::telemetry::record_fault("degraded");
-                        sink.record(&TraceEvent::Fault {
-                            rank: comm.rank(),
-                            kind: "degraded".to_owned(),
-                            peer: src as i64,
-                            attempt: 0,
-                            seconds: 0.0,
-                        });
-                    }
-                    observed.push(Point::single(0, 0.0));
-                }
-            }
+            observed.push(observation(ctx, src, slot, sink));
         }
         let step = ctx.absorb_observed(observed).map_err(app_err)?;
         let converged = step.converged;
@@ -491,20 +502,11 @@ fn worker_loop_overlapped<M>(
 where
     M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
 {
-    let decode_share = |op: &'static str, msg: Vec<u64>| -> Result<(u64, bool), RuntimeError> {
-        match msg.as_slice() {
-            [share, converged] => Ok((*share, *converged != 0)),
-            _ => Err(RuntimeError::Decode {
-                what: op,
-                detail: format!("share message has {} words, expected 2", msg.len()),
-            }),
-        }
-    };
-    let (mut my_d, _) = decode_share("share", comm.irecv::<Vec<u64>>(0)?.wait()?)?;
+    let (mut my_d, _) = decode_share(&comm.irecv::<Vec<u64>>(0)?.wait()?)?;
     for _ in 0..max_steps {
         let point = measure_share(comm.rank(), my_d, measure, factor, sink)?;
         comm.isend(0, &point)?.wait()?;
-        let (d, converged) = decode_share("share", comm.irecv::<Vec<u64>>(0)?.wait()?)?;
+        let (d, converged) = decode_share(&comm.irecv::<Vec<u64>>(0)?.wait()?)?;
         my_d = d;
         if converged {
             break;

@@ -139,6 +139,49 @@ impl FaultPlan {
             .map(|r| r.after_ops)
     }
 
+    /// Evaluates the drop rules for send attempt number `attempt` of a
+    /// `src → dst` message: the first matching rule governs and ticks
+    /// its slot of `counts` (one counter per rule, owned by the
+    /// interpreter). `Some((max_retries, backoff_seconds))` when this
+    /// attempt is dropped, the backoff doubling per attempt already
+    /// made.
+    pub(crate) fn drop_verdict(
+        &self,
+        counts: &mut [u64],
+        src: usize,
+        dst: usize,
+        attempt: u32,
+    ) -> Option<(u32, f64)> {
+        let (count, rule) = counts
+            .iter_mut()
+            .zip(&self.drops)
+            .find(|(_, r)| pair_matches(r.src, r.dst, src, dst))?;
+        *count += 1;
+        count.is_multiple_of(rule.every).then(|| {
+            let backoff = rule.backoff_seconds * f64::from(1u32 << attempt.min(16));
+            (rule.max_retries, backoff)
+        })
+    }
+
+    /// Evaluates the delay rules for a `src → dst` message that was
+    /// not dropped: the first matching rule governs and ticks its slot
+    /// of `counts`. Returns the injected delay, seconds (0 = none).
+    pub(crate) fn delay_seconds(&self, counts: &mut [u64], src: usize, dst: usize) -> f64 {
+        let Some((count, rule)) = counts
+            .iter_mut()
+            .zip(&self.delays)
+            .find(|(_, r)| pair_matches(r.src, r.dst, src, dst))
+        else {
+            return 0.0;
+        };
+        *count += 1;
+        if count.is_multiple_of(rule.every) {
+            rule.seconds
+        } else {
+            0.0
+        }
+    }
+
     /// Parses a plan from its JSON form (see `docs/RUNTIME.md` for the
     /// schema; unknown keys are rejected so typos fail fast).
     ///
@@ -197,6 +240,12 @@ impl FaultPlan {
             .map_err(|e| RuntimeError::InvalidPlan(format!("read {}: {e}", path.display())))?;
         Self::from_json(&text)
     }
+}
+
+/// Whether a rule's endpoint filters (`None` = any rank) admit the
+/// `src → dst` message.
+fn pair_matches(rule_src: Option<usize>, rule_dst: Option<usize>, src: usize, dst: usize) -> bool {
+    rule_src.is_none_or(|s| s == src) && rule_dst.is_none_or(|d| d == dst)
 }
 
 fn bad(msg: &str) -> RuntimeError {

@@ -269,7 +269,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
                 lamport: f.lamport,
                 vready: None,
             });
-            plane.cv.notify_all();
+            plane.notify(&mut st);
             true
         }
         FrameKind::Arrive => {
@@ -277,7 +277,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
             st.lamport[src] = st.lamport[src].max(f.lamport);
             st.arrived += 1;
             plane.maybe_complete(&mut st);
-            plane.cv.notify_all();
+            plane.notify(&mut st);
             true
         }
         FrameKind::Release => {
@@ -300,7 +300,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
                 }
             }
             st.agreed_alive = bitmap;
-            plane.cv.notify_all();
+            plane.notify(&mut st);
             true
         }
         FrameKind::Bye => {

@@ -15,18 +15,16 @@
 use std::sync::Arc;
 
 use fupermod_core::dynamic::{DynamicContext, DynamicStep};
-use fupermod_core::trace::{TraceEvent, TraceSink};
+use fupermod_core::trace::TraceSink;
 use fupermod_core::{CoreError, Point};
 
 use crate::error::RuntimeError;
-use crate::executor::{BalanceOutcome, OverlapMode};
+use crate::executor::{
+    app_err, decode_share, encode_share, measure_share, observation, BalanceOutcome, OverlapMode,
+};
 use crate::fault::FaultPlan;
 
 use super::engine::{EventSim, RankResults, RecvTicket};
-
-fn app_err(e: CoreError) -> RuntimeError {
-    RuntimeError::App(e.to_string())
-}
 
 /// Runs the dynamic partitioning loop on the event engine.
 ///
@@ -123,34 +121,6 @@ fn record(errors: &mut [Option<RuntimeError>], rank: usize, e: RuntimeError) {
     }
 }
 
-/// Measures one rank's share, applying the straggler compute factor —
-/// the mirror of the executor's `measure_share`.
-fn measure_share<M>(
-    rank: usize,
-    d: u64,
-    measure: &M,
-    factor: f64,
-    sink: &Arc<dyn TraceSink>,
-) -> Result<Point, RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError>,
-{
-    let mut point = measure(rank, d.max(1)).map_err(app_err)?;
-    if factor != 1.0 {
-        let extra = point.t * (factor - 1.0);
-        point.t *= factor;
-        fupermod_core::telemetry::record_fault("straggler");
-        sink.record(&TraceEvent::Fault {
-            rank,
-            kind: "straggler".to_owned(),
-            peer: -1,
-            attempt: 0,
-            seconds: extra,
-        });
-    }
-    Ok(point)
-}
-
 /// Every live rank measures its share, ascending (straggler fault
 /// events tick in rank order). A measurement failure halts that
 /// rank's program, exactly as the rank closure returning `Err` does
@@ -197,27 +167,11 @@ fn absorb_on_root(
     steps: &mut Vec<DynamicStep>,
     errors: &mut [Option<RuntimeError>],
 ) -> bool {
-    let mut observed = Vec::with_capacity(slots.len());
-    for (rank, slot) in slots.iter().enumerate() {
-        match slot {
-            Some(p) => observed.push(*p),
-            None => {
-                // Rank died: repartition its load across survivors.
-                if ctx.active()[rank] {
-                    ctx.deactivate(rank);
-                    fupermod_core::telemetry::record_fault("degraded");
-                    sink.record(&TraceEvent::Fault {
-                        rank: 0,
-                        kind: "degraded".to_owned(),
-                        peer: rank as i64,
-                        attempt: 0,
-                        seconds: 0.0,
-                    });
-                }
-                observed.push(Point::single(0, 0.0));
-            }
-        }
-    }
+    let observed = slots
+        .iter()
+        .enumerate()
+        .map(|(rank, &slot)| observation(ctx, rank, slot, sink))
+        .collect();
     match ctx.absorb_observed(observed) {
         Ok(step) => {
             let converged = step.converged;
@@ -293,7 +247,7 @@ fn send_share_event(
     share: u64,
     converged: bool,
 ) -> Result<(), RuntimeError> {
-    match sim.isend(0, dst, &vec![share, u64::from(converged)]) {
+    match sim.isend(0, dst, &encode_share(share, converged)) {
         Ok(ticket) => {
             sim.isend_wait(ticket);
             Ok(())
@@ -306,14 +260,7 @@ fn send_share_event(
 /// Receives and decodes a `[share, converged]` message on a worker.
 fn recv_share_event(sim: &mut EventSim, rank: usize) -> Result<(u64, bool), RuntimeError> {
     let ticket = sim.irecv_post(rank, 0)?;
-    let msg: Vec<u64> = sim.irecv_wait(ticket)?;
-    match msg.as_slice() {
-        [share, converged] => Ok((*share, *converged != 0)),
-        _ => Err(RuntimeError::Decode {
-            what: "share",
-            detail: format!("share message has {} words, expected 2", msg.len()),
-        }),
-    }
+    decode_share(&sim.irecv_wait::<Vec<u64>>(ticket)?)
 }
 
 /// The overlapped loop: rank 0 posts the measurement `irecv`s before

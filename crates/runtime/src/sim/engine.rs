@@ -437,18 +437,9 @@ impl EventSim {
             if self.dead[dst] {
                 return SendFate::DeadDst;
             }
-            let mut dropped: Option<(u32, f64)> = None;
-            for (count, rule) in self.drop_counts.iter_mut().zip(&self.plan.drops) {
-                if rule.src.is_none_or(|s| s == src) && rule.dst.is_none_or(|d| d == dst) {
-                    *count += 1;
-                    if count.is_multiple_of(rule.every) {
-                        let backoff =
-                            rule.backoff_seconds * f64::from(1u32 << attempt.min(16));
-                        dropped = Some((rule.max_retries, backoff));
-                    }
-                    break;
-                }
-            }
+            let dropped = self
+                .plan
+                .drop_verdict(&mut self.drop_counts, src, dst, attempt);
             if let Some((max_retries, backoff)) = dropped {
                 self.fault(src, "drop", dst as i64, attempt, 0.0);
                 if attempt >= max_retries {
@@ -466,16 +457,7 @@ impl EventSim {
                 }
                 continue;
             }
-            let mut delay = 0.0;
-            for (count, rule) in self.delay_counts.iter_mut().zip(&self.plan.delays) {
-                if rule.src.is_none_or(|s| s == src) && rule.dst.is_none_or(|d| d == dst) {
-                    *count += 1;
-                    if count.is_multiple_of(rule.every) {
-                        delay = rule.seconds;
-                    }
-                    break;
-                }
-            }
+            let delay = self.plan.delay_seconds(&mut self.delay_counts, src, dst);
             if delay > 0.0 {
                 self.fault(src, "delay", dst as i64, 0, delay);
             }
@@ -619,7 +601,7 @@ impl EventSim {
         self.check_rank(OP, src)?;
         let start = self.op_begin(OP, rank)?;
         let bytes = self.blocking_take(OP, rank, src, true)?;
-        let value = super::ops::decode_as::<T>(OP, &bytes)?;
+        let value = crate::wire::decode_as::<T>(OP, &bytes)?;
         self.op_end(
             rank,
             OP,
@@ -700,7 +682,7 @@ impl EventSim {
     pub fn irecv_wait<T: Wire>(&mut self, ticket: RecvTicket) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
         let bytes = self.blocking_take(OP, ticket.rank, ticket.src, true)?;
-        let value = super::ops::decode_as::<T>(OP, &bytes)?;
+        let value = crate::wire::decode_as::<T>(OP, &bytes)?;
         self.op_end(
             ticket.rank,
             OP,

@@ -18,17 +18,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::collective::{self, Resolved};
+use crate::collective::{self, available_slots, fold_slots, strict_slots, Resolved, Slots};
 use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
-use crate::wire::Wire;
+use crate::wire::{decode_as, Wire};
 
 use super::engine::{ChargeSpec, Cohort, EventSim, OpStart, RankResults, SendFate};
-
-/// Absolute-rank-indexed payload slots (mirror of the thread
-/// backend's `Slots`): `None` marks a dead rank or a contribution
-/// lost to one.
-pub(super) type Slots = Vec<Option<Vec<u8>>>;
 
 /// Per-abs-rank data-phase outcome for the cohort: the payload plus
 /// the rank's `moved` byte count for its `comm` trace event.
@@ -38,15 +33,6 @@ type PhaseResults<T> = Vec<Option<Result<(T, u64), RuntimeError>>>;
 /// (`RuntimeError` isn't).
 fn blanks<T>(n: usize) -> Vec<Option<T>> {
     (0..n).map(|_| None).collect()
-}
-
-/// Mirror of the thread backend's `decode_as`: retags decode errors
-/// with the operation name.
-pub(super) fn decode_as<T: Wire>(op: &'static str, bytes: &[u8]) -> Result<T, RuntimeError> {
-    T::decode(bytes).map_err(|e| match e {
-        RuntimeError::Decode { detail, .. } => RuntimeError::Decode { what: op, detail },
-        other => other,
-    })
 }
 
 /// Converts a pure [`collective`] schedule into a deposit-ready
@@ -201,38 +187,6 @@ impl EventSim {
             self.complete_generation();
         }
         gen
-    }
-
-    /// Round count of a rootless schedule over the (post-completion)
-    /// agreed live ranks — mirror of the thread backend's
-    /// `rootless_rounds`.
-    fn rootless_rounds(&self, resolved: Resolved) -> u64 {
-        let p = self.agreed_live().len();
-        if p <= 1 {
-            return 0;
-        }
-        match resolved {
-            Resolved::Hub => 2,
-            Resolved::Ring => (p - 1) as u64,
-            Resolved::Tree => {
-                let q2 = collective::prev_pow2(p);
-                u64::from(collective::ceil_log2(q2)) + if p > q2 { 2 } else { 0 }
-            }
-        }
-    }
-
-    /// Round count of a rooted schedule over the (post-completion)
-    /// agreed live ranks — mirror of the thread backend's
-    /// `rooted_rounds`.
-    fn rooted_rounds(&self, resolved: Resolved) -> u64 {
-        let p = self.agreed_live().len();
-        if p <= 1 {
-            return 0;
-        }
-        match resolved {
-            Resolved::Hub => 1,
-            Resolved::Ring | Resolved::Tree => u64::from(collective::ceil_log2(p)),
-        }
     }
 
     /// Finishes a collective: epilogues dispatch in final `(clock,
@@ -995,7 +949,7 @@ impl EventSim {
         let resolved = resolved.expect("non-empty cohort");
         let phase = self.allgather_phase(op, resolved, &own, &in_cohort);
         let gen = self.close_cohort(&members);
-        let rounds = self.rootless_rounds(resolved);
+        let rounds = collective::rootless_rounds(resolved, self.agreed_live().len());
         Some((members, resolved, phase, gen, rounds))
     }
 
@@ -1121,7 +1075,7 @@ impl EventSim {
             }
         };
         let gen = self.close_cohort(&members);
-        let rounds = self.rootless_rounds(resolved);
+        let rounds = collective::rootless_rounds(resolved, self.agreed_live().len());
         self.collective_epilogue(OP, -1, resolved.name(), rounds, gen, &members, phase, &mut out);
         out
     }
@@ -1258,7 +1212,7 @@ impl EventSim {
             Resolved::Ring | Resolved::Tree => self.gather_tree_phase(OP, root, &own, &in_cohort),
         };
         let gen = self.close_cohort(&members);
-        let rounds = self.rooted_rounds(resolved);
+        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
         let mut decoded: PhaseResults<Option<Arc<Vec<Option<T>>>>> = blanks(self.size);
         for r in 0..self.size {
             let Some(entry) = raw[r].take() else { continue };
@@ -1520,7 +1474,7 @@ impl EventSim {
             Resolved::Ring | Resolved::Tree => self.bcast_tree_phase(OP, root, &bytes, &in_cohort),
         };
         let gen = self.close_cohort(&members);
-        let rounds = self.rooted_rounds(resolved);
+        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
         self.collective_epilogue(
             OP,
             root as i64,
@@ -1739,7 +1693,7 @@ impl EventSim {
             }
         };
         let gen = self.close_cohort(&members);
-        let rounds = self.rooted_rounds(resolved);
+        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
         self.collective_epilogue(
             OP,
             root as i64,
@@ -1964,50 +1918,4 @@ enum TreeMail {
     /// The parent is alive but its program ended in an error: the
     /// waiter hits the deadline and fail-stops.
     Starve,
-}
-
-/// Strict decode of one slot vector in ascending rank order: the
-/// first hole is a [`RuntimeError::RankDead`], the first undecodable
-/// payload a [`RuntimeError::Decode`] — whichever comes first (thread
-/// backend `allgatherv` mirror).
-fn strict_slots<T: Wire>(op: &'static str, slots: &Slots) -> Result<Vec<T>, RuntimeError> {
-    let mut values = Vec::with_capacity(slots.len());
-    for (rank, slot) in slots.iter().enumerate() {
-        match slot {
-            Some(bytes) => values.push(decode_as::<T>(op, bytes)?),
-            None => return Err(RuntimeError::RankDead { op, rank }),
-        }
-    }
-    Ok(values)
-}
-
-/// Hole-tolerant decode of one slot vector (thread backend
-/// `allgatherv_available` mirror).
-fn available_slots<T: Wire>(
-    op: &'static str,
-    slots: &Slots,
-) -> Result<Vec<Option<T>>, RuntimeError> {
-    let mut values = Vec::with_capacity(slots.len());
-    for slot in slots {
-        values.push(match slot {
-            Some(bytes) => Some(decode_as::<T>(op, bytes)?),
-            None => None,
-        });
-    }
-    Ok(values)
-}
-
-/// Folds gathered raw contributions left-associated, in ascending
-/// rank order, skipping `None` slots — the pinned reduction order of
-/// the thread backend's `fold_slots`.
-fn fold_slots(op: &'static str, slots: &Slots, rop: ReduceOp) -> Result<f64, RuntimeError> {
-    let mut acc: Option<f64> = None;
-    for slot in slots.iter().flatten() {
-        let x = decode_as::<f64>(op, slot)?;
-        acc = Some(match acc {
-            None => x,
-            Some(a) => rop.fold(a, x),
-        });
-    }
-    acc.ok_or(RuntimeError::NoContributions { op })
 }

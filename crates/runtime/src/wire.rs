@@ -112,6 +112,15 @@ pub trait Wire: Sized {
     }
 }
 
+/// Decodes a received payload as `T`, retagging a decode error with
+/// the operation it surfaced in.
+pub(crate) fn decode_as<T: Wire>(op: &'static str, bytes: &[u8]) -> Result<T, RuntimeError> {
+    T::decode(bytes).map_err(|e| match e {
+        RuntimeError::Decode { detail, .. } => RuntimeError::Decode { what: op, detail },
+        other => other,
+    })
+}
+
 fn truncated(what: &'static str) -> RuntimeError {
     RuntimeError::Decode {
         what,

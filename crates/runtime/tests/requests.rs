@@ -5,6 +5,10 @@
 //! bit-identical to the blocking path; compute between post and
 //! `wait` hides communication).
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use fupermod_core::trace::{MemorySink, TraceEvent};
 use fupermod_platform::comm::LinkModel;
 use fupermod_runtime::{
     run_ranks, wait_all, AlgorithmPolicy, Communicator, DeathRule, FaultPlan, Progress, Request,
@@ -234,49 +238,203 @@ fn fault_plan_death_surfaces_at_wait() {
     }
 }
 
-/// Fault-free request-based collectives with no compute between post
-/// and `wait` leave the virtual clocks **bit-identical** to the
-/// blocking path — the contract that makes the request API a safe
-/// drop-in.
+/// One run of the two-round collective program, in its blocking or its
+/// request form, on the thread-backed sim.
+struct FormRun {
+    /// Per rank, per operation: the value bits or the error text.
+    results: Vec<Vec<Result<Vec<u64>, String>>>,
+    /// Per-rank virtual clocks.
+    clocks: Vec<f64>,
+    /// Per-rank `comm`/`fault` trace events.
+    streams: BTreeMap<usize, Vec<TraceEvent>>,
+}
+
+impl FormRun {
+    /// The per-rank trace lines, op tags normalised; `durations: false`
+    /// blanks the `seconds` of `comm` events.
+    fn lines(&self, durations: bool) -> BTreeMap<usize, Vec<String>> {
+        let line = |event: &TraceEvent| {
+            let mut event = event.clone();
+            if let (TraceEvent::Comm { seconds, .. }, false) = (&mut event, durations) {
+                *seconds = 0.0;
+            }
+            untag(&event.to_jsonl())
+        };
+        self.streams
+            .iter()
+            .map(|(&rank, events)| (rank, events.iter().map(line).collect()))
+            .collect()
+    }
+}
+
+/// The request forms name themselves in op tags (`ibcast`,
+/// `iallgatherv`); everything else about them is the blocking op's.
+fn untag(text: &str) -> String {
+    text.replace("ibcast", "bcast")
+        .replace("iallgatherv", "allgatherv")
+}
+
+/// barrier, then twice: broadcast from `root`, strict all-gather. A
+/// rank keeps going after an error, as its peers still need it at the
+/// closing barriers; one that died just collects its own `RankDead`s.
+fn run_form(
+    requests: bool,
+    size: usize,
+    root: usize,
+    policy: AlgorithmPolicy,
+    plan: &FaultPlan,
+) -> FormRun {
+    let sink = Arc::new(MemorySink::new());
+    let (comms, handle) = RuntimeConfig::sim(size, LinkModel::ethernet())
+        .with_algorithms(policy)
+        .with_plan(plan.clone())
+        .with_trace(sink.clone())
+        .build_with_handle(size);
+    let results = run_ranks(comms, |mut c| {
+        let rank = c.rank();
+        let text = |e: RuntimeError| untag(&e.to_string());
+        let mut seen = vec![c.barrier().map(|()| Vec::new()).map_err(text)];
+        for round in 0..2u64 {
+            let payload = (rank == root).then(|| vec![round * 10 + 7; 24 + rank]);
+            let own = vec![rank as u64 * 3 + round; 1 + rank % 3];
+            let (value, all) = if requests {
+                (
+                    c.ibcast(root, payload.as_ref()).and_then(Request::wait),
+                    c.iallgatherv(&own).and_then(Request::wait),
+                )
+            } else {
+                (c.bcast(root, payload.as_ref()), c.allgatherv(&own))
+            };
+            seen.push(value.map_err(text));
+            seen.push(all.map(|v| v.concat()).map_err(text));
+        }
+        seen
+    });
+    let mut streams: BTreeMap<usize, Vec<TraceEvent>> = BTreeMap::new();
+    for event in sink.take() {
+        if let TraceEvent::Comm { rank, .. } | TraceEvent::Fault { rank, .. } = &event {
+            streams.entry(*rank).or_default().push(event);
+        }
+    }
+    FormRun {
+        results,
+        clocks: handle.virtual_times().expect("sim backend keeps clocks"),
+        streams,
+    }
+}
+
+/// How much of a run the thread-backed sim pins under a plan.
+#[derive(Clone, Copy)]
+enum Pinned {
+    /// Results, per-rank clocks to the bit, per-rank trace streams.
+    Everything,
+    /// Injected latency lands after a request's post-time clock
+    /// snapshot, so the request form hides it like compute (`max`)
+    /// where the blocking form adds it — the one designed difference.
+    /// Streams agree up to `comm` durations; request clocks may only
+    /// be earlier.
+    ButDurations,
+    /// Wildcard rules tick one counter from every rank's sends, in
+    /// thread-schedule order: only the results are deterministic.
+    ResultsOnly,
+}
+
+/// A blocking collective *is* its request, posted and completed in one
+/// call: at `p ∈ {1, 2, 3, 5, 8}`, non-zero roots and all four
+/// policies, `ibcast(..).wait()` / `iallgatherv(..).wait()` give every
+/// rank the results (or typed errors) of `bcast` / `allgatherv` on
+/// every plan — and, wherever the thread-backed sim is deterministic,
+/// the same per-rank virtual clocks to the bit and the same per-rank
+/// trace streams up to the op tag.
 #[test]
 fn fault_free_requests_are_bit_identical_to_blocking() {
-    for policy in all_policies() {
-        let blocking = {
-            let (comms, handle) = RuntimeConfig::sim(4, LinkModel::ethernet())
-                .with_algorithms(policy)
-                .build_with_handle(4);
-            let out = run_ranks(comms, |mut c| -> Result<(), RuntimeError> {
-                let payload = vec![7u64; 32];
-                let v = c.bcast(1, (c.rank() == 1).then_some(&payload))?;
-                assert_eq!(v.len(), 32);
-                let all = c.allgatherv(&(c.rank() as u64))?;
-                assert_eq!(all, vec![0, 1, 2, 3]);
-                Ok(())
-            });
-            out.into_iter().for_each(|r| r.unwrap());
-            handle.virtual_time().unwrap()
-        };
-        let requests = {
-            let (comms, handle) = RuntimeConfig::sim(4, LinkModel::ethernet())
-                .with_algorithms(policy)
-                .build_with_handle(4);
-            let out = run_ranks(comms, |c| -> Result<(), RuntimeError> {
-                let v = c
-                    .ibcast::<Vec<u64>>(1, (c.rank() == 1).then(|| vec![7u64; 32]).as_ref())?
-                    .wait()?;
-                assert_eq!(v.len(), 32);
-                let all = c.iallgatherv(&(c.rank() as u64))?.wait()?;
-                assert_eq!(all, vec![0, 1, 2, 3]);
-                Ok(())
-            });
-            out.into_iter().for_each(|r| r.unwrap());
-            handle.virtual_time().unwrap()
-        };
-        assert_eq!(
-            blocking.to_bits(),
-            requests.to_bits(),
-            "policy {policy:?}: blocking {blocking} vs requests {requests}"
-        );
+    let parse = |json: String| FaultPlan::from_json(&json).expect("valid plan");
+    for size in [1usize, 2, 3, 5, 8] {
+        let root = size / 2;
+        let (src, dst) = (root, (root + 1) % size);
+        let mut plans = vec![
+            (
+                "fault-free".to_owned(),
+                FaultPlan::none(),
+                Pinned::Everything,
+            ),
+            (
+                "drop, one pair".to_owned(),
+                parse(format!(
+                    r#"{{"drops": [{{"src": {src}, "dst": {dst}, "every": 2,
+                        "max_retries": 3, "backoff_seconds": 0.001}}]}}"#
+                )),
+                Pinned::ButDurations,
+            ),
+            (
+                "delay, one pair".to_owned(),
+                parse(format!(
+                    r#"{{"delays": [{{"src": {src}, "dst": {dst}, "every": 2,
+                        "seconds": 0.002}}]}}"#
+                )),
+                Pinned::ButDurations,
+            ),
+            (
+                "drop, any pair".to_owned(),
+                parse(r#"{"drops": [{"every": 3, "max_retries": 4}]}"#.to_owned()),
+                Pinned::ResultsOnly,
+            ),
+            (
+                "delay, any pair".to_owned(),
+                parse(r#"{"delays": [{"every": 3, "seconds": 0.0005}]}"#.to_owned()),
+                Pinned::ResultsOnly,
+            ),
+        ];
+        // The victim fail-stops entering its 1st op (the barrier: the
+        // death is settled before any collective), its 2nd (inside the
+        // first broadcast) or its 3rd (inside the first all-gather).
+        for (what, after_ops) in [("settled", 0u64), ("mid-bcast", 1), ("mid-allgatherv", 2)] {
+            for victim in [size - 1, root] {
+                let deaths = vec![DeathRule {
+                    rank: victim,
+                    after_ops,
+                }];
+                plans.push((
+                    format!("{what} death of rank {victim}"),
+                    FaultPlan {
+                        deaths,
+                        ..FaultPlan::default()
+                    },
+                    Pinned::Everything,
+                ));
+            }
+        }
+        for (name, policy) in [
+            ("hub", AlgorithmPolicy::hub()),
+            ("ring", AlgorithmPolicy::ring()),
+            ("tree", AlgorithmPolicy::tree()),
+            ("auto", AlgorithmPolicy::auto()),
+        ] {
+            for (label, plan, pinned) in &plans {
+                let at = format!("p={size} root={root} {name}, {label}");
+                let blocking = run_form(false, size, root, policy, plan);
+                let requests = run_form(true, size, root, policy, plan);
+                assert_eq!(blocking.results, requests.results, "{at}: results");
+                let durations = match pinned {
+                    Pinned::Everything => true,
+                    Pinned::ButDurations => false,
+                    Pinned::ResultsOnly => continue,
+                };
+                assert_eq!(
+                    blocking.lines(durations),
+                    requests.lines(durations),
+                    "{at}: streams"
+                );
+                for (rank, (b, r)) in blocking.clocks.iter().zip(&requests.clocks).enumerate() {
+                    let agree = if durations {
+                        r.to_bits() == b.to_bits()
+                    } else {
+                        r <= b
+                    };
+                    assert!(agree, "{at}: rank {rank} clock: requests {r}, blocking {b}");
+                }
+            }
+        }
     }
 }
 
@@ -319,5 +477,77 @@ fn advance_compute_overlaps_collective_cost() {
             pipelined >= 4.0 * 0.5,
             "policy {policy:?}: pipelined {pipelined} below pure compute"
         );
+    }
+}
+
+/// Soak for `park`'s poll→sleep hand-off (`docs/PERFORMANCE.md`): a
+/// wake-up landing between a failed poll and the sleep used to cost
+/// the waiter a full 50 ms tick. Two threaded ranks run 50 000
+/// broadcasts and 50 000 all-gathers per schedule, as requests and as
+/// blocking calls, counting operations that took a tick or longer.
+/// What is left is the host descheduling a thread, which comes in
+/// bursts, where a lost wake-up strikes at any time (before the fix
+/// the request forms slept in 8 to 10 of the ten 5 000-round
+/// stretches, 26 to 168 times in all) — so the bound is on stretches
+/// hit, not on the count. Run
+/// with `cargo test --release -p fupermod-runtime --test requests --
+/// --ignored --nocapture`.
+#[test]
+#[ignore = "soak: 600 000 collectives on two threads, about half a minute in release"]
+fn waits_do_not_stall_on_the_poll_tick() {
+    const OPS: u64 = 50_000;
+    const STRETCH: u64 = OPS / 10;
+    let tick = std::time::Duration::from_millis(45);
+    for (name, policy) in [
+        ("hub", AlgorithmPolicy::hub()),
+        ("ring", AlgorithmPolicy::ring()),
+        ("tree", AlgorithmPolicy::tree()),
+    ] {
+        for requests in [true, false] {
+            let comms = RuntimeConfig::thread().with_algorithms(policy).build(2);
+            // Per rank: slow broadcasts, slow all-gathers, stretches hit.
+            let stalls = run_ranks(comms, |mut c| -> Result<(u32, u32, u16), RuntimeError> {
+                let (mut bcasts, mut allgathers, mut stretches) = (0, 0, 0u16);
+                for i in 0..OPS {
+                    let root = (i % 2) as usize;
+                    let value = (c.rank() == root).then_some(&i);
+                    let began = std::time::Instant::now();
+                    let got = if requests {
+                        c.ibcast(root, value)?.wait()?
+                    } else {
+                        c.bcast(root, value)?
+                    };
+                    let bcast_slow = began.elapsed() >= tick;
+                    assert_eq!(got, i);
+                    let began = std::time::Instant::now();
+                    let all = if requests {
+                        c.iallgatherv(&i)?.wait()?
+                    } else {
+                        c.allgatherv(&i)?
+                    };
+                    let allgather_slow = began.elapsed() >= tick;
+                    assert_eq!(all, [i, i]);
+                    bcasts += u32::from(bcast_slow);
+                    allgathers += u32::from(allgather_slow);
+                    stretches |= u16::from(bcast_slow || allgather_slow) << (i / STRETCH);
+                }
+                Ok((bcasts, allgathers, stretches))
+            });
+            let (bcasts, allgathers, stretches) = stalls
+                .into_iter()
+                .map(|r| r.expect("fault-free soak"))
+                .fold((0, 0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1, sum.2 | s.2));
+            let form = if requests { "requests" } else { "blocking" };
+            println!(
+                "{name:>4} {form}: {bcasts} bcast + {allgathers} allgatherv of 2 x {OPS} took \
+                 >= 45 ms, in {} of 10 stretches",
+                stretches.count_ones()
+            );
+            assert!(
+                stretches.count_ones() <= 3,
+                "{name} {form}: operations slept a tick in {} of 10 stretches",
+                stretches.count_ones()
+            );
+        }
     }
 }

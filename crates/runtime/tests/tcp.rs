@@ -23,7 +23,8 @@ use std::time::Duration;
 
 use fupermod_runtime::net::{connect, connect_with_listener, TcpComm, TcpConfig};
 use fupermod_runtime::{
-    run_ranks, AlgorithmPolicy, Communicator, FaultPlan, ReduceOp, RuntimeConfig, RuntimeError,
+    run_ranks, AlgorithmPolicy, Communicator, FaultPlan, Progress, ReduceOp, Request,
+    RuntimeConfig, RuntimeError, ThreadedComm,
 };
 
 /// Runs `world` TCP ranks as threads of this process, each with its
@@ -202,6 +203,54 @@ fn tcp_collectives_bitwise_match_threaded_under_every_policy() {
         .map(|r| r.expect("fault-free tcp sweep failed"))
         .collect();
         assert_eq!(got, baseline, "tcp policy {name} diverges from threaded");
+    }
+}
+
+/// The request API over sockets. Every TCP `bcast`/`allgatherv` is its
+/// request completed in place; here the requests are driven the way
+/// only a caller can: `wait` after the post, and `test` polled to
+/// completion.
+#[test]
+fn tcp_requests_bitwise_match_threaded_under_every_policy() {
+    fn program(c: &ThreadedComm) -> Result<(Vec<u64>, Vec<Vec<u64>>), RuntimeError> {
+        let (rank, root) = (c.rank(), 1);
+        let own = payload(99, rank, 6);
+        let value = c.ibcast(root, (rank == root).then_some(&own))?.wait()?;
+        let mut pending = c.iallgatherv(&own)?;
+        let all = loop {
+            match pending.test()? {
+                Progress::Ready(all) => break all,
+                Progress::Pending(again) => {
+                    pending = again;
+                    std::thread::yield_now();
+                }
+            }
+        };
+        Ok((bits(&value), all.iter().map(|v| bits(v)).collect()))
+    }
+    for (name, policy) in [
+        ("hub", AlgorithmPolicy::hub()),
+        ("ring", AlgorithmPolicy::ring()),
+        ("tree", AlgorithmPolicy::tree()),
+    ] {
+        let comms = RuntimeConfig::thread().with_algorithms(policy).build(2);
+        let threaded: Vec<_> = run_ranks(comms, |c| program(&c))
+            .into_iter()
+            .map(|r| r.expect("threaded requests failed"))
+            .collect();
+        let tcp: Vec<_> = run_tcp(2, policy, &FaultPlan::none(), |c| program(c))
+            .into_iter()
+            .map(|r| r.expect("tcp requests failed"))
+            .collect();
+        assert_eq!(
+            tcp, threaded,
+            "tcp requests under {name} diverge from threaded"
+        );
+        assert_eq!(
+            tcp[0].0,
+            bits(&payload(99, 1, 6)),
+            "{name}: root's value lost"
+        );
     }
 }
 

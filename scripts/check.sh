@@ -123,12 +123,16 @@ run ./target/release/fupermod_tracetool validate \
 # == sim (fingerprint and virtual time) on the optimised bulk path, its
 # two partitioning workloads check the measure -> model -> partition
 # path against goldens (sizes fingerprint, the 8 balancing steps and
-# the bits of the simulated time), and its two serving workloads drive
+# the bits of the simulated time), its two serving workloads drive
 # the daemon's request parser and check every response against the
-# offline solve, all in release codegen. One second each; the last
-# stdout line must report a correct run with no failed operation
-# (benchmark/README.md).
-for workload in tcp_bulk tcp_rounds offline_fpm sim_balance serve_read serve_ingest; do
+# offline solve, app_thread pins the partitioned matmul (blocking and
+# overlapped) and Jacobi on two threaded ranks — the guard for any
+# change to the runtime's collectives — and sim_collectives the event
+# engine's virtual time at p = 100 000, all in release codegen. One
+# second each; the last stdout line must report a correct run with no
+# failed operation (benchmark/README.md).
+for workload in tcp_bulk tcp_rounds offline_fpm sim_balance serve_read serve_ingest \
+    app_thread sim_collectives; do
     echo "==> harness gate: $workload"
     timeout 300 cargo run --release --quiet --offline \
         --manifest-path benchmark/Cargo.toml -- \
@@ -268,6 +272,17 @@ fi
     || { echo "a JSON parser outside crates/core/src/json.rs" >&2; exit 1; }
 ! grep -rnE 'CsvSink|from_csv_row|trace-format|set_histograms_enabled' crates src --include='*.rs' \
     | grep -v '^src/cli.rs:' || { echo "a retired trace/metrics path reappeared" >&2; exit 1; }
+# Likewise in the runtime: on the mailbox plane the bcast and
+# all-gather schedules are the request state machines and nothing else
+# (no blocking twin in comm.rs), fault rules are walked by `FaultPlan`
+# for both interpreters, and a share is measured by one function.
+! grep -nE 'fn allgather_hub|fn allgather_ring|fn allgather_butterfly|fn allgather_slots|fn bcast_data' \
+    crates/runtime/src/comm.rs \
+    || { echo "a blocking twin of a split collective reappeared in comm.rs" >&2; exit 1; }
+[ "$(grep -rlF 'is_multiple_of(rule.every)' crates/runtime/src)" = "crates/runtime/src/fault.rs" ] \
+    || { echo "a fault-rule walk outside crates/runtime/src/fault.rs" >&2; exit 1; }
+[ "$(grep -rhE 'fn measure_share' crates/runtime/src | wc -l)" -eq 1 ] \
+    || { echo "measure_share is defined more than once" >&2; exit 1; }
 # The runtime crate must also be clippy-clean on its own — including
 # the discrete-event simulator (`src/sim/`), whose hot dispatch loop
 # is exactly where sloppy clones and needless collects would hide.
