@@ -6,13 +6,17 @@
 //! devices fingerprint identically share one model, so a model built
 //! on one machine warms the cache for the other.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Cache key of one device model.
 ///
 /// All three components are free-form strings owned by the profiling
-/// layer; the store only hashes and compares them. The conventional
-/// contents are:
+/// layer; the store only hashes and compares them. They are shared
+/// (`Arc<str>`), so cloning a key — into a plan key, or for every
+/// member of a `partition` request naming one `kernel`/`config` —
+/// copies no string bytes. The conventional contents are:
 ///
 /// * `fingerprint` — a stable digest of the device profile (vendor,
 ///   model, memory hierarchy, clock). [`fingerprint_of`] derives one
@@ -23,19 +27,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StoreKey {
     /// Device-profile fingerprint.
-    pub fingerprint: String,
+    pub fingerprint: Arc<str>,
     /// Kernel identifier.
-    pub kernel: String,
+    pub kernel: Arc<str>,
     /// Build configuration.
-    pub config: String,
+    pub config: Arc<str>,
 }
 
 impl StoreKey {
     /// Creates a key from its three components.
     pub fn new(
-        fingerprint: impl Into<String>,
-        kernel: impl Into<String>,
-        config: impl Into<String>,
+        fingerprint: impl Into<Arc<str>>,
+        kernel: impl Into<Arc<str>>,
+        config: impl Into<Arc<str>>,
     ) -> Self {
         Self {
             fingerprint: fingerprint.into(),

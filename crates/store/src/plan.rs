@@ -9,6 +9,7 @@
 //! eviction that also enforces the configurable byte budget.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use fupermod_core::partition::Distribution;
 
@@ -37,9 +38,39 @@ impl PlanKey {
     }
 }
 
+/// A memoized partition and, once it has been answered over the
+/// wire, the rendered tail of that answer — identical on every hit,
+/// so it is produced once and copied from then on.
+#[derive(Debug)]
+pub struct Plan {
+    dist: Distribution,
+    wire: OnceLock<String>,
+}
+
+impl Plan {
+    /// A plan that has not been rendered yet.
+    pub fn new(dist: Distribution) -> Self {
+        Self {
+            dist,
+            wire: OnceLock::new(),
+        }
+    }
+
+    /// The memoized distribution.
+    pub fn dist(&self) -> &Distribution {
+        &self.dist
+    }
+
+    /// The plan's wire form: `render`ed by the first caller, kept for
+    /// every later one.
+    pub fn wire(&self, render: impl FnOnce(&Distribution) -> String) -> &str {
+        self.wire.get_or_init(|| render(&self.dist))
+    }
+}
+
 #[derive(Debug)]
 struct CachedPlan {
-    dist: Distribution,
+    plan: Arc<Plan>,
     bytes: usize,
     last_used: u64,
 }
@@ -50,16 +81,19 @@ pub struct PlanCache {
     budget: usize,
     bytes: usize,
     tick: u64,
-    map: HashMap<PlanKey, CachedPlan>,
-    /// Recency index: `last_used` tick → key. Ticks are unique (one
-    /// per get/insert), so this is a faithful LRU order.
-    lru: BTreeMap<u64, PlanKey>,
+    map: HashMap<Arc<PlanKey>, CachedPlan>,
+    /// Recency index: `last_used` tick → the map's own key (shared,
+    /// not copied). Ticks are unique (one per get/insert), so this is
+    /// a faithful LRU order.
+    lru: BTreeMap<u64, Arc<PlanKey>>,
 }
 
 /// Approximate cached size of one plan: key strings + per-member
 /// epoch + one `(d, t)` pair per rank + fixed bookkeeping. The exact
 /// constants matter only for the budget arithmetic being stable and
-/// testable, not for matching the allocator byte-for-byte.
+/// testable, not for matching the allocator byte-for-byte: a plan's
+/// rendered wire form (a bounded multiple of the 16 B per rank charged
+/// here, ≈ 1.7× in practice — `docs/SERVE.md` §5) is not counted.
 pub fn plan_cost(key: &PlanKey, dist: &Distribution) -> usize {
     key.approx_bytes() + dist.parts().len() * 16 + 64
 }
@@ -96,23 +130,23 @@ impl PlanCache {
         self.budget
     }
 
-    /// Looks up a plan, refreshing its recency on hit.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Distribution> {
+    /// Looks up a plan, refreshing its recency on hit: one hash, one
+    /// key comparison and one move of the index entry to a new tick.
+    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
         self.tick += 1;
-        let tick = self.tick;
-        let plan = self.map.get_mut(key)?;
-        self.lru.remove(&plan.last_used);
-        plan.last_used = tick;
-        self.lru.insert(tick, key.clone());
-        Some(plan.dist.clone())
+        let cached = self.map.get_mut(key)?;
+        let shared = self.lru.remove(&cached.last_used).expect("index is consistent");
+        cached.last_used = self.tick;
+        self.lru.insert(self.tick, shared);
+        Some(Arc::clone(&cached.plan))
     }
 
     /// Inserts (or replaces) a plan, then evicts least-recently-used
     /// plans until the budget holds again. Returns how many plans
     /// were evicted. A plan larger than the whole budget is not
     /// cached at all (and evicts nothing).
-    pub fn insert(&mut self, key: PlanKey, dist: Distribution) -> u64 {
-        let bytes = plan_cost(&key, &dist);
+    pub fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) -> u64 {
+        let bytes = plan_cost(&key, plan.dist());
         if bytes > self.budget {
             return 0;
         }
@@ -123,21 +157,21 @@ impl PlanCache {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
-        self.lru.insert(tick, key.clone());
+        let key = Arc::new(key);
+        self.lru.insert(tick, Arc::clone(&key));
         self.map.insert(
             key,
             CachedPlan {
-                dist,
+                plan,
                 bytes,
                 last_used: tick,
             },
         );
         let mut evicted = 0;
         while self.bytes > self.budget {
-            let (&oldest, _) = self.lru.iter().next().expect("bytes > 0 implies entries");
-            let victim = self.lru.remove(&oldest).expect("just observed");
-            let plan = self.map.remove(&victim).expect("index is consistent");
-            self.bytes -= plan.bytes;
+            let (_, victim) = self.lru.pop_first().expect("bytes > 0 implies entries");
+            let cached = self.map.remove(&victim).expect("index is consistent");
+            self.bytes -= cached.bytes;
             evicted += 1;
         }
         evicted
@@ -156,8 +190,8 @@ mod tests {
         }
     }
 
-    fn dist(p: usize) -> Distribution {
-        Distribution::even(1000, p)
+    fn dist(p: usize) -> Arc<Plan> {
+        Arc::new(Plan::new(Distribution::even(1000, p)))
     }
 
     #[test]
@@ -171,7 +205,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_and_respects_budget() {
-        let one = plan_cost(&key("a", 1, 1000), &dist(4));
+        let one = plan_cost(&key("a", 1, 1000), dist(4).dist());
         // Room for exactly two plans.
         let mut c = PlanCache::new(2 * one);
         assert_eq!(c.insert(key("a", 1, 1000), dist(4)), 0);

@@ -5,9 +5,12 @@
 //! JSON parser ([`fupermod_core::json`]: escapes decoded, unescaped
 //! control characters and lone surrogates rejected, nesting capped at
 //! 64); this module keeps only the typed field access. Floats are
-//! emitted with [`fupermod_core::trace::fmt_float`], the repo-wide
-//! shortest round-trip encoding, so a value survives
-//! serve → parse → re-serve bit-exactly.
+//! emitted in [`fupermod_core::trace::fmt_float`]'s encoding, the
+//! repo-wide shortest round-trip one, so a value survives
+//! serve → parse → re-serve bit-exactly. Every response is written
+//! into one buffer, number by number; the deterministic tail of a
+//! `partition` response is rendered once per plan and kept with it
+//! ([`crate::plan::Plan::wire`]), so a cache hit copies it.
 //!
 //! | op | request fields | response |
 //! |---|---|---|
@@ -22,11 +25,14 @@
 //! carries `"ok": true|false`; failures carry `"error"` instead of
 //! result fields.
 
+use std::fmt::{self, Display, Write};
+use std::sync::Arc;
+
 use fupermod_core::json::{quote, Json};
 use fupermod_core::model::Refresh;
 use fupermod_core::partition::{
-    ConstantPartitioner, EvenPartitioner, GeometricPartitioner, NumericalPartitioner,
-    Partitioner,
+    ConstantPartitioner, Distribution, EvenPartitioner, GeometricPartitioner,
+    NumericalPartitioner, Partitioner,
 };
 use fupermod_core::telemetry::SampleValue;
 use fupermod_core::trace::fmt_float;
@@ -120,7 +126,7 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
             point: Point {
                 d: take_u64(fields, "d")?,
                 t: take_f64(fields, "t")?,
-                reps: take_u64(fields, "reps")? as u32,
+                reps: take_u32(fields, "reps")?,
                 ci: take_f64(fields, "ci")?,
             },
         }),
@@ -133,12 +139,13 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
             let Json::Arr(fingerprints) = take(fields, "fingerprints")? else {
                 return Err(mistyped());
             };
-            let kernel = take_str(fields, "kernel")?;
-            let config = take_str(fields, "config")?;
+            // One shared `kernel` and `config` for every member.
+            let kernel: Arc<str> = take_str(fields, "kernel")?.into();
+            let config: Arc<str> = take_str(fields, "config")?.into();
             let keys = fingerprints
                 .into_iter()
                 .map(|fp| match fp {
-                    Json::Str(fp) => Ok(StoreKey::new(fp, kernel.clone(), config.clone())),
+                    Json::Str(fp) => Ok(StoreKey::new(fp, Arc::clone(&kernel), Arc::clone(&config))),
                     _ => Err(mistyped()),
                 })
                 .collect::<Result<_, _>>()?;
@@ -187,14 +194,32 @@ fn take_f64(fields: &mut Fields, key: &str) -> Result<f64, StoreError> {
     }
 }
 
+/// The reader hands numbers over as `f64`, which holds every integer
+/// below 2⁵³ exactly; from 2⁵³ on a written integer may have been
+/// rounded to a neighbour (2⁵³ + 1 reads as 2⁵³), so those are refused
+/// rather than silently moved.
+const INTEGER_LIMIT: f64 = (1u64 << 53) as f64;
+
 fn take_u64(fields: &mut Fields, key: &str) -> Result<u64, StoreError> {
     let v = take_f64(fields, key)?;
-    if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+    if v < 0.0 || v.fract() != 0.0 {
         return Err(StoreError::Protocol(format!(
             "field '{key}' must be a non-negative integer, got {v}"
         )));
     }
+    if v >= INTEGER_LIMIT {
+        return Err(StoreError::Protocol(format!(
+            "field '{key}' must be an integer below 2^53, got {v}"
+        )));
+    }
     Ok(v as u64)
+}
+
+fn take_u32(fields: &mut Fields, key: &str) -> Result<u32, StoreError> {
+    let v = take_u64(fields, key)?;
+    u32::try_from(v).map_err(|_| {
+        StoreError::Protocol(format!("field '{key}' must be an integer below 2^32, got {v}"))
+    })
 }
 
 fn key_of(fields: &mut Fields) -> Result<StoreKey, StoreError> {
@@ -241,55 +266,98 @@ pub(crate) fn error_line(e: &StoreError) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", quote(&e.to_string()))
 }
 
-fn num_array(values: impl Iterator<Item = String>) -> String {
-    let mut s = String::from("[");
+/// A float in [`fmt_float`]'s encoding, written without a temporary.
+struct Float(f64);
+
+impl Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str(&fmt_float(self.0))
+        }
+    }
+}
+
+fn push_array(out: &mut String, values: impl Iterator<Item = impl Display>) {
+    out.push('[');
     for (i, v) in values.enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        s.push_str(&v);
+        let _ = write!(out, "{v}");
     }
-    s.push(']');
-    s
+    out.push(']');
+}
+
+/// The part of a `partition` response that depends on the plan alone:
+/// everything after the `cached` field.
+fn plan_tail(dist: &Distribution) -> String {
+    let parts = dist.parts();
+    let mut out = String::with_capacity(64 + 32 * parts.len());
+    out.push_str("\"ds\":");
+    push_array(&mut out, parts.iter().map(|p| p.d));
+    out.push_str(",\"ts\":");
+    push_array(&mut out, parts.iter().map(|p| Float(p.t)));
+    let _ = write!(
+        out,
+        ",\"makespan\":{},\"imbalance\":{}}}",
+        Float(dist.predicted_makespan()),
+        Float(dist.predicted_imbalance()),
+    );
+    out
 }
 
 /// Executes one request against `store` and renders the response
 /// line (without the trailing newline). Infallible: failures render
 /// as `{"ok":false,"error":...}` lines.
 pub fn handle(store: &ModelStore, request: &Request) -> String {
-    match try_handle(store, request) {
-        Ok(line) => line,
-        Err(e) => error_line(&e),
+    let mut line = String::new();
+    handle_into(store, request, &mut line);
+    line
+}
+
+/// [`handle`], appending the response line to `out` (the server's
+/// reused write buffer).
+pub(crate) fn handle_into(store: &ModelStore, request: &Request, out: &mut String) {
+    let start = out.len();
+    if let Err(e) = try_handle(store, request, out) {
+        out.truncate(start);
+        out.push_str(&error_line(&e));
     }
 }
 
-fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreError> {
+fn try_handle(store: &ModelStore, request: &Request, out: &mut String) -> Result<(), StoreError> {
     match request {
         Request::Ingest { key, d, t } => {
             let (outcome, epoch) = store.ingest_sample(key, *d, *t)?;
-            Ok(format!(
+            let _ = write!(
+                out,
                 "{{\"ok\":true,\"refresh\":\"{}\",\"epoch\":{epoch}}}",
                 outcome_tag(outcome)
-            ))
+            );
         }
         Request::IngestPoint { key, point } => {
             let (refresh, epoch) = store.ingest_point(key, *point)?;
-            Ok(format!(
+            let _ = write!(
+                out,
                 "{{\"ok\":true,\"refresh\":\"{}\",\"epoch\":{epoch}}}",
                 refresh_tag(refresh)
-            ))
+            );
         }
         Request::Lookup { key } => {
             let (epoch, points) = store
                 .lookup(key)
                 .ok_or_else(|| StoreError::UnknownKey(key.to_string()))?;
-            Ok(format!(
-                "{{\"ok\":true,\"epoch\":{epoch},\"ds\":{},\"ts\":{},\"reps\":{},\"cis\":{}}}",
-                num_array(points.iter().map(|p| p.d.to_string())),
-                num_array(points.iter().map(|p| fmt_float(p.t))),
-                num_array(points.iter().map(|p| p.reps.to_string())),
-                num_array(points.iter().map(|p| fmt_float(p.ci))),
-            ))
+            let _ = write!(out, "{{\"ok\":true,\"epoch\":{epoch},\"ds\":");
+            push_array(out, points.iter().map(|p| p.d));
+            out.push_str(",\"ts\":");
+            push_array(out, points.iter().map(|p| Float(p.t)));
+            out.push_str(",\"reps\":");
+            push_array(out, points.iter().map(|p| p.reps));
+            out.push_str(",\"cis\":");
+            push_array(out, points.iter().map(|p| Float(p.ci)));
+            out.push('}');
         }
         Request::Partition {
             keys,
@@ -297,14 +365,9 @@ fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreErro
             algorithm,
         } => {
             let partitioner = pick_partitioner(algorithm)?;
-            let (dist, cached) = store.partition(keys, *total, partitioner.as_ref(), algorithm)?;
-            Ok(format!(
-                "{{\"ok\":true,\"cached\":{cached},\"ds\":{},\"ts\":{},\"makespan\":{},\"imbalance\":{}}}",
-                num_array(dist.parts().iter().map(|p| p.d.to_string())),
-                num_array(dist.parts().iter().map(|p| fmt_float(p.t))),
-                fmt_float(dist.predicted_makespan()),
-                fmt_float(dist.predicted_imbalance()),
-            ))
+            let (plan, cached) = store.plan(keys, *total, partitioner.as_ref(), algorithm)?;
+            let _ = write!(out, "{{\"ok\":true,\"cached\":{cached},");
+            out.push_str(plan.wire(plan_tail));
         }
         Request::Stats => {
             // One source of truth with the `/metrics` endpoint: both
@@ -326,7 +389,8 @@ fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreErro
                 }
             };
             let (plans, plan_bytes, plan_budget) = store.plan_cache_stats();
-            Ok(format!(
+            let _ = write!(
+                out,
                 "{{\"ok\":true,\"entries\":{},\"model_hits\":{},\"model_misses\":{},\"refresh_patched\":{},\"refresh_rebuilt\":{},\"refresh_fallbacks\":{},\"plan_hits\":{},\"plan_misses\":{},\"plan_evictions\":{},\"plans\":{plans},\"plan_bytes\":{plan_bytes},\"plan_budget\":{plan_budget},\"uptime_seconds\":{}}}",
                 gauge("store_entries") as u64,
                 counter("store_model_lookups_total", &[("result", "hit")]),
@@ -337,11 +401,12 @@ fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreErro
                 counter("store_plan_requests_total", &[("result", "hit")]),
                 counter("store_plan_requests_total", &[("result", "miss")]),
                 counter("store_plan_evictions_total", &[]),
-                fmt_float(gauge("uptime_seconds")),
-            ))
+                Float(gauge("uptime_seconds")),
+            );
         }
-        Request::Shutdown => Ok("{\"ok\":true,\"shutting_down\":true}".to_owned()),
+        Request::Shutdown => out.push_str("{\"ok\":true,\"shutting_down\":true}"),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -370,7 +435,7 @@ mod tests {
         match r {
             Request::Partition { keys, total, algorithm } => {
                 assert_eq!(keys.len(), 2);
-                assert_eq!(keys[0].fingerprint, "a");
+                assert_eq!(&*keys[0].fingerprint, "a");
                 assert_eq!(total, 1000);
                 assert_eq!(algorithm, "geometric");
             }
@@ -394,11 +459,60 @@ mod tests {
     }
 
     #[test]
+    fn integer_fields_are_range_checked_not_rounded_or_truncated() {
+        let total = |v: &str| {
+            parse_request(&format!(
+                r#"{{"op":"partition","fingerprints":["a"],"kernel":"k","config":"c","total":{v},"algorithm":"even"}}"#
+            ))
+        };
+        let reps = |v: &str| {
+            parse_request(&format!(
+                r#"{{"op":"ingest_point","fingerprint":"a","kernel":"k","config":"c","d":1,"t":1.0,"reps":{v},"ci":0}}"#
+            ))
+        };
+        for (text, want) in [
+            ("0", Some(0)),
+            ("9007199254740991", Some((1u64 << 53) - 1)),
+            // 2^53 + 1 reads as 2^53: neither can be told from the other.
+            ("9007199254740992", None),
+            ("9007199254740993", None),
+            ("18446744073709551615", None),
+            ("18446744073709551616", None), // 2^64 used to saturate to u64::MAX
+            ("1e300", None),
+            ("-1", None),
+            ("1.5", None),
+        ] {
+            match (total(text), want) {
+                (Ok(Request::Partition { total, .. }), Some(want)) => assert_eq!(total, want),
+                (Err(StoreError::Protocol(msg)), None) => {
+                    assert!(msg.contains("field 'total'"), "{text}: {msg}")
+                }
+                (other, _) => panic!("total {text}: {other:?}"),
+            }
+        }
+        for (text, want) in [
+            ("4294967295", Some(u32::MAX)),
+            ("4294967296", None),
+            ("4294967297", None), // used to truncate to 1
+            ("-3", None),
+            ("2.5", None),
+        ] {
+            match (reps(text), want) {
+                (Ok(Request::IngestPoint { point, .. }), Some(want)) => assert_eq!(point.reps, want),
+                (Err(StoreError::Protocol(msg)), None) => {
+                    assert!(msg.contains("field 'reps'"), "{text}: {msg}")
+                }
+                (other, _) => panic!("reps {text}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let quoted = quote("a\"b\\c\nd\te\u{1}f");
         let line = format!("{{\"op\":\"lookup\",\"fingerprint\":{quoted},\"kernel\":\"k\",\"config\":\"c\"}}");
         match parse_request(&line).unwrap() {
-            Request::Lookup { key } => assert_eq!(key.fingerprint, "a\"b\\c\nd\te\u{1}f"),
+            Request::Lookup { key } => assert_eq!(&*key.fingerprint, "a\"b\\c\nd\te\u{1}f"),
             other => panic!("wrong request: {other:?}"),
         }
     }

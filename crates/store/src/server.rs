@@ -14,8 +14,8 @@
 //! configurable [`ServeOptions::slow_request`] threshold are logged
 //! to stderr.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -25,9 +25,21 @@ use fupermod_core::telemetry::{Counter, Histogram, Registry};
 
 use crate::protocol::{self, Request};
 use crate::store::ModelStore;
+use crate::StoreError;
 
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Longest request line the daemon buffers (a 64-member `partition`
+/// is under 1 KiB). A longer one is answered with an error line and
+/// the connection is closed.
+const MAX_LINE: usize = 1 << 20;
+
+/// How much of an over-long line is read and discarded after the
+/// error reply, so the peer sees the reply and an orderly close
+/// rather than a reset (closing with unread input resets the
+/// connection, which can destroy the reply in flight).
+const DRAIN_LIMIT: u64 = 16 * MAX_LINE as u64;
 
 /// Request op tags the per-request telemetry is keyed by: the
 /// protocol ops plus `invalid` for lines that fail to parse.
@@ -173,28 +185,53 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    // One line buffer and one response buffer per connection; the
+    // response goes out, newline included, in one write.
+    let mut line = Vec::new();
+    let mut response = String::new();
+    loop {
+        line.clear();
+        let read = reader
+            .by_ref()
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            break;
         }
         let started = Instant::now();
-        spans.bytes_in.add(line.len() as u64 + 1); // + newline
-        let (op, response, is_shutdown) = match protocol::parse_request(&line) {
-            Ok(request) => {
-                let is_shutdown = request == Request::Shutdown;
-                (request.op(), protocol::handle(store, &request), is_shutdown)
+        let too_long = read > MAX_LINE && !line.ends_with(b"\n");
+        response.clear();
+        let parsed = if too_long {
+            Err(StoreError::Protocol(format!("request line longer than {MAX_LINE} bytes")))
+        } else {
+            let text = std::str::from_utf8(&line)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            // The line as `BufRead::lines` would hand it over.
+            let text = text.strip_suffix('\n').unwrap_or(text);
+            let text = text.strip_suffix('\r').unwrap_or(text);
+            if text.trim().is_empty() {
+                continue;
             }
-            Err(e) => ("invalid", protocol::error_line(&e), false),
+            protocol::parse_request(text)
         };
+        let (op, is_shutdown) = match parsed {
+            Ok(request) => {
+                protocol::handle_into(store, &request, &mut response);
+                (request.op(), request == Request::Shutdown)
+            }
+            Err(e) => {
+                response.push_str(&protocol::error_line(&e));
+                ("invalid", false)
+            }
+        };
+        spans.bytes_in.add(read as u64);
+        let ok = response.starts_with("{\"ok\":true");
+        response.push('\n');
         writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        spans.bytes_out.add(response.len() as u64 + 1);
+        spans.bytes_out.add(response.len() as u64);
         let elapsed = started.elapsed();
         let i = RequestSpans::op_index(op);
-        let ok = response.starts_with("{\"ok\":true");
         spans.requests[i][usize::from(!ok)].inc();
         spans.durations[i].record(elapsed.as_secs_f64());
         if let Some(threshold) = options.slow_request {
@@ -210,6 +247,11 @@ fn handle_connection(
             stop.store(true, Ordering::SeqCst);
             break;
         }
+        if too_long {
+            let _ = writer.shutdown(Shutdown::Write);
+            let _ = io::copy(&mut reader.take(DRAIN_LIMIT), &mut io::sink());
+            break;
+        }
     }
     Ok(())
 }
@@ -221,6 +263,8 @@ fn handle_connection(
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line, newline included: one write per request.
+    outgoing: Vec<u8>,
 }
 
 impl Client {
@@ -236,6 +280,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            outgoing: Vec::new(),
         })
     }
 
@@ -246,9 +291,10 @@ impl Client {
     /// Propagates I/O errors; an empty response (peer closed) maps to
     /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.outgoing.clear();
+        self.outgoing.extend_from_slice(line.as_bytes());
+        self.outgoing.push(b'\n');
+        self.writer.write_all(&self.outgoing)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -257,7 +303,10 @@ impl Client {
                 "daemon closed the connection",
             ));
         }
-        Ok(response.trim_end_matches('\n').to_owned())
+        if response.ends_with('\n') {
+            response.pop();
+        }
+        Ok(response)
     }
 }
 
@@ -313,5 +362,46 @@ mod tests {
         assert!(resp.contains("\"shutting_down\":true"), "{resp}");
         server.join().unwrap().unwrap();
         assert_eq!(store.len(), 2);
+    }
+
+    /// A peer that streams 4 MiB without a newline gets one error
+    /// line and a closed connection — and costs the daemon at most
+    /// `MAX_LINE` of buffer; the next connection is served as usual.
+    #[test]
+    fn an_overlong_line_is_refused_and_the_daemon_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let store = Arc::new(ModelStore::new(StoreConfig::default()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+            thread::spawn(move || serve(listener, store, stop))
+        };
+
+        let hostile = TcpStream::connect(addr).unwrap();
+        let writer = {
+            let mut stream = hostile.try_clone().unwrap();
+            // The daemon stops reading; the write may be cut short.
+            thread::spawn(move || drop(stream.write_all(&vec![b'x'; 4 * MAX_LINE])))
+        };
+        let mut replies = String::new();
+        BufReader::new(hostile).read_to_string(&mut replies).unwrap();
+        writer.join().unwrap();
+        assert_eq!(
+            replies,
+            format!("{{\"ok\":false,\"error\":\"store protocol: request line longer than {MAX_LINE} bytes\"}}\n")
+        );
+
+        let mut client = Client::connect(addr).unwrap();
+        let stats = client.request(r#"{"op":"stats"}"#).unwrap();
+        assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+        let snap = store.registry().snapshot();
+        let refused = snap.find("served_requests_total", &[("op", "invalid"), ("outcome", "error")]);
+        assert!(
+            matches!(refused, Some(fupermod_core::telemetry::SampleValue::Counter(1))),
+            "{refused:?}"
+        );
+        client.request(r#"{"op":"shutdown"}"#).unwrap();
+        server.join().unwrap().unwrap();
     }
 }

@@ -4,14 +4,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use fupermod_core::model::{Model, Refresh};
+use fupermod_core::model::{AkimaModel, Model, Refresh};
 use fupermod_core::partition::{Distribution, Partitioner};
 use fupermod_core::telemetry::{Counter, Gauge, Registry};
 use fupermod_core::trace::{TraceEvent, TraceSink};
 use fupermod_core::Point;
 
 use crate::entry::{EntryConfig, IngestOutcome, ModelEntry};
-use crate::plan::{PlanCache, PlanKey};
+use crate::plan::{Plan, PlanCache, PlanKey};
 use crate::{StoreError, StoreKey};
 
 /// Configuration of a [`ModelStore`].
@@ -307,9 +307,48 @@ impl ModelStore {
         self.len() == 0
     }
 
+    fn shard_index(&self, key: &StoreKey) -> usize {
+        (key.hash64() % self.shards.len() as u64) as usize
+    }
+
     fn shard(&self, key: &StoreKey) -> &Mutex<HashMap<StoreKey, ModelEntry>> {
-        let i = (key.hash64() % self.shards.len() as u64) as usize;
-        &self.shards[i]
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Shows `visit` every member's entry (with the member's rank),
+    /// shard by shard: each shard lock is taken at most once and never
+    /// while another is held.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownKey`] naming the first member, in rank
+    /// order, that has no entry.
+    fn visit_members(
+        &self,
+        members: &[StoreKey],
+        mut visit: impl FnMut(usize, &ModelEntry),
+    ) -> Result<(), StoreError> {
+        let homes: Vec<usize> = members.iter().map(|k| self.shard_index(k)).collect();
+        let mut missing = usize::MAX;
+        for (home, shard) in self.shards.iter().enumerate() {
+            if !homes.contains(&home) {
+                continue;
+            }
+            let shard = shard.lock().expect("store shard poisoned");
+            for (rank, key) in members.iter().enumerate() {
+                if homes[rank] != home {
+                    continue;
+                }
+                match shard.get(key) {
+                    Some(entry) => visit(rank, entry),
+                    None => missing = missing.min(rank),
+                }
+            }
+        }
+        match members.get(missing) {
+            Some(key) => Err(StoreError::UnknownKey(key.to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Streams one raw observation into `key`'s entry (created on
@@ -414,58 +453,62 @@ impl ModelStore {
         partitioner: &dyn Partitioner,
         algorithm: &str,
     ) -> Result<(Distribution, bool), StoreError> {
+        let (plan, cached) = self.plan(members, total, partitioner, algorithm)?;
+        Ok((plan.dist().clone(), cached))
+    }
+
+    /// [`ModelStore::partition`], returning the cached [`Plan`] itself
+    /// (distribution plus rendered wire form) instead of a copy of its
+    /// distribution.
+    pub(crate) fn plan(
+        &self,
+        members: &[StoreKey],
+        total: u64,
+        partitioner: &dyn Partitioner,
+        algorithm: &str,
+    ) -> Result<(Arc<Plan>, bool), StoreError> {
         if members.is_empty() {
             return Err(StoreError::UnknownKey("<empty member list>".to_owned()));
         }
         // Hot path: stamp epochs only — cloning the member models is
         // deferred to the miss path, so a cache hit never copies model
         // state.
-        let mut stamped = Vec::with_capacity(members.len());
-        for key in members {
-            let shard = self.shard(key).lock().expect("store shard poisoned");
-            let entry = shard
-                .get(key)
-                .ok_or_else(|| StoreError::UnknownKey(key.to_string()))?;
-            stamped.push((key.clone(), entry.epoch()));
-        }
         let mut plan_key = PlanKey {
-            members: stamped,
+            members: members.iter().map(|key| (key.clone(), 0)).collect(),
             total,
             algorithm: algorithm.to_owned(),
         };
-        if let Some(dist) = self
+        self.visit_members(members, |rank, entry| plan_key.members[rank].1 = entry.epoch())?;
+        if let Some(plan) = self
             .plans
             .lock()
             .expect("plan cache poisoned")
             .get(&plan_key)
         {
             self.metrics.plan_hits.inc();
-            return Ok((dist, true));
+            return Ok((plan, true));
         }
         self.metrics.plan_misses.inc();
         // Miss: re-read each member, cloning its model and re-stamping
-        // its (possibly advanced) epoch, so the plan is cached under
-        // exactly the epochs of the models it was computed from.
-        let mut models = Vec::with_capacity(members.len());
-        for (slot, key) in plan_key.members.iter_mut().zip(members) {
-            let shard = self.shard(key).lock().expect("store shard poisoned");
-            let entry = shard
-                .get(key)
-                .ok_or_else(|| StoreError::UnknownKey(key.to_string()))?;
-            slot.1 = entry.epoch();
-            models.push(entry.model().clone());
-        }
+        // its (possibly advanced) epoch under the same lock, so the
+        // plan is cached under exactly the epochs of the models it was
+        // computed from.
+        let mut models = vec![AkimaModel::default(); members.len()];
+        self.visit_members(members, |rank, entry| {
+            plan_key.members[rank].1 = entry.epoch();
+            models[rank].clone_from(entry.model());
+        })?;
         let refs: Vec<&dyn Model> = models.iter().map(|m| m as &dyn Model).collect();
-        let dist = partitioner.partition(total, &refs)?;
+        let plan = Arc::new(Plan::new(partitioner.partition(total, &refs)?));
         let evicted = self
             .plans
             .lock()
             .expect("plan cache poisoned")
-            .insert(plan_key, dist.clone());
+            .insert(plan_key, Arc::clone(&plan));
         if evicted > 0 {
             self.metrics.plan_evictions.add(evicted);
         }
-        Ok((dist, false))
+        Ok((plan, false))
     }
 
     /// Plan-cache occupancy `(plans, bytes, budget)` for the `stats`

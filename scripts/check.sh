@@ -21,6 +21,12 @@ run cargo bench --workspace --no-run -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # are fast and worth re-running with optimisations on: release codegen
 # reorders float work more aggressively than dev profile does.
 run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
+# Store step: the cached-partition path is pinned by what it allocates
+# (at most two allocations per member to parse, a constant number to
+# answer from the plan cache — crates/store/tests/hit_path_allocs.rs),
+# a count a noisy host cannot blur the way it blurs the serve_read
+# timing below. Release codegen: that is what the daemon runs.
+run cargo test --release -p fupermod-store --test hit_path_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The runtime's collective/fault tests — including the hub/ring/tree
 # collective-parity suite (crates/runtime/tests/parity.rs) — spawn one
 # thread per rank and assert on wall-clock deadlines; run them
