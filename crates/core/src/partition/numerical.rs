@@ -1,8 +1,11 @@
-use fupermod_num::solve::{newton_system, NewtonOptions};
+use fupermod_num::solve::{
+    newton_system, solve_dense, solve_diagonal_plus_constant, NewtonOptions,
+};
+use fupermod_num::NumError;
 
 use super::{check_inputs, finalize, Distribution, Partitioner};
 use crate::model::Model;
-use crate::CoreError;
+use crate::{telemetry, CoreError};
 
 /// The numerical data-partitioning algorithm of Rychkov et al. \[15\]:
 /// the optimal distribution is the solution of the non-linear system
@@ -22,7 +25,8 @@ use crate::CoreError;
 /// If Newton fails (e.g. on wildly non-monotone spline segments), a
 /// multiplicative fixed-point iteration — repeatedly scaling each share
 /// by `(mean time / own time)^γ` and renormalising — is used as a
-/// fallback; it is slower but needs only time evaluations.
+/// fallback; it is slower but needs only time evaluations. Each failure
+/// is counted in `fupermod_numerical_fallbacks_total{reason}`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NumericalPartitioner {
     /// Newton solver options.
@@ -49,7 +53,8 @@ impl Default for NumericalPartitioner {
 }
 
 impl NumericalPartitioner {
-    fn solve_newton(&self, total: f64, models: &[&dyn Model]) -> Result<Vec<f64>, CoreError> {
+    /// The Newton solve, or `None` — its reason counted — on failure.
+    fn solve_newton(&self, total: f64, models: &[&dyn Model]) -> Option<Vec<f64>> {
         let p = models.len();
         let n = p - 1; // free variables; d_p is eliminated
 
@@ -63,16 +68,23 @@ impl NumericalPartitioner {
                 out[i] = time(i, x[i]) - t_last;
             }
         };
-        let jacobian = |x: &[f64], out: &mut [f64]| {
+        let (mut diag, mut work, mut dense) = (vec![0.0; n], Vec::new(), Vec::new());
+        let solve_step = |x: &[f64], rhs: &mut [f64]| {
             let last = total - x.iter().sum::<f64>();
             let dt_last = deriv(p - 1, last);
-            for i in 0..n {
-                for j in 0..n {
-                    // ∂/∂xⱼ [tᵢ(xᵢ) - tₚ(D - Σx)] = δᵢⱼ tᵢ' + tₚ'.
-                    out[i * n + j] =
-                        if i == j { deriv(i, x[i]) } else { 0.0 } + dt_last;
-                }
+            // ∂/∂xⱼ [tᵢ(xᵢ) - tₚ(D - Σx)] = δᵢⱼ tᵢ' + tₚ', off the
+            // diagonal formed as `0.0 + tₚ'` like every other entry.
+            for (i, a) in diag.iter_mut().enumerate() {
+                *a = deriv(i, x[i]) + dt_last;
             }
+            let off = 0.0 + dt_last;
+            if solve_diagonal_plus_constant(&diag, off, rhs, &mut work)? {
+                return Ok(());
+            }
+            telemetry::record_numerical_dense_step();
+            dense.clear();
+            dense.extend((0..n * n).map(|k| if k % (n + 1) == 0 { diag[k / n] } else { off }));
+            solve_dense(&mut dense, rhs)
         };
 
         // Initial guess: proportional to speeds at the even share.
@@ -87,16 +99,21 @@ impl NumericalPartitioner {
             .map(|s| s / speed_sum * total)
             .collect();
 
-        let report = newton_system(residual, jacobian, &x0, self.newton)
-            .map_err(CoreError::from)?;
-        let mut d = report.x;
-        d.push(total - d.iter().sum::<f64>());
-        if d.iter().any(|v| !v.is_finite() || *v < -0.01 * total) {
-            return Err(CoreError::Partition(format!(
-                "Newton produced an invalid distribution {d:?}"
-            )));
-        }
-        Ok(d.into_iter().map(|v| v.max(0.0)).collect())
+        let reason = match newton_system(residual, solve_step, &x0, self.newton) {
+            Ok(report) => {
+                let mut d = report.x;
+                d.push(total - d.iter().sum::<f64>());
+                if d.iter().all(|v| v.is_finite() && *v >= -0.01 * total) {
+                    return Some(d.into_iter().map(|v| v.max(0.0)).collect());
+                }
+                "invalid"
+            }
+            Err(NumError::SingularMatrix) => "singular",
+            Err(NumError::NoConvergence { .. }) => "no_convergence",
+            Err(_) => "invalid",
+        };
+        telemetry::record_numerical_fallback(reason);
+        None
     }
 
     fn solve_fallback(&self, total: f64, models: &[&dyn Model]) -> Result<Vec<f64>, CoreError> {
@@ -141,8 +158,8 @@ impl Partitioner for NumericalPartitioner {
         }
         let t = total as f64;
         let continuous = match self.solve_newton(t, models) {
-            Ok(d) => d,
-            Err(_) => self.solve_fallback(t, models)?,
+            Some(d) => d,
+            None => self.solve_fallback(t, models)?,
         };
         finalize(total, &continuous, models)
     }

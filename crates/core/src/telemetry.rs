@@ -821,6 +821,62 @@ pub fn record_fault(kind: &str) {
     }
 }
 
+/// Why the numerical partitioner left Newton for its fixed-point
+/// fallback: the `reason` label of `fupermod_numerical_fallbacks_total`.
+const NUMERICAL_FALLBACK_REASONS: [&str; 3] = ["singular", "no_convergence", "invalid"];
+
+/// The numerical partitioner's series, registered on first use by an
+/// enabled registry — a run that never solves numerically exports none.
+struct NumericalCounters {
+    fallbacks: Vec<Counter>,
+    dense_steps: Counter,
+}
+
+fn numerical_counters() -> &'static NumericalCounters {
+    static COUNTERS: OnceLock<NumericalCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| NumericalCounters {
+        fallbacks: NUMERICAL_FALLBACK_REASONS
+            .iter()
+            .map(|reason| {
+                global().counter(
+                    "fupermod_numerical_fallbacks_total",
+                    "Numerical partitions whose Newton solve failed into the fixed-point fallback, by reason.",
+                    &[("reason", reason)],
+                )
+            })
+            .collect(),
+        dense_steps: global().counter(
+            "fupermod_numerical_dense_steps_total",
+            "Newton steps the structured solve declined to dense elimination.",
+            &[],
+        ),
+    })
+}
+
+/// Counts one Newton failure of the numerical partitioner into
+/// `fupermod_numerical_fallbacks_total{reason}` (one of
+/// `NUMERICAL_FALLBACK_REASONS`); one relaxed load when the global
+/// registry is disabled.
+#[inline]
+pub(crate) fn record_numerical_fallback(reason: &str) {
+    if !global().enabled() {
+        return;
+    }
+    if let Some(i) = NUMERICAL_FALLBACK_REASONS.iter().position(|&r| r == reason) {
+        numerical_counters().fallbacks[i].inc();
+    }
+}
+
+/// Counts one Newton step the structured solve declined into
+/// `fupermod_numerical_dense_steps_total`; one relaxed load when the
+/// global registry is disabled.
+#[inline]
+pub(crate) fn record_numerical_dense_step() {
+    if global().enabled() {
+        numerical_counters().dense_steps.inc();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

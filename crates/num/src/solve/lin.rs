@@ -83,6 +83,116 @@ pub fn solve_dense(a: &mut [f64], b: &mut [f64]) -> Result<(), NumError> {
     Ok(())
 }
 
+/// Solves `A x = b` for the matrix with `diag` on its diagonal and the
+/// one value `off` everywhere else — the shape of the equal-time
+/// system's Jacobian, `diag(tᵢ′) + tₚ′·11ᵀ` — in O(n²), performing the
+/// floating-point operations [`solve_dense`] performs on that matrix
+/// written out densely, in the same order, so the solution is the same
+/// to the bit.
+///
+/// While the pivot stays on the diagonal, every elimination step of
+/// the dense solve leaves the trailing block in the same shape: step
+/// `s` has one factor `f = off⁽ˢ⁾ / u_s`, every remaining diagonal entry
+/// becomes `u_k − f·off⁽ˢ⁾` and every remaining off-diagonal entry the
+/// same `off⁽ˢ⁺¹⁾ = off⁽ˢ⁾ − f·off⁽ˢ⁾`. Row `s` of the triangular factor
+/// is therefore `u_s` followed by `off⁽ˢ⁾`, and back substitution keeps
+/// the dense solve's sequential sums.
+///
+/// Returns `Ok(true)` with the solution in `b`, or `Ok(false)` — the
+/// solve *declines*, leaving `b` untouched — wherever the dense solve
+/// would do something else: when partial pivoting would leave the
+/// diagonal (`|off⁽ˢ⁾| > |u_s|`) or when an input is not finite. `work`
+/// is scratch, grown to `2n` entries on first use and reusable across
+/// calls.
+///
+/// # Errors
+///
+/// Returns [`NumError::InvalidInput`] when `diag` and `b` differ in
+/// length, and [`NumError::SingularMatrix`] exactly where
+/// [`solve_dense`] returns it.
+///
+/// # Examples
+///
+/// ```
+/// use fupermod_num::solve::{solve_dense, solve_diagonal_plus_constant};
+///
+/// # fn main() -> Result<(), fupermod_num::NumError> {
+/// let (diag, off) = ([3.0, 5.0, 4.0], 1.0);
+/// let mut x = vec![1.0, -2.0, 0.5];
+/// let mut dense = vec![3.0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 4.0];
+/// let mut want = x.clone();
+/// assert!(solve_diagonal_plus_constant(&diag, off, &mut x, &mut Vec::new())?);
+/// solve_dense(&mut dense, &mut want)?;
+/// assert_eq!(x, want);
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_diagonal_plus_constant(
+    diag: &[f64],
+    off: f64,
+    b: &mut [f64],
+    work: &mut Vec<f64>,
+) -> Result<bool, NumError> {
+    let n = b.len();
+    if diag.len() != n {
+        return Err(invalid(format!(
+            "diagonal has {} entries, expected {n}",
+            diag.len()
+        )));
+    }
+    if !off.is_finite() || diag.iter().chain(b.iter()).any(|v| !v.is_finite()) {
+        return Ok(false);
+    }
+
+    // The matrix alone first, so that a decline leaves `b` untouched:
+    // `u` becomes the factor's diagonal, `offs[s]` the rest of its row s.
+    work.clear();
+    work.resize(2 * n, 0.0);
+    let (u, offs) = work.split_at_mut(n);
+    u.copy_from_slice(diag);
+    let mut c = off;
+    for s in 0..n {
+        // Every row below holds `c` in column s: partial pivoting
+        // would swap the first of them in.
+        if s + 1 < n && c.abs() > u[s].abs() {
+            return Ok(false);
+        }
+        if u[s].abs() < 1e-300 {
+            return Err(NumError::SingularMatrix);
+        }
+        offs[s] = c;
+        let factor = c / u[s];
+        if factor == 0.0 {
+            continue;
+        }
+        for uk in &mut u[s + 1..] {
+            *uk -= factor * c;
+        }
+        c -= factor * c;
+    }
+
+    // Then `b`, with the same factors, step by step.
+    for s in 0..n {
+        let factor = offs[s] / u[s];
+        if factor == 0.0 {
+            continue;
+        }
+        let bs = b[s];
+        for bk in &mut b[s + 1..] {
+            *bk -= factor * bs;
+        }
+    }
+    // Back substitution.
+    for row in (0..n).rev() {
+        let mut acc = b[row];
+        for &bk in &b[row + 1..] {
+            acc -= offs[row] * bk;
+        }
+        b[row] = acc / u[row];
+    }
+    Ok(true)
+}
+
 /// Solves a tridiagonal system with the Thomas algorithm.
 ///
 /// `sub` is the sub-diagonal (first entry unused conceptually but must
@@ -175,6 +285,27 @@ mod tests {
         let mut b = vec![1.0; 2];
         assert!(matches!(
             solve_dense(&mut a, &mut b),
+            Err(NumError::InvalidInput(_))
+        ));
+    }
+
+    /// The property in `tests/structured_solve.rs` draws the general
+    /// cases; these are the edges it is unlikely to draw.
+    #[test]
+    fn structured_solve_keeps_dense_pivoting_decisions() {
+        let mut work = Vec::new();
+        let mut b = vec![1.0, 2.0, 3.0];
+        // |off| > |diag[0]|: the dense solve swaps rows at step 0.
+        assert!(!solve_diagonal_plus_constant(&[0.5, 4.0, 4.0], 1.0, &mut b, &mut work).unwrap());
+        assert_eq!(b, vec![1.0, 2.0, 3.0], "a decline leaves b untouched");
+        // |off| = |diag[0]|: no swap, the comparison is strict.
+        let mut dense = vec![1.0, 1.0, 1.0, 1.0, 1.1, 1.0, 1.0, 1.0, 4.0];
+        let mut want = b.clone();
+        solve_dense(&mut dense, &mut want).unwrap();
+        assert!(solve_diagonal_plus_constant(&[1.0, 1.1, 4.0], 1.0, &mut b, &mut work).unwrap());
+        assert_eq!(b, want);
+        assert!(matches!(
+            solve_diagonal_plus_constant(&[1.0], 0.0, &mut [1.0, 2.0], &mut work),
             Err(NumError::InvalidInput(_))
         ));
     }

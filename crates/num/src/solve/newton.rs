@@ -1,4 +1,3 @@
-use super::lin::solve_dense;
 use crate::error::invalid;
 use crate::NumError;
 
@@ -46,8 +45,9 @@ pub(super) fn max_norm(v: &[f64]) -> f64 {
 /// iteration with a backtracking line search on `‖F‖∞`.
 ///
 /// * `f(x, out)` writes the residual vector into `out`.
-/// * `jac(x, out)` writes the row-major Jacobian into `out`
-///   (`n × n`).
+/// * `solve_step(x, rhs)` overwrites `rhs = −F(x)` with the step `s` of
+///   `J(x)·s = −F(x)` — for a dense Jacobian, by writing it and calling
+///   [`solve_dense`](super::solve_dense).
 ///
 /// This is the engine behind the paper's "numerical algorithm" for
 /// data partitioning \[15\]: the equal-time conditions over Akima-spline
@@ -58,12 +58,13 @@ pub(super) fn max_norm(v: &[f64]) -> f64 {
 ///
 /// * [`NumError::InvalidInput`] — empty starting point or non-finite
 ///   residual at the start.
-/// * [`NumError::SingularMatrix`] — Jacobian singular at an iterate.
+/// * Whatever `solve_step` returns — [`NumError::SingularMatrix`] when
+///   the Jacobian is singular at an iterate.
 /// * [`NumError::NoConvergence`] — iteration budget exhausted or the
 ///   line search stalled.
 pub fn newton_system(
     mut f: impl FnMut(&[f64], &mut [f64]),
-    mut jac: impl FnMut(&[f64], &mut [f64]),
+    mut solve_step: impl FnMut(&[f64], &mut [f64]) -> Result<(), NumError>,
     x0: &[f64],
     opts: NewtonOptions,
 ) -> Result<NewtonReport, NumError> {
@@ -74,7 +75,6 @@ pub fn newton_system(
 
     let mut x = x0.to_vec();
     let mut fx = vec![0.0; n];
-    let mut j = vec![0.0; n * n];
     let mut step = vec![0.0; n];
     let mut trial = vec![0.0; n];
     let mut f_trial = vec![0.0; n];
@@ -85,7 +85,7 @@ pub fn newton_system(
     }
     let mut fnorm = max_norm(&fx);
 
-    for iter in 0..opts.max_iter {
+    for iter in 0..=opts.max_iter {
         if fnorm <= opts.f_tol {
             return Ok(NewtonReport {
                 x,
@@ -93,13 +93,15 @@ pub fn newton_system(
                 residual: fnorm,
             });
         }
+        if iter == opts.max_iter {
+            break;
+        }
 
-        jac(&x, &mut j);
         // Newton step: J * step = -F.
-        let mut rhs: Vec<f64> = fx.iter().map(|v| -v).collect();
-        let mut jcopy = j.clone();
-        solve_dense(&mut jcopy, &mut rhs)?;
-        step.copy_from_slice(&rhs);
+        for (s, v) in step.iter_mut().zip(&fx) {
+            *s = -v;
+        }
+        solve_step(&x, &mut step)?;
 
         // Backtracking line search: halve until the residual norm drops.
         let mut lambda = 1.0;
@@ -137,13 +139,6 @@ pub fn newton_system(
         }
     }
 
-    if fnorm <= opts.f_tol {
-        return Ok(NewtonReport {
-            x,
-            iterations: opts.max_iter,
-            residual: fnorm,
-        });
-    }
     Err(NumError::NoConvergence {
         method: "newton_system",
         residual: fnorm,
@@ -151,7 +146,9 @@ pub fn newton_system(
 }
 
 /// Forward-difference Jacobian approximation, for systems whose
-/// analytic Jacobian is unavailable. Writes row-major into `out`.
+/// analytic Jacobian is unavailable. Writes row-major into `out`; a
+/// [`newton_system`] step writes it into `j`, then calls
+/// [`solve_dense`](super::solve_dense)`(&mut j, rhs)`.
 pub fn finite_difference_jacobian(
     mut f: impl FnMut(&[f64], &mut [f64]),
     x: &[f64],
@@ -176,13 +173,26 @@ pub fn finite_difference_jacobian(
 
 #[cfg(test)]
 mod tests {
+    use super::super::solve_dense;
     use super::*;
+
+    /// The dense step: write the Jacobian `jac(x, out)`, eliminate.
+    fn dense(
+        mut jac: impl FnMut(&[f64], &mut [f64]),
+    ) -> impl FnMut(&[f64], &mut [f64]) -> Result<(), NumError> {
+        let mut j = Vec::new();
+        move |x, rhs| {
+            j.resize(rhs.len() * rhs.len(), 0.0);
+            jac(x, &mut j);
+            solve_dense(&mut j, rhs)
+        }
+    }
 
     #[test]
     fn scalar_square_root() {
         let report = newton_system(
             |x, out| out[0] = x[0] * x[0] - 2.0,
-            |x, out| out[0] = 2.0 * x[0],
+            dense(|x, out| out[0] = 2.0 * x[0]),
             &[1.0],
             NewtonOptions::default(),
         )
@@ -204,7 +214,7 @@ mod tests {
             out[2] = x[1];
             out[3] = x[0];
         };
-        let report = newton_system(f, jac, &[2.0, 0.6], NewtonOptions::default()).unwrap();
+        let report = newton_system(f, dense(jac), &[2.0, 0.6], NewtonOptions::default()).unwrap();
         let (x, y) = (report.x[0], report.x[1]);
         assert!((x * x + y * y - 4.0).abs() < 1e-8);
         assert!((x * y - 1.0).abs() < 1e-8);
@@ -217,7 +227,7 @@ mod tests {
             out[1] = x[1] - 0.5 * x[0];
         };
         let jac = |x: &[f64], out: &mut [f64]| finite_difference_jacobian(f, x, out);
-        let report = newton_system(f, jac, &[1.0, 1.0], NewtonOptions::default()).unwrap();
+        let report = newton_system(f, dense(jac), &[1.0, 1.0], NewtonOptions::default()).unwrap();
         let mut res = vec![0.0; 2];
         f(&report.x, &mut res);
         assert!(max_norm(&res) < 1e-6);
@@ -227,7 +237,7 @@ mod tests {
     fn detects_singular_jacobian() {
         let err = newton_system(
             |_, out| out[0] = 1.0,
-            |_, out| out[0] = 0.0,
+            dense(|_, out| out[0] = 0.0),
             &[0.0],
             NewtonOptions::default(),
         )
@@ -240,7 +250,7 @@ mod tests {
         // f(x) = x^2 + 1 has no real root; line search must stall.
         let err = newton_system(
             |x, out| out[0] = x[0] * x[0] + 1.0,
-            |x, out| out[0] = 2.0 * x[0],
+            dense(|x, out| out[0] = 2.0 * x[0]),
             &[3.0],
             NewtonOptions {
                 max_iter: 50,
@@ -255,7 +265,7 @@ mod tests {
     fn already_converged_start_returns_immediately() {
         let report = newton_system(
             |x, out| out[0] = x[0],
-            |_, out| out[0] = 1.0,
+            dense(|_, out| out[0] = 1.0),
             &[0.0],
             NewtonOptions::default(),
         )

@@ -27,6 +27,14 @@ run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # a count a noisy host cannot blur the way it blurs the serve_read
 # timing below. Release codegen: that is what the daemon runs.
 run cargo test --release -p fupermod-store --test hit_path_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
+# Numerical step: the partitioner's Newton loop allocates once per
+# solve, not per process or iteration (crates/core/tests/numerical_allocs.rs),
+# and its structured step solve replays solve_dense bit for bit or
+# declines (crates/num/tests/structured_solve.rs) — in the release
+# codegen the harness measures, where the optimiser is free to reorder
+# anything the language lets it.
+run cargo test --release -p fupermod-core --test numerical_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
+run cargo test --release -p fupermod-num --test structured_solve -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The runtime's collective/fault tests — including the hub/ring/tree
 # collective-parity suite (crates/runtime/tests/parity.rs) — spawn one
 # thread per rank and assert on wall-clock deadlines; run them
