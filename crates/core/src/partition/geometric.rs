@@ -30,6 +30,25 @@
 //!   is simply taken up where the previous `T` left it
 //!   ([`InnerSolve::start`] has the details).
 //!
+//! * **Repeated walks.** When `T` leaves that window the descent begins
+//!   again, but its first levels still turn the way the remembered
+//!   path did, down to the first `time(mid)` on the other side of the
+//!   new `T`. Walking them again one step at a time would only read
+//!   memos through a serial chain of midpoints. Instead the descent
+//!   resumes at the deepest level `k` whose stage — bracket, and the
+//!   `after`/`upto` window of the levels above it — is certain: `T`
+//!   lies inside the window, with both ends farther than `f_tol`, so
+//!   every skipped level turns as remembered and none returns; the
+//!   bracket is wider than `x_tol`, and in a comparison's first sweep
+//!   at least as wide as the sweep steps, so every skipped level would
+//!   have been stepped; and `k ≤ known`. Each condition only fails
+//!   more as `k` grows, so a binary search over stages checkpointed
+//!   every `STRIDE` levels finds the deepest certain one, and a replay
+//!   of `step`'s own test and arithmetic over the remembered `time(mid)`
+//!   takes the descent the last few levels to where it first turns
+//!   differently. The state it lands in is the one the steps would
+//!   have left — same bracket, same window, same evaluations after.
+//!
 //! * **Unneeded depth.** The outer comparison needs the truth of
 //!   `Σ dᵢ(T) < D`, not the sum. Two facts make a partial answer
 //!   exact: (1) *a bisection's result lies in its current bracket* —
@@ -53,6 +72,16 @@
 //! ([`X_TOL_LEVELS`]). With `max_iter ≥ 31` no descent can fail; with
 //! less, every descent is run to its end before the sums are compared,
 //! so an input that was an error stays one.
+//!
+//! Each saving above is argued, not measured, and an argument can be
+//! wrong where a test is blind. That is why the test-only `oracle`
+//! module keeps the solve this one replaced: plain `bisect` calls, run
+//! to full depth for every `T`. It is the reference the arguments are
+//! tested against: the identity proptests draw small cases of every
+//! kind of model and outcome, and large ones (up to 256 processes of
+//! up to 32 points, whose deep descents most new `T` restart), and
+//! demand the oracle's bits; fixed seeds add the rare near ties that
+//! a resume rule too bold about `f_tol` would skip.
 
 use fupermod_num::NumError;
 
@@ -94,6 +123,9 @@ impl Default for GeometricPartitioner {
 /// deep, and with this many iterations allowed it cannot fail.
 const X_TOL_LEVELS: usize = 31;
 
+/// Levels between two checkpoints of a descent's remembered path.
+const STRIDE: usize = 4;
+
 /// What one `partition` call did, summed in locals and published once
 /// at its end.
 #[derive(Default)]
@@ -101,6 +133,61 @@ struct Tally {
     model_evals: u64,
     outer_iterations: u64,
     decided_early: u64,
+    steps: u64,
+}
+
+/// Where a descent stands after some levels: its bracket, and the `t`
+/// for which the descent would have come the same way — above `after`,
+/// the largest `time(mid)` that sent it up, and not above `upto`, the
+/// smallest that sent it down (see [`InnerSolve::start`]).
+#[derive(Clone, Copy)]
+struct Stage {
+    lo: f64,
+    hi: f64,
+    after: f64,
+    upto: f64,
+}
+
+impl Stage {
+    /// Level 0 of a descent from `[0, top]`.
+    fn fresh(top: f64) -> Self {
+        Self {
+            lo: 0.0,
+            hi: top,
+            after: f64::NEG_INFINITY,
+            upto: f64::INFINITY,
+        }
+    }
+
+    fn mid(&self) -> f64 {
+        0.5 * (self.lo + self.hi)
+    }
+
+    /// The next level's stage, after keeping the upper (`up`) or lower
+    /// half of a bracket whose `time(mid)` is `at_mid`.
+    fn halve(&mut self, up: bool, at_mid: f64) {
+        let mid = self.mid();
+        if up {
+            self.lo = mid;
+            self.after = self.after.max(at_mid);
+        } else {
+            self.hi = mid;
+            // A NaN bounds nothing (and `min` drops it).
+            self.upto = self.upto.min(at_mid);
+        }
+    }
+}
+
+/// What one iteration of `bisect` does for `t` on a bracket `width`
+/// wide whose `time(mid)` is `at_mid`: `None` if it returns `mid`,
+/// else whether it keeps the upper half.
+fn decide(width: f64, x_tol: f64, at_mid: f64, t: f64, flo: f64) -> Option<bool> {
+    let fmid = at_mid - t;
+    if fmid.abs() <= f_tol(t) || width <= x_tol {
+        None
+    } else {
+        Some(fmid.signum() == flo.signum())
+    }
 }
 
 /// One process's inner bisection for the size that takes `t` seconds —
@@ -125,27 +212,24 @@ struct Descent<'m> {
     /// of [`InnerSolve::at_mids`] hold `time(mid)` of its levels. A
     /// bracket follows from the starting bracket and the turns taken,
     /// and a `mid` from its bracket, so a descent that has made the
-    /// same turns so far is about to visit the same abscissa.
+    /// same turns so far is about to visit the same abscissa. The
+    /// first `saved` entries of its row of [`InnerSolve::checkpoints`]
+    /// hold its stages at levels `STRIDE`, `2·STRIDE`, ….
     top: f64,
     turns: u32,
     known: u32,
+    saved: u32,
 
     // The descent itself: `level` iterations from `[0, top]`.
     level: u32,
-    lo: f64,
-    hi: f64,
-    /// `time(lo) − t`. Only its sign is read, and that is the sign of
-    /// `time(0) − t`, which every `t` that gets past the pre-checks
-    /// shares — so it need not follow `t`.
+    at: Stage,
+    /// `time(0) − t`, where `bisect`'s `flo` starts. Only its sign is
+    /// read, and that never changes: a level keeps the upper half only
+    /// when its residual has that sign. It is also the sign every `t`
+    /// that gets past the pre-checks gives, so it need not follow `t`.
     flo: f64,
     /// The root, once a level (or a pre-check) has returned it.
     root: Option<f64>,
-    /// The `t` for which this descent would have come the same way:
-    /// above `after`, the largest `time(mid)` that sent it up, and not
-    /// above `upto`, the smallest that sent it down (see
-    /// [`InnerSolve::start`]).
-    after: f64,
-    upto: f64,
 }
 
 /// In-order sums of the descents' brackets — a finished descent's is
@@ -162,6 +246,9 @@ struct InnerSolve<'m, 't> {
     descents: Vec<Descent<'m>>,
     /// `levels` entries per process, process-major: see [`Descent::top`].
     at_mids: Vec<f64>,
+    /// `levels / STRIDE` entries per process, process-major: entry `c`
+    /// is the stage at level `STRIDE·(c + 1)` of the remembered path.
+    checkpoints: Vec<Stage>,
     levels: usize,
     max_iter: usize,
     /// Brackets at least this wide were stepped in the latest round.
@@ -186,7 +273,7 @@ impl Descent<'_> {
     /// way there, so no later `t` may take them up.
     fn settle(&mut self, root: f64) {
         self.root = Some(root);
-        self.after = f64::INFINITY;
+        self.at.after = f64::INFINITY;
     }
 
     /// `bisect`'s width tolerance for a descent from `[0, top]`.
@@ -216,18 +303,21 @@ impl<'m, 't> InnerSolve<'m, 't> {
                 top: 0.0,
                 turns: 0,
                 known: 0,
+                saved: 0,
                 level: 0,
-                lo: 0.0,
-                hi: 0.0,
+                // No `t` takes up a descent that never began.
+                at: Stage {
+                    after: f64::INFINITY,
+                    ..Stage::fresh(0.0)
+                },
                 flo: 0.0,
                 root: None,
-                after: f64::INFINITY,
-                upto: f64::INFINITY,
             })
             .collect();
         Self {
             descents,
             at_mids: vec![0.0; models.len() * levels],
+            checkpoints: vec![Stage::fresh(0.0); models.len() * (levels / STRIDE)],
             levels,
             max_iter,
             step_width: f64::INFINITY,
@@ -239,23 +329,33 @@ impl<'m, 't> InnerSolve<'m, 't> {
     /// `size_at_time` did before, and `bisect` did at, its first
     /// iteration — which may already give the root — and then puts the
     /// descent where the bisection for `t` would be after as many
-    /// iterations as can be told without making them.
+    /// iterations as can be told without making them. Those are not
+    /// taken past a bracket narrower than `reach`, where the caller
+    /// would have stopped stepping.
     ///
-    /// That is level 0, unless the descent left behind by the previous
-    /// `t` came the way this one would. An iteration reads `t` twice:
-    /// it returns `mid` if `|time(mid) − t| ≤ f_tol`, and otherwise
-    /// keeps the upper half iff `time(mid) − t` has the sign of `flo`,
-    /// which is to say iff `time(mid) < t` (`flo` is negative, or NaN
-    /// along with `time(0)`, and then every level goes down whatever
-    /// `t` is). So the levels behind the old descent turn the same way
-    /// for `t` if `t` is above every `time(mid)` that sent it up and
-    /// not above any that sent it down, and none of them returns if
-    /// the nearest on either side — `after` and `upto`; rounding a
-    /// difference is monotone — is farther than `f_tol` from `t`. If
-    /// the old descent had returned at its last level, that level must
-    /// return again: always when it was the width that stopped it,
-    /// else if `time(mid)` is still within `f_tol`.
-    fn start(&mut self, i: usize, t: f64) -> Result<(), CoreError> {
+    /// An iteration reads `t` twice: it returns `mid` if
+    /// `|time(mid) − t| ≤ f_tol`, and otherwise keeps the upper half
+    /// iff `time(mid) − t` has the sign of `flo`, which is to say iff
+    /// `time(mid) < t` (`flo` is negative, or NaN along with `time(0)`,
+    /// and then every level goes down whatever `t` is). So the levels
+    /// up to a stage of the remembered path turn the same way for `t`
+    /// if `t` is above every `time(mid)` that sent them up and not
+    /// above any that sent them down, and none of them returns if the
+    /// nearest on either side — `after` and `upto`; rounding a
+    /// difference is monotone — is farther than `f_tol` from `t` and
+    /// the stage's bracket is wider than `x_tol` (so were all before
+    /// it: the brackets nest).
+    ///
+    /// If that holds for the descent the previous `t` left behind, it
+    /// is taken up where it is — unless it had returned at its last
+    /// level and that level would not return again (it always does
+    /// when the width stopped it, else if `time(mid)` is still within
+    /// `f_tol`). Otherwise the descent resumes at the deepest
+    /// checkpoint for which it holds — each part of the test only
+    /// fails more as the levels go deeper, so a binary search finds
+    /// it — and replays the remembered levels after that one by one,
+    /// up to the first that `step` would not pass the same way.
+    fn start(&mut self, i: usize, t: f64, reach: f64) -> Result<(), CoreError> {
         let tally = &mut *self.tally;
         let d = &mut self.descents[i];
         if t <= 0.0 {
@@ -302,27 +402,44 @@ impl<'m, 't> InnerSolve<'m, 't> {
         }
 
         let far = |at_mid: f64| (at_mid - t).abs() > f_tol(t);
-        let turns_the_same =
-            hi == d.top && d.after < t && t <= d.upto && far(d.after) && far(d.upto);
+        let same_way = |s: &Stage| s.after < t && t <= s.upto && far(s.after) && far(s.upto);
         let ends_the_same = || {
             d.root.is_none()
-                || (d.hi - d.lo) <= d.x_tol()
+                || (d.at.hi - d.at.lo) <= d.x_tol()
                 || !far(self.at_mids[i * self.levels + d.level as usize - 1])
         };
-        if turns_the_same && ends_the_same() {
+        if hi == d.top && same_way(&d.at) && ends_the_same() {
             return Ok(());
         }
         if hi != d.top {
             d.top = hi;
             d.known = 0;
+            d.saved = 0;
         }
-        d.level = 0;
-        d.lo = 0.0;
-        d.hi = hi;
+
+        let x_tol = d.x_tol();
+        let saved = &self.checkpoints[i * (self.levels / STRIDE)..][..d.saved as usize];
+        let deepest = saved.partition_point(|s| {
+            let width = s.hi - s.lo;
+            same_way(s) && width > x_tol && width >= reach
+        });
+        let (mut level, mut at) = match deepest {
+            0 => (0, Stage::fresh(hi)),
+            n => (n * STRIDE, saved[n - 1]),
+        };
+        let at_mids = &self.at_mids[i * self.levels..][..self.levels];
+        while level < d.known as usize && at.hi - at.lo >= reach {
+            let at_mid = at_mids[level];
+            match decide(at.hi - at.lo, x_tol, at_mid, t, flo) {
+                Some(up) if up == (d.turns >> level & 1 == 1) => at.halve(up, at_mid),
+                _ => break,
+            }
+            level += 1;
+        }
+        d.level = level as u32;
+        d.at = at;
         d.flo = flo;
         d.root = None;
-        d.after = f64::NEG_INFINITY;
-        d.upto = f64::INFINITY;
         Ok(())
     }
 
@@ -333,38 +450,39 @@ impl<'m, 't> InnerSolve<'m, 't> {
             let d = &self.descents[i];
             return Err(NumError::NoConvergence {
                 method: "bisect",
-                residual: d.hi - d.lo,
+                residual: d.at.hi - d.at.lo,
             }
             .into());
         }
+        self.tally.steps += 1;
         // In range: no descent goes deeper than `X_TOL_LEVELS`.
         let at_mid = &mut self.at_mids[i * self.levels..][..self.levels][level];
         let d = &mut self.descents[i];
-        let mid = 0.5 * (d.lo + d.hi);
+        let mid = d.at.mid();
         if d.level == d.known {
             *at_mid = time_of(d.model, mid, self.tally);
             d.known += 1;
         }
         let at_mid = *at_mid;
-        let fmid = at_mid - t;
-        if fmid.abs() <= f_tol(t) || (d.hi - d.lo) <= d.x_tol() {
-            d.root = Some(mid);
-        } else {
-            let up = fmid.signum() == d.flo.signum();
-            if up {
-                d.lo = mid;
-                d.flo = fmid;
-                d.after = d.after.max(at_mid);
-            } else {
-                d.hi = mid;
-                // A NaN bounds nothing (and `min` drops it).
-                d.upto = d.upto.min(at_mid);
-            }
-            // Turning off the remembered path forgets what lay beyond.
-            let bit = 1 << level;
-            if (d.turns & bit != 0) != up {
-                d.turns ^= bit;
-                d.known = d.level + 1;
+        match decide(d.at.hi - d.at.lo, d.x_tol(), at_mid, t, d.flo) {
+            None => d.root = Some(mid),
+            Some(up) => {
+                d.at.halve(up, at_mid);
+                // Turning off the remembered path forgets what lay
+                // beyond, checkpoints included.
+                let bit = 1 << level;
+                if (d.turns & bit != 0) != up {
+                    d.turns ^= bit;
+                    d.known = d.level + 1;
+                    d.saved = d.saved.min((level / STRIDE) as u32);
+                }
+                // The path's stage at the next checkpoint level, once
+                // every checkpoint above it is saved.
+                let reached = level + 1;
+                if reached == STRIDE * (d.saved as usize + 1) {
+                    self.checkpoints[i * (self.levels / STRIDE) + d.saved as usize] = d.at;
+                    d.saved += 1;
+                }
             }
         }
         d.level += 1;
@@ -395,7 +513,7 @@ impl<'m, 't> InnerSolve<'m, 't> {
         for i in 0..self.descents.len() {
             advance(self, i)?;
             let d = &self.descents[i];
-            let (lo, hi) = d.root.map_or((d.lo, d.hi), |root| (root, root));
+            let (lo, hi) = d.root.map_or((d.at.lo, d.at.hi), |root| (root, root));
             sums.below += lo;
             sums.above += hi;
             if d.root.is_none() {
@@ -420,13 +538,14 @@ impl<'m, 't> InnerSolve<'m, 't> {
         // the comparison must not be answered past that error.
         let may_stop_early = self.max_iter >= X_TOL_LEVELS;
         let mut sums = self.sweep(|solve, i| {
-            solve.start(i, t)?;
             if !may_stop_early {
-                solve.finish(i, t)?;
+                solve.start(i, t, 0.0)?;
+                return solve.finish(i, t).map(drop);
             }
+            solve.start(i, t, solve.step_width)?;
             loop {
                 let d = &solve.descents[i];
-                if d.root.is_some() || d.level == d.known || d.hi - d.lo < solve.step_width {
+                if d.root.is_some() || d.level == d.known || d.at.hi - d.at.lo < solve.step_width {
                     return Ok(());
                 }
                 solve.step(i, t)?;
@@ -444,7 +563,7 @@ impl<'m, 't> InnerSolve<'m, 't> {
             self.step_width = 0.5 * widest;
             sums = self.sweep(|solve, i| {
                 let d = &solve.descents[i];
-                if d.root.is_some() || d.hi - d.lo < solve.step_width {
+                if d.root.is_some() || d.at.hi - d.at.lo < solve.step_width {
                     return Ok(());
                 }
                 solve.step(i, t)
@@ -456,7 +575,7 @@ impl<'m, 't> InnerSolve<'m, 't> {
     fn sizes_at(&mut self, t: f64) -> Result<Vec<f64>, CoreError> {
         (0..self.descents.len())
             .map(|i| {
-                self.start(i, t)?;
+                self.start(i, t, 0.0)?;
                 self.finish(i, t)
             })
             .collect()
@@ -543,6 +662,7 @@ impl Partitioner for GeometricPartitioner {
             c.model_evals.add(tally.model_evals);
             c.outer_iterations.add(tally.outer_iterations);
             c.decided_early.add(tally.decided_early);
+            c.steps.add(tally.steps);
         }
         result
     }
@@ -554,6 +674,7 @@ struct Counters {
     model_evals: telemetry::Counter,
     outer_iterations: telemetry::Counter,
     decided_early: telemetry::Counter,
+    steps: telemetry::Counter,
 }
 
 /// The handles, registered on first use by an enabled registry.
@@ -576,6 +697,10 @@ fn counters() -> &'static Counters {
             decided_early: counter(
                 "partition_decided_early_total",
                 "Outer comparisons settled from brackets before every inner solve reached full depth, by algorithm.",
+            ),
+            steps: counter(
+                "partition_steps_total",
+                "Inner bisection levels stepped one at a time (not resumed past), by algorithm.",
             ),
         }
     })
@@ -876,10 +1001,32 @@ mod tests {
         }
     }
 
+    /// How big a drawn case is: one to `processes` models of
+    /// `points.0..=points.1` points each.
+    #[derive(Clone, Copy)]
+    struct Shape {
+        processes: u64,
+        points: (u64, u64),
+    }
+
+    /// Few processes and points: every kind of model and outcome.
+    const SMALL: Shape = Shape {
+        processes: 16,
+        points: (1, 8),
+    };
+
+    /// Many processes with detailed models: deep descents, which most
+    /// new `T` send back up their remembered paths.
+    const LARGE: Shape = Shape {
+        processes: 256,
+        points: (8, 32),
+    };
+
     /// Sorted distinct sizes with times that are either those of a
     /// steady device with a cliff, or noise.
-    fn random_points(draw: &mut Draw) -> Vec<(u64, f64)> {
-        let n = 1 + draw.below(8);
+    fn random_points(draw: &mut Draw, shape: Shape) -> Vec<(u64, f64)> {
+        let (fewest, most) = shape.points;
+        let n = fewest + draw.below(most - fewest + 1);
         let mut d = 0;
         let speed = 1.0 + 1000.0 * draw.unit();
         let cliff = draw.below(5000) as f64;
@@ -898,8 +1045,8 @@ mod tests {
             .collect()
     }
 
-    fn random_model(draw: &mut Draw) -> Box<dyn Model> {
-        let points = random_points(draw);
+    fn random_model(draw: &mut Draw, shape: Shape) -> Box<dyn Model> {
+        let points = random_points(draw, shape);
         match draw.below(8) {
             0..=2 => Box::new(fed::<PiecewiseModel>(&points)),
             3..=5 => Box::new(fed::<AkimaModel>(&points)),
@@ -912,18 +1059,23 @@ mod tests {
         }
     }
 
-    /// One to sixteen models of any kind.
-    fn random_models(draw: &mut Draw) -> Vec<Box<dyn Model>> {
-        let p = 1 + draw.below(16);
-        (0..p).map(|_| random_model(draw)).collect()
+    /// Models of any kind, as many and as detailed as `shape` says.
+    fn random_models(draw: &mut Draw, shape: Shape) -> Vec<Box<dyn Model>> {
+        let p = 1 + draw.below(shape.processes);
+        (0..p).map(|_| random_model(draw, shape)).collect()
+    }
+
+    /// [`same_as_oracle_in`] on a case of the [`SMALL`] shape.
+    fn same_as_oracle(seed: u64) -> Result<(), String> {
+        same_as_oracle_in(SMALL, seed)
     }
 
     /// New solve against the oracle on one drawn case: `Ok` results
     /// equal in sizes and in the bits of every predicted time, an
     /// error where there was one (and the same one).
-    fn same_as_oracle(seed: u64) -> Result<(), String> {
+    fn same_as_oracle_in(shape: Shape, seed: u64) -> Result<(), String> {
         let mut draw = Draw(seed);
-        let models = random_models(&mut draw);
+        let models = random_models(&mut draw, shape);
         let p = models.len();
         let refs: Vec<&dyn Model> = models.iter().map(|m| &**m).collect();
         let reach: u64 = refs.iter().map(|m| m.points().last().unwrap().d).sum();
@@ -969,13 +1121,35 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn large_partitions_are_the_oracles_to_the_bit(seed in 0u64..u64::MAX) {
+            let outcome = same_as_oracle_in(LARGE, seed);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// Drawn cases, found among the first 200 000 seeds, in which a
+    /// new `T` comes within `f_tol` of a remembered `time(mid)` that
+    /// sent a descent up (the first four) or down (the rest), so that
+    /// the level must now return its `mid`: a resume past such a level
+    /// fails on them, and the random draws above meet one in 10⁴–10⁵.
+    #[test]
+    fn near_ties_are_never_resumed_past() {
+        for seed in [17469, 97543, 111575, 148290, 3806, 13578, 36054, 55888] {
+            same_as_oracle(seed).unwrap();
+        }
+    }
+
     #[test]
     fn the_drawn_cases_reach_every_kind_of_outcome() {
         // The identity test above is only as good as its cases: they
         // must include errors, early-decided and full-depth solves.
         let (mut oks, mut errs) = (0, 0);
         for seed in 0..400 {
-            let models = random_models(&mut Draw(seed));
+            let models = random_models(&mut Draw(seed), SMALL);
             let refs: Vec<&dyn Model> = models.iter().map(|m| &**m).collect();
             match GeometricPartitioner::default().partition(1000, &refs) {
                 Ok(_) => oks += 1,

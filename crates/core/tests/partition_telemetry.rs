@@ -1,6 +1,6 @@
 //! The geometric partitioner's live counters
 //! (`partition_*_total{algorithm="geometric"}`, docs/OBSERVABILITY.md
-//! §9), held against a counting [`Model`] wrapper. The counters live in
+//! §9), held against a counting [`Model`] wrapper and the calls. The counters live in
 //! the process-wide registry, so this file has a single test: a test
 //! binary of its own is a process of its own.
 
@@ -117,27 +117,44 @@ fn geometric_counters_match_a_counting_model() {
     partitioner.partition(1200, &refs).unwrap();
     assert_eq!(counter("partition_calls_total"), 0);
     assert_eq!(counter("partition_model_evals_total"), 0);
+    assert_eq!(counter("partition_steps_total"), 0);
 
     telemetry::global().set_enabled(true);
     evals.set(0);
-    let totals = [1200u64, 0, 7, 250_000];
+    let totals = [1200u64, 0, 7, 250_000, 1200];
+    let mut steps = Vec::new();
     for total in totals {
+        let before = counter("partition_steps_total");
         partitioner.partition(total, &refs).unwrap();
+        steps.push(counter("partition_steps_total") - before);
     }
     assert_eq!(counter("partition_calls_total"), totals.len() as u64);
+    // Each call publishes the levels it stepped, once: none without a
+    // solve, the same again for the same solve, and — as most
+    // evaluations are of a `time(mid)`, each made by a step, and a
+    // descent resumes past the levels it remembers — within a factor
+    // of two of the evaluations either way.
+    assert_eq!(steps[1], 0, "a zero total stepped");
+    assert_eq!(steps[0], steps[4], "the same call stepped differently");
+    let stepped: u64 = steps.iter().sum();
+    assert!(
+        2 * stepped >= evals.get() && stepped <= 2 * evals.get(),
+        "{stepped} steps for {} evaluations",
+        evals.get()
+    );
     assert_eq!(counter("partition_model_evals_total"), evals.get());
     let outer = counter("partition_outer_iterations_total");
     let early = counter("partition_decided_early_total");
-    // Three real solves of ≈ 40 outer comparisons each (a zero total
+    // Four real solves of ≈ 40 outer comparisons each (a zero total
     // makes none), most of them settled from the brackets, and the
     // whole lot from a few dozen evaluations per process and solve —
     // not the ≈ 1 300 of running every inner bisection to the end.
-    assert!((60..=200).contains(&outer), "{outer} outer comparisons");
+    assert!((80..=260).contains(&outer), "{outer} outer comparisons");
     assert!(
         early * 2 > outer && early < outer,
         "{early} of {outer} early"
     );
-    assert!(evals.get() < 3 * 3 * 120, "{} evaluations", evals.get());
+    assert!(evals.get() < 4 * 3 * 120, "{} evaluations", evals.get());
 
     // A failing call is a call too, and its evaluations are counted.
     let flat = Flat(vec![Point::single(10, 1.0)]);
@@ -148,9 +165,12 @@ fn geometric_counters_match_a_counting_model() {
     evals.set(0);
     let calls = counter("partition_calls_total");
     let before = counter("partition_model_evals_total");
+    let stepped = counter("partition_steps_total");
     assert!(partitioner
         .partition(100, &[&counted_flat, &counted[1]])
         .is_err());
     assert_eq!(counter("partition_calls_total"), calls + 1);
     assert_eq!(counter("partition_model_evals_total"), before + evals.get());
+    // It failed bracketing the flat model's size, before any level.
+    assert_eq!(counter("partition_steps_total"), stepped);
 }

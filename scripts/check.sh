@@ -34,6 +34,11 @@ run cargo test --release -p fupermod-store --test hit_path_allocs -q "${EXTRA[@]
 # codegen the harness measures, where the optimiser is free to reorder
 # anything the language lets it.
 run cargo test --release -p fupermod-core --test numerical_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
+# Geometric step: on the offline_fpm probe shape every call makes the
+# model evaluations it made before restarted descents resumed at their
+# divergence level, and steps at most two levels per evaluation
+# (crates/core/tests/geometric_steps.rs) — counts, not timings.
+run cargo test --release -p fupermod-core --test geometric_steps -q "${EXTRA[@]+"${EXTRA[@]}"}"
 run cargo test --release -p fupermod-num --test structured_solve -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The runtime's collective/fault tests — including the hub/ring/tree
 # collective-parity suite (crates/runtime/tests/parity.rs) — spawn one

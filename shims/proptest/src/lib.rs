@@ -13,7 +13,8 @@
 //! * **Deterministic seeds.** Each test derives its seed from the test
 //!   name, so failures reproduce without a persistence file. Set
 //!   `PROPTEST_SEED` to explore different streams and
-//!   `PROPTEST_CASES` to override the case count.
+//!   `PROPTEST_CASES` to override the case count — the default and a
+//!   `ProptestConfig::with_cases` count alike.
 //! * **Default cases**: 64 (the real default of 256 is available via
 //!   `ProptestConfig::with_cases` or the environment variable).
 
@@ -55,23 +56,21 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
-        Self {
-            cases,
-            max_global_rejects: 4096,
-        }
+        Self::with_cases(64)
     }
 }
 
 impl ProptestConfig {
-    /// A config running `cases` successful cases.
+    /// A config running `cases` successful cases, or as many as
+    /// `PROPTEST_CASES` says when it is set.
     pub fn with_cases(cases: u32) -> Self {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(cases);
         Self {
             cases,
-            ..Self::default()
+            max_global_rejects: 4096,
         }
     }
 }
@@ -464,6 +463,42 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("always_fails"), "message: {msg}");
+    }
+
+    /// Cases `configured_cases_child` ran.
+    static CHILD_CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    #[test]
+    fn the_environment_overrides_a_configured_case_count() {
+        // The variable is read by the config, so the case count is
+        // checked in a process of its own with the variable set.
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args(["--exact", "tests::configured_cases_child", "--ignored"])
+            .env("PROPTEST_CASES", "3")
+            .output()
+            .expect("spawn child test process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    #[ignore = "run by the_environment_overrides_a_configured_case_count with PROPTEST_CASES set"]
+    fn configured_cases_child() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(7))]
+            fn counted(x in 0u64..10) {
+                CHILD_CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                prop_assert!(x < 10);
+            }
+        }
+        counted();
+        let want = std::env::var("PROPTEST_CASES").map_or(7, |v| v.parse().unwrap());
+        assert_eq!(CHILD_CASES.load(std::sync::atomic::Ordering::Relaxed), want);
     }
 
     #[test]

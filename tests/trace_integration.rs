@@ -169,7 +169,9 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
     // sink wrote in emission order) — but for what this change does to
     // the `metrics` rows on purpose: the `bench.rep` histogram is now
     // the registry's `fupermod_bench_rep_seconds`, and the five run
-    // totals are registry series as well.
+    // totals are registry series as well. The geometric partitioner's
+    // counters were already there, except `partition_steps_total`,
+    // which came later.
     let split = |text: &str| -> (Vec<String>, Vec<String>) {
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         let mut rows = lines.split_off(2);
@@ -199,6 +201,7 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
             "fupermod_outliers_rejected_total",
             "fupermod_repartitions_total",
             "fupermod_units_moved_total",
+            "partition_steps_total",
         ]
     );
     let renamed = retired.replace(",bench.rep,", ",fupermod_bench_rep_seconds,");
