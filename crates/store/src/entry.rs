@@ -23,6 +23,7 @@
 //! land on the same bits; the distinction is work, not meaning.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fupermod_core::model::{AkimaModel, Model, Refresh};
 use fupermod_core::Point;
@@ -66,10 +67,17 @@ pub enum IngestOutcome {
 }
 
 /// One device model plus the samples it is derived from.
+///
+/// The model is shared copy-on-write: a partition solve reads it
+/// through a reference taken under the shard lock and keeps that
+/// version alive outside the lock. An incremental refresh goes through
+/// [`Arc::make_mut`], so it copies the model only while such a solve
+/// (or a clone of the entry) still holds the previous version; a
+/// rebuild publishes a fresh `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct ModelEntry {
     samples: BTreeMap<u64, IncrementalStats>,
-    model: AkimaModel,
+    model: Arc<AkimaModel>,
     epoch: u64,
     config: EntryConfig,
 }
@@ -79,7 +87,7 @@ impl ModelEntry {
     pub fn new(config: EntryConfig) -> Self {
         Self {
             samples: BTreeMap::new(),
-            model: AkimaModel::new(),
+            model: Arc::default(),
             epoch: 0,
             config,
         }
@@ -94,6 +102,11 @@ impl ModelEntry {
 
     /// The maintained model.
     pub fn model(&self) -> &AkimaModel {
+        &self.model
+    }
+
+    /// The maintained model as the shared version a solve holds on to.
+    pub(crate) fn shared_model(&self) -> &Arc<AkimaModel> {
         &self.model
     }
 
@@ -173,11 +186,11 @@ impl ModelEntry {
         let stats = self.samples.entry(d).or_default();
         let reclassified = stats.push_detecting_reclassification(t, k);
         let outcome = if reclassified {
-            self.model = self.rebuild_model()?;
+            self.model = Arc::new(self.rebuild_model()?);
             IngestOutcome::FallbackRebuilt
         } else {
             let point = Self::derive_point(d, &self.samples[&d], self.config);
-            match self.model.set_point(point)? {
+            match Arc::make_mut(&mut self.model).set_point(point)? {
                 Refresh::Patched => IngestOutcome::Patched,
                 Refresh::Rebuilt => IngestOutcome::Rebuilt,
             }
@@ -205,7 +218,7 @@ impl ModelEntry {
             ));
         }
         self.samples.entry(d).or_default().push(t);
-        self.model = self.rebuild_model()?;
+        self.model = Arc::new(self.rebuild_model()?);
         self.epoch += 1;
         Ok(())
     }
@@ -233,7 +246,7 @@ impl ModelEntry {
                     .to_owned(),
             ));
         }
-        let refresh = self.model.absorb(point)?;
+        let refresh = Arc::make_mut(&mut self.model).absorb(point)?;
         self.epoch += 1;
         Ok(refresh)
     }
@@ -321,5 +334,74 @@ mod tests {
         assert!(p.ingest_sample_rebuilding(100, 1.0).is_err());
         assert_eq!(p.epoch(), 1, "rejected ingests must not advance the epoch");
         assert_eq!(p.model().points().len(), 1);
+    }
+
+    fn assert_bits_equal(a: &AkimaModel, b: &AkimaModel, ctx: &str) {
+        assert_eq!(a, b, "{ctx}: structural mismatch");
+        for (p, q) in a.points().iter().zip(b.points()) {
+            assert_eq!(
+                (p.d, p.t.to_bits(), p.reps, p.ci.to_bits()),
+                (q.d, q.t.to_bits(), q.reps, q.ci.to_bits()),
+                "{ctx}: point"
+            );
+        }
+        for i in 0..64 {
+            let x = 9.1 * i as f64;
+            assert_eq!(
+                a.time(x).map(f64::to_bits),
+                b.time(x).map(f64::to_bits),
+                "{ctx}: time({x})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_held_model_is_never_written_through() {
+        let mut e = ModelEntry::new(EntryConfig {
+            outlier_k: 3.0,
+            confidence: 0.95,
+        });
+        // The `prefix_identity` fallback stream: new sizes, patches
+        // and outlier reclassifications.
+        let stream = [1.0, 1.1, 0.9, 1.05, 50.0, 48.0, 52.0, 49.0, 51.0, 50.5];
+        let ingests = std::iter::once((500, 1.0)).chain(stream.map(|t| (100, t)));
+        let mut seen = Vec::new();
+        for (i, (d, t)) in ingests.enumerate() {
+            let held = Arc::clone(e.shared_model());
+            let before = e.cold_rebuild().unwrap();
+            let outcome = e.ingest_sample(d, t).unwrap();
+            let ctx = format!("ingest {i} ({outcome:?})");
+            assert_bits_equal(&held, &before, &ctx);
+            assert_bits_equal(e.model(), &e.cold_rebuild().unwrap(), &ctx);
+            seen.push(outcome);
+        }
+        for kind in [
+            IngestOutcome::Patched,
+            IngestOutcome::Rebuilt,
+            IngestOutcome::FallbackRebuilt,
+        ] {
+            assert!(seen.contains(&kind), "{kind:?} never happened: {seen:?}");
+        }
+
+        // Nobody else holds the model: a patch refreshes it in place.
+        let mine = Arc::as_ptr(e.shared_model());
+        assert_eq!(e.ingest_sample(500, 1.01).unwrap(), IngestOutcome::Patched);
+        assert!(
+            std::ptr::eq(mine, Arc::as_ptr(e.shared_model())),
+            "uncontended patch copied"
+        );
+
+        // The bulk-load path absorbs copy-on-write too.
+        let mut p = ModelEntry::new(EntryConfig::default());
+        p.ingest_point(Point::single(100, 1.0)).unwrap();
+        p.ingest_point(Point::single(200, 2.0)).unwrap();
+        let held = Arc::clone(p.shared_model());
+        let before = AkimaModel::clone(&held);
+        assert_eq!(
+            p.ingest_point(Point::single(100, 1.2)).unwrap(),
+            Refresh::Patched
+        );
+        assert_bits_equal(&held, &before, "absorb");
+        assert_ne!(p.model(), &before, "the absorb changed nothing");
     }
 }

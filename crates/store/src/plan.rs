@@ -8,6 +8,7 @@
 //! notification machinery. Stale entries age out through the LRU
 //! eviction that also enforces the configurable byte budget.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -144,7 +145,8 @@ impl PlanCache {
     /// Inserts (or replaces) a plan, then evicts least-recently-used
     /// plans until the budget holds again. Returns how many plans
     /// were evicted. A plan larger than the whole budget is not
-    /// cached at all (and evicts nothing).
+    /// cached at all (and evicts nothing). The key is hashed once for
+    /// the insert (and each victim once for its removal).
     pub fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) -> u64 {
         let bytes = plan_cost(&key, plan.dist());
         if bytes > self.budget {
@@ -152,21 +154,29 @@ impl PlanCache {
         }
         self.tick += 1;
         let tick = self.tick;
-        if let Some(old) = self.map.remove(&key) {
-            self.lru.remove(&old.last_used);
-            self.bytes -= old.bytes;
+        let cached = CachedPlan {
+            plan,
+            bytes,
+            last_used: tick,
+        };
+        match self.map.entry(Arc::new(key)) {
+            Entry::Occupied(mut slot) => {
+                // The map keeps its own key; the index entry moves to
+                // the new tick, sharing it as before.
+                let old = std::mem::replace(slot.get_mut(), cached);
+                let shared = self
+                    .lru
+                    .remove(&old.last_used)
+                    .expect("index is consistent");
+                self.lru.insert(tick, shared);
+                self.bytes -= old.bytes;
+            }
+            Entry::Vacant(slot) => {
+                self.lru.insert(tick, Arc::clone(slot.key()));
+                slot.insert(cached);
+            }
         }
         self.bytes += bytes;
-        let key = Arc::new(key);
-        self.lru.insert(tick, Arc::clone(&key));
-        self.map.insert(
-            key,
-            CachedPlan {
-                plan,
-                bytes,
-                last_used: tick,
-            },
-        );
         let mut evicted = 0;
         while self.bytes > self.budget {
             let (_, victim) = self.lru.pop_first().expect("bytes > 0 implies entries");

@@ -317,7 +317,8 @@ impl ModelStore {
 
     /// Shows `visit` every member's entry (with the member's rank),
     /// shard by shard: each shard lock is taken at most once and never
-    /// while another is held.
+    /// while another is held. `homes[rank]` is member `rank`'s shard
+    /// index, computed once per request by the caller.
     ///
     /// # Errors
     ///
@@ -326,9 +327,9 @@ impl ModelStore {
     fn visit_members(
         &self,
         members: &[StoreKey],
+        homes: &[usize],
         mut visit: impl FnMut(usize, &ModelEntry),
     ) -> Result<(), StoreError> {
-        let homes: Vec<usize> = members.iter().map(|k| self.shard_index(k)).collect();
         let mut missing = usize::MAX;
         for (home, shard) in self.shards.iter().enumerate() {
             if !homes.contains(&home) {
@@ -351,6 +352,19 @@ impl ModelStore {
         }
     }
 
+    /// Runs `f` on `key`'s entry, created on first use, under its
+    /// shard lock. The key is cloned only when the entry is created.
+    fn update_entry<R>(&self, key: &StoreKey, f: impl FnOnce(&mut ModelEntry) -> R) -> R {
+        let mut shard = self.shard(key).lock().expect("store shard poisoned");
+        let entry = match shard.get_mut(key) {
+            Some(entry) => entry,
+            None => shard
+                .entry(key.clone())
+                .or_insert_with(|| ModelEntry::new(self.config.entry)),
+        };
+        f(entry)
+    }
+
     /// Streams one raw observation into `key`'s entry (created on
     /// first use), refreshing the model incrementally. Returns the
     /// refresh outcome and the entry's new epoch.
@@ -364,13 +378,11 @@ impl ModelStore {
         d: u64,
         t: f64,
     ) -> Result<(IngestOutcome, u64), StoreError> {
-        let mut shard = self.shard(key).lock().expect("store shard poisoned");
-        let entry = shard
-            .entry(key.clone())
-            .or_insert_with(|| ModelEntry::new(self.config.entry));
-        let outcome = entry.ingest_sample(d, t)?;
-        let epoch = entry.epoch();
-        drop(shard);
+        let (outcome, epoch) = self.update_entry(key, |entry| {
+            entry
+                .ingest_sample(d, t)
+                .map(|outcome| (outcome, entry.epoch()))
+        })?;
         self.metrics.count_outcome(outcome);
         Ok((outcome, epoch))
     }
@@ -387,13 +399,11 @@ impl ModelStore {
         key: &StoreKey,
         point: Point,
     ) -> Result<(Refresh, u64), StoreError> {
-        let mut shard = self.shard(key).lock().expect("store shard poisoned");
-        let entry = shard
-            .entry(key.clone())
-            .or_insert_with(|| ModelEntry::new(self.config.entry));
-        let refresh = entry.ingest_point(point)?;
-        let epoch = entry.epoch();
-        drop(shard);
+        let (refresh, epoch) = self.update_entry(key, |entry| {
+            entry
+                .ingest_point(point)
+                .map(|refresh| (refresh, entry.epoch()))
+        })?;
         match refresh {
             Refresh::Patched => self.metrics.count_outcome(IngestOutcome::Patched),
             Refresh::Rebuilt => self.metrics.count_outcome(IngestOutcome::Rebuilt),
@@ -402,14 +412,19 @@ impl ModelStore {
     }
 
     /// Looks up `key`'s entry, returning its epoch and model points
-    /// (`None` when absent). Counts a model hit or miss.
+    /// (`None` when absent). Counts a model hit or miss. The points
+    /// are copied after the shard lock is released, from the model
+    /// version read under it.
     pub fn lookup(&self, key: &StoreKey) -> Option<(u64, Vec<Point>)> {
         let shard = self.shard(key).lock().expect("store shard poisoned");
-        match shard.get(key) {
-            Some(entry) => {
-                let out = (entry.epoch(), entry.model().points().to_vec());
+        let found = shard
+            .get(key)
+            .map(|entry| (entry.epoch(), Arc::clone(entry.shared_model())));
+        drop(shard);
+        match found {
+            Some((epoch, model)) => {
                 self.metrics.model_hits.inc();
-                Some(out)
+                Some((epoch, model.points().to_vec()))
             }
             None => {
                 self.metrics.model_misses.inc();
@@ -470,15 +485,17 @@ impl ModelStore {
         if members.is_empty() {
             return Err(StoreError::UnknownKey("<empty member list>".to_owned()));
         }
-        // Hot path: stamp epochs only — cloning the member models is
-        // deferred to the miss path, so a cache hit never copies model
-        // state.
+        let homes: Vec<usize> = members.iter().map(|k| self.shard_index(k)).collect();
+        // Hot path: stamp epochs only — a cache hit never touches a
+        // model.
         let mut plan_key = PlanKey {
             members: members.iter().map(|key| (key.clone(), 0)).collect(),
             total,
             algorithm: algorithm.to_owned(),
         };
-        self.visit_members(members, |rank, entry| plan_key.members[rank].1 = entry.epoch())?;
+        self.visit_members(members, &homes, |rank, entry| {
+            plan_key.members[rank].1 = entry.epoch();
+        })?;
         if let Some(plan) = self
             .plans
             .lock()
@@ -489,17 +506,26 @@ impl ModelStore {
             return Ok((plan, true));
         }
         self.metrics.plan_misses.inc();
-        // Miss: re-read each member, cloning its model and re-stamping
-        // its (possibly advanced) epoch under the same lock, so the
-        // plan is cached under exactly the epochs of the models it was
-        // computed from.
-        let mut models = vec![AkimaModel::default(); members.len()];
-        self.visit_members(members, |rank, entry| {
+        // Miss: re-read each member, taking one reference to its model
+        // and re-stamping its (possibly advanced) epoch under the same
+        // lock, so the plan is cached under exactly the epochs of the
+        // models it was computed from. The solve reads those versions
+        // outside every lock; an ingest meanwhile refreshes a copy
+        // (`ModelEntry` is copy-on-write).
+        let mut models: Vec<Option<Arc<AkimaModel>>> = vec![None; members.len()];
+        self.visit_members(members, &homes, |rank, entry| {
             plan_key.members[rank].1 = entry.epoch();
-            models[rank].clone_from(entry.model());
+            models[rank] = Some(Arc::clone(entry.shared_model()));
         })?;
-        let refs: Vec<&dyn Model> = models.iter().map(|m| m as &dyn Model).collect();
-        let plan = Arc::new(Plan::new(partitioner.partition(total, &refs)?));
+        let refs: Vec<&dyn Model> = models
+            .iter()
+            .map(|m| m.as_deref().expect("visit_members saw every rank") as &dyn Model)
+            .collect();
+        let dist = partitioner.partition(total, &refs)?;
+        // Let go of the versions before caching the plan: from here on
+        // an ingest refreshes its model in place again.
+        drop(models);
+        let plan = Arc::new(Plan::new(dist));
         let evicted = self
             .plans
             .lock()

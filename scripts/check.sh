@@ -27,6 +27,10 @@ run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # a count a noisy host cannot blur the way it blurs the serve_read
 # timing below. Release codegen: that is what the daemon runs.
 run cargo test --release -p fupermod-store --test hit_path_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
+# A plan-cache miss shares the member models instead of cloning them, so
+# it allocates the same number of times at 8, 64 and 256 members
+# (crates/store/tests/miss_path_allocs.rs).
+run cargo test --release -p fupermod-store --test miss_path_allocs -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # Numerical step: the partitioner's Newton loop allocates once per
 # solve, not per process or iteration (crates/core/tests/numerical_allocs.rs),
 # and its structured step solve replays solve_dense bit for bit or
