@@ -15,9 +15,8 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp1_partition_quality.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::{
-    evaluate_partitioner, finish_experiment_trace, print_csv_row, sink_or_null, size_grid,
-};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{evaluate_partitioner, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::trace::null_sink;
 use fupermod_core::model::{AkimaModel, ConstantModel, Model, PiecewiseModel};
 use fupermod_core::partition::{
@@ -31,8 +30,9 @@ use fupermod_platform::{Platform, WorkloadProfile};
 type Run<'a> = (&'a str, Box<dyn Partitioner>, Vec<&'a dyn Model>);
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = fupermod_bench::experiment_trace("exp1_partition_quality");
+    let args = Args::parse();
+    let quick = args.has("quick");
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     let precision = Precision::default();
 
@@ -154,5 +154,5 @@ fn main() {
             }
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

@@ -13,38 +13,39 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp2_dynamic_cost.trace.jsonl` (see docs/OBSERVABILITY.md).
 //!
-//! With `--runtime thread|sim` the dynamic loop runs through the
-//! distributed message-passing executor (`fupermod-runtime`) instead of
-//! the serial in-process loop — bit-identical results on a fault-free
-//! plan; `--fault-plan SPEC` (inline JSON or a file, see
+//! With `--runtime thread|sim` (default `serial`) the dynamic loop runs
+//! through the distributed message-passing executor (`fupermod-runtime`)
+//! instead of the serial in-process loop — bit-identical results on a
+//! fault-free plan; `--fault-plan SPEC` (inline JSON or a file, see
 //! docs/RUNTIME.md) injects faults and `--collectives hub|ring|tree|auto`
 //! selects the collective schedules (docs/RUNTIME.md §6).
 //! `--sim-engine event` swaps the rank threads for the single-threaded
 //! discrete-event interpreter (implies `--runtime sim`; see
-//! docs/RUNTIME.md §9), and `--ranks P` scales the run to a single
-//! two-speed platform of P devices, keeping only the dynamic leg —
+//! docs/RUNTIME.md §9), and `--ranks P` (or `-p P`) scales the run to a
+//! single two-speed platform of P devices, keeping only the dynamic leg —
 //! building full models for 10⁴+ devices is exactly the cost the
 //! dynamic approach avoids.
 
+use fupermod_bench::cli::{self, Args};
 use fupermod_bench::{
-    evaluate_partitioner, finish_experiment_trace, ground_truth_imbalance, ground_truth_times,
-    print_csv_row, sink_or_null, size_grid,
+    dynamic_leg, evaluate_partitioner, ground_truth_imbalance, ground_truth_times, print_csv_row,
+    sink_or_null, size_grid,
 };
-use fupermod_core::dynamic::DynamicContext;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = fupermod_bench::experiment_trace("exp2_dynamic_cost");
+    let args = Args::parse();
+    let quick = args.has("quick");
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
-    let ranks = fupermod_bench::ranks_from_args();
+    let ranks = cli::ranks(&args);
     let platforms = match ranks {
         // Scale-sweep mode: one two-speed platform of the requested
         // size; the full-FPM leg is skipped below.
-        Some(p) => vec![Platform::two_speed(p.div_ceil(2), p / 2, 201)],
+        Some(p) => vec![cli::scaled_platform("two-speed", Some(p), 201)],
         None => vec![
             Platform::two_speed(2, 2, 201),
             Platform::hybrid_node(4, 202),
@@ -106,56 +107,9 @@ fn main() {
         // --- (b) dynamic partial estimation ---
         // With --runtime thread|sim the loop runs distributed over the
         // message-passing runtime; otherwise the classic serial loop.
+        let config = cli::runtime_config(&args, platform, trace.as_ref(), "serial");
         let (dyn_cost, steps, final_sizes) =
-            match fupermod_bench::runtime_from_args(platform, trace.as_ref()) {
-                Some(config) => {
-                    let outcome = fupermod_bench::distributed_dynamic(
-                        platform, &profile, total, 0.05, 25, config,
-                    )
-                    .expect("distributed dynamic run failed");
-                    (
-                        fupermod_bench::distributed_bench_cost(&outcome),
-                        outcome.steps.len(),
-                        outcome.final_sizes.clone(),
-                    )
-                }
-                None => {
-                    let partials: Vec<Box<dyn Model>> = (0..platform.size())
-                        .map(|_| Box::new(PiecewiseModel::new()) as Box<dyn Model>)
-                        .collect();
-                    let mut ctx = DynamicContext::new(
-                        Box::new(GeometricPartitioner::default()),
-                        partials,
-                        total,
-                        0.05,
-                    );
-                    if let Some(sink) = &trace {
-                        ctx = ctx.with_trace(sink.clone());
-                    }
-                    let mut dyn_cost = 0.0;
-                    let mut steps = 0;
-                    for _ in 0..25 {
-                        let step = ctx
-                            .partition_iterate(|rank, d| {
-                                let p = fupermod_bench::quick_measure(
-                                    platform,
-                                    rank,
-                                    &profile,
-                                    d,
-                                    sink_or_null(&trace),
-                                )?;
-                                dyn_cost += p.t * p.reps as f64;
-                                Ok(p)
-                            })
-                            .expect("dynamic step failed");
-                        steps += 1;
-                        if step.converged {
-                            break;
-                        }
-                    }
-                    (dyn_cost, steps, ctx.dist().sizes())
-                }
-            };
+            dynamic_leg(platform, &profile, total, 25, config, &trace);
         let times = ground_truth_times(platform, &profile, &final_sizes);
         print_csv_row(&[
             platform.name().to_owned(),
@@ -166,5 +120,5 @@ fn main() {
             format!("{:.4}", ground_truth_imbalance(&times)),
         ]);
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

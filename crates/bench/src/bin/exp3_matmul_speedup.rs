@@ -10,19 +10,21 @@
 //! Output: CSV `platform,n_blocks,strategy,total_time_s,speedup_vs_even,comm_s`.
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp3_matmul_speedup.trace.jsonl` (see docs/OBSERVABILITY.md).
+//! `--parallelism N` (or `FUPERMOD_PARALLELISM`) builds the models on
+//! N worker threads, bit-identically.
 
 use fupermod_apps::matmul::{build_device_models_with, partition_areas, simulate, MatMulConfig};
-use fupermod_bench::{
-    finish_experiment_trace, parallelism_from_args, print_csv_row, sink_or_null, size_grid,
-};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{print_csv_row, sink_or_null, size_grid};
 use fupermod_core::model::{AkimaModel, ConstantModel, Model};
 use fupermod_core::partition::{ConstantPartitioner, NumericalPartitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp3_matmul_speedup");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
+    let quick = args.has("quick");
     let block = 16usize;
     let profile = WorkloadProfile::matrix_update(block);
     let platforms = vec![Platform::two_speed(2, 2, 301), Platform::hybrid_node(4, 302)];
@@ -44,10 +46,7 @@ fn main() {
     for platform in &platforms {
         let max_area = n_blocks_sweep.last().unwrap().pow(2);
         let sizes = size_grid(16, max_area / 2, if quick { 8 } else { 14 });
-        // `--parallelism N` builds the per-device models on N worker
-        // threads; the models and the trace are bit-identical to the
-        // serial build (see fupermod_core::builder::ModelBuilder).
-        let parallelism = parallelism_from_args();
+        let parallelism = cli::parallelism(&args);
         let cpms: Vec<ConstantModel> = build_device_models_with(
             platform,
             &profile,
@@ -96,5 +95,5 @@ fn main() {
             }
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

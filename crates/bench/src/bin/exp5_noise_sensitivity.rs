@@ -14,9 +14,9 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp5_noise_sensitivity.trace.jsonl` (see docs/OBSERVABILITY.md).
 
+use fupermod_bench::cli::{self, Args};
 use fupermod_bench::{
-    finish_experiment_trace, ground_truth_imbalance, ground_truth_times, print_csv_row,
-    sink_or_null, size_grid,
+    ground_truth_imbalance, ground_truth_times, print_csv_row, sink_or_null, size_grid,
 };
 use fupermod_core::benchmark::Benchmark;
 use fupermod_core::kernel::DeviceKernel;
@@ -40,7 +40,8 @@ fn noisy_platform(noise: f64, seed: u64) -> Platform {
 }
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp5_noise_sensitivity");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     let total = 100_000u64;
     let sizes = size_grid(16, 50_000, 12);
@@ -104,5 +105,5 @@ fn main() {
             ]);
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

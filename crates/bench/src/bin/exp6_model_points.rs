@@ -12,9 +12,10 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp6_model_points.trace.jsonl` (see docs/OBSERVABILITY.md).
 
+use fupermod_bench::cli::{self, Args};
 use fupermod_bench::{
-    build_model_for_device, finish_experiment_trace, ground_truth_imbalance, ground_truth_times,
-    print_csv_row, sink_or_null, size_grid,
+    build_model_for_device, ground_truth_imbalance, ground_truth_times, print_csv_row,
+    sink_or_null, size_grid,
 };
 use fupermod_core::model::{AkimaModel, Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, NumericalPartitioner, Partitioner};
@@ -22,7 +23,8 @@ use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp6_model_points");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     let platform = Platform::grid_site(600);
     let total = 150_000u64;
@@ -88,5 +90,5 @@ fn main() {
             ]);
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

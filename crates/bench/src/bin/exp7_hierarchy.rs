@@ -13,9 +13,8 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp7_hierarchy.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::{
-    finish_experiment_trace, ground_truth_imbalance, print_csv_row, sink_or_null, size_grid,
-};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{ground_truth_imbalance, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::hierarchy::partition_hierarchical;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, Partitioner};
@@ -23,7 +22,8 @@ use fupermod_core::Precision;
 use fupermod_platform::{cluster, LinkModel, Platform, WorkloadProfile};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp7_hierarchy");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     // Three two-device "nodes" of very different strengths.
     let devices = vec![
@@ -100,5 +100,5 @@ fn main() {
             ]);
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

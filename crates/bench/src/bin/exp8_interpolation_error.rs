@@ -14,9 +14,10 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp8_interpolation_error.trace.jsonl` (see docs/OBSERVABILITY.md).
 
+use fupermod_bench::cli::{self, Args};
 use fupermod_bench::{
-    build_model_for_device, finish_experiment_trace, ground_truth_imbalance, ground_truth_times,
-    print_csv_row, sink_or_null, size_grid,
+    build_model_for_device, ground_truth_imbalance, ground_truth_times, print_csv_row,
+    sink_or_null, size_grid,
 };
 use fupermod_core::model::{AkimaModel, CubicModel, LinearModel, Model, PiecewiseModel};
 use fupermod_core::partition::{NumericalPartitioner, Partitioner};
@@ -49,7 +50,8 @@ fn prediction_errors(
 }
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp8_interpolation_error");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     let platform = Platform::two_speed(2, 2, 800);
     let precision = Precision::thorough();
@@ -129,5 +131,5 @@ fn main() {
             ]);
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

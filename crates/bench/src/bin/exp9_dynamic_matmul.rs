@@ -12,28 +12,26 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/exp9_dynamic_matmul.trace.jsonl` (see docs/OBSERVABILITY.md).
 //!
-//! With `--runtime thread|sim` the dynamic-estimation leg runs through
-//! the distributed message-passing executor (`fupermod-runtime`) —
-//! bit-identical results on a fault-free plan; `--fault-plan SPEC`
-//! (inline JSON or a file, see docs/RUNTIME.md) injects faults and
-//! `--collectives hub|ring|tree|auto` selects the collective schedules
-//! (docs/RUNTIME.md §6). `--sim-engine event` swaps the rank threads
-//! for the single-threaded discrete-event interpreter (implies
-//! `--runtime sim`; see docs/RUNTIME.md §9).
+//! With `--runtime thread|sim` (default `serial`) the dynamic-estimation
+//! leg runs through the distributed message-passing executor
+//! (`fupermod-runtime`) — bit-identical results on a fault-free plan;
+//! `--fault-plan SPEC` (inline JSON or a file, see docs/RUNTIME.md)
+//! injects faults and `--collectives hub|ring|tree|auto` selects the
+//! collective schedules (docs/RUNTIME.md §6). `--sim-engine event`
+//! swaps the rank threads for the single-threaded discrete-event
+//! interpreter (implies `--runtime sim`; see docs/RUNTIME.md §9).
 
 use fupermod_apps::matmul::{partition_areas, simulate, MatMulConfig};
-use fupermod_bench::{
-    build_model_for_device, finish_experiment_trace, print_csv_row, quick_measure, sink_or_null,
-    size_grid,
-};
-use fupermod_core::dynamic::DynamicContext;
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{build_model_for_device, dynamic_leg, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{EvenPartitioner, GeometricPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("exp9_dynamic_matmul");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let block = 16usize;
     let profile = WorkloadProfile::matrix_update(block);
     let platforms = vec![Platform::two_speed(2, 2, 901), Platform::grid_site(902)];
@@ -89,53 +87,8 @@ fn main() {
 
         // (b) dynamic partial estimation at run time — distributed
         // over the runtime when --runtime thread|sim is given.
-        let (dyn_cost, areas) =
-            match fupermod_bench::runtime_from_args(platform, trace.as_ref()) {
-                Some(config) => {
-                    let outcome = fupermod_bench::distributed_dynamic(
-                        platform, &profile, total_area, 0.05, 20, config,
-                    )
-                    .expect("distributed dynamic run failed");
-                    (
-                        fupermod_bench::distributed_bench_cost(&outcome),
-                        outcome.final_sizes.clone(),
-                    )
-                }
-                None => {
-                    let partials: Vec<Box<dyn Model>> = (0..p)
-                        .map(|_| Box::new(PiecewiseModel::new()) as Box<dyn Model>)
-                        .collect();
-                    let mut ctx = DynamicContext::new(
-                        Box::new(GeometricPartitioner::default()),
-                        partials,
-                        total_area,
-                        0.05,
-                    );
-                    if let Some(sink) = &trace {
-                        ctx = ctx.with_trace(sink.clone());
-                    }
-                    let mut dyn_cost = 0.0;
-                    for _ in 0..20 {
-                        let step = ctx
-                            .partition_iterate(|rank, d| {
-                                let pt = quick_measure(
-                                    platform,
-                                    rank,
-                                    &profile,
-                                    d,
-                                    sink_or_null(&trace),
-                                )?;
-                                dyn_cost += pt.t * pt.reps as f64;
-                                Ok(pt)
-                            })
-                            .expect("dynamic step failed");
-                        if step.converged {
-                            break;
-                        }
-                    }
-                    (dyn_cost, ctx.dist().sizes())
-                }
-            };
+        let config = cli::runtime_config(&args, platform, trace.as_ref(), "serial");
+        let (dyn_cost, _, areas) = dynamic_leg(platform, &profile, total_area, 20, config, &trace);
         let run = simulate(platform, &areas, &cfg).expect("sim failed").total_time;
         emit(platform, &cfg, "dynamic", dyn_cost, run);
 
@@ -146,7 +99,7 @@ fn main() {
             .expect("even partition failed");
         assert_eq!(even_check.total_assigned(), total_area);
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }
 
 fn emit(platform: &Platform, cfg: &MatMulConfig, name: &str, model_cost: f64, run: f64) {

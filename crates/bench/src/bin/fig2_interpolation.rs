@@ -14,7 +14,8 @@
 //! Run with `cargo run --release -p fupermod-bench --bin fig2_interpolation`.
 //! Pass `--quick` for a smaller sweep (used in smoke tests).
 
-use fupermod_bench::{finish_experiment_trace, print_csv_row, sink_or_null, size_grid};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{print_csv_row, sink_or_null, size_grid};
 use fupermod_core::benchmark::Benchmark;
 use fupermod_core::kernel::Kernel;
 use fupermod_core::model::{AkimaModel, Model, PiecewiseModel};
@@ -22,8 +23,9 @@ use fupermod_core::Precision;
 use fupermod_kernels::gemm::MatMulKernel;
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("fig2_interpolation");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
+    let quick = args.has("quick");
     let block = 16usize;
     let (hi, npoints, reps) = if quick { (400, 8, 2) } else { (4000, 22, 3) };
 
@@ -76,5 +78,5 @@ fn main() {
             format!("{ak:.4}"),
         ]);
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

@@ -11,14 +11,16 @@
 //! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
 //! `DIR/fig3_partial_fpm.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::{finish_experiment_trace, print_csv_row, quick_measure, sink_or_null};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::{print_csv_row, quick_measure, sink_or_null};
 use fupermod_core::dynamic::DynamicContext;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_platform::{cluster, LinkModel, Platform, WorkloadProfile};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("fig3_partial_fpm");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
     let total: u64 = 4000;
     let eps = 0.03;
     let platform = Platform::new(
@@ -74,5 +76,5 @@ fn main() {
             break;
         }
     }
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

@@ -15,14 +15,16 @@ use std::sync::Arc;
 
 use fupermod_apps::jacobi::{run_traced, JacobiConfig};
 use fupermod_apps::workload::dominant_system;
-use fupermod_bench::{finish_experiment_trace, print_csv_row};
+use fupermod_bench::cli::{self, Args};
+use fupermod_bench::print_csv_row;
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_core::trace::{NullSink, TraceSink};
 use fupermod_platform::{cluster, LinkModel, Platform};
 
 fn main() {
-    let trace = fupermod_bench::experiment_trace("fig4_jacobi_balancing");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args = Args::parse();
+    let trace = cli::open_trace_sink(&args, None);
+    let quick = args.has("quick");
     let n = if quick { 120 } else { 480 };
 
     // Three devices of distinctly different speeds, like the paper's
@@ -83,5 +85,5 @@ fn main() {
         report.iterations.len(),
         report.makespan
     );
-    finish_experiment_trace(trace.as_ref());
+    cli::finish_trace(trace.as_ref());
 }

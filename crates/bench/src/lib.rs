@@ -5,97 +5,20 @@
 //! Each binary under `src/bin/` regenerates one figure or experiment of
 //! the paper (see DESIGN.md's experiment index) and prints CSV to
 //! stdout, so results can be diffed, plotted, or recorded in
-//! EXPERIMENTS.md. This library holds the pieces they share.
+//! EXPERIMENTS.md. This library holds the pieces they share, and
+//! [`cli`], the command line of every binary in the workspace.
 
-use std::path::PathBuf;
+pub mod cli;
+
 use std::sync::Arc;
 
-use fupermod_core::model::Model;
-use fupermod_core::partition::Partitioner;
-use fupermod_core::telemetry;
+use fupermod_core::dynamic::DynamicContext;
+use fupermod_core::model::{Model, PiecewiseModel};
+use fupermod_core::partition::{GeometricPartitioner, Partitioner};
 use fupermod_core::trace::{null_sink, TraceSink};
 use fupermod_core::{CoreError, Point, Precision};
 use fupermod_platform::{Platform, WorkloadProfile};
-
-/// Starts the run's observability for the experiment binary `name`
-/// ([`telemetry::open_run_trace`] — the same open the `fupermod_*`
-/// binaries use, so the process-wide registry is enabled either way)
-/// and opens its structured trace sink when tracing was requested —
-/// via `--trace PATH` (exact file, wins), `--trace-dir DIR` on the
-/// command line, or the `FUPERMOD_TRACE_DIR` environment variable.
-/// The directory forms write `DIR/<name>.trace.jsonl` next to the CSV
-/// the binary prints to stdout (schema in `docs/OBSERVABILITY.md`);
-/// [`finish_experiment_trace`] exports the registry into it at exit.
-///
-/// Returns `None` when tracing was not requested. Exits with status 1
-/// when the requested directory/file cannot be created — a requested
-/// trace that silently vanishes would be worse than no trace.
-pub fn experiment_trace(name: &str) -> Option<Arc<dyn TraceSink>> {
-    let path = flag_value("--trace").map(PathBuf::from).or_else(|| {
-        let dir = flag_value("--trace-dir")
-            .or_else(|| std::env::var("FUPERMOD_TRACE_DIR").ok())?;
-        let dir = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create trace directory {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-        Some(dir.join(format!("{name}.trace.jsonl")))
-    });
-    match telemetry::open_run_trace(path.as_deref()) {
-        Ok(sink) => {
-            if let Some(path) = &path {
-                eprintln!("# trace -> {}", path.display());
-            }
-            sink
-        }
-        Err(e) => {
-            let path = path.unwrap_or_default();
-            eprintln!("cannot create trace file {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Model-build worker-thread count for the experiment binaries: the
-/// value of `--parallelism N` on the command line, else the
-/// `FUPERMOD_PARALLELISM` environment variable, else `1` (serial — the
-/// reproducible default). `0` means one worker per available core.
-/// Parallel and serial builds produce bit-identical models and traces
-/// (see [`fupermod_core::builder::ModelBuilder`]), so this knob only
-/// changes wall-clock time.
-pub fn parallelism_from_args() -> usize {
-    let mut args = std::env::args();
-    let arg = loop {
-        match args.next() {
-            Some(a) if a == "--parallelism" => break args.next(),
-            Some(_) => continue,
-            None => break None,
-        }
-    };
-    let raw = arg.or_else(|| std::env::var("FUPERMOD_PARALLELISM").ok());
-    match raw {
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --parallelism value {s:?} (want a non-negative integer)");
-            std::process::exit(2);
-        }),
-        None => 1,
-    }
-}
-
-/// Ends the run ([`telemetry::finish_run_trace`]): exports the
-/// process-wide telemetry registry as `metrics` events into the
-/// experiment trace sink (if one was opened) and flushes it, then
-/// prints the run-totals summary to stderr. Call once before exiting.
-/// Exits with status 1 on a deferred trace write error.
-pub fn finish_experiment_trace(sink: Option<&Arc<dyn TraceSink>>) {
-    match telemetry::finish_run_trace(sink.map(|s| s.as_ref())) {
-        Ok(summary) => eprintln!("# {summary}"),
-        Err(e) => {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
+use fupermod_runtime::RuntimeConfig;
 
 /// The sink to hand to `*_traced` helpers: the opened experiment sink,
 /// or the no-op default.
@@ -230,201 +153,81 @@ pub fn quick_measure(
         .measure(&mut kernel, d)
 }
 
+/// The dynamic partial-estimation leg of EXP2 and EXP9: piecewise
+/// partial models refined by the geometric partitioner (eps 0.05) from
+/// [`quick_measure`] points, for at most `max_steps` steps. Without a
+/// `config` it is the serial in-process loop, traced to `trace`; with
+/// one (`--runtime thread|sim`, see [`cli::runtime_config`]) it runs
+/// through the distributed executor, where every rank benchmarks its
+/// own share and rank 0 repartitions — bit-identical on a fault-free
+/// plan. Returns the virtual benchmarking cost (`t × reps` summed over
+/// every measurement), the steps taken and the final sizes.
+///
+/// # Panics
+///
+/// When a step, or the distributed run's root rank, fails.
+pub fn dynamic_leg(
+    platform: &Platform,
+    profile: &WorkloadProfile,
+    total: u64,
+    max_steps: usize,
+    config: Option<RuntimeConfig>,
+    trace: &Option<Arc<dyn TraceSink>>,
+) -> (f64, usize, Vec<u64>) {
+    let size = platform.size();
+    let new_context = || {
+        let models: Vec<Box<dyn Model>> = (0..size)
+            .map(|_| Box::new(PiecewiseModel::new()) as Box<dyn Model>)
+            .collect();
+        DynamicContext::new(
+            Box::new(GeometricPartitioner::default()),
+            models,
+            total,
+            0.05,
+        )
+    };
+    if let Some(config) = config {
+        let outcome = fupermod_runtime::run_to_balance_distributed(
+            config,
+            size,
+            new_context,
+            |rank, d| quick_measure(platform, rank, profile, d, null_sink()),
+            max_steps,
+        )
+        .expect("distributed dynamic run failed");
+        let cost = outcome
+            .steps
+            .iter()
+            .flat_map(|s| s.observed.iter())
+            .map(|p| p.t * f64::from(p.reps))
+            .sum();
+        return (cost, outcome.steps.len(), outcome.final_sizes);
+    }
+    let mut ctx = new_context();
+    if let Some(sink) = trace {
+        ctx = ctx.with_trace(sink.clone());
+    }
+    let (mut cost, mut steps) = (0.0, 0);
+    for _ in 0..max_steps {
+        let step = ctx
+            .partition_iterate(|rank, d| {
+                let p = quick_measure(platform, rank, profile, d, sink_or_null(trace))?;
+                cost += p.t * p.reps as f64;
+                Ok(p)
+            })
+            .expect("dynamic step failed");
+        steps += 1;
+        if step.converged {
+            break;
+        }
+    }
+    (cost, steps, ctx.dist().sizes())
+}
+
 /// Prints a CSV header and rows through a tiny helper so every binary
 /// formats identically.
 pub fn print_csv_row(fields: &[String]) {
     println!("{}", fields.join(","));
-}
-
-/// The value of `--NAME VALUE` on the command line, if present.
-/// (`name` includes the leading dashes, e.g. `"--runtime"`.)
-pub fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Parses `--fault-plan SPEC` — inline JSON when SPEC starts with `{`,
-/// otherwise a path to a JSON file (schema in `docs/RUNTIME.md`).
-/// Returns the empty plan when the flag is absent; exits with status 2
-/// on an invalid plan.
-pub fn fault_plan_from_args() -> fupermod_runtime::FaultPlan {
-    use fupermod_runtime::FaultPlan;
-    match flag_value("--fault-plan") {
-        None => FaultPlan::none(),
-        Some(spec) => {
-            let parsed = if spec.trim_start().starts_with('{') {
-                FaultPlan::from_json(&spec)
-            } else {
-                FaultPlan::from_json_file(std::path::Path::new(&spec))
-            };
-            parsed.unwrap_or_else(|e| {
-                eprintln!("invalid --fault-plan: {e}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
-
-/// Parses `--collectives hub|ring|tree|auto` into an
-/// [`fupermod_runtime::AlgorithmPolicy`] (default `hub`, the
-/// compatibility schedule; see `docs/RUNTIME.md` §6). Exits with
-/// status 2 on an unknown spelling.
-pub fn collectives_from_args() -> fupermod_runtime::AlgorithmPolicy {
-    use fupermod_runtime::AlgorithmPolicy;
-    match flag_value("--collectives") {
-        None => AlgorithmPolicy::default(),
-        Some(s) => AlgorithmPolicy::parse(&s).unwrap_or_else(|| {
-            eprintln!("--collectives must be hub, ring, tree or auto (got '{s}')");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Parses `--sim-engine thread|event` into a
-/// [`fupermod_runtime::SimEngine`] (default `thread`). `event` selects
-/// the single-threaded discrete-event interpreter — same virtual
-/// clocks, `10⁴`–`10⁶` ranks (see `docs/RUNTIME.md` §9). Exits with
-/// status 2 on an unknown spelling.
-pub fn sim_engine_from_args() -> fupermod_runtime::SimEngine {
-    use fupermod_runtime::SimEngine;
-    match flag_value("--sim-engine") {
-        None => SimEngine::default(),
-        Some(s) => SimEngine::parse(&s).unwrap_or_else(|e| {
-            eprintln!("--sim-engine: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Parses the `--ranks N` process-count override for the scale-sweep
-/// experiment legs. Returns `None` when absent; exits with status 2 on
-/// `--ranks 0` or a non-integer value.
-pub fn ranks_from_args() -> Option<usize> {
-    let s = flag_value("--ranks")?;
-    match s.parse::<usize>() {
-        Ok(0) => {
-            eprintln!("--ranks must be at least 1 (got 0)");
-            std::process::exit(2);
-        }
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("invalid --ranks value {s:?} (want a positive integer)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Builds the runtime configuration selected by `--runtime thread|sim`
-/// and `--sim-engine thread|event` for a distributed dynamic run on
-/// `platform`, applying `--fault-plan` and the `--collectives`
-/// algorithm policy, and routing runtime trace events to `trace` when
-/// given. Returns `None` when the run stays serial (the classic
-/// in-process loop): `--runtime` absent without `--sim-engine event`,
-/// or an explicit `--runtime serial`.
-///
-/// `--sim-engine event` needs the virtual-clock backend, so it implies
-/// `--runtime sim` when `--runtime` is absent and rejects an explicit
-/// `--runtime thread`. The thread engine refuses more ranks than it
-/// can sanely spawn threads for (512). Exits with status 2 on an
-/// unknown backend or a rejected combination.
-pub fn runtime_from_args(
-    platform: &Platform,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> Option<fupermod_runtime::RuntimeConfig> {
-    use fupermod_runtime::{RuntimeConfig, SimEngine};
-    let engine = sim_engine_from_args();
-    let backend = match flag_value("--runtime") {
-        Some(b) => b,
-        None if engine == SimEngine::Event => "sim".to_owned(),
-        None => return None,
-    };
-    let config = match backend.as_str() {
-        "serial" => return None,
-        "thread" => {
-            if engine == SimEngine::Event {
-                eprintln!(
-                    "--sim-engine event needs the virtual-clock backend: \
-                     use --runtime sim (or drop --sim-engine)"
-                );
-                std::process::exit(2);
-            }
-            RuntimeConfig::thread()
-        }
-        "sim" => RuntimeConfig::sim(platform.size(), platform.link()),
-        other => {
-            eprintln!("--runtime must be serial, thread or sim (got '{other}')");
-            std::process::exit(2);
-        }
-    };
-    if engine == SimEngine::Thread && platform.size() > 512 {
-        eprintln!(
-            "the thread engine spawns one OS thread per rank and is capped \
-             at 512 ranks (asked for {}); use --sim-engine event",
-            platform.size()
-        );
-        std::process::exit(2);
-    }
-    let config = config
-        .with_engine(engine)
-        .with_plan(fault_plan_from_args())
-        .with_algorithms(collectives_from_args());
-    Some(match trace {
-        Some(sink) => config.with_trace(sink.clone()),
-        None => config,
-    })
-}
-
-/// Runs the dynamic partitioning loop for `platform` through the
-/// distributed runtime executor ([`fupermod_runtime`]): every rank
-/// benchmarks its own share (quick precision, like
-/// [`quick_measure`]), the observations are gathered onto rank 0,
-/// and rank 0 repartitions. On a fault-free plan the result is
-/// bit-identical to the serial `DynamicContext` loop.
-///
-/// # Errors
-///
-/// Propagates root-rank runtime failures.
-pub fn distributed_dynamic(
-    platform: &Platform,
-    profile: &WorkloadProfile,
-    total: u64,
-    eps: f64,
-    max_steps: usize,
-    config: fupermod_runtime::RuntimeConfig,
-) -> Result<fupermod_runtime::BalanceOutcome, fupermod_runtime::RuntimeError> {
-    use fupermod_core::dynamic::DynamicContext;
-    use fupermod_core::model::PiecewiseModel;
-    use fupermod_core::partition::GeometricPartitioner;
-    let size = platform.size();
-    fupermod_runtime::run_to_balance_distributed(
-        config,
-        size,
-        || {
-            let models: Vec<Box<dyn Model>> = (0..size)
-                .map(|_| Box::new(PiecewiseModel::new()) as Box<dyn Model>)
-                .collect();
-            DynamicContext::new(Box::new(GeometricPartitioner::default()), models, total, eps)
-        },
-        |rank, d| quick_measure(platform, rank, profile, d, null_sink()),
-        max_steps,
-    )
-}
-
-/// Virtual benchmarking cost of a distributed dynamic run: the sum of
-/// `t × reps` over every observation absorbed into the models —
-/// comparable to the cost the serial loops accumulate.
-pub fn distributed_bench_cost(outcome: &fupermod_runtime::BalanceOutcome) -> f64 {
-    outcome
-        .steps
-        .iter()
-        .flat_map(|s| s.observed.iter())
-        .map(|p| p.t * f64::from(p.reps))
-        .sum()
 }
 
 #[cfg(test)]

@@ -131,3 +131,30 @@ fn exp2_trace_carries_every_registry_series_once() {
     assert_eq!(series.len(), exported, "a scope/label set was exported twice");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `-p P` is `--ranks P` on the experiments too.
+#[test]
+fn exp2_accepts_p_for_ranks() {
+    let run = |ranks: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_exp2_dynamic_cost"))
+            .args(["--quick", ranks, "6"])
+            .output()
+            .expect("binary failed to launch");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("non-utf8 output")
+    };
+    let short = run("-p");
+    assert_csv_shape(&short, 6, 1);
+    assert!(
+        short
+            .lines()
+            .nth(1)
+            .is_some_and(|l| l.starts_with("two-speed-3f3s,")),
+        "{short}"
+    );
+    assert_eq!(short, run("--ranks"));
+}

@@ -9,24 +9,23 @@
 //! request headers and bodies. That is all a scraper needs, and it
 //! keeps the daemon's dependency budget at zero.
 //!
-//! The accept loop mirrors [`crate::server`]: non-blocking accepts
+//! The accept loop is [`crate::server`]'s: non-blocking accepts
 //! polling a shared stop flag, one short-lived thread per connection.
+//! Request and header lines are read through the same cap as protocol
+//! lines (`MAX_LINE`, 1 MiB): a longer one closes the connection.
 //! Liveness (`/healthz`) is "the listener thread is turning"; it
 //! stays 200 until the process exits. Readiness (`/readyz`) is "the
 //! daemon will still answer protocol requests": it turns 503 once
 //! shutdown begins or if a store shard mutex has been poisoned.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
+use crate::server::{accept_loop, read_line_capped};
 use crate::store::ModelStore;
-
-/// How often the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Per-connection socket timeout: a scraper that stalls mid-request
 /// must not pin a handler thread forever.
@@ -48,28 +47,10 @@ pub fn serve_http(
     store: Arc<ModelStore>,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut handles = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                handles.push(thread::spawn(move || {
-                    let _ = handle_connection(stream, &store, &stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-        handles.retain(|h| !h.is_finished());
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    Ok(())
+    let flag = Arc::clone(&stop);
+    accept_loop(listener, &stop, move |stream| {
+        let _ = handle_connection(stream, &store, &flag);
+    })
 }
 
 fn handle_connection(
@@ -81,17 +62,21 @@ fn handle_connection(
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let (mut request_line, mut header) = (Vec::new(), Vec::new());
+    let (_, mut too_long) = read_line_capped(&mut reader, &mut request_line)?;
     // Drain (and ignore) headers up to the blank line so the peer is
     // not left with an unread buffer when we close.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+    while !too_long {
+        let (read, cut) = read_line_capped(&mut reader, &mut header)?;
+        if read == 0 || header == b"\r\n" || header == b"\n" {
             break;
         }
+        too_long = cut;
     }
+    if too_long {
+        return Err(io::Error::other("HTTP line over the cap"));
+    }
+    let request_line = std::str::from_utf8(&request_line).map_err(io::Error::other)?;
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -183,6 +168,7 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
+    use std::thread;
 
     fn start() -> (String, Arc<ModelStore>, Arc<AtomicBool>, thread::JoinHandle<std::io::Result<()>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -235,6 +221,43 @@ mod tests {
         if let Ok((code, _)) = http_get(&addr, "/readyz") {
             assert_eq!(code, 503);
         }
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A 4 MiB header line with no newline: the handler's reads stop
+    /// one byte past `MAX_LINE` (the byte that proves the line is over
+    /// the cap), the connection is closed without an answer, and the
+    /// listener keeps serving.
+    #[test]
+    fn an_overlong_header_line_is_closed_and_health_still_answers() {
+        use crate::server::MAX_LINE;
+        let mut request = b"GET /healthz HTTP/1.1\r\nX-Padding: ".to_vec();
+        request.resize(request.len() + (4 << 20), b'x');
+
+        let mut reader = BufReader::new(&request[..]);
+        let mut line = Vec::new();
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line).unwrap(),
+            (23, false)
+        );
+        let (read, cut) = read_line_capped(&mut reader, &mut line).unwrap();
+        assert_eq!((read, cut, line.len()), (MAX_LINE + 1, true, MAX_LINE + 1));
+
+        let (addr, _store, stop, handle) = start();
+        let mut hostile = TcpStream::connect(&addr).unwrap();
+        let writer = {
+            let mut stream = hostile.try_clone().unwrap();
+            // The handler stops reading; the write may be cut short.
+            thread::spawn(move || drop(stream.write_all(&request)))
+        };
+        let mut reply = Vec::new();
+        let _ = hostile.read_to_end(&mut reply); // an orderly close or a reset
+        writer.join().unwrap();
+        assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+
+        let (code, body) = http_get(&addr, "/healthz").unwrap();
+        assert_eq!((code, body.as_str()), (200, "ok\n"));
+        stop.store(true, Ordering::SeqCst);
         handle.join().unwrap().unwrap();
     }
 }

@@ -30,10 +30,10 @@ use crate::StoreError;
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
-/// Longest request line the daemon buffers (a 64-member `partition`
-/// is under 1 KiB). A longer one is answered with an error line and
-/// the connection is closed.
-const MAX_LINE: usize = 1 << 20;
+/// Longest request line the daemon (and HTTP line the metrics listener)
+/// buffers; a 64-member `partition` is under 1 KiB. A longer one is
+/// answered with an error line (HTTP: none) and the connection closed.
+pub(crate) const MAX_LINE: usize = 1 << 20;
 
 /// How much of an over-long line is read and discarded after the
 /// error reply, so the peer sees the reply and an orderly close
@@ -148,32 +148,50 @@ pub fn serve_with(
     stop: Arc<AtomicBool>,
     options: ServeOptions,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     let spans = RequestSpans::new(store.registry());
+    let flag = Arc::clone(&stop);
+    accept_loop(listener, &stop, move |stream| {
+        let _ = handle_connection(stream, &store, &flag, &spans, options);
+    })
+}
+
+/// The accept loop of both listeners (this and [`crate::http`]):
+/// non-blocking accepts polling `stop`, one thread per connection
+/// running `handle`, finished handlers reaped as it goes and the rest
+/// joined before returning, so every in-flight response is flushed.
+pub(crate) fn accept_loop<F>(listener: TcpListener, stop: &AtomicBool, handle: F) -> io::Result<()>
+where
+    F: Fn(TcpStream) + Clone + Send + 'static,
+{
+    listener.set_nonblocking(true)?;
     let mut handles = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                let spans = spans.clone();
-                handles.push(thread::spawn(move || {
-                    let _ = handle_connection(stream, &store, &stop, &spans, options);
-                }));
+                let handle = handle.clone();
+                handles.push(thread::spawn(move || handle(stream)));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(e) => return Err(e),
         }
-        // Reap finished handlers so a long-lived daemon does not
-        // accumulate join handles.
         handles.retain(|h| !h.is_finished());
     }
     for h in handles {
         let _ = h.join();
     }
     Ok(())
+}
+
+/// Reads one line, newline included, into `line` (cleared first),
+/// buffering at most [`MAX_LINE`] bytes of it. Returns the bytes read
+/// (0 at end of stream) and whether the line was cut off at the cap.
+pub(crate) fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> io::Result<(usize, bool)> {
+    line.clear();
+    let read = reader.take(MAX_LINE as u64 + 1).read_until(b'\n', line)?;
+    Ok((read, read > MAX_LINE && !line.ends_with(b"\n")))
 }
 
 fn handle_connection(
@@ -191,16 +209,11 @@ fn handle_connection(
     let mut line = Vec::new();
     let mut response = String::new();
     loop {
-        line.clear();
-        let read = reader
-            .by_ref()
-            .take(MAX_LINE as u64 + 1)
-            .read_until(b'\n', &mut line)?;
+        let (read, too_long) = read_line_capped(&mut reader, &mut line)?;
         if read == 0 {
             break;
         }
         let started = Instant::now();
-        let too_long = read > MAX_LINE && !line.ends_with(b"\n");
         response.clear();
         let parsed = if too_long {
             Err(StoreError::Protocol(format!("request line longer than {MAX_LINE} bytes")))

@@ -5,16 +5,20 @@
 //! piggybacks stamps on message envelopes, and joins all live clocks
 //! at every completed barrier generation). Those stamps are a
 //! schedule-independent function of the program's communication
-//! structure, so sorting events by
+//! structure, so merging the per-`(source, rank)` streams — each in
+//! file order — by always emitting the stream head with the smallest
 //!
 //! ```text
-//! (lamport, gen, rank, per-rank sequence)
+//! (lamport, gen, rank, per-rank sequence, source)
 //! ```
 //!
 //! yields one **causally consistent, deterministic** global order: the
 //! same run traced twice — even on different backends (thread vs.
 //! sim), even with the per-rank streams interleaved differently in the
-//! file — merges to the identical timeline.
+//! file — merges to the identical timeline. For a single run this is
+//! the sort by that key; a file holding several runs, whose clocks
+//! restart, keeps each rank's runs in file order (`Streams`, the one
+//! pop rule the batch merge, [`merge_events`] and the live tail share).
 //!
 //! Non-`comm` events (benchmark samples, model updates, faults)
 //! inherit the last stamp their rank recorded in file order;
@@ -29,7 +33,9 @@
 //! regardless of file size. Rank sets are discovered in a cheap first
 //! pass so the k-way merge knows when a queue head is final.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 
 use fupermod_core::trace::{TraceEvent, TraceReader};
@@ -57,7 +63,7 @@ pub struct StampedEvent {
 
 impl StampedEvent {
     /// The total-order key the merge sorts by.
-    pub fn key(&self) -> (u64, u64, usize, u64, usize) {
+    pub fn key(&self) -> Key {
         (self.lamport, self.gen, self.rank, self.seq, self.source)
     }
 }
@@ -108,53 +114,86 @@ impl Stamper {
             event,
         }
     }
+}
 
+/// Per-`(source, rank)` FIFO queues of stamped events, and the one pop
+/// rule of the ordering contract: emit the minimum queue head by
+/// [`StampedEvent::key`]. A stream's events stay in file order, so a
+/// file holding several runs — whose Lamport clocks restart — keeps
+/// each rank's runs in sequence, which a global sort by key would not.
+/// [`Merge`], [`merge_events`] and [`crate::tail()`] all emit through it.
+/// The heads sit in a heap, so a pop costs O(log streams).
+#[derive(Debug, Default)]
+pub(crate) struct Streams {
+    queues: HashMap<(usize, usize), VecDeque<StampedEvent>>,
+    /// The key of every non-empty queue's head (a key names its stream).
+    heads: BinaryHeap<Reverse<Key>>,
+    /// Per source, how many of its known streams are empty.
+    empty: Vec<usize>,
+}
+
+type Key = (u64, u64, usize, u64, usize);
+
+impl Streams {
+    /// Declares the stream `(source, rank)` before its first event, so
+    /// [`Streams::waiting`] holds the merge back until it has a head.
+    pub fn open(&mut self, source: usize, rank: usize) {
+        if let Entry::Vacant(slot) = self.queues.entry((source, rank)) {
+            slot.insert(VecDeque::new());
+            self.now_empty(source);
+        }
+    }
+
+    /// Queues `event` at the back of its stream.
+    pub fn push(&mut self, event: StampedEvent) {
+        let stream = (event.source, event.rank);
+        match self.queues.get(&stream).map(VecDeque::is_empty) {
+            Some(false) => {}
+            known_empty => {
+                if known_empty.is_some() {
+                    self.empty[event.source] -= 1;
+                }
+                self.heads.push(Reverse(event.key()));
+            }
+        }
+        self.queues.entry(stream).or_default().push_back(event);
+    }
+
+    /// Whether a known stream of `source` (of any source when `None`)
+    /// is empty: while its input may still grow, its next event could
+    /// carry a smaller key than every head present.
+    pub fn waiting(&self, source: Option<usize>) -> bool {
+        match source {
+            Some(s) => self.empty.get(s).is_some_and(|&n| n > 0),
+            None => self.empty.iter().any(|&n| n > 0),
+        }
+    }
+
+    /// Pops the minimum stream head; `None` when every queue is empty.
+    pub fn pop_min(&mut self) -> Option<StampedEvent> {
+        let Reverse((.., rank, _, source)) = self.heads.pop()?;
+        let queue = self.queues.get_mut(&(source, rank))?;
+        let event = queue.pop_front();
+        match queue.front() {
+            Some(next) => self.heads.push(Reverse(next.key())),
+            None => self.now_empty(source),
+        }
+        event
+    }
+
+    /// Counts one more empty stream of `source`.
+    fn now_empty(&mut self, source: usize) {
+        if source >= self.empty.len() {
+            self.empty.resize(source + 1, 0);
+        }
+        self.empty[source] += 1;
+    }
 }
 
 /// One input of the streaming merge.
 struct Source {
     reader: Option<TraceReader<std::io::BufReader<std::fs::File>>>,
     stamper: Stamper,
-    /// Per-rank FIFO queues (sorted streams: Lamport stamps are
-    /// monotone per rank). Indexed by rank; ranks absent from this
-    /// source stay `None`.
-    queues: Vec<Option<VecDeque<StampedEvent>>>,
-}
-
-impl Source {
-    /// Whether every queue of a known rank is non-empty (a queue head
-    /// is only comparable once present or the file is exhausted).
-    fn saturated(&self) -> bool {
-        self.reader.is_none()
-            || self
-                .queues
-                .iter()
-                .flatten()
-                .all(|q| !q.is_empty())
-    }
-
-    /// Reads one event into its rank queue; drops the reader at EOF.
-    fn pull(&mut self, source_idx: usize) -> Result<(), CoreError> {
-        let Some(reader) = &mut self.reader else {
-            return Ok(());
-        };
-        match reader.next() {
-            None => {
-                self.reader = None;
-            }
-            Some(event) => {
-                let stamped = self.stamper.stamp(source_idx, event?);
-                let rank = stamped.rank;
-                if rank >= self.queues.len() {
-                    self.queues.resize_with(rank + 1, || None);
-                }
-                self.queues[rank]
-                    .get_or_insert_with(VecDeque::new)
-                    .push_back(stamped);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Streaming k-way merge over trace files (see the module docs for
@@ -162,6 +201,7 @@ impl Source {
 /// in global causal order.
 pub struct Merge {
     sources: Vec<Source>,
+    streams: Streams,
     /// Schema version: the maximum declared by the inputs.
     schema: u32,
 }
@@ -180,27 +220,26 @@ impl Merge {
             return Err(CoreError::Trace("merge needs at least one trace".to_owned()));
         }
         let mut sources = Vec::with_capacity(paths.len());
+        let mut streams = Streams::default();
         let mut schema = 0;
-        for path in paths {
+        for (i, path) in paths.iter().enumerate() {
             // Pass 1: rank discovery.
-            let ranks = discover_ranks(path)?;
+            for rank in discover_ranks(path)? {
+                streams.open(i, rank);
+            }
             // Pass 2 reader, rewound.
             let reader = TraceReader::open(path)?;
             schema = schema.max(reader.schema());
-            let mut queues: Vec<Option<VecDeque<StampedEvent>>> = Vec::new();
-            for r in ranks {
-                if r >= queues.len() {
-                    queues.resize_with(r + 1, || None);
-                }
-                queues[r] = Some(VecDeque::new());
-            }
             sources.push(Source {
                 reader: Some(reader),
                 stamper: Stamper::default(),
-                queues,
             });
         }
-        Ok(Self { sources, schema })
+        Ok(Self {
+            sources,
+            streams,
+            schema,
+        })
     }
 
     /// The merged trace's schema version (maximum over the inputs).
@@ -209,48 +248,20 @@ impl Merge {
     }
 
     fn next_event(&mut self) -> Result<Option<StampedEvent>, CoreError> {
-        // Fill: every known queue must hold its head (or its file be
+        // Fill: every known stream must hold its head (or its file be
         // exhausted) before heads are comparable.
-        loop {
-            let mut progressed = false;
-            for (i, src) in self.sources.iter_mut().enumerate() {
-                while !src.saturated() {
-                    src.pull(i)?;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        // Pop the minimum head.
-        let mut best: Option<(usize, usize)> = None; // (source, rank)
-        for (i, src) in self.sources.iter().enumerate() {
-            for (r, q) in src.queues.iter().enumerate() {
-                if let Some(head) = q.as_ref().and_then(|q| q.front()) {
-                    let better = match best {
-                        None => true,
-                        Some((bi, br)) => {
-                            let cur = self.sources[bi].queues[br]
-                                .as_ref()
-                                .and_then(|q| q.front())
-                                .expect("best head present");
-                            head.key() < cur.key()
-                        }
-                    };
-                    if better {
-                        best = Some((i, r));
-                    }
+        for (i, src) in self.sources.iter_mut().enumerate() {
+            while self.streams.waiting(Some(i)) {
+                let Some(reader) = &mut src.reader else {
+                    break;
+                };
+                match reader.next() {
+                    None => src.reader = None,
+                    Some(event) => self.streams.push(src.stamper.stamp(i, event?)),
                 }
             }
         }
-        Ok(best.map(|(i, r)| {
-            self.sources[i].queues[r]
-                .as_mut()
-                .expect("queue exists")
-                .pop_front()
-                .expect("head present")
-        }))
+        Ok(self.streams.pop_min())
     }
 }
 
@@ -285,15 +296,14 @@ fn discover_ranks(path: &Path) -> Result<Vec<usize>, CoreError> {
 /// contract as [`Merge`], without touching the filesystem — used by
 /// tests and by consumers that already hold events).
 pub fn merge_events(sources: Vec<Vec<TraceEvent>>) -> Vec<StampedEvent> {
-    let mut all: Vec<StampedEvent> = Vec::new();
+    let mut streams = Streams::default();
     for (i, events) in sources.into_iter().enumerate() {
         let mut stamper = Stamper::default();
         for e in events {
-            all.push(stamper.stamp(i, e));
+            streams.push(stamper.stamp(i, e));
         }
     }
-    all.sort_by_key(StampedEvent::key);
-    all
+    std::iter::from_fn(|| streams.pop_min()).collect()
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 //! Events are stamped exactly like the batch merge
 //! ([`crate::merge::Stamper`]): `comm` events carry their own Lamport
 //! stamp, other events inherit their rank's last stamp. The tail then
-//! *mirrors the batch merge's algorithm* — per-`(source, rank)` FIFO
-//! queues, always popping the minimum queue head — rather than
-//! sorting globally: a file may hold several runs whose Lamport
-//! clocks restart, so per-rank file order (which the FIFO preserves
-//! and a global sort would destroy) is part of the contract.
+//! emits through the batch merge's own queues (`Streams` in `merge.rs`:
+//! per-`(source, rank)` FIFO queues, always popping the minimum queue
+//! head) rather than sorting globally: a file may hold several runs
+//! whose Lamport clocks restart, so per-rank file order (which the FIFO
+//! preserves and a global sort would destroy) is part of the contract.
 //!
 //! While files are growing, a head is only comparable when **every**
 //! known stream has one — an empty queue may still fill with a
@@ -36,7 +36,7 @@
 //! ordered against later arrivals on a best-effort basis — the price
 //! of printing anything before the run ends.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use fupermod_core::trace::{parse_header, LatencyHistogram, TraceEvent, SCHEMA_VERSION};
 use fupermod_core::CoreError;
 
-use crate::merge::{Stamper, StampedEvent};
+use crate::merge::{StampedEvent, Stamper, Streams};
 
 /// Tuning knobs of [`tail`].
 #[derive(Debug, Clone)]
@@ -250,9 +250,7 @@ pub fn tail(
         .map_err(io_err)?;
 
     let mut followers: Vec<Follower> = Vec::new();
-    // Per-(source, rank) FIFO queues — the batch merge's structure.
-    let mut queues: BTreeMap<(usize, usize), VecDeque<StampedEvent>> =
-        BTreeMap::new();
+    let mut streams = Streams::default();
     let mut rolling = Rolling::default();
     let mut last_growth = Instant::now();
     let mut last_stats = Instant::now();
@@ -275,10 +273,7 @@ pub fn tail(
             if let TraceEvent::Comm { op, seconds, .. } = &stamped.event {
                 rolling.record(op, *seconds);
             }
-            queues
-                .entry((stamped.source, stamped.rank))
-                .or_default()
-                .push_back(stamped);
+            streams.push(stamped);
         }
 
         // Emit by the batch merge's pop rule: always the minimum
@@ -286,23 +281,10 @@ pub fn tail(
         // stream's queue is empty (its next event may carry a smaller
         // key); a quiet round is the live analogue of EOF and drains
         // everything.
-        loop {
-            if grew && queues.values().any(VecDeque::is_empty) {
-                break;
-            }
-            let Some(stream) = queues
-                .iter()
-                .filter_map(|(k, q)| q.front().map(|h| (h.key(), *k)))
-                .min()
-                .map(|(_, k)| k)
-            else {
+        while !(grew && streams.waiting(None)) {
+            let Some(stamped) = streams.pop_min() else {
                 break;
             };
-            let stamped = queues
-                .get_mut(&stream)
-                .expect("stream present")
-                .pop_front()
-                .expect("head present");
             writeln!(out, "{}", stamped.event.to_jsonl()).map_err(io_err)?;
         }
         out.flush().map_err(io_err)?;

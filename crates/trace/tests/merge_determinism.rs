@@ -402,3 +402,59 @@ fn survivor_traces_merge_gap_free_after_rank_death() {
         "expected at least one post-death collective"
     );
 }
+
+/// A file holding several runs restarts its ranks' Lamport clocks at
+/// each run, so stamps are not monotone within a rank. The in-memory
+/// merge must still emit what the file merge emits — each rank's runs
+/// in file order — rather than hoisting a later run's low stamps above
+/// an earlier run's high ones, as a global sort by key does.
+#[test]
+fn multi_run_file_merges_like_the_file_merge() {
+    let mut events = Vec::new();
+    for run in 0..3 {
+        for lamport in [2, 5, 9] {
+            for rank in [1, 0] {
+                events.push(TraceEvent::Comm {
+                    rank,
+                    op: "barrier".to_owned(),
+                    peer: -1,
+                    bytes: 8,
+                    seconds: 1e-6,
+                    algorithm: "hub".to_owned(),
+                    rounds: 2,
+                    lamport,
+                    gen: run,
+                });
+            }
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("fupermod-multirun-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("runs.trace.jsonl");
+    let mut text = String::from("{\"trace\":\"fupermod\",\"schema\":3}\n");
+    for e in &events {
+        text.push_str(&e.to_jsonl());
+        text.push('\n');
+    }
+    std::fs::write(&path, text).unwrap();
+    let streamed: Vec<StampedEvent> = Merge::open(std::slice::from_ref(&path))
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let in_memory = merge_events(vec![events]);
+    assert_eq!(in_memory, streamed);
+    for rank in [0, 1] {
+        let gens: Vec<u64> = in_memory
+            .iter()
+            .filter(|s| s.rank == rank)
+            .map(|s| s.gen)
+            .collect();
+        assert_eq!(
+            gens,
+            [0, 0, 0, 1, 1, 1, 2, 2, 2],
+            "rank {rank}'s runs out of file order"
+        );
+    }
+}

@@ -16,11 +16,13 @@
 //!   --points        number of benchmark sizes (default: 14)
 //!   --out           output directory (default: ./models)
 //!   --parallelism   model-build worker threads (default: 1 = serial,
-//!                   0 = one per core); output is bit-identical either way
+//!                   0 = one per core; FUPERMOD_PARALLELISM in the
+//!                   environment acts the same); output is bit-identical
 //!   --trace         write a structured trace of every benchmark
 //!                   repetition and model update (see docs/OBSERVABILITY.md)
-//!   --trace-dir     like --trace, but write DIR/fupermod_builder.trace.jsonl
-//!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
+//!   --trace-dir     like --trace, but write DIR/fupermod_builder.trace.jsonl,
+//!                   creating DIR if needed (FUPERMOD_TRACE_DIR in the
+//!                   environment acts the same)
 //! ```
 
 use fupermod::cli;
@@ -32,20 +34,19 @@ use fupermod::core::Precision;
 use fupermod::platform::WorkloadProfile;
 
 fn main() {
-    let args = cli::parse_args();
-    let get = |k: &str, default: &str| args.get(k).cloned().unwrap_or_else(|| default.to_owned());
-
-    let platform = cli::pick_platform(
-        &get("platform", "two-speed"),
-        get("seed", "1").parse().expect("seed must be an integer"),
+    let args = cli::Args::parse();
+    let platform = cli::scaled_platform(
+        args.get_or("platform", "two-speed"),
+        None,
+        args.value_or("seed", 1),
     );
-    let block: usize = get("block", "16").parse().expect("block must be an integer");
-    let lo: u64 = get("lo", "16").parse().expect("lo must be an integer");
-    let hi: u64 = get("hi", "65536").parse().expect("hi must be an integer");
-    let npoints: usize = get("points", "14").parse().expect("points must be an integer");
-    let out = std::path::PathBuf::from(get("out", "models"));
+    let block: usize = args.value_or("block", 16);
+    let lo: u64 = args.value_or("lo", 16);
+    let hi: u64 = args.value_or("hi", 65536);
+    let npoints: usize = args.value_or("points", 14);
+    let out = std::path::PathBuf::from(args.get_or("out", "models"));
     let parallelism = cli::parallelism(&args);
-    let sink = cli::open_trace_sink(&args);
+    let sink = cli::open_trace_sink(&args, None);
     let trace = sink.as_deref().unwrap_or(null_sink());
 
     std::fs::create_dir_all(&out).expect("cannot create output directory");

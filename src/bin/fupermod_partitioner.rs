@@ -13,8 +13,9 @@
 //!   --model         model type built from the points (default: piecewise)
 //!   --trace         write the partition step as a structured trace
 //!                   (see docs/OBSERVABILITY.md)
-//!   --trace-dir     like --trace, but write DIR/fupermod_partitioner.trace.jsonl
-//!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
+//!   --trace-dir     like --trace, but write DIR/fupermod_partitioner.trace.jsonl,
+//!                   creating DIR if needed (FUPERMOD_TRACE_DIR in the
+//!                   environment acts the same)
 //! ```
 
 use fupermod::cli;
@@ -29,33 +30,17 @@ fn new_model(kind: &str) -> Box<dyn Model> {
         "linear" => Box::new(LinearModel::new()),
         "piecewise" => Box::new(PiecewiseModel::new()),
         "akima" => Box::new(AkimaModel::new()),
-        other => {
-            eprintln!("unknown model type '{other}'");
-            std::process::exit(2);
-        }
+        other => cli::exit_usage(format_args!("unknown model type '{other}'")),
     }
 }
 
 fn main() {
-    let args = cli::parse_args();
-    let dir = args.get("models").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        eprintln!("--models DIR is required");
-        std::process::exit(2);
-    });
-    let total: u64 = args
-        .get("total")
-        .unwrap_or_else(|| {
-            eprintln!("--total D is required");
-            std::process::exit(2);
-        })
-        .parse()
-        .expect("total must be an integer");
-    let model_kind = args.get("model").map(String::as_str).unwrap_or("piecewise");
-    let algo_kind = args
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("geometric");
-    let sink = cli::open_trace_sink(&args);
+    let args = cli::Args::parse();
+    let dir: std::path::PathBuf = args.required("models");
+    let total: u64 = args.required("total");
+    let model_kind = args.get_or("model", "piecewise");
+    let algo_kind = args.get_or("algorithm", "geometric");
+    let sink = cli::open_trace_sink(&args, None);
 
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("cannot read models directory")

@@ -43,7 +43,6 @@
 //! The daemon prints `listening on ADDR` (flushed) once the socket is
 //! bound, so scripts can scrape the actual port when binding port 0.
 
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -57,8 +56,8 @@ use fupermod::store::server::{serve_with, Client, ServeOptions};
 use fupermod::store::ModelStore;
 
 fn main() {
-    let args = cli::parse_args();
-    let mode = args.get("mode").map(String::as_str).unwrap_or("serve");
+    let args = cli::Args::parse();
+    let mode = args.get_or("mode", "serve");
     match mode {
         "serve" => run_serve(&args),
         "ingest" => run_ingest(&mut connect(&args), &args),
@@ -67,28 +66,16 @@ fn main() {
         "stats" => run_stats(&mut connect(&args)),
         "shutdown" => run_shutdown(&mut connect(&args)),
         "scrape" => run_scrape(&args),
-        other => {
-            eprintln!("unknown --mode '{other}'");
-            std::process::exit(2);
-        }
+        other => cli::exit_usage(format_args!("unknown --mode '{other}'")),
     }
 }
 
-fn run_serve(args: &HashMap<String, String>) {
-    let addr = args
-        .get("listen")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:7070");
+fn run_serve(args: &cli::Args) {
+    let addr = args.get_or("listen", "127.0.0.1:7070");
     let config = cli::store_config(args);
-    let sink = cli::open_trace_sink(args);
+    let sink = cli::open_trace_sink(args, None);
     let options = ServeOptions {
-        slow_request: args.get("slow-ms").map(|raw| {
-            let ms: u64 = raw.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --slow-ms value {raw:?} (want milliseconds)");
-                std::process::exit(2);
-            });
-            std::time::Duration::from_millis(ms)
-        }),
+        slow_request: args.value("slow-ms").map(std::time::Duration::from_millis),
     };
 
     let listener = TcpListener::bind(addr).unwrap_or_else(|e| {
@@ -144,10 +131,10 @@ fn run_serve(args: &HashMap<String, String>) {
     );
 }
 
-fn run_scrape(args: &HashMap<String, String>) {
-    let addr = required(args, "connect");
-    let path = args.get("path").map(String::as_str).unwrap_or("/metrics");
-    match http_get(addr, path) {
+fn run_scrape(args: &cli::Args) {
+    let addr: String = args.required("connect");
+    let path = args.get_or("path", "/metrics");
+    match http_get(&addr, path) {
         Ok((200, body)) => print!("{body}"),
         Ok((code, body)) => {
             eprintln!("GET {path}: HTTP {code}");
@@ -161,12 +148,9 @@ fn run_scrape(args: &HashMap<String, String>) {
     }
 }
 
-fn connect(args: &HashMap<String, String>) -> Client {
-    let addr = args.get("connect").unwrap_or_else(|| {
-        eprintln!("--connect ADDR is required for client modes");
-        std::process::exit(2);
-    });
-    Client::connect(addr).unwrap_or_else(|e| {
+fn connect(args: &cli::Args) -> Client {
+    let addr: String = args.required("connect");
+    Client::connect(&addr).unwrap_or_else(|e| {
         eprintln!("cannot connect to {addr}: {e}");
         std::process::exit(1);
     })
@@ -213,26 +197,19 @@ fn num(fields: &Json, key: &str) -> f64 {
         .unwrap_or_else(|| mistyped(key, found))
 }
 
-fn required<'a>(args: &'a HashMap<String, String>, key: &str) -> &'a str {
-    args.get(key).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("--{key} is required");
-        std::process::exit(2);
-    })
-}
-
-fn key_fields(args: &HashMap<String, String>, fingerprint: &str) -> String {
+fn key_fields(args: &cli::Args, fingerprint: &str) -> String {
     format!(
         "\"fingerprint\":{},\"kernel\":{},\"config\":{}",
         quote(fingerprint),
-        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(args.get_or("kernel", "default")),
+        quote(args.get_or("config", "default")),
     )
 }
 
-fn run_ingest(client: &mut Client, args: &HashMap<String, String>) {
-    let path = required(args, "points");
-    let fingerprint = required(args, "fingerprint");
-    let file = std::fs::File::open(path).unwrap_or_else(|e| {
+fn run_ingest(client: &mut Client, args: &cli::Args) {
+    let path: String = args.required("points");
+    let fingerprint: String = args.required("fingerprint");
+    let file = std::fs::File::open(&path).unwrap_or_else(|e| {
         eprintln!("cannot open {path}: {e}");
         std::process::exit(1);
     });
@@ -248,7 +225,7 @@ fn run_ingest(client: &mut Client, args: &HashMap<String, String>) {
         // offline build over the same file.
         let line = format!(
             "{{\"op\":\"ingest_point\",{},\"d\":{},\"t\":{},\"reps\":{},\"ci\":{}}}",
-            key_fields(args, fingerprint),
+            key_fields(args, &fingerprint),
             p.d,
             fmt_float(p.t),
             p.reps,
@@ -263,26 +240,19 @@ fn run_ingest(client: &mut Client, args: &HashMap<String, String>) {
     );
 }
 
-fn run_partition(client: &mut Client, args: &HashMap<String, String>) {
-    let fingerprints = cli::csv_list(required(args, "fingerprints"));
+fn run_partition(client: &mut Client, args: &cli::Args) {
+    let fingerprints = cli::csv_list(&args.required::<String>("fingerprints"));
     if fingerprints.is_empty() {
-        eprintln!("--fingerprints must name at least one model");
-        std::process::exit(2);
+        cli::exit_usage("--fingerprints must name at least one model");
     }
-    let total: u64 = required(args, "total").parse().unwrap_or_else(|_| {
-        eprintln!("--total must be an integer");
-        std::process::exit(2);
-    });
-    let algorithm = args
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("geometric");
+    let total: u64 = args.required("total");
+    let algorithm = args.get_or("algorithm", "geometric");
     let quoted: Vec<String> = fingerprints.iter().map(|f| quote(f)).collect();
     let line = format!(
         "{{\"op\":\"partition\",\"fingerprints\":[{}],\"kernel\":{},\"config\":{},\"total\":{total},\"algorithm\":{}}}",
         quoted.join(","),
-        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(args.get_or("kernel", "default")),
+        quote(args.get_or("config", "default")),
         quote(algorithm),
     );
     let fields = exchange(client, &line);
@@ -305,9 +275,9 @@ fn run_partition(client: &mut Client, args: &HashMap<String, String>) {
     eprintln!("plan cache: {}", if cached { "hit" } else { "miss" });
 }
 
-fn run_lookup(client: &mut Client, args: &HashMap<String, String>) {
-    let fingerprint = required(args, "fingerprint");
-    let line = format!("{{\"op\":\"lookup\",{}}}", key_fields(args, fingerprint));
+fn run_lookup(client: &mut Client, args: &cli::Args) {
+    let fingerprint: String = args.required("fingerprint");
+    let line = format!("{{\"op\":\"lookup\",{}}}", key_fields(args, &fingerprint));
     let fields = exchange(client, &line);
     let ds = nums(&fields, "ds");
     let ts = nums(&fields, "ts");

@@ -26,7 +26,8 @@
 //!                   balance = work units (default 100000)
 //!   --algorithm     partitioning algorithm (default: geometric)
 //!   --parallelism   (matmul only) model-build worker threads (default: 1
-//!                   = serial, 0 = one per core); bit-identical output
+//!                   = serial, 0 = one per core; FUPERMOD_PARALLELISM in
+//!                   the environment acts the same); bit-identical output
 //!   --pipeline      (matmul only) run the broadcast-driven multiplication
 //!                   for real on the runtime instead of the closed-form
 //!                   simulation: `blocking` waits for each pivot before
@@ -34,7 +35,8 @@
 //!                   with `ibcast` (see docs/RUNTIME.md §8); prints a
 //!                   product checksum suitable for bit-identity diffing
 //!   --runtime       (balance, matmul --pipeline) thread (wall clocks,
-//!                   default) or sim (deterministic Hockney virtual clocks)
+//!                   default) or sim (deterministic Hockney virtual clocks);
+//!                   `serial`, the experiments' in-process loop, is refused
 //!   --sim-engine    (balance) thread (one OS thread per rank, default)
 //!                   or event (single-threaded discrete-event
 //!                   interpreter, 10⁴–10⁶ ranks; implies --runtime sim;
@@ -58,8 +60,9 @@
 //!   --rendezvous    (tcp) rank 0's HOST:PORT; rank 0 listens there and
 //!                   the other ranks dial it with retry/backoff
 //!   --trace         write a structured trace (see docs/OBSERVABILITY.md)
-//!   --trace-dir     like --trace, but write DIR/fupermod_simulate.trace.jsonl
-//!                   (FUPERMOD_TRACE_DIR in the environment acts the same)
+//!   --trace-dir     like --trace, but write DIR/fupermod_simulate.trace.jsonl,
+//!                   creating DIR if needed (FUPERMOD_TRACE_DIR in the
+//!                   environment acts the same)
 //!   --gantt yes     (matmul only) dump the Gantt-style activity CSV to stderr
 //! ```
 
@@ -78,54 +81,50 @@ use fupermod::platform::{LinkModel, WorkloadProfile};
 use std::sync::Arc;
 
 fn main() {
-    let args = cli::parse_args();
-    let get = |k: &str, default: &str| args.get(k).cloned().unwrap_or_else(|| default.to_owned());
-    let app = get("app", "");
-    let seed: u64 = get("seed", "1").parse().expect("seed must be an integer");
-    let platform_name = get("platform", "two-speed");
-    let ranks = cli::ranks(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let platform = match ranks {
-        Some(p) => cli::scaled_platform(&platform_name, p, seed),
-        None => cli::pick_platform(&platform_name, seed),
-    };
-    let algorithm = get("algorithm", "geometric");
+    let args = cli::Args::parse();
+    let app = args.get_or("app", "");
+    let seed: u64 = args.value_or("seed", 1);
+    let ranks = cli::ranks(&args);
+    let platform = cli::scaled_platform(args.get_or("platform", "two-speed"), ranks, seed);
+    let algorithm = args.get_or("algorithm", "geometric");
     let tcp = cli::tcp_transport(&args);
     if tcp.is_some() && app != "balance" {
-        eprintln!("--transport tcp runs --app balance only");
-        std::process::exit(2);
+        cli::exit_usage("--transport tcp runs --app balance only");
     }
     // Each process of a TCP job writes its own trace file
     // (`fupermod_tracetool merge` stitches them back together).
-    let sink = cli::open_trace_sink_for_rank(&args, tcp.as_ref().map(|t| t.rank));
+    let sink = cli::open_trace_sink(&args, tcp.as_ref().map(|t| t.rank));
     let events: Arc<dyn TraceSink> = sink
         .clone()
         .unwrap_or_else(|| Arc::new(fupermod::core::trace::NullSink));
+    // The distributed runs default to the thread runtime; this binary
+    // has no serial loop to fall back on.
+    let runtime_config = || {
+        cli::runtime_config(&args, &platform, sink.as_ref(), "thread").unwrap_or_else(|| {
+            cli::exit_usage("--runtime serial has no ranks to run here: use thread or sim")
+        })
+    };
 
-    match app.as_str() {
-        "matmul" if args.contains_key("pipeline") => {
+    match app {
+        "matmul" if args.get("pipeline").is_some() => {
             use fupermod::apps::matmul::{matrix_checksum, run_bcast};
             use fupermod::apps::workload::random_matrix;
             use fupermod::runtime::OverlapMode;
 
             if cli::sim_engine(&args) == fupermod::runtime::SimEngine::Event {
-                eprintln!(
+                cli::exit_usage(
                     "--sim-engine event runs --app balance only; \
-                     --pipeline needs the thread engine"
+                     --pipeline needs the thread engine",
                 );
-                std::process::exit(2);
             }
-            let mode = match get("pipeline", "blocking").as_str() {
+            let mode = match args.get_or("pipeline", "blocking") {
                 "blocking" => OverlapMode::Blocking,
                 "overlapped" | "pipelined" => OverlapMode::Overlapped,
-                other => {
-                    eprintln!("--pipeline must be blocking or overlapped (got '{other}')");
-                    std::process::exit(2);
-                }
+                other => cli::exit_usage(format_args!(
+                    "--pipeline must be blocking or overlapped (got '{other}')"
+                )),
             };
-            let n_blocks: u64 = get("size", "8").parse().expect("size must be an integer");
+            let n_blocks: u64 = args.value_or("size", 8);
             let block = 16usize;
             let n = n_blocks as usize * block;
             let a = random_matrix(n, n, seed);
@@ -137,8 +136,7 @@ fn main() {
             let areas: Vec<u64> = (0..p)
                 .map(|i| total / p + u64::from(i < total % p))
                 .collect();
-            let config = cli::runtime_config(&args, &platform, sink.as_ref());
-            let run = run_bcast(&a, &b, block, &areas, config, mode)
+            let run = run_bcast(&a, &b, block, &areas, runtime_config(), mode)
                 .expect("broadcast matmul failed");
             println!("platform: {}", platform.name());
             println!("areas: {areas:?}");
@@ -150,7 +148,7 @@ fn main() {
             println!("wall seconds: {:.4}", run.wall_seconds);
         }
         "matmul" => {
-            let n_blocks: u64 = get("size", "128").parse().expect("size must be an integer");
+            let n_blocks: u64 = args.value_or("size", 128);
             let cfg = MatMulConfig { n_blocks, block: 16 };
             let profile = WorkloadProfile::matrix_update(cfg.block);
             let max = (n_blocks * n_blocks / 2).max(32);
@@ -164,12 +162,12 @@ fn main() {
             )
             .expect("model build failed");
             let refs: Vec<&dyn Model> = models.iter().map(|m| m as &dyn Model).collect();
-            let partitioner = cli::pick_partitioner(&algorithm);
+            let partitioner = cli::pick_partitioner(algorithm);
             let dist = partitioner
                 .partition_traced(n_blocks * n_blocks, &refs, events.as_ref())
                 .expect("partition failed");
             let areas = dist.sizes();
-            let want_gantt = get("gantt", "no") == "yes";
+            let want_gantt = args.get("gantt") == Some("yes");
             let report = if want_gantt {
                 let (report, gantt) =
                     simulate_traced(&platform, &areas, &cfg).expect("simulation failed");
@@ -188,12 +186,12 @@ fn main() {
             println!("half-perimeter sum: {}", report.half_perimeters);
         }
         "jacobi" => {
-            let n: usize = get("size", "600").parse().expect("size must be an integer");
+            let n: usize = args.value_or("size", 600);
             let system = dominant_system(n, seed.wrapping_add(1));
             let report = jacobi_run(
                 &system,
                 &platform,
-                cli::pick_partitioner(&algorithm),
+                cli::pick_partitioner(algorithm),
                 &JacobiConfig::default(),
                 events.clone(),
             )
@@ -210,7 +208,7 @@ fn main() {
             }
         }
         "heat" => {
-            let rows: usize = get("size", "600").parse().expect("size must be an integer");
+            let rows: usize = args.value_or("size", 600);
             let cfg = HeatConfig::default();
             let initial = sine_mode(rows, cfg.cols);
             let platform = platform.with_link(LinkModel::infiniband());
@@ -218,7 +216,7 @@ fn main() {
                 &initial,
                 rows,
                 &platform,
-                cli::pick_partitioner(&algorithm),
+                cli::pick_partitioner(algorithm),
                 &cfg,
                 events.clone(),
             )
@@ -238,10 +236,10 @@ fn main() {
             use fupermod::core::model::PiecewiseModel;
             use fupermod::runtime::{run_to_balance_distributed_with, OverlapMode};
 
-            let total: u64 = get("size", "100000").parse().expect("size must be an integer");
+            let total: u64 = args.value_or("size", 100_000);
             let profile = WorkloadProfile::matrix_update(16);
             let size = platform.size();
-            let mode = if get("overlap", "no") == "yes" {
+            let mode = if args.get("overlap") == Some("yes") {
                 OverlapMode::Overlapped
             } else {
                 OverlapMode::Blocking
@@ -250,7 +248,7 @@ fn main() {
                 let models: Vec<Box<dyn Model>> = (0..size)
                     .map(|_| Box::new(PiecewiseModel::new()) as Box<dyn Model>)
                     .collect();
-                DynamicContext::new(cli::pick_partitioner(&algorithm), models, total, 0.05)
+                DynamicContext::new(cli::pick_partitioner(algorithm), models, total, 0.05)
             };
             let measure = |rank: usize, d: u64| {
                 fupermod::apps::matmul::measure_device_point(
@@ -268,22 +266,20 @@ fn main() {
                 use fupermod::runtime::net::{connect, TcpConfig};
                 use fupermod::runtime::{run_balance_rank, Communicator, SimEngine};
 
-                if get("runtime", "thread") != "thread"
+                if args.get_or("runtime", "thread") != "thread"
                     || cli::sim_engine(&args) != SimEngine::Thread
                 {
-                    eprintln!(
+                    cli::exit_usage(
                         "--transport tcp is wall-clock only: drop --runtime sim \
-                         and --sim-engine event"
+                         and --sim-engine event",
                     );
-                    std::process::exit(2);
                 }
                 if tcp.world != size {
-                    eprintln!(
-                        "--world {} does not match the platform's {} devices \
+                    cli::exit_usage(format_args!(
+                        "--world {} does not match the platform's {size} devices \
                          (scale the platform with --ranks)",
-                        tcp.world, size
-                    );
-                    std::process::exit(2);
+                        tcp.world
+                    ));
                 }
                 let plan = cli::fault_plan(&args);
                 let factor = plan.straggler_factor(tcp.rank);
@@ -336,10 +332,15 @@ fn main() {
                     }
                 }
             } else {
-                let config = cli::runtime_config(&args, &platform, sink.as_ref());
-                let outcome =
-                    run_to_balance_distributed_with(config, size, make_ctx, measure, 25, mode)
-                        .expect("distributed balance run failed");
+                let outcome = run_to_balance_distributed_with(
+                    runtime_config(),
+                    size,
+                    make_ctx,
+                    measure,
+                    25,
+                    mode,
+                )
+                .expect("distributed balance run failed");
                 println!("platform: {}", platform.name());
                 println!(
                     "converged: {} in {} steps",
@@ -355,10 +356,9 @@ fn main() {
                 }
             }
         }
-        other => {
-            eprintln!("--app must be matmul, jacobi, heat or balance (got '{other}')");
-            std::process::exit(2);
-        }
+        other => cli::exit_usage(format_args!(
+            "--app must be matmul, jacobi, heat or balance (got '{other}')"
+        )),
     }
     cli::finish_trace(sink.as_ref());
 }

@@ -45,32 +45,41 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::PathBuf;
 
+use fupermod::cli::{self, Args};
 use fupermod::core::trace::SCHEMA_VERSION;
 use fupermod::trace::{
     export_chrome, export_csv, tail, validate, Json, Merge, Report, StampedEvent, TailOptions,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(command) = argv.next() else {
         usage();
     };
-    let rest = &args[1..];
-    let code = match command.as_str() {
-        "merge" => cmd_merge(rest),
-        "report" => cmd_report(rest),
-        "export" => cmd_export(rest),
-        "validate" => cmd_validate(rest),
-        "tail" => cmd_tail(rest),
+    let run: fn(&Args, Vec<PathBuf>) -> i32 = match command.as_str() {
+        "merge" => cmd_merge,
+        "report" => cmd_report,
+        "export" => cmd_export,
+        "validate" => cmd_validate,
+        "tail" => cmd_tail,
         "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!(
-                "unknown command '{other}' (want merge, report, export, validate or tail)"
-            );
-            2
-        }
+        other => cli::exit_usage(format_args!(
+            "unknown command '{other}' (want merge, report, export, validate or tail)"
+        )),
     };
-    std::process::exit(code);
+    let args = Args::parse_from(argv);
+    args.reject_unknown(&[
+        "out",
+        "format",
+        "schema",
+        "trace-dir",
+        "poll",
+        "idle-exit",
+        "stats-every",
+        "json",
+    ]);
+    let files = args.positional().iter().map(PathBuf::from).collect();
+    std::process::exit(run(&args, files));
 }
 
 fn usage() -> ! {
@@ -87,51 +96,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Splits `--flag value` options from positional file arguments.
-fn split_args(rest: &[String]) -> (Vec<(String, String)>, Vec<String>, Vec<PathBuf>) {
-    let mut opts = Vec::new();
-    let mut switches = Vec::new();
-    let mut files = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if let Some(flag) = a.strip_prefix("--") {
-            match flag {
-                "json" => {
-                    switches.push(flag.to_owned());
-                    i += 1;
-                }
-                "out" | "format" | "schema" | "trace-dir" | "poll" | "idle-exit"
-                | "stats-every" => {
-                    let Some(v) = rest.get(i + 1) else {
-                        eprintln!("--{flag} needs a value");
-                        std::process::exit(2);
-                    };
-                    opts.push((flag.to_owned(), v.clone()));
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("unknown option --{flag}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            files.push(PathBuf::from(a));
-            i += 1;
-        }
-    }
-    (opts, switches, files)
-}
-
-fn opt<'a>(opts: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    opts.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
 /// Output writer: `--out PATH` or stdout.
-fn out_writer(opts: &[(String, String)]) -> io::Result<Box<dyn Write>> {
-    Ok(match opt(opts, "out") {
+fn out_writer(args: &Args) -> io::Result<Box<dyn Write>> {
+    Ok(match args.get("out") {
         Some(path) => Box::new(BufWriter::new(File::create(path)?)),
         None => Box::new(BufWriter::new(io::stdout())),
     })
@@ -171,13 +138,12 @@ fn fail(context: &str, err: &str) -> i32 {
     1
 }
 
-fn cmd_merge(rest: &[String]) -> i32 {
-    let (opts, _, files) = split_args(rest);
+fn cmd_merge(args: &Args, files: Vec<PathBuf>) -> i32 {
     let merge = match open_merge(&files) {
         Ok(m) => m,
         Err(e) => return fail("merge", &e),
     };
-    let mut out = match out_writer(&opts) {
+    let mut out = match out_writer(args) {
         Ok(w) => w,
         Err(e) => return fail("merge", &e.to_string()),
     };
@@ -196,8 +162,7 @@ fn cmd_merge(rest: &[String]) -> i32 {
     }
 }
 
-fn cmd_report(rest: &[String]) -> i32 {
-    let (opts, switches, files) = split_args(rest);
+fn cmd_report(args: &Args, files: Vec<PathBuf>) -> i32 {
     let merge = match open_merge(&files) {
         Ok(m) => m,
         Err(e) => return fail("report", &e),
@@ -212,24 +177,25 @@ fn cmd_report(rest: &[String]) -> i32 {
         return fail("report", &e);
     }
     let report = report.expect("report built");
-    let rendered = if switches.iter().any(|s| s == "json") {
+    let rendered = if args.has("json") {
         let mut s = report.render_json();
         s.push('\n');
         s
     } else {
         report.render_text()
     };
-    let result = out_writer(&opts)
-        .and_then(|mut out| out.write_all(rendered.as_bytes()).and_then(|()| out.flush()));
+    let result = out_writer(args).and_then(|mut out| {
+        out.write_all(rendered.as_bytes())
+            .and_then(|()| out.flush())
+    });
     match result {
         Ok(()) => 0,
         Err(e) => fail("report", &e.to_string()),
     }
 }
 
-fn cmd_export(rest: &[String]) -> i32 {
-    let (opts, _, files) = split_args(rest);
-    let format = opt(&opts, "format").unwrap_or("chrome");
+fn cmd_export(args: &Args, files: Vec<PathBuf>) -> i32 {
+    let format = args.get_or("format", "chrome");
     if !matches!(format, "chrome" | "csv") {
         eprintln!("--format must be chrome or csv (got '{format}')");
         return 2;
@@ -238,7 +204,7 @@ fn cmd_export(rest: &[String]) -> i32 {
         Ok(m) => m,
         Err(e) => return fail("export", &e),
     };
-    let mut out = match out_writer(&opts) {
+    let mut out = match out_writer(args) {
         Ok(w) => w,
         Err(e) => return fail("export", &e.to_string()),
     };
@@ -256,33 +222,24 @@ fn cmd_export(rest: &[String]) -> i32 {
     }
 }
 
-fn cmd_tail(rest: &[String]) -> i32 {
-    let (opts, _, files) = split_args(rest);
-    let dir = opt(&opts, "trace-dir").map(PathBuf::from);
+fn cmd_tail(args: &Args, files: Vec<PathBuf>) -> i32 {
+    let dir = args.get("trace-dir").map(PathBuf::from);
     if files.is_empty() && dir.is_none() {
         eprintln!("tail needs trace FILEs or --trace-dir DIR");
         return 2;
     }
-    let parse_secs = |key: &str| -> Option<f64> {
-        opt(&opts, key).map(|raw| {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} wants a number (got {raw:?})");
-                std::process::exit(2);
-            })
-        })
-    };
     let mut options = TailOptions::default();
-    if let Some(ms) = parse_secs("poll") {
+    if let Some(ms) = args.value::<f64>("poll") {
         options.poll = std::time::Duration::from_millis(ms.max(1.0) as u64);
     }
-    if let Some(secs) = parse_secs("idle-exit") {
+    if let Some(secs) = args.value::<f64>("idle-exit") {
         options.idle_exit = Some(std::time::Duration::from_secs_f64(secs.max(0.0)));
     }
-    if let Some(secs) = parse_secs("stats-every") {
+    if let Some(secs) = args.value::<f64>("stats-every") {
         options.stats_every = (secs > 0.0)
             .then(|| std::time::Duration::from_secs_f64(secs));
     }
-    let mut out = match out_writer(&opts) {
+    let mut out = match out_writer(args) {
         Ok(w) => w,
         Err(e) => return fail("tail", &e.to_string()),
     };
@@ -293,9 +250,8 @@ fn cmd_tail(rest: &[String]) -> i32 {
     }
 }
 
-fn cmd_validate(rest: &[String]) -> i32 {
-    let (opts, _, files) = split_args(rest);
-    let Some(schema_path) = opt(&opts, "schema") else {
+fn cmd_validate(args: &Args, files: Vec<PathBuf>) -> i32 {
+    let Some(schema_path) = args.get("schema") else {
         eprintln!("validate needs --schema SCHEMA.json");
         return 2;
     };

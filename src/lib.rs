@@ -22,8 +22,9 @@
 //! | [`apps`] | `fupermod-apps` | matrix multiplication and Jacobi use cases |
 //! | [`trace`] | `fupermod-trace` | causal trace merge, critical-path reports, Perfetto export |
 //!
-//! The [`cli`] module holds the flag parsing and `--trace` sink wiring
-//! shared by the `fupermod_*` binaries.
+//! The [`cli`] module (from `fupermod-bench`) is the command line every
+//! binary of the workspace shares: one parser and one definition of
+//! each common flag, including the `--trace` sink wiring.
 //!
 //! ## Quick start
 //!
@@ -60,9 +61,8 @@
 //! paper (indexed in `DESIGN.md`, results recorded in
 //! `EXPERIMENTS.md`).
 
-pub mod cli;
-
 pub use fupermod_apps as apps;
+pub use fupermod_bench::cli;
 pub use fupermod_core as core;
 pub use fupermod_kernels as kernels;
 pub use fupermod_num as num;

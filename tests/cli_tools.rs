@@ -153,3 +153,35 @@ fn simulate_rejects_a_nesting_bomb_fault_plan() {
     assert!(stderr.contains("nesting deeper than"), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
+
+/// `--trace-dir` names a directory the binary creates if it is
+/// missing, on every binary alike.
+#[test]
+fn simulate_creates_a_missing_trace_dir() {
+    let dir = temp_dir("missing-trace-dir").join("not/yet/there");
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+        .args(["--app", "jacobi", "--size", "80", "--trace-dir"])
+        .arg(&dir)
+        .output()
+        .expect("simulate failed to launch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(dir.join("fupermod_simulate.trace.jsonl"))
+        .expect("trace file missing");
+    assert!(trace.starts_with("{\"trace\":\"fupermod\""), "{trace}");
+}
+
+/// A flag that takes a value is a usage error without one.
+#[test]
+fn a_flag_without_its_value_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+        .args(["--app", "jacobi", "--size"])
+        .output()
+        .expect("simulate failed to launch");
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("missing value for --size"), "{stderr}");
+}
