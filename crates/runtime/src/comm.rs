@@ -76,17 +76,19 @@
 //! `max(compute, communication)`. Contract and examples in
 //! `docs/RUNTIME.md` §8.
 //!
-//! The broadcast and all-gather schedules are defined there and
-//! nowhere else: a blocking [`Communicator::bcast`],
-//! [`Communicator::allgatherv`], [`Communicator::allgatherv_available`]
-//! or ring/tree [`Communicator::allreduce`] on this backend **is its
-//! request, posted and completed in one call**. What differs is what
-//! the call passes — the op tag (`bcast`, not `ibcast`), the deadline
-//! (anchored at operation entry, not at the entry to `wait`) and no
-//! overlap base — so with nothing between post and `wait` the two
-//! forms agree to the bit by construction. `scatterv`, `gatherv`, the
-//! hub `allreduce` and `barrier` have no nonblocking form and are
-//! written here as straight-line blocking code.
+//! Every collective schedule is defined there and nowhere else, as one
+//! data phase under one driver (`Split`): [`Communicator::bcast`],
+//! [`Communicator::scatterv`], [`Communicator::gatherv`],
+//! [`Communicator::gather_available`], [`Communicator::allgatherv`],
+//! [`Communicator::allgatherv_available`] and
+//! [`Communicator::allreduce`] (hub, ring and tree) on this backend are
+//! each **a split collective posted and completed in one call**. Where
+//! a request form exists (`ibcast`, `iallgatherv`), what differs is
+//! what the call passes — the op tag (`bcast`, not `ibcast`), the
+//! deadline (anchored at operation entry, not at the entry to `wait`)
+//! and no overlap base — so with nothing between post and `wait` the
+//! two forms agree to the bit by construction. `barrier` is the bare
+//! closing barrier generation, with no data phase.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -97,7 +99,7 @@ use fupermod_core::trace::{null_sink, TraceEvent, TraceSink};
 use fupermod_platform::comm::{LinkModel, SimComm, Topology};
 
 use crate::collective::{
-    self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved, Rounds, Slots,
+    self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved, Rounds,
 };
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
@@ -400,39 +402,7 @@ impl RuntimeConfig {
             assert_eq!(topo.size(), size, "sim topology size mismatch");
             Mutex::new(SimComm::with_topology(topo))
         });
-        let deadline = self.plan.deadline.unwrap_or(DEFAULT_DEADLINE_SECS);
-        let plane = Arc::new(Plane {
-            size,
-            state: Mutex::new(PlaneState {
-                mail: (0..size).map(|_| VecDeque::new()).collect(),
-                dead: vec![false; size],
-                agreed_alive: vec![true; size],
-                arrived: 0,
-                generation: 0,
-                lamport: vec![0; size],
-                pending_charge: None,
-                overlap_base: vec![None; size],
-                coll_pending: vec![false; size],
-                ops: vec![0; size],
-                delay_counts: vec![0; self.plan.delays.len()],
-                drop_counts: vec![0; self.plan.drops.len()],
-                op_deadline: vec![None; size],
-                wake_seq: 0,
-            }),
-            cv: Condvar::new(),
-            mode: if sim.is_some() {
-                ClockMode::Sim
-            } else {
-                ClockMode::Wall
-            },
-            sim,
-            plan: self.plan,
-            deadline: Duration::from_secs_f64(deadline),
-            deadline_secs: deadline,
-            sink: self.sink,
-            policy: self.algorithms,
-            net: None,
-        });
+        let plane = new_plane(size, self.plan, self.sink, self.algorithms, sim, None);
         let comms = (0..size)
             .map(|rank| ThreadedComm {
                 rank,
@@ -454,6 +424,20 @@ pub(crate) fn build_net_plane(
     policy: AlgorithmPolicy,
     net: crate::net::NetPlane,
 ) -> Arc<Plane> {
+    new_plane(size, plan, sink, policy, None, Some(net))
+}
+
+/// The one constructor of the shared plane: in process (`net` is
+/// `None`, virtual clocks when `sim` is given) or fronting one rank of
+/// a TCP run (wall clocks).
+fn new_plane(
+    size: usize,
+    plan: FaultPlan,
+    sink: Arc<dyn TraceSink>,
+    policy: AlgorithmPolicy,
+    sim: Option<Mutex<SimComm>>,
+    net: Option<crate::net::NetPlane>,
+) -> Arc<Plane> {
     let deadline = plan.deadline.unwrap_or(DEFAULT_DEADLINE_SECS);
     Arc::new(Plane {
         size,
@@ -474,14 +458,18 @@ pub(crate) fn build_net_plane(
             wake_seq: 0,
         }),
         cv: Condvar::new(),
-        mode: ClockMode::Wall,
-        sim: None,
+        mode: if sim.is_some() {
+            ClockMode::Sim
+        } else {
+            ClockMode::Wall
+        },
+        sim,
         plan,
         deadline: Duration::from_secs_f64(deadline),
         deadline_secs: deadline,
         sink,
         policy,
-        net: Some(net),
+        net,
     })
 }
 
@@ -721,7 +709,12 @@ impl Plane {
 
     /// Completes the current barrier generation: applies the pending
     /// virtual-time charge (while holding the state lock, so charges
-    /// form one deterministic sequence) and wakes everyone.
+    /// form one deterministic sequence) and wakes everyone. Over TCP,
+    /// where only the hub completes, the joined clock uses the hub's
+    /// per-rank Lamport views, which at completion time hold each live
+    /// peer's clock as stamped on its ARRIVE frame — exactly the value
+    /// the in-process join reads, so fault-free stamps stay identical
+    /// across backends.
     fn complete_generation(&self, st: &mut PlaneState) {
         st.arrived = 0;
         st.generation = st.generation.wrapping_add(1);
@@ -741,6 +734,7 @@ impl Plane {
         for (agreed, &dead) in st.agreed_alive.iter_mut().zip(&st.dead) {
             *agreed = !dead;
         }
+        // No sim over TCP: a deposited charge has nothing to bill.
         if let Some(charge) = st.pending_charge.take() {
             if let Some(sim) = &self.sim {
                 let mut sim = sim.lock().expect("sim poisoned");
@@ -781,6 +775,9 @@ impl Plane {
         for b in st.overlap_base.iter_mut() {
             *b = None;
         }
+        if let Some(net) = &self.net {
+            net.broadcast_release(st.generation, join, &st.agreed_alive, &st.dead);
+        }
         self.notify(st);
     }
 
@@ -796,38 +793,8 @@ impl Plane {
         if st.arrived == 0 || st.arrived < st.live_count() {
             return false;
         }
-        match &self.net {
-            None => self.complete_generation(st),
-            Some(net) => self.complete_generation_net(net, st),
-        }
+        self.complete_generation(st);
         true
-    }
-
-    /// Hub-side TCP barrier completion: the network twin of
-    /// [`complete_generation`](Self::complete_generation). The joined
-    /// clock uses the hub's per-rank Lamport views, which at
-    /// completion time hold each live peer's clock as stamped on its
-    /// ARRIVE frame — exactly the value the in-process join reads, so
-    /// fault-free stamps stay identical across backends.
-    fn complete_generation_net(&self, net: &crate::net::NetPlane, st: &mut PlaneState) {
-        st.arrived = 0;
-        st.generation = st.generation.wrapping_add(1);
-        let join = st.lamport.iter().copied().max().unwrap_or(0).wrapping_add(1);
-        for (c, &dead) in st.lamport.iter_mut().zip(&st.dead) {
-            if !dead {
-                *c = join;
-            }
-        }
-        for (agreed, &dead) in st.agreed_alive.iter_mut().zip(&st.dead) {
-            *agreed = !dead;
-        }
-        // No sim over TCP: a deposited charge has nothing to bill.
-        st.pending_charge = None;
-        for b in st.overlap_base.iter_mut() {
-            *b = None;
-        }
-        net.broadcast_release(st.generation, join, &st.agreed_alive, &st.dead);
-        self.notify(st);
     }
 
     /// Marks `rank` dead (fail-stop), completes a barrier the death
@@ -860,12 +827,6 @@ impl Plane {
                 ));
             }
         }
-    }
-
-    fn virtual_time_of(&self, rank: usize) -> f64 {
-        self.sim
-            .as_ref()
-            .map_or(0.0, |s| s.lock().expect("sim poisoned").time(rank))
     }
 }
 
@@ -967,7 +928,7 @@ impl ThreadedComm {
         plane.lock().op_deadline[self.rank] = Some(wall + plane.deadline);
         Ok(OpStart {
             wall,
-            virt: plane.virtual_time_of(self.rank),
+            virt: self.virtual_time().unwrap_or(0.0),
             gen,
         })
     }
@@ -1003,7 +964,7 @@ impl ThreadedComm {
     ) {
         let seconds = match self.plane.mode {
             ClockMode::Wall => start.wall.elapsed().as_secs_f64(),
-            ClockMode::Sim => self.plane.virtual_time_of(self.rank) - start.virt,
+            ClockMode::Sim => self.virtual_time().unwrap_or(0.0) - start.virt,
         };
         let lamport = self.plane.lock().lamport[self.rank];
         fupermod_core::telemetry::record_comm(op, seconds);
@@ -1144,60 +1105,6 @@ impl ThreadedComm {
         }
     }
 
-    /// Dequeues the next message from `src` (per-pair FIFO), waiting
-    /// up to the deadline. `charge_p2p` applies the Hockney p2p cost
-    /// at delivery (public `recv`); collective data phases pass
-    /// `false` and are charged by their closing barrier instead.
-    fn raw_recv(
-        &self,
-        op: &'static str,
-        src: usize,
-        charge_p2p: bool,
-    ) -> Result<Vec<u8>, RuntimeError> {
-        self.raw_recv_deadline(op, src, charge_p2p, self.op_deadline_at())
-    }
-
-    /// [`raw_recv`](Self::raw_recv) against a caller-supplied deadline
-    /// (nonblocking requests anchor it at the entry to `wait`).
-    fn raw_recv_deadline(
-        &self,
-        op: &'static str,
-        src: usize,
-        charge_p2p: bool,
-        deadline_at: Instant,
-    ) -> Result<Vec<u8>, RuntimeError> {
-        let plane = &self.plane;
-        loop {
-            if let Some(bytes) = self.try_take(op, src, charge_p2p)? {
-                return Ok(bytes);
-            }
-            let mut st = plane.lock();
-            // A message may have landed between the attempt and this
-            // lock; retry before sleeping so no wakeup is lost.
-            let deliverable = st.mail[self.rank].iter().any(|e| {
-                e.src == src
-                    && (matches!(plane.mode, ClockMode::Sim)
-                        || e.delay <= 0.0
-                        || e.sent_at.elapsed().as_secs_f64() >= e.delay)
-            });
-            if st.dead[self.rank] || st.dead[src] || deliverable {
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline_at {
-                return Err(self.timeout(op, &mut st));
-            }
-            let mut wait = (deadline_at - now).min(Duration::from_millis(50));
-            if let Some(ready_in) = self.next_delay_wakeup(&st) {
-                wait = wait.min(ready_in);
-            }
-            let _ = plane
-                .cv
-                .wait_timeout(st, wait)
-                .expect("runtime plane poisoned");
-        }
-    }
-
     /// Earliest remaining time until a delay-held message for this
     /// rank becomes deliverable — the extra bound every condvar sleep
     /// takes so a sub-50 ms injected delay wakes its receiver when it
@@ -1225,9 +1132,11 @@ impl ThreadedComm {
     /// `src` (per-pair FIFO): `Ok(Some(bytes))` delivers it (Lamport
     /// merge, virtual-clock charge), `Ok(None)` means nothing is
     /// deliverable *yet* — no message, or a fault-injected delivery
-    /// delay still running. Death errors match
-    /// [`raw_recv`](Self::raw_recv): a message already enqueued by a
-    /// now-dead sender is still delivered (posthumous delivery).
+    /// delay still running. `charge_p2p` applies the Hockney p2p cost
+    /// at delivery (`recv`/`irecv`); collective data phases pass
+    /// `false` and are charged by their closing barrier instead. A
+    /// message already enqueued by a now-dead sender is still
+    /// delivered (posthumous delivery).
     fn try_take(
         &self,
         op: &'static str,
@@ -1389,55 +1298,6 @@ impl ThreadedComm {
         plane.maybe_complete(&mut st)
     }
 
-    /// Liveness snapshot under the lock.
-    fn alive_snapshot(&self) -> Vec<bool> {
-        let st = self.plane.lock();
-        st.dead.iter().map(|&d| !d).collect()
-    }
-
-    /// Hub-side gather core shared by `gatherv`, `gather_available`,
-    /// `allgatherv` and `allreduce`: returns each live rank's payload
-    /// (`None` for dead contributors).
-    fn collect_payloads(
-        &self,
-        op: &'static str,
-        own: &[u8],
-    ) -> Result<Slots, RuntimeError> {
-        let mut slots: Slots = Vec::with_capacity(self.plane.size);
-        for src in 0..self.plane.size {
-            if src == self.rank {
-                slots.push(Some(own.to_vec()));
-                continue;
-            }
-            match self.raw_recv(op, src, false) {
-                Ok(bytes) => slots.push(Some(bytes)),
-                Err(RuntimeError::RankDead { rank, .. }) if rank == src => slots.push(None),
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(slots)
-    }
-
-    /// Collective epilogue: every rank that passed `op_begin` arrives
-    /// at the closing barrier exactly once — *even when its data
-    /// phase failed* — so a mid-collective error on one rank cannot
-    /// leave the others' barrier generation short (they would
-    /// otherwise stall until the deadline fail-stops someone). A
-    /// data-phase error takes precedence over a barrier error.
-    /// Returns the value paired with the generation the closing
-    /// barrier completed (the collective's `gen` stamp).
-    fn close_op<T>(
-        &self,
-        op: &'static str,
-        outcome: Result<T, RuntimeError>,
-    ) -> Result<(T, u64), RuntimeError> {
-        let fence = self.raw_barrier(op, None);
-        match outcome {
-            Err(e) => Err(e),
-            Ok(v) => fence.map(|gen| (v, gen)),
-        }
-    }
-
     /// Deposits a virtual-time charge for the closing barrier's
     /// completer to apply (no-op on the wall-clock backend).
     fn deposit(&self, charge: Charge) {
@@ -1462,21 +1322,6 @@ impl ThreadedComm {
         }
     }
 
-    /// Receives a schedule-internal message, mapping a dead sender to
-    /// `None` (the data that edge carried is lost; the schedule
-    /// degrades instead of erroring).
-    fn recv_tolerant(
-        &self,
-        op: &'static str,
-        src: usize,
-    ) -> Result<Option<Vec<u8>>, RuntimeError> {
-        match self.raw_recv(op, src, false) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(RuntimeError::RankDead { rank, .. }) if rank == src => Ok(None),
-            Err(other) => Err(other),
-        }
-    }
-
     /// The rank list every schedule of the current barrier generation
     /// is built over: the membership recorded at the last completed
     /// generation (see [`PlaneState::agreed_alive`]). Ascending, and
@@ -1486,13 +1331,6 @@ impl ThreadedComm {
     fn agreed_live(&self) -> Vec<usize> {
         let st = self.plane.lock();
         Self::live_list(&st.agreed_alive)
-    }
-
-    /// Size of the agreed membership, for the trace addendum's round
-    /// counts.
-    fn agreed_live_count(&self) -> usize {
-        let st = self.plane.lock();
-        st.agreed_alive.iter().filter(|&&alive| alive).count()
     }
 
     /// Position of this rank in the agreed live list. A rank that
@@ -1508,10 +1346,24 @@ impl ThreadedComm {
             })
     }
 
-    /// Absolute rank of binomial virtual index `vi` over the agreed
-    /// live list with the root at position `vroot`.
-    fn pos_to_abs(live: &[usize], vroot: usize, vi: usize) -> usize {
-        live[(vi + vroot) % live.len()]
+    /// The binomial tree of a rooted schedule over the agreed live
+    /// list, `tree[vi]` being the rank at virtual index `vi` (the root
+    /// at 0, so the `collective` round builders take it with
+    /// `vroot = 0`), and this rank's virtual index. A root that died
+    /// before the agreement is consistently unreachable for every
+    /// remaining rank.
+    fn rooted_tree(
+        &self,
+        op: &'static str,
+        root: usize,
+    ) -> Result<(Vec<usize>, usize), RuntimeError> {
+        let mut tree = self.agreed_live();
+        let Some(vroot) = tree.iter().position(|&r| r == root) else {
+            return Err(RuntimeError::RankDead { op, rank: root });
+        };
+        tree.rotate_left(vroot);
+        let vi = self.agreed_pos(op, &tree)?;
+        Ok((tree, vi))
     }
 
     /// Live ranks of a snapshot, ascending (used to build charges
@@ -1525,17 +1377,6 @@ impl ThreadedComm {
     }
 }
 
-/// Fills `None` slots of `into` from `from` (a present slot is never
-/// overwritten, so the first copy of a contribution wins — all copies
-/// are byte-identical by construction).
-fn merge_slots(into: &mut Slots, from: Slots) {
-    for (dst, src) in into.iter_mut().zip(from) {
-        if dst.is_none() {
-            *dst = src;
-        }
-    }
-}
-
 impl Communicator for ThreadedComm {
     fn rank(&self) -> usize {
         self.rank
@@ -1546,7 +1387,8 @@ impl Communicator for ThreadedComm {
     }
 
     fn alive(&self) -> Vec<bool> {
-        self.alive_snapshot()
+        let st = self.plane.lock();
+        st.dead.iter().map(|&d| !d).collect()
     }
 
     fn send<T: Wire>(&mut self, dst: usize, value: &T) -> Result<(), RuntimeError> {
@@ -1564,7 +1406,7 @@ impl Communicator for ThreadedComm {
         const OP: &str = "recv";
         self.check_rank(OP, src)?;
         let start = self.op_begin(OP)?;
-        let bytes = self.raw_recv(OP, src, true)?;
+        let bytes = self.raw_recv_deadline(OP, src, self.op_deadline_at())?;
         let value = decode_as::<T>(OP, &bytes)?;
         self.op_end(
             OP,
@@ -1607,11 +1449,11 @@ impl Communicator for ThreadedComm {
         Ok(())
     }
 
-    // `bcast`, `allgatherv`, `allgatherv_available` and the ring/tree
-    // `allreduce` *are* their requests (see [`request`]), posted and
-    // completed in one call: the op tag, the deadline anchor
-    // (`op_begin`, not the entry to `wait`) and the absent overlap
-    // base are all that differ from `ibcast`/`iallgatherv`.
+    // Every collective below is a split collective (see [`request`]),
+    // posted and completed in one call. Where a request form exists
+    // (`ibcast`, `iallgatherv`), the op tag, the deadline anchor
+    // (`op_begin`, not the entry to `wait`) and the absent overlap base
+    // are all that differ from it.
 
     fn bcast<T: Wire>(&mut self, root: usize, value: Option<&T>) -> Result<T, RuntimeError> {
         const OP: &str = "bcast";
@@ -1621,21 +1463,8 @@ impl Communicator for ThreadedComm {
 
     fn scatterv<T: Wire>(&mut self, root: usize, parts: Option<&[T]>) -> Result<T, RuntimeError> {
         const OP: &str = "scatterv";
-        self.check_rank(OP, root)?;
-        let start = self.op_begin(OP)?;
-        let resolved = self.plane.policy.scatterv.resolve_rooted(self.plane.size);
-        let outcome = self.scatterv_data(OP, root, parts, resolved);
-        let ((result, moved), gen) = self.close_op(OP, outcome)?;
-        self.op_end(
-            OP,
-            root as i64,
-            moved,
-            &start,
-            resolved.name(),
-            collective::rooted_rounds(resolved, self.agreed_live_count()),
-            gen,
-        );
-        Ok(result)
+        let mut split = self.post_scatterv(OP, root, parts)?;
+        split.complete(self.op_deadline_at(), |bytes| decode_as::<T>(OP, &bytes))
     }
 
     fn gatherv<T: Wire>(
@@ -1644,19 +1473,19 @@ impl Communicator for ThreadedComm {
         value: &T,
     ) -> Result<Option<Vec<T>>, RuntimeError> {
         const OP: &str = "gatherv";
-        match self.gather_impl(OP, root, value)? {
-            None => Ok(None),
-            Some(slots) => {
-                let mut out = Vec::with_capacity(slots.len());
-                for (rank, slot) in slots.into_iter().enumerate() {
-                    match slot {
-                        Some(v) => out.push(v),
-                        None => return Err(RuntimeError::RankDead { op: OP, rank }),
-                    }
-                }
-                Ok(Some(out))
+        // The strict check is a scan of what `gather_available`
+        // returned, after its `comm` event.
+        let Some(slots) = self.gather_available(root, value)? else {
+            return Ok(None);
+        };
+        let mut out = Vec::with_capacity(slots.len());
+        for (rank, slot) in slots.into_iter().enumerate() {
+            match slot {
+                Some(v) => out.push(v),
+                None => return Err(RuntimeError::RankDead { op: OP, rank }),
             }
         }
+        Ok(Some(out))
     }
 
     fn gather_available<T: Wire>(
@@ -1664,7 +1493,11 @@ impl Communicator for ThreadedComm {
         root: usize,
         value: &T,
     ) -> Result<Option<Vec<Option<T>>>, RuntimeError> {
-        self.gather_impl("gatherv", root, value)
+        const OP: &str = "gatherv";
+        let mut split = self.post_gather(OP, root, value)?;
+        split.complete(self.op_deadline_at(), |slots| {
+            slots.map(|s| available_slots::<T>(OP, &s)).transpose()
+        })
     }
 
     fn allgatherv<T: Wire>(&mut self, value: &T) -> Result<Vec<T>, RuntimeError> {
@@ -1693,293 +1526,12 @@ impl Communicator for ThreadedComm {
         // through [`fold_slots`] — the pinned rank-ascending order that
         // keeps results bitwise identical across hub, ring and tree
         // (see the module docs of `collective` and `wire`).
-        if resolved != Resolved::Hub {
-            let mut split = self.post_allgather(OP, &value, |_| resolved, false)?;
-            return split.complete(self.op_deadline_at(), |slots| fold_slots(OP, &slots, op));
+        if resolved == Resolved::Hub {
+            let mut split = self.post_hub_reduce(OP, value, op)?;
+            return split.complete(self.op_deadline_at(), Ok);
         }
-        let start = self.op_begin(OP)?;
-        let outcome = self.allreduce_hub(OP, value.to_bytes(), op);
-        let ((result, moved), gen) = self.close_op(OP, outcome)?;
-        self.op_end(
-            OP,
-            -1,
-            moved,
-            &start,
-            resolved.name(),
-            collective::rootless_rounds(resolved, self.agreed_live_count()),
-            gen,
-        );
-        Ok(result)
-    }
-}
-
-impl ThreadedComm {
-    /// Shared implementation of `gatherv`/`gather_available`:
-    /// policy-dispatched data phase returning the raw slot vector on
-    /// the root (`None` elsewhere).
-    fn gather_impl<T: Wire>(
-        &mut self,
-        op: &'static str,
-        root: usize,
-        value: &T,
-    ) -> Result<Option<Vec<Option<T>>>, RuntimeError> {
-        self.check_rank(op, root)?;
-        let start = self.op_begin(op)?;
-        let resolved = self.plane.policy.gatherv.resolve_rooted(self.plane.size);
-        let own = value.to_bytes();
-        let outcome = match resolved {
-            Resolved::Hub => self.gather_hub_data(op, root, own),
-            Resolved::Ring | Resolved::Tree => self.gather_tree_data(op, root, own),
-        };
-        let ((slots, moved), gen) = self.close_op(op, outcome)?;
-        let result = match slots {
-            None => None,
-            Some(slots) => {
-                let mut values = Vec::with_capacity(slots.len());
-                for slot in slots {
-                    values.push(match slot {
-                        Some(bytes) => Some(decode_as::<T>(op, &bytes)?),
-                        None => None,
-                    });
-                }
-                Some(values)
-            }
-        };
-        self.op_end(
-            op,
-            root as i64,
-            moved,
-            &start,
-            resolved.name(),
-            collective::rooted_rounds(resolved, self.agreed_live_count()),
-            gen,
-        );
-        Ok(result)
-    }
-
-    /// Hub gather data phase: one star fan-in round to the root.
-    fn gather_hub_data(
-        &mut self,
-        op: &'static str,
-        root: usize,
-        own: Vec<u8>,
-    ) -> Result<(Option<Slots>, u64), RuntimeError> {
-        let mut moved = own.len() as u64;
-        if self.rank == root {
-            let slots = self.collect_payloads(op, &own)?;
-            let live = self.agreed_live();
-            let lens: Vec<u64> = live
-                .iter()
-                .map(|&r| slots[r].as_ref().map_or(0, |b| b.len() as u64))
-                .collect();
-            moved += lens.iter().sum::<u64>();
-            let rounds = vec![collective::star_gather_round(&live, root, &lens)];
-            self.deposit(charge_of(&rounds));
-            Ok((Some(slots), moved))
-        } else {
-            // Root death is fatal for a gather.
-            self.raw_send(op, root, own)?;
-            Ok((None, moved))
-        }
-    }
-
-    /// Tree gather data phase: the reverse binomial tree. Every rank
-    /// merges its children's slot bundles (a dead child loses its
-    /// whole subtree's contributions — they stay `None`) and forwards
-    /// the accumulated bundle to its parent.
-    fn gather_tree_data(
-        &mut self,
-        op: &'static str,
-        root: usize,
-        own: Vec<u8>,
-    ) -> Result<(Option<Slots>, u64), RuntimeError> {
-        let size = self.plane.size;
-        let live = self.agreed_live();
-        let q = live.len();
-        let Some(vroot) = live.iter().position(|&r| r == root) else {
-            return Err(RuntimeError::RankDead { op, rank: root });
-        };
-        let pos = self.agreed_pos(op, &live)?;
-        let vi = (pos + q - vroot) % q;
-        let mut slots: Slots = vec![None; size];
-        let mut moved = own.len() as u64;
-        slots[self.rank] = Some(own);
-        // Children deliver in descending round order (the reverse of
-        // the broadcast schedule): the child reached last sends first.
-        for &(_, child_vi) in collective::binomial_children(vi, q).iter().rev() {
-            let child_abs = Self::pos_to_abs(&live, vroot, child_vi);
-            if let Some(bytes) = self.recv_tolerant(op, child_abs)? {
-                moved += bytes.len() as u64;
-                let bundle: Slots = decode_as(op, &bytes)?;
-                if bundle.len() == size {
-                    merge_slots(&mut slots, bundle);
-                }
-            }
-        }
-        if vi == 0 {
-            let lens_by_vi: Vec<u64> = (0..q)
-                .map(|v| {
-                    slots[Self::pos_to_abs(&live, vroot, v)]
-                        .as_ref()
-                        .map_or(0, |b| b.len() as u64)
-                })
-                .collect();
-            self.deposit(charge_of(&collective::gatherv_rounds(
-                size, &live, vroot, &lens_by_vi,
-            )));
-            Ok((Some(slots), moved))
-        } else {
-            let parent_abs = Self::pos_to_abs(
-                &live,
-                vroot,
-                collective::binomial_parent(vi).expect("vi > 0 has a parent"),
-            );
-            let msg = slots.to_bytes();
-            moved += msg.len() as u64;
-            // A dead parent orphans this subtree's contributions —
-            // the root degrades them to `None` slots.
-            self.send_tolerant(op, parent_abs, msg)?;
-            Ok((None, moved))
-        }
-    }
-
-    /// Scatter data phase.
-    fn scatterv_data<T: Wire>(
-        &mut self,
-        op: &'static str,
-        root: usize,
-        parts: Option<&[T]>,
-        resolved: Resolved,
-    ) -> Result<(T, u64), RuntimeError> {
-        let size = self.plane.size;
-        let encoded: Option<Vec<Vec<u8>>> = if self.rank == root {
-            let parts = parts.ok_or_else(|| {
-                RuntimeError::App("scatterv: root must supply Some(parts)".to_owned())
-            })?;
-            if parts.len() != size {
-                return Err(RuntimeError::SizeMismatch {
-                    op,
-                    expected: size,
-                    got: parts.len(),
-                });
-            }
-            Some(parts.iter().map(Wire::to_bytes).collect())
-        } else {
-            None
-        };
-        match resolved {
-            Resolved::Hub => {
-                if let Some(encoded) = encoded {
-                    let live = self.agreed_live();
-                    let mut sent = 0u64;
-                    for &dst in &live {
-                        if dst == self.rank {
-                            continue;
-                        }
-                        sent += encoded[dst].len() as u64;
-                        self.send_tolerant(op, dst, &encoded[dst])?;
-                    }
-                    let lens: Vec<u64> =
-                        live.iter().map(|&r| encoded[r].len() as u64).collect();
-                    let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-                    self.deposit(charge_of(&rounds));
-                    Ok((decode_as::<T>(op, &encoded[self.rank])?, sent))
-                } else {
-                    let bytes = self.raw_recv(op, root, false)?;
-                    Ok((decode_as::<T>(op, &bytes)?, bytes.len() as u64))
-                }
-            }
-            Resolved::Ring | Resolved::Tree => {
-                let live = self.agreed_live();
-                let q = live.len();
-                let Some(vroot) = live.iter().position(|&r| r == root) else {
-                    return Err(RuntimeError::RankDead { op, rank: root });
-                };
-                let pos = self.agreed_pos(op, &live)?;
-                let vi = (pos + q - vroot) % q;
-                let mut moved = 0u64;
-                // Obtain this subtree's slot bundle.
-                let slots: Slots = if let Some(encoded) = &encoded {
-                    let lens_by_vi: Vec<u64> = (0..q)
-                        .map(|v| encoded[Self::pos_to_abs(&live, vroot, v)].len() as u64)
-                        .collect();
-                    self.deposit(charge_of(&collective::scatterv_rounds(
-                        size, &live, vroot, &lens_by_vi,
-                    )));
-                    encoded.iter().map(|b| Some(b.clone())).collect()
-                } else {
-                    let parent_abs = Self::pos_to_abs(
-                        &live,
-                        vroot,
-                        collective::binomial_parent(vi).expect("vi > 0 has a parent"),
-                    );
-                    match self.recv_tolerant(op, parent_abs)? {
-                        Some(bytes) => {
-                            moved += bytes.len() as u64;
-                            let bundle: Slots = decode_as(op, &bytes)?;
-                            if bundle.len() == size {
-                                bundle
-                            } else {
-                                vec![None; size]
-                            }
-                        }
-                        // Dead parent: this subtree's parts are lost.
-                        // Forward the poison bundle so descendants
-                        // degrade in one hop instead of timing out.
-                        None => vec![None; size],
-                    }
-                };
-                // Forward each child its subtree's sub-bundle.
-                for (_, child_vi) in collective::binomial_children(vi, q) {
-                    let child_abs = Self::pos_to_abs(&live, vroot, child_vi);
-                    let mut bundle: Slots = vec![None; size];
-                    for v in collective::binomial_subtree(child_vi, q) {
-                        let abs = Self::pos_to_abs(&live, vroot, v);
-                        bundle[abs] = slots[abs].clone();
-                    }
-                    let msg = bundle.to_bytes();
-                    moved += msg.len() as u64;
-                    self.send_tolerant(op, child_abs, msg)?;
-                }
-                match &slots[self.rank] {
-                    Some(bytes) => Ok((decode_as::<T>(op, bytes)?, moved)),
-                    None => Err(RuntimeError::RankDead { op, rank: root }),
-                }
-            }
-        }
-    }
-
-    /// Hub allreduce data phase: star fan-in of raw contributions to
-    /// the lowest agreed-live rank, central fold (pinned rank-ascending
-    /// order), star fan-out of the folded result.
-    fn allreduce_hub(
-        &mut self,
-        op: &'static str,
-        own: Vec<u8>,
-        rop: ReduceOp,
-    ) -> Result<(f64, u64), RuntimeError> {
-        let live = self.agreed_live();
-        let hub = live[0];
-        if self.rank == hub {
-            let slots = self.collect_payloads(op, &own)?;
-            let folded = fold_slots(op, &slots, rop)?;
-            let bytes = folded.to_bytes();
-            for &dst in &live {
-                if dst == hub {
-                    continue;
-                }
-                self.send_tolerant(op, dst, &bytes)?;
-            }
-            let lens = vec![8u64; live.len()];
-            let mut rounds = vec![collective::star_gather_round(&live, hub, &lens)];
-            rounds.push(collective::star_scatter_round(&live, hub, &lens));
-            self.deposit(charge_of(&rounds));
-            Ok((folded, 8 * live.len() as u64))
-        } else {
-            self.raw_send(op, hub, own)?;
-            let bytes = self.raw_recv(op, hub, false)?;
-            Ok((decode_as::<f64>(op, &bytes)?, 16))
-        }
+        let mut split = self.post_allgather(OP, &value, |_| resolved, false)?;
+        split.complete(self.op_deadline_at(), |slots| fold_slots(OP, &slots, op))
     }
 }
 

@@ -36,18 +36,32 @@
 //!
 //! # One definition per schedule
 //!
-//! A split collective is an untyped resumable data phase (`Bcast`:
-//! bytes in, bytes out; `Allgather`: bytes in, slots out) under one
+//! A split collective is an untyped resumable data phase under one
 //! driver (`Split`) that owns the post, the closing barrier, the
-//! error precedence, the trace event and the completing `Drop`. The
-//! payload type appears only in thin decoders applied to what the
-//! machine yields. The *blocking* `bcast`, `allgatherv`,
-//! `allgatherv_available` and ring/tree `allreduce` of
-//! [`Communicator`](super::Communicator) post the same machines and
-//! complete them in the same call, differing in three arguments: the
-//! op tag carried by trace events and errors, the deadline instant
-//! (anchored at `op_begin` instead of the entry to `wait`) and
-//! whether the post-time clock is recorded as an overlap base.
+//! error precedence (data phase, then barrier, then decode), the
+//! trace event and the completing `Drop`. There is one phase per
+//! collective, and it is the only definition of that collective's
+//! schedule on the mailbox plane:
+//!
+//! * `Bcast` (bytes in, bytes out) carries `bcast` and `ibcast`;
+//! * `Scatter` (parts in, this rank's part out) carries `scatterv`;
+//! * `Gather` (bytes in, the root's slots out) carries `gatherv` and
+//!   `gather_available`;
+//! * `Allgather` (bytes in, slots out) carries `allgatherv`,
+//!   `allgatherv_available`, `iallgatherv` and the ring/tree
+//!   `allreduce`;
+//! * `HubReduce` (a value in, the fold out) carries the hub
+//!   `allreduce`.
+//!
+//! The payload type appears only in thin decoders applied to what the
+//! machine yields. Every blocking collective of
+//! [`Communicator`](super::Communicator) except `barrier` (a bare
+//! barrier generation, with no data phase) posts its machine and
+//! completes it in the same call. Where a request form exists, the two
+//! differ in three arguments: the op tag carried by trace events and
+//! errors, the deadline instant (anchored at `op_begin` instead of the
+//! entry to `wait`) and whether the post-time clock is recorded as an
+//! overlap base.
 //!
 //! # Faults and deadlines
 //!
@@ -69,11 +83,11 @@ use std::mem;
 use std::task::Poll;
 use std::time::{Duration, Instant};
 
-use crate::collective::{self, strict_slots, Resolved, Rounds, Slots};
+use crate::collective::{self, fold_slots, strict_slots, Resolved, Rounds, Slots};
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
-use super::{charge_of, OpStart, ThreadedComm};
+use super::{charge_of, OpStart, ReduceOp, ThreadedComm};
 
 /// A nonblocking operation in flight. Consume it with
 /// [`wait`](Request::wait) (block until complete) or
@@ -203,9 +217,7 @@ impl<T: Wire> Request for RecvRequest<'_, T> {
     fn wait(self) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
         let deadline_at = Instant::now() + self.comm.plane.deadline;
-        let bytes = self
-            .comm
-            .raw_recv_deadline(OP, self.src, true, deadline_at)?;
+        let bytes = self.comm.raw_recv_deadline(OP, self.src, deadline_at)?;
         self.finish(&bytes)
     }
 
@@ -378,7 +390,7 @@ impl<'c, P: DataPhase> Split<'c, P> {
         let raw = self.data.take().expect("the data phase has ended")?;
         let gen = fence?;
         let out = decode(raw)?;
-        let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_live_count());
+        let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_live().len());
         self.comm.op_end(
             self.op,
             peer,
@@ -452,35 +464,21 @@ impl DataPhase for Bcast {
             // explicit `None` in one hop per level instead of
             // cascading deadline fail-stops through the subtree.
             Resolved::Ring | Resolved::Tree => {
-                let live = comm.agreed_live();
-                let q = live.len();
-                // A root that died before the agreement is consistently
-                // unreachable for every remaining rank.
-                let Some(vroot) = live.iter().position(|&r| r == self.root) else {
-                    return Err(RuntimeError::RankDead {
-                        op,
-                        rank: self.root,
-                    });
-                };
-                let vi = (comm.agreed_pos(op, &live)? + q - vroot) % q;
+                let (tree, vi) = comm.rooted_tree(op, self.root)?;
                 let framed: Option<Vec<u8>> = match collective::binomial_parent(vi) {
                     None => self.own.take(),
-                    Some(parent_vi) => {
-                        let parent = ThreadedComm::pos_to_abs(&live, vroot, parent_vi);
-                        match comm.try_recv_tolerant(op, parent)? {
-                            Poll::Pending => return Ok(Poll::Pending),
-                            Poll::Ready(Some(raw)) => decode_as(op, &raw)?,
-                            Poll::Ready(None) => None,
-                        }
-                    }
+                    Some(parent_vi) => match comm.try_recv_tolerant(op, tree[parent_vi])? {
+                        Poll::Pending => return Ok(Poll::Pending),
+                        Poll::Ready(Some(raw)) => decode_as(op, &raw)?,
+                        Poll::Ready(None) => None,
+                    },
                 };
                 let msg = framed.to_bytes();
-                for (_, child_vi) in collective::binomial_children(vi, q) {
-                    let child = ThreadedComm::pos_to_abs(&live, vroot, child_vi);
-                    comm.send_tolerant(op, child, &msg)?;
+                for (_, child_vi) in collective::binomial_children(vi, tree.len()) {
+                    comm.send_tolerant(op, tree[child_vi], &msg)?;
                 }
                 if vi == 0 {
-                    let rounds = collective::bcast_rounds(&live, vroot, msg.len() as u64);
+                    let rounds = collective::bcast_rounds(&tree, 0, msg.len() as u64);
                     comm.deposit(charge_of(&rounds));
                 }
                 *moved = msg.len() as u64;
@@ -535,6 +533,184 @@ impl<T: Wire> Request for BcastRequest<'_, T> {
     }
 }
 
+/// Scatter data phase: the root's sends, or a non-root's one receive
+/// (and, on the tree, its forwards). Yields this rank's encoded part.
+pub(super) struct Scatter {
+    root: usize,
+    resolved: Resolved,
+    /// The root's encoded parts, or why it has none; `None` elsewhere.
+    parts: Option<Result<Vec<Vec<u8>>, RuntimeError>>,
+}
+
+impl DataPhase for Scatter {
+    type Output = Vec<u8>;
+
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<Vec<u8>>, RuntimeError> {
+        let size = comm.plane.size;
+        // The root's `Some(parts)` and arity checks end its phase here.
+        let parts = self.parts.take().transpose()?;
+        match (self.resolved, parts) {
+            (Resolved::Hub, Some(mut parts)) => {
+                let live = comm.agreed_live();
+                for &dst in live.iter().filter(|&&dst| dst != comm.rank) {
+                    *moved += parts[dst].len() as u64;
+                    comm.send_tolerant(op, dst, &parts[dst])?;
+                }
+                let lens: Vec<u64> = live.iter().map(|&r| parts[r].len() as u64).collect();
+                let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
+                comm.deposit(charge_of(&rounds));
+                Ok(Poll::Ready(mem::take(&mut parts[comm.rank])))
+            }
+            (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root, false)? {
+                Some(bytes) => {
+                    *moved = bytes.len() as u64;
+                    Poll::Ready(bytes)
+                }
+                None => Poll::Pending,
+            }),
+            // Each rank receives its subtree's slot bundle from its
+            // parent and forwards every child the child's share of it.
+            (Resolved::Ring | Resolved::Tree, parts) => {
+                let (tree, vi) = comm.rooted_tree(op, self.root)?;
+                let q = tree.len();
+                let mut slots: Slots = match (parts, collective::binomial_parent(vi)) {
+                    (Some(parts), _) => {
+                        let lens_by_vi: Vec<u64> =
+                            tree.iter().map(|&r| parts[r].len() as u64).collect();
+                        let rounds = collective::scatterv_rounds(size, &tree, 0, &lens_by_vi);
+                        comm.deposit(charge_of(&rounds));
+                        parts.into_iter().map(Some).collect()
+                    }
+                    (None, parent_vi) => {
+                        let parent = tree[parent_vi.expect("a non-root has a parent")];
+                        match comm.try_recv_tolerant(op, parent)? {
+                            Poll::Pending => return Ok(Poll::Pending),
+                            Poll::Ready(Some(bytes)) => {
+                                *moved += bytes.len() as u64;
+                                let bundle: Slots = decode_as(op, &bytes)?;
+                                if bundle.len() == size {
+                                    bundle
+                                } else {
+                                    vec![None; size]
+                                }
+                            }
+                            // Dead parent: this subtree's parts are lost.
+                            // Forward the poison bundle so descendants
+                            // degrade in one hop instead of timing out.
+                            Poll::Ready(None) => vec![None; size],
+                        }
+                    }
+                };
+                for (_, child_vi) in collective::binomial_children(vi, q) {
+                    let mut bundle: Slots = vec![None; size];
+                    for v in collective::binomial_subtree(child_vi, q) {
+                        bundle[tree[v]] = slots[tree[v]].clone();
+                    }
+                    let msg = bundle.to_bytes();
+                    *moved += msg.len() as u64;
+                    comm.send_tolerant(op, tree[child_vi], msg)?;
+                }
+                slots[comm.rank]
+                    .take()
+                    .map(Poll::Ready)
+                    .ok_or(RuntimeError::RankDead {
+                        op,
+                        rank: self.root,
+                    })
+            }
+        }
+    }
+
+    fn describe(&self, live: usize) -> (i64, Resolved, u64) {
+        let rounds = collective::rooted_rounds(self.resolved, live);
+        (self.root as i64, self.resolved, rounds)
+    }
+}
+
+/// Gather data phase, shared by `gatherv` and `gather_available`.
+/// Yields the contribution slots on the root, `None` elsewhere.
+pub(super) struct Gather {
+    root: usize,
+    resolved: Resolved,
+    /// Contributions held so far, this rank's own included.
+    held: Slots,
+    /// The hub root's next fan-in source, or how many children a tree
+    /// rank has heard from.
+    next: usize,
+}
+
+impl DataPhase for Gather {
+    type Output = Option<Slots>;
+
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<Option<Slots>>, RuntimeError> {
+        let own_len = slot_len(&self.held[comm.rank]);
+        // Hub: one star fan-in round to the root.
+        if self.resolved == Resolved::Hub {
+            if comm.rank != self.root {
+                // Root death is fatal for a gather.
+                let own = self.held[comm.rank].take().expect("own contribution");
+                *moved = own_len;
+                comm.raw_send(op, self.root, own)?;
+                return Ok(Poll::Ready(None));
+            }
+            let fanned_in = comm.fan_in(op, &mut self.held, &mut self.next)?;
+            if fanned_in.is_pending() {
+                return Ok(Poll::Pending);
+            }
+            let live = comm.agreed_live();
+            let lens: Vec<u64> = live.iter().map(|&r| slot_len(&self.held[r])).collect();
+            *moved = own_len + lens.iter().sum::<u64>();
+            let rounds = vec![collective::star_gather_round(&live, self.root, &lens)];
+            comm.deposit(charge_of(&rounds));
+            return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
+        }
+        // Ring/tree: the reverse binomial tree. Every rank merges its
+        // children's slot bundles (a dead child loses its whole
+        // subtree's contributions — they stay `None`) and forwards the
+        // merged bundle to its parent.
+        let size = comm.plane.size;
+        let (tree, vi) = comm.rooted_tree(op, self.root)?;
+        // Children deliver in descending round order (the reverse of
+        // the broadcast schedule): the child reached last sends first.
+        let children = collective::binomial_children(vi, tree.len());
+        for &(_, child_vi) in children.iter().rev().skip(self.next) {
+            let Poll::Ready(mail) = comm.try_recv_tolerant(op, tree[child_vi])? else {
+                return Ok(Poll::Pending);
+            };
+            absorb(&mut self.held, op, moved, mail)?;
+            self.next += 1;
+        }
+        *moved += own_len;
+        let Some(parent_vi) = collective::binomial_parent(vi) else {
+            let lens_by_vi: Vec<u64> = tree.iter().map(|&r| slot_len(&self.held[r])).collect();
+            let rounds = collective::gatherv_rounds(size, &tree, 0, &lens_by_vi);
+            comm.deposit(charge_of(&rounds));
+            return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
+        };
+        let msg = self.held.to_bytes();
+        *moved += msg.len() as u64;
+        // A dead parent orphans this subtree's contributions — the
+        // root degrades them to `None` slots.
+        comm.send_tolerant(op, tree[parent_vi], msg)?;
+        Ok(Poll::Ready(None))
+    }
+
+    fn describe(&self, live: usize) -> (i64, Resolved, u64) {
+        let rounds = collective::rooted_rounds(self.resolved, live);
+        (self.root as i64, self.resolved, rounds)
+    }
+}
+
 /// All-gather data phase under the three rootless schedules (hub
 /// star, pipelined ring, recursive-doubling butterfly), shared by
 /// `allgatherv`, `allgatherv_available`, `iallgatherv` and the
@@ -577,37 +753,46 @@ enum At {
     },
 }
 
+/// Merges a partner's slot vector into `held`, counting it as moved. A
+/// dead partner (`None`) or a wrong-sized vector leaves holes.
+fn absorb(
+    held: &mut Slots,
+    op: &'static str,
+    moved: &mut u64,
+    mail: Option<Vec<u8>>,
+) -> Result<(), RuntimeError> {
+    if let Some(bytes) = mail {
+        *moved += bytes.len() as u64;
+        let theirs: Slots = decode_as(op, &bytes)?;
+        if theirs.len() == held.len() {
+            // A present slot is never overwritten, so the first copy
+            // of a contribution wins — all copies are byte-identical
+            // by construction.
+            for (dst, src) in held.iter_mut().zip(theirs) {
+                if dst.is_none() {
+                    *dst = src;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Encoded length of a held slot, 0 for a hole.
+fn slot_len(slot: &Option<Vec<u8>>) -> u64 {
+    slot.as_ref().map_or(0, |b| b.len() as u64)
+}
+
 impl Allgather {
     fn new(comm: &ThreadedComm, own: Vec<u8>, resolved: Resolved) -> Self {
-        let mut held: Slots = vec![None; comm.plane.size];
-        let own_len = own.len() as u64;
-        held[comm.rank] = Some(own);
         Self {
             resolved,
             live: Vec::new(),
             pos: 0,
-            held,
-            own_len,
+            own_len: own.len() as u64,
+            held: comm.own_slot(own),
             at: At::Start,
         }
-    }
-
-    /// Merges a partner's slot vector, counting it as moved. A dead
-    /// partner (`None`) or a wrong-sized vector leaves holes.
-    fn absorb(
-        &mut self,
-        op: &'static str,
-        moved: &mut u64,
-        mail: Option<Vec<u8>>,
-    ) -> Result<(), RuntimeError> {
-        if let Some(bytes) = mail {
-            *moved += bytes.len() as u64;
-            let theirs: Slots = decode_as(op, &bytes)?;
-            if theirs.len() == self.held.len() {
-                super::merge_slots(&mut self.held, theirs);
-            }
-        }
-        Ok(())
     }
 
     /// Sends everything held so far to `dst`, counting it as moved.
@@ -745,15 +930,10 @@ impl DataPhase for Allgather {
                 Ok(Poll::Ready(slots))
             }
             At::HubCenter { mut next_src } => {
-                while next_src < size {
-                    if next_src != comm.rank {
-                        let Poll::Ready(slot) = comm.try_recv_tolerant(op, next_src)? else {
-                            self.at = At::HubCenter { next_src };
-                            return Ok(Poll::Pending);
-                        };
-                        self.held[next_src] = slot;
-                    }
-                    next_src += 1;
+                let fanned_in = comm.fan_in(op, &mut self.held, &mut next_src)?;
+                if fanned_in.is_pending() {
+                    self.at = At::HubCenter { next_src };
+                    return Ok(Poll::Pending);
                 }
                 let blob = self.held.to_bytes();
                 for &dst in &self.live[1..] {
@@ -796,7 +976,7 @@ impl DataPhase for Allgather {
                 let Poll::Ready(mail) = comm.try_recv_tolerant(op, partner)? else {
                     return Ok(Poll::Pending);
                 };
-                self.absorb(op, moved, mail)?;
+                absorb(&mut self.held, op, moved, mail)?;
                 Ok(Poll::Ready(mem::take(&mut self.held)))
             }
             // Messages are absolute-rank-indexed slot vectors, so a
@@ -811,7 +991,7 @@ impl DataPhase for Allgather {
                     let Poll::Ready(mail) = comm.try_recv_tolerant(op, self.live[pos + q2])? else {
                         return Ok(Poll::Pending);
                     };
-                    self.absorb(op, moved, mail)?;
+                    absorb(&mut self.held, op, moved, mail)?;
                 }
                 while mask < q2 {
                     let partner = self.live[pos ^ mask];
@@ -826,7 +1006,7 @@ impl DataPhase for Allgather {
                         };
                         return Ok(Poll::Pending);
                     };
-                    self.absorb(op, moved, mail)?;
+                    absorb(&mut self.held, op, moved, mail)?;
                     mask <<= 1;
                     sent = false;
                 }
@@ -883,6 +1063,64 @@ impl<T: Wire> Request for AllgathervRequest<'_, T> {
             None => Ok(Progress::Pending(self)),
             Some(done) => done.map(Progress::Ready),
         }
+    }
+}
+
+/// Hub all-reduce data phase: a star fan-in of the raw contributions
+/// to the lowest agreed-live rank, the fold there ([`fold_slots`], the
+/// pinned rank-ascending order) and a star fan-out of the 8-byte
+/// result. The ring and tree schedules run [`Allgather`] instead.
+pub(super) struct HubReduce {
+    rop: ReduceOp,
+    /// Contributions held so far; a leaf's own leaves at its first step.
+    held: Slots,
+    /// The hub's next fan-in source.
+    next_src: usize,
+}
+
+impl DataPhase for HubReduce {
+    type Output = f64;
+
+    fn step(
+        &mut self,
+        comm: &ThreadedComm,
+        op: &'static str,
+        moved: &mut u64,
+    ) -> Result<Poll<f64>, RuntimeError> {
+        let live = comm.agreed_live();
+        let hub = live[0];
+        if comm.rank != hub {
+            if let Some(own) = self.held[comm.rank].take() {
+                comm.raw_send(op, hub, own)?;
+            }
+            let Some(bytes) = comm.try_take(op, hub, false)? else {
+                return Ok(Poll::Pending);
+            };
+            *moved = 16;
+            return decode_as::<f64>(op, &bytes).map(Poll::Ready);
+        }
+        let fanned_in = comm.fan_in(op, &mut self.held, &mut self.next_src)?;
+        if fanned_in.is_pending() {
+            return Ok(Poll::Pending);
+        }
+        let folded = fold_slots(op, &self.held, self.rop)?;
+        let bytes = folded.to_bytes();
+        for &dst in &live[1..] {
+            comm.send_tolerant(op, dst, &bytes)?;
+        }
+        let lens = vec![8u64; live.len()];
+        let rounds = vec![
+            collective::star_gather_round(&live, hub, &lens),
+            collective::star_scatter_round(&live, hub, &lens),
+        ];
+        comm.deposit(charge_of(&rounds));
+        *moved = 8 * live.len() as u64;
+        Ok(Poll::Ready(folded))
+    }
+
+    fn describe(&self, live: usize) -> (i64, Resolved, u64) {
+        let rounds = collective::rootless_rounds(Resolved::Hub, live);
+        (-1, Resolved::Hub, rounds)
     }
 }
 
@@ -1052,6 +1290,65 @@ impl ThreadedComm {
         })
     }
 
+    /// Posts the scatter split collective under the op tag `op`; only
+    /// the root's `parts` are read.
+    pub(super) fn post_scatterv<T: Wire>(
+        &self,
+        op: &'static str,
+        root: usize,
+        parts: Option<&[T]>,
+    ) -> Result<Split<'_, Scatter>, RuntimeError> {
+        self.check_rank(op, root)?;
+        let size = self.plane.size;
+        let resolved = self.plane.policy.scatterv.resolve_rooted(size);
+        Split::post(self, op, false, || Scatter {
+            root,
+            resolved,
+            parts: (self.rank == root).then(|| match parts {
+                None => Err(RuntimeError::App(format!(
+                    "{op}: root must supply Some(parts)"
+                ))),
+                Some(parts) if parts.len() != size => Err(RuntimeError::SizeMismatch {
+                    op,
+                    expected: size,
+                    got: parts.len(),
+                }),
+                Some(parts) => Ok(parts.iter().map(Wire::to_bytes).collect()),
+            }),
+        })
+    }
+
+    /// Posts the gather split collective under the op tag `op`.
+    pub(super) fn post_gather<T: Wire>(
+        &self,
+        op: &'static str,
+        root: usize,
+        value: &T,
+    ) -> Result<Split<'_, Gather>, RuntimeError> {
+        self.check_rank(op, root)?;
+        let resolved = self.plane.policy.gatherv.resolve_rooted(self.plane.size);
+        Split::post(self, op, false, || Gather {
+            root,
+            resolved,
+            held: self.own_slot(value.to_bytes()),
+            next: 0,
+        })
+    }
+
+    /// Posts the hub all-reduce split collective under the op tag `op`.
+    pub(super) fn post_hub_reduce(
+        &self,
+        op: &'static str,
+        value: f64,
+        rop: ReduceOp,
+    ) -> Result<Split<'_, HubReduce>, RuntimeError> {
+        Split::post(self, op, false, || HubReduce {
+            rop,
+            held: self.own_slot(value.to_bytes()),
+            next_src: 0,
+        })
+    }
+
     /// Posts the all-gather split collective under the op tag `op`,
     /// with the schedule `resolve` picks for the encoded length.
     pub(super) fn post_allgather<T: Wire>(
@@ -1074,10 +1371,16 @@ impl ThreadedComm {
         policy.resolve_allgatherv(self.plane.size, len)
     }
 
-    /// One nonblocking attempt at a schedule-internal receive, with
-    /// the tolerant-degrade rule of [`recv_tolerant`](Self::recv_tolerant):
-    /// `Ready(None)` means the sender is dead and the data that edge
-    /// carried is lost.
+    /// A slot vector holding only this rank's contribution `own`.
+    fn own_slot(&self, own: Vec<u8>) -> Slots {
+        let mut held: Slots = vec![None; self.plane.size];
+        held[self.rank] = Some(own);
+        held
+    }
+
+    /// One nonblocking attempt at a schedule-internal receive, mapping
+    /// a dead sender to `Ready(None)`: the data that edge carried is
+    /// lost, and the schedule degrades instead of erroring.
     fn try_recv_tolerant(
         &self,
         op: &'static str,
@@ -1089,6 +1392,27 @@ impl ThreadedComm {
             Err(RuntimeError::RankDead { rank, .. }) if rank == src => Ok(Poll::Ready(None)),
             Err(e) => Err(e),
         }
+    }
+
+    /// The hub fan-in every hub schedule shares: receives from every
+    /// other rank in ascending order, resuming at `*next_src`; a dead
+    /// sender leaves a hole in `held`.
+    fn fan_in(
+        &self,
+        op: &'static str,
+        held: &mut Slots,
+        next_src: &mut usize,
+    ) -> Result<Poll<()>, RuntimeError> {
+        while *next_src < held.len() {
+            if *next_src != self.rank {
+                let Poll::Ready(slot) = self.try_recv_tolerant(op, *next_src)? else {
+                    return Ok(Poll::Pending);
+                };
+                held[*next_src] = slot;
+            }
+            *next_src += 1;
+        }
+        Ok(Poll::Ready(()))
     }
 
     /// Claims this rank's single outstanding-collective-request slot.
@@ -1119,6 +1443,25 @@ impl ThreadedComm {
             let mut st = self.plane.lock();
             let t = sim.lock().expect("sim poisoned").time(self.rank);
             st.overlap_base[self.rank] = Some(t);
+        }
+    }
+
+    /// Delivers the next message from `src` (per-pair FIFO, Hockney p2p
+    /// charge at delivery), waiting up to `deadline_at` the way the
+    /// machines wait: [`try_take`](Self::try_take), then
+    /// [`park`](Self::park).
+    pub(super) fn raw_recv_deadline(
+        &self,
+        op: &'static str,
+        src: usize,
+        deadline_at: Instant,
+    ) -> Result<Vec<u8>, RuntimeError> {
+        loop {
+            let seen = self.wake_seq();
+            if let Some(bytes) = self.try_take(op, src, true)? {
+                return Ok(bytes);
+            }
+            self.park(op, deadline_at, seen)?;
         }
     }
 

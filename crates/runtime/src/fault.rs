@@ -19,6 +19,8 @@
 //! assert!((plan.straggler_factor(1) - 4.0).abs() < 1e-12);
 //! ```
 
+use std::time::{Duration, Instant};
+
 use fupermod_core::json::Json;
 
 use crate::error::RuntimeError;
@@ -198,9 +200,16 @@ impl FaultPlan {
         for (key, v) in obj {
             match key.as_str() {
                 "deadline" => {
-                    let d = num(v, "deadline")?;
-                    if d.is_nan() || d <= 0.0 {
+                    let d = seconds(v, "deadline")?;
+                    if d <= 0.0 {
                         return Err(bad("deadline must be positive"));
+                    }
+                    // Every operation is timed against `now + deadline`.
+                    if Instant::now()
+                        .checked_add(Duration::from_secs_f64(d))
+                        .is_none()
+                    {
+                        return Err(bad("deadline is past the clock's range"));
                     }
                     plan.deadline = Some(d);
                 }
@@ -255,6 +264,21 @@ fn bad(msg: &str) -> RuntimeError {
 fn num(v: &Json, what: &str) -> Result<f64, RuntimeError> {
     v.as_f64()
         .ok_or_else(|| bad(&format!("'{what}' must be a number")))
+}
+
+/// A number of seconds the runtime turns into a [`Duration`]: not
+/// negative, not NaN and not above `Duration::MAX` (≈ 1.8·10¹⁹ s). The
+/// JSON reader reads `1e999` as `+∞`, which would pass a sign check and
+/// panic the run at its first conversion.
+fn seconds(v: &Json, what: &str) -> Result<f64, RuntimeError> {
+    let x = num(v, what)?;
+    match Duration::try_from_secs_f64(x) {
+        Ok(_) => Ok(x),
+        Err(_) => Err(bad(&format!(
+            "'{what}' must be between 0 and {:e} seconds",
+            Duration::MAX.as_secs_f64()
+        ))),
+    }
 }
 
 fn arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], RuntimeError> {
@@ -315,15 +339,11 @@ fn parse_every(f: &Fields<'_>) -> Result<u64, RuntimeError> {
 fn parse_delay(v: &Json) -> Result<DelayRule, RuntimeError> {
     let f = Fields::new(v, "delays")?;
     f.check_keys(&["src", "dst", "every", "seconds"])?;
-    let seconds = num(f.require("seconds")?, "seconds")?;
-    if seconds.is_nan() || seconds < 0.0 {
-        return Err(bad("delay 'seconds' must be non-negative"));
-    }
     Ok(DelayRule {
+        seconds: seconds(f.require("seconds")?, "seconds")?,
         src: parse_endpoint(&f, "src")?,
         dst: parse_endpoint(&f, "dst")?,
         every: parse_every(&f)?,
-        seconds,
     })
 }
 
@@ -337,12 +357,9 @@ fn parse_drop(v: &Json) -> Result<DropRule, RuntimeError> {
         .unwrap_or(3) as u32;
     let backoff_seconds = f
         .get("backoff_seconds")
-        .map(|v| num(v, "backoff_seconds"))
+        .map(|v| seconds(v, "backoff_seconds"))
         .transpose()?
         .unwrap_or(1e-3);
-    if backoff_seconds.is_nan() || backoff_seconds < 0.0 {
-        return Err(bad("'backoff_seconds' must be non-negative"));
-    }
     Ok(DropRule {
         src: parse_endpoint(&f, "src")?,
         dst: parse_endpoint(&f, "dst")?,
@@ -357,7 +374,7 @@ fn parse_straggler(v: &Json) -> Result<StragglerRule, RuntimeError> {
     f.check_keys(&["rank", "comm_seconds", "compute_factor"])?;
     let comm_seconds = f
         .get("comm_seconds")
-        .map(|v| num(v, "comm_seconds"))
+        .map(|v| seconds(v, "comm_seconds"))
         .transpose()?
         .unwrap_or(0.0);
     let compute_factor = f
@@ -365,11 +382,8 @@ fn parse_straggler(v: &Json) -> Result<StragglerRule, RuntimeError> {
         .map(|v| num(v, "compute_factor"))
         .transpose()?
         .unwrap_or(1.0);
-    if comm_seconds.is_nan() || comm_seconds < 0.0 || compute_factor.is_nan() || compute_factor <= 0.0
-    {
-        return Err(bad(
-            "straggler needs comm_seconds >= 0 and compute_factor > 0",
-        ));
+    if compute_factor.is_nan() || compute_factor <= 0.0 {
+        return Err(bad("straggler needs compute_factor > 0"));
     }
     Ok(StragglerRule {
         rank: index(f.require("rank")?, "rank")?,
@@ -458,6 +472,45 @@ mod tests {
                 "accepted: {text}"
             );
         }
+    }
+
+    /// Rejects `template` with `HUGE` set to `1e999`, which the JSON
+    /// reader turns into `+∞`, and to `1e300`, finite but past
+    /// `Duration::MAX`. Both used to pass the plan and panic the run at
+    /// its first conversion to a `Duration`.
+    fn rejects_seconds_past_a_duration(template: &str) {
+        for huge in ["1e999", "1e300"] {
+            let text = template.replace("HUGE", huge);
+            assert!(
+                matches!(
+                    FaultPlan::from_json(&text),
+                    Err(RuntimeError::InvalidPlan(_))
+                ),
+                "accepted: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deadline_past_a_duration_is_rejected() {
+        rejects_seconds_past_a_duration(r#"{"deadline": HUGE}"#);
+        // A `Duration`, but `Instant::now()` plus it overflows.
+        assert!(FaultPlan::from_json(r#"{"deadline": 1e19}"#).is_err());
+    }
+
+    #[test]
+    fn delay_seconds_past_a_duration_are_rejected() {
+        rejects_seconds_past_a_duration(r#"{"delays": [{"every": 1, "seconds": HUGE}]}"#);
+    }
+
+    #[test]
+    fn a_backoff_past_a_duration_is_rejected() {
+        rejects_seconds_past_a_duration(r#"{"drops": [{"backoff_seconds": HUGE}]}"#);
+    }
+
+    #[test]
+    fn straggler_seconds_past_a_duration_are_rejected() {
+        rejects_seconds_past_a_duration(r#"{"stragglers": [{"rank": 0, "comm_seconds": HUGE}]}"#);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   (`docs/SERVE.md`).
 //!
 //! Hit/miss/refresh/eviction counters live in a shared
-//! [`fupermod_core::telemetry::Registry`] on the store; they are
-//! exported through the existing `metrics` trace events
-//! ([`StoreMetrics::export_events`]) and served live by the [`http`]
-//! module (`GET /metrics` Prometheus exposition plus
+//! [`fupermod_core::telemetry::Registry`] on the store; a traced
+//! daemon exports the registry as `metrics` trace events on shutdown,
+//! and the [`http`] module serves it live (`GET /metrics` Prometheus exposition plus
 //! `/healthz`/`/readyz` probes — `docs/OBSERVABILITY.md` §9).
 
 pub mod entry;

@@ -7,7 +7,6 @@ use std::time::Instant;
 use fupermod_core::model::{AkimaModel, Model, Refresh};
 use fupermod_core::partition::{Distribution, Partitioner};
 use fupermod_core::telemetry::{Counter, Gauge, Registry};
-use fupermod_core::trace::{TraceEvent, TraceSink};
 use fupermod_core::Point;
 
 use crate::entry::{EntryConfig, IngestOutcome, ModelEntry};
@@ -45,9 +44,7 @@ impl Default for StoreConfig {
 /// `store_plan_requests_total{result=...}`,
 /// `store_plan_evictions_total`) — the same series `/metrics`
 /// exposes, so the `stats` protocol op and the scrape endpoint read
-/// one source of truth. Recording stays relaxed-atomic and lock-free;
-/// the legacy dotted-scope trace export
-/// ([`StoreMetrics::export_events`]) is unchanged.
+/// one source of truth. Recording stays relaxed-atomic and lock-free.
 #[derive(Debug)]
 pub struct StoreMetrics {
     model_hits: Counter,
@@ -134,41 +131,6 @@ impl StoreMetrics {
             plan_misses: self.plan_misses.get(),
             plan_evictions: self.plan_evictions.get(),
         }
-    }
-
-    /// Emits one `metrics` trace event per non-zero counter (scope
-    /// `store.<counter>`, the counter value in `count`, no latency
-    /// payload — `sum = 0`, empty buckets). Returns how many events
-    /// were written.
-    pub fn export_events(&self, rank: usize, sink: &dyn TraceSink) -> usize {
-        let s = self.snapshot();
-        let counters = [
-            ("store.model.hit", s.model_hits),
-            ("store.model.miss", s.model_misses),
-            ("store.refresh.patched", s.refresh_patched),
-            ("store.refresh.rebuilt", s.refresh_rebuilt),
-            ("store.refresh.fallback", s.refresh_fallbacks),
-            ("store.plan.hit", s.plan_hits),
-            ("store.plan.miss", s.plan_misses),
-            ("store.plan.eviction", s.plan_evictions),
-        ];
-        let mut emitted = 0;
-        for (scope, count) in counters {
-            if count == 0 {
-                continue;
-            }
-            sink.record(&TraceEvent::Metrics {
-                rank,
-                scope: scope.to_owned(),
-                count,
-                sum: 0.0,
-                buckets: Vec::new(),
-                kind: "counter".to_owned(),
-                labels: String::new(),
-            });
-            emitted += 1;
-        }
-        emitted
     }
 
     fn count_outcome(&self, outcome: IngestOutcome) {
@@ -593,23 +555,5 @@ mod tests {
         let snap = store.metrics().snapshot();
         assert_eq!(snap.plan_hits, 1);
         assert_eq!(snap.plan_misses, 2);
-    }
-
-    #[test]
-    fn export_events_emits_nonzero_counters() {
-        use fupermod_core::trace::MemorySink;
-        let (store, keys) = fed_store();
-        let part = GeometricPartitioner::default();
-        store.partition(&keys, 1000, &part, "geometric").unwrap();
-        store.partition(&keys, 1000, &part, "geometric").unwrap();
-        let sink = MemorySink::new();
-        let emitted = store.metrics().export_events(0, &sink);
-        assert!(emitted >= 3, "expected refresh + plan counters, got {emitted}");
-        let events = sink.events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::Metrics { scope, count, .. }
-                if scope == "store.plan.hit" && *count == 1
-        )));
     }
 }

@@ -42,21 +42,27 @@ fn main() {
     let algo_kind = args.get_or("algorithm", "geometric");
     let sink = cli::open_trace_sink(&args, None);
 
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("cannot read models directory")
+    let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| {
+        cli::exit_usage(format_args!(
+            "cannot read models directory {}: {e}",
+            dir.display()
+        ))
+    });
+    let mut files: Vec<_> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "points"))
         .collect();
     files.sort();
     if files.is_empty() {
-        eprintln!("no *.points files in {}", dir.display());
-        std::process::exit(1);
+        cli::exit_usage(format_args!("no *.points files in {}", dir.display()));
     }
 
     let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(files.len());
     for path in &files {
         let mut model = new_model(model_kind);
-        io::load_into_model(path, model.as_mut()).expect("load failed");
+        io::load_into_model(path, model.as_mut()).unwrap_or_else(|e| {
+            cli::exit_usage(format_args!("cannot load {}: {e}", path.display()))
+        });
         models.push(model);
     }
     let refs: Vec<&dyn Model> = models.iter().map(|m| m.as_ref()).collect();
@@ -64,7 +70,12 @@ fn main() {
     let partitioner = cli::pick_partitioner(algo_kind);
     let dist = partitioner
         .partition_traced(total, &refs, sink.as_deref().unwrap_or(null_sink()))
-        .expect("partitioning failed");
+        .unwrap_or_else(|e| {
+            cli::exit_usage(format_args!(
+                "cannot partition the models in {}: {e}",
+                dir.display()
+            ))
+        });
 
     println!("# rank  file  d  predicted_t");
     for (rank, (part, path)) in dist.parts().iter().zip(&files).enumerate() {

@@ -114,9 +114,7 @@ fn run_serve(args: &cli::Args) {
         }
     }
     if let Some(sink) = &sink {
-        // Legacy dotted-scope counter events first (stable consumers),
-        // then the full labelled registry snapshot (schema v4).
-        store.metrics().export_events(0, sink.as_ref());
+        // The full labelled registry snapshot (schema v4).
         store.refresh_gauges();
         store.registry().snapshot().export_trace_events(0, sink.as_ref());
     }

@@ -110,6 +110,142 @@ fn partitioner_rejects_empty_model_dir() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs the partitioner over `models` and asserts a usage error: exit
+/// 2 and one stderr line containing `names`.
+fn assert_partitioner_usage_error(models: &std::path::Path, names: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_partitioner"))
+        .args(["--models"])
+        .arg(models)
+        .args(["--total", "100"])
+        .output()
+        .expect("partitioner failed to launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains(names), "{names:?} not named: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// Each of these panicked (exit 101) on an `expect` in the binary.
+#[test]
+fn partitioner_turns_bad_model_input_into_a_usage_error() {
+    let dir = temp_dir("bad-models");
+    let missing = dir.join("not-there");
+    assert_partitioner_usage_error(&missing, &missing.display().to_string());
+    let not_a_dir = dir.join("file");
+    std::fs::write(&not_a_dir, "").unwrap();
+    assert_partitioner_usage_error(&not_a_dir, &not_a_dir.display().to_string());
+
+    // No `*.points` files at all (this case used to exit 1).
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    assert_partitioner_usage_error(&empty, &empty.display().to_string());
+
+    // A points file that is not UTF-8.
+    let binary = dir.join("binary");
+    std::fs::create_dir_all(&binary).unwrap();
+    let garbage = binary.join("a.points");
+    std::fs::write(&garbage, [0xff, 0xfe, 0x00, 0x80, b'\n']).unwrap();
+    assert_partitioner_usage_error(&binary, &garbage.display().to_string());
+
+    // Points files with no points: the partitioner names the rank.
+    let blank = dir.join("blank");
+    std::fs::create_dir_all(&blank).unwrap();
+    for name in ["a.points", "b.points"] {
+        std::fs::write(blank.join(name), "").unwrap();
+    }
+    assert_partitioner_usage_error(&blank, "process 0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `1e999` reads as `+∞` seconds, which panicked the run when it
+/// became a `Duration`.
+#[test]
+fn simulate_rejects_a_deadline_no_duration_can_hold() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+        .args([
+            "--app",
+            "balance",
+            "--ranks",
+            "2",
+            "--fault-plan",
+            r#"{"deadline":1e999}"#,
+        ])
+        .output()
+        .expect("simulate failed to launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("deadline"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// On shutdown the daemon's trace carries each store counter once,
+/// under its registry name — not a second time under a dotted scope.
+#[test]
+fn served_trace_carries_each_store_counter_once() {
+    use fupermod::core::json::Json;
+    use std::io::BufRead as _;
+
+    let dir = temp_dir("served-trace");
+    let trace = dir.join("served.jsonl");
+    let served = env!("CARGO_BIN_EXE_fupermod_served");
+    let mut daemon = Command::new(served)
+        .args(["--listen", "127.0.0.1:0", "--trace"])
+        .arg(&trace)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("daemon failed to launch");
+    let mut lines = std::io::BufReader::new(daemon.stdout.take().unwrap()).lines();
+    let addr = lines
+        .find_map(|l| l.ok()?.strip_prefix("listening on ").map(str::to_owned))
+        .expect("daemon never listened");
+    // A lookup of a fingerprint the store does not hold: a model miss.
+    // The client's own exit status does not matter here.
+    Command::new(served)
+        .args([
+            "--mode",
+            "lookup",
+            "--connect",
+            &addr,
+            "--fingerprint",
+            "absent",
+        ])
+        .output()
+        .expect("lookup failed to launch");
+    let out = Command::new(served)
+        .args(["--mode", "shutdown", "--connect", &addr])
+        .output()
+        .expect("shutdown failed to launch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(daemon.wait().unwrap().success());
+
+    let text = std::fs::read_to_string(&trace).expect("trace missing");
+    let metrics: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("a JSON line"))
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("metrics"))
+        .collect();
+    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).unwrap_or("").to_owned();
+    assert!(
+        !metrics
+            .iter()
+            .any(|e| field(e, "scope").starts_with("store.")),
+        "a dotted store scope in:\n{text}"
+    );
+    let misses: Vec<&Json> = metrics
+        .iter()
+        .filter(|e| field(e, "scope") == "store_model_lookups_total")
+        .filter(|e| field(e, "labels") == "result=miss")
+        .collect();
+    assert_eq!(misses.len(), 1, "{text}");
+    assert_eq!(misses[0].get("count").and_then(Json::as_f64), Some(1.0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `[[[[…` 200 000 deep, closed: far past any stack budget of a
 /// recursive-descent parser without a depth cap.
 fn nesting_bomb() -> String {
