@@ -12,7 +12,7 @@ pub mod cli;
 
 use std::sync::Arc;
 
-use fupermod_core::dynamic::DynamicContext;
+use fupermod_core::dynamic::{DynamicContext, DynamicStep};
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, Partitioner};
 use fupermod_core::trace::{null_sink, TraceSink};
@@ -186,6 +186,13 @@ pub fn dynamic_leg(
             0.05,
         )
     };
+    let cost = |steps: &[DynamicStep]| -> f64 {
+        steps
+            .iter()
+            .flat_map(|s| s.observed.iter())
+            .map(|p| p.t * f64::from(p.reps))
+            .sum()
+    };
     if let Some(config) = config {
         let outcome = fupermod_runtime::run_to_balance_distributed(
             config,
@@ -195,33 +202,23 @@ pub fn dynamic_leg(
             max_steps,
         )
         .expect("distributed dynamic run failed");
-        let cost = outcome
-            .steps
-            .iter()
-            .flat_map(|s| s.observed.iter())
-            .map(|p| p.t * f64::from(p.reps))
-            .sum();
-        return (cost, outcome.steps.len(), outcome.final_sizes);
+        return (
+            cost(&outcome.steps),
+            outcome.steps.len(),
+            outcome.final_sizes,
+        );
     }
     let mut ctx = new_context();
     if let Some(sink) = trace {
         ctx = ctx.with_trace(sink.clone());
     }
-    let (mut cost, mut steps) = (0.0, 0);
-    for _ in 0..max_steps {
-        let step = ctx
-            .partition_iterate(|rank, d| {
-                let p = quick_measure(platform, rank, profile, d, sink_or_null(trace))?;
-                cost += p.t * p.reps as f64;
-                Ok(p)
-            })
-            .expect("dynamic step failed");
-        steps += 1;
-        if step.converged {
-            break;
-        }
-    }
-    (cost, steps, ctx.dist().sizes())
+    let steps = ctx
+        .run_to_balance(
+            |rank, d| quick_measure(platform, rank, profile, d, sink_or_null(trace)),
+            max_steps,
+        )
+        .expect("dynamic step failed");
+    (cost(&steps), steps.len(), ctx.dist().sizes())
 }
 
 /// Prints a CSV header and rows through a tiny helper so every binary

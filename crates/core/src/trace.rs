@@ -25,8 +25,10 @@
 //! (one JSON object per line — the one trace file encoding;
 //! `fupermod_tracetool export --format csv` derives a spreadsheet
 //! view from it). The encoding is **schema-versioned**
-//! ([`SCHEMA_VERSION`]) and specified field-by-field in
-//! `docs/OBSERVABILITY.md`; it round-trips through
+//! ([`SCHEMA_VERSION`]) and declared field by field once, with
+//! [`TraceEvent`] (`docs/OBSERVABILITY.md` describes it); every
+//! encoding walks that declaration ([`TraceEvent::for_each_field`]),
+//! and a line round-trips through
 //! [`TraceEvent::from_jsonl`] so a recorded trace can be replayed into
 //! fresh models ([`replay_into_models`]), giving
 //! simulation/prediction work machine-readable ground truth.
@@ -38,7 +40,7 @@
 //! process-wide telemetry registry ([`crate::telemetry`]), whose
 //! storage is the [`LatencyHistogram`] defined here.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
@@ -49,8 +51,9 @@ use crate::json::Json;
 use crate::model::Model;
 use crate::{CoreError, Point};
 
-/// Version of the trace schema this build writes (see
-/// `docs/OBSERVABILITY.md` for the field-by-field specification).
+/// Version of the trace schema this build writes (the [`TraceEvent`]
+/// declaration is its field-by-field specification, which
+/// `docs/OBSERVABILITY.md` describes).
 ///
 /// v2 added the `comm` and `fault` event kinds emitted by the
 /// `fupermod-runtime` message-passing layer. v3 adds the causal
@@ -64,425 +67,405 @@ use crate::{CoreError, Point};
 /// traces remain readable, with the missing fields defaulting.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// A typed observability event emitted by the measurement and
-/// partitioning machinery.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// One benchmark repetition finished.
-    BenchmarkSample {
-        /// Process rank within its measurement group (0 for single).
-        rank: usize,
-        /// Problem size being measured, in computation units.
-        d: u64,
-        /// Repetition index (0-based).
-        rep: u32,
-        /// Execution time of this repetition, seconds.
-        time: f64,
-        /// Relative confidence-interval half-width of the mean after
-        /// this repetition (`inf` until two samples exist).
-        ci_rel: f64,
-    },
-    /// One statistically controlled measurement finished.
-    BenchmarkDone {
-        /// Process rank within its measurement group (0 for single).
-        rank: usize,
-        /// Problem size measured, in computation units.
-        d: u64,
-        /// Repetitions that survived the outlier filter.
-        reps: u32,
-        /// Mean execution time over the surviving repetitions, seconds.
-        mean: f64,
-        /// Standard error of the mean, seconds.
-        stderr: f64,
-        /// Total wall time spent measuring (all repetitions), seconds.
-        elapsed: f64,
-        /// Samples rejected by the MAD outlier filter.
-        outliers_rejected: u32,
-    },
-    /// A performance model absorbed an experimental point.
-    ModelUpdate {
-        /// Process rank owning the model.
-        rank: usize,
-        /// Problem size of the absorbed point.
-        d: u64,
-        /// Mean time of the absorbed point, seconds.
-        t: f64,
-        /// Repetitions behind the absorbed point.
-        reps: u32,
-        /// Points in the model after the update.
-        points: usize,
-    },
-    /// The partitioner produced a (new) distribution.
-    PartitionStep {
-        /// 1-based iteration of the dynamic loop (0 for a static,
-        /// one-shot partitioning).
-        iter: u64,
-        /// Assigned computation units per process.
-        dist: Vec<u64>,
-        /// Relative imbalance `(t_max - t_min)/t_max` of the observed
-        /// times that drove this step (predicted imbalance for static
-        /// partitioning).
-        imbalance: f64,
-        /// Computation units that changed owner relative to the
-        /// previous distribution.
-        units_moved: u64,
-    },
-    /// The dynamic loop reached its balance tolerance (or the
-    /// distribution stopped moving).
-    DynamicConverged {
-        /// Dynamic-loop iterations it took.
-        steps: u64,
-        /// Final relative imbalance.
-        imbalance: f64,
-    },
-    /// A runtime communication operation completed (schema v2).
-    Comm {
-        /// Rank that performed the operation.
-        rank: usize,
-        /// Operation tag: `send`, `recv`, `barrier`, `bcast`,
-        /// `scatterv`, `gatherv`, `allgatherv`, `allreduce`.
-        op: String,
-        /// Peer rank (or collective root); `-1` when not applicable.
-        peer: i64,
-        /// Payload bytes moved by this rank in the operation.
-        bytes: u64,
-        /// Wall (or virtual) seconds the operation took on this rank.
-        seconds: f64,
-        /// Collective schedule that carried the operation: `hub`,
-        /// `ring`, `tree`, or `direct` for point-to-point traffic.
-        /// Empty string when unknown (pre-addendum traces).
-        algorithm: String,
-        /// Communication rounds the schedule used (`1` for
-        /// point-to-point, `0` for degenerate single-rank
-        /// collectives or unknown/pre-addendum traces).
-        rounds: u64,
-        /// Lamport timestamp of the operation on this rank at
-        /// completion (schema v3): every operation ticks its rank's
-        /// clock, message receipt merges the sender's stamp, and a
-        /// barrier generation joins all live clocks — so sorting
-        /// events by `(lamport, gen, rank)` yields a causally
-        /// consistent cross-rank order. `0` in pre-v3 traces.
-        lamport: u64,
-        /// Barrier generation the operation belongs to (schema v3):
-        /// the generation a collective's closing barrier completed,
-        /// or the generation current when a point-to-point operation
-        /// began. All ranks of one collective record the same `gen`.
-        /// `0` in pre-v3 traces.
-        gen: u64,
-    },
-    /// A fault was injected or observed by the runtime (schema v2).
-    Fault {
-        /// Rank where the fault manifested.
-        rank: usize,
-        /// Fault tag: `delay`, `drop`, `retry`, `straggler`, `death`,
-        /// `timeout`, `degraded`.
-        kind: String,
-        /// Peer rank involved; `-1` when not applicable.
-        peer: i64,
-        /// Retry attempt number (0 for non-retry faults).
-        attempt: u32,
-        /// Seconds of delay/backoff attributable to the fault
-        /// (0 when not applicable).
-        seconds: f64,
-    },
-    /// A metric sample (schema v3; `kind`/`labels` are the schema-v4
-    /// addendum): one labelled counter, gauge or latency histogram of
-    /// a telemetry registry, exported by
-    /// [`RegistrySnapshot::export_trace_events`](crate::telemetry::RegistrySnapshot::export_trace_events).
-    Metrics {
-        /// Rank the sample describes (`0` for process-wide
-        /// metrics, which is what the binaries export).
-        rank: usize,
-        /// Metric scope tag: a registry metric name such as
-        /// `fupermod_comm_duration_seconds` or `served_requests_total`
-        /// (v3 traces carry the retired `comm.<op>` / `bench.rep`
-        /// histogram scopes here).
-        scope: String,
-        /// Samples recorded (histograms), or the counter value.
-        /// `0` for gauges, whose value rides in `sum`.
-        count: u64,
-        /// Sum of recorded latencies in seconds (histograms), the
-        /// gauge value, or `0` for counters.
-        sum: f64,
-        /// Log-bucketed counts, length
-        /// [`HISTOGRAM_BUCKETS`]` + 2`: `buckets[0]` is the
-        /// underflow bin (`< 1 ns`), `buckets[1 + k]` covers
-        /// `[2^k, 2^(k+1))` nanoseconds, and the last bin is the
-        /// overflow (`>= 2^HISTOGRAM_BUCKETS` ns). Empty for
-        /// counters and gauges.
-        buckets: Vec<u64>,
-        /// Metric kind (schema v4): `counter`, `gauge`, or
-        /// `histogram`. Empty in pre-v4 traces, which carried only
-        /// histogram snapshots (and unlabeled store counters whose
-        /// empty `buckets` distinguish them).
-        kind: String,
-        /// Label set (schema v4): `;`-separated `key=value` pairs in
-        /// sorted key order (e.g. `op=ingest;outcome=ok`), restricted
-        /// to escape-free tags without `,`/`;`/`=` in the values.
-        /// Empty when the metric carries no labels (all pre-v4
-        /// traces).
-        labels: String,
-    },
+/// Declares the trace schema: [`TraceEvent`], [`EVENT_FIELDS`], and
+/// the walks over an event's fields. Each variant reads
+/// `Variant = "tag" { /// doc  field: Type = form [default], … }`:
+/// the field's name is its JSONL key and its CSV column, `form` is
+/// one of the [`FieldValue`] wire forms (`count`, `signed`, `exact`,
+/// `float`, `tag`, `list`), and a bracketed default makes the reader
+/// accept a line without the field (a schema addendum that older
+/// traces lack). Fields are written in declaration order.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta:meta])*
+            $variant:ident = $tag:literal {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty = $form:ident $([$default:expr])?
+            ),* $(,)?}
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, PartialEq)]
+        pub enum TraceEvent {$(
+            $(#[$vmeta])*
+            $variant { $( $(#[$fmeta])* $field: $ty, )* },
+        )*}
+
+        /// Every event's tag and field keys, in declaration order (the
+        /// order [`TraceEvent::to_jsonl`] writes them in).
+        pub const EVENT_FIELDS: &[(&str, &[&str])] = &[$( ($tag, &[$(stringify!($field)),*]) ),*];
+
+        impl TraceEvent {
+            /// Stable, lowercase event tag used by both encodings.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Hands every field to `visit` as `(key, value)`, in
+            /// declaration order — the one walk the JSONL writer, the
+            /// CSV export and merge attribution share.
+            pub fn for_each_field<'a>(&'a self, mut visit: impl FnMut(&'static str, FieldValue<'a>)) {
+                match self {
+                    $( TraceEvent::$variant { $($field),* } => {
+                        $( visit(stringify!($field), wire_form!(value $form, $field)); )*
+                    } )*
+                }
+            }
+
+            /// Decodes one JSONL event line produced by [`TraceEvent::to_jsonl`].
+            ///
+            /// # Errors
+            ///
+            /// Returns [`CoreError::Trace`] on malformed JSON, an unknown
+            /// event tag, or a missing field that has no default.
+            pub fn from_jsonl(line: &str) -> Result<TraceEvent, CoreError> {
+                let doc = parse_line(line)?;
+                let tag = doc
+                    .get("event")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| CoreError::Trace("missing \"event\" tag".to_owned()))?;
+                let members = Members { doc: &doc, tag };
+                match tag {
+                    // A field that fails to read takes its declared default.
+                    $( $tag => Ok(TraceEvent::$variant { $(
+                        $field: wire_form!(read $form, members, stringify!($field), $ty)
+                            .or_else(|e| reader_default!(value $($default)?).ok_or(e))?,
+                    )* }), )*
+                    other => Err(CoreError::Trace(format!("unknown event tag '{other}'"))),
+                }
+            }
+        }
+
+        /// Lists the fields every schema version carries, then the
+        /// reader-defaulted addenda — not the wire order — which is the
+        /// `{:?}` form the decoded-fixture goldens
+        /// (`tests/fixtures/trace_v*.decoded`) pin.
+        impl fmt::Debug for TraceEvent {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $( TraceEvent::$variant { $($field),* } => {
+                        let fields: &[(&str, &dyn fmt::Debug, bool)] = &[
+                            $( (stringify!($field), $field, reader_default!(flag $($default)?)), )*
+                        ];
+                        let mut s = f.debug_struct(stringify!($variant));
+                        for addenda in [false, true] {
+                            for (key, value, defaulted) in fields {
+                                if *defaulted == addenda {
+                                    s.field(key, value);
+                                }
+                            }
+                        }
+                        s.finish()
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+/// The declared default of a field: `value` gives it as an `Option`,
+/// `flag` says whether there is one.
+#[rustfmt::skip]
+macro_rules! reader_default {
+    (value) => { None };
+    (value $default:expr) => { Some($default) };
+    (flag) => { false };
+    (flag $default:expr) => { true };
+}
+
+/// A wire form: how a field becomes a [`FieldValue`] (`value`), and
+/// how [`Members`] reads it back (`read`).
+#[rustfmt::skip]
+macro_rules! wire_form {
+    (value count, $v:ident) => { FieldValue::Count(*$v as u64) };
+    (value signed, $v:ident) => { FieldValue::Signed(*$v) };
+    (value exact, $v:ident) => { FieldValue::Exact(*$v) };
+    (value float, $v:ident) => { FieldValue::Float(*$v) };
+    (value tag, $v:ident) => { FieldValue::Tag($v) };
+    (value list, $v:ident) => { FieldValue::List($v) };
+    (read float, $m:ident, $key:expr, $ty:ty) => { $m.number($key) };
+    (read tag, $m:ident, $key:expr, $ty:ty) => { $m.tag($key) };
+    (read list, $m:ident, $key:expr, $ty:ty) => { $m.list($key) };
+    // `count`, `signed` and `exact` read alike: a saturating cast.
+    (read $integer:ident, $m:ident, $key:expr, $ty:ty) => { $m.number($key).map(|v| v as $ty) };
+}
+
+trace_events! {
+    /// A typed observability event emitted by the measurement and
+    /// partitioning machinery.
+    ///
+    /// This declaration is the trace schema: each field is listed once,
+    /// with its key, type, wire form and reader default, and every
+    /// encoding walks it (`docs/OBSERVABILITY.md` §3 mirrors it, and a
+    /// test holds the two together).
+    pub enum TraceEvent {
+        /// One benchmark repetition finished.
+        BenchmarkSample = "benchmark_sample" {
+            /// Process rank within its measurement group (0 for single).
+            rank: usize = count,
+            /// Problem size being measured, in computation units.
+            d: u64 = count,
+            /// Repetition index (0-based).
+            rep: u32 = count,
+            /// Execution time of this repetition, seconds.
+            time: f64 = float,
+            /// Relative confidence-interval half-width of the mean after
+            /// this repetition (`inf` until two samples exist).
+            ci_rel: f64 = float,
+        },
+        /// One statistically controlled measurement finished.
+        BenchmarkDone = "benchmark_done" {
+            /// Process rank within its measurement group (0 for single).
+            rank: usize = count,
+            /// Problem size measured, in computation units.
+            d: u64 = count,
+            /// Repetitions that survived the outlier filter.
+            reps: u32 = count,
+            /// Mean execution time over the surviving repetitions, seconds.
+            mean: f64 = float,
+            /// Standard error of the mean, seconds.
+            stderr: f64 = float,
+            /// Total wall time spent measuring (all repetitions), seconds.
+            elapsed: f64 = float,
+            /// Samples rejected by the MAD outlier filter.
+            outliers_rejected: u32 = count,
+        },
+        /// A performance model absorbed an experimental point.
+        ModelUpdate = "model_update" {
+            /// Process rank owning the model.
+            rank: usize = count,
+            /// Problem size of the absorbed point.
+            d: u64 = count,
+            /// Mean time of the absorbed point, seconds.
+            t: f64 = float,
+            /// Repetitions behind the absorbed point.
+            reps: u32 = count,
+            /// Points in the model after the update.
+            points: usize = count,
+        },
+        /// The partitioner produced a (new) distribution.
+        PartitionStep = "partition_step" {
+            /// 1-based iteration of the dynamic loop (0 for a static,
+            /// one-shot partitioning).
+            iter: u64 = count,
+            /// Assigned computation units per process.
+            dist: Vec<u64> = list,
+            /// Relative imbalance `(t_max - t_min)/t_max` of the observed
+            /// times that drove this step (predicted imbalance for static
+            /// partitioning).
+            imbalance: f64 = float,
+            /// Computation units that changed owner relative to the
+            /// previous distribution.
+            units_moved: u64 = count,
+        },
+        /// The dynamic loop reached its balance tolerance (or the
+        /// distribution stopped moving).
+        DynamicConverged = "dynamic_converged" {
+            /// Dynamic-loop iterations it took.
+            steps: u64 = count,
+            /// Final relative imbalance.
+            imbalance: f64 = float,
+        },
+        /// A runtime communication operation completed (schema v2).
+        Comm = "comm" {
+            /// Rank that performed the operation.
+            rank: usize = count,
+            /// Operation tag: `send`, `recv`, `barrier`, `bcast`,
+            /// `scatterv`, `gatherv`, `allgatherv`, `allreduce`.
+            op: String = tag,
+            /// Peer rank (or collective root); `-1` when not applicable.
+            peer: i64 = signed,
+            /// Payload bytes moved by this rank in the operation.
+            bytes: u64 = count,
+            /// Wall (or virtual) seconds the operation took on this rank.
+            seconds: f64 = float,
+            /// Collective schedule that carried the operation: `hub`,
+            /// `ring`, `tree`, or `direct` for point-to-point traffic.
+            /// Empty string when unknown (pre-addendum traces).
+            algorithm: String = tag [String::new()],
+            /// Communication rounds the schedule used (`1` for
+            /// point-to-point, `0` for degenerate single-rank
+            /// collectives or unknown/pre-addendum traces).
+            rounds: u64 = count [0],
+            /// Lamport timestamp of the operation on this rank at
+            /// completion (schema v3): every operation ticks its rank's
+            /// clock, message receipt merges the sender's stamp, and a
+            /// barrier generation joins all live clocks — so sorting
+            /// events by `(lamport, gen, rank)` yields a causally
+            /// consistent cross-rank order. `0` in pre-v3 traces.
+            lamport: u64 = exact [0],
+            /// Barrier generation the operation belongs to (schema v3):
+            /// the generation a collective's closing barrier completed,
+            /// or the generation current when a point-to-point operation
+            /// began. All ranks of one collective record the same `gen`.
+            /// `0` in pre-v3 traces.
+            gen: u64 = exact [0],
+        },
+        /// A fault was injected or observed by the runtime (schema v2).
+        Fault = "fault" {
+            /// Rank where the fault manifested.
+            rank: usize = count,
+            /// Fault tag: `delay`, `drop`, `retry`, `straggler`, `death`,
+            /// `timeout`, `degraded`.
+            kind: String = tag,
+            /// Peer rank involved; `-1` when not applicable.
+            peer: i64 = signed,
+            /// Retry attempt number (0 for non-retry faults).
+            attempt: u32 = count,
+            /// Seconds of delay/backoff attributable to the fault
+            /// (0 when not applicable).
+            seconds: f64 = float,
+        },
+        /// A metric sample (schema v3; `kind`/`labels` are the schema-v4
+        /// addendum): one labelled counter, gauge or latency histogram of
+        /// a telemetry registry, exported by
+        /// [`RegistrySnapshot::export_trace_events`](crate::telemetry::RegistrySnapshot::export_trace_events).
+        Metrics = "metrics" {
+            /// Rank the sample describes (`0` for process-wide
+            /// metrics, which is what the binaries export).
+            rank: usize = count,
+            /// Metric scope tag: a registry metric name such as
+            /// `fupermod_comm_duration_seconds` or `served_requests_total`
+            /// (v3 traces carry the retired `comm.<op>` / `bench.rep`
+            /// histogram scopes here).
+            scope: String = tag,
+            /// Samples recorded (histograms), or the counter value.
+            /// `0` for gauges, whose value rides in `sum`.
+            count: u64 = exact,
+            /// Sum of recorded latencies in seconds (histograms), the
+            /// gauge value, or `0` for counters.
+            sum: f64 = float,
+            /// Metric kind (schema v4): `counter`, `gauge`, or
+            /// `histogram`. Empty in pre-v4 traces, which carried only
+            /// histogram snapshots (and unlabeled store counters whose
+            /// empty `buckets` distinguish them).
+            kind: String = tag [String::new()],
+            /// Label set (schema v4): `;`-separated `key=value` pairs in
+            /// sorted key order (e.g. `op=ingest;outcome=ok`), restricted
+            /// to escape-free tags without `,`/`;`/`=` in the values.
+            /// Empty when the metric carries no labels (all pre-v4
+            /// traces).
+            labels: String = tag [String::new()],
+            /// Log-bucketed counts, length
+            /// [`HISTOGRAM_BUCKETS`]` + 2`: `buckets[0]` is the
+            /// underflow bin (`< 1 ns`), `buckets[1 + k]` covers
+            /// `[2^k, 2^(k+1))` nanoseconds, and the last bin is the
+            /// overflow (`>= 2^HISTOGRAM_BUCKETS` ns). Empty for
+            /// counters and gauges.
+            buckets: Vec<u64> = list,
+        },
+    }
+}
+
+/// One field of a [`TraceEvent`] in its wire form, as
+/// [`TraceEvent::for_each_field`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue<'a> {
+    /// A count: JSONL writes it through `f64` (exact up to 2^53), CSV
+    /// as the integer.
+    Count(u64),
+    /// A signed count (`peer`), written like a [`FieldValue::Count`].
+    Signed(i64),
+    /// An integer exact over the whole `u64` range (`lamport`, `gen`,
+    /// metrics `count`).
+    Exact(u64),
+    /// A float, spelled by [`fmt_float`] in both encodings.
+    Float(f64),
+    /// A string restricted to escape-free tags (no quote, backslash or
+    /// control character), so lines stay greppable and CSV needs no
+    /// quoting.
+    Tag(&'a str),
+    /// Integers: a JSON array, or a `;`-joined CSV cell.
+    List(&'a [u64]),
 }
 
 impl TraceEvent {
-    /// Stable, lowercase event tag used by both encodings.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::BenchmarkSample { .. } => "benchmark_sample",
-            TraceEvent::BenchmarkDone { .. } => "benchmark_done",
-            TraceEvent::ModelUpdate { .. } => "model_update",
-            TraceEvent::PartitionStep { .. } => "partition_step",
-            TraceEvent::DynamicConverged { .. } => "dynamic_converged",
-            TraceEvent::Comm { .. } => "comm",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Metrics { .. } => "metrics",
-        }
-    }
-
     /// Encodes the event as one JSONL line (no trailing newline),
-    /// schema version [`SCHEMA_VERSION`].
+    /// schema version [`SCHEMA_VERSION`]: the `event` tag, then every
+    /// field in declaration order.
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(96);
         s.push_str("{\"event\":\"");
         s.push_str(self.name());
         s.push('"');
-        match self {
-            TraceEvent::BenchmarkSample {
-                rank,
-                d,
-                rep,
-                time,
-                ci_rel,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_num(&mut s, "d", *d as f64);
-                push_num(&mut s, "rep", f64::from(*rep));
-                push_float(&mut s, "time", *time);
-                push_float(&mut s, "ci_rel", *ci_rel);
-            }
-            TraceEvent::BenchmarkDone {
-                rank,
-                d,
-                reps,
-                mean,
-                stderr,
-                elapsed,
-                outliers_rejected,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_num(&mut s, "d", *d as f64);
-                push_num(&mut s, "reps", f64::from(*reps));
-                push_float(&mut s, "mean", *mean);
-                push_float(&mut s, "stderr", *stderr);
-                push_float(&mut s, "elapsed", *elapsed);
-                push_num(&mut s, "outliers_rejected", f64::from(*outliers_rejected));
-            }
-            TraceEvent::ModelUpdate {
-                rank,
-                d,
-                t,
-                reps,
-                points,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_num(&mut s, "d", *d as f64);
-                push_float(&mut s, "t", *t);
-                push_num(&mut s, "reps", f64::from(*reps));
-                push_num(&mut s, "points", *points as f64);
-            }
-            TraceEvent::PartitionStep {
-                iter,
-                dist,
-                imbalance,
-                units_moved,
-            } => {
-                push_num(&mut s, "iter", *iter as f64);
-                s.push_str(",\"dist\":[");
-                for (i, d) in dist.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{d}");
+        self.for_each_field(|key, value| {
+            let _ = write!(s, ",\"{key}\":");
+            let _ = match value {
+                FieldValue::Count(v) => write!(s, "{}", v as f64),
+                FieldValue::Signed(v) => write!(s, "{}", v as f64),
+                FieldValue::Exact(v) => write!(s, "{v}"),
+                FieldValue::Float(v) => write!(s, "{}", fmt_float(v)),
+                FieldValue::Tag(v) => {
+                    debug_assert!(is_tag(v), "trace string fields must be escape-free tags");
+                    write!(s, "\"{v}\"")
                 }
-                s.push(']');
-                push_float(&mut s, "imbalance", *imbalance);
-                push_num(&mut s, "units_moved", *units_moved as f64);
-            }
-            TraceEvent::DynamicConverged { steps, imbalance } => {
-                push_num(&mut s, "steps", *steps as f64);
-                push_float(&mut s, "imbalance", *imbalance);
-            }
-            TraceEvent::Comm {
-                rank,
-                op,
-                peer,
-                bytes,
-                seconds,
-                algorithm,
-                rounds,
-                lamport,
-                gen,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_str(&mut s, "op", op);
-                push_num(&mut s, "peer", *peer as f64);
-                push_num(&mut s, "bytes", *bytes as f64);
-                push_float(&mut s, "seconds", *seconds);
-                push_str(&mut s, "algorithm", algorithm);
-                push_num(&mut s, "rounds", *rounds as f64);
-                push_int(&mut s, "lamport", *lamport);
-                push_int(&mut s, "gen", *gen);
-            }
-            TraceEvent::Fault {
-                rank,
-                kind,
-                peer,
-                attempt,
-                seconds,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_str(&mut s, "kind", kind);
-                push_num(&mut s, "peer", *peer as f64);
-                push_num(&mut s, "attempt", f64::from(*attempt));
-                push_float(&mut s, "seconds", *seconds);
-            }
-            TraceEvent::Metrics {
-                rank,
-                scope,
-                count,
-                sum,
-                buckets,
-                kind,
-                labels,
-            } => {
-                push_num(&mut s, "rank", *rank as f64);
-                push_str(&mut s, "scope", scope);
-                push_int(&mut s, "count", *count);
-                push_float(&mut s, "sum", *sum);
-                push_str(&mut s, "kind", kind);
-                push_str(&mut s, "labels", labels);
-                s.push_str(",\"buckets\":[");
-                for (i, b) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
+                FieldValue::List(items) => {
+                    s.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            s.push(',');
+                        }
+                        let _ = write!(s, "{item}");
                     }
-                    let _ = write!(s, "{b}");
+                    write!(s, "]")
                 }
-                s.push(']');
-            }
-        }
+            };
+        });
         s.push('}');
         s
     }
+}
 
-    /// Decodes one JSONL event line produced by [`TraceEvent::to_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Trace`] on malformed JSON, an unknown event
-    /// tag, or missing fields.
-    pub fn from_jsonl(line: &str) -> Result<TraceEvent, CoreError> {
-        let doc = parse_line(line)?;
-        let tag = doc
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CoreError::Trace("missing \"event\" tag".to_owned()))?;
-        // Trace floats spell NaN as `null` (see [`fmt_float`]).
-        let num = |key: &str| -> Result<f64, CoreError> {
-            match doc.get(key) {
-                Some(Json::Num(x)) => Ok(*x),
-                Some(Json::Null) => Ok(f64::NAN),
-                _ => Err(CoreError::Trace(format!(
-                    "event '{tag}': missing numeric field '{key}'"
-                ))),
-            }
-        };
-        let text = |key: &str| -> Result<String, CoreError> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| {
-                    CoreError::Trace(format!("event '{tag}': missing string field '{key}'"))
-                })
-        };
-        let ints = |key: &str| -> Result<Vec<u64>, CoreError> {
-            doc.get(key)
-                .and_then(Json::as_array)
-                .and_then(|items| items.iter().map(|x| Some(x.as_f64()? as u64)).collect())
-                .ok_or_else(|| CoreError::Trace(format!("{tag}: missing '{key}' array")))
-        };
-        match tag {
-            "benchmark_sample" => Ok(TraceEvent::BenchmarkSample {
-                rank: num("rank")? as usize,
-                d: num("d")? as u64,
-                rep: num("rep")? as u32,
-                time: num("time")?,
-                ci_rel: num("ci_rel")?,
-            }),
-            "benchmark_done" => Ok(TraceEvent::BenchmarkDone {
-                rank: num("rank")? as usize,
-                d: num("d")? as u64,
-                reps: num("reps")? as u32,
-                mean: num("mean")?,
-                stderr: num("stderr")?,
-                elapsed: num("elapsed")?,
-                outliers_rejected: num("outliers_rejected")? as u32,
-            }),
-            "model_update" => Ok(TraceEvent::ModelUpdate {
-                rank: num("rank")? as usize,
-                d: num("d")? as u64,
-                t: num("t")?,
-                reps: num("reps")? as u32,
-                points: num("points")? as usize,
-            }),
-            "partition_step" => Ok(TraceEvent::PartitionStep {
-                iter: num("iter")? as u64,
-                dist: ints("dist")?,
-                imbalance: num("imbalance")?,
-                units_moved: num("units_moved")? as u64,
-            }),
-            "dynamic_converged" => Ok(TraceEvent::DynamicConverged {
-                steps: num("steps")? as u64,
-                imbalance: num("imbalance")?,
-            }),
-            "comm" => Ok(TraceEvent::Comm {
-                rank: num("rank")? as usize,
-                op: text("op")?,
-                peer: num("peer")? as i64,
-                bytes: num("bytes")? as u64,
-                seconds: num("seconds")?,
-                // The `algorithm`/`rounds` fields are a schema-v2
-                // addendum (PR 4) and `lamport`/`gen` are the schema
-                // v3 causal stamps; traces written before them simply
-                // lack the fields. Decode those as "unknown"/0 rather
-                // than rejecting the line.
-                algorithm: text("algorithm").unwrap_or_default(),
-                rounds: num("rounds").map(|r| r as u64).unwrap_or(0),
-                lamport: num("lamport").map(|l| l as u64).unwrap_or(0),
-                gen: num("gen").map(|g| g as u64).unwrap_or(0),
-            }),
-            "fault" => Ok(TraceEvent::Fault {
-                rank: num("rank")? as usize,
-                kind: text("kind")?,
-                peer: num("peer")? as i64,
-                attempt: num("attempt")? as u32,
-                seconds: num("seconds")?,
-            }),
-            "metrics" => Ok(TraceEvent::Metrics {
-                rank: num("rank")? as usize,
-                scope: text("scope")?,
-                count: num("count")? as u64,
-                sum: num("sum")?,
-                buckets: ints("buckets")?,
-                // `kind`/`labels` are the schema-v4 addendum;
-                // pre-v4 traces lack them — decode as empty.
-                kind: text("kind").unwrap_or_default(),
-                labels: text("labels").unwrap_or_default(),
-            }),
-            other => Err(CoreError::Trace(format!("unknown event tag '{other}'"))),
+/// The members of one decoded event line, read the way
+/// [`TraceEvent::from_jsonl`] promises (error texts included).
+struct Members<'a> {
+    doc: &'a Json,
+    tag: &'a str,
+}
+
+impl Members<'_> {
+    /// A number; trace floats spell NaN as `null` (see [`fmt_float`]).
+    fn number(&self, key: &str) -> Result<f64, CoreError> {
+        match self.doc.get(key) {
+            Some(Json::Num(x)) => Ok(*x),
+            Some(Json::Null) => Ok(f64::NAN),
+            _ => Err(self.missing("numeric field", key)),
         }
     }
+
+    /// A string the writer could have written: an escape-free tag.
+    fn tag(&self, key: &str) -> Result<String, CoreError> {
+        match self.doc.get(key).and_then(Json::as_str) {
+            Some(v) if is_tag(v) => Ok(v.to_owned()),
+            Some(_) => Err(CoreError::Trace(format!(
+                "event '{}': string field '{key}' is not an escape-free tag",
+                self.tag
+            ))),
+            None => Err(self.missing("string field", key)),
+        }
+    }
+
+    fn list(&self, key: &str) -> Result<Vec<u64>, CoreError> {
+        self.doc
+            .get(key)
+            .and_then(Json::as_array)
+            .and_then(|items| items.iter().map(|x| Some(x.as_f64()? as u64)).collect())
+            .ok_or_else(|| CoreError::Trace(format!("{}: missing '{key}' array", self.tag)))
+    }
+
+    fn missing(&self, what: &str, key: &str) -> CoreError {
+        CoreError::Trace(format!("event '{}': missing {what} '{key}'", self.tag))
+    }
+}
+
+/// Whether `v` can be a trace string field: written between quotes
+/// as is, it needs no JSON escape.
+fn is_tag(v: &str) -> bool {
+    !v.contains(|c: char| c == '"' || c == '\\' || c.is_control())
 }
 
 /// Formats a float for the trace encoding (and everything derived
@@ -501,31 +484,6 @@ pub fn fmt_float(v: f64) -> String {
     } else {
         "-1e9999".to_owned()
     }
-}
-
-fn push_float(s: &mut String, key: &str, v: f64) {
-    let _ = write!(s, ",\"{key}\":{}", fmt_float(v));
-}
-
-fn push_num(s: &mut String, key: &str, v: f64) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-/// Pushes an unsigned integer field without a float round-trip (exact
-/// for the full `u64` range, unlike [`push_num`]).
-fn push_int(s: &mut String, key: &str, v: u64) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-/// Pushes a string field. Trace string fields are restricted to the
-/// fixed ASCII tags listed on [`TraceEvent`] (no quotes or escapes),
-/// so lines stay greppable and the CSV export needs no quoting.
-fn push_str(s: &mut String, key: &str, v: &str) {
-    debug_assert!(
-        !v.contains(['"', '\\', '\n']),
-        "trace string fields must be escape-free tags"
-    );
-    let _ = write!(s, ",\"{key}\":\"{v}\"");
 }
 
 /// Parses one trace line (header or event) with the workspace JSON

@@ -9,7 +9,7 @@
 
 use std::io::{self, Write};
 
-use fupermod_core::trace::{fmt_float, TraceEvent, SCHEMA_VERSION};
+use fupermod_core::trace::{fmt_float, FieldValue, TraceEvent, SCHEMA_VERSION};
 
 use crate::merge::StampedEvent;
 
@@ -33,136 +33,33 @@ elapsed,outliers_rejected,t,points,imbalance,units_moved,steps,dist,\
 op,kind,peer,bytes,seconds,attempt,algorithm,rounds,lamport,gen,\
 scope,count,sum,buckets,labels";
 
-/// Encodes one event as a CSV data row matching [`CSV_HEADER`].
+/// Encodes one event as a CSV data row matching [`CSV_HEADER`]: the
+/// event tag, then each field in the column named by its key (columns
+/// such as `rank`, `kind` or `seconds` are shared across events).
+///
+/// # Panics
+///
+/// When an event declares a field [`CSV_HEADER`] has no column for.
 pub fn csv_row(event: &TraceEvent) -> String {
-    // Columns: event,iter,rank,d,rep,reps,time,mean,stderr,ci_rel,
-    //          elapsed,outliers_rejected,t,points,imbalance,
-    //          units_moved,steps,dist,op,kind,peer,bytes,seconds,
-    //          attempt,algorithm,rounds,lamport,gen,scope,count,
-    //          sum,buckets,labels
-    // (`kind` — column 19 — is shared by fault and metrics rows,
-    // like rank/peer/seconds are shared across variants.)
     let mut c: [String; CSV_COLUMNS] = std::array::from_fn(|_| String::new());
     c[0] = event.name().to_owned();
-    match event {
-        TraceEvent::BenchmarkSample {
-            rank,
-            d,
-            rep,
-            time,
-            ci_rel,
-        } => {
-            c[2] = rank.to_string();
-            c[3] = d.to_string();
-            c[4] = rep.to_string();
-            c[6] = fmt_float(*time);
-            c[9] = fmt_float(*ci_rel);
-        }
-        TraceEvent::BenchmarkDone {
-            rank,
-            d,
-            reps,
-            mean,
-            stderr,
-            elapsed,
-            outliers_rejected,
-        } => {
-            c[2] = rank.to_string();
-            c[3] = d.to_string();
-            c[5] = reps.to_string();
-            c[7] = fmt_float(*mean);
-            c[8] = fmt_float(*stderr);
-            c[10] = fmt_float(*elapsed);
-            c[11] = outliers_rejected.to_string();
-        }
-        TraceEvent::ModelUpdate {
-            rank,
-            d,
-            t,
-            reps,
-            points,
-        } => {
-            c[2] = rank.to_string();
-            c[3] = d.to_string();
-            c[5] = reps.to_string();
-            c[12] = fmt_float(*t);
-            c[13] = points.to_string();
-        }
-        TraceEvent::PartitionStep {
-            iter,
-            dist,
-            imbalance,
-            units_moved,
-        } => {
-            c[1] = iter.to_string();
-            c[14] = fmt_float(*imbalance);
-            c[15] = units_moved.to_string();
-            c[17] = dist
+    event.for_each_field(|key, value| {
+        let column = CSV_HEADER
+            .split(',')
+            .position(|name| name == key)
+            .expect("every trace field has a CSV column");
+        c[column] = match value {
+            FieldValue::Count(v) | FieldValue::Exact(v) => v.to_string(),
+            FieldValue::Signed(v) => v.to_string(),
+            FieldValue::Float(v) => fmt_float(v),
+            FieldValue::Tag(v) => v.to_owned(),
+            FieldValue::List(items) => items
                 .iter()
-                .map(|d| d.to_string())
+                .map(u64::to_string)
                 .collect::<Vec<_>>()
-                .join(";");
-        }
-        TraceEvent::DynamicConverged { steps, imbalance } => {
-            c[14] = fmt_float(*imbalance);
-            c[16] = steps.to_string();
-        }
-        TraceEvent::Comm {
-            rank,
-            op,
-            peer,
-            bytes,
-            seconds,
-            algorithm,
-            rounds,
-            lamport,
-            gen,
-        } => {
-            c[2] = rank.to_string();
-            c[18] = op.clone();
-            c[20] = peer.to_string();
-            c[21] = bytes.to_string();
-            c[22] = fmt_float(*seconds);
-            c[24] = algorithm.clone();
-            c[25] = rounds.to_string();
-            c[26] = lamport.to_string();
-            c[27] = gen.to_string();
-        }
-        TraceEvent::Fault {
-            rank,
-            kind,
-            peer,
-            attempt,
-            seconds,
-        } => {
-            c[2] = rank.to_string();
-            c[19] = kind.clone();
-            c[20] = peer.to_string();
-            c[22] = fmt_float(*seconds);
-            c[23] = attempt.to_string();
-        }
-        TraceEvent::Metrics {
-            rank,
-            scope,
-            count,
-            sum,
-            buckets,
-            kind,
-            labels,
-        } => {
-            c[2] = rank.to_string();
-            c[19] = kind.clone();
-            c[28] = scope.clone();
-            c[29] = count.to_string();
-            c[30] = fmt_float(*sum);
-            c[31] = buckets
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(";");
-            c[32] = labels.clone();
-        }
-    }
+                .join(";"),
+        };
+    });
     c.join(",")
 }
 

@@ -35,10 +35,10 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 
-use fupermod_core::trace::{TraceEvent, TraceReader};
+use fupermod_core::trace::{FieldValue, TraceEvent, TraceReader};
 use fupermod_core::CoreError;
 
 /// A trace event stamped with its global ordering key.
@@ -68,43 +68,40 @@ impl StampedEvent {
     }
 }
 
-/// Attribution rank of an event (driver events attach to rank 0).
+/// Attribution rank of an event: its `rank` field, or rank 0 for the
+/// driver events that have none.
 pub fn event_rank(event: &TraceEvent) -> usize {
-    match event {
-        TraceEvent::BenchmarkSample { rank, .. }
-        | TraceEvent::BenchmarkDone { rank, .. }
-        | TraceEvent::ModelUpdate { rank, .. }
-        | TraceEvent::Comm { rank, .. }
-        | TraceEvent::Fault { rank, .. }
-        | TraceEvent::Metrics { rank, .. } => *rank,
-        TraceEvent::PartitionStep { .. } | TraceEvent::DynamicConverged { .. } => 0,
-    }
+    let mut rank = 0;
+    event.for_each_field(|key, value| {
+        if let ("rank", FieldValue::Count(r)) = (key, value) {
+            rank = r as usize;
+        }
+    });
+    rank
 }
 
 /// Per-source stamping state: the last `(lamport, gen)` each rank
-/// recorded, inherited by that rank's unstamped events. Public so
+/// recorded, inherited by that rank's unstamped events, and the
+/// rank's next sequence number. Keyed by rank, so memory follows the
+/// ranks a trace holds, not the largest rank it names. Public so
 /// incremental consumers ([`mod@crate::tail`]) can stamp a stream
 /// event-by-event under the same contract the batch merge uses.
 #[derive(Debug, Default)]
 pub struct Stamper {
-    last: Vec<(u64, u64)>, // indexed by rank, grown on demand
-    seq: Vec<u64>,
+    ranks: HashMap<usize, ((u64, u64), u64)>,
 }
 
 impl Stamper {
     /// Stamps one event of source `source` in file order.
     pub fn stamp(&mut self, source: usize, event: TraceEvent) -> StampedEvent {
         let rank = event_rank(&event);
-        if rank >= self.last.len() {
-            self.last.resize(rank + 1, (0, 0));
-            self.seq.resize(rank + 1, 0);
-        }
+        let (last, next_seq) = self.ranks.entry(rank).or_default();
         if let TraceEvent::Comm { lamport, gen, .. } = &event {
-            self.last[rank] = (*lamport, *gen);
+            *last = (*lamport, *gen);
         }
-        let (lamport, gen) = self.last[rank];
-        let seq = self.seq[rank];
-        self.seq[rank] += 1;
+        let (lamport, gen) = *last;
+        let seq = *next_seq;
+        *next_seq += 1;
         StampedEvent {
             lamport,
             gen,
@@ -275,21 +272,10 @@ impl Iterator for Merge {
 
 /// First pass of [`Merge::open`]: the set of attribution ranks a
 /// trace file contains (streamed; constant memory beyond the set).
-fn discover_ranks(path: &Path) -> Result<Vec<usize>, CoreError> {
-    let reader = TraceReader::open(path)?;
-    let mut seen: Vec<bool> = Vec::new();
-    for event in reader {
-        let r = event_rank(&event?);
-        if r >= seen.len() {
-            seen.resize(r + 1, false);
-        }
-        seen[r] = true;
-    }
-    Ok(seen
-        .iter()
-        .enumerate()
-        .filter_map(|(r, &s)| s.then_some(r))
-        .collect())
+fn discover_ranks(path: &Path) -> Result<BTreeSet<usize>, CoreError> {
+    TraceReader::open(path)?
+        .map(|event| Ok(event_rank(&event?)))
+        .collect()
 }
 
 /// Merges in-memory per-source event lists (the same ordering

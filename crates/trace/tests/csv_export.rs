@@ -9,7 +9,7 @@
 
 use std::io::Cursor;
 
-use fupermod_core::trace::{TraceEvent, TraceReader, SCHEMA_VERSION};
+use fupermod_core::trace::{TraceEvent, TraceReader, EVENT_FIELDS, SCHEMA_VERSION};
 use fupermod_trace::csv::{csv_row, CSV_COLUMNS, CSV_HEADER};
 use fupermod_trace::{export_csv, merge_events};
 
@@ -57,4 +57,32 @@ fn export_writes_the_two_header_lines_then_one_row_per_event() {
     got.sort_unstable();
     want.sort_unstable();
     assert_eq!(got, want);
+}
+
+/// `docs/OBSERVABILITY.md` §2.2's column table lists the header's
+/// columns, and each column's "used by" cell names exactly the events
+/// that declare a field of that key.
+#[test]
+fn the_documented_column_table_is_the_header_and_the_declaration() {
+    let doc = include_str!("../../../docs/OBSERVABILITY.md");
+    let section = &doc[doc.find("\n### 2.2 ").unwrap()..doc.find("\n## 3. ").unwrap()];
+    let rows: Vec<(&str, Vec<&str>)> = section
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            (cells[1].trim_matches('`'), cells[2].split(", ").collect())
+        })
+        .collect();
+    let columns: Vec<&str> = rows.iter().map(|(column, _)| *column).collect();
+    assert_eq!(columns, CSV_HEADER.split(',').collect::<Vec<_>>());
+    assert_eq!(rows[0], ("event", vec!["all"]));
+    for (column, used_by) in &rows[1..] {
+        let declaring: Vec<&str> = EVENT_FIELDS
+            .iter()
+            .filter(|(_, keys)| keys.contains(column))
+            .map(|(tag, _)| *tag)
+            .collect();
+        assert_eq!(used_by, &declaring, "column {column}");
+    }
 }

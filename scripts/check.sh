@@ -316,6 +316,17 @@ fi
     || { echo "a JSON parser outside crates/core/src/json.rs" >&2; exit 1; }
 ! grep -rnE 'CsvSink|from_csv_row|trace-format|set_histograms_enabled' crates src --include='*.rs' \
     | grep -v '^crates/bench/src/cli.rs:' || { echo "a retired trace/metrics path reappeared" >&2; exit 1; }
+# The trace schema is declared once, beside TraceEvent in
+# crates/core/src/trace.rs: the JSONL writer and reader, the CSV export
+# and merge attribution walk that declaration, so no field key is
+# spelled out as a string on a second non-test line (a file's test code
+# starts at its first `#[cfg(test)]`).
+for key in outliers_rejected lamport ci_rel labels; do
+    lines=$(find crates/*/src src -name '*.rs' \
+        -exec awk '/^#\[cfg\(test\)\]/ { exit } { print }' {} \; | grep -cF "\"$key\"" || true)
+    [ "$lines" -le 1 ] \
+        || { echo "trace field \"$key\" is spelled out on $lines non-test lines" >&2; exit 1; }
+done
 # Every binary reads its command line through crates/bench/src/cli.rs:
 # no second argv scanner or per-flag copy, and one thread-engine cap.
 ! grep -rnE 'fn flag_value|_from_args\(|fn split_args|env::args\(\)\.any' crates src --include='*.rs' \

@@ -321,3 +321,46 @@ fn a_flag_without_its_value_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("missing value for --size"), "{stderr}");
 }
+
+/// A rank of `1e15` made every tracetool subcommand size a per-rank
+/// vector by it and abort on the allocation (exit 134); `1e300`
+/// saturates to `usize::MAX`, whose `+ 1` wrapped into an index panic
+/// (exit 101). Per-rank state is keyed by rank, so both are one event.
+#[test]
+fn tracetool_survives_a_huge_rank() {
+    let dir = temp_dir("huge-rank");
+    // The rank as written, as JSONL spells it back (through f64), and
+    // as the report and CSV print it (the integer).
+    for (rank, jsonl, integer) in [
+        ("1e15", "\"rank\":1000000000000000,", "1000000000000000"),
+        ("1e300", "\"rank\":18446744073709552000,", "18446744073709551615"),
+    ] {
+        let trace = dir.join(format!("rank{rank}.trace.jsonl"));
+        std::fs::write(
+            &trace,
+            format!(
+                "{{\"trace\":\"fupermod\",\"schema\":4}}\n\
+                 {{\"event\":\"model_update\",\"rank\":{rank},\"d\":5,\"t\":0.5,\"reps\":1,\"points\":1}}\n"
+            ),
+        )
+        .unwrap();
+        for (command, printed) in [
+            (&["merge"][..], jsonl),
+            (&["tail", "--idle-exit", "0", "--stats-every", "0"], jsonl),
+            (&["report"], integer),
+            (&["export", "--format", "csv"], integer),
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_fupermod_tracetool"))
+                .args(command)
+                .arg(&trace)
+                .output()
+                .expect("tracetool failed to launch");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{command:?} rank {rank}: {stderr}");
+            assert!(!stderr.contains("panicked") && !stderr.contains("backtrace"), "{stderr}");
+            assert!(stdout.contains(printed), "{command:?} rank {rank}: {stdout}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
