@@ -4,9 +4,12 @@
 //! Everything that turns JSON text into values goes through
 //! [`Json::parse`]: trace lines and headers ([`crate::trace`]), fault
 //! plans (`fupermod-runtime`), the serving protocol
-//! (`fupermod-store`) and the tracetool's schema validation
-//! (`fupermod-trace`). Each of those keeps only typed field access
-//! mapped onto its own error type; the grammar lives here, once:
+//! (`fupermod-store`), the daemon client and the tracetool's schema
+//! validation (`fupermod-trace`). Every decoder of an object that
+//! comes from outside the process reads its members through
+//! [`Members`], under one rule for what an integer is (see there),
+//! and maps [`MemberError`] onto its own error type. The grammar
+//! lives here, once:
 //!
 //! * string escapes are decoded, `\uXXXX` surrogate pairs included;
 //!   a lone surrogate is an error, as is an unescaped control
@@ -132,6 +135,183 @@ impl Json {
             Json::Str(_) => "string",
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
+        }
+    }
+}
+
+/// The members of one JSON object, each read once into a typed value
+/// ([`Members::take`]) and moved out, not cloned.
+///
+/// # Integers
+///
+/// This is the one rule for what a JSON integer is. [`Json::parse`]
+/// reads a number as an `f64`, which holds every integer of magnitude
+/// below 2⁵³ exactly; from 2⁵³ on, a written integer may have been
+/// rounded to a neighbour (2⁵³ + 1 reads as 2⁵³). So an integer member
+/// ([`FromMember`] for `u64`, `usize`, `u32` and `i64`) is a number
+/// with no fractional part (`1e2` is 100, `-0` is 0): a `u64` or
+/// `usize` is non-negative and below 2⁵³, a `u32` non-negative and
+/// below 2³², an `i64` of magnitude below 2⁵³. Anything else is a
+/// [`MemberError`] naming the member, never a saturated, truncated or
+/// rounded number.
+#[derive(Debug)]
+pub struct Members(Vec<(String, Json)>);
+
+impl Members {
+    /// The members of `value`, or the [`Json::type_name`] of a `value`
+    /// that is not an object.
+    pub fn new(value: Json) -> Result<Self, &'static str> {
+        match value {
+            Json::Obj(members) => Ok(Self(members)),
+            other => Err(other.type_name()),
+        }
+    }
+
+    /// Member `key` (the first, if repeated) as a `T`; an error when
+    /// it is missing or not a `T`.
+    pub fn take<T: FromMember>(&mut self, key: &str) -> Result<T, MemberError> {
+        self.take_opt(key)?
+            .ok_or_else(|| MemberError(format!("missing field '{key}'")))
+    }
+
+    /// [`Members::take`] for a member that may be absent: `None` then
+    /// (a `null` member is present).
+    pub fn take_opt<T: FromMember>(&mut self, key: &str) -> Result<Option<T>, MemberError> {
+        let found = self.0.iter_mut().find(|(k, _)| k == key);
+        found
+            .map(|(_, v)| T::from_member(key, std::mem::replace(v, Json::Null)))
+            .transpose()
+    }
+
+    /// An error naming the first key outside `allowed` or repeated
+    /// (which a first-match read would half ignore).
+    pub fn only(&self, allowed: &[&str]) -> Result<(), MemberError> {
+        for (i, (key, _)) in self.0.iter().enumerate() {
+            if !allowed.contains(&key.as_str()) {
+                return Err(MemberError(format!("unknown field '{key}'")));
+            }
+            if self.0[..i].iter().any(|(k, _)| k == key) {
+                return Err(MemberError(format!("field '{key}' appears more than once")));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The members in document order (one already read holds `null`).
+impl IntoIterator for Members {
+    type Item = (String, Json);
+    type IntoIter = std::vec::IntoIter<(String, Json)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+/// A member that did not read ([`Members`]); the message names it.
+#[derive(Debug)]
+pub struct MemberError(String);
+
+impl fmt::Display for MemberError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for MemberError {}
+
+/// A type a member's value reads as, under the integer rule of
+/// [`Members`].
+pub trait FromMember: Sized {
+    /// Reads `value`, the value of member `key` (which errors name).
+    fn from_member(key: &str, value: Json) -> Result<Self, MemberError>;
+}
+
+fn mistyped(key: &str, want: &str, got: &Json) -> MemberError {
+    MemberError(format!(
+        "field '{key}' must be {want}, got {}",
+        got.type_name()
+    ))
+}
+
+/// Number `x` in member `key`, which `must` be otherwise.
+fn out_of_range(key: &str, must: &str, x: f64) -> MemberError {
+    MemberError(format!("field '{key}' {must}, got {x}"))
+}
+
+/// Integers of magnitude below `2^bits`, `bits` ≤ 53 (every such
+/// integer is exactly an `f64`), non-negative unless `signed`.
+macro_rules! integer_members {
+    ($($ty:ty: $bits:expr, $signed:expr;)*) => {$(
+        impl FromMember for $ty {
+            fn from_member(key: &str, value: Json) -> Result<Self, MemberError> {
+                let x = f64::from_member(key, value)?;
+                let (whole, magnitude) = if $signed {
+                    ("must be an integer", "of magnitude ")
+                } else {
+                    ("must be a non-negative integer", "")
+                };
+                if x.fract() != 0.0 || (x < 0.0 && !$signed) {
+                    Err(out_of_range(key, whole, x))
+                } else if x.abs() >= (1u64 << $bits) as f64 {
+                    let must = format!("must be an integer {magnitude}below 2^{}", $bits);
+                    Err(out_of_range(key, &must, x))
+                } else {
+                    Ok(x as $ty) // exact: an integer of magnitude below 2^bits
+                }
+            }
+        }
+    )*};
+}
+
+integer_members! {
+    u64: 53, false;
+    usize: usize::BITS.min(53), false;
+    u32: 32, false;
+    i64: 53, true;
+}
+
+impl FromMember for f64 {
+    fn from_member(key: &str, value: Json) -> Result<Self, MemberError> {
+        match value {
+            Json::Num(x) => Ok(x),
+            other => Err(mistyped(key, "a number", &other)),
+        }
+    }
+}
+
+impl FromMember for String {
+    fn from_member(key: &str, value: Json) -> Result<Self, MemberError> {
+        match value {
+            Json::Str(s) => Ok(s),
+            other => Err(mistyped(key, "a string", &other)),
+        }
+    }
+}
+
+/// `null` as `None`, any other value as a `T`.
+impl<T: FromMember> FromMember for Option<T> {
+    fn from_member(key: &str, value: Json) -> Result<Self, MemberError> {
+        match value {
+            Json::Null => Ok(None),
+            value => T::from_member(key, value).map(Some),
+        }
+    }
+}
+
+impl FromMember for Json {
+    fn from_member(_key: &str, value: Json) -> Result<Self, MemberError> {
+        Ok(value)
+    }
+}
+
+/// An array whose every item reads as a `T` (an item's error names
+/// the array).
+impl<T: FromMember> FromMember for Vec<T> {
+    fn from_member(key: &str, value: Json) -> Result<Self, MemberError> {
+        match value {
+            Json::Arr(items) => items.into_iter().map(|v| T::from_member(key, v)).collect(),
+            other => Err(mistyped(key, "an array", &other)),
         }
     }
 }

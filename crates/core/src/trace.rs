@@ -47,7 +47,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json::Json;
+use crate::json::{FromMember, Json, Members};
 use crate::model::Model;
 use crate::{CoreError, Point};
 
@@ -71,8 +71,8 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// the walks over an event's fields. Each variant reads
 /// `Variant = "tag" { /// doc  field: Type = form [default], … }`:
 /// the field's name is its JSONL key and its CSV column, `form` is
-/// one of the [`FieldValue`] wire forms (`count`, `signed`, `exact`,
-/// `float`, `tag`, `list`), and a bracketed default makes the reader
+/// one of the [`FieldValue`] wire forms (`count`, `signed`, `float`,
+/// `tag`, `list`), and a bracketed default makes the reader
 /// accept a line without the field (a schema addendum that older
 /// traces lack). Fields are written in declaration order.
 macro_rules! trace_events {
@@ -123,17 +123,16 @@ macro_rules! trace_events {
             /// Returns [`CoreError::Trace`] on malformed JSON, an unknown
             /// event tag, or a missing field that has no default.
             pub fn from_jsonl(line: &str) -> Result<TraceEvent, CoreError> {
-                let doc = parse_line(line)?;
-                let tag = doc
-                    .get("event")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| CoreError::Trace("missing \"event\" tag".to_owned()))?;
-                let members = Members { doc: &doc, tag };
-                match tag {
-                    // A field that fails to read takes its declared default.
+                let missing_tag = || CoreError::Trace("missing \"event\" tag".to_owned());
+                let mut members = Members::new(parse_line(line)?).map_err(|_| missing_tag())?;
+                let tag: String = members.take("event").map_err(|_| missing_tag())?;
+                let mut fields = EventFields { members, tag: &tag };
+                match tag.as_str() {
+                    // A field the line lacks takes its declared default.
                     $( $tag => Ok(TraceEvent::$variant { $(
-                        $field: wire_form!(read $form, members, stringify!($field), $ty)
-                            .or_else(|e| reader_default!(value $($default)?).ok_or(e))?,
+                        $field: wire_form!(
+                            read $form, fields, stringify!($field), reader_default!(value $($default)?)
+                        )?,
                     )* }), )*
                     other => Err(CoreError::Trace(format!("unknown event tag '{other}'"))),
                 }
@@ -178,20 +177,19 @@ macro_rules! reader_default {
 }
 
 /// A wire form: how a field becomes a [`FieldValue`] (`value`), and
-/// how [`Members`] reads it back (`read`).
+/// how [`EventFields`] reads it back (`read`).
 #[rustfmt::skip]
 macro_rules! wire_form {
     (value count, $v:ident) => { FieldValue::Count(*$v as u64) };
     (value signed, $v:ident) => { FieldValue::Signed(*$v) };
-    (value exact, $v:ident) => { FieldValue::Exact(*$v) };
     (value float, $v:ident) => { FieldValue::Float(*$v) };
     (value tag, $v:ident) => { FieldValue::Tag($v) };
     (value list, $v:ident) => { FieldValue::List($v) };
-    (read float, $m:ident, $key:expr, $ty:ty) => { $m.number($key) };
-    (read tag, $m:ident, $key:expr, $ty:ty) => { $m.tag($key) };
-    (read list, $m:ident, $key:expr, $ty:ty) => { $m.list($key) };
-    // `count`, `signed` and `exact` read alike: a saturating cast.
-    (read $integer:ident, $m:ident, $key:expr, $ty:ty) => { $m.number($key).map(|v| v as $ty) };
+    (read float, $m:ident, $key:expr, $default:expr) => { $m.float($key, $default) };
+    (read tag, $m:ident, $key:expr, $default:expr) => { $m.tag($key, $default) };
+    // `count`, `signed` and `list` read as the field's type,
+    // under the integer rule of `json::Members`.
+    (read $integer:ident, $m:ident, $key:expr, $default:expr) => { $m.read($key, $default) };
 }
 
 trace_events! {
@@ -297,13 +295,13 @@ trace_events! {
             /// barrier generation joins all live clocks — so sorting
             /// events by `(lamport, gen, rank)` yields a causally
             /// consistent cross-rank order. `0` in pre-v3 traces.
-            lamport: u64 = exact [0],
+            lamport: u64 = count [0],
             /// Barrier generation the operation belongs to (schema v3):
             /// the generation a collective's closing barrier completed,
             /// or the generation current when a point-to-point operation
             /// began. All ranks of one collective record the same `gen`.
             /// `0` in pre-v3 traces.
-            gen: u64 = exact [0],
+            gen: u64 = count [0],
         },
         /// A fault was injected or observed by the runtime (schema v2).
         Fault = "fault" {
@@ -335,7 +333,7 @@ trace_events! {
             scope: String = tag,
             /// Samples recorded (histograms), or the counter value.
             /// `0` for gauges, whose value rides in `sum`.
-            count: u64 = exact,
+            count: u64 = count,
             /// Sum of recorded latencies in seconds (histograms), the
             /// gauge value, or `0` for counters.
             sum: f64 = float,
@@ -365,14 +363,11 @@ trace_events! {
 /// [`TraceEvent::for_each_field`] hands it out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FieldValue<'a> {
-    /// A count: JSONL writes it through `f64` (exact up to 2^53), CSV
-    /// as the integer.
+    /// A count, written as its decimal integer in both encodings (the
+    /// reader takes it back only below 2^53: see `json::Members`).
     Count(u64),
     /// A signed count (`peer`), written like a [`FieldValue::Count`].
     Signed(i64),
-    /// An integer exact over the whole `u64` range (`lamport`, `gen`,
-    /// metrics `count`).
-    Exact(u64),
     /// A float, spelled by [`fmt_float`] in both encodings.
     Float(f64),
     /// A string restricted to escape-free tags (no quote, backslash or
@@ -395,9 +390,8 @@ impl TraceEvent {
         self.for_each_field(|key, value| {
             let _ = write!(s, ",\"{key}\":");
             let _ = match value {
-                FieldValue::Count(v) => write!(s, "{}", v as f64),
-                FieldValue::Signed(v) => write!(s, "{}", v as f64),
-                FieldValue::Exact(v) => write!(s, "{v}"),
+                FieldValue::Count(v) => write!(s, "{v}"),
+                FieldValue::Signed(v) => write!(s, "{v}"),
                 FieldValue::Float(v) => write!(s, "{}", fmt_float(v)),
                 FieldValue::Tag(v) => {
                     debug_assert!(is_tag(v), "trace string fields must be escape-free tags");
@@ -420,45 +414,43 @@ impl TraceEvent {
     }
 }
 
-/// The members of one decoded event line, read the way
-/// [`TraceEvent::from_jsonl`] promises (error texts included).
-struct Members<'a> {
-    doc: &'a Json,
+/// The members of one event line, read the way
+/// [`TraceEvent::from_jsonl`] promises: errors carry the event's tag.
+struct EventFields<'a> {
+    members: Members,
     tag: &'a str,
 }
 
-impl Members<'_> {
+impl EventFields<'_> {
+    fn error(&self, e: impl fmt::Display) -> CoreError {
+        CoreError::Trace(format!("event '{}': {e}", self.tag))
+    }
+
+    /// Member `key`, or `default` when the line lacks it (a schema
+    /// addendum older traces predate).
+    fn read<T: FromMember>(&mut self, key: &str, default: Option<T>) -> Result<T, CoreError> {
+        let value = match default {
+            None => self.members.take(key),
+            Some(default) => self.members.take_opt(key).map(|v| v.unwrap_or(default)),
+        };
+        value.map_err(|e| self.error(e))
+    }
+
     /// A number; trace floats spell NaN as `null` (see [`fmt_float`]).
-    fn number(&self, key: &str) -> Result<f64, CoreError> {
-        match self.doc.get(key) {
-            Some(Json::Num(x)) => Ok(*x),
-            Some(Json::Null) => Ok(f64::NAN),
-            _ => Err(self.missing("numeric field", key)),
-        }
+    fn float(&mut self, key: &str, default: Option<f64>) -> Result<f64, CoreError> {
+        Ok(self.read(key, default.map(Some))?.unwrap_or(f64::NAN))
     }
 
     /// A string the writer could have written: an escape-free tag.
-    fn tag(&self, key: &str) -> Result<String, CoreError> {
-        match self.doc.get(key).and_then(Json::as_str) {
-            Some(v) if is_tag(v) => Ok(v.to_owned()),
-            Some(_) => Err(CoreError::Trace(format!(
-                "event '{}': string field '{key}' is not an escape-free tag",
-                self.tag
-            ))),
-            None => Err(self.missing("string field", key)),
+    fn tag(&mut self, key: &str, default: Option<String>) -> Result<String, CoreError> {
+        let value: String = self.read(key, default)?;
+        if is_tag(&value) {
+            Ok(value)
+        } else {
+            Err(self.error(format_args!(
+                "string field '{key}' is not an escape-free tag"
+            )))
         }
-    }
-
-    fn list(&self, key: &str) -> Result<Vec<u64>, CoreError> {
-        self.doc
-            .get(key)
-            .and_then(Json::as_array)
-            .and_then(|items| items.iter().map(|x| Some(x.as_f64()? as u64)).collect())
-            .ok_or_else(|| CoreError::Trace(format!("{}: missing '{key}' array", self.tag)))
-    }
-
-    fn missing(&self, what: &str, key: &str) -> CoreError {
-        CoreError::Trace(format!("event '{}': missing {what} '{key}'", self.tag))
     }
 }
 
@@ -687,26 +679,21 @@ impl TraceReader<io::BufReader<File>> {
 /// # Errors
 ///
 /// Returns [`CoreError::Trace`] on a foreign or malformed header, or
-/// a schema version newer than [`SCHEMA_VERSION`] (forward
-/// compatibility is rejected, not guessed at).
+/// a schema that is not an integer from 1 to [`SCHEMA_VERSION`]
+/// (forward compatibility is rejected, not guessed at).
 pub fn parse_header(line: &str) -> Result<u32, CoreError> {
-    let header = parse_line(line)?;
-    if header.get("trace").and_then(Json::as_str) != Some("fupermod") {
-        return Err(CoreError::Trace(
-            "not a fupermod trace (missing header line)".to_owned(),
-        ));
+    let not_a_trace = || CoreError::Trace("not a fupermod trace (missing header line)".to_owned());
+    let mut header = Members::new(parse_line(line)?).map_err(|_| not_a_trace())?;
+    if header.take_opt::<String>("trace").ok().flatten().as_deref() != Some("fupermod") {
+        return Err(not_a_trace());
     }
-    let schema = header
-        .get("schema")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| CoreError::Trace("header missing schema version".to_owned()))?
-        as u32;
-    if schema > SCHEMA_VERSION {
-        return Err(CoreError::Trace(format!(
-            "trace schema {schema} is newer than supported {SCHEMA_VERSION}"
-        )));
+    match header.take("schema") {
+        Ok(schema @ 1..=SCHEMA_VERSION) => Ok(schema),
+        Ok(schema) => Err(CoreError::Trace(format!(
+            "trace schema {schema} is not one this build reads (1 to {SCHEMA_VERSION})"
+        ))),
+        Err(e) => Err(CoreError::Trace(format!("trace header: {e}"))),
     }
-    Ok(schema)
 }
 
 impl<R: BufRead> TraceReader<R> {
@@ -1121,6 +1108,57 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
+    }
+
+    /// `comm` with a Lamport stamp the reader cannot take back.
+    fn comm_stamped(lamport: u64, gen: u64) -> TraceEvent {
+        TraceEvent::Comm {
+            rank: 1,
+            op: "send".to_owned(),
+            peer: -1,
+            bytes: (1 << 53) - 1,
+            seconds: f64::NAN,
+            algorithm: "direct".to_owned(),
+            rounds: 1,
+            lamport,
+            gen,
+        }
+    }
+
+    #[test]
+    fn counts_are_written_whole_and_read_back_only_below_2_pow_53() {
+        let line = comm_stamped(u64::MAX, 0).to_jsonl();
+        assert_eq!(
+            line,
+            "{\"event\":\"comm\",\"rank\":1,\"op\":\"send\",\"peer\":-1,\
+             \"bytes\":9007199254740991,\"seconds\":null,\"algorithm\":\"direct\",\
+             \"rounds\":1,\"lamport\":18446744073709551615,\"gen\":0}"
+        );
+        let err = TraceEvent::from_jsonl(&line).unwrap_err().to_string();
+        assert!(err.contains("event 'comm': field 'lamport' must be"), "{err}");
+
+        let line = comm_stamped(0, u64::MAX).to_jsonl();
+        assert!(line.ends_with(",\"lamport\":0,\"gen\":18446744073709551615}"), "{line}");
+        let err = TraceEvent::from_jsonl(&line).unwrap_err().to_string();
+        assert!(err.contains("field 'gen' must be"), "{err}");
+
+        let metrics = TraceEvent::Metrics {
+            rank: 0,
+            scope: "served_requests_total".to_owned(),
+            count: u64::MAX,
+            sum: 0.0,
+            buckets: Vec::new(),
+            kind: "counter".to_owned(),
+            labels: String::new(),
+        };
+        let line = metrics.to_jsonl();
+        assert!(line.contains(",\"count\":18446744073709551615,"), "{line}");
+        let err = TraceEvent::from_jsonl(&line).unwrap_err().to_string();
+        assert!(err.contains("field 'count' must be"), "{err}");
+
+        let below = comm_stamped((1 << 53) - 1, (1 << 53) - 1);
+        let line = below.to_jsonl();
+        assert_eq!(TraceEvent::from_jsonl(&line).unwrap().to_jsonl(), line);
     }
 
     #[test]

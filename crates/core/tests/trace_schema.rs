@@ -4,7 +4,9 @@
 //! * hostile lines: every prefix and every single-bit flip of every
 //!   line of the v1–v4 fixtures decodes to `Ok` or a trace error,
 //!   never a panic, and an `Ok` re-encodes to a line that decodes to
-//!   the same encoding;
+//!   the same encoding; the same mutations of the four header lines
+//!   are `Ok` exactly when they declare an integer schema from 1 to
+//!   [`SCHEMA_VERSION`]; random bytes and a million-item list return;
 //! * missing fields: deleting one member of a v4 fixture event is an
 //!   error naming it, unless the field declares a reader default, in
 //!   which case the event decodes with that default;
@@ -12,8 +14,9 @@
 //!   declared keys in declaration order.
 
 use fupermod_core::json::Json;
-use fupermod_core::trace::{TraceEvent, EVENT_FIELDS};
+use fupermod_core::trace::{parse_header, TraceEvent, EVENT_FIELDS, SCHEMA_VERSION};
 use fupermod_core::CoreError;
+use proptest::prelude::*;
 
 const FIXTURES: [&str; 4] = [
     include_str!("fixtures/trace_v1.jsonl"),
@@ -62,6 +65,95 @@ fn prefixes_and_bit_flips_of_fixture_lines_never_panic() {
     assert!(decoded > 20_000, "only {decoded} lines decoded");
 }
 
+/// The schema `line` declares when it is a header by the independent
+/// reading: an object whose first `trace` is `"fupermod"` and whose
+/// first `schema` is a number equal to an integer from 1 to
+/// [`SCHEMA_VERSION`].
+fn declared_schema(line: &str) -> Option<u32> {
+    let doc = Json::parse(line).ok()?;
+    let members = doc.as_object()?;
+    let first = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    if first("trace")?.as_str()? != "fupermod" {
+        return None;
+    }
+    let schema = first("schema")?.as_f64()?;
+    (1..=SCHEMA_VERSION).find(|&v| f64::from(v) == schema)
+}
+
+fn header_checked(line: &str) {
+    match (parse_header(line), declared_schema(line)) {
+        (Ok(got), Some(want)) => assert_eq!(got, want, "{line:?}"),
+        (Err(CoreError::Trace(_)), None) => {}
+        (got, want) => panic!("{line:?}: parse_header gave {got:?}, the line declares {want:?}"),
+    }
+}
+
+#[test]
+fn header_prefixes_and_bit_flips_declare_a_schema_or_fail() {
+    let mut accepted = 0;
+    for header in FIXTURES.iter().map(|f| f.lines().next().unwrap()) {
+        let bytes = header.as_bytes();
+        for end in 0..=bytes.len() {
+            if let Ok(prefix) = std::str::from_utf8(&bytes[..end]) {
+                header_checked(prefix);
+            }
+        }
+        let mut flipped = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                if let Ok(text) = std::str::from_utf8(&flipped) {
+                    header_checked(text);
+                    accepted += usize::from(parse_header(text).is_ok());
+                }
+                flipped[at] ^= 1 << bit;
+            }
+        }
+    }
+    // Flips inside the schema digit move it between 1..=4 and beyond,
+    // and whitespace-like flips elsewhere keep a header a header.
+    assert!(accepted > 0);
+    for schema in ["0", "-3", "2.9", "5", "1e300", "4294967297", "\"4\"", "null"] {
+        let line = format!("{{\"trace\":\"fupermod\",\"schema\":{schema}}}");
+        assert!(matches!(parse_header(&line), Err(CoreError::Trace(_))), "{line}");
+    }
+    assert_eq!(parse_header(r#"{"trace":"fupermod","schema":4e0}"#).unwrap(), 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Arbitrary bytes as an event line and as a header: `Ok` or a
+    /// trace error, never a panic.
+    #[test]
+    fn random_byte_lines_return(bytes in proptest::collection::vec(0u8..=255, 0..128)) {
+        let line = String::from_utf8_lossy(&bytes);
+        decode_checked(&line);
+        header_checked(&line);
+    }
+}
+
+/// A `partition_step` naming a million processes decodes; one item out
+/// of range at its end is an error naming the list.
+#[test]
+fn a_million_item_list_decodes_or_errs() {
+    let dist = |last: &str| {
+        let items = "1,".repeat(999_999) + last;
+        format!(r#"{{"event":"partition_step","iter":1,"dist":[{items}],"imbalance":0,"units_moved":0}}"#)
+    };
+    match TraceEvent::from_jsonl(&dist("7")).unwrap() {
+        TraceEvent::PartitionStep { dist, .. } => {
+            assert_eq!(dist.len(), 1_000_000);
+            assert_eq!(dist[999_999], 7);
+        }
+        other => panic!("{other:?}"),
+    }
+    for last in ["-1", "1e300", "0.5", "\"x\""] {
+        let err = TraceEvent::from_jsonl(&dist(last)).unwrap_err().to_string();
+        assert!(err.contains("'dist'"), "{last}: {err}");
+    }
+}
+
 /// A string the writer could not write between quotes is an error,
 /// not an event whose encoding would break the line.
 #[test]
@@ -75,6 +167,26 @@ fn escaped_tags_are_errors() {
             err.contains("'kind' is not an escape-free tag"),
             "{tag}: {err}"
         );
+    }
+}
+
+/// A reader default stands in for a field the line lacks, not for one
+/// that is there and does not read (which used to take the default).
+#[test]
+fn a_defaulted_field_that_does_not_read_is_an_error() {
+    let comm = |member: &str| {
+        format!(r#"{{"event":"comm","rank":0,"op":"send","peer":1,"bytes":8,"seconds":0.5,{member}}}"#)
+    };
+    for (member, key) in [
+        (r#""algorithm":"a\"b""#, "algorithm"),
+        (r#""algorithm":7"#, "algorithm"),
+        (r#""rounds":"x""#, "rounds"),
+        (r#""rounds":null"#, "rounds"),
+        (r#""lamport":-1"#, "lamport"),
+        (r#""gen":1.5"#, "gen"),
+    ] {
+        let err = TraceEvent::from_jsonl(&comm(member)).unwrap_err().to_string();
+        assert!(err.contains(&format!("'{key}'")), "{member}: {err}");
     }
 }
 

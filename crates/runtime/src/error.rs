@@ -4,6 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
+use fupermod_core::json::MemberError;
 use fupermod_platform::PlatformError;
 
 /// Error type of the `fupermod-runtime` message-passing layer.
@@ -146,6 +147,14 @@ impl Error for RuntimeError {
             RuntimeError::Platform(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// A fault plan's member that did not read: JSON reaches the runtime
+/// only as a fault plan.
+impl From<MemberError> for RuntimeError {
+    fn from(e: MemberError) -> Self {
+        RuntimeError::InvalidPlan(e.to_string())
     }
 }
 

@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 
-use fupermod_core::json::Json;
+use fupermod_core::json::{Json, Members};
 
 use crate::error::RuntimeError;
 
@@ -185,58 +185,91 @@ impl FaultPlan {
     }
 
     /// Parses a plan from its JSON form (see `docs/RUNTIME.md` for the
-    /// schema; unknown keys are rejected so typos fail fast).
+    /// schema; unknown and repeated keys are rejected so typos fail
+    /// fast, and ranks and counts are integers under the rule of
+    /// [`fupermod_core::json::Members`]).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidPlan`] on malformed JSON,
-    /// unknown keys, or out-of-range values.
+    /// unknown or repeated keys, or out-of-range values.
     pub fn from_json(text: &str) -> Result<Self, RuntimeError> {
         let value = Json::parse(text).map_err(|e| RuntimeError::InvalidPlan(e.to_string()))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| RuntimeError::InvalidPlan("top level must be an object".to_owned()))?;
-        let mut plan = FaultPlan::default();
-        for (key, v) in obj {
-            match key.as_str() {
-                "deadline" => {
-                    let d = seconds(v, "deadline")?;
-                    if d <= 0.0 {
-                        return Err(bad("deadline must be positive"));
-                    }
-                    // Every operation is timed against `now + deadline`.
-                    if Instant::now()
-                        .checked_add(Duration::from_secs_f64(d))
-                        .is_none()
-                    {
-                        return Err(bad("deadline is past the clock's range"));
-                    }
-                    plan.deadline = Some(d);
-                }
-                "delays" => {
-                    for item in arr(v, "delays")? {
-                        plan.delays.push(parse_delay(item)?);
-                    }
-                }
-                "drops" => {
-                    for item in arr(v, "drops")? {
-                        plan.drops.push(parse_drop(item)?);
-                    }
-                }
-                "stragglers" => {
-                    for item in arr(v, "stragglers")? {
-                        plan.stragglers.push(parse_straggler(item)?);
-                    }
-                }
-                "deaths" => {
-                    for item in arr(v, "deaths")? {
-                        plan.deaths.push(parse_death(item)?);
-                    }
-                }
-                other => return Err(bad(&format!("unknown key '{other}'"))),
+        let mut plan = Members::new(value).map_err(|_| bad("top level must be an object"))?;
+        plan.only(&["deadline", "delays", "drops", "stragglers", "deaths"])?;
+        let deadline = plan
+            .take_opt("deadline")?
+            .map(|d| seconds("deadline", d))
+            .transpose()?;
+        if let Some(d) = deadline {
+            if d <= 0.0 {
+                return Err(bad("deadline must be positive"));
+            }
+            // Every operation is timed against `now + deadline`.
+            if Instant::now()
+                .checked_add(Duration::from_secs_f64(d))
+                .is_none()
+            {
+                return Err(bad("deadline is past the clock's range"));
             }
         }
-        Ok(plan)
+        Ok(FaultPlan {
+            deadline,
+            delays: rules(
+                &mut plan,
+                "delays",
+                &["src", "dst", "every", "seconds"],
+                |r| {
+                    Ok(DelayRule {
+                        seconds: seconds("seconds", r.take("seconds")?)?,
+                        src: r.take_opt("src")?,
+                        dst: r.take_opt("dst")?,
+                        every: every(r)?,
+                    })
+                },
+            )?,
+            drops: rules(
+                &mut plan,
+                "drops",
+                &["src", "dst", "every", "max_retries", "backoff_seconds"],
+                |r| {
+                    Ok(DropRule {
+                        max_retries: r.take_opt("max_retries")?.unwrap_or(3),
+                        backoff_seconds: r
+                            .take_opt("backoff_seconds")?
+                            .map_or(Ok(1e-3), |x| seconds("backoff_seconds", x))?,
+                        src: r.take_opt("src")?,
+                        dst: r.take_opt("dst")?,
+                        every: every(r)?,
+                    })
+                },
+            )?,
+            stragglers: rules(
+                &mut plan,
+                "stragglers",
+                &["rank", "comm_seconds", "compute_factor"],
+                |r| {
+                    let comm_seconds = r
+                        .take_opt("comm_seconds")?
+                        .map_or(Ok(0.0), |x| seconds("comm_seconds", x))?;
+                    let compute_factor: f64 = r.take_opt("compute_factor")?.unwrap_or(1.0);
+                    if compute_factor.is_nan() || compute_factor <= 0.0 {
+                        return Err(bad("straggler needs compute_factor > 0"));
+                    }
+                    Ok(StragglerRule {
+                        rank: r.take("rank")?,
+                        comm_seconds,
+                        compute_factor,
+                    })
+                },
+            )?,
+            deaths: rules(&mut plan, "deaths", &["rank", "after_ops"], |r| {
+                Ok(DeathRule {
+                    rank: r.take("rank")?,
+                    after_ops: r.take("after_ops")?,
+                })
+            })?,
+        })
     }
 
     /// Reads and parses a plan from a JSON file.
@@ -261,17 +294,11 @@ fn bad(msg: &str) -> RuntimeError {
     RuntimeError::InvalidPlan(msg.to_owned())
 }
 
-fn num(v: &Json, what: &str) -> Result<f64, RuntimeError> {
-    v.as_f64()
-        .ok_or_else(|| bad(&format!("'{what}' must be a number")))
-}
-
 /// A number of seconds the runtime turns into a [`Duration`]: not
 /// negative, not NaN and not above `Duration::MAX` (≈ 1.8·10¹⁹ s). The
 /// JSON reader reads `1e999` as `+∞`, which would pass a sign check and
 /// panic the run at its first conversion.
-fn seconds(v: &Json, what: &str) -> Result<f64, RuntimeError> {
-    let x = num(v, what)?;
+fn seconds(what: &str, x: f64) -> Result<f64, RuntimeError> {
     match Duration::try_from_secs_f64(x) {
         Ok(_) => Ok(x),
         Err(_) => Err(bad(&format!(
@@ -281,124 +308,37 @@ fn seconds(v: &Json, what: &str) -> Result<f64, RuntimeError> {
     }
 }
 
-fn arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], RuntimeError> {
-    v.as_array()
-        .ok_or_else(|| bad(&format!("'{what}' must be an array")))
-}
-
-fn index(v: &Json, what: &str) -> Result<usize, RuntimeError> {
-    let x = num(v, what)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(bad(&format!("'{what}' must be a non-negative integer")));
-    }
-    Ok(x as usize)
-}
-
-struct Fields<'a> {
-    obj: &'a [(String, Json)],
-    what: &'static str,
-}
-
-impl<'a> Fields<'a> {
-    fn new(v: &'a Json, what: &'static str) -> Result<Self, RuntimeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| bad(&format!("each '{what}' rule must be an object")))?;
-        Ok(Self { obj, what })
-    }
-    fn get(&self, key: &str) -> Option<&'a Json> {
-        self.obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    fn require(&self, key: &str) -> Result<&'a Json, RuntimeError> {
-        self.get(key)
-            .ok_or_else(|| bad(&format!("'{}' rule missing '{key}'", self.what)))
-    }
-    fn check_keys(&self, allowed: &[&str]) -> Result<(), RuntimeError> {
-        for (k, _) in self.obj {
-            if !allowed.contains(&k.as_str()) {
-                return Err(bad(&format!("'{}' rule has unknown key '{k}'", self.what)));
-            }
-        }
-        Ok(())
+/// A rule's `every` (default 1, and never 0).
+fn every(rule: &mut Members) -> Result<u64, RuntimeError> {
+    match rule.take_opt("every")?.unwrap_or(1) {
+        0 => Err(bad("'every' must be >= 1")),
+        every => Ok(every),
     }
 }
 
-fn parse_endpoint(f: &Fields<'_>, key: &'static str) -> Result<Option<usize>, RuntimeError> {
-    f.get(key).map(|v| index(v, key)).transpose()
-}
-
-fn parse_every(f: &Fields<'_>) -> Result<u64, RuntimeError> {
-    let every = f.get("every").map(|v| index(v, "every")).transpose()?;
-    let every = every.unwrap_or(1) as u64;
-    if every == 0 {
-        return Err(bad("'every' must be >= 1"));
-    }
-    Ok(every)
-}
-
-fn parse_delay(v: &Json) -> Result<DelayRule, RuntimeError> {
-    let f = Fields::new(v, "delays")?;
-    f.check_keys(&["src", "dst", "every", "seconds"])?;
-    Ok(DelayRule {
-        seconds: seconds(f.require("seconds")?, "seconds")?,
-        src: parse_endpoint(&f, "src")?,
-        dst: parse_endpoint(&f, "dst")?,
-        every: parse_every(&f)?,
-    })
-}
-
-fn parse_drop(v: &Json) -> Result<DropRule, RuntimeError> {
-    let f = Fields::new(v, "drops")?;
-    f.check_keys(&["src", "dst", "every", "max_retries", "backoff_seconds"])?;
-    let max_retries = f
-        .get("max_retries")
-        .map(|v| index(v, "max_retries"))
-        .transpose()?
-        .unwrap_or(3) as u32;
-    let backoff_seconds = f
-        .get("backoff_seconds")
-        .map(|v| seconds(v, "backoff_seconds"))
-        .transpose()?
-        .unwrap_or(1e-3);
-    Ok(DropRule {
-        src: parse_endpoint(&f, "src")?,
-        dst: parse_endpoint(&f, "dst")?,
-        every: parse_every(&f)?,
-        max_retries,
-        backoff_seconds,
-    })
-}
-
-fn parse_straggler(v: &Json) -> Result<StragglerRule, RuntimeError> {
-    let f = Fields::new(v, "stragglers")?;
-    f.check_keys(&["rank", "comm_seconds", "compute_factor"])?;
-    let comm_seconds = f
-        .get("comm_seconds")
-        .map(|v| seconds(v, "comm_seconds"))
-        .transpose()?
-        .unwrap_or(0.0);
-    let compute_factor = f
-        .get("compute_factor")
-        .map(|v| num(v, "compute_factor"))
-        .transpose()?
-        .unwrap_or(1.0);
-    if compute_factor.is_nan() || compute_factor <= 0.0 {
-        return Err(bad("straggler needs compute_factor > 0"));
-    }
-    Ok(StragglerRule {
-        rank: index(f.require("rank")?, "rank")?,
-        comm_seconds,
-        compute_factor,
-    })
-}
-
-fn parse_death(v: &Json) -> Result<DeathRule, RuntimeError> {
-    let f = Fields::new(v, "deaths")?;
-    f.check_keys(&["rank", "after_ops"])?;
-    Ok(DeathRule {
-        rank: index(f.require("rank")?, "rank")?,
-        after_ops: index(f.require("after_ops")?, "after_ops")? as u64,
-    })
+/// The rules under `key`: an array of objects, each with members from
+/// `allowed` only, read by `read`. Errors name the rule kind.
+fn rules<T>(
+    plan: &mut Members,
+    key: &str,
+    allowed: &[&str],
+    read: impl Fn(&mut Members) -> Result<T, RuntimeError>,
+) -> Result<Vec<T>, RuntimeError> {
+    let items: Vec<Json> = plan.take_opt(key)?.unwrap_or_default();
+    items
+        .into_iter()
+        .map(|item| {
+            let mut rule = Members::new(item)
+                .map_err(|_| bad(&format!("each '{key}' rule must be an object")))?;
+            rule.only(allowed)
+                .map_err(RuntimeError::from)
+                .and_then(|()| read(&mut rule))
+                .map_err(|e| match e {
+                    RuntimeError::InvalidPlan(msg) => bad(&format!("'{key}' rule: {msg}")),
+                    other => other,
+                })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -472,6 +412,46 @@ mod tests {
                 "accepted: {text}"
             );
         }
+    }
+
+    /// Counts and ranks the parent read through saturating or
+    /// wrapping casts: `max_retries` 2^32 was 0 retries, `1e300` was
+    /// `usize::MAX`, and 2^53 + 1 read as 2^53. Each is an error naming
+    /// the field.
+    #[test]
+    fn integers_out_of_range_are_rejected_not_cast() {
+        for (text, field) in [
+            (r#"{"drops": [{"max_retries": 4294967296}]}"#, "max_retries"),
+            (r#"{"drops": [{"max_retries": 4294967297}]}"#, "max_retries"),
+            (r#"{"stragglers": [{"rank": 1e300}]}"#, "rank"),
+            (r#"{"deaths": [{"rank": 1e300, "after_ops": 1}]}"#, "rank"),
+            (
+                r#"{"deaths": [{"rank": 1, "after_ops": 1e300}]}"#,
+                "after_ops",
+            ),
+            (r#"{"delays": [{"every": 1e300, "seconds": 0.1}]}"#, "every"),
+            (r#"{"drops": [{"src": 1e300}]}"#, "src"),
+            (
+                r#"{"deaths": [{"rank": 9007199254740993, "after_ops": 1}]}"#,
+                "rank",
+            ),
+            (r#"{"drops": [{"every": 2, "every": 3}]}"#, "every"),
+        ] {
+            match FaultPlan::from_json(text) {
+                Err(RuntimeError::InvalidPlan(msg)) => {
+                    assert!(msg.contains(&format!("'{field}'")), "{text}: {msg}")
+                }
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+        // The largest of each still reads as written.
+        let plan = FaultPlan::from_json(
+            r#"{"drops": [{"max_retries": 4294967295}], "deaths": [{"rank": 9007199254740991, "after_ops": 9007199254740991}]}"#,
+        )
+        .unwrap();
+        assert_eq!(plan.drops[0].max_retries, u32::MAX);
+        assert_eq!(plan.deaths[0].rank, (1 << 53) - 1);
+        assert_eq!(plan.deaths[0].after_ops, (1 << 53) - 1);
     }
 
     /// Rejects `template` with `HUGE` set to `1e999`, which the JSON

@@ -110,7 +110,7 @@ impl EventSim {
         RuntimeError::Timeout { op, rank, deadline }
     }
 
-    /// Pass 2 of a star fan-in: the collector's `collect_payloads`,
+    /// Pass 2 of a star fan-in: the collector's `ThreadedComm::fan_in`,
     /// consuming leaf send fates in ascending src order. Delivered
     /// contributions are marked `present`; the first exhausted sender
     /// starves the collector (later fates are left unconsumed, as the
@@ -354,7 +354,7 @@ impl EventSim {
                 fates[src] = Some(self.send_eval(op, src, hub));
             }
         }
-        // Pass 2 — the hub's collect_payloads, ascending src order.
+        // Pass 2 — the hub's `ThreadedComm::fan_in`, ascending src order.
         let mut present = vec![false; size];
         present[hub] = true;
         let hub_err = self.collect_fan_in(op, hub, &fates, &mut present);
@@ -1108,7 +1108,7 @@ impl EventSim {
                 fates[src] = Some(self.send_eval(op, src, hub));
             }
         }
-        // Pass 2 — the hub's collect_payloads, ascending src order.
+        // Pass 2 — the hub's `ThreadedComm::fan_in`, ascending src order.
         let mut present = vec![false; size];
         present[hub] = true;
         let hub_err = self.collect_fan_in(op, hub, &fates, &mut present);
@@ -1240,8 +1240,8 @@ impl EventSim {
 
     /// Strict gather (mirror of [`crate::Communicator::gatherv`]):
     /// the root additionally rejects any hole — after its `comm`
-    /// trace event, exactly like the thread backend's
-    /// post-`gather_impl` scan.
+    /// trace event, exactly like the thread backend's `gatherv`, whose
+    /// hole scan runs over what `gather_available` returned.
     pub fn gatherv<T: Wire + Clone>(
         &mut self,
         root: usize,
@@ -1300,7 +1300,7 @@ impl EventSim {
                 fates[src] = Some(self.send_eval(op, src, root));
             }
         }
-        // Pass 2 — the root's collect_payloads, ascending src order.
+        // Pass 2 — the root's `ThreadedComm::fan_in`, ascending src order.
         let mut present = vec![false; size];
         present[root] = true;
         let root_err = self.collect_fan_in(op, root, &fates, &mut present);

@@ -51,6 +51,7 @@ pub use store::{ModelStore, StoreConfig, StoreMetrics, StoreMetricsSnapshot};
 
 use std::fmt;
 
+use fupermod_core::json::MemberError;
 use fupermod_core::CoreError;
 
 /// Errors of the store and serving layer.
@@ -82,5 +83,11 @@ impl std::error::Error for StoreError {}
 impl From<CoreError> for StoreError {
     fn from(e: CoreError) -> Self {
         StoreError::Core(e)
+    }
+}
+
+impl From<MemberError> for StoreError {
+    fn from(e: MemberError) -> Self {
+        StoreError::Protocol(e.to_string())
     }
 }

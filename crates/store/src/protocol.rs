@@ -2,9 +2,10 @@
 //!
 //! One request object per line in, one response object per line out,
 //! over a plain TCP stream. Lines are read with the workspace's one
-//! JSON parser ([`fupermod_core::json`]: escapes decoded, unescaped
-//! control characters and lone surrogates rejected, nesting capped at
-//! 64); this module keeps only the typed field access. Floats are
+//! JSON parser and member reader ([`fupermod_core::json`]: escapes
+//! decoded, unescaped control characters and lone surrogates rejected,
+//! nesting capped at 64, integers read under one rule); this module
+//! keeps only the request shapes. Floats are
 //! emitted in [`fupermod_core::trace::fmt_float`]'s encoding, the
 //! repo-wide shortest round-trip one, so a value survives
 //! serve → parse → re-serve bit-exactly. Every response is written
@@ -28,7 +29,7 @@
 use std::fmt::{self, Display, Write};
 use std::sync::Arc;
 
-use fupermod_core::json::{quote, Json};
+use fupermod_core::json::{quote, Json, Members};
 use fupermod_core::model::Refresh;
 use fupermod_core::partition::{
     ConstantPartitioner, Distribution, EvenPartitioner, GeometricPartitioner,
@@ -104,30 +105,23 @@ impl Request {
 /// [`StoreError::Protocol`] on malformed JSON, unknown `op`, or
 /// missing/mistyped fields.
 pub fn parse_request(line: &str) -> Result<Request, StoreError> {
-    let mut fields = match Json::parse(line).map_err(|e| StoreError::Protocol(e.to_string()))? {
-        Json::Obj(fields) => fields,
-        other => {
-            return Err(StoreError::Protocol(format!(
-                "a request must be an object, got {}",
-                other.type_name()
-            )))
-        }
-    };
-    let fields = &mut fields;
-    let op = take_str(fields, "op")?;
+    let json = Json::parse(line).map_err(|e| StoreError::Protocol(e.to_string()))?;
+    let fields = &mut Members::new(json)
+        .map_err(|got| StoreError::Protocol(format!("a request must be an object, got {got}")))?;
+    let op: String = fields.take("op")?;
     match op.as_str() {
         "ingest" => Ok(Request::Ingest {
             key: key_of(fields)?,
-            d: take_u64(fields, "d")?,
-            t: take_f64(fields, "t")?,
+            d: fields.take("d")?,
+            t: fields.take("t")?,
         }),
         "ingest_point" => Ok(Request::IngestPoint {
             key: key_of(fields)?,
             point: Point {
-                d: take_u64(fields, "d")?,
-                t: take_f64(fields, "t")?,
-                reps: take_u32(fields, "reps")?,
-                ci: take_f64(fields, "ci")?,
+                d: fields.take("d")?,
+                t: fields.take("t")?,
+                reps: fields.take("reps")?,
+                ci: fields.take("ci")?,
             },
         }),
         "lookup" => Ok(Request::Lookup {
@@ -136,12 +130,12 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
         "partition" => {
             let mistyped =
                 || StoreError::Protocol("field 'fingerprints' must be an array of strings".to_owned());
-            let Json::Arr(fingerprints) = take(fields, "fingerprints")? else {
+            let Json::Arr(fingerprints) = fields.take("fingerprints")? else {
                 return Err(mistyped());
             };
             // One shared `kernel` and `config` for every member.
-            let kernel: Arc<str> = take_str(fields, "kernel")?.into();
-            let config: Arc<str> = take_str(fields, "config")?.into();
+            let kernel: Arc<str> = fields.take::<String>("kernel")?.into();
+            let config: Arc<str> = fields.take::<String>("config")?.into();
             let keys = fingerprints
                 .into_iter()
                 .map(|fp| match fp {
@@ -151,8 +145,8 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
                 .collect::<Result<_, _>>()?;
             Ok(Request::Partition {
                 keys,
-                total: take_u64(fields, "total")?,
-                algorithm: take_str(fields, "algorithm")?,
+                total: fields.take("total")?,
+                algorithm: fields.take("algorithm")?,
             })
         }
         "stats" => Ok(Request::Stats),
@@ -161,72 +155,11 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
     }
 }
 
-/// The members of a request object, in document order. The typed
-/// accessors below move each value out (a request reads a field
-/// once), so strings reach the [`Request`] without a copy.
-type Fields = Vec<(String, Json)>;
-
-fn take(fields: &mut Fields, key: &str) -> Result<Json, StoreError> {
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| std::mem::replace(v, Json::Null))
-        .ok_or_else(|| StoreError::Protocol(format!("missing field '{key}'")))
-}
-
-fn take_str(fields: &mut Fields, key: &str) -> Result<String, StoreError> {
-    match take(fields, key)? {
-        Json::Str(s) => Ok(s),
-        other => Err(StoreError::Protocol(format!(
-            "field '{key}' must be a string, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn take_f64(fields: &mut Fields, key: &str) -> Result<f64, StoreError> {
-    match take(fields, key)? {
-        Json::Num(v) => Ok(v),
-        other => Err(StoreError::Protocol(format!(
-            "field '{key}' must be a number, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-/// The reader hands numbers over as `f64`, which holds every integer
-/// below 2⁵³ exactly; from 2⁵³ on a written integer may have been
-/// rounded to a neighbour (2⁵³ + 1 reads as 2⁵³), so those are refused
-/// rather than silently moved.
-const INTEGER_LIMIT: f64 = (1u64 << 53) as f64;
-
-fn take_u64(fields: &mut Fields, key: &str) -> Result<u64, StoreError> {
-    let v = take_f64(fields, key)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(StoreError::Protocol(format!(
-            "field '{key}' must be a non-negative integer, got {v}"
-        )));
-    }
-    if v >= INTEGER_LIMIT {
-        return Err(StoreError::Protocol(format!(
-            "field '{key}' must be an integer below 2^53, got {v}"
-        )));
-    }
-    Ok(v as u64)
-}
-
-fn take_u32(fields: &mut Fields, key: &str) -> Result<u32, StoreError> {
-    let v = take_u64(fields, key)?;
-    u32::try_from(v).map_err(|_| {
-        StoreError::Protocol(format!("field '{key}' must be an integer below 2^32, got {v}"))
-    })
-}
-
-fn key_of(fields: &mut Fields) -> Result<StoreKey, StoreError> {
+fn key_of(fields: &mut Members) -> Result<StoreKey, StoreError> {
     Ok(StoreKey::new(
-        take_str(fields, "fingerprint")?,
-        take_str(fields, "kernel")?,
-        take_str(fields, "config")?,
+        fields.take::<String>("fingerprint")?,
+        fields.take::<String>("kernel")?,
+        fields.take::<String>("config")?,
     ))
 }
 

@@ -49,7 +49,7 @@ pub fn csv_row(event: &TraceEvent) -> String {
             .position(|name| name == key)
             .expect("every trace field has a CSV column");
         c[column] = match value {
-            FieldValue::Count(v) | FieldValue::Exact(v) => v.to_string(),
+            FieldValue::Count(v) => v.to_string(),
             FieldValue::Signed(v) => v.to_string(),
             FieldValue::Float(v) => fmt_float(v),
             FieldValue::Tag(v) => v.to_owned(),

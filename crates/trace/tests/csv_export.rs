@@ -86,3 +86,23 @@ fn the_documented_column_table_is_the_header_and_the_declaration() {
         assert_eq!(used_by, &declaring, "column {column}");
     }
 }
+
+#[test]
+fn counts_fill_their_cells_whole_over_the_u64_range() {
+    let comm = TraceEvent::Comm {
+        rank: 1,
+        op: "send".to_owned(),
+        peer: -1,
+        bytes: (1 << 53) - 1,
+        seconds: f64::NAN,
+        algorithm: "direct".to_owned(),
+        rounds: 1,
+        lamport: u64::MAX,
+        gen: u64::MAX,
+    };
+    assert_eq!(
+        csv_row(&comm),
+        "comm,,1,,,,,,,,,,,,,,,,send,,-1,9007199254740991,null,,direct,1,\
+         18446744073709551615,18446744073709551615,,,,,"
+    );
+}

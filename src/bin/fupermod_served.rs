@@ -48,7 +48,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use fupermod::cli;
-use fupermod::core::json::{quote, Json};
+use fupermod::core::json::{quote, FromMember, Json, Members};
 use fupermod::core::model::io;
 use fupermod::core::trace::fmt_float;
 use fupermod::store::http::{http_get, serve_http};
@@ -156,7 +156,7 @@ fn connect(args: &cli::Args) -> Client {
 
 /// Sends one line and parses the response object, exiting non-zero on
 /// transport errors or an `"ok": false` response.
-fn exchange(client: &mut Client, line: &str) -> Json {
+fn exchange(client: &mut Client, line: &str) -> Members {
     let response = client.request(line).unwrap_or_else(|e| {
         eprintln!("request failed: {e}");
         std::process::exit(1);
@@ -172,27 +172,16 @@ fn exchange(client: &mut Client, line: &str) -> Json {
         }
         std::process::exit(1);
     }
-    fields
+    Members::new(fields).expect("a response with an `ok` member is an object")
 }
 
-fn mistyped(key: &str, found: Option<&Json>) -> ! {
-    eprintln!("response field '{key}' missing or mistyped: {found:?}");
-    std::process::exit(1);
-}
-
-fn nums(fields: &Json, key: &str) -> Vec<f64> {
-    let found = fields.get(key);
-    found
-        .and_then(Json::as_array)
-        .and_then(|items| items.iter().map(Json::as_f64).collect())
-        .unwrap_or_else(|| mistyped(key, found))
-}
-
-fn num(fields: &Json, key: &str) -> f64 {
-    let found = fields.get(key);
-    found
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| mistyped(key, found))
+/// Response member `key` as a `T`, exiting non-zero when it is missing
+/// or mistyped.
+fn field<T: FromMember>(fields: &mut Members, key: &str) -> T {
+    fields.take(key).unwrap_or_else(|e| {
+        eprintln!("bad response: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn key_fields(args: &cli::Args, fingerprint: &str) -> String {
@@ -215,7 +204,7 @@ fn run_ingest(client: &mut Client, args: &cli::Args) {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let mut epoch = 0.0;
+    let mut epoch: u64 = 0;
     for p in &points {
         // Aggregated file points go through the merge-semantics path,
         // which absorbs them exactly like `io::load_into_model` feeds a
@@ -229,8 +218,7 @@ fn run_ingest(client: &mut Client, args: &cli::Args) {
             p.reps,
             fmt_float(p.ci),
         );
-        let fields = exchange(client, &line);
-        epoch = num(&fields, "epoch");
+        epoch = field(&mut exchange(client, &line), "epoch");
     }
     println!(
         "ingested {} points from {path} into {fingerprint} (epoch {epoch})",
@@ -253,22 +241,22 @@ fn run_partition(client: &mut Client, args: &cli::Args) {
         quote(args.get_or("config", "default")),
         quote(algorithm),
     );
-    let fields = exchange(client, &line);
-    let ds = nums(&fields, "ds");
-    let ts = nums(&fields, "ts");
-    let cached = fields.get("cached") == Some(&Json::Bool(true));
+    let mut fields = exchange(client, &line);
+    let cached: bool = fields.take_opt::<Json>("cached").ok().flatten() == Some(Json::Bool(true));
+    let ds: Vec<u64> = field(&mut fields, "ds");
+    let ts: Vec<f64> = field(&mut fields, "ts");
+    let makespan: f64 = field(&mut fields, "makespan");
+    let imbalance: f64 = field(&mut fields, "imbalance");
 
     // Exactly fupermod_partitioner's output (fingerprints stand in for
     // the model file names), so the two are byte-diffable.
     println!("# rank  file  d  predicted_t");
     for (rank, (fp, (d, t))) in fingerprints.iter().zip(ds.iter().zip(&ts)).enumerate() {
-        println!("{rank} {fp} {} {t:.6}", *d as u64);
+        println!("{rank} {fp} {d} {t:.6}");
     }
     println!(
-        "# total {} / predicted makespan {:.6} s / predicted imbalance {:.4}",
-        ds.iter().map(|d| *d as u64).sum::<u64>(),
-        num(&fields, "makespan"),
-        num(&fields, "imbalance"),
+        "# total {} / predicted makespan {makespan:.6} s / predicted imbalance {imbalance:.4}",
+        ds.iter().sum::<u64>(),
     );
     eprintln!("plan cache: {}", if cached { "hit" } else { "miss" });
 }
@@ -276,32 +264,32 @@ fn run_partition(client: &mut Client, args: &cli::Args) {
 fn run_lookup(client: &mut Client, args: &cli::Args) {
     let fingerprint: String = args.required("fingerprint");
     let line = format!("{{\"op\":\"lookup\",{}}}", key_fields(args, &fingerprint));
-    let fields = exchange(client, &line);
-    let ds = nums(&fields, "ds");
-    let ts = nums(&fields, "ts");
-    let reps = nums(&fields, "reps");
-    let cis = nums(&fields, "cis");
-    println!("# epoch {}", num(&fields, "epoch"));
+    let mut fields = exchange(client, &line);
+    let epoch: u64 = field(&mut fields, "epoch");
+    let ds: Vec<u64> = field(&mut fields, "ds");
+    let ts: Vec<f64> = field(&mut fields, "ts");
+    let reps: Vec<u32> = field(&mut fields, "reps");
+    let cis: Vec<f64> = field(&mut fields, "cis");
+    println!("# epoch {epoch}");
     println!("# d  t  reps  ci");
     for i in 0..ds.len() {
         println!(
             "{} {} {} {}",
-            ds[i] as u64,
+            ds[i],
             fmt_float(ts[i]),
-            reps[i] as u64,
+            reps[i],
             fmt_float(cis[i])
         );
     }
 }
 
 fn run_stats(client: &mut Client) {
-    let fields = exchange(client, r#"{"op":"stats"}"#);
-    for (k, v) in fields.as_object().unwrap_or_default() {
+    for (k, v) in exchange(client, r#"{"op":"stats"}"#) {
         if k == "ok" {
             continue;
         }
         match v {
-            Json::Num(n) => println!("{k} {}", fmt_float(*n)),
+            Json::Num(n) => println!("{k} {}", fmt_float(n)),
             other => println!("{k} {other:?}"),
         }
     }

@@ -324,17 +324,20 @@ fn a_flag_without_its_value_exits_2() {
 
 /// A rank of `1e15` made every tracetool subcommand size a per-rank
 /// vector by it and abort on the allocation (exit 134); `1e300`
-/// saturates to `usize::MAX`, whose `+ 1` wrapped into an index panic
-/// (exit 101). Per-rank state is keyed by rank, so both are one event.
+/// saturated to `usize::MAX`, whose `+ 1` wrapped into an index panic
+/// (exit 101). Per-rank state is keyed by rank, so `1e15` is one event;
+/// `1e300` is not an integer the reader can hold exactly, so it is a
+/// one-line error naming the field.
 #[test]
 fn tracetool_survives_a_huge_rank() {
     let dir = temp_dir("huge-rank");
-    // The rank as written, as JSONL spells it back (through f64), and
-    // as the report and CSV print it (the integer).
-    for (rank, jsonl, integer) in [
-        ("1e15", "\"rank\":1000000000000000,", "1000000000000000"),
-        ("1e300", "\"rank\":18446744073709552000,", "18446744073709551615"),
-    ] {
+    const COMMANDS: [&[&str]; 4] = [
+        &["merge"],
+        &["tail", "--idle-exit", "0", "--stats-every", "0"],
+        &["report"],
+        &["export", "--format", "csv"],
+    ];
+    for rank in ["1e15", "1e300"] {
         let trace = dir.join(format!("rank{rank}.trace.jsonl"));
         std::fs::write(
             &trace,
@@ -344,12 +347,7 @@ fn tracetool_survives_a_huge_rank() {
             ),
         )
         .unwrap();
-        for (command, printed) in [
-            (&["merge"][..], jsonl),
-            (&["tail", "--idle-exit", "0", "--stats-every", "0"], jsonl),
-            (&["report"], integer),
-            (&["export", "--format", "csv"], integer),
-        ] {
+        for command in COMMANDS {
             let out = Command::new(env!("CARGO_BIN_EXE_fupermod_tracetool"))
                 .args(command)
                 .arg(&trace)
@@ -357,10 +355,52 @@ fn tracetool_survives_a_huge_rank() {
                 .expect("tracetool failed to launch");
             let stdout = String::from_utf8_lossy(&out.stdout);
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(0), "{command:?} rank {rank}: {stderr}");
             assert!(!stderr.contains("panicked") && !stderr.contains("backtrace"), "{stderr}");
-            assert!(stdout.contains(printed), "{command:?} rank {rank}: {stdout}");
+            if rank == "1e15" {
+                // As JSONL spells it back (through f64), and as the
+                // report and CSV print it (the integer): the same here.
+                assert_eq!(out.status.code(), Some(0), "{command:?} rank {rank}: {stderr}");
+                assert!(stdout.contains("1000000000000000"), "{command:?}: {stdout}");
+            } else {
+                assert_eq!(out.status.code(), Some(1), "{command:?} rank {rank}: {stdout}");
+                assert!(stderr.contains("field 'rank'"), "{command:?}: {stderr}");
+                assert!(!stdout.contains("model_update"), "{command:?}: {stdout}");
+            }
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Numbers the trace reader used to cast into something else: a
+/// negative or fractional count became 0 or its floor, `1e300` in a
+/// list became `u64::MAX`, and a header's schema `-3`, `0`, `2.9` and
+/// `1e300` read as 0, 0, 2 and `u32::MAX`. `merge` printed the
+/// rewritten events and exited 0; each is now an error.
+#[test]
+fn tracetool_merge_rejects_numbers_it_used_to_rewrite() {
+    let dir = temp_dir("coerced");
+    let header = |schema: &str| format!("{{\"trace\":\"fupermod\",\"schema\":{schema}}}\n");
+    let event = "{\"event\":\"dynamic_converged\",\"steps\":2,\"imbalance\":0.5}\n";
+    let mut traces = vec![
+        format!("{}{{\"event\":\"benchmark_sample\",\"rank\":-3,\"d\":2.5,\"rep\":-1,\"time\":0.5,\"ci_rel\":0.1}}\n", header("4")),
+        format!("{}{{\"event\":\"partition_step\",\"iter\":1,\"dist\":[-5,2.5,1e300],\"imbalance\":0,\"units_moved\":0}}\n", header("4")),
+    ];
+    traces.extend(["-3", "0", "2.9", "1e300"].map(|schema| header(schema) + event));
+    for (i, text) in traces.iter().enumerate() {
+        let trace = dir.join(format!("t{i}.trace.jsonl"));
+        std::fs::write(&trace, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_fupermod_tracetool"))
+            .arg("merge")
+            .arg(&trace)
+            .output()
+            .expect("tracetool failed to launch");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text}: {stdout}");
+        assert!(!stdout.contains("\"event\""), "{text}: {stdout}");
+        assert!(!stderr.contains("panicked") && !stderr.contains("backtrace"), "{stderr}");
+        assert!(stderr.contains("schema") || stderr.contains("field '"), "{text}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

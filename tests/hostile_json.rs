@@ -9,14 +9,19 @@
 //! nesting past [`MAX_DEPTH`] is an error that says so; and
 //! `parse(quote(s))` gives `s` back for every string.
 //!
-//! The second half pins behaviour across the parser consolidation:
+//! An integer member reads as the integer written or not at all:
+//! every integer member of every decoder, fed numbers at and past each
+//! edge of the one integer rule (`json::Members`), decodes to exactly
+//! the integer in the text or is an error naming the member.
+//!
+//! The last part pins behaviour across the parser consolidation:
 //! the accept/reject verdicts the per-module parsers of `e763e9a` gave
 //! on their own unit tests' inputs (`fixtures/*_verdicts.tsv`, written
 //! by that build) must be the verdicts of this one.
 
 use fupermod::core::json::{escape, quote, Json, MAX_DEPTH};
 use fupermod::core::trace::TraceEvent;
-use fupermod::runtime::FaultPlan;
+use fupermod::runtime::{FaultPlan, RuntimeError};
 use fupermod::store::protocol::{parse_request, Request};
 use proptest::prelude::*;
 
@@ -249,5 +254,120 @@ fn protocol_verdicts_are_the_parent_builds() {
     assert!(table.iter().any(|(ok, _)| *ok) && table.iter().any(|(ok, _)| !*ok));
     for (accept, input) in table {
         assert_eq!(parse_request(input).is_ok(), accept, "request {input:?}");
+    }
+}
+
+/// The numbers put into every integer member: the text, and the integer
+/// it writes when an integer member could hold it (`None`: it must be
+/// rejected). 2^53 + 1 reads as 2^53 and `1e300` as no integer at all.
+const DRAWN: [(&str, Option<i128>); 9] = [
+    ("-3", Some(-3)),
+    ("-0", Some(0)),
+    ("2.5", None),
+    ("1e2", Some(100)),
+    ("4294967295", Some((1 << 32) - 1)),
+    ("4294967296", Some(1 << 32)),
+    ("9007199254740991", Some((1 << 53) - 1)),
+    ("9007199254740993", Some((1 << 53) + 1)),
+    ("1e300", None),
+];
+
+/// `template` with its `N` replaced by each drawn number: the decoder
+/// either rejects it naming `key`, or `read` finds the integer written.
+fn each_drawn<T: std::fmt::Debug, E: ToString>(
+    template: &str,
+    key: &str,
+    decode: impl Fn(&str) -> Result<T, E>,
+    read: impl Fn(&T) -> i128,
+) {
+    assert!(decode(&template.replace('N', "1")).is_ok(), "template {template}");
+    for (text, written) in DRAWN {
+        let doc = template.replace('N', text);
+        match (decode(&doc), written) {
+            (Ok(got), Some(want)) => assert_eq!(read(&got), want, "{doc}"),
+            (Ok(got), None) => panic!("{doc}: accepted as {got:?}"),
+            (Err(e), _) => {
+                let e = e.to_string();
+                assert!(e.contains(&format!("'{key}'")), "{doc}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn protocol_integers_read_as_written_or_not_at_all() {
+    let ingest = r#"{"op":"ingest","fingerprint":"f","kernel":"k","config":"c","d":N,"t":0.5}"#;
+    each_drawn(ingest, "d", parse_request, |r| match r {
+        Request::Ingest { d, .. } => i128::from(*d),
+        other => panic!("{other:?}"),
+    });
+    let point = r#"{"op":"ingest_point","fingerprint":"f","kernel":"k","config":"c","d":D,"t":0.5,"reps":R,"ci":0}"#;
+    for (key, template) in [("d", point.replace('R', "3")), ("reps", point.replace('D', "3"))] {
+        each_drawn(&template.replace(['D', 'R'], "N"), key, parse_request, |r| match r {
+            Request::IngestPoint { point, .. } if key == "d" => i128::from(point.d),
+            Request::IngestPoint { point, .. } => i128::from(point.reps),
+            other => panic!("{other:?}"),
+        });
+    }
+    let partition = r#"{"op":"partition","fingerprints":["a"],"kernel":"k","config":"c","total":N,"algorithm":"even"}"#;
+    each_drawn(partition, "total", parse_request, |r| match r {
+        Request::Partition { total, .. } => i128::from(*total),
+        other => panic!("{other:?}"),
+    });
+}
+
+#[test]
+fn fault_plan_integers_read_as_written_or_not_at_all() {
+    type Read = fn(&FaultPlan) -> i128;
+    let cases: [(&str, &str, Read); 10] = [
+        (r#"{"delays":[{"src":N,"seconds":0.1}]}"#, "src", |p| p.delays[0].src.unwrap() as i128),
+        (r#"{"delays":[{"dst":N,"seconds":0.1}]}"#, "dst", |p| p.delays[0].dst.unwrap() as i128),
+        (r#"{"delays":[{"every":N,"seconds":0.1}]}"#, "every", |p| i128::from(p.delays[0].every)),
+        (r#"{"drops":[{"src":N}]}"#, "src", |p| p.drops[0].src.unwrap() as i128),
+        (r#"{"drops":[{"dst":N}]}"#, "dst", |p| p.drops[0].dst.unwrap() as i128),
+        (r#"{"drops":[{"every":N}]}"#, "every", |p| i128::from(p.drops[0].every)),
+        (r#"{"drops":[{"max_retries":N}]}"#, "max_retries", |p| i128::from(p.drops[0].max_retries)),
+        (r#"{"stragglers":[{"rank":N}]}"#, "rank", |p| p.stragglers[0].rank as i128),
+        (r#"{"deaths":[{"rank":N,"after_ops":1}]}"#, "rank", |p| p.deaths[0].rank as i128),
+        (r#"{"deaths":[{"rank":1,"after_ops":N}]}"#, "after_ops", |p| i128::from(p.deaths[0].after_ops)),
+    ];
+    for (template, key, read) in cases {
+        each_drawn(template, key, |text| FaultPlan::from_json(text).map_err(|e: RuntimeError| e.to_string()), read);
+    }
+}
+
+#[test]
+fn trace_integers_read_as_written_or_not_at_all() {
+    // One line per event kind, with its integer members (list items
+    // included) and nothing else.
+    let lines: [(&str, &[&str]); 8] = [
+        (r#"{"event":"benchmark_sample","rank":1,"d":2,"rep":3,"time":0.5,"ci_rel":0.1}"#, &["rank", "d", "rep"]),
+        (r#"{"event":"benchmark_done","rank":1,"d":2,"reps":3,"mean":0.5,"stderr":0.1,"elapsed":1.5,"outliers_rejected":4}"#, &["rank", "d", "reps", "outliers_rejected"]),
+        (r#"{"event":"model_update","rank":1,"d":2,"t":0.5,"reps":3,"points":4}"#, &["rank", "d", "reps", "points"]),
+        (r#"{"event":"partition_step","iter":1,"dist":[2],"imbalance":0.5,"units_moved":3}"#, &["iter", "dist", "units_moved"]),
+        (r#"{"event":"dynamic_converged","steps":1,"imbalance":0.5}"#, &["steps"]),
+        (r#"{"event":"comm","rank":1,"op":"send","peer":2,"bytes":3,"seconds":0.5,"algorithm":"direct","rounds":4,"lamport":5,"gen":6}"#, &["rank", "peer", "bytes", "rounds", "lamport", "gen"]),
+        (r#"{"event":"fault","rank":1,"kind":"drop","peer":2,"attempt":3,"seconds":0.5}"#, &["rank", "peer", "attempt"]),
+        (r#"{"event":"metrics","rank":1,"scope":"s","count":2,"sum":0.5,"kind":"counter","labels":"","buckets":[3]}"#, &["rank", "count", "buckets"]),
+    ];
+    for (line, keys) in lines {
+        let doc = Json::parse(line).unwrap();
+        for &key in keys {
+            // `"key":V` (or `"key":[V]`) becomes `"key":N` (`"key":[N]`).
+            let value = match doc.get(key).unwrap() {
+                Json::Arr(items) => format!("[{}]", items[0].as_f64().unwrap()),
+                other => format!("{}", other.as_f64().unwrap()),
+            };
+            let template = line.replacen(&format!("\"{key}\":{value}"), &format!("\"{key}\":{}", value.replace(|c: char| c.is_ascii_digit(), "N")), 1);
+            assert_ne!(template, line, "{key}");
+            each_drawn(&template, key, TraceEvent::from_jsonl, |event| {
+                // The encoding writes every integer exactly, so the
+                // decoded value is the one re-read from it.
+                let encoded = Json::parse(&event.to_jsonl()).unwrap();
+                let value = encoded.get(key).unwrap();
+                let value = value.as_array().map_or(value, |items| &items[0]);
+                value.as_f64().unwrap() as i128
+            });
+        }
     }
 }
