@@ -12,7 +12,7 @@ run() {
 }
 
 run cargo build --workspace --release "${EXTRA[@]+"${EXTRA[@]}"}"
-run cargo test --workspace -q "${EXTRA[@]+"${EXTRA[@]}"}"
+run cargo test --workspace --exclude fupermod-runtime -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The criterion benches that remain (subjects the benchmark harness
 # has no per-layer row for — see docs/PERFORMANCE.md) must at least
 # compile.
@@ -48,7 +48,7 @@ run cargo test --release -p fupermod-num --test structured_solve -q "${EXTRA[@]+
 # collective-parity suite (crates/runtime/tests/parity.rs) — spawn one
 # thread per rank and assert on wall-clock deadlines; run them
 # single-threaded so parallel test scheduling cannot starve a rank,
-# and bound the whole suite.
+# and bound the whole suite (the workspace pass above excludes it).
 run timeout 300 cargo test -p fupermod-runtime "${EXTRA[@]+"${EXTRA[@]}"}" -- --test-threads=1
 # Tracetool gate: a traced end-to-end run must merge, report and
 # schema-validate (the observability layer's contract — see
@@ -308,58 +308,6 @@ if timeout 10 ./target/release/fupermod_served --mode scrape \
     echo "metrics listener still answering after shutdown" >&2
     exit 1
 fi
-# One definition each (ROADMAP aim 2): JSON text is parsed in
-# crates/core/src/json.rs and nowhere else, and the CSV sink, the
-# --trace-format knob (crates/bench/src/cli.rs keeps the one line
-# rejecting it) and the second metrics system stay deleted.
-[ "$(grep -rlE 'fn parse_flat_object|struct Parser\b' crates src)" = "crates/core/src/json.rs" ] \
-    || { echo "a JSON parser outside crates/core/src/json.rs" >&2; exit 1; }
-! grep -rnE 'CsvSink|from_csv_row|trace-format|set_histograms_enabled' crates src --include='*.rs' \
-    | grep -v '^crates/bench/src/cli.rs:' || { echo "a retired trace/metrics path reappeared" >&2; exit 1; }
-# The trace schema is declared once, beside TraceEvent in
-# crates/core/src/trace.rs: the JSONL writer and reader, the CSV export
-# and merge attribution walk that declaration, so no field key is
-# spelled out as a string on a second non-test line (a file's test code
-# starts at its first `#[cfg(test)]`).
-for key in outliers_rejected lamport ci_rel labels; do
-    lines=$(find crates/*/src src -name '*.rs' \
-        -exec awk '/^#\[cfg\(test\)\]/ { exit } { print }' {} \; | grep -cF "\"$key\"" || true)
-    [ "$lines" -le 1 ] \
-        || { echo "trace field \"$key\" is spelled out on $lines non-test lines" >&2; exit 1; }
-done
-# A JSON member is read through crates/core/src/json.rs's `Members`,
-# under its one integer rule: the rule's error is worded on one non-test
-# line, there, and no non-test line elsewhere casts a number it got from
-# `as_f64()` with `as` (the saturating casts that rule replaced).
-json_nontest() {
-    find crates/*/src src -name '*.rs' -exec awk \
-        '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" $0 }' {} \;
-}
-[ "$(json_nontest | grep -F 'must be a non-negative integer' | cut -d: -f1)" = "crates/core/src/json.rs" ] \
-    || { echo "the integer rule is worded outside crates/core/src/json.rs, or not once" >&2; exit 1; }
-! json_nontest | grep -v '^crates/core/src/json.rs:' | grep -E 'as_f64\b.*\bas [iu](8|16|32|64|128|size)\b' \
-    || { echo "a number read with as_f64() is cast with 'as' outside crates/core/src/json.rs" >&2; exit 1; }
-# Every binary reads its command line through crates/bench/src/cli.rs:
-# no second argv scanner or per-flag copy, and one thread-engine cap.
-! grep -rnE 'fn flag_value|_from_args\(|fn split_args|env::args\(\)\.any' crates src --include='*.rs' \
-    || { echo "a second command-line parser reappeared" >&2; exit 1; }
-[ "$(grep -rlE 'env::args\(\)' crates/*/src src --include='*.rs')" = "crates/bench/src/cli.rs
-src/bin/fupermod_tracetool.rs" ] || { echo "argv read outside the shared parser" >&2; exit 1; }
-[ "$(grep -rhE 'THREAD_RANKS_CAP: usize|> 512\b' crates src --include='*.rs' \
-    | grep -cvE '^\s*//')" -eq 1 ] \
-    || { echo "the thread-engine cap is not defined exactly once" >&2; exit 1; }
-# Likewise in the runtime: on the mailbox plane every collective's
-# schedule is a request state machine under `Split` and nothing else
-# (no blocking twin in comm.rs, and one receive wait), fault rules are
-# walked by `FaultPlan` for both interpreters, and a share is measured
-# by one function.
-! grep -nE 'fn allgather_hub|fn allgather_ring|fn allgather_butterfly|fn allgather_slots|fn bcast_data|fn close_op|fn collect_payloads|fn recv_tolerant|fn gather_impl|fn gather_hub_data|fn gather_tree_data|fn scatterv_data|fn allreduce_hub|fn raw_recv\b' \
-    crates/runtime/src/comm.rs \
-    || { echo "a blocking twin of a split collective reappeared in comm.rs" >&2; exit 1; }
-[ "$(grep -rlF 'is_multiple_of(rule.every)' crates/runtime/src)" = "crates/runtime/src/fault.rs" ] \
-    || { echo "a fault-rule walk outside crates/runtime/src/fault.rs" >&2; exit 1; }
-[ "$(grep -rhE 'fn measure_share' crates/runtime/src | wc -l)" -eq 1 ] \
-    || { echo "measure_share is defined more than once" >&2; exit 1; }
 # The runtime crate must also be clippy-clean on its own — including
 # the discrete-event simulator (`src/sim/`), whose hot dispatch loop
 # is exactly where sloppy clones and needless collects would hide.

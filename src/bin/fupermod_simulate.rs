@@ -105,6 +105,20 @@ fn main() {
         })
     };
 
+    // The apps assert on smaller sizes: a command line that asks for
+    // one is a usage error, not a crash.
+    let min_size = match app {
+        "matmul" => 1,
+        // One row per rank.
+        "jacobi" | "heat" => platform.size() as u64,
+        _ => 0,
+    };
+    if let Some(n) = args.value::<u64>("size").filter(|&n| n < min_size) {
+        cli::exit_usage(format_args!(
+            "--app {app} needs --size {min_size} or more (got {n})"
+        ));
+    }
+
     match app {
         "matmul" if args.get("pipeline").is_some() => {
             use fupermod::apps::matmul::{matrix_checksum, run_bcast};
@@ -137,7 +151,7 @@ fn main() {
                 .map(|i| total / p + u64::from(i < total % p))
                 .collect();
             let run = run_bcast(&a, &b, block, &areas, runtime_config(), mode)
-                .expect("broadcast matmul failed");
+                .unwrap_or_else(fail("broadcast matmul failed"));
             println!("platform: {}", platform.name());
             println!("areas: {areas:?}");
             println!("pipeline mode: {mode:?}");
@@ -160,24 +174,24 @@ fn main() {
                 sink.as_deref().unwrap_or(null_sink()),
                 cli::parallelism(&args),
             )
-            .expect("model build failed");
+            .unwrap_or_else(fail("model build failed"));
             let refs: Vec<&dyn Model> = models.iter().map(|m| m as &dyn Model).collect();
             let partitioner = cli::pick_partitioner(algorithm);
             let dist = partitioner
                 .partition_traced(n_blocks * n_blocks, &refs, events.as_ref())
-                .expect("partition failed");
+                .unwrap_or_else(fail("partition failed"));
             let areas = dist.sizes();
             let want_gantt = args.get("gantt") == Some("yes");
             let report = if want_gantt {
-                let (report, gantt) =
-                    simulate_traced(&platform, &areas, &cfg).expect("simulation failed");
+                let (report, gantt) = simulate_traced(&platform, &areas, &cfg)
+                    .unwrap_or_else(fail("simulation failed"));
                 eprintln!("rank,start,end,activity");
                 for e in &gantt {
                     eprintln!("{},{:.6},{:.6},{:?}", e.rank, e.start, e.end, e.activity);
                 }
                 report
             } else {
-                simulate(&platform, &areas, &cfg).expect("simulation failed")
+                simulate(&platform, &areas, &cfg).unwrap_or_else(fail("simulation failed"))
             };
             println!("platform: {}", platform.name());
             println!("areas: {areas:?}");
@@ -195,7 +209,7 @@ fn main() {
                 &JacobiConfig::default(),
                 events.clone(),
             )
-            .expect("jacobi run failed");
+            .unwrap_or_else(fail("jacobi run failed"));
             println!("platform: {}", platform.name());
             println!(
                 "converged: {} in {} iterations, makespan {:.4} s",
@@ -220,7 +234,7 @@ fn main() {
                 &cfg,
                 events.clone(),
             )
-            .expect("heat run failed");
+            .unwrap_or_else(fail("heat run failed"));
             println!("platform: {}", platform.name());
             println!(
                 "{} steps, makespan {:.4} s",
@@ -340,7 +354,7 @@ fn main() {
                     25,
                     mode,
                 )
-                .expect("distributed balance run failed");
+                .unwrap_or_else(fail("distributed balance run failed"));
                 println!("platform: {}", platform.name());
                 println!(
                     "converged: {} in {} steps",
@@ -361,4 +375,14 @@ fn main() {
         )),
     }
     cli::finish_trace(sink.as_ref());
+}
+
+/// The handler of a run the command line made fail, such as a fault
+/// plan that kills a rank: prints `what` and the error on one stderr
+/// line and exits with status 1.
+fn fail<E: std::fmt::Display, T>(what: &str) -> impl FnOnce(E) -> T + '_ {
+    move |e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(1)
+    }
 }

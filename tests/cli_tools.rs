@@ -178,6 +178,34 @@ fn simulate_rejects_a_deadline_no_duration_can_hold() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
 
+/// A run the command line makes fail — a fault plan that exhausts a
+/// retry budget or kills a rank, a size the app cannot split — is one
+/// stderr line and a non-zero exit, not a panic and its backtrace.
+#[test]
+fn simulate_fails_runs_it_cannot_do_without_a_panic() {
+    const COMMANDS: [&str; 5] = [
+        r#"--app balance --ranks 2 --fault-plan {"drops":[{"max_retries":0}]}"#,
+        r#"--app matmul --pipeline blocking --runtime sim --size 4 --fault-plan {"deaths":[{"rank":1,"after_ops":0}]}"#,
+        "--app jacobi --size 2 --ranks 4",
+        "--app heat --size 2 --ranks 4",
+        "--app matmul --size 0",
+    ];
+    for args in COMMANDS {
+        let out = Command::new(env!("CARGO_BIN_EXE_fupermod_simulate"))
+            .args(args.split(' '))
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("simulate failed to launch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args} succeeded");
+        assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("backtrace"),
+            "{args}: {stderr}"
+        );
+    }
+}
+
 /// On shutdown the daemon's trace carries each store counter once,
 /// under its registry name — not a second time under a dotted scope.
 #[test]
