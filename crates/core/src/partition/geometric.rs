@@ -64,6 +64,45 @@
 //!   first, until one of the two holds; only the final sizes at `T*`
 //!   run to full depth.
 //!
+//! * **Unneeded comparisons.** The outer bisection asks about ≈ 40
+//!   `mid`s, but its answers are those of one threshold: `Σ dᵢ(T)` is
+//!   non-decreasing in `T` (the lemma below), so once the sum was found
+//!   below `D` at some `ta` and not below at some `tb`, every `mid ≤ ta`
+//!   is below and every `mid ≥ tb` is not. A `mid` strictly between is
+//!   not compared at first: the comparison goes to where the line
+//!   through the estimates of `Σ dᵢ − D` at `ta` and `tb` crosses zero
+//!   (regula falsi; an end that stays put twice in a row has its
+//!   estimate halved — the Illinois rule — so the guesses cannot crawl
+//!   towards it). An estimate is the middle of the bracket sums that
+//!   decided its comparison, so it lies on the sum's side of `D`. That
+//!   narrows `(ta, tb)` around the threshold in a few comparisons,
+//!   after which most `mid`s are answered without one. A `mid` is
+//!   compared itself after [`PROBES`] guesses for it, or once two
+//!   comparisons in a row moved the same end and found the same sum,
+//!   where `Σ dᵢ` is down to its steps and a line guesses no better.
+//!   Every answer, given or computed, is the comparison's truth, so
+//!   `T*` and the sizes keep their bits; guesses lie strictly inside
+//!   `(ta, tb)`, below a `T` already compared without error, so no
+//!   doubling can run out where the plain bisection's did not.
+//!
+//!   *Lemma.* With `max_iter ≥ X_TOL_LEVELS` and a `time(0)` that is
+//!   not NaN, the inner result `dᵢ(t)` — bracket doubling, the
+//!   pre-checks, then `bisect` — is non-decreasing in `t`. Take
+//!   `t₁ < t₂`. (1) *Same top.* At the first level where the two
+//!   descents act differently, `fl(time(mid) − t)` is non-increasing in
+//!   `t` and `f_tol` non-decreasing, and a level goes up iff
+//!   `time(mid) < t`; so the pair of actions is (down, up), (down,
+//!   return) or (return, up), each of which leaves `r₁ ≤ mid ≤ r₂`.
+//!   (2) *Larger top.* If `t₂` doubled past `t₁`'s `top`, the first `mid`
+//!   of `[0, 2ᵏ·top]` is a doubling probe whose time is below `t₂`, so
+//!   that level goes up or returns: `r₂ ≥ top ≥ r₁`. (3) *Pre-checks.*
+//!   They return 0, the least result, or `top`, the bracket's end. A
+//!   NaN `time(0)` breaks (1) — every level then goes down unless it
+//!   returns — so with one, or with `max_iter` below 31, no guess is
+//!   made and every `mid` is compared, as the plain bisection does.
+//!   The in-order sum is monotone in every addend (above), so the
+//!   lemma carries over to `Σ dᵢ(T)`.
+//!
 //! Stopping a descent early could hide the `NoConvergence` error its
 //! remaining levels would have hit. It cannot: the inner bracket is
 //! `[0, hi]` with `x_tol = 1e-9·hi`, and `2⁻³⁰ < 1e-9 < 2⁻²⁹` with 7 %
@@ -81,7 +120,8 @@
 //! kind of model and outcome, and large ones (up to 256 processes of
 //! up to 32 points, whose deep descents most new `T` restart), and
 //! demand the oracle's bits; fixed seeds add the rare near ties that
-//! a resume rule too bold about `f_tol` would skip.
+//! a resume rule too bold about `f_tol` would skip; and the lemma is
+//! tested on the oracle's own inner solve, at times one ulp apart.
 
 use fupermod_num::NumError;
 
@@ -125,6 +165,10 @@ const X_TOL_LEVELS: usize = 31;
 
 /// Levels between two checkpoints of a descent's remembered path.
 const STRIDE: usize = 4;
+
+/// Threshold probes the outer bisection may spend on one `mid` before
+/// it compares at the `mid` itself.
+const PROBES: usize = 4;
 
 /// What one `partition` call did, summed in locals and published once
 /// at its end.
@@ -523,7 +567,10 @@ impl<'m, 't> InnerSolve<'m, 't> {
         Ok(sums)
     }
 
-    /// The truth of `Σ dᵢ(t) < total`, from as few levels as settle it.
+    /// `Σ dᵢ(t)`, estimated from as few levels as settle which side of
+    /// `total` it lies on: the estimate is below `total` iff the sum
+    /// is. It is the middle of the bracket sums that settled it, or
+    /// the sum itself once every descent has finished.
     ///
     /// Which descents move, and when, changes only the cost: the
     /// answer is read off brackets that hold whatever was done to
@@ -532,7 +579,7 @@ impl<'m, 't> InnerSolve<'m, 't> {
     /// the widest; and a descent that had to begin again first walks
     /// the levels it remembers down to the width the others were left
     /// at, which costs no evaluation.
-    fn sum_is_below(&mut self, t: f64, total: f64) -> Result<bool, CoreError> {
+    fn sum_estimate(&mut self, t: f64, total: f64) -> Result<f64, CoreError> {
         self.tally.outer_iterations += 1;
         // Below `X_TOL_LEVELS` a descent may run out of iterations, and
         // the comparison must not be answered past that error.
@@ -554,11 +601,12 @@ impl<'m, 't> InnerSolve<'m, 't> {
         loop {
             // With no descent open both sums are the full-depth sum.
             let Some(widest) = sums.widest else {
-                return Ok(sums.above < total);
+                return Ok(sums.above);
             };
             if sums.above < total || sums.below >= total {
                 self.tally.decided_early += 1;
-                return Ok(sums.above < total);
+                // Rounding is monotone: `below ≤ estimate ≤ above`.
+                return Ok(0.5 * (sums.below + sums.above));
             }
             self.step_width = 0.5 * widest;
             sums = self.sweep(|solve, i| {
@@ -571,6 +619,16 @@ impl<'m, 't> InnerSolve<'m, 't> {
         }
     }
 
+    /// Whether every `dᵢ(t)` is non-decreasing in `t`, once a
+    /// comparison has asked every process for `time(0)`.
+    fn is_monotone(&self) -> bool {
+        self.max_iter >= X_TOL_LEVELS
+            && self
+                .descents
+                .iter()
+                .all(|d| d.at_zero.is_some_and(|z| !z.is_nan()))
+    }
+
     /// Every `dᵢ(t)`, at full depth.
     fn sizes_at(&mut self, t: f64) -> Result<Vec<f64>, CoreError> {
         (0..self.descents.len())
@@ -579,6 +637,66 @@ impl<'m, 't> InnerSolve<'m, 't> {
                 self.finish(i, t)
             })
             .collect()
+    }
+}
+
+/// The outer comparisons made so far, as a bracket on the threshold
+/// of `Σ dᵢ(T) < D`: true at `below.0`, false at `above.0`, each with
+/// its estimate of `Σ dᵢ − D` there.
+struct Threshold {
+    below: (f64, f64),
+    above: (f64, f64),
+    /// Which end the latest comparison moved, and its estimate there.
+    last: Option<(bool, f64)>,
+    /// Two comparisons in a row found the same sum on the same side:
+    /// the bracket is down to the steps of `Σ dᵢ`, where a line
+    /// through its ends guesses no better than the `mid`.
+    flat: bool,
+}
+
+impl Threshold {
+    /// The comparison at `t`, if the bracket already settles it.
+    fn answer(&self, t: f64) -> Option<bool> {
+        if t <= self.below.0 {
+            Some(true)
+        } else if t >= self.above.0 {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Where to compare instead of a `mid` inside the bracket: where
+    /// the line through its ends' estimates crosses `D`, unless that
+    /// is not strictly inside or the bracket has gone flat.
+    fn probe(&self) -> Option<f64> {
+        let ((ta, fa), (tb, fb)) = (self.below, self.above);
+        let t = ta - fa * (tb - ta) / (fb - fa);
+        (!self.flat && ta < t && t < tb).then_some(t)
+    }
+
+    /// Files the comparison made at `t`, whose estimate of `Σ dᵢ − D`
+    /// is `excess`: negative iff the sum is below `D`.
+    fn record(&mut self, t: f64, excess: f64) {
+        let below = excess < 0.0;
+        if below {
+            self.below = (t, excess);
+        } else {
+            self.above = (t, excess);
+        }
+        // Illinois: an end that stays put twice in a row has its
+        // estimate halved, so the guesses cannot crawl towards it.
+        if let Some((last_below, last_excess)) = self.last {
+            if last_below == below {
+                self.flat |= last_excess == excess;
+                if below {
+                    self.above.1 *= 0.5;
+                } else {
+                    self.below.1 *= 0.5;
+                }
+            }
+        }
+        self.last = Some((below, excess));
     }
 }
 
@@ -628,7 +746,11 @@ impl GeometricPartitioner {
         let mut hi = t_hi;
         // Make sure the bracket really covers D (numerical safety).
         let mut guard = 0;
-        while inner.sum_is_below(hi, d)? {
+        let at_hi = loop {
+            let sum = inner.sum_estimate(hi, d)?;
+            if sum >= d {
+                break sum;
+            }
             hi *= 2.0;
             guard += 1;
             if guard > 100 {
@@ -636,13 +758,36 @@ impl GeometricPartitioner {
                     "failed to bracket the optimal line".to_owned(),
                 ));
             }
-        }
+        };
+        // Every size is 0 at `T = 0`. While the sizes grow with `T`
+        // (module docs, *Unneeded comparisons*), a comparison answers
+        // every `mid` on its side of it; otherwise `known` is `[lo, hi]`
+        // and every `mid` is compared where the plain bisection did.
+        let monotone = inner.is_monotone();
+        let mut known = Threshold {
+            below: (0.0, -d),
+            above: (hi, at_hi - d),
+            last: None,
+            flat: false,
+        };
         for _ in 0..self.max_iter {
             let mid = 0.5 * (lo + hi);
             if (hi - lo) <= self.rel_tol * hi {
                 break;
             }
-            if inner.sum_is_below(mid, d)? {
+            let mut probes = 0;
+            let below = loop {
+                if let Some(below) = known.answer(mid) {
+                    break below;
+                }
+                let t = match known.probe() {
+                    Some(t) if monotone && probes < PROBES => t,
+                    _ => mid,
+                };
+                probes += 1;
+                known.record(t, inner.sum_estimate(t, d)? - d);
+            };
+            if below {
                 lo = mid;
             } else {
                 hi = mid;
@@ -721,7 +866,7 @@ mod oracle {
     impl GeometricPartitioner {
         /// The size process `m` can complete within `t` seconds: the
         /// intersection of its speed function with the line of slope `1/t`.
-        fn size_at_time(&self, m: &dyn Model, t: f64) -> Result<f64, CoreError> {
+        pub(super) fn size_at_time(&self, m: &dyn Model, t: f64) -> Result<f64, CoreError> {
             if t <= 0.0 {
                 return Ok(0.0);
             }
@@ -1070,6 +1215,14 @@ mod tests {
         same_as_oracle_in(SMALL, seed)
     }
 
+    /// A partition's sizes with the bits of their predicted times.
+    fn bits(d: &Distribution) -> Vec<(u64, u64)> {
+        d.parts()
+            .iter()
+            .map(|part| (part.d, part.t.to_bits()))
+            .collect()
+    }
+
     /// New solve against the oracle on one drawn case: `Ok` results
     /// equal in sizes and in the bits of every predicted time, an
     /// error where there was one (and the same one).
@@ -1091,12 +1244,6 @@ mod tests {
         };
         let got = partitioner.partition(total, &refs);
         let want = partitioner.oracle_partition(total, &refs);
-        let bits = |d: &Distribution| -> Vec<(u64, u64)> {
-            d.parts()
-                .iter()
-                .map(|part| (part.d, part.t.to_bits()))
-                .collect()
-        };
         let same = match (&got, &want) {
             (Ok(got), Ok(want)) => bits(got) == bits(want),
             (Err(got), Err(want)) => got.to_string() == want.to_string(),
@@ -1129,6 +1276,144 @@ mod tests {
             let outcome = same_as_oracle_in(LARGE, seed);
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
+    }
+
+    /// Every seed of a wide range against the oracle; run in release:
+    /// `cargo test --release -p fupermod-core --lib -- --ignored`.
+    #[test]
+    #[ignore = "a sweep for release builds"]
+    fn a_wide_sweep_of_seeds_is_the_oracles_to_the_bit() {
+        for seed in 0..50_000 {
+            same_as_oracle_in(SMALL, seed).unwrap();
+        }
+        for seed in 0..1_000 {
+            same_as_oracle_in(LARGE, seed).unwrap();
+        }
+    }
+
+    /// Sorted times around the places where an inner descent for `model`
+    /// decides: its `time` at sizes spread over its points and at
+    /// dyadic fractions of its last point (a descent's `mid`s), and
+    /// times spread over twelve decades, each with neighbours one ulp
+    /// and `10⁻¹³` apart.
+    fn times_for(draw: &mut Draw, model: &dyn Model) -> Vec<f64> {
+        let last = model.points().last().map_or(1.0, |p| p.d as f64);
+        let time = |x: f64| model.time(x).unwrap_or(f64::INFINITY);
+        let mut ts = Vec::new();
+        for _ in 0..8 {
+            let t = match draw.below(3) {
+                0 => time(2.0 * last * draw.unit()),
+                1 => {
+                    let odd = [1, 2 * draw.below(1 << 20) + 1][draw.below(2) as usize];
+                    time(last * odd as f64 / (1u64 << (1 + draw.below(30))) as f64)
+                }
+                _ => 10f64.powf(12.0 * draw.unit() - 6.0),
+            };
+            if !t.is_finite() || t <= 0.0 {
+                continue;
+            }
+            ts.extend((0..5).map(|k| f64::from_bits(t.to_bits() + k - 2)));
+            ts.extend((-3..=3).map(|k| t * (1.0 + k as f64 * 1e-13)));
+        }
+        ts.sort_by(f64::total_cmp);
+        ts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The lemma the outer search rests on: with `max_iter ≥ 31`
+        /// and a non-NaN `time(0)`, the inner result `dᵢ(t)` the oracle
+        /// computes is non-decreasing in `t` (an error, where the time
+        /// function never reaches `t`, counting as above every size).
+        #[test]
+        fn inner_sizes_are_monotone_in_t(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let shape = draw.pick(&[SMALL, LARGE]);
+            let model = loop {
+                let model = random_model(&mut draw, shape);
+                if !model.time(0.0).is_some_and(f64::is_nan) {
+                    break model;
+                }
+            };
+            let g = GeometricPartitioner {
+                max_iter: draw.pick(&[31, 32, 40, 200]),
+                ..GeometricPartitioner::default()
+            };
+            let ts = times_for(&mut draw, &*model);
+            let sizes: Vec<Option<f64>> =
+                ts.iter().map(|&t| g.size_at_time(&*model, t).ok()).collect();
+            for (k, pair) in sizes.windows(2).enumerate() {
+                let grows = match pair {
+                    [Some(a), Some(b)] => a <= b,
+                    [_, b] => b.is_none(),
+                    _ => unreachable!(),
+                };
+                prop_assert!(
+                    grows,
+                    "seed {seed}: {:?} at t = {:e}, then {:?} at t = {:e}",
+                    pair[0],
+                    ts[k],
+                    pair[1],
+                    ts[k + 1]
+                );
+            }
+        }
+    }
+
+    /// How many times the plain bisection of `T` — the oracle's —
+    /// compares a sum of sizes with the total.
+    fn plain_comparisons(g: GeometricPartitioner, total: u64, models: &[&dyn Model]) -> u64 {
+        let d = total as f64;
+        let below = |t: f64| {
+            models
+                .iter()
+                .fold(0.0, |sum, m| sum + g.size_at_time(*m, t).unwrap())
+                < d
+        };
+        let mut hi = models
+            .iter()
+            .fold(0.0, |hi: f64, m| hi.max(m.time(d).unwrap_or(0.0)));
+        let mut count = 1;
+        while below(hi) {
+            hi *= 2.0;
+            count += 1;
+        }
+        let mut lo = 0.0;
+        for _ in 0..g.max_iter {
+            let mid = 0.5 * (lo + hi);
+            if hi - lo <= g.rel_tol * hi {
+                break;
+            }
+            count += 1;
+            if below(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        count
+    }
+
+    /// A NaN `time(0)` voids the lemma, so no probe is made: the call
+    /// compares exactly as often as the plain bisection, and returns
+    /// the oracle's bits.
+    #[test]
+    fn a_nan_time_at_zero_compares_like_the_plain_bisection() {
+        let steady = pwm(&[(100, 1.0), (1000, 10.0)]);
+        let cliff = fed::<AkimaModel>(&[(100, 2.0), (400, 7.0), (500, 30.0), (2000, 200.0)]);
+        let nan = Wild {
+            points: vec![Point::single(200, 1.0), Point::single(800, 6.0)],
+            at_zero: f64::NAN,
+            slope_beyond: 1e-2,
+        };
+        let models: Vec<&dyn Model> = vec![&steady, &nan, &cliff];
+        let g = GeometricPartitioner::default();
+        let mut tally = Tally::default();
+        let got = g.solve(2500, &models, &mut tally).unwrap();
+        let want = g.oracle_partition(2500, &models).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(tally.outer_iterations, plain_comparisons(g, 2500, &models));
     }
 
     /// Drawn cases, found among the first 200 000 seeds, in which a

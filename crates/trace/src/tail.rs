@@ -241,6 +241,19 @@ pub fn tail(
     out: &mut dyn Write,
     stats: &mut dyn Write,
 ) -> Result<(), CoreError> {
+    follow(files, dir, options, out, stats, || std::thread::sleep(options.poll))
+}
+
+/// [`tail`], calling `between` after every poll round where `tail`
+/// sleeps for `options.poll`.
+fn follow(
+    files: Vec<PathBuf>,
+    dir: Option<&Path>,
+    options: &TailOptions,
+    out: &mut dyn Write,
+    stats: &mut dyn Write,
+    mut between: impl FnMut(),
+) -> Result<(), CoreError> {
     let set = match dir {
         Some(d) => FileSet::Dir(d.to_owned()),
         None => FileSet::Fixed(files),
@@ -307,7 +320,7 @@ pub fn tail(
                 return Ok(());
             }
         }
-        std::thread::sleep(options.poll);
+        between();
     }
 }
 
@@ -334,9 +347,11 @@ mod tests {
         format!("{{\"trace\":\"fupermod\",\"schema\":{SCHEMA_VERSION}}}")
     }
 
-    /// The tail of a file written incrementally — including a torn
-    /// final line completed later — prints exactly what the batch
-    /// merge prints for the finished file.
+    /// The tail of a file written incrementally — each line torn in
+    /// two, a poll round after each half — prints exactly what the
+    /// batch merge prints for the finished file. The writes are made
+    /// between the rounds, in the tail's own thread, so no pace of
+    /// writer against poller can reorder them.
     #[test]
     fn tail_matches_batch_merge_and_survives_torn_writes() {
         let dir = std::env::temp_dir().join(format!(
@@ -352,35 +367,28 @@ mod tests {
             comm_line(0, "allreduce", 5, 1),
         ];
 
-        let writer = {
-            let path = path.clone();
-            let lines = lines.clone();
-            std::thread::spawn(move || {
-                let mut f = std::fs::File::create(&path).unwrap();
-                writeln!(f, "{}", header()).unwrap();
-                f.flush().unwrap();
-                for line in &lines {
-                    // Torn write: half the line, a pause, the rest.
-                    let (a, b) = line.split_at(line.len() / 2);
-                    f.write_all(a.as_bytes()).unwrap();
-                    f.flush().unwrap();
-                    std::thread::sleep(Duration::from_millis(5));
-                    f.write_all(b.as_bytes()).unwrap();
-                    f.write_all(b"\n").unwrap();
-                    f.flush().unwrap();
-                }
-            })
-        };
-
+        let mut f = std::fs::File::create(&path).unwrap();
+        writeln!(f, "{}", header()).unwrap();
+        let mut halves = lines.iter().flat_map(|line| {
+            let (a, b) = line.split_at(line.len() / 2);
+            [a.to_owned(), format!("{b}\n")]
+        });
         let mut out = Vec::new();
         let mut stats = Vec::new();
         let options = TailOptions {
-            poll: Duration::from_millis(5),
-            idle_exit: Some(Duration::from_millis(150)),
+            poll: Duration::ZERO,
+            // The first round in which nothing grew ends the tail.
+            idle_exit: Some(Duration::ZERO),
             stats_every: None,
         };
-        tail(vec![path.clone()], None, &options, &mut out, &mut stats).unwrap();
-        writer.join().unwrap();
+        follow(vec![path.clone()], None, &options, &mut out, &mut stats, || {
+            if let Some(half) = halves.next() {
+                f.write_all(half.as_bytes()).unwrap();
+                f.flush().unwrap();
+            }
+        })
+        .unwrap();
+        assert!(halves.next().is_none(), "the tail stopped before the writer");
 
         let merged = {
             let merge = crate::merge::Merge::open(std::slice::from_ref(&path)).unwrap();
