@@ -1,5 +1,5 @@
-//! The command line of every binary in the workspace — the five
-//! `fupermod_*` tools and the figure/experiment binaries — and the one
+//! The command line of every binary in the workspace — the six
+//! `fupermod_*` tools, `fupermod_experiment` among them — and the one
 //! definition of each flag they share (re-exported as `fupermod::cli`).
 //!
 //! [`Args`] reads three shapes: `--flag value` pairs, the bare switches
@@ -343,26 +343,27 @@ pub fn runtime_config(
 /// process-wide registry is enabled either way) and opens the JSONL
 /// trace sink requested by `--trace PATH` (exact file; wins), `--trace-dir
 /// DIR` or the `FUPERMOD_TRACE_DIR` environment variable. The directory
-/// forms create DIR if it is missing and write `DIR/<binary>.trace.jsonl`.
+/// forms create DIR if it is missing and write `DIR/<name>.trace.jsonl`,
+/// `name` being the binary's (or the experiment's) name.
 /// Returns `None` when no trace was requested; [`finish_trace`] exports
 /// the registry into the sink at exit.
 ///
 /// `rank` is set by one process of a multi-process (`--transport tcp`)
 /// job: it is woven into the file name so concurrent processes never
-/// clobber each other's trace — `DIR/<binary>.rank<k>.trace.jsonl`, and
+/// clobber each other's trace — `DIR/<name>.rank<k>.trace.jsonl`, and
 /// `--trace out.jsonl` becomes `out.rank<k>.jsonl`. `fupermod_tracetool
 /// merge` stitches the per-rank files back into one causal timeline.
 ///
 /// Exits with status 2 on the retired `--trace-format` flag and status
 /// 1 when the directory or file cannot be created.
-pub fn open_trace_sink(args: &Args, rank: Option<usize>) -> Option<Arc<dyn TraceSink>> {
+pub fn open_trace_sink(args: &Args, name: &str, rank: Option<usize>) -> Option<Arc<dyn TraceSink>> {
     if args.get("trace-format").is_some() {
         exit_usage(
             "--trace-format was removed: a trace file is JSONL; \
              run `fupermod_tracetool export --format csv FILE` for the CSV view",
         );
     }
-    let path = trace_path(args, rank);
+    let path = trace_path(args, name, rank);
     telemetry::open_run_trace(path.as_deref()).unwrap_or_else(|e| {
         eprintln!(
             "cannot create trace file {}: {e}",
@@ -373,14 +374,22 @@ pub fn open_trace_sink(args: &Args, rank: Option<usize>) -> Option<Arc<dyn Trace
 }
 
 /// The file [`open_trace_sink`] writes, creating its directory in the
-/// directory forms.
-fn trace_path(args: &Args, rank: Option<usize>) -> Option<PathBuf> {
+/// directory forms. The rank infix goes into the file name, before its
+/// extension if it has one.
+fn trace_path(args: &Args, name: &str, rank: Option<usize>) -> Option<PathBuf> {
     let infix = rank.map(|r| format!(".rank{r}")).unwrap_or_default();
-    if let Some(path) = args.get("trace") {
-        return Some(PathBuf::from(match (rank, path.rsplit_once('.')) {
-            (Some(_), Some((stem, ext))) => format!("{stem}{infix}.{ext}"),
-            _ => format!("{path}{infix}"),
-        }));
+    if let Some(raw) = args.get("trace") {
+        let path = Path::new(raw);
+        let (Some(_), Some(stem)) = (rank, path.file_stem()) else {
+            return Some(PathBuf::from(format!("{raw}{infix}")));
+        };
+        let mut file = stem.to_os_string();
+        file.push(&infix);
+        if let Some(ext) = path.extension() {
+            file.push(".");
+            file.push(ext);
+        }
+        return Some(path.with_file_name(file));
     }
     let dir = match args.get("trace-dir") {
         Some(dir) => PathBuf::from(dir),
@@ -390,10 +399,6 @@ fn trace_path(args: &Args, rank: Option<usize>) -> Option<PathBuf> {
         eprintln!("cannot create trace directory {}: {e}", dir.display());
         std::process::exit(1);
     }
-    let name = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "fupermod".to_owned());
     Some(dir.join(format!("{name}{infix}.trace.jsonl")))
 }
 
@@ -438,4 +443,26 @@ pub fn csv_list(value: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_owned)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_rank_infix_goes_into_the_file_name() {
+        for (given, expected) in [
+            ("out.jsonl", "out.rank1.jsonl"),
+            ("trace", "trace.rank1"),
+            ("./run", "./run.rank1"),
+            ("runs.d/trace", "runs.d/trace.rank1"),
+        ] {
+            let args = Args::parse_from(["--trace".to_owned(), given.to_owned()]);
+            assert_eq!(
+                trace_path(&args, "fupermod_simulate", Some(1)),
+                Some(PathBuf::from(expected)),
+                "--trace {given}"
+            );
+        }
+    }
 }

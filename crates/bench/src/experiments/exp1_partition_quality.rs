@@ -12,11 +12,7 @@
 //! load balanced.
 //!
 //! Output: CSV `platform,total,partitioner,imbalance,makespan,speedup_vs_even`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp1_partition_quality.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{evaluate_partitioner, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::trace::null_sink;
 use fupermod_core::model::{AkimaModel, ConstantModel, Model, PiecewiseModel};
 use fupermod_core::partition::{
@@ -26,13 +22,15 @@ use fupermod_core::partition::{
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
+use super::Trace;
+use crate::cli::Args;
+use crate::{evaluate_partitioner, sink_or_null, size_grid};
+
 /// One partitioning configuration: label, algorithm, and the models it runs on.
 type Run<'a> = (&'a str, Box<dyn Partitioner>, Vec<&'a dyn Model>);
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, trace: &Trace) {
     let quick = args.has("quick");
-    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
     let precision = Precision::default();
 
@@ -48,14 +46,7 @@ fn main() {
         vec![2_000, 10_000, 50_000, 200_000, 800_000]
     };
 
-    print_csv_row(&[
-        "platform".into(),
-        "total".into(),
-        "partitioner".into(),
-        "imbalance".into(),
-        "makespan".into(),
-        "speedup_vs_even".into(),
-    ]);
+    println!("platform,total,partitioner,imbalance,makespan,speedup_vs_even");
 
     for platform in &platforms {
         // One shared benchmark sweep per device feeds all three models.
@@ -69,17 +60,17 @@ fn main() {
             let mut akima = AkimaModel::new();
             // The CPM sees only a single mid-range point (the
             // "traditional serial benchmark of some given size").
-            fupermod_bench::build_model_for_device(
+            crate::build_model_for_device(
                 platform,
                 rank,
                 &profile,
                 &[sizes[sizes.len() / 2]],
                 &precision,
                 &mut cpm,
-                sink_or_null(&trace),
+                sink_or_null(trace),
             )
             .expect("cpm build failed");
-            fupermod_bench::build_model_for_device(
+            crate::build_model_for_device(
                 platform,
                 rank,
                 &profile,
@@ -89,7 +80,7 @@ fn main() {
                 null_sink(),
             )
             .expect("pwl build failed");
-            fupermod_bench::build_model_for_device(
+            crate::build_model_for_device(
                 platform,
                 rank,
                 &profile,
@@ -140,19 +131,13 @@ fn main() {
                     total,
                     partitioner.as_ref(),
                     &models,
-                    sink_or_null(&trace),
+                    sink_or_null(trace),
                 )
                 .expect("evaluation failed");
-                print_csv_row(&[
-                    platform.name().to_owned(),
-                    total.to_string(),
-                    name.to_owned(),
-                    format!("{:.4}", eval.imbalance),
-                    format!("{:.4}", eval.makespan),
-                    format!("{:.3}", even.makespan / eval.makespan),
-                ]);
+                let speedup = even.makespan / eval.makespan;
+                let (imb, span) = (eval.imbalance, eval.makespan);
+                println!("{},{total},{name},{imb:.4},{span:.4},{speedup:.3}", platform.name());
             }
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

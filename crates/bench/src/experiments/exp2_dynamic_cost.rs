@@ -10,8 +10,6 @@
 //! is the ground-truth imbalance of the final distribution.
 //!
 //! Output: CSV `platform,total,approach,bench_cost_s,steps,imbalance`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp2_dynamic_cost.trace.jsonl` (see docs/OBSERVABILITY.md).
 //!
 //! With `--runtime thread|sim` (default `serial`) the dynamic loop runs
 //! through the distributed message-passing executor (`fupermod-runtime`)
@@ -26,22 +24,22 @@
 //! building full models for 10⁴+ devices is exactly the cost the
 //! dynamic approach avoids.
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{
-    dynamic_leg, evaluate_partitioner, ground_truth_imbalance, ground_truth_times, print_csv_row,
-    sink_or_null, size_grid,
-};
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
+use super::Trace;
+use crate::cli::{self, Args};
+use crate::{
+    dynamic_leg, evaluate_partitioner, ground_truth_imbalance, ground_truth_times, sink_or_null,
+    size_grid,
+};
+
+pub fn run(args: &Args, trace: &Trace) {
     let quick = args.has("quick");
-    let trace = cli::open_trace_sink(&args, None);
     let profile = WorkloadProfile::matrix_update(16);
-    let ranks = cli::ranks(&args);
+    let ranks = cli::ranks(args);
     let platforms = match ranks {
         // Scale-sweep mode: one two-speed platform of the requested
         // size; the full-FPM leg is skipped below.
@@ -54,14 +52,7 @@ fn main() {
     };
     let total: u64 = if quick { 20_000 } else { 100_000 };
 
-    print_csv_row(&[
-        "platform".into(),
-        "total".into(),
-        "approach".into(),
-        "bench_cost_s".into(),
-        "steps".into(),
-        "imbalance".into(),
-    ]);
+    println!("platform,total,approach,bench_cost_s,steps,imbalance");
 
     for platform in &platforms {
         // --- (a) full models (skipped under --ranks: modelling every
@@ -72,14 +63,14 @@ fn main() {
             let mut models = Vec::new();
             for rank in 0..platform.size() {
                 let mut m = PiecewiseModel::new();
-                full_cost += fupermod_bench::build_model_for_device(
+                full_cost += crate::build_model_for_device(
                     platform,
                     rank,
                     &profile,
                     &sizes,
                     &Precision::thorough(),
                     &mut m,
-                    sink_or_null(&trace),
+                    sink_or_null(trace),
                 )
                 .expect("full model build failed");
                 models.push(m);
@@ -91,34 +82,21 @@ fn main() {
                 total,
                 &GeometricPartitioner::default(),
                 &refs,
-                sink_or_null(&trace),
+                sink_or_null(trace),
             )
             .expect("full-model partition failed");
-            print_csv_row(&[
-                platform.name().to_owned(),
-                total.to_string(),
-                "full-fpm".to_owned(),
-                format!("{full_cost:.3}"),
-                sizes.len().to_string(),
-                format!("{:.4}", eval.imbalance),
-            ]);
+            let (points, imb) = (sizes.len(), eval.imbalance);
+            println!("{},{total},full-fpm,{full_cost:.3},{points},{imb:.4}", platform.name());
         }
 
         // --- (b) dynamic partial estimation ---
         // With --runtime thread|sim the loop runs distributed over the
         // message-passing runtime; otherwise the classic serial loop.
-        let config = cli::runtime_config(&args, platform, trace.as_ref(), "serial");
+        let config = cli::runtime_config(args, platform, trace.as_ref(), "serial");
         let (dyn_cost, steps, final_sizes) =
-            dynamic_leg(platform, &profile, total, 25, config, &trace);
+            dynamic_leg(platform, &profile, total, 25, config, trace);
         let times = ground_truth_times(platform, &profile, &final_sizes);
-        print_csv_row(&[
-            platform.name().to_owned(),
-            total.to_string(),
-            "dynamic-partial".to_owned(),
-            format!("{dyn_cost:.3}"),
-            steps.to_string(),
-            format!("{:.4}", ground_truth_imbalance(&times)),
-        ]);
+        let imb = ground_truth_imbalance(&times);
+        println!("{},{total},dynamic-partial,{dyn_cost:.3},{steps},{imb:.4}", platform.name());
     }
-    cli::finish_trace(trace.as_ref());
 }

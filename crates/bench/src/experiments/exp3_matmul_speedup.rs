@@ -8,22 +8,20 @@
 //! cliffs or the GPU memory boundary.
 //!
 //! Output: CSV `platform,n_blocks,strategy,total_time_s,speedup_vs_even,comm_s`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp3_matmul_speedup.trace.jsonl` (see docs/OBSERVABILITY.md).
 //! `--parallelism N` (or `FUPERMOD_PARALLELISM`) builds the models on
 //! N worker threads, bit-identically.
 
 use fupermod_apps::matmul::{build_device_models_with, partition_areas, simulate, MatMulConfig};
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{print_csv_row, sink_or_null, size_grid};
 use fupermod_core::model::{AkimaModel, ConstantModel, Model};
 use fupermod_core::partition::{ConstantPartitioner, NumericalPartitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::{self, Args};
+use crate::{sink_or_null, size_grid};
+
+pub fn run(args: &Args, trace: &Trace) {
     let quick = args.has("quick");
     let block = 16usize;
     let profile = WorkloadProfile::matrix_update(block);
@@ -34,25 +32,18 @@ fn main() {
         vec![32, 64, 128, 256, 512]
     };
 
-    print_csv_row(&[
-        "platform".into(),
-        "n_blocks".into(),
-        "strategy".into(),
-        "total_time_s".into(),
-        "speedup_vs_even".into(),
-        "comm_s".into(),
-    ]);
+    println!("platform,n_blocks,strategy,total_time_s,speedup_vs_even,comm_s");
 
     for platform in &platforms {
         let max_area = n_blocks_sweep.last().unwrap().pow(2);
         let sizes = size_grid(16, max_area / 2, if quick { 8 } else { 14 });
-        let parallelism = cli::parallelism(&args);
+        let parallelism = cli::parallelism(args);
         let cpms: Vec<ConstantModel> = build_device_models_with(
             platform,
             &profile,
             &[sizes[sizes.len() / 2]],
             &Precision::default(),
-            sink_or_null(&trace),
+            sink_or_null(trace),
             parallelism,
         )
         .expect("cpm build failed");
@@ -61,7 +52,7 @@ fn main() {
             &profile,
             &sizes,
             &Precision::default(),
-            sink_or_null(&trace),
+            sink_or_null(trace),
             parallelism,
         )
         .expect("akima build failed");
@@ -84,16 +75,10 @@ fn main() {
             let even = simulate(platform, &even_areas, &cfg).expect("even sim failed");
             for (name, areas) in [("even", even_areas), ("cpm", cpm_areas), ("fpm", fpm_areas)] {
                 let report = simulate(platform, &areas, &cfg).expect("sim failed");
-                print_csv_row(&[
-                    platform.name().to_owned(),
-                    n_blocks.to_string(),
-                    name.to_owned(),
-                    format!("{:.4}", report.total_time),
-                    format!("{:.3}", even.total_time / report.total_time),
-                    format!("{:.4}", report.comm_seconds),
-                ]);
+                let (time, comm) = (report.total_time, report.comm_seconds);
+                let speedup = even.total_time / time;
+                println!("{},{n_blocks},{name},{time:.4},{speedup:.3},{comm:.4}", platform.name());
             }
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

@@ -9,18 +9,14 @@
 //!
 //! Output: CSV `p,n_blocks,columns_hp,strips_hp,ratio`.
 
-use fupermod_bench::print_csv_row;
 use fupermod_core::matrix2d::{column_partition, row_strip_half_perimeters};
 
-fn main() {
+use super::Trace;
+use crate::cli::Args;
+
+pub fn run(_: &Args, _: &Trace) {
     let n_blocks: u64 = 512;
-    print_csv_row(&[
-        "p".into(),
-        "n_blocks".into(),
-        "columns_hp".into(),
-        "strips_hp".into(),
-        "ratio".into(),
-    ]);
+    println!("p,n_blocks,columns_hp,strips_hp,ratio");
     for p in [2usize, 4, 8, 16, 32, 64] {
         // Heterogeneous mix: geometric speeds, normalised to the grid.
         let weights: Vec<f64> = (0..p).map(|i| 1.25f64.powi((i % 8) as i32)).collect();
@@ -30,12 +26,7 @@ fn main() {
         let columns = column_partition(n_blocks, &areas).expect("column partition failed");
         let strips = row_strip_half_perimeters(n_blocks, &areas).expect("strip partition failed");
         let chp = columns.sum_half_perimeters();
-        print_csv_row(&[
-            p.to_string(),
-            n_blocks.to_string(),
-            chp.to_string(),
-            strips.to_string(),
-            format!("{:.3}", strips as f64 / chp as f64),
-        ]);
+        let ratio = strips as f64 / chp as f64;
+        println!("{p},{n_blocks},{chp},{strips},{ratio:.3}");
     }
 }

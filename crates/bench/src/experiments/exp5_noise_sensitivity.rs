@@ -11,19 +11,17 @@
 //! degrades.
 //!
 //! Output: CSV `noise,strategy,imbalance,mean_reps`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp5_noise_sensitivity.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{
-    ground_truth_imbalance, ground_truth_times, print_csv_row, sink_or_null, size_grid,
-};
 use fupermod_core::benchmark::Benchmark;
 use fupermod_core::kernel::DeviceKernel;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{cluster, Device, LinkModel, Platform, WorkloadProfile};
+
+use super::Trace;
+use crate::cli::Args;
+use crate::{ground_truth_imbalance, ground_truth_times, sink_or_null, size_grid};
 
 fn noisy_platform(noise: f64, seed: u64) -> Platform {
     let renoise = |d: Device, s: u64| Device::new(d.name().to_owned(), d.spec().clone(), noise, s);
@@ -39,19 +37,12 @@ fn noisy_platform(noise: f64, seed: u64) -> Platform {
     )
 }
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+pub fn run(_: &Args, trace: &Trace) {
     let profile = WorkloadProfile::matrix_update(16);
     let total = 100_000u64;
     let sizes = size_grid(16, 50_000, 12);
 
-    print_csv_row(&[
-        "noise".into(),
-        "strategy".into(),
-        "imbalance".into(),
-        "mean_reps".into(),
-    ]);
+    println!("noise,strategy,imbalance,mean_reps");
 
     for noise in [0.0, 0.02, 0.05, 0.10, 0.20, 0.40] {
         let platform = noisy_platform(noise, 500);
@@ -77,7 +68,7 @@ fn main() {
                 },
             ),
         ] {
-            let bench = Benchmark::new(&precision).with_trace(sink_or_null(&trace));
+            let bench = Benchmark::new(&precision).with_trace(sink_or_null(trace));
             let mut models = Vec::new();
             let mut total_reps = 0u64;
             let mut measurements = 0u64;
@@ -94,16 +85,12 @@ fn main() {
             }
             let refs: Vec<&dyn Model> = models.iter().map(|m| m as &dyn Model).collect();
             let dist = GeometricPartitioner::default()
-                .partition_traced(total, &refs, sink_or_null(&trace))
+                .partition_traced(total, &refs, sink_or_null(trace))
                 .expect("partition failed");
             let times = ground_truth_times(&platform, &profile, &dist.sizes());
-            print_csv_row(&[
-                format!("{noise:.2}"),
-                strategy.to_owned(),
-                format!("{:.4}", ground_truth_imbalance(&times)),
-                format!("{:.1}", total_reps as f64 / measurements as f64),
-            ]);
+            let imb = ground_truth_imbalance(&times);
+            let reps = total_reps as f64 / measurements as f64;
+            println!("{noise:.2},{strategy},{imb:.4},{reps:.1}");
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

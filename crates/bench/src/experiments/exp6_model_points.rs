@@ -9,33 +9,25 @@
 //! cost keeps growing linearly — the motivation for partial models.
 //!
 //! Output: CSV `points,algorithm,bench_cost_s,imbalance`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp6_model_points.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{
-    build_model_for_device, ground_truth_imbalance, ground_truth_times, print_csv_row,
-    sink_or_null, size_grid,
-};
 use fupermod_core::model::{AkimaModel, Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, NumericalPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::Args;
+use crate::{
+    build_model_for_device, ground_truth_imbalance, ground_truth_times, sink_or_null, size_grid,
+};
+
+pub fn run(_: &Args, trace: &Trace) {
     let profile = WorkloadProfile::matrix_update(16);
     let platform = Platform::grid_site(600);
     let total = 150_000u64;
     let precision = Precision::default();
 
-    print_csv_row(&[
-        "points".into(),
-        "algorithm".into(),
-        "bench_cost_s".into(),
-        "imbalance".into(),
-    ]);
+    println!("points,algorithm,bench_cost_s,imbalance");
 
     for npoints in [2usize, 3, 4, 6, 8, 12, 16, 24] {
         let sizes = size_grid(16, 80_000, npoints);
@@ -53,7 +45,7 @@ fn main() {
                 &sizes,
                 &precision,
                 &mut pwl,
-                sink_or_null(&trace),
+                sink_or_null(trace),
             )
             .expect("pwl build failed");
             // Reuse the same benchmark data for the Akima model: zero
@@ -82,13 +74,8 @@ fn main() {
             ),
         ] {
             let times = ground_truth_times(&platform, &profile, &dist.sizes());
-            print_csv_row(&[
-                sizes.len().to_string(),
-                name.to_owned(),
-                format!("{cost:.3}"),
-                format!("{:.4}", ground_truth_imbalance(&times)),
-            ]);
+            let imb = ground_truth_imbalance(&times);
+            println!("{},{name},{cost:.3},{imb:.4}", sizes.len());
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

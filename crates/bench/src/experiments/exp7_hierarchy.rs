@@ -10,20 +10,18 @@
 //! systems at each level.
 //!
 //! Output: CSV `total,approach,makespan,imbalance`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp7_hierarchy.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{ground_truth_imbalance, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::hierarchy::partition_hierarchical;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{GeometricPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{cluster, LinkModel, Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::Args;
+use crate::{ground_truth_imbalance, sink_or_null, size_grid};
+
+pub fn run(_: &Args, trace: &Trace) {
     let profile = WorkloadProfile::matrix_update(16);
     // Three two-device "nodes" of very different strengths.
     let devices = vec![
@@ -40,14 +38,14 @@ fn main() {
     let mut models = Vec::new();
     for rank in 0..platform.size() {
         let mut m = PiecewiseModel::new();
-        fupermod_bench::build_model_for_device(
+        crate::build_model_for_device(
             &platform,
             rank,
             &profile,
             &sizes,
             &Precision::default(),
             &mut m,
-            sink_or_null(&trace),
+            sink_or_null(trace),
         )
         .expect("model build failed");
         models.push(m);
@@ -59,15 +57,10 @@ fn main() {
         vec![refs[4], refs[5]],
     ];
 
-    print_csv_row(&[
-        "total".into(),
-        "approach".into(),
-        "makespan".into(),
-        "imbalance".into(),
-    ]);
+    println!("total,approach,makespan,imbalance");
     for total in [10_000u64, 60_000, 300_000] {
         let flat = GeometricPartitioner::default()
-            .partition_traced(total, &refs, sink_or_null(&trace))
+            .partition_traced(total, &refs, sink_or_null(trace))
             .expect("flat partition failed");
         let flat_times: Vec<f64> = flat
             .sizes()
@@ -92,13 +85,8 @@ fn main() {
 
         for (name, times) in [("flat", flat_times), ("hierarchical", hier_times)] {
             let makespan = times.iter().fold(0.0_f64, |m, t| m.max(*t));
-            print_csv_row(&[
-                total.to_string(),
-                name.to_owned(),
-                format!("{makespan:.4}"),
-                format!("{:.4}", ground_truth_imbalance(&times)),
-            ]);
+            let imb = ground_truth_imbalance(&times);
+            println!("{total},{name},{makespan:.4},{imb:.4}");
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

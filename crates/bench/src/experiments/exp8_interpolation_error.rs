@@ -11,18 +11,17 @@
 //! family produces.
 //!
 //! Output: CSV `device,model,max_rel_err,mean_rel_err,imbalance`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp8_interpolation_error.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{
-    build_model_for_device, ground_truth_imbalance, ground_truth_times, print_csv_row,
-    sink_or_null, size_grid,
-};
 use fupermod_core::model::{AkimaModel, CubicModel, LinearModel, Model, PiecewiseModel};
 use fupermod_core::partition::{NumericalPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
+
+use super::Trace;
+use crate::cli::Args;
+use crate::{
+    build_model_for_device, ground_truth_imbalance, ground_truth_times, sink_or_null, size_grid,
+};
 
 fn prediction_errors(
     platform: &Platform,
@@ -49,9 +48,7 @@ fn prediction_errors(
     (max_rel, sum_rel / n as f64)
 }
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+pub fn run(_: &Args, trace: &Trace) {
     let profile = WorkloadProfile::matrix_update(16);
     let platform = Platform::two_speed(2, 2, 800);
     let precision = Precision::thorough();
@@ -59,13 +56,7 @@ fn main() {
     let sizes = size_grid(lo, hi, 14);
     let total = 600_000u64;
 
-    print_csv_row(&[
-        "device".into(),
-        "model".into(),
-        "max_rel_err".into(),
-        "mean_rel_err".into(),
-        "imbalance".into(),
-    ]);
+    println!("device,model,max_rel_err,mean_rel_err,imbalance");
 
     let mut pwls = Vec::new();
     let mut akimas = Vec::new();
@@ -83,7 +74,7 @@ fn main() {
             &sizes,
             &precision,
             &mut pwl,
-            sink_or_null(&trace),
+            sink_or_null(trace),
         )
         .expect("build failed");
         // Reuse identical data for the other models.
@@ -102,7 +93,7 @@ fn main() {
     // so only the model differs).
     let imbalance_of = |models: Vec<&dyn Model>| -> f64 {
         let dist = NumericalPartitioner::default()
-            .partition_traced(total, &models, sink_or_null(&trace))
+            .partition_traced(total, &models, sink_or_null(trace))
             .expect("partition failed");
         let times = ground_truth_times(&platform, &profile, &dist.sizes());
         ground_truth_imbalance(&times)
@@ -122,14 +113,8 @@ fn main() {
         for (name, model, imb) in rows {
             let (max_rel, mean_rel) =
                 prediction_errors(&platform, rank, &profile, model, lo, hi);
-            print_csv_row(&[
-                platform.device(rank).name().to_owned(),
-                name.to_owned(),
-                format!("{max_rel:.4}"),
-                format!("{mean_rel:.4}"),
-                format!("{imb:.4}"),
-            ]);
+            let device = platform.device(rank).name();
+            println!("{device},{name},{max_rel:.4},{mean_rel:.4},{imb:.4}");
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

@@ -9,8 +9,6 @@
 //! the crossover is visible.
 //!
 //! Output: CSV `platform,n_blocks,approach,model_cost_s,run_time_s,total_1run,total_20runs`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/exp9_dynamic_matmul.trace.jsonl` (see docs/OBSERVABILITY.md).
 //!
 //! With `--runtime thread|sim` (default `serial`) the dynamic-estimation
 //! leg runs through the distributed message-passing executor
@@ -22,16 +20,16 @@
 //! interpreter (implies `--runtime sim`; see docs/RUNTIME.md §9).
 
 use fupermod_apps::matmul::{partition_areas, simulate, MatMulConfig};
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{build_model_for_device, dynamic_leg, print_csv_row, sink_or_null, size_grid};
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::{EvenPartitioner, GeometricPartitioner, Partitioner};
 use fupermod_core::Precision;
 use fupermod_platform::{Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::{self, Args};
+use crate::{build_model_for_device, dynamic_leg, sink_or_null, size_grid};
+
+pub fn run(args: &Args, trace: &Trace) {
     let block = 16usize;
     let profile = WorkloadProfile::matrix_update(block);
     let platforms = vec![Platform::two_speed(2, 2, 901), Platform::grid_site(902)];
@@ -41,15 +39,7 @@ fn main() {
     };
     let total_area = cfg.n_blocks * cfg.n_blocks;
 
-    print_csv_row(&[
-        "platform".into(),
-        "n_blocks".into(),
-        "approach".into(),
-        "model_cost_s".into(),
-        "run_time_s".into(),
-        "total_1run".into(),
-        "total_20runs".into(),
-    ]);
+    println!("platform,n_blocks,approach,model_cost_s,run_time_s,total_1run,total_20runs");
 
     for platform in &platforms {
         let p = platform.size();
@@ -74,7 +64,7 @@ fn main() {
                 &sizes,
                 &Precision::thorough(),
                 &mut m,
-                sink_or_null(&trace),
+                sink_or_null(trace),
             )
             .expect("model build failed");
             models.push(m);
@@ -87,8 +77,8 @@ fn main() {
 
         // (b) dynamic partial estimation at run time — distributed
         // over the runtime when --runtime thread|sim is given.
-        let config = cli::runtime_config(&args, platform, trace.as_ref(), "serial");
-        let (dyn_cost, _, areas) = dynamic_leg(platform, &profile, total_area, 20, config, &trace);
+        let config = cli::runtime_config(args, platform, trace.as_ref(), "serial");
+        let (dyn_cost, _, areas) = dynamic_leg(platform, &profile, total_area, 20, config, trace);
         let run = simulate(platform, &areas, &cfg).expect("sim failed").total_time;
         emit(platform, &cfg, "dynamic", dyn_cost, run);
 
@@ -99,17 +89,10 @@ fn main() {
             .expect("even partition failed");
         assert_eq!(even_check.total_assigned(), total_area);
     }
-    cli::finish_trace(trace.as_ref());
 }
 
 fn emit(platform: &Platform, cfg: &MatMulConfig, name: &str, model_cost: f64, run: f64) {
-    print_csv_row(&[
-        platform.name().to_owned(),
-        cfg.n_blocks.to_string(),
-        name.to_owned(),
-        format!("{model_cost:.3}"),
-        format!("{run:.3}"),
-        format!("{:.3}", model_cost + run),
-        format!("{:.3}", model_cost + 20.0 * run),
-    ]);
+    let (once, twenty) = (model_cost + run, model_cost + 20.0 * run);
+    let (platform, n_blocks) = (platform.name(), cfg.n_blocks);
+    println!("{platform},{n_blocks},{name},{model_cost:.3},{run:.3},{once:.3},{twenty:.3}");
 }

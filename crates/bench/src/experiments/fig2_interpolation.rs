@@ -8,23 +8,20 @@
 //! function exhibits the same memory-hierarchy shape.
 //!
 //! Output: CSV `d,measured_gflops,piecewise_gflops,akima_gflops`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/fig2_interpolation.trace.jsonl` (see docs/OBSERVABILITY.md).
 //!
-//! Run with `cargo run --release -p fupermod-bench --bin fig2_interpolation`.
-//! Pass `--quick` for a smaller sweep (used in smoke tests).
+//! Pass `--quick` for a smaller sweep.
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{print_csv_row, sink_or_null, size_grid};
 use fupermod_core::benchmark::Benchmark;
 use fupermod_core::kernel::Kernel;
 use fupermod_core::model::{AkimaModel, Model, PiecewiseModel};
 use fupermod_core::Precision;
 use fupermod_kernels::gemm::MatMulKernel;
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::Args;
+use crate::{sink_or_null, size_grid};
+
+pub fn run(args: &Args, trace: &Trace) {
     let quick = args.has("quick");
     let block = 16usize;
     let (hi, npoints, reps) = if quick { (400, 8, 2) } else { (4000, 22, 3) };
@@ -37,7 +34,7 @@ fn main() {
         rel_err: 0.05,
         max_seconds: 2.0,
     };
-    let bench = Benchmark::new(&precision).with_trace(sink_or_null(&trace));
+    let bench = Benchmark::new(&precision).with_trace(sink_or_null(trace));
 
     let mut pwl = PiecewiseModel::new();
     let mut akima = AkimaModel::new();
@@ -52,12 +49,7 @@ fn main() {
     // The per-unit complexity converts units/s into flop/s.
     let flops_per_unit = |d: u64| kernel.complexity(d) / d as f64;
 
-    print_csv_row(&[
-        "d".into(),
-        "measured_gflops".into(),
-        "piecewise_gflops".into(),
-        "akima_gflops".into(),
-    ]);
+    println!("d,measured_gflops,piecewise_gflops,akima_gflops");
     // Dense sweep so the interpolants' shapes are visible between the
     // measured points.
     let (lo_d, hi_d) = (1u64, *size_grid(1, hi, npoints).last().unwrap());
@@ -71,12 +63,7 @@ fn main() {
             .map(|p| to_gflops(p.speed()));
         let pw = pwl.speed(x).map(to_gflops).unwrap_or(f64::NAN);
         let ak = akima.speed(x).map(to_gflops).unwrap_or(f64::NAN);
-        print_csv_row(&[
-            d.to_string(),
-            measured.map(|v| format!("{v:.4}")).unwrap_or_default(),
-            format!("{pw:.4}"),
-            format!("{ak:.4}"),
-        ]);
+        let measured = measured.map(|v| format!("{v:.4}")).unwrap_or_default();
+        println!("{d},{measured},{pw:.4},{ak:.4}");
     }
-    cli::finish_trace(trace.as_ref());
 }

@@ -8,19 +8,17 @@
 //! resulting distribution — the data behind the paper's Fig. 3(a,b).
 //!
 //! Output: CSV `step,device,point_d,point_t,assigned_d,imbalance`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/fig3_partial_fpm.trace.jsonl` (see docs/OBSERVABILITY.md).
 
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::{print_csv_row, quick_measure, sink_or_null};
 use fupermod_core::dynamic::DynamicContext;
 use fupermod_core::model::{Model, PiecewiseModel};
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_platform::{cluster, LinkModel, Platform, WorkloadProfile};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::Args;
+use crate::{quick_measure, sink_or_null};
+
+pub fn run(_: &Args, trace: &Trace) {
     let total: u64 = 4000;
     let eps = 0.03;
     let platform = Platform::new(
@@ -39,36 +37,23 @@ fn main() {
         total,
         eps,
     );
-    if let Some(sink) = &trace {
+    if let Some(sink) = trace {
         ctx = ctx.with_trace(sink.clone());
     }
 
-    print_csv_row(&[
-        "step".into(),
-        "device".into(),
-        "point_d".into(),
-        "point_t".into(),
-        "assigned_d".into(),
-        "imbalance".into(),
-    ]);
+    println!("step,device,point_d,point_t,assigned_d,imbalance");
 
     for step in 1..=12 {
         let result = ctx
             .partition_iterate(|rank, d| {
-                quick_measure(&platform, rank, &profile, d, sink_or_null(&trace))
+                quick_measure(&platform, rank, &profile, d, sink_or_null(trace))
             })
             .expect("dynamic step failed");
         let sizes = ctx.dist().sizes();
         for (rank, model) in ctx.models().iter().enumerate() {
             for p in model.points() {
-                print_csv_row(&[
-                    step.to_string(),
-                    platform.device(rank).name().to_owned(),
-                    p.d.to_string(),
-                    format!("{:.6}", p.t),
-                    sizes[rank].to_string(),
-                    format!("{:.4}", result.imbalance),
-                ]);
+                let (device, imb) = (platform.device(rank).name(), result.imbalance);
+                println!("{step},{device},{},{:.6},{},{imb:.4}", p.d, p.t, sizes[rank]);
             }
         }
         if result.converged {
@@ -76,5 +61,4 @@ fn main() {
             break;
         }
     }
-    cli::finish_trace(trace.as_ref());
 }

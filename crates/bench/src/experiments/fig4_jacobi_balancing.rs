@@ -4,26 +4,23 @@
 //! the load balancer redistributes rows from the application's own
 //! iteration times. The paper's figure shows per-iteration times
 //! converging after a few iterations, annotated with the row counts of
-//! the slowest process (16, 11, 9, ...). This binary prints the same
-//! series.
+//! the slowest process (16, 11, 9, ...). This experiment prints the
+//! same series.
 //!
 //! Output: CSV `iteration,device,rows,compute_time,iteration_time,rows_moved,error`.
-//! With `--trace-dir DIR` (or `FUPERMOD_TRACE_DIR`), also writes
-//! `DIR/fig4_jacobi_balancing.trace.jsonl` (see docs/OBSERVABILITY.md).
 
 use std::sync::Arc;
 
 use fupermod_apps::jacobi::{run_traced, JacobiConfig};
 use fupermod_apps::workload::dominant_system;
-use fupermod_bench::cli::{self, Args};
-use fupermod_bench::print_csv_row;
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_core::trace::{NullSink, TraceSink};
 use fupermod_platform::{cluster, LinkModel, Platform};
 
-fn main() {
-    let args = Args::parse();
-    let trace = cli::open_trace_sink(&args, None);
+use super::Trace;
+use crate::cli::Args;
+
+pub fn run(args: &Args, trace: &Trace) {
     let quick = args.has("quick");
     let n = if quick { 120 } else { 480 };
 
@@ -57,26 +54,12 @@ fn main() {
     )
     .expect("jacobi run failed");
 
-    print_csv_row(&[
-        "iteration".into(),
-        "device".into(),
-        "rows".into(),
-        "compute_time".into(),
-        "iteration_time".into(),
-        "rows_moved".into(),
-        "error".into(),
-    ]);
+    println!("iteration,device,rows,compute_time,iteration_time,rows_moved,error");
     for rec in &report.iterations {
         for (rank, (&rows, &t)) in rec.sizes.iter().zip(&rec.compute_times).enumerate() {
-            print_csv_row(&[
-                rec.iteration.to_string(),
-                platform.device(rank).name().to_owned(),
-                rows.to_string(),
-                format!("{t:.6}"),
-                format!("{:.6}", rec.iteration_time),
-                rec.rows_moved.to_string(),
-                format!("{:.3e}", rec.error),
-            ]);
+            let (it, device, moved) = (rec.iteration, platform.device(rank).name(), rec.rows_moved);
+            let (it_time, error) = (rec.iteration_time, rec.error);
+            println!("{it},{device},{rows},{t:.6},{it_time:.6},{moved},{error:.3e}");
         }
     }
     eprintln!(
@@ -85,5 +68,4 @@ fn main() {
         report.iterations.len(),
         report.makespan
     );
-    cli::finish_trace(trace.as_ref());
 }

@@ -1,14 +1,15 @@
 #![warn(missing_docs)]
 
-//! Shared harness for the figure/experiment regeneration binaries.
+//! The paper's figures and experiments, and the harness they share.
 //!
-//! Each binary under `src/bin/` regenerates one figure or experiment of
-//! the paper (see DESIGN.md's experiment index) and prints CSV to
-//! stdout, so results can be diffed, plotted, or recorded in
-//! EXPERIMENTS.md. This library holds the pieces they share, and
-//! [`cli`], the command line of every binary in the workspace.
+//! Each row of [`experiments::ALL`] regenerates one figure or
+//! experiment of the paper (see DESIGN.md's experiment index) and
+//! prints CSV to stdout, so results can be diffed, plotted, or recorded
+//! in EXPERIMENTS.md. This library holds them, the pieces they share,
+//! and [`cli`], the command line of every binary in the workspace.
 
 pub mod cli;
+pub mod experiments;
 
 use std::sync::Arc;
 
@@ -219,12 +220,6 @@ pub fn dynamic_leg(
         )
         .expect("dynamic step failed");
     (cost(&steps), steps.len(), ctx.dist().sizes())
-}
-
-/// Prints a CSV header and rows through a tiny helper so every binary
-/// formats identically.
-pub fn print_csv_row(fields: &[String]) {
-    println!("{}", fields.join(","));
 }
 
 #[cfg(test)]

@@ -59,29 +59,8 @@ run timeout 300 cargo test -p fupermod-runtime "${EXTRA[@]+"${EXTRA[@]}"}" -- --
 # docs/OBSERVABILITY.md §8). Uses the release binaries built above.
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
-# Figure gate: the paper's figures and experiments, regenerated by the
-# command that produced them, must match the committed results/*.csv
-# byte for byte. fig2_interpolation times a GEMM on the host CPU, so
-# only its header, its `d` column and its row count are compared
-# (EXPERIMENTS.md states the exemption); results/*.log are not compared.
-# The CSVs print a few decimals, so the same run is traced and the
-# traces of the deterministic binaries — every model update and
-# partition at full precision — must match results/traces.sha256.
-run env FUPERMOD_TRACE_DIR="$TRACE_TMP/figures" \
-    bash scripts/run_experiments.sh "$TRACE_TMP/figures" > /dev/null
-for csv in results/*.csv; do
-    fresh="$TRACE_TMP/figures/$(basename "$csv")"
-    if [ "$(basename "$csv")" = fig2_interpolation.csv ]; then
-        cmp <(head -n 1 "$csv"; cut -d, -f1 "$csv") \
-            <(head -n 1 "$fresh"; cut -d, -f1 "$fresh")
-    else
-        cmp "$csv" "$fresh"
-    fi || { echo "figure moved: $csv (regenerated: $fresh)" >&2; exit 1; }
-done
-(cd "$TRACE_TMP/figures" && sha256sum --quiet -c -) < results/traces.sha256 \
-    || { echo "a figure's trace moved (see EXPERIMENTS.md to regenerate)" >&2; exit 1; }
 run env FUPERMOD_TRACE_DIR="$TRACE_TMP" \
-    ./target/release/exp2_dynamic_cost --quick --runtime sim
+    ./target/release/fupermod_experiment exp2_dynamic_cost --quick --runtime sim
 TRACE_FILE="$TRACE_TMP/exp2_dynamic_cost.trace.jsonl"
 run ./target/release/fupermod_tracetool merge "$TRACE_FILE" \
     --out "$TRACE_TMP/merged.jsonl"
@@ -112,7 +91,7 @@ run diff "$TRACE_TMP/merged.jsonl" "$TRACE_TMP/tailed.jsonl"
 # tracetool merge/report/validate on the result (docs/RUNTIME.md §9).
 # Bounded: the run takes single-digit seconds; a hang is a regression.
 run env FUPERMOD_TRACE_DIR="$TRACE_TMP/event" \
-    timeout 120 ./target/release/exp2_dynamic_cost --quick \
+    timeout 120 ./target/release/fupermod_experiment exp2_dynamic_cost --quick \
     --ranks 10000 --sim-engine event
 EVENT_TRACE="$TRACE_TMP/event/exp2_dynamic_cost.trace.jsonl"
 run ./target/release/fupermod_tracetool merge "$EVENT_TRACE" \

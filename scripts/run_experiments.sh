@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# Regenerates every figure/experiment of the paper (see DESIGN.md's
-# index) into results/*.csv. Run from the repository root.
+# Re-blesses the paper's figures and experiments, the rows of
+# fupermod_bench::experiments::ALL that tests/figures.rs gates: writes
+# OUT/<name>.csv and OUT/<name>.log for every row, its trace to
+# OUT/traces/, and OUT/traces.sha256 with the digests of the traced,
+# deterministic rows. Run from the repository root; OUT defaults to
+# results.
 set -euo pipefail
 
 OUT=${1:-results}
-mkdir -p "$OUT"
+mkdir -p "$OUT/traces"
 
-BINS="fig2_interpolation fig3_partial_fpm fig4_jacobi_balancing \
-      exp1_partition_quality exp2_dynamic_cost exp3_matmul_speedup \
-      exp4_matrix2d_comm exp5_noise_sensitivity exp6_model_points \
-      exp7_hierarchy exp8_interpolation_error exp9_dynamic_matmul"
+cargo build --release --bin fupermod_experiment
+RUN=./target/release/fupermod_experiment
 
-cargo build --release -p fupermod-bench
-
-for bin in $BINS; do
-    echo "== $bin"
-    cargo run --release -q -p fupermod-bench --bin "$bin" \
-        > "$OUT/$bin.csv" 2> "$OUT/$bin.log" || {
-        echo "FAILED: $bin (see $OUT/$bin.log)"; exit 1;
+for name in $($RUN list | cut -f1); do
+    echo "== $name"
+    $RUN "$name" --trace-dir "$OUT/traces" > "$OUT/$name.csv" 2> "$OUT/$name.log" || {
+        echo "FAILED: $name (see $OUT/$name.log)"; exit 1;
     }
 done
+DIGESTED=$($RUN list | awk -F'\t' '$3 == "traced" { print $1 ".trace.jsonl" }' | sort)
+(cd "$OUT/traces" && sha256sum $DIGESTED) > "$OUT/traces.sha256"
 echo "all experiments written to $OUT/"

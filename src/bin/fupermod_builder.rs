@@ -46,7 +46,7 @@ fn main() {
     let npoints: usize = args.value_or("points", 14);
     let out = std::path::PathBuf::from(args.get_or("out", "models"));
     let parallelism = cli::parallelism(&args);
-    let sink = cli::open_trace_sink(&args, None);
+    let sink = cli::open_trace_sink(&args, env!("CARGO_BIN_NAME"), None);
     let trace = sink.as_deref().unwrap_or(null_sink());
 
     std::fs::create_dir_all(&out).expect("cannot create output directory");

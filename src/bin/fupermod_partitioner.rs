@@ -40,7 +40,7 @@ fn main() {
     let total: u64 = args.required("total");
     let model_kind = args.get_or("model", "piecewise");
     let algo_kind = args.get_or("algorithm", "geometric");
-    let sink = cli::open_trace_sink(&args, None);
+    let sink = cli::open_trace_sink(&args, env!("CARGO_BIN_NAME"), None);
 
     let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| {
         cli::exit_usage(format_args!(

@@ -73,7 +73,7 @@ fn main() {
 fn run_serve(args: &cli::Args) {
     let addr = args.get_or("listen", "127.0.0.1:7070");
     let config = cli::store_config(args);
-    let sink = cli::open_trace_sink(args, None);
+    let sink = cli::open_trace_sink(args, env!("CARGO_BIN_NAME"), None);
     let options = ServeOptions {
         slow_request: args.value("slow-ms").map(std::time::Duration::from_millis),
     };

@@ -93,7 +93,7 @@ fn main() {
     }
     // Each process of a TCP job writes its own trace file
     // (`fupermod_tracetool merge` stitches them back together).
-    let sink = cli::open_trace_sink(&args, tcp.as_ref().map(|t| t.rank));
+    let sink = cli::open_trace_sink(&args, env!("CARGO_BIN_NAME"), tcp.as_ref().map(|t| t.rank));
     let events: Arc<dyn TraceSink> = sink
         .clone()
         .unwrap_or_else(|| Arc::new(fupermod::core::trace::NullSink));

@@ -56,10 +56,10 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/`
-//! for the binaries that regenerate every figure/experiment of the
-//! paper (indexed in `DESIGN.md`, results recorded in
-//! `EXPERIMENTS.md`).
+//! See `examples/` for runnable scenarios and `fupermod_experiment`
+//! (the table `fupermod_bench::experiments::ALL`) for what regenerates
+//! every figure/experiment of the paper (indexed in `DESIGN.md`,
+//! results recorded in `EXPERIMENTS.md`, gated by `tests/figures.rs`).
 
 pub use fupermod_apps as apps;
 pub use fupermod_bench::cli;
