@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 //! Real computation kernels for the FuPerMod reproduction.
 //!
@@ -8,8 +9,11 @@
 //! real hardware (the stand-in for the paper's Netlib BLAS / ATLAS /
 //! CUBLAS kernels):
 //!
-//! * [`gemm`] — dense double-precision matrix multiplication, naive and
-//!   cache-blocked, plus [`gemm::MatMulKernel`]: the paper's matmul
+//! * [`gemm`] — dense double-precision matrix multiplication:
+//!   [`gemm::gemm_naive`], the Netlib BLAS stand-in whose speed function
+//!   FIG2 measures, and [`gemm::gemm_blocked`], the tuned-BLAS stand-in
+//!   (a register-tiled kernel, bit-identical to the naive one) that the
+//!   applications run; plus [`gemm::MatMulKernel`]: the paper's matmul
 //!   computation unit (Fig. 1(b)) — one `b×b`-block panel update with
 //!   pivot-buffer copies.
 //! * [`jacobi`] — one sweep of the Jacobi iteration over a row block,

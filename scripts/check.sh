@@ -17,9 +17,10 @@ run cargo test --workspace --exclude fupermod-runtime -q "${EXTRA[@]+"${EXTRA[@]
 # has no per-layer row for — see docs/PERFORMANCE.md) must at least
 # compile.
 run cargo bench --workspace --no-run -q "${EXTRA[@]+"${EXTRA[@]}"}"
-# The kernel numerical-identity tests (gemm_parallel vs blocked/naive)
-# are fast and worth re-running with optimisations on: release codegen
-# reorders float work more aggressively than dev profile does.
+# The kernel bit-identity tests — every_tile_is_bitwise_naive (each
+# register-tile instantiation this CPU runs, against gemm_naive, on
+# ±0.0/±∞/NaN inputs) and the blocked/parallel ≡ naive proptest — run
+# again in the release codegen the harness and the binaries use.
 run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # Store step: the cached-partition path is pinned by what it allocates
 # (at most two allocations per member to parse, a constant number to

@@ -9,7 +9,7 @@ use fupermod::apps::workload::{random_matrix, DenseMatrix};
 use fupermod::core::model::{AkimaModel, Model, PiecewiseModel};
 use fupermod::core::partition::{GeometricPartitioner, NumericalPartitioner};
 use fupermod::core::Precision;
-use fupermod::kernels::gemm::gemm_blocked;
+use fupermod::kernels::gemm::{gemm_blocked, gemm_naive};
 use fupermod::platform::{Platform, WorkloadProfile};
 
 fn serial_product(a: &DenseMatrix, b: &DenseMatrix) -> Vec<f64> {
@@ -63,6 +63,48 @@ fn threaded_product_is_correct_for_model_derived_areas() {
             .zip(&reference)
             .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()));
         assert!(max_err < 1e-9, "{name}: max error {max_err}");
+    }
+}
+
+/// The blocked GEMM is the naive one bit for bit, including where a
+/// skipped zero term shows: an all-zero row of `A` over `C = -0.0`,
+/// zeros of `A` meeting ±∞ and NaN in `B`, and a zero only in the
+/// second 256-long run of `l`.
+#[test]
+fn blocked_gemm_is_bitwise_naive_on_hostile_values() {
+    let (m, n, k) = (37, 41, 270);
+    let mut a = random_matrix(m, k, 3).data;
+    let mut b = random_matrix(k, n, 4).data;
+    for i in 0..m {
+        for l in 0..k {
+            if i == 9 || (i % 10 == 3 && l % 7 == 1) || (i == 30 && l == 263) {
+                a[i * k + l] = if l % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+    }
+    for l in (1..k).step_by(7) {
+        b[l * n + 5] = f64::INFINITY;
+        b[l * n + 6] = if l % 2 == 0 {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        };
+        b[l * n + 20] = f64::NAN;
+        b[l * n + 33] = -0.0;
+    }
+    for fill in [-0.0, 0.25] {
+        let mut naive = vec![fill; m * n];
+        let mut blocked = vec![fill; m * n];
+        gemm_naive(m, n, k, &a, &b, &mut naive);
+        gemm_blocked(m, n, k, &a, &b, &mut blocked);
+        for (e, (x, y)) in blocked.iter().zip(&naive).enumerate() {
+            // Equal bits, or both NaN: which NaN operand's sign and
+            // payload an add keeps is left open by the language.
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "C={fill} elem {e}: {x} vs naive {y}"
+            );
+        }
     }
 }
 
