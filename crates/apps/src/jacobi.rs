@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use fupermod_core::dynamic::DynamicContext;
 use fupermod_core::model::{Model, PiecewiseModel};
-use fupermod_core::partition::{Distribution, Partitioner};
+use fupermod_core::partition::Partitioner;
 use fupermod_core::trace::{NullSink, TraceSink};
 use fupermod_core::CoreError;
 use fupermod_kernels::jacobi::jacobi_sweep;
@@ -228,23 +228,11 @@ pub fn run_even(
     run(system, platform, Box::new(EvenPartitioner), &cfg)
 }
 
-/// Maximum relative imbalance of the last `k` iterations of a report —
-/// the quantity Fig. 4 shows shrinking.
-pub fn tail_imbalance(report: &JacobiReport, k: usize) -> f64 {
-    report
-        .iterations
-        .iter()
-        .rev()
-        .take(k)
-        .map(|r| Distribution::imbalance_of(&r.compute_times))
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::dominant_system;
-    use fupermod_core::partition::GeometricPartitioner;
+    use fupermod_core::partition::{Distribution, GeometricPartitioner};
 
     fn residual(system: &LinearSystem, x: &[f64]) -> f64 {
         let n = system.b.len();
@@ -286,7 +274,11 @@ mod tests {
         )
         .unwrap();
         let first = Distribution::imbalance_of(&report.iterations[0].compute_times);
-        let last = tail_imbalance(&report, 3);
+        // The largest imbalance of the last three iterations.
+        let last = report.iterations[report.iterations.len() - 3..]
+            .iter()
+            .map(|r| Distribution::imbalance_of(&r.compute_times))
+            .fold(0.0, f64::max);
         assert!(
             last < first * 0.6,
             "imbalance did not shrink: first {first}, tail {last}"

@@ -21,7 +21,7 @@ use fupermod_core::matrix2d::{column_partition, ColumnPartition};
 use fupermod_core::model::Model;
 use fupermod_core::partition::Partitioner;
 use fupermod_core::{CoreError, Point};
-use fupermod_kernels::gemm::{gemm_blocked, gemm_parallel};
+use fupermod_kernels::gemm::gemm_blocked;
 use fupermod_platform::comm::SimComm;
 use fupermod_platform::{Platform, WorkloadProfile};
 use fupermod_runtime::{
@@ -74,23 +74,6 @@ pub fn build_device_models<M: Model + Default + Send>(
         fupermod_core::trace::null_sink(),
         1,
     )
-}
-
-/// Like [`build_device_models`], additionally routing every benchmark
-/// repetition/summary and every model update to `sink` as structured
-/// trace events. The model-update events carry the device rank.
-///
-/// # Errors
-///
-/// Exactly those of [`build_device_models`].
-pub fn build_device_models_traced<M: Model + Default + Send>(
-    platform: &Platform,
-    profile: &WorkloadProfile,
-    sizes: &[u64],
-    precision: &fupermod_core::Precision,
-    sink: &dyn fupermod_core::trace::TraceSink,
-) -> Result<Vec<M>, CoreError> {
-    build_device_models_with(platform, profile, sizes, precision, sink, 1)
 }
 
 /// The full-control variant of [`build_device_models`]: structured
@@ -279,25 +262,6 @@ pub fn run_threaded(
     block: usize,
     areas: &[u64],
 ) -> Result<DenseMatrix, CoreError> {
-    run_threaded_with(a, b, block, areas, 1)
-}
-
-/// Like [`run_threaded`], with each process's local GEMM additionally
-/// split across `gemm_threads` row-band workers
-/// ([`fupermod_kernels::gemm::gemm_parallel`]; `1` = single-threaded,
-/// `0` = one worker per available core). The assembled product is
-/// bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Exactly those of [`run_threaded`].
-pub fn run_threaded_with(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    block: usize,
-    areas: &[u64],
-    gemm_threads: usize,
-) -> Result<DenseMatrix, CoreError> {
     let n = a.rows;
     if a.cols != n || b.rows != n || b.cols != n {
         return Err(CoreError::Kernel("matrices must be square and equal".to_owned()));
@@ -339,11 +303,7 @@ pub fn run_threaded_with(
                     .copy_from_slice(&b.data[r * n + col0..r * n + col0 + cols]);
             }
             let mut c = vec![0.0; rows * cols];
-            if gemm_threads == 1 {
-                gemm_blocked(rows, cols, n, a_band, &b_band, &mut c);
-            } else {
-                gemm_parallel(rows, cols, n, a_band, &b_band, &mut c, gemm_threads);
-            }
+            gemm_blocked(rows, cols, n, a_band, &b_band, &mut c);
             Ok((rank, c))
         });
 
@@ -677,18 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matmul_with_gemm_threads_is_bit_identical() {
-        let n = 48;
-        let a = random_matrix(n, n, 5);
-        let b = random_matrix(n, n, 6);
-        let reference = run_threaded(&a, &b, 8, &[18, 9, 6, 3]).unwrap();
-        for threads in [0, 2, 4] {
-            let c = run_threaded_with(&a, &b, 8, &[18, 9, 6, 3], threads).unwrap();
-            assert_eq!(c.data, reference.data, "gemm_threads={threads}");
-        }
-    }
-
-    #[test]
     fn bcast_matmul_matches_serial_in_both_modes() {
         let n = 48;
         let a = random_matrix(n, n, 7);
@@ -755,7 +703,7 @@ mod tests {
 
     #[test]
     fn parallel_device_model_build_matches_serial() {
-        use fupermod_core::trace::{null_sink, MemorySink};
+        use fupermod_core::trace::MemorySink;
         let platform = Platform::two_speed(2, 2, 21);
         let profile = WorkloadProfile::matrix_update(16);
         let sizes = [16u64, 64, 256, 1024];
@@ -775,15 +723,10 @@ mod tests {
             assert_eq!(serial, parallel, "parallelism={parallelism}");
             assert_eq!(serial_sink.events(), par_sink.events());
         }
-        // The untraced/unparallel wrappers agree too.
+        // The untraced, serial wrapper agrees too.
         let wrapped: Vec<AkimaModel> =
             build_device_models(&platform, &profile, &sizes, &precision).unwrap();
         assert_eq!(serial, wrapped);
-        let traced: Vec<AkimaModel> = build_device_models_traced(
-            &platform, &profile, &sizes, &precision, null_sink(),
-        )
-        .unwrap();
-        assert_eq!(serial, traced);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use fupermod_runtime::{AlgorithmPolicy, FaultPlan, RuntimeConfig, SimEngine};
 /// rank stops being a simulation strategy and starts being a
 /// fork bomb well before the default pthread limits bite. Past this,
 /// `--sim-engine event` runs the same scenarios in one thread.
-pub const THREAD_RANKS_CAP: usize = 512;
+const THREAD_RANKS_CAP: usize = 512;
 
 /// The flags that take no value, on every binary: `--quick` (the
 /// experiments' smaller sweep) and `--json` (`fupermod_tracetool
@@ -296,7 +296,7 @@ pub fn collectives(args: &Args) -> AlgorithmPolicy {
 /// the experiments, `"thread"` for `fupermod_simulate`. `--sim-engine
 /// event` needs the virtual-clock backend, so it implies `sim` when
 /// `--runtime` is absent and rejects an explicit `thread`. The thread
-/// engine is capped at [`THREAD_RANKS_CAP`] ranks. Exits with status 2
+/// engine is capped at `THREAD_RANKS_CAP` ranks. Exits with status 2
 /// on an unknown backend or a rejected combination.
 pub fn runtime_config(
     args: &Args,

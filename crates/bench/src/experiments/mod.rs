@@ -14,6 +14,7 @@ use fupermod_core::trace::TraceSink;
 
 use crate::cli::Args;
 
+mod exp10_partition_cost;
 mod exp1_partition_quality;
 mod exp2_dynamic_cost;
 mod exp3_matmul_speedup;
@@ -74,4 +75,5 @@ pub const ALL: &[Experiment] = &[
     row!(exp7_hierarchy, "§4.1", host_timed: false, traced: true),
     row!(exp8_interpolation_error, "§4.2", host_timed: false, traced: true),
     row!(exp9_dynamic_matmul, "§4.3", host_timed: false, traced: true),
+    row!(exp10_partition_cost, "§4.3", host_timed: false, traced: false),
 ];

@@ -22,7 +22,7 @@
 //!   returned — again exactly what the serial loop would have done.
 //!
 //! The only observable difference is the process-wide run totals
-//! ([`crate::telemetry::run_summary`]), which may include work from
+//! (`telemetry::run_summary`), which may include work from
 //! ranks that a serial build would never have reached after an error;
 //! they are diagnostic totals, not part of the event stream.
 
@@ -128,7 +128,7 @@ impl<'a> ModelBuilder<'a> {
     }
 
     /// The effective worker count for `n_jobs` jobs.
-    pub fn effective_workers(&self, n_jobs: usize) -> usize {
+    fn effective_workers(&self, n_jobs: usize) -> usize {
         let cap = if self.parallelism == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

@@ -33,7 +33,8 @@ impl LinearModel {
     }
 
     /// The fitted `(intercept, slope)` of `t(x) = a + b·x`.
-    pub fn coefficients(&self) -> (f64, f64) {
+    #[cfg(test)]
+    fn coefficients(&self) -> (f64, f64) {
         (self.intercept, self.slope)
     }
 

@@ -44,7 +44,8 @@ impl PiecewiseModel {
     /// The coarsened (canonical) speed values at the experimental
     /// sizes, in units/s — exposed so experiments can plot the
     /// restricted approximation against the raw data (paper Fig. 2(a)).
-    pub fn canonical_speeds(&self) -> Option<(&[f64], &[f64])> {
+    #[cfg(test)]
+    fn canonical_speeds(&self) -> Option<(&[f64], &[f64])> {
         self.speed_fn.as_ref().map(|f| (f.xs(), f.ys()))
     }
 

@@ -7,8 +7,8 @@
 //! The hot path is lock-free: recording into a registered handle is
 //! a couple of relaxed atomic operations, and a *disabled* registry
 //! costs exactly one relaxed boolean load per record, so
-//! untelemetered runs pay nothing measurable (see the
-//! `telemetry_overhead` bench). Registration takes a mutex, but is
+//! untelemetered runs pay nothing measurable (docs/OBSERVABILITY.md
+//! §9.1). Registration takes a mutex, but is
 //! expected once per (name, label-set) at startup; handles are cheap
 //! `Arc` clones that remain valid for the registry's lifetime.
 //!
@@ -33,7 +33,7 @@ use crate::trace::{
 
 /// Fault tags fed to [`record_fault`] by the runtime's fault
 /// machinery (mirrors the `kind` field of `fault` trace events).
-pub const FAULT_KINDS: [&str; 7] = [
+const FAULT_KINDS: [&str; 7] = [
     "delay",
     "drop",
     "retry",
@@ -607,7 +607,7 @@ fn push_labels(out: &mut String, labels: &[(String, String)], le: Option<&str>) 
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote and newline.
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -659,7 +659,7 @@ struct GlobalTelemetry {
 }
 
 /// Handles for what the measurement and partitioning machinery counts
-/// over a run; the exit line ([`run_summary`]) reads them back.
+/// over a run; the exit line (`run_summary`) reads them back.
 pub(crate) struct RunTotals {
     /// `fupermod_kernels_executed_total`.
     pub(crate) kernels_executed: Counter,
@@ -752,7 +752,7 @@ pub(crate) fn run_totals() -> &'static RunTotals {
 
 /// One-line human-readable summary of the global run totals, for
 /// process-exit reporting.
-pub fn run_summary() -> String {
+fn run_summary() -> String {
     let t = run_totals();
     format!(
         "fupermod metrics: kernels={} reps={} outliers_rejected={} repartitions={} units_moved={}",
@@ -779,7 +779,7 @@ pub fn open_run_trace(path: Option<&Path>) -> io::Result<Option<Arc<dyn TraceSin
 
 /// Ends a binary's run: exports the global registry snapshot into the
 /// sink as `metrics` events and flushes it (when there is one), then
-/// returns the [`run_summary`] line for the caller to print.
+/// returns the `run_summary` line for the caller to print.
 ///
 /// # Errors
 ///

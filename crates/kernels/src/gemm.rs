@@ -226,72 +226,10 @@ impl Operands<'_> {
     }
 }
 
-/// `C += A · B` parallelised over row bands on scoped worker threads,
-/// same layout as [`gemm_naive`]. `threads = 0` means one worker per
-/// available core ([`std::thread::available_parallelism`]);
-/// `threads = 1` falls back to [`gemm_blocked`] on the calling thread.
-///
-/// Each worker runs [`gemm_blocked`] on a contiguous band of rows of
-/// `A`/`C` against the whole of `B`. Whichever rows share a band, and
-/// so whether a row lands in a register tile or on the scalar path,
-/// every element of `C` gets its terms in ascending `l`, skipping each
-/// zero `a[i][l]`: the tile runs only on zero-free panels, and the
-/// scalar path keeps the same rules. The result is therefore
-/// **bit-identical** to [`gemm_blocked`] on the full matrices, and to
-/// [`gemm_naive`] — not merely equal up to rounding.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the given dimensions.
-pub fn gemm_parallel(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b.len(), k * n, "B must be k×n");
-    assert_eq!(c.len(), m * n, "C must be m×n");
-    let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(m)
-    .max(1);
-    if workers <= 1 {
-        return gemm_blocked(m, n, k, a, b, c);
-    }
-
-    // Split the rows into `workers` near-even contiguous bands.
-    let base = m / workers;
-    let extra = m % workers;
-    std::thread::scope(|scope| {
-        let mut rest = c;
-        let mut row0 = 0usize;
-        for w in 0..workers {
-            let rows = base + usize::from(w < extra);
-            if rows == 0 {
-                continue;
-            }
-            let (band, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let a_band = &a[row0 * k..(row0 + rows) * k];
-            scope.spawn(move || gemm_blocked(rows, n, k, a_band, b, band));
-            row0 += rows;
-        }
-    });
-}
-
 /// Near-square arrangement of `d` blocks: `m = ⌈√d⌉` rows of blocks and
 /// `n = ⌈d/m⌉` columns, exactly the paper's
 /// `mᵢ = ⌈√dᵢ⌉; nᵢ = ⌈dᵢ/mᵢ⌉` initialisation.
-pub fn block_arrangement(d: u64) -> (usize, usize) {
+fn block_arrangement(d: u64) -> (usize, usize) {
     if d == 0 {
         return (0, 0);
     }
@@ -332,8 +270,6 @@ pub fn block_arrangement(d: u64) -> (usize, usize) {
 pub struct MatMulKernel {
     block: usize,
     use_blocked_gemm: bool,
-    /// GEMM worker threads: 1 = single-threaded, 0 = auto, n = fixed.
-    gemm_threads: usize,
 }
 
 impl MatMulKernel {
@@ -348,7 +284,6 @@ impl MatMulKernel {
         Self {
             block,
             use_blocked_gemm: true,
-            gemm_threads: 1,
         }
     }
 
@@ -360,19 +295,7 @@ impl MatMulKernel {
         Self {
             block,
             use_blocked_gemm: false,
-            gemm_threads: 1,
         }
-    }
-
-    /// Runs the blocked GEMM across `threads` row-band workers
-    /// ([`gemm_parallel`]; `0` = one per available core). The result
-    /// stays bit-identical to the single-threaded kernel. Ignored by
-    /// the naive-GEMM variant, whose whole point is the unoptimised
-    /// memory behaviour.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.gemm_threads = threads;
-        self
     }
 
     /// The blocking factor.
@@ -380,9 +303,35 @@ impl MatMulKernel {
         self.block
     }
 
-    /// The configured GEMM thread count (1 = single-threaded, 0 = auto).
-    pub fn threads(&self) -> usize {
-        self.gemm_threads
+    /// The context [`Kernel::context`] boxes, for `d` blocks.
+    fn matmul_context(&self, d: u64) -> Result<MatMulContext, CoreError> {
+        if d == 0 {
+            return Err(CoreError::Kernel(
+                "matmul kernel needs at least one block".to_owned(),
+            ));
+        }
+        let (m, n) = block_arrangement(d);
+        let b = self.block;
+        let rows = m * b;
+        let cols = n * b;
+        // Deterministic non-trivial contents with no zero: the blocked
+        // GEMM skips each zero `a[i][l]` and leaves a panel holding one
+        // to its scalar path, so a zero here would time that path and
+        // not the register tile the applications run.
+        let fill = |len: usize, scale: f64| -> Vec<f64> {
+            (0..len).map(|i| scale * ((i % 17) as f64 - 8.5)).collect()
+        };
+        Ok(MatMulContext {
+            rows,
+            cols,
+            b,
+            a: fill(rows * b, 0.01),
+            bm: fill(b * cols, 0.02),
+            c: vec![0.0; rows * cols],
+            pivot_a: vec![0.0; rows * b],
+            pivot_b: vec![0.0; b * cols],
+            use_blocked: self.use_blocked_gemm,
+        })
     }
 }
 
@@ -394,31 +343,7 @@ impl Kernel for MatMulKernel {
     }
 
     fn context(&mut self, d: u64) -> Result<Box<dyn KernelContext>, CoreError> {
-        if d == 0 {
-            return Err(CoreError::Kernel(
-                "matmul kernel needs at least one block".to_owned(),
-            ));
-        }
-        let (m, n) = block_arrangement(d);
-        let b = self.block;
-        let rows = m * b;
-        let cols = n * b;
-        // Deterministic non-trivial contents.
-        let fill = |len: usize, scale: f64| -> Vec<f64> {
-            (0..len).map(|i| scale * ((i % 17) as f64 - 8.0)).collect()
-        };
-        Ok(Box::new(MatMulContext {
-            rows,
-            cols,
-            b,
-            a: fill(rows * b, 0.01),
-            bm: fill(b * cols, 0.02),
-            c: vec![0.0; rows * cols],
-            pivot_a: vec![0.0; rows * b],
-            pivot_b: vec![0.0; b * cols],
-            use_blocked: self.use_blocked_gemm,
-            threads: self.gemm_threads,
-        }))
+        Ok(Box::new(self.matmul_context(d)?))
     }
 }
 
@@ -435,7 +360,6 @@ struct MatMulContext {
     pivot_a: Vec<f64>,
     pivot_b: Vec<f64>,
     use_blocked: bool,
-    threads: usize,
 }
 
 impl KernelContext for MatMulContext {
@@ -445,17 +369,7 @@ impl KernelContext for MatMulContext {
         // the pivot column/row into the working buffers.
         self.pivot_a.copy_from_slice(&self.a);
         self.pivot_b.copy_from_slice(&self.bm);
-        if self.use_blocked && self.threads != 1 {
-            gemm_parallel(
-                self.rows,
-                self.cols,
-                self.b,
-                &self.pivot_a,
-                &self.pivot_b,
-                &mut self.c,
-                self.threads,
-            );
-        } else if self.use_blocked {
+        if self.use_blocked {
             gemm_blocked(
                 self.rows,
                 self.cols,
@@ -617,55 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_blocked() {
-        // Not merely close: every row's accumulation order is the same
-        // regardless of the band split, so results match bit-for-bit.
-        for (m, n, k) in [(1, 1, 1), (7, 9, 5), (64, 64, 64), (130, 70, 65), (257, 33, 129)] {
-            let (a, b) = test_matrices(m, n, k);
-            let mut reference = vec![0.5; m * n];
-            gemm_blocked(m, n, k, &a, &b, &mut reference);
-            for threads in [0, 1, 2, 3, 4, 7, 16] {
-                let mut c = vec![0.5; m * n];
-                gemm_parallel(m, n, k, &a, &b, &mut c, threads);
-                for (i, (x, y)) in c.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "m={m} n={n} k={k} threads={threads} elem {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_handles_more_threads_than_rows() {
-        let (m, n, k) = (3, 8, 4);
-        let (a, b) = test_matrices(m, n, k);
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        gemm_blocked(m, n, k, &a, &b, &mut c1);
-        gemm_parallel(m, n, k, &a, &b, &mut c2, 64);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn threaded_kernel_matches_single_threaded() {
-        // Same deterministic inputs → the accumulated C state after two
-        // runs must be bit-identical across thread counts.
-        let run_twice = |mut kernel: MatMulKernel| -> Duration {
-            let mut ctx = kernel.context(16).unwrap();
-            let t1 = ctx.run().unwrap();
-            let t2 = ctx.run().unwrap();
-            t1 + t2
-        };
-        assert!(run_twice(MatMulKernel::new(8)).as_nanos() > 0);
-        assert!(run_twice(MatMulKernel::new(8).with_threads(4)).as_nanos() > 0);
-        assert_eq!(MatMulKernel::new(8).with_threads(4).threads(), 4);
-        assert_eq!(MatMulKernel::new(8).threads(), 1);
-    }
-
-    #[test]
     fn gemm_accumulates_into_c() {
         let mut c = vec![1.0; 4];
         gemm_naive(2, 2, 2, &[1.0, 0.0, 0.0, 1.0], &[2.0, 0.0, 0.0, 2.0], &mut c);
@@ -701,6 +566,19 @@ mod tests {
         let t1 = ctx.run().unwrap();
         let t2 = ctx.run().unwrap();
         assert!(t1.as_nanos() > 0 && t2.as_nanos() > 0);
+    }
+
+    #[test]
+    fn context_operands_hold_no_zero() {
+        for block in [1, 4, 8, 16] {
+            for d in 1..40 {
+                let ctx = MatMulKernel::new(block).matmul_context(d).unwrap();
+                assert!(
+                    ctx.a.iter().chain(&ctx.bm).all(|&v| v != 0.0),
+                    "block={block} d={d}"
+                );
+            }
+        }
     }
 
     #[test]

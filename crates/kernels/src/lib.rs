@@ -18,9 +18,6 @@
 //!   pivot-buffer copies.
 //! * [`jacobi`] — one sweep of the Jacobi iteration over a row block,
 //!   the computation unit of the paper's second use case.
-//! * [`synthetic`] — a tunable-footprint streaming kernel for
-//!   memory-hierarchy studies.
 
 pub mod gemm;
 pub mod jacobi;
-pub mod synthetic;

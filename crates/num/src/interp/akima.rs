@@ -148,10 +148,9 @@ impl AkimaSpline {
         &self.ys
     }
 
-    /// The Akima node derivatives, one per point. Exposed so that
-    /// reference implementations (benchmarks, parity tests) can
-    /// re-derive segment coefficients the way the evaluator used to.
-    pub fn derivatives(&self) -> &[f64] {
+    /// The Akima node derivatives, one per point.
+    #[cfg(test)]
+    fn derivatives(&self) -> &[f64] {
         &self.ds
     }
 

@@ -177,7 +177,8 @@ impl IncrementalStats {
     /// Reference implementations of median/MAD/filter, for parity
     /// tests and documentation. Costs O(n log n) and allocates; the
     /// incremental methods above must agree bit-for-bit.
-    pub fn reference_filtered(&self, k: f64) -> (OnlineStats, u64) {
+    #[cfg(test)]
+    fn reference_filtered(&self, k: f64) -> (OnlineStats, u64) {
         let kept = super::reject_outliers(&self.arrived, k);
         let rejected = (self.arrived.len() - kept.len()) as u64;
         (kept.into_iter().collect(), rejected)

@@ -41,7 +41,8 @@ impl ConfidenceInterval {
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
+/// // The sample variance is 32/7, so the standard error is √(32/7/8).
+/// assert!((s.std_error() - (4.0_f64 / 7.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -76,7 +77,7 @@ impl OnlineStats {
 
     /// Unbiased sample variance (`n - 1` denominator); `0.0` with fewer
     /// than two observations.
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

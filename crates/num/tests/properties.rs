@@ -133,6 +133,6 @@ proptest! {
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(s.mean() >= lo - 1e-6 && s.mean() <= hi + 1e-6);
-        prop_assert!(s.sample_variance() >= 0.0);
+        prop_assert!(s.std_error() >= 0.0);
     }
 }

@@ -12,7 +12,7 @@ use crate::device::{CpuSpec, Device, DeviceSpec, GpuSpec, MemoryLevel, Multicore
 
 /// Default relative measurement noise for synthetic devices (2%), about
 /// what a well-pinned dedicated node shows in practice.
-pub const DEFAULT_NOISE: f64 = 0.02;
+const DEFAULT_NOISE: f64 = 0.02;
 
 /// A named set of devices connected by a uniform link model.
 ///

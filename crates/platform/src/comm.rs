@@ -110,86 +110,6 @@ impl LinkModel {
     }
 }
 
-/// A two-level interconnect topology: ranks grouped into nodes, with a
-/// fast intra-node link and a slower inter-node link — the "complex
-/// hierarchy of heterogeneous computing devices" of the paper's target
-/// platforms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Topology {
-    node_of: Vec<usize>,
-    intra: LinkModel,
-    inter: LinkModel,
-}
-
-impl Topology {
-    /// A flat topology: every pair of ranks uses the same link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn flat(size: usize, link: LinkModel) -> Self {
-        assert!(size > 0, "topology needs at least one rank");
-        Self {
-            node_of: vec![0; size],
-            intra: link,
-            inter: link,
-        }
-    }
-
-    /// A two-level topology: `node_of[r]` names the node of rank `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_of` is empty.
-    pub fn two_level(node_of: Vec<usize>, intra: LinkModel, inter: LinkModel) -> Self {
-        assert!(!node_of.is_empty(), "topology needs at least one rank");
-        Self {
-            node_of,
-            intra,
-            inter,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.node_of.len()
-    }
-
-    /// The link between two ranks (intra-node if co-located).
-    pub fn link(&self, a: usize, b: usize) -> LinkModel {
-        if self.node_of[a] == self.node_of[b] {
-            self.intra
-        } else {
-            self.inter
-        }
-    }
-
-    /// The slowest link any pair of ranks might use — the conservative
-    /// bound collectives are charged with.
-    pub fn worst_link(&self) -> LinkModel {
-        let crosses_nodes = self.node_of.iter().any(|&n| n != self.node_of[0]);
-        if crosses_nodes {
-            self.inter
-        } else {
-            self.intra
-        }
-    }
-
-    /// `Some(link)` when every pair of ranks uses the same link model
-    /// (a flat topology, a single node, or identical intra/inter
-    /// links), `None` otherwise. The uniform-link guarantee is what
-    /// lets closed-form schedule charges
-    /// ([`SimComm::charge_uniform_ring`]) replace per-hop replay.
-    pub fn uniform_link(&self) -> Option<LinkModel> {
-        let crosses_nodes = self.node_of.iter().any(|&n| n != self.node_of[0]);
-        if !crosses_nodes || self.intra == self.inter {
-            Some(self.worst_link())
-        } else {
-            None
-        }
-    }
-}
-
 /// What a rank was doing during a [`TraceEvent`] interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activity {
@@ -237,27 +157,23 @@ pub struct TraceEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimComm {
     clocks: Vec<f64>,
-    topo: Topology,
+    link: LinkModel,
     comm_seconds: f64,
     trace: Option<Vec<TraceEvent>>,
 }
 
 impl SimComm {
-    /// Creates a world of `size` ranks on a flat topology, all clocks
-    /// at zero.
+    /// Creates a world of `size` ranks joined pairwise by `link`, all
+    /// clocks at zero.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     pub fn new(size: usize, link: LinkModel) -> Self {
-        Self::with_topology(Topology::flat(size, link))
-    }
-
-    /// Creates a world over an explicit [`Topology`].
-    pub fn with_topology(topo: Topology) -> Self {
+        assert!(size > 0, "communicator needs at least one rank");
         Self {
-            clocks: vec![0.0; topo.size()],
-            topo,
+            clocks: vec![0.0; size],
+            link,
             comm_seconds: 0.0,
             trace: None,
         }
@@ -295,14 +211,9 @@ impl SimComm {
         self.clocks.len()
     }
 
-    /// The worst-case link model in force (used for collectives).
+    /// The link model every pair of ranks uses.
     pub fn link(&self) -> LinkModel {
-        self.topo.worst_link()
-    }
-
-    /// The topology in force.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.link
     }
 
     /// Virtual time of `rank`.
@@ -362,7 +273,7 @@ impl SimComm {
         if src == dst {
             return self.clocks[src];
         }
-        let link = self.topo.link(src, dst);
+        let link = self.link;
         let ready = self.clocks[src] + link.cost(bytes);
         let src_before = self.clocks[src];
         self.clocks[src] += link.latency_sec;
@@ -470,7 +381,7 @@ impl SimComm {
             let mut send_busy = self.clocks.clone();
             let mut recv_busy = self.clocks.clone();
             for &(src, dst, bytes) in round {
-                let cost = self.topo.link(src, dst).cost(bytes);
+                let cost = self.link.cost(bytes);
                 let begin = send_busy[src].max(recv_busy[dst]);
                 let end = begin + cost;
                 send_busy[src] = end;
@@ -536,7 +447,7 @@ impl SimComm {
         let mut recv_busy = baseline.to_vec();
         for round in rounds {
             for &(src, dst, bytes) in round {
-                let cost = self.topo.link(src, dst).cost(bytes);
+                let cost = self.link.cost(bytes);
                 let begin = send_busy[src].max(recv_busy[dst]);
                 let end = begin + cost;
                 send_busy[src] = end;
@@ -584,15 +495,11 @@ impl SimComm {
     ///
     /// # Panics
     ///
-    /// Panics if the topology is not uniform-link
-    /// ([`Topology::uniform_link`]), if the per-rank clocks are not all
-    /// bit-identical, or if `bytes` is negative — the caller is
-    /// expected to have checked the fast-path gate.
+    /// Panics if the per-rank clocks are not all bit-identical, or if
+    /// `bytes` is negative — the caller is expected to have checked the
+    /// fast-path gate.
     pub fn charge_uniform_ring(&mut self, bytes: f64, rounds: usize) {
-        let link = self
-            .topo
-            .uniform_link()
-            .expect("charge_uniform_ring requires a uniform-link topology");
+        let link = self.link;
         let start = self.clocks[0];
         assert!(
             self.clocks.iter().all(|c| c.to_bits() == start.to_bits()),
@@ -658,7 +565,7 @@ impl SimComm {
         let mut transfers = 0usize;
         while let (Some(&(s, have)), Some(&(d, need))) = (surplus.front(), deficit.front()) {
             let units = have.min(need);
-            let cost = self.topo.link(s, d).cost(units as f64 * bytes_per_unit);
+            let cost = self.link.cost(units as f64 * bytes_per_unit);
             busy[s] += cost;
             busy[d] += cost;
             moved += units;
@@ -795,25 +702,6 @@ mod tests {
         // different association order — approximate agreement only.
         let rel = (exact.comm_seconds() - fast.comm_seconds()).abs() / exact.comm_seconds();
         assert!(rel < 1e-9, "comm_seconds diverged by {rel}");
-    }
-
-    #[test]
-    fn uniform_link_detection() {
-        let eth = LinkModel::ethernet();
-        let ib = LinkModel::infiniband();
-        assert_eq!(Topology::flat(4, eth).uniform_link(), Some(eth));
-        // One node: intra link applies everywhere.
-        assert_eq!(
-            Topology::two_level(vec![0, 0, 0], ib, eth).uniform_link(),
-            Some(ib)
-        );
-        // Two nodes, distinct links: not uniform.
-        assert_eq!(Topology::two_level(vec![0, 1], ib, eth).uniform_link(), None);
-        // Two nodes but identical links: uniform.
-        assert_eq!(
-            Topology::two_level(vec![0, 1], eth, eth).uniform_link(),
-            Some(eth)
-        );
     }
 
     #[test]
@@ -993,38 +881,6 @@ mod tests {
                 last_end = e.end;
             }
         }
-    }
-
-    #[test]
-    fn topology_distinguishes_intra_and_inter_node() {
-        let intra = LinkModel {
-            latency_sec: 1e-6,
-            bytes_per_sec: 1e10,
-        };
-        let inter = LinkModel {
-            latency_sec: 1e-3,
-            bytes_per_sec: 1e8,
-        };
-        // Ranks 0,1 on node 0; ranks 2,3 on node 1.
-        let topo = Topology::two_level(vec![0, 0, 1, 1], intra, inter);
-        assert_eq!(topo.link(0, 1), intra);
-        assert_eq!(topo.link(1, 2), inter);
-        assert_eq!(topo.worst_link(), inter);
-
-        let mut c = SimComm::with_topology(topo);
-        c.send(0, 1, 1e6); // intra: ~0.1 ms
-        let t_intra = c.time(1);
-        c.send(2, 3, 1e6); // also intra
-        c.send(0, 2, 1e6); // inter: ~10 ms
-        assert!(c.time(2) > 50.0 * t_intra);
-    }
-
-    #[test]
-    fn flat_topology_matches_plain_constructor() {
-        let link = LinkModel::ethernet();
-        let a = SimComm::new(4, link);
-        let b = SimComm::with_topology(Topology::flat(4, link));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl CpuSpec {
     /// bytes. Plateaus are blended smoothly (over one octave of working
     /// set growth past each capacity) so that spline models see a
     /// continuous, differentiable ground truth.
-    pub fn effective_flops(&self, ws: f64) -> f64 {
+    fn effective_flops(&self, ws: f64) -> f64 {
         assert!(!self.levels.is_empty(), "CPU needs at least one level");
         let mut speed = self.levels[0].flops;
         for i in 0..self.levels.len() {
@@ -100,7 +100,7 @@ pub struct MulticoreCoreSpec {
 impl MulticoreCoreSpec {
     /// Effective speed of this core, in flop/s, for a per-core working
     /// set of `ws` bytes with `active_cores` cores running.
-    pub fn effective_flops(&self, ws: f64) -> f64 {
+    fn effective_flops(&self, ws: f64) -> f64 {
         let solo = self.core.effective_flops(ws);
         let combined = ws * self.active_cores as f64;
         // Memory pressure ramps from 0 (fits shared cache) to 1.
@@ -135,7 +135,7 @@ pub struct GpuSpec {
 /// out-of-core implementation exists. Finite (rather than infinite) so
 /// interpolated time functions and solvers remain well-defined; large
 /// enough that no sane partition lands there.
-pub const OUT_OF_MEMORY_PENALTY: f64 = 64.0;
+const OUT_OF_MEMORY_PENALTY: f64 = 64.0;
 
 impl GpuSpec {
     /// Combined host-observed execution time for a demand of `flops`,
@@ -287,28 +287,6 @@ impl Device {
         let z: f64 = rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0);
         ideal * (1.0 + self.noise_rel * z).max(0.05)
     }
-
-    /// Ground-truth speed in flop/s at size `d` — used by experiments to
-    /// compare model predictions against truth, never by the framework
-    /// itself.
-    pub fn ideal_speed(&self, d: u64, profile: &WorkloadProfile) -> f64 {
-        let t = self.ideal_time(d, profile);
-        if t == 0.0 {
-            0.0
-        } else {
-            profile.complexity(d) / t
-        }
-    }
-
-    /// Whether `d` units of `profile` fit the device's memory without
-    /// out-of-core penalties (always true for CPUs, which degrade
-    /// gradually instead).
-    pub fn fits_memory(&self, d: u64, profile: &WorkloadProfile) -> bool {
-        match &self.spec {
-            DeviceSpec::Gpu(gpu) => profile.demand(d).resident_bytes <= gpu.memory_bytes,
-            _ => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -454,20 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn fits_memory_only_limits_gpus() {
-        let p = WorkloadProfile::linear(1.0, 1e6, 0.0, 0.0);
-        let cpu = Device::new("c", DeviceSpec::Cpu(test_cpu()), 0.0, 0);
-        let gpu = Device::new("g", DeviceSpec::Gpu(gpu_spec(None)), 0.0, 0);
-        assert!(cpu.fits_memory(1_000_000, &p));
-        assert!(gpu.fits_memory(999, &p));
-        assert!(!gpu.fits_memory(1001, &p));
-    }
-
-    #[test]
-    fn ideal_speed_reflects_memory_cliff() {
+    fn ideal_time_per_unit_reflects_memory_cliff() {
         let dev = Device::new("d", DeviceSpec::Cpu(test_cpu()), 0.0, 0);
         let p = WorkloadProfile::linear(1000.0, 1e4, 0.0, 0.0);
         // 100 units → 1 MB (fast); 1M units → 10 GB (paging).
-        assert!(dev.ideal_speed(100, &p) > 10.0 * dev.ideal_speed(1_000_000, &p));
+        let per_unit = |d: u64| dev.ideal_time(d, &p) / d as f64;
+        assert!(per_unit(1_000_000) > 10.0 * per_unit(100));
     }
 }

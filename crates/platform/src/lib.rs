@@ -31,6 +31,6 @@ pub mod device;
 pub mod profile;
 
 pub use cluster::Platform;
-pub use comm::{Activity, LinkModel, PlatformError, SimComm, Topology, TraceEvent};
+pub use comm::{Activity, LinkModel, PlatformError, SimComm, TraceEvent};
 pub use device::{Device, DeviceSpec};
 pub use profile::WorkloadProfile;

@@ -97,7 +97,7 @@ impl Algorithm {
     /// `auto` uses the classic latency/bandwidth crossover: recursive
     /// doubling (`tree`) needs only `log2 q` rounds and wins clearly
     /// while contributions are small; past
-    /// [`AUTO_RING_CROSSOVER_BYTES`] both schedules are
+    /// `AUTO_RING_CROSSOVER_BYTES` both schedules are
     /// bandwidth-bound (measured within ~7% at 64 KiB, see
     /// `docs/RUNTIME.md` §6) and `auto` prefers the ring for its
     /// perfectly uniform per-rank load and nearest-neighbour-only
@@ -151,7 +151,7 @@ impl Algorithm {
 
 /// `auto` keeps the hub up to this many live ranks: a star over one
 /// or two ranks is already the optimal schedule.
-pub const AUTO_HUB_MAX_RANKS: usize = 2;
+const AUTO_HUB_MAX_RANKS: usize = 2;
 
 /// `auto` crossover for `allgatherv`: per-rank contributions at or
 /// under this many encoded bytes use recursive doubling, larger ones
@@ -159,7 +159,7 @@ pub const AUTO_HUB_MAX_RANKS: usize = 2;
 /// `β = 125 MB/s`) puts both schedules in the bandwidth-bound regime
 /// — see `docs/RUNTIME.md` §6 for the measured table and the
 /// rationale for preferring the ring there.
-pub const AUTO_RING_CROSSOVER_BYTES: u64 = 1024;
+const AUTO_RING_CROSSOVER_BYTES: u64 = 1024;
 
 /// The concrete schedule an [`Algorithm`] resolved to for one
 /// operation (reported in the `algorithm` field of schema-v2 `comm`

@@ -66,7 +66,7 @@
 //! # Nonblocking requests, and the blocking collectives built on them
 //!
 //! The [`request`] submodule adds MPI-style nonblocking operations
-//! (`isend`/`irecv`/`ibcast`/`iallgatherv` returning scope-tied
+//! (`isend`/`irecv`/`ibcast` returning scope-tied
 //! request objects with `wait`/`wait_all`/`test`) for
 //! compute/communication overlap. Requests borrow the communicator
 //! shared, so the `&mut self` blocking operations are statically
@@ -83,7 +83,7 @@
 //! [`Communicator::allgatherv_available`] and
 //! [`Communicator::allreduce`] (hub, ring and tree) on this backend are
 //! each **a split collective posted and completed in one call**. Where
-//! a request form exists (`ibcast`, `iallgatherv`), what differs is
+//! a request form exists (`ibcast`), what differs is
 //! what the call passes — the op tag (`bcast`, not `ibcast`), the
 //! deadline (anchored at operation entry, not at the entry to `wait`)
 //! and no overlap base — so with nothing between post and `wait` the
@@ -92,11 +92,12 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fupermod_core::trace::{null_sink, TraceEvent, TraceSink};
-use fupermod_platform::comm::{LinkModel, SimComm, Topology};
+use fupermod_platform::comm::{LinkModel, SimComm};
 
 use crate::collective::{
     self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved, Rounds,
@@ -281,7 +282,7 @@ enum ClockMode {
 pub struct RuntimeConfig {
     plan: FaultPlan,
     sink: Arc<dyn TraceSink>,
-    sim: Option<Topology>,
+    sim: Option<SimComm>,
     algorithms: AlgorithmPolicy,
     engine: crate::sim::SimEngine,
 }
@@ -309,17 +310,12 @@ impl RuntimeConfig {
         }
     }
 
-    /// The simulated backend over a flat topology with `link`.
+    /// The simulated backend: `size` ranks joined pairwise by `link`.
     pub fn sim(size: usize, link: LinkModel) -> Self {
-        Self::sim_topology(Topology::flat(size, link))
-    }
-
-    /// The simulated backend over an explicit topology.
-    pub fn sim_topology(topo: Topology) -> Self {
         Self {
             plan: FaultPlan::none(),
             sink: Arc::new(*null_sink()),
-            sim: Some(topo),
+            sim: Some(SimComm::new(size, link)),
             algorithms: AlgorithmPolicy::default(),
             engine: crate::sim::SimEngine::Thread,
         }
@@ -367,7 +363,7 @@ impl RuntimeConfig {
         &self.sink
     }
 
-    pub(crate) fn sim_topology_ref(&self) -> Option<&Topology> {
+    pub(crate) fn sim_ref(&self) -> Option<&SimComm> {
         self.sim.as_ref()
     }
 
@@ -384,7 +380,7 @@ impl RuntimeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or a sim topology of a different size
+    /// Panics if `size` is zero or a sim backend of a different size
     /// was configured.
     pub fn build(self, size: usize) -> Vec<ThreadedComm> {
         self.build_with_handle(size).0
@@ -398,15 +394,16 @@ impl RuntimeConfig {
     /// As [`RuntimeConfig::build`].
     pub fn build_with_handle(self, size: usize) -> (Vec<ThreadedComm>, RuntimeHandle) {
         assert!(size > 0, "communicator needs at least one rank");
-        let sim = self.sim.map(|topo| {
-            assert_eq!(topo.size(), size, "sim topology size mismatch");
-            Mutex::new(SimComm::with_topology(topo))
+        let sim = self.sim.map(|sim| {
+            assert_eq!(sim.size(), size, "sim size mismatch");
+            Mutex::new(sim)
         });
         let plane = new_plane(size, self.plan, self.sink, self.algorithms, sim, None);
         let comms = (0..size)
             .map(|rank| ThreadedComm {
                 rank,
                 plane: Arc::clone(&plane),
+                failed: AtomicBool::new(false),
             })
             .collect();
         (comms, RuntimeHandle { plane })
@@ -475,7 +472,11 @@ fn new_plane(
 
 /// Builds the local rank's handle onto a net-backed plane.
 pub(crate) fn comm_for(plane: Arc<Plane>, rank: usize) -> ThreadedComm {
-    ThreadedComm { rank, plane }
+    ThreadedComm {
+        rank,
+        plane,
+        failed: AtomicBool::new(false),
+    }
 }
 
 /// Builds an inspection handle onto a net-backed plane.
@@ -621,9 +622,8 @@ pub(crate) struct PlaneState {
     pub(crate) lamport: Vec<u64>,
     pending_charge: Option<Charge>,
     /// Per-rank virtual clock snapshots taken when a rank *posts* a
-    /// nonblocking collective ([`ThreadedComm::ibcast`] /
-    /// [`ThreadedComm::iallgatherv`]). The completer of the closing
-    /// barrier uses them as the baseline for
+    /// nonblocking collective ([`ThreadedComm::ibcast`]). The
+    /// completer of the closing barrier uses them as the baseline for
     /// [`SimComm::schedule_from`], so the collective's hop plan is
     /// charged from post time and communication that fits under the
     /// compute between post and `wait` is hidden. `None` (the
@@ -835,9 +835,28 @@ impl Plane {
 /// Handles are built by [`RuntimeConfig::build`] and moved onto rank
 /// threads (see [`run_ranks`]). All methods are available through the
 /// [`Communicator`] trait.
+///
+/// A rank that fails leaves an in-process plane: it is marked dead and
+/// a `disconnect` is traced, so its peers get
+/// [`RuntimeError::RankDead`] instead of waiting out the deadline
+/// (`docs/RUNTIME.md` §3). It leaves when its handle drops while its
+/// thread is panicking or after one of its operations failed, and at
+/// once when it cannot do its part of a collective. An operation fails
+/// when it returns any error but a peer's death: a rank that learnt of
+/// a death and carried on has not failed.
 pub struct ThreadedComm {
     rank: usize,
     plane: Arc<Plane>,
+    /// Whether an operation of this rank has failed.
+    failed: AtomicBool,
+}
+
+impl Drop for ThreadedComm {
+    fn drop(&mut self) {
+        if std::thread::panicking() || self.failed.load(Ordering::Relaxed) {
+            self.leave();
+        }
+    }
 }
 
 impl std::fmt::Debug for ThreadedComm {
@@ -869,19 +888,48 @@ impl ThreadedComm {
             .map(|s| s.lock().expect("sim poisoned").time(self.rank))
     }
 
-    /// Whether `rank` is still alive.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        let st = self.plane.lock();
-        rank < self.plane.size && !st.dead[rank]
+    /// Marks this failed rank dead and traces a `disconnect`, unless it
+    /// is dead already or the plane fronts a TCP rank, whose exit is
+    /// already its death (see [`crate::net`]).
+    fn leave(&self) {
+        if self.plane.net.is_some() {
+            return;
+        }
+        // A panic while the plane was locked leaves nothing to trust.
+        let Ok(mut st) = self.plane.state.lock() else {
+            return;
+        };
+        if st.dead[self.rank] {
+            return;
+        }
+        self.plane.mark_dead(&mut st, self.rank);
+        drop(st);
+        self.plane.fault(self.rank, "disconnect", -1, 0, 0.0);
+    }
+
+    /// Whether `error` is this rank's failure: anything but a peer's
+    /// death.
+    fn failed_with(&self, error: &RuntimeError) -> bool {
+        !matches!(error, RuntimeError::RankDead { rank, .. } if *rank != self.rank)
+    }
+
+    /// Passes an operation's `result` on, noting a failure for the
+    /// handle's drop. Every error an operation can fail with goes
+    /// through here; `op_begin` fails only a rank already dead.
+    fn noted<T>(&self, result: Result<T, RuntimeError>) -> Result<T, RuntimeError> {
+        if result.as_ref().is_err_and(|e| self.failed_with(e)) {
+            self.failed.store(true, Ordering::Relaxed);
+        }
+        result
     }
 
     fn check_rank(&self, op: &'static str, rank: usize) -> Result<(), RuntimeError> {
         if rank >= self.plane.size {
-            return Err(RuntimeError::InvalidRank {
+            return self.noted(Err(RuntimeError::InvalidRank {
                 op,
                 rank,
                 size: self.plane.size,
-            });
+            }));
         }
         Ok(())
     }
@@ -1397,7 +1445,7 @@ impl Communicator for ThreadedComm {
         let start = self.op_begin(OP)?;
         let bytes = value.to_bytes();
         let n = bytes.len() as u64;
-        self.raw_send(OP, dst, bytes)?;
+        self.noted(self.raw_send(OP, dst, bytes))?;
         self.op_end(OP, dst as i64, n, &start, "direct", 1, start.gen);
         Ok(())
     }
@@ -1406,8 +1454,8 @@ impl Communicator for ThreadedComm {
         const OP: &str = "recv";
         self.check_rank(OP, src)?;
         let start = self.op_begin(OP)?;
-        let bytes = self.raw_recv_deadline(OP, src, self.op_deadline_at())?;
-        let value = decode_as::<T>(OP, &bytes)?;
+        let bytes = self.noted(self.raw_recv_deadline(OP, src, self.op_deadline_at()))?;
+        let value = self.noted(decode_as::<T>(OP, &bytes))?;
         self.op_end(
             OP,
             src as i64,
@@ -1444,14 +1492,14 @@ impl Communicator for ThreadedComm {
             Resolved::Ring | Resolved::Tree => collective::barrier_tree_rounds(&live),
         };
         let n_rounds = rounds.len() as u64;
-        let gen = self.raw_barrier(OP, Some(charge_of(&rounds)))?;
+        let gen = self.noted(self.raw_barrier(OP, Some(charge_of(&rounds))))?;
         self.op_end(OP, -1, 0, &start, resolved.name(), n_rounds, gen);
         Ok(())
     }
 
     // Every collective below is a split collective (see [`request`]),
     // posted and completed in one call. Where a request form exists
-    // (`ibcast`, `iallgatherv`), the op tag, the deadline anchor
+    // (`ibcast`), the op tag, the deadline anchor
     // (`op_begin`, not the entry to `wait`) and the absent overlap base
     // are all that differ from it.
 
@@ -1482,7 +1530,7 @@ impl Communicator for ThreadedComm {
         for (rank, slot) in slots.into_iter().enumerate() {
             match slot {
                 Some(v) => out.push(v),
-                None => return Err(RuntimeError::RankDead { op: OP, rank }),
+                None => return self.noted(Err(RuntimeError::RankDead { op: OP, rank })),
             }
         }
         Ok(Some(out))
@@ -1503,7 +1551,7 @@ impl Communicator for ThreadedComm {
     fn allgatherv<T: Wire>(&mut self, value: &T) -> Result<Vec<T>, RuntimeError> {
         const OP: &str = "allgatherv";
         let mut split =
-            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len), false)?;
+            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len))?;
         split.complete(self.op_deadline_at(), |slots| strict_slots::<T>(OP, &slots))
     }
 
@@ -1513,7 +1561,7 @@ impl Communicator for ThreadedComm {
     ) -> Result<Vec<Option<T>>, RuntimeError> {
         const OP: &str = "allgatherv";
         let mut split =
-            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len), false)?;
+            self.post_allgather(OP, value, |len| self.allgatherv_schedule(len))?;
         split.complete(self.op_deadline_at(), |slots| {
             available_slots::<T>(OP, &slots)
         })
@@ -1530,7 +1578,7 @@ impl Communicator for ThreadedComm {
             let mut split = self.post_hub_reduce(OP, value, op)?;
             return split.complete(self.op_deadline_at(), Ok);
         }
-        let mut split = self.post_allgather(OP, &value, |_| resolved, false)?;
+        let mut split = self.post_allgather(OP, &value, |_| resolved)?;
         split.complete(self.op_deadline_at(), |slots| fold_slots(OP, &slots, op))
     }
 }

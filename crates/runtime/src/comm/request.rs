@@ -1,5 +1,5 @@
-//! MPI-style nonblocking requests: `isend`/`irecv`/`ibcast`/
-//! `iallgatherv`, completed by `wait`/`test`/[`wait_all`].
+//! MPI-style nonblocking requests: `isend`/`irecv`/`ibcast`,
+//! completed by `wait`/`test`/[`wait_all`].
 //!
 //! # Lifetime and scope rules
 //!
@@ -24,13 +24,13 @@
 //!   `test` polls for it. Dropping it without `wait` **cancels** the
 //!   receive: a matching message stays in the mailbox for the next
 //!   `recv`/`irecv` from the same source.
-//! * [`BcastRequest`] / [`AllgathervRequest`] are split collectives:
-//!   the closing barrier of the underlying BSP collective is joined
-//!   at post (root broadcast) or during `wait`/`test`, and the
+//! * [`BcastRequest`] is a split collective: the closing barrier of
+//!   the underlying BSP collective is joined at post (root
+//!   broadcast) or during `wait`/`test`, and the
 //!   virtual-time hop plan is charged **from the post-time clocks**
 //!   ([`SimComm::schedule_from`](fupermod_platform::comm::SimComm))
 //!   when `wait` happens after intervening compute — communication
-//!   that fits under the compute costs no virtual time. Dropping one
+//!   that fits under the compute costs no virtual time. Dropping it
 //!   without `wait` completes it silently (result discarded), so
 //!   peers never deadlock at the closing barrier.
 //!
@@ -48,8 +48,7 @@
 //! * `Gather` (bytes in, the root's slots out) carries `gatherv` and
 //!   `gather_available`;
 //! * `Allgather` (bytes in, slots out) carries `allgatherv`,
-//!   `allgatherv_available`, `iallgatherv` and the ring/tree
-//!   `allreduce`;
+//!   `allgatherv_available` and the ring/tree `allreduce`;
 //! * `HubReduce` (a value in, the fold out) carries the hub
 //!   `allreduce`.
 //!
@@ -83,7 +82,7 @@ use std::mem;
 use std::task::Poll;
 use std::time::{Duration, Instant};
 
-use crate::collective::{self, fold_slots, strict_slots, Resolved, Rounds, Slots};
+use crate::collective::{self, fold_slots, Resolved, Rounds, Slots};
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
@@ -197,7 +196,7 @@ pub struct RecvRequest<'c, T: Wire> {
 impl<T: Wire> RecvRequest<'_, T> {
     fn finish(&self, bytes: &[u8]) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
-        let value = decode_as::<T>(OP, bytes)?;
+        let value = self.comm.noted(decode_as::<T>(OP, bytes))?;
         self.comm.op_end(
             OP,
             self.src as i64,
@@ -217,13 +216,13 @@ impl<T: Wire> Request for RecvRequest<'_, T> {
     fn wait(self) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
         let deadline_at = Instant::now() + self.comm.plane.deadline;
-        let bytes = self.comm.raw_recv_deadline(OP, self.src, deadline_at)?;
+        let bytes = self.comm.noted(self.comm.raw_recv_deadline(OP, self.src, deadline_at))?;
         self.finish(&bytes)
     }
 
     fn test(self) -> Result<Progress<Self>, RuntimeError> {
         const OP: &str = "irecv";
-        match self.comm.try_take(OP, self.src, true)? {
+        match self.comm.noted(self.comm.try_take(OP, self.src, true))? {
             Some(bytes) => self.finish(&bytes).map(Progress::Ready),
             None => Ok(Progress::Pending(self)),
         }
@@ -284,7 +283,7 @@ impl<'c, P: DataPhase> Split<'c, P> {
         overlap: bool,
         phase: impl FnOnce() -> P,
     ) -> Result<Self, RuntimeError> {
-        comm.coll_acquire(op)?;
+        comm.noted(comm.coll_acquire(op))?;
         let start = match comm.op_begin(op) {
             Ok(s) => s,
             Err(e) => {
@@ -310,14 +309,22 @@ impl<'c, P: DataPhase> Split<'c, P> {
     /// One nonblocking attempt at the data phase. Once it has ended,
     /// this rank joins the closing barrier — exactly once, *even when
     /// the phase failed*, so a mid-collective error on one rank cannot
-    /// leave the others' generation short. Returns whether the barrier
-    /// has been joined.
+    /// leave the others' generation short. A phase that failed for any
+    /// reason but a peer's death (a message lost, a root's part
+    /// missing) may leave peers waiting for what this rank did not
+    /// send, so the rank leaves the plane first. Returns whether the
+    /// barrier has been joined.
     fn advance(&mut self) -> bool {
         if self.data.is_none() {
             match self.phase.step(self.comm, self.op, &mut self.moved) {
                 Ok(Poll::Pending) => return false,
                 Ok(Poll::Ready(out)) => self.data = Some(Ok(out)),
-                Err(e) => self.data = Some(Err(e)),
+                Err(e) => {
+                    if self.comm.failed_with(&e) {
+                        self.comm.leave();
+                    }
+                    self.data = Some(Err(e));
+                }
             }
         }
         if self.fence.is_none() {
@@ -387,9 +394,9 @@ impl<'c, P: DataPhase> Split<'c, P> {
     ) -> Result<O, RuntimeError> {
         self.done = true;
         self.comm.coll_release();
-        let raw = self.data.take().expect("the data phase has ended")?;
-        let gen = fence?;
-        let out = decode(raw)?;
+        let raw = self.comm.noted(self.data.take().expect("the data phase has ended"))?;
+        let gen = self.comm.noted(fence)?;
+        let out = self.comm.noted(decode(raw))?;
         let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_live().len());
         self.comm.op_end(
             self.op,
@@ -713,8 +720,8 @@ impl DataPhase for Gather {
 
 /// All-gather data phase under the three rootless schedules (hub
 /// star, pipelined ring, recursive-doubling butterfly), shared by
-/// `allgatherv`, `allgatherv_available`, `iallgatherv` and the
-/// ring/tree `allreduce`. Yields the contribution slots,
+/// `allgatherv`, `allgatherv_available` and the ring/tree
+/// `allreduce`. Yields the contribution slots,
 /// absolute-rank-indexed; `None` = dead or lost.
 pub(super) struct Allgather {
     resolved: Resolved,
@@ -1030,42 +1037,6 @@ impl DataPhase for Allgather {
     }
 }
 
-/// An in-flight nonblocking all-gather (see
-/// [`ThreadedComm::iallgatherv`]).
-///
-/// The data phase runs inside `wait`/`test` under the schedule the
-/// [`AlgorithmPolicy`](crate::AlgorithmPolicy) resolves (hub, ring
-/// or recursive-doubling butterfly), resumable message by message —
-/// `test` makes exactly as much progress as arrived mail allows.
-/// Dropping the request without `wait` completes the collective
-/// silently, so peers never deadlock at the closing barrier.
-#[must_use = "a request does nothing more unless waited or tested"]
-pub struct AllgathervRequest<'c, T: Wire> {
-    split: Split<'c, Allgather>,
-    _payload: PhantomData<fn() -> T>,
-}
-
-impl<T: Wire> AllgathervRequest<'_, T> {
-    fn decode(slots: Slots) -> Result<Vec<T>, RuntimeError> {
-        strict_slots::<T>("iallgatherv", &slots)
-    }
-}
-
-impl<T: Wire> Request for AllgathervRequest<'_, T> {
-    type Output = Vec<T>;
-
-    fn wait(mut self) -> Result<Vec<T>, RuntimeError> {
-        self.split.wait(Self::decode)
-    }
-
-    fn test(mut self) -> Result<Progress<Self>, RuntimeError> {
-        match self.split.test(Self::decode) {
-            None => Ok(Progress::Pending(self)),
-            Some(done) => done.map(Progress::Ready),
-        }
-    }
-}
-
 /// Hub all-reduce data phase: a star fan-in of the raw contributions
 /// to the lowest agreed-live rank, the fold there ([`fold_slots`], the
 /// pinned rank-ascending order) and a star fan-out of the 8-byte
@@ -1152,7 +1123,7 @@ impl ThreadedComm {
                 .expect("sim poisoned")
                 .post_send(self.rank, dst, bytes.len() as f64)
         });
-        self.raw_send_at(OP, dst, bytes.into(), vready)?;
+        self.noted(self.raw_send_at(OP, dst, bytes.into(), vready))?;
         Ok(SendRequest {
             comm: self,
             start,
@@ -1222,35 +1193,6 @@ impl ThreadedComm {
         })
     }
 
-    /// Posts a nonblocking all-gather of this rank's `value` and
-    /// returns the request; `wait` yields every rank's contribution
-    /// in rank order, exactly as the blocking
-    /// [`allgatherv`](super::Communicator::allgatherv). The data
-    /// phase (under the policy-resolved hub/ring/butterfly schedule)
-    /// runs inside `wait`/`test`; on the sim backend its hop plan is
-    /// charged from each participant's post-time clock.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::RankDead`] (self) and
-    /// [`RuntimeError::RequestBusy`] at post time; peer death,
-    /// deadline and decode errors at `wait`.
-    pub fn iallgatherv<T: Wire>(
-        &self,
-        value: &T,
-    ) -> Result<AllgathervRequest<'_, T>, RuntimeError> {
-        let split = self.post_allgather(
-            "iallgatherv",
-            value,
-            |len| self.allgatherv_schedule(len),
-            true,
-        )?;
-        Ok(AllgathervRequest {
-            split,
-            _payload: PhantomData,
-        })
-    }
-
     /// Credits `seconds` of local computation to this rank's virtual
     /// clock (sim backend). On the thread backend compute is real
     /// wall time, so this is a no-op. Use it between posting a
@@ -1262,9 +1204,9 @@ impl ThreadedComm {
     /// [`RuntimeError::App`] if `seconds` is negative or not finite.
     pub fn advance_compute(&self, seconds: f64) -> Result<(), RuntimeError> {
         if !seconds.is_finite() || seconds < 0.0 {
-            return Err(RuntimeError::App(format!(
+            return self.noted(Err(RuntimeError::App(format!(
                 "advance_compute: seconds must be finite and >= 0 (got {seconds})"
-            )));
+            ))));
         }
         if let Some(sim) = &self.plane.sim {
             sim.lock().expect("sim poisoned").advance(self.rank, seconds);
@@ -1356,9 +1298,8 @@ impl ThreadedComm {
         op: &'static str,
         value: &T,
         resolve: impl FnOnce(u64) -> Resolved,
-        overlap: bool,
     ) -> Result<Split<'_, Allgather>, RuntimeError> {
-        Split::post(self, op, overlap, || {
+        Split::post(self, op, false, || {
             let own = value.to_bytes();
             let resolved = resolve(own.len() as u64);
             Allgather::new(self, own, resolved)

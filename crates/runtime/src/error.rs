@@ -83,7 +83,7 @@ pub enum RuntimeError {
     /// time; complete (`wait`/`test`-to-ready/drop) the first request
     /// before posting the next.
     RequestBusy {
-        /// Operation tag (`ibcast`, `iallgatherv`).
+        /// Operation tag (`ibcast`).
         op: &'static str,
         /// The posting rank.
         rank: usize,

@@ -55,7 +55,7 @@ pub mod wire;
 
 pub use collective::{Algorithm, AlgorithmPolicy};
 pub use comm::request::{
-    wait_all, AllgathervRequest, BcastRequest, Progress, RecvRequest, Request, SendRequest,
+    wait_all, BcastRequest, Progress, RecvRequest, Request, SendRequest,
 };
 pub use comm::{
     run_ranks, Communicator, ReduceOp, RuntimeConfig, RuntimeHandle, ThreadedComm,

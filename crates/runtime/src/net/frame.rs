@@ -24,7 +24,7 @@
 //!
 //! A reader rejects a frame *before allocating* its payload if the
 //! magic, version, kind, reserved bytes or length cap
-//! ([`MAX_FRAME_LEN`]) fails, and then allocates only as payload
+//! (`MAX_FRAME_LEN`) fails, and then allocates only as payload
 //! bytes arrive — the socket-facing twin of the [`crate::wire`]
 //! decode hardening. Decoding is canonical: a frame that reads back
 //! re-encodes to exactly the bytes that were consumed.
@@ -32,18 +32,18 @@
 use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: `b"FPM1"` as a little-endian `u32`.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"FPM1");
+const MAGIC: u32 = u32::from_le_bytes(*b"FPM1");
 
 /// Frame protocol version this build speaks.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 
 /// Header length in bytes.
-pub const HEADER_LEN: usize = 44;
+const HEADER_LEN: usize = 44;
 
 /// Hard cap on a frame payload, matching the decode-side payload cap
 /// ([`crate::wire::MAX_WIRE_LEN`]): an oversized length prefix is a
 /// protocol error rejected before any allocation.
-pub const MAX_FRAME_LEN: usize = crate::wire::MAX_WIRE_LEN;
+const MAX_FRAME_LEN: usize = crate::wire::MAX_WIRE_LEN;
 
 /// What a frame means to the transport state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

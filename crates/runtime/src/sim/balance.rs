@@ -37,7 +37,7 @@ use super::engine::{EventSim, RankResults, RecvTicket};
 /// # Errors
 ///
 /// Rank 0's terminal error, or [`RuntimeError::App`] when `config`
-/// has no sim topology (the event engine has no wall clock to fall
+/// is not the sim backend (the event engine has no wall clock to fall
 /// back on).
 ///
 /// # Panics

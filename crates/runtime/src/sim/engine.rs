@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use fupermod_core::trace::{TraceEvent, TraceSink};
-use fupermod_platform::comm::{SimComm, Topology};
+use fupermod_platform::comm::SimComm;
 
 use crate::collective::AlgorithmPolicy;
 use crate::comm::RuntimeConfig;
@@ -149,23 +149,18 @@ impl std::fmt::Debug for EventSim {
 }
 
 impl EventSim {
-    /// Builds an engine over `topo` with a fault plan, trace sink and
-    /// collective policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is empty.
+    /// Builds an engine over the virtual clocks of `sim` with a fault
+    /// plan, trace sink and collective policy.
     pub fn new(
-        topo: Topology,
+        sim: SimComm,
         plan: FaultPlan,
         sink: Arc<dyn TraceSink>,
         policy: AlgorithmPolicy,
     ) -> Self {
-        let size = topo.size();
-        assert!(size > 0, "communicator needs at least one rank");
+        let size = sim.size();
         Self {
             size,
-            sim: SimComm::with_topology(topo),
+            sim,
             delay_counts: vec![0; plan.delays.len()],
             drop_counts: vec![0; plan.drops.len()],
             plan,
@@ -185,29 +180,29 @@ impl EventSim {
     }
 
     /// Builds an engine from a [`RuntimeConfig`] that selected the
-    /// event engine and a sim topology.
+    /// event engine and the sim backend.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::App`] when the config is thread-backed (no
-    /// topology) or the topology size disagrees with `size`.
+    /// [`RuntimeError::App`] when the config is thread-backed or its
+    /// sim size disagrees with `size`.
     pub fn from_config(config: &RuntimeConfig, size: usize) -> Result<Self, RuntimeError> {
         debug_assert_eq!(config.engine(), SimEngine::Event);
-        let Some(topo) = config.sim_topology_ref() else {
+        let Some(sim) = config.sim_ref() else {
             return Err(RuntimeError::App(
-                "the event engine needs the sim backend (a topology); \
+                "the event engine needs the sim backend; \
                  thread-clock runs must use --sim-engine thread"
                     .to_owned(),
             ));
         };
-        if topo.size() != size {
+        if sim.size() != size {
             return Err(RuntimeError::App(format!(
-                "sim topology size mismatch: topology has {} ranks, run asked for {size}",
-                topo.size()
+                "sim size mismatch: the sim has {} ranks, run asked for {size}",
+                sim.size()
             )));
         }
         Ok(Self::new(
-            topo.clone(),
+            sim.clone(),
             config.plan_ref().clone(),
             Arc::clone(config.sink_ref()),
             config.policy_ref(),
@@ -259,11 +254,6 @@ impl EventSim {
     /// Total dispatched events so far.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Schema-v3 Lamport clocks snapshot.
-    pub fn lamports(&self) -> Vec<u64> {
-        self.lamport.clone()
     }
 
     /// Stops dispatching ops for `rank` (its simulated program ended,

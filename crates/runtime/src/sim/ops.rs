@@ -481,7 +481,6 @@ impl EventSim {
             && self.plan.delays.is_empty()
             && q == size
             && own_len.windows(2).all(|w| w[0] == w[1])
-            && self.sim.topology().uniform_link().is_some()
             && {
                 let t0 = self.sim.time(0).to_bits();
                 (1..size).all(|r| self.sim.time(r).to_bits() == t0)

@@ -160,15 +160,15 @@ fn ibcast_accepts_non_zero_roots_under_every_policy() {
     }
 }
 
-/// `iallgatherv` matches the blocking `allgatherv` result under every
-/// schedule, and `test` eventually completes it without `wait`.
+/// `test` eventually completes an `ibcast` without `wait`, under every
+/// schedule.
 #[test]
-fn iallgatherv_matches_blocking_under_every_policy() {
+fn ibcast_test_completes_without_wait_under_every_policy() {
     for policy in all_policies() {
         for config in both_backends(4) {
             let comms = config.with_algorithms(policy).build(4);
             let out = run_ranks(comms, |c| -> Result<(), RuntimeError> {
-                let mut req = c.iallgatherv(&(c.rank() as u64 + 100))?;
+                let mut req = c.ibcast(1, (c.rank() == 1).then_some(&vec![100u64, 101]))?;
                 let values = loop {
                     match req.test()? {
                         Progress::Ready(v) => break v,
@@ -178,7 +178,7 @@ fn iallgatherv_matches_blocking_under_every_policy() {
                         }
                     }
                 };
-                assert_eq!(values, vec![100, 101, 102, 103]);
+                assert_eq!(values, vec![100, 101]);
                 Ok(())
             });
             out.into_iter().for_each(|r| r.unwrap());
@@ -192,8 +192,8 @@ fn iallgatherv_matches_blocking_under_every_policy() {
 fn second_outstanding_collective_request_is_rejected() {
     let comms = RuntimeConfig::thread().build(2);
     let out = run_ranks(comms, |c| -> Result<(), RuntimeError> {
-        let first = c.iallgatherv(&1u64)?;
-        match c.iallgatherv(&2u64) {
+        let first = c.ibcast(0, (c.rank() == 0).then_some(&1u64))?;
+        match c.ibcast(0, (c.rank() == 0).then_some(&2u64)) {
             Err(RuntimeError::RequestBusy { rank, .. }) => assert_eq!(rank, c.rank()),
             Err(other) => panic!("expected RequestBusy, got {other:?}"),
             Ok(_) => panic!("expected RequestBusy, got a posted request"),
@@ -267,11 +267,10 @@ impl FormRun {
     }
 }
 
-/// The request forms name themselves in op tags (`ibcast`,
-/// `iallgatherv`); everything else about them is the blocking op's.
+/// The request form names itself in op tags (`ibcast`); everything
+/// else about it is the blocking op's.
 fn untag(text: &str) -> String {
     text.replace("ibcast", "bcast")
-        .replace("iallgatherv", "allgatherv")
 }
 
 /// barrier, then twice: broadcast from `root`, strict all-gather. A
@@ -297,14 +296,12 @@ fn run_form(
         for round in 0..2u64 {
             let payload = (rank == root).then(|| vec![round * 10 + 7; 24 + rank]);
             let own = vec![rank as u64 * 3 + round; 1 + rank % 3];
-            let (value, all) = if requests {
-                (
-                    c.ibcast(root, payload.as_ref()).and_then(Request::wait),
-                    c.iallgatherv(&own).and_then(Request::wait),
-                )
+            let value = if requests {
+                c.ibcast(root, payload.as_ref()).and_then(Request::wait)
             } else {
-                (c.bcast(root, payload.as_ref()), c.allgatherv(&own))
+                c.bcast(root, payload.as_ref())
             };
+            let all = c.allgatherv(&own);
             seen.push(value.map_err(text));
             seen.push(all.map(|v| v.concat()).map_err(text));
         }
@@ -341,8 +338,8 @@ enum Pinned {
 
 /// A blocking collective *is* its request, posted and completed in one
 /// call: at `p ∈ {1, 2, 3, 5, 8}`, non-zero roots and all four
-/// policies, `ibcast(..).wait()` / `iallgatherv(..).wait()` give every
-/// rank the results (or typed errors) of `bcast` / `allgatherv` on
+/// policies, `ibcast(..).wait()` gives every rank the results (or
+/// typed errors) of `bcast`, with a strict `allgatherv` after it, on
 /// every plan — and, wherever the thread-backed sim is deterministic,
 /// the same per-rank virtual clocks to the bit and the same per-rank
 /// trace streams up to the op tag.
@@ -483,8 +480,9 @@ fn advance_compute_overlaps_collective_cost() {
 /// Soak for `park`'s poll→sleep hand-off (`docs/PERFORMANCE.md`): a
 /// wake-up landing between a failed poll and the sleep used to cost
 /// the waiter a full 50 ms tick. Two threaded ranks run 50 000
-/// broadcasts and 50 000 all-gathers per schedule, as requests and as
-/// blocking calls, counting operations that took a tick or longer.
+/// broadcasts, as requests and as blocking calls, and 50 000 blocking
+/// all-gathers per schedule, counting operations that took a tick or
+/// longer.
 /// What is left is the host descheduling a thread, which comes in
 /// bursts, where a lost wake-up strikes at any time (before the fix
 /// the request forms slept in 8 to 10 of the ten 5 000-round
@@ -520,11 +518,7 @@ fn waits_do_not_stall_on_the_poll_tick() {
                     let bcast_slow = began.elapsed() >= tick;
                     assert_eq!(got, i);
                     let began = std::time::Instant::now();
-                    let all = if requests {
-                        c.iallgatherv(&i)?.wait()?
-                    } else {
-                        c.allgatherv(&i)?
-                    };
+                    let all = c.allgatherv(&i)?;
                     let allgather_slow = began.elapsed() >= tick;
                     assert_eq!(all, [i, i]);
                     bcasts += u32::from(bcast_slow);

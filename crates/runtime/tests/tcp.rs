@@ -206,27 +206,26 @@ fn tcp_collectives_bitwise_match_threaded_under_every_policy() {
     }
 }
 
-/// The request API over sockets. Every TCP `bcast`/`allgatherv` is its
-/// request completed in place; here the requests are driven the way
-/// only a caller can: `wait` after the post, and `test` polled to
-/// completion.
+/// The request API over sockets. Every TCP `bcast` is its request
+/// completed in place; here the requests are driven the way only a
+/// caller can: `wait` after the post, and `test` polled to completion.
 #[test]
 fn tcp_requests_bitwise_match_threaded_under_every_policy() {
     fn program(c: &ThreadedComm) -> Result<(Vec<u64>, Vec<Vec<u64>>), RuntimeError> {
         let (rank, root) = (c.rank(), 1);
         let own = payload(99, rank, 6);
         let value = c.ibcast(root, (rank == root).then_some(&own))?.wait()?;
-        let mut pending = c.iallgatherv(&own)?;
-        let all = loop {
+        let mut pending = c.ibcast(0, (rank == 0).then_some(&own))?;
+        let polled = loop {
             match pending.test()? {
-                Progress::Ready(all) => break all,
+                Progress::Ready(polled) => break polled,
                 Progress::Pending(again) => {
                     pending = again;
                     std::thread::yield_now();
                 }
             }
         };
-        Ok((bits(&value), all.iter().map(|v| bits(v)).collect()))
+        Ok((bits(&value), vec![bits(&polled)]))
     }
     for (name, policy) in [
         ("hub", AlgorithmPolicy::hub()),

@@ -121,7 +121,8 @@ impl ModelEntry {
     }
 
     /// Total observations ingested through the sample path.
-    pub fn observations(&self) -> u64 {
+    #[cfg(test)]
+    fn observations(&self) -> u64 {
         self.samples.values().map(|s| s.count()).sum()
     }
 

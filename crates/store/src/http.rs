@@ -32,7 +32,7 @@ use crate::store::ModelStore;
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Content type of the Prometheus text exposition format.
-pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Runs the metrics/health listener until `stop` is set. Blocks the
 /// calling thread (spawn it next to the protocol `serve` loop);

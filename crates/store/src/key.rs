@@ -19,8 +19,7 @@ use serde::{Deserialize, Serialize};
 /// copies no string bytes. The conventional contents are:
 ///
 /// * `fingerprint` — a stable digest of the device profile (vendor,
-///   model, memory hierarchy, clock). [`fingerprint_of`] derives one
-///   from the raw profile fields.
+///   model, memory hierarchy, clock).
 /// * `kernel` — the computation kernel identifier (e.g. `gemm`).
 /// * `config` — the build configuration the kernel was compiled with
 ///   (flags, block sizes); models are not transferable across builds.
@@ -81,31 +80,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 #[inline]
 fn fnv1a_step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(FNV_PRIME)
-}
-
-/// Derives a printable device fingerprint from raw profile fields: the
-/// FNV-1a digest of the fields joined with separators, in fixed-width
-/// hex. Stable across processes, hosts and runs.
-///
-/// # Examples
-///
-/// ```
-/// use fupermod_store::key::fingerprint_of;
-///
-/// let a = fingerprint_of(&["vendorX", "dev0", "l2=512k"]);
-/// assert_eq!(a, fingerprint_of(&["vendorX", "dev0", "l2=512k"]));
-/// assert_ne!(a, fingerprint_of(&["vendorX", "dev1", "l2=512k"]));
-/// assert_eq!(a.len(), 16);
-/// ```
-pub fn fingerprint_of(fields: &[&str]) -> String {
-    let mut h = FNV_OFFSET;
-    for part in fields {
-        for &b in part.as_bytes() {
-            h = fnv1a_step(h, b);
-        }
-        h = fnv1a_step(h, 0x1f);
-    }
-    format!("{h:016x}")
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ const DRAIN_LIMIT: u64 = 16 * MAX_LINE as u64;
 
 /// Request op tags the per-request telemetry is keyed by: the
 /// protocol ops plus `invalid` for lines that fail to parse.
-pub const REQUEST_OPS: [&str; 7] = [
+const REQUEST_OPS: [&str; 7] = [
     "ingest",
     "ingest_point",
     "lookup",

@@ -228,7 +228,7 @@ impl ModelStore {
 
     /// Entry count of every shard, in shard order (feeds the
     /// `store_shard_entries{shard=...}` gauges at scrape time).
-    pub fn shard_sizes(&self) -> Vec<usize> {
+    fn shard_sizes(&self) -> Vec<usize> {
         self.shards
             .iter()
             .map(|s| s.lock().expect("store shard poisoned").len())

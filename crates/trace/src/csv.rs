@@ -14,7 +14,7 @@ use fupermod_core::trace::{fmt_float, FieldValue, TraceEvent, SCHEMA_VERSION};
 use crate::merge::StampedEvent;
 
 /// Number of columns in the canonical CSV layout ([`CSV_HEADER`]).
-pub const CSV_COLUMNS: usize = 33;
+const CSV_COLUMNS: usize = 33;
 
 /// Column header row of the CSV export (preceded by the
 /// `# fupermod-trace schema=4` comment line). The six columns

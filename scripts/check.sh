@@ -13,13 +13,9 @@ run() {
 
 run cargo build --workspace --release "${EXTRA[@]+"${EXTRA[@]}"}"
 run cargo test --workspace --exclude fupermod-runtime -q "${EXTRA[@]+"${EXTRA[@]}"}"
-# The criterion benches that remain (subjects the benchmark harness
-# has no per-layer row for — see docs/PERFORMANCE.md) must at least
-# compile.
-run cargo bench --workspace --no-run -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The kernel bit-identity tests — every_tile_is_bitwise_naive (each
 # register-tile instantiation this CPU runs, against gemm_naive, on
-# ±0.0/±∞/NaN inputs) and the blocked/parallel ≡ naive proptest — run
+# ±0.0/±∞/NaN inputs) and the blocked ≡ naive proptest — run
 # again in the release codegen the harness and the binaries use.
 run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # Store step: the cached-partition path is pinned by what it allocates

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`num`] | `fupermod-num` | statistics, interpolation, solvers, apportionment |
 //! | [`platform`] | `fupermod-platform` | simulated devices, workload profiles, communicators |
-//! | [`kernels`] | `fupermod-kernels` | GEMM, Jacobi sweep, synthetic kernels |
+//! | [`kernels`] | `fupermod-kernels` | GEMM, Jacobi sweep |
 //! | [`core`] | `fupermod-core` | benchmarking, performance models, partitioning |
 //! | [`runtime`] | `fupermod-runtime` | rank-based message-passing runtime, fault injection, distributed balancing |
 //! | [`store`] | `fupermod-store` | sharded incrementally-maintained model store, plan cache, serving protocol |

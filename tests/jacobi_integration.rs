@@ -1,10 +1,22 @@
 //! Integration: the dynamically balanced Jacobi application — real
 //! convergence, balancing behaviour, and determinism across testbeds.
 
-use fupermod::apps::jacobi::{run, run_even, tail_imbalance, JacobiConfig};
+use fupermod::apps::jacobi::{run, run_even, JacobiConfig, JacobiReport};
 use fupermod::apps::workload::dominant_system;
-use fupermod::core::partition::{GeometricPartitioner, NumericalPartitioner};
+use fupermod::core::partition::{Distribution, GeometricPartitioner, NumericalPartitioner};
 use fupermod::platform::Platform;
+
+/// Maximum relative imbalance of the last `k` iterations of a report —
+/// the quantity Fig. 4 shows shrinking.
+fn tail_imbalance(report: &JacobiReport, k: usize) -> f64 {
+    report
+        .iterations
+        .iter()
+        .rev()
+        .take(k)
+        .map(|r| Distribution::imbalance_of(&r.compute_times))
+        .fold(0.0, f64::max)
+}
 
 #[test]
 fn converges_on_the_grid_site_testbed() {

@@ -7,6 +7,11 @@
 //! it, and every offending `file:line`.
 //!
 //! Adding a rule is adding a row that names its commit.
+//!
+//! One rule reads across files, so it is a test of its own:
+//! `every_pub_fn_and_const_has_a_user` holds every public function and
+//! constant to a user in another file's non-test code, or to a reason
+//! in [`NO_OTHER_USER`].
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -463,7 +468,195 @@ fn needles_and_non_test_text_read_as_the_rules_mean() {
         assert!(!Needle::AsIntCast.matches(fine), "{fine}");
     }
 
+    assert_eq!(
+        named("pub const fn lanes(x: T) -> Lanes { fn_lanes(x) }").collect::<Vec<_>>(),
+        ["pub", "const", "x", "T", "Lanes", "fn_lanes", "x"]
+    );
+    assert_eq!(pub_item("    pub fn new() -> Self {"), Some("new"));
+    assert_eq!(pub_item("pub const fn lanes<T>()"), Some("lanes"));
+    assert_eq!(pub_item("pub unsafe fn raw(p: *const u8)"), Some("raw"));
+    assert_eq!(pub_item("pub const MAX_DEPTH: usize = 64;"), Some("MAX_DEPTH"));
+    for none in [
+        "pub struct Parser<'a> {",
+        "pub(crate) fn hidden()",
+        "fn private()",
+        "pub fn $name(&self)",
+        "pub mod json;",
+    ] {
+        assert_eq!(pub_item(none), None, "{none}");
+    }
+
     let text = "fn a() {}\n    #[cfg(test)]\nfn b() {}\n#[cfg(test)]\nmod tests {}\n";
     assert_eq!(non_test(text), "fn a() {}\n    #[cfg(test)]\nfn b() {}\n");
     assert_eq!(non_test("fn a() {}"), "fn a() {}");
+}
+
+/// The files whose non-test code can be a public item's user.
+const USERS: &[&str] = &["crates/*/src", "src", "examples", "benchmark/src"];
+
+/// The `pub fn` and `pub const` items under `crates/*/src` that no
+/// other file's non-test code names, as `file::name`, each with the
+/// reason it stays public.
+const NO_OTHER_USER: &[(&str, &str)] = &[
+    (
+        "crates/core/src/benchmark.rs::with_outlier_rejection",
+        "the MAD outlier-rejection option of Benchmark; tests/trace_integration.rs checks what it records",
+    ),
+    (
+        "crates/core/src/json.rs::MAX_DEPTH",
+        "the documented nesting cap, which tests/hostile_json.rs holds the parser to",
+    ),
+    (
+        "crates/core/src/model/io.rs::write_points",
+        "the writer half of the points format read_points reads; save_model writes through it",
+    ),
+    (
+        "crates/core/src/trace.rs::EVENT_FIELDS",
+        "the schema's field table, which trace_schema.rs and csv_export.rs hold the docs to",
+    ),
+    (
+        "crates/core/src/trace.rs::read_jsonl_trace",
+        "the library's one-call trace reader (README); tests/trace_integration.rs reads a binary's trace with it",
+    ),
+    (
+        "crates/core/src/trace.rs::replay_into_models",
+        "rebuilds models from a trace (README); tests/trace_integration.rs replays a binary's trace",
+    ),
+    (
+        "crates/core/src/trace.rs::HISTOGRAM_BUCKETS",
+        "the histogram bucket layout the exposition and trace round-trip tests check",
+    ),
+    (
+        "crates/kernels/src/gemm.rs::gemm_naive",
+        "the bit-identity oracle of gemm_blocked; FIG2 runs it through MatMulKernel::with_naive_gemm",
+    ),
+    (
+        "crates/runtime/src/comm.rs::virtual_comm_seconds",
+        "event_parity.rs holds the event engine's comm seconds to the thread-backed sim's with it",
+    ),
+    (
+        "crates/runtime/src/comm.rs::virtual_times",
+        "the thread-backed sim's per-rank clocks, which event_parity.rs and requests.rs compare",
+    ),
+    (
+        "crates/runtime/src/sim/engine.rs::virtual_times",
+        "the event engine's per-rank clocks, which event_parity.rs holds to the thread-backed sim's",
+    ),
+    (
+        "crates/store/src/entry.rs::ingest_sample_rebuilding",
+        "the cold-rebuild oracle prefix_identity.rs holds the patched ingest path to",
+    ),
+    (
+        "crates/store/src/plan.rs::plan_cost",
+        "the plan cache's byte cost, with which plan_cache.rs and eviction.rs model its budget",
+    ),
+    (
+        "crates/store/src/store.rs::epoch_of",
+        "eviction.rs and plan_cache.rs read entry epochs with it",
+    ),
+    (
+        "crates/store/src/store.rs::with_entry",
+        "eviction.rs reads a re-ingested entry with it",
+    ),
+    (
+        "crates/trace/src/csv.rs::CSV_HEADER",
+        "the CSV export's columns, which csv_export.rs and tests/trace_integration.rs compare exports to",
+    ),
+    (
+        "crates/trace/src/csv.rs::csv_row",
+        "the CSV export's per-event row, which csv_export.rs holds to golden rows",
+    ),
+];
+
+/// The name a line declares, when it declares a `pub fn` or a
+/// `pub const`.
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = match rest.strip_prefix("const ") {
+        Some(after) => after.strip_prefix("fn ").unwrap_or(after),
+        None => rest.strip_prefix("unsafe ").unwrap_or(rest).strip_prefix("fn ")?,
+    };
+    let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+    (!name.is_empty()).then_some(name)
+}
+
+/// The identifiers `line` names, leaving out the one a `fn` or a
+/// `const` declares there: a same-named definition is not a use.
+fn named(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c| !is_ident(c))
+        .filter(|w| !w.is_empty())
+        .scan("", |previous, word| {
+            let declared = matches!(*previous, "fn" | "const");
+            *previous = word;
+            Some((!declared).then_some(word))
+        })
+        .flatten()
+}
+
+/// A file's [`non_test`] lines that are not `//` comments, numbered
+/// from 1.
+fn code_lines(repo: &Path, file: &str) -> Vec<(usize, String)> {
+    let text = std::fs::read_to_string(repo.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    non_test(&text)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
+        .map(|(i, line)| (i + 1, line.to_owned()))
+        .collect()
+}
+
+/// Every public function and constant has a user: another file's
+/// non-test code names it, or [`NO_OTHER_USER`] says why it stays.
+/// Code kept only for a unit test moves under `#[cfg(test)]`; code
+/// used only in its own file is private.
+#[test]
+fn every_pub_fn_and_const_has_a_user() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut named_in: std::collections::BTreeMap<String, BTreeSet<String>> = Default::default();
+    for root in USERS {
+        for file in files_under(repo, root, Filter::Rs) {
+            for (_, line) in code_lines(repo, &file) {
+                for word in named(&line) {
+                    named_in.entry(word.to_owned()).or_default().insert(file.clone());
+                }
+            }
+        }
+    }
+    let mut unused = Vec::new();
+    let mut allowed_unused = BTreeSet::new();
+    for file in files_under(repo, "crates/*/src", Filter::Rs) {
+        for (line, text) in code_lines(repo, &file) {
+            let Some(name) = pub_item(&text) else {
+                continue;
+            };
+            let files = named_in.get(name);
+            if files.is_some_and(|files| files.iter().any(|f| *f != file)) {
+                continue;
+            }
+            let item = format!("{file}::{name}");
+            if NO_OTHER_USER.iter().any(|&(allowed, _)| allowed == item) {
+                allowed_unused.insert(item);
+            } else {
+                unused.push(format!("    {file}:{line}: {}", text.trim()));
+            }
+        }
+    }
+    let mut problems = Vec::new();
+    if !unused.is_empty() {
+        problems.push(
+            "  no other file's non-test code names these; delete each, make it private, \
+             move it under #[cfg(test)] or give it a reason in NO_OTHER_USER:"
+                .to_owned(),
+        );
+        problems.extend(unused);
+    }
+    for &(item, reason) in NO_OTHER_USER {
+        if !allowed_unused.contains(item) {
+            problems.push(format!("  {item} is in NO_OTHER_USER but has a user, or is gone"));
+        }
+        if reason.trim().is_empty() {
+            problems.push(format!("  {item} is in NO_OTHER_USER without a reason"));
+        }
+    }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
 }
