@@ -1455,10 +1455,11 @@ mod tests {
         let comms = RuntimeConfig::thread().build(2);
         let (waiter, sender) = (&comms[0], &comms[1]);
         let deadline_at = Instant::now() + Duration::from_secs(5);
-        // Best of three: one descheduling of this thread cannot fail
-        // a bound that a sleeping `park` misses tenfold.
+        // Best of up to twenty: a loaded host descheduling this thread
+        // cannot fail a bound that a sleeping `park` misses tenfold on
+        // every try.
         let mut best = Duration::MAX;
-        for _ in 0..3 {
+        for _ in 0..20 {
             let seen = waiter.wake_seq();
             assert_eq!(
                 waiter.try_take("test", 1, false),
@@ -1474,6 +1475,9 @@ mod tests {
                 .expect("deadline is far");
             best = best.min(parked.elapsed());
             assert_eq!(waiter.try_take("test", 1, false), Ok(Some(vec![7u8])));
+            if best < Duration::from_millis(5) {
+                break;
+            }
         }
         assert!(
             best < Duration::from_millis(5),

@@ -205,12 +205,13 @@ fn second_outstanding_collective_request_is_rejected() {
 }
 
 /// A fault-plan fail-stop death is observed at `wait` as the same
-/// typed error the blocking path reports.
+/// typed error the blocking path reports. The plan keeps the default
+/// deadline: rank 0 must learn of the death however late the host
+/// runs rank 1, and a wait that ran the deadline out is a `Timeout`.
 #[test]
 fn fault_plan_death_surfaces_at_wait() {
     for config in both_backends(2) {
         let plan = FaultPlan {
-            deadline: Some(2.0),
             deaths: vec![DeathRule {
                 rank: 1,
                 after_ops: 0,

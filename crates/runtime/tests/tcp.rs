@@ -19,7 +19,8 @@
 //!   anchoring fix).
 
 use std::net::TcpListener;
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use fupermod_runtime::net::{connect, connect_with_listener, TcpComm, TcpConfig};
 use fupermod_runtime::{
@@ -320,19 +321,37 @@ fn tcp_graceful_exit_maps_onto_agreed_death() {
     assert_eq!(*sum, (0.5f64 + 1.5).to_bits(), "fold covered wrong members");
 }
 
+/// The plan's deadline in [`deadline_is_anchored_at_op_entry_on_both_backends`].
+const DEADLINE: Duration = Duration::from_millis(400);
+
 /// The op-entry deadline regression: root's `gatherv` performs its
-/// internal receives sequentially, so with receives arriving at
-/// ~0.25 s and ~0.55 s a 0.4 s deadline anchored at *operation entry*
-/// must fire — while a (buggy) per-receive anchor would grant each
-/// receive a fresh 0.4 s and let the whole collective take ~0.55 s.
-/// Both backends must agree.
-fn deadline_workload(c: &mut impl Communicator, root: usize) -> Result<(), RuntimeError> {
+/// internal receives sequentially, so with receives arriving 5/8 and
+/// 11/8 of the deadline after root enters it, a deadline anchored at
+/// *operation entry* must fire — while a (buggy) per-receive anchor
+/// would grant the second receive a fresh deadline from 5/8 and let
+/// the whole collective take 11/8. Both backends must agree.
+///
+/// The senders time their sends from root's entry, which root records
+/// in `entered` just before the call, so a host that schedules a rank
+/// late can only make a send later: the deadline still fires.
+fn deadline_workload(
+    c: &mut impl Communicator,
+    root: usize,
+    entered: &OnceLock<Instant>,
+) -> Result<(), RuntimeError> {
     let rank = c.rank();
-    c.barrier()?; // align t = 0 across ranks
-    match rank {
-        0 => std::thread::sleep(Duration::from_millis(250)),
-        2 => std::thread::sleep(Duration::from_millis(550)),
-        _ => {}
+    c.barrier()?;
+    if rank == root {
+        entered.set(Instant::now()).expect("one root");
+    } else {
+        let eighths = if rank == 0 { 5 } else { 11 };
+        let send_at = loop {
+            match entered.get() {
+                Some(at) => break *at + DEADLINE * eighths / 8,
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        };
+        std::thread::sleep(send_at.saturating_duration_since(Instant::now()));
     }
     let _ = c.gatherv(root, &vec![rank as f64; 2])?;
     Ok(())
@@ -342,17 +361,20 @@ fn deadline_workload(c: &mut impl Communicator, root: usize) -> Result<(), Runti
 fn deadline_is_anchored_at_op_entry_on_both_backends() {
     let world = 3usize;
     let root = 1usize; // not the barrier hub, so survivors settle cleanly
-    let plan = FaultPlan::from_json(r#"{"deadline": 0.4}"#).expect("valid plan");
+    let plan = FaultPlan::from_json(&format!(r#"{{"deadline": {}}}"#, DEADLINE.as_secs_f64()))
+        .expect("valid plan");
 
     let threaded = {
         let comms = RuntimeConfig::thread()
             .with_plan(plan.clone())
             .with_algorithms(AlgorithmPolicy::hub())
             .build(world);
-        run_ranks(comms, move |mut c| deadline_workload(&mut c, root))
+        let entered = OnceLock::new();
+        run_ranks(comms, |mut c| deadline_workload(&mut c, root, &entered))
     };
+    let entered = OnceLock::new();
     let tcp = run_tcp(world, AlgorithmPolicy::hub(), &plan, |c| {
-        deadline_workload(c, root)
+        deadline_workload(c, root, &entered)
     });
 
     for (backend, out) in [("threaded", threaded), ("tcp", tcp)] {

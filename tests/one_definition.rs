@@ -28,6 +28,11 @@ enum Needle {
     /// primitive integer: a number narrowed without the integer rule
     /// of `crates/core/src/json.rs`.
     AsIntCast,
+    /// The first text, on a line without the second.
+    TextWithout(&'static str, &'static str),
+    /// A line that opens a top-level item: it starts with an
+    /// identifier character.
+    Item,
 }
 
 /// Which files under a rule's roots it reads.
@@ -45,6 +50,9 @@ enum Lines {
     NonTest,
     /// Every line that is not a `//` comment.
     Code,
+    /// The lines after the file's [`non_test`] text, less each line
+    /// that opens an item a `#[cfg(test)]` attribute gates.
+    AfterTests,
 }
 
 /// What a rule allows, counted over its matches.
@@ -229,6 +237,39 @@ const RULES: &[Rule] = &[
         allowed: None,
         bound: Bound::Lines(1),
     },
+    Rule {
+        name: "a file's tests come last: every item after the first #[cfg(test)] is gated by one",
+        commit: "after b5cea3e",
+        needles: &[Needle::Item],
+        roots: USERS,
+        filter: Filter::Rs,
+        lines: Lines::AfterTests,
+        allowed: None,
+        bound: Bound::Lines(0),
+    },
+    Rule {
+        name: "one test runner: nothing under scripts/ runs python3",
+        commit: "after b5cea3e",
+        needles: &[Needle::Text("python3")],
+        roots: &["scripts"],
+        filter: Filter::All,
+        lines: Lines::Whole,
+        allowed: None,
+        bound: Bound::Lines(0),
+    },
+    Rule {
+        name: "check.sh runs only what cargo test cannot: each cargo test in release codegen, none serialised",
+        commit: "after b5cea3e",
+        needles: &[
+            Needle::Text("--test-threads"),
+            Needle::TextWithout("cargo test", "--release"),
+        ],
+        roots: &["scripts/check.sh"],
+        filter: Filter::All,
+        lines: Lines::Whole,
+        allowed: None,
+        bound: Bound::Lines(0),
+    },
 ];
 
 /// A file's non-test text: everything before its first line that
@@ -271,6 +312,8 @@ impl Needle {
                         !line[..at].ends_with(is_ident) && is_int_type(&line[at + 3..])
                     })
                 }),
+            Needle::TextWithout(text, without) => line.contains(text) && !line.contains(without),
+            Needle::Item => line.starts_with(is_ident),
         }
     }
 }
@@ -347,25 +390,45 @@ impl std::fmt::Display for Hit {
     }
 }
 
+/// The lines of `text` that `lines` reads, numbered from 1.
+fn read_lines(text: &str, lines: Lines) -> Vec<(usize, &str)> {
+    let numbered = text.lines().enumerate().map(|(i, line)| (i + 1, line));
+    match lines {
+        Lines::Whole => numbered.collect(),
+        Lines::NonTest => numbered.take(non_test(text).lines().count()).collect(),
+        Lines::Code => numbered
+            .filter(|(_, line)| !line.trim_start().starts_with("//"))
+            .collect(),
+        Lines::AfterTests => {
+            // Set by a `#[cfg(test)]` line, spent by the item it gates.
+            let mut gated = false;
+            numbered
+                .skip(non_test(text).lines().count())
+                .filter(|&(_, line)| {
+                    if line.starts_with("#[cfg(test)]") {
+                        gated = true;
+                    } else if Needle::Item.matches(line) && std::mem::take(&mut gated) {
+                        return false;
+                    }
+                    true
+                })
+                .collect()
+        }
+    }
+}
+
 fn scan(repo: &Path, rule: &Rule) -> Vec<Hit> {
     let mut hits = Vec::new();
     for root in rule.roots {
         for file in files_under(repo, root, rule.filter) {
             let bytes = std::fs::read(repo.join(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
             let text = String::from_utf8_lossy(&bytes);
-            let text = match rule.lines {
-                Lines::NonTest => non_test(&text),
-                Lines::Whole | Lines::Code => &text,
-            };
-            for (i, line) in text.lines().enumerate() {
-                if matches!(rule.lines, Lines::Code) && line.trim_start().starts_with("//") {
-                    continue;
-                }
-                if rule.needles.iter().any(|n| n.matches(line)) {
+            for (line, text) in read_lines(&text, rule.lines) {
+                if rule.needles.iter().any(|n| n.matches(text)) {
                     hits.push(Hit {
                         file: file.clone(),
-                        line: i + 1,
-                        text: line.to_owned(),
+                        line,
+                        text: text.to_owned(),
                     });
                 }
             }
@@ -489,6 +552,21 @@ fn needles_and_non_test_text_read_as_the_rules_mean() {
     let text = "fn a() {}\n    #[cfg(test)]\nfn b() {}\n#[cfg(test)]\nmod tests {}\n";
     assert_eq!(non_test(text), "fn a() {}\n    #[cfg(test)]\nfn b() {}\n");
     assert_eq!(non_test("fn a() {}"), "fn a() {}");
+
+    assert!(Needle::TextWithout("cargo test", "--release").matches("run cargo test -p x"));
+    assert!(!Needle::TextWithout("cargo test", "--release").matches("cargo test --release"));
+    fn items(text: &str) -> Vec<usize> {
+        read_lines(text, Lines::AfterTests)
+            .into_iter()
+            .filter(|(_, line)| Needle::Item.matches(line))
+            .map(|(n, _)| n)
+            .collect()
+    }
+    let tail = "fn a() {}\n#[cfg(test)]\n/// Doc.\n#[allow(dead_code)]\nmod oracle {\n    fn o() {}\n}\n\n";
+    assert!(items(tail).is_empty());
+    assert!(items(&format!("{tail}#[cfg(test)]\nmod tests {{}}\n")).is_empty());
+    assert_eq!(items(&format!("{tail}pub fn unused() {{}}\n")), [9]);
+    assert!(items("fn a() {}\n").is_empty());
 }
 
 /// The files whose non-test code can be a public item's user.
