@@ -9,10 +9,11 @@
 //!
 //! Two execution paths are provided:
 //!
-//! * [`run_threaded`] — a *real* run on worker threads synchronising
-//!   through the [`fupermod_runtime::ThreadedComm`] communicator,
-//!   numerically verified against serial GEMM; it validates that the
-//!   2D partition computes the right answer.
+//! * [`run_bcast`] — a *real* run of the pivot loop, one rank per
+//!   process of a [`RuntimeConfig`] (worker threads, or the sim
+//!   backend's virtual clocks), numerically verified against serial
+//!   GEMM; it validates that the 2D partition computes the right
+//!   answer.
 //! * [`simulate`] — a *simulated-time* run on a synthetic heterogeneous
 //!   [`Platform`], used by the experiments to compare partitioning
 //!   strategies at scales no laptop could multiply for real.
@@ -242,92 +243,6 @@ pub fn measure_device_point(
     Benchmark::new(precision).measure(&mut kernel, d)
 }
 
-/// Executes the distributed multiplication for real on worker threads:
-/// each process owns one rectangle of `C`, receives the full `A` row
-/// band and `B` column band it needs (synchronised through the runtime
-/// [`fupermod_runtime::ThreadedComm`]), computes with blocked GEMM,
-/// and the assembled product is returned.
-///
-/// `a` and `b` must be square `N × N` with `N = n_blocks · block` where
-/// `n_blocks` is derived from `areas` tiling; the function checks
-/// divisibility.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Partition`] on geometry errors and
-/// [`CoreError::Kernel`] on dimension mismatches.
-pub fn run_threaded(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    block: usize,
-    areas: &[u64],
-) -> Result<DenseMatrix, CoreError> {
-    let n = a.rows;
-    if a.cols != n || b.rows != n || b.cols != n {
-        return Err(CoreError::Kernel("matrices must be square and equal".to_owned()));
-    }
-    if block == 0 || !n.is_multiple_of(block) {
-        return Err(CoreError::Kernel(format!(
-            "matrix size {n} not divisible by block {block}"
-        )));
-    }
-    let n_blocks = (n / block) as u64;
-    let partition = column_partition(n_blocks, areas)?;
-
-    let comms = RuntimeConfig::thread().build(areas.len());
-    let comm_err = |e: RuntimeError| CoreError::Kernel(format!("communicator: {e}"));
-    let results: Vec<Result<(usize, Vec<f64>), CoreError>> =
-        run_ranks(comms, |mut comm| -> Result<(usize, Vec<f64>), CoreError> {
-            let rank = comm.rank();
-            let rect = partition.rects()[rank];
-            // Element-space bounds of this process's C rectangle.
-            let row0 = rect.y as usize * block;
-            let rows = rect.h as usize * block;
-            let col0 = rect.x as usize * block;
-            let cols = rect.w as usize * block;
-            if rows == 0 || cols == 0 {
-                comm.barrier().map_err(comm_err)?;
-                return Ok((rank, Vec::new()));
-            }
-            // "Receive" the needed bands: in this in-process setting
-            // the matrices are shared read-only; the barrier stands in
-            // for the broadcast arrival.
-            comm.barrier().map_err(comm_err)?;
-            // Pack the B column band (strided) and the A row band
-            // (contiguous), exactly the pivot-buffer copies of the
-            // paper's kernel.
-            let a_band = &a.data[row0 * n..(row0 + rows) * n];
-            let mut b_band = vec![0.0; n * cols];
-            for r in 0..n {
-                b_band[r * cols..(r + 1) * cols]
-                    .copy_from_slice(&b.data[r * n + col0..r * n + col0 + cols]);
-            }
-            let mut c = vec![0.0; rows * cols];
-            gemm_blocked(rows, cols, n, a_band, &b_band, &mut c);
-            Ok((rank, c))
-        });
-
-    // Assemble C from the rectangles.
-    let mut c = vec![0.0; n * n];
-    for result in results {
-        let (rank, data) = result?;
-        let rect = partition.rects()[rank];
-        let row0 = rect.y as usize * block;
-        let rows = rect.h as usize * block;
-        let col0 = rect.x as usize * block;
-        let cols = rect.w as usize * block;
-        for r in 0..rows {
-            c[(row0 + r) * n + col0..(row0 + r) * n + col0 + cols]
-                .copy_from_slice(&data[r * cols..(r + 1) * cols]);
-        }
-    }
-    Ok(DenseMatrix {
-        rows: n,
-        cols: n,
-        data: c,
-    })
-}
-
 /// Outcome of a broadcast-driven matmul run ([`run_bcast`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcastRun {
@@ -519,6 +434,24 @@ mod tests {
     use fupermod_core::partition::{EvenPartitioner, NumericalPartitioner};
     use fupermod_core::Precision;
 
+    /// The product of a blocking run on worker threads.
+    fn threaded(
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        block: usize,
+        areas: &[u64],
+    ) -> Result<DenseMatrix, CoreError> {
+        run_bcast(
+            a,
+            b,
+            block,
+            areas,
+            RuntimeConfig::thread(),
+            OverlapMode::Blocking,
+        )
+        .map(|run| run.product)
+    }
+
     fn serial_product(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         let n = a.rows;
         let mut c = vec![0.0; n * n];
@@ -536,7 +469,7 @@ mod tests {
         let a = random_matrix(n, n, 1);
         let b = random_matrix(n, n, 2);
         // 4 processes with skewed areas: 6×6 = 36 blocks total.
-        let c = run_threaded(&a, &b, 8, &[18, 9, 6, 3]).unwrap();
+        let c = threaded(&a, &b, 8, &[18, 9, 6, 3]).unwrap();
         let reference = serial_product(&a, &b);
         for (x, y) in c.data.iter().zip(&reference.data) {
             assert!((x - y).abs() < 1e-9);
@@ -548,7 +481,7 @@ mod tests {
         let n = 32;
         let a = random_matrix(n, n, 3);
         let b = random_matrix(n, n, 4);
-        let c = run_threaded(&a, &b, 8, &[8, 0, 8]).unwrap();
+        let c = threaded(&a, &b, 8, &[8, 0, 8]).unwrap();
         let reference = serial_product(&a, &b);
         for (x, y) in c.data.iter().zip(&reference.data) {
             assert!((x - y).abs() < 1e-9);
@@ -559,7 +492,7 @@ mod tests {
     fn threaded_matmul_rejects_bad_block() {
         let a = random_matrix(10, 10, 1);
         let b = random_matrix(10, 10, 2);
-        assert!(run_threaded(&a, &b, 3, &[4]).is_err());
+        assert!(threaded(&a, &b, 3, &[4]).is_err());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! the discrete maximum principle for arbitrary initial data.
 
 use fupermod_apps::heat::{run as heat_run, HeatConfig};
-use fupermod_apps::matmul::run_threaded;
+use fupermod_apps::matmul::run_bcast;
 use fupermod_apps::workload::{random_matrix, DenseMatrix};
 use fupermod_core::partition::GeometricPartitioner;
 use fupermod_kernels::gemm::gemm_blocked;
 use fupermod_platform::Platform;
+use fupermod_runtime::{OverlapMode, RuntimeConfig};
 use proptest::prelude::*;
 
 fn serial_product(a: &DenseMatrix, b: &DenseMatrix) -> Vec<f64> {
@@ -37,7 +38,9 @@ proptest! {
         .unwrap();
         let a = random_matrix(n, n, seed);
         let b = random_matrix(n, n, seed + 1);
-        let c = run_threaded(&a, &b, block, &areas).unwrap();
+        let c = run_bcast(&a, &b, block, &areas, RuntimeConfig::thread(), OverlapMode::Blocking)
+            .unwrap()
+            .product;
         let reference = serial_product(&a, &b);
         for (x, y) in c.data.iter().zip(&reference) {
             prop_assert!((x - y).abs() < 1e-9);

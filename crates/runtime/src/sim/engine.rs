@@ -131,6 +131,9 @@ pub struct EventSim {
     /// Which ranks are still executing their program (false once a
     /// rank's program returned an error — dead or halted).
     pub(super) running: Vec<bool>,
+    /// Whether an operation of the rank has failed: returned any error
+    /// but a peer's death (the mirror of `ThreadedComm`'s flag).
+    pub(super) failed: Vec<bool>,
     /// Dispatched event counter (op begins/ends, deliveries,
     /// coalesced fast-path rounds) for events/sec reporting.
     pub(super) events: u64,
@@ -174,6 +177,7 @@ impl EventSim {
             pending_charge: None,
             mail: HashMap::new(),
             running: vec![true; size],
+            failed: vec![false; size],
             events: 0,
             heap: BinaryHeap::new(),
         }
@@ -257,9 +261,27 @@ impl EventSim {
     }
 
     /// Stops dispatching ops for `rank` (its simulated program ended,
-    /// normally or on error).
+    /// normally or on error). A rank one of whose operations failed
+    /// leaves as its program ends, as a thread rank does when its
+    /// handle drops.
     pub fn halt(&mut self, rank: usize) {
+        if self.failed[rank] {
+            self.leave(rank);
+        }
         self.running[rank] = false;
+    }
+
+    /// Passes the outcome of one of `rank`'s operations on, noting a
+    /// failure — any error but a peer's death — for [`EventSim::halt`].
+    pub(super) fn noted<T>(
+        &mut self,
+        rank: usize,
+        result: Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        if let Err(e) = &result {
+            self.failed[rank] |= !matches!(e, RuntimeError::RankDead { rank: r, .. } if *r != rank);
+        }
+        result
     }
 
     // ----- op lifecycle mirrors ---------------------------------------
@@ -358,6 +380,16 @@ impl EventSim {
         }
         self.dead[rank] = true;
         self.running[rank] = false;
+    }
+
+    /// A failed rank leaves (`docs/RUNTIME.md` §3): it is marked dead
+    /// and traces one `disconnect`, so every peer waiting on it takes
+    /// the dead-sender path. A dead rank has nothing left to leave.
+    pub(super) fn leave(&mut self, rank: usize) {
+        if !self.dead[rank] {
+            self.mark_dead(rank);
+            self.fault(rank, "disconnect", -1, 0, 0.0);
+        }
     }
 
     /// Completes the current barrier generation: Lamport join over
@@ -571,13 +603,15 @@ impl EventSim {
     /// drop retries.
     pub fn send<T: Wire>(&mut self, src: usize, dst: usize, value: &T) -> Result<(), RuntimeError> {
         const OP: &str = "send";
-        self.check_rank(OP, dst)?;
-        let start = self.op_begin(OP, src)?;
-        let bytes = value.to_bytes();
-        let n = bytes.len() as u64;
-        self.raw_send_at(OP, src, dst, bytes, None)?;
-        self.op_end(src, OP, dst as i64, n, &start, "direct", 1, start.gen);
-        Ok(())
+        let sent = self.check_rank(OP, dst).and_then(|()| {
+            let start = self.op_begin(OP, src)?;
+            let bytes = value.to_bytes();
+            let n = bytes.len() as u64;
+            self.raw_send_at(OP, src, dst, bytes, None)?;
+            self.op_end(src, OP, dst as i64, n, &start, "direct", 1, start.gen);
+            Ok(())
+        });
+        self.noted(src, sent)
     }
 
     /// Blocking typed receive mirror (charges the Hockney hop cost).
@@ -588,21 +622,15 @@ impl EventSim {
     /// failure, or timeout when no matching message exists.
     pub fn recv<T: Wire>(&mut self, rank: usize, src: usize) -> Result<T, RuntimeError> {
         const OP: &str = "recv";
-        self.check_rank(OP, src)?;
-        let start = self.op_begin(OP, rank)?;
-        let bytes = self.blocking_take(OP, rank, src, true)?;
-        let value = crate::wire::decode_as::<T>(OP, &bytes)?;
-        self.op_end(
-            rank,
-            OP,
-            src as i64,
-            bytes.len() as u64,
-            &start,
-            "direct",
-            1,
-            start.gen,
-        );
-        Ok(value)
+        let received = self.check_rank(OP, src).and_then(|()| {
+            let start = self.op_begin(OP, rank)?;
+            let bytes = self.blocking_take(OP, rank, src, true)?;
+            let value = crate::wire::decode_as::<T>(OP, &bytes)?;
+            let n = bytes.len() as u64;
+            self.op_end(rank, OP, src as i64, n, &start, "direct", 1, start.gen);
+            Ok(value)
+        });
+        self.noted(rank, received)
     }
 
     /// Nonblocking send mirror: posts the message with a post-time
@@ -622,18 +650,20 @@ impl EventSim {
         value: &T,
     ) -> Result<SendTicket, RuntimeError> {
         const OP: &str = "isend";
-        self.check_rank(OP, dst)?;
-        let start = self.op_begin(OP, src)?;
-        let bytes = value.to_bytes();
-        let n = bytes.len() as u64;
-        let ready = self.sim.post_send(src, dst, bytes.len() as f64);
-        self.raw_send_at(OP, src, dst, bytes, Some(ready))?;
-        Ok(SendTicket {
-            rank: src,
-            dst,
-            bytes_len: n,
-            start,
-        })
+        let posted = self.check_rank(OP, dst).and_then(|()| {
+            let start = self.op_begin(OP, src)?;
+            let bytes = value.to_bytes();
+            let n = bytes.len() as u64;
+            let ready = self.sim.post_send(src, dst, bytes.len() as f64);
+            self.raw_send_at(OP, src, dst, bytes, Some(ready))?;
+            Ok(SendTicket {
+                rank: src,
+                dst,
+                bytes_len: n,
+                start,
+            })
+        });
+        self.noted(src, posted)
     }
 
     /// Completes a posted send (emits the `isend` trace event).
@@ -658,9 +688,11 @@ impl EventSim {
     /// Invalid rank, or the receiver itself is dead.
     pub fn irecv_post(&mut self, rank: usize, src: usize) -> Result<RecvTicket, RuntimeError> {
         const OP: &str = "irecv";
-        self.check_rank(OP, src)?;
-        let start = self.op_begin(OP, rank)?;
-        Ok(RecvTicket { rank, src, start })
+        let posted = self.check_rank(OP, src).and_then(|()| {
+            let start = self.op_begin(OP, rank)?;
+            Ok(RecvTicket { rank, src, start })
+        });
+        self.noted(rank, posted)
     }
 
     /// Completes a posted receive.
@@ -671,19 +703,26 @@ impl EventSim {
     /// timeout.
     pub fn irecv_wait<T: Wire>(&mut self, ticket: RecvTicket) -> Result<T, RuntimeError> {
         const OP: &str = "irecv";
-        let bytes = self.blocking_take(OP, ticket.rank, ticket.src, true)?;
-        let value = crate::wire::decode_as::<T>(OP, &bytes)?;
-        self.op_end(
-            ticket.rank,
-            OP,
-            ticket.src as i64,
-            bytes.len() as u64,
-            &ticket.start,
-            "direct",
-            1,
-            ticket.start.gen,
-        );
-        Ok(value)
+        let rank = ticket.rank;
+        let received = self
+            .blocking_take(OP, rank, ticket.src, true)
+            .and_then(|bytes| {
+                let value = crate::wire::decode_as::<T>(OP, &bytes)?;
+                let n = bytes.len() as u64;
+                let start = &ticket.start;
+                self.op_end(
+                    rank,
+                    OP,
+                    ticket.src as i64,
+                    n,
+                    start,
+                    "direct",
+                    1,
+                    start.gen,
+                );
+                Ok(value)
+            });
+        self.noted(rank, received)
     }
 
     // ----- cohort dispatch --------------------------------------------

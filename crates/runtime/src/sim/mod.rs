@@ -17,12 +17,15 @@
 //! for instruction: `op_begin` (op count, Lamport tick, scheduled
 //! death, straggler latency), the fault-plan send rules (drop counts,
 //! bounded exponential backoff, delivery delays), the Lamport merge at
-//! delivery, the barrier-generation join and membership agreement, and
-//! the deposited collective schedule charges. On fault-free plans and
-//! under fail-stop death the virtual clocks it produces are
-//! **bit-identical** to the thread-backed sim (pinned by the
-//! `event_parity` integration tests at `p ∈ {1, 4, 16, 64}` across
-//! `hub`/`ring`/`tree`/`auto`); at large `p` closed-form fast paths
+//! delivery, the barrier-generation join and membership agreement, the
+//! deposited collective schedule charges, and the leave of a failed
+//! rank (`docs/RUNTIME.md` §3): inside a collective when its own part
+//! fails, and at [`EventSim::halt`] after an operation failed. On
+//! fault-free plans, under fail-stop death and when a rank fails, the
+//! virtual clocks it produces are **bit-identical** to the
+//! thread-backed sim (pinned by the `event_parity` integration tests at
+//! `p ∈ {1, 3, 4, 6, 16, 64}` across `hub`/`ring`/`tree`/`auto`); at
+//! large `p` closed-form fast paths
 //! (uniform-ring charge, `O(q log q)` butterfly schedule, subtree-sum
 //! tree accounting) keep a `p = 100k` collective in milliseconds.
 //! Event ordering, tie-breaks, determinism guarantees and the memory

@@ -7,13 +7,17 @@
 //! stay bit-identical at small `p` while closed-form fast paths keep
 //! `p = 10⁵` collectives in milliseconds.
 //!
+//! A rank fails as a thread rank does: when its own send runs out of
+//! retries (or, for a root, its part is missing) it leaves the plane
+//! at once, and every rank waiting on it takes the dead-sender path —
+//! a hole, the poison frame, or `RankDead` naming it.
+//!
 //! Dispatch order is deterministic: `op_begin` fires in `(clock
 //! bits, rank)` order, data-phase sends in ascending rank (or
 //! schedule-position) order, epilogues in final `(clock bits, rank)`
 //! order — see `docs/RUNTIME.md` §9 for the full ordering contract
-//! and the places where the thread backend is inherently racy (drop
-//! cascades, mid-operation starvation) and the engine's order is
-//! canonical.
+//! and the places where the thread backend is inherently racy and the
+//! engine's order is canonical.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,14 +27,13 @@ use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
-use super::engine::{ChargeSpec, Cohort, EventSim, OpStart, RankResults, SendFate};
+use super::engine::{ChargeSpec, EventSim, OpStart, RankResults, SendFate};
 
 /// Per-abs-rank data-phase outcome for the cohort: the payload plus
 /// the rank's `moved` byte count for its `comm` trace event.
 type PhaseResults<T> = Vec<Option<Result<(T, u64), RuntimeError>>>;
 
-/// `vec![None; n]` for slot types whose payload is not `Clone`
-/// (`RuntimeError` isn't).
+/// `vec![None; n]` for slot types whose payload is not `Clone`.
 fn blanks<T>(n: usize) -> Vec<Option<T>> {
     (0..n).map(|_| None).collect()
 }
@@ -63,24 +66,50 @@ fn bundle_len(size: usize, present: impl Iterator<Item = u64>) -> u64 {
     8 + size as u64 + present.map(|n| 8 + n).sum::<u64>()
 }
 
-/// Lifecycle of one schedule position while a general (fault-aware)
-/// data phase replays the thread backend's per-rank programs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PState {
-    /// Dead before the data phase (agreed-live hole or `op_begin`
-    /// death): every edge touching it degrades.
-    Hole,
-    /// Executing its per-rank program normally.
-    Active,
-    /// Its program returned an error (exhausted drop retries) but the
-    /// rank is alive — receivers waiting on it starve.
-    Failed,
-    /// Fail-stopped mid-phase by a deadline starvation.
-    Starved,
+/// Each cohort rank's encoded contribution, absolute-rank-indexed.
+fn encode<T: Wire>(values: &[T], in_cohort: &[bool]) -> Vec<Option<Vec<u8>>> {
+    values
+        .iter()
+        .zip(in_cohort)
+        .map(|(v, &member)| member.then(|| v.to_bytes()))
+        .collect()
 }
 
-/// One pending schedule-edge delivery captured in a send pass and
-/// consumed in the matching receive pass.
+/// Every cohort rank but `center` that has no outcome yet gets
+/// `RankDead` naming `center`: it was waiting on a sender that died
+/// before the phase or left inside it.
+fn cut_off<T>(op: &'static str, center: usize, in_cohort: &[bool], phase: &mut PhaseResults<T>) {
+    for (r, slot) in phase.iter_mut().enumerate() {
+        if r != center && in_cohort[r] && slot.is_none() {
+            *slot = Some(Err(RuntimeError::RankDead { op, rank: center }));
+        }
+    }
+}
+
+/// Decodes each distinct shared slot vector once — memoised by `Arc`
+/// identity, since the fast paths hand every rank the same one.
+fn decode_shared<X: Clone>(
+    phase: PhaseResults<Arc<Slots>>,
+    decode: impl Fn(&Slots) -> Result<X, RuntimeError>,
+) -> PhaseResults<X> {
+    let mut memo: HashMap<*const Slots, Result<X, RuntimeError>> = HashMap::new();
+    phase
+        .into_iter()
+        .map(|entry| {
+            entry.map(|res| {
+                res.and_then(|(slots, moved)| {
+                    let decoded = memo
+                        .entry(Arc::as_ptr(&slots))
+                        .or_insert_with(|| decode(&slots));
+                    decoded.clone().map(|x| (x, moved))
+                })
+            })
+        })
+        .collect()
+}
+
+/// One schedule-edge delivery, captured when it is sent and consumed
+/// when its receiver's turn comes.
 #[derive(Clone, Copy)]
 struct Inflight {
     /// Whether the frame carries a payload (`Option` framing) or, for
@@ -94,75 +123,89 @@ struct Inflight {
     msg_len: u64,
 }
 
+/// The schedule positions of a general data phase while it replays
+/// the thread ranks' programs: whether each still runs its part, and
+/// the error that ended a failed one. A position that is not active
+/// sends nothing more, so whoever waits on it finds no mail — the
+/// dead-sender path.
+struct Positions {
+    active: Vec<bool>,
+    errs: Vec<Option<RuntimeError>>,
+}
+
+impl Positions {
+    fn new(active: Vec<bool>) -> Self {
+        let errs = blanks(active.len());
+        Self { active, errs }
+    }
+
+    fn fail(&mut self, pos: usize, e: RuntimeError) {
+        self.active[pos] = false;
+        self.errs[pos] = Some(e);
+    }
+}
+
+/// What a rooted tree fan-out did at one rank: whether the root's
+/// payload reached it, and the bytes it took and forwarded.
+struct Reach {
+    present: bool,
+    received: u64,
+    sent: u64,
+}
+
 impl EventSim {
     // ----- shared driver plumbing -------------------------------------
 
-    /// Mirror of the thread backend's deadline starvation: a rank
-    /// blocked on a sender that is alive but no longer sending hits
-    /// the plan deadline and fail-stops.
-    fn starve(&mut self, op: &'static str, rank: usize) -> RuntimeError {
-        let deadline = self
-            .plan
-            .deadline
-            .unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
-        self.mark_dead(rank);
-        self.fault(rank, "timeout", -1, 0, deadline);
-        RuntimeError::Timeout { op, rank, deadline }
-    }
-
-    /// Pass 2 of a star fan-in: the collector's `ThreadedComm::fan_in`,
-    /// consuming leaf send fates in ascending src order. Delivered
-    /// contributions are marked `present`; the first exhausted sender
-    /// starves the collector (later fates are left unconsumed, as the
-    /// collector's program has ended).
-    fn collect_fan_in(
+    /// The frame of every collective: an out-of-range root is rejected
+    /// exactly as the thread backend's `check_rank` does, before any op
+    /// accounting; `op_begin` fires for every running rank in `(clock,
+    /// rank)` order; `phase` runs the data phase over the cohort and
+    /// returns the schedule it ran (or `None` once it has settled every
+    /// cohort rank's outcome in `out`); the closing generation
+    /// completes; epilogues dispatch. `rounds` counts the schedule's
+    /// rounds over the membership the generation agreed.
+    fn collective<T>(
         &mut self,
         op: &'static str,
-        collector: usize,
-        fates: &[Option<SendFate>],
-        present: &mut [bool],
-    ) -> Option<RuntimeError> {
-        let mut err: Option<RuntimeError> = None;
-        for (src, fate) in fates.iter().enumerate() {
-            match fate {
-                Some(SendFate::Delivered { stamp, delay }) if err.is_none() => {
-                    self.deliver(collector, *stamp, *delay);
-                    present[src] = true;
+        root: Option<usize>,
+        rounds: impl FnOnce(Resolved, usize) -> u64,
+        phase: impl FnOnce(
+            &mut Self,
+            &[bool],
+            &mut RankResults<T>,
+        ) -> Option<(Resolved, PhaseResults<T>)>,
+    ) -> RankResults<T> {
+        let size = self.size;
+        let mut out: RankResults<T> = blanks(size);
+        if let Some(root) = root.filter(|&root| root >= size) {
+            for (rank, slot) in out.iter_mut().enumerate() {
+                if self.running[rank] {
+                    let invalid = RuntimeError::InvalidRank {
+                        op,
+                        rank: root,
+                        size,
+                    };
+                    *slot = Some(self.noted(rank, Err(invalid)));
+                    self.halt(rank);
                 }
-                Some(SendFate::Exhausted(_)) if err.is_none() => {
-                    err = Some(self.starve(op, collector));
-                }
-                Some(SendFate::DeadDst) => unreachable!("collector checked alive above"),
-                _ => {}
             }
+            return out;
         }
-        err
-    }
-
-    /// Begins a collective: `op_begin` for every running rank in
-    /// `(clock, rank)` order, scheduled deaths surfaced into `out`,
-    /// and the agreed-liveness abandonment check (a rank that is
-    /// agreed-alive but no longer running would deadline-stall the
-    /// thread backend; the engine surfaces a typed error instead —
-    /// docs/RUNTIME.md §9). Returns `None` when there is no cohort to
-    /// run.
-    fn collective_prologue<T>(
-        &mut self,
-        op: &'static str,
-        out: &mut RankResults<T>,
-    ) -> Option<(Cohort, Vec<bool>)> {
         let (members, failed) = self.begin_cohort(op);
         for (rank, e) in failed {
             out[rank] = Some(Err(e));
         }
         if members.is_empty() {
-            return None;
+            return out;
         }
-        let mut in_cohort = vec![false; self.size];
+        let mut in_cohort = vec![false; size];
         for &(r, _) in &members {
             in_cohort[r] = true;
         }
-        let ghost = (0..self.size).find(|&r| self.agreed_alive[r] && !self.dead[r] && !in_cohort[r]);
+        // A rank that is agreed-alive but no longer running would
+        // deadline-stall the thread backend; the engine surfaces a
+        // typed error instead (docs/RUNTIME.md §9).
+        let ghost = (0..size).find(|&r| self.agreed_alive[r] && !self.dead[r] && !in_cohort[r]);
         if let Some(ghost) = ghost {
             for &(r, _) in &members {
                 self.halt(r);
@@ -171,84 +214,188 @@ impl EventSim {
                      the thread backend would deadline-stall here (docs/RUNTIME.md §9)"
                 ))));
             }
-            return None;
+            return out;
         }
-        Some((members, in_cohort))
-    }
-
-    /// Completes the collective's closing barrier generation exactly
-    /// as the thread backend would: the generation completes (Lamport
-    /// join, membership agreement, deposited charge) iff at least one
-    /// cohort rank is still alive to arrive. Returns the `gen` stamp
-    /// every arriving rank records.
-    fn close_cohort(&mut self, members: &[(usize, OpStart)]) -> u64 {
+        let Some((resolved, mut results)) = phase(self, &in_cohort, &mut out) else {
+            return out;
+        };
+        // The generation completes iff at least one cohort rank is
+        // still alive to arrive at the closing barrier.
         let gen = self.generation;
         if members.iter().any(|&(r, _)| !self.dead[r]) {
             self.complete_generation();
         }
-        gen
-    }
-
-    /// Finishes a collective: epilogues dispatch in final `(clock,
-    /// rank)` order; a successful rank emits its `comm` trace event,
-    /// an errored rank halts (the mirror of `?`-propagation ending
-    /// the thread backend's rank closure) without one.
-    #[allow(clippy::too_many_arguments)] // one flat epilogue, mirroring the thread backend's
-    fn collective_epilogue<T>(
-        &mut self,
-        op: &'static str,
-        peer: i64,
-        algorithm: &'static str,
-        rounds: u64,
-        gen: u64,
-        members: &[(usize, OpStart)],
-        mut phase: PhaseResults<T>,
-        out: &mut RankResults<T>,
-    ) {
-        let order = self.cohort_end_order(members);
+        let rounds = rounds(resolved, self.agreed_alive.iter().filter(|&&a| a).count());
+        let peer = root.map_or(-1, |r| r as i64);
+        // Epilogues in final `(clock, rank)` order: a successful rank
+        // emits its `comm` trace event, an errored one ends its
+        // program (the mirror of `?`-propagation ending a rank
+        // closure) without one.
+        let order = self.cohort_end_order(&members);
         let starts: HashMap<usize, OpStart> = members.iter().copied().collect();
         for rank in order {
-            match phase[rank]
+            match results[rank]
                 .take()
                 .expect("every cohort rank has a data-phase outcome")
             {
                 Ok((value, moved)) => {
                     let start = starts[&rank];
-                    self.op_end(rank, op, peer, moved, &start, algorithm, rounds, gen);
+                    self.op_end(rank, op, peer, moved, &start, resolved.name(), rounds, gen);
                     out[rank] = Some(Ok(value));
                 }
                 Err(e) => {
+                    out[rank] = Some(self.noted(rank, Err(e)));
                     self.halt(rank);
-                    out[rank] = Some(Err(e));
                 }
+            }
+        }
+        out
+    }
+
+    /// One schedule edge `src → dst` carrying `msg_len` bytes: the
+    /// message in flight, or `None` when `dst` is dead (the edge
+    /// drops). A send that runs out of retries ends the sender's part:
+    /// it leaves, and its error is returned.
+    fn hop(
+        &mut self,
+        op: &'static str,
+        src: usize,
+        dst: usize,
+        present: bool,
+        msg_len: u64,
+    ) -> Result<Option<Inflight>, RuntimeError> {
+        match self.send_eval(op, src, dst) {
+            SendFate::Delivered { stamp, delay } => Ok(Some(Inflight {
+                present,
+                stamp,
+                delay,
+                msg_len,
+            })),
+            SendFate::DeadDst => Ok(None),
+            SendFate::Exhausted(e) => {
+                self.leave(src);
+                Err(e)
             }
         }
     }
 
-    /// Rejects an out-of-range root exactly as the thread backend's
-    /// `check_rank` does — before any op accounting, for every
-    /// running rank.
-    fn reject_invalid_root<T>(
+    /// `rank` takes what an edge brought it, if anything: the Lamport
+    /// merge and delay charge, with the frame counted in `moved`.
+    /// Returns whether the frame carried the payload, or `None` when
+    /// no mail came (the sender died or left first).
+    fn receive(&mut self, rank: usize, mail: Option<Inflight>, moved: &mut u64) -> Option<bool> {
+        let m = mail?;
+        self.deliver(rank, m.stamp, m.delay);
+        *moved += m.msg_len;
+        Some(m.present)
+    }
+
+    /// The star fan-in of every hub schedule: each other cohort rank
+    /// sends its part to `center` in ascending rank order, which is
+    /// also the order the center's `fan_in` takes them in. A part
+    /// whose send runs out of retries is a hole, and its sender's
+    /// outcome is the error. Returns whose parts reached the center
+    /// (its own included).
+    fn star_fan_in<T>(
         &mut self,
         op: &'static str,
-        root: usize,
-        out: &mut RankResults<T>,
-    ) -> bool {
-        if root < self.size {
-            return false;
-        }
-        let size = self.size;
-        for (rank, slot) in out.iter_mut().enumerate() {
-            if self.running[rank] {
-                self.halt(rank);
-                *slot = Some(Err(RuntimeError::InvalidRank {
-                    op,
-                    rank: root,
-                    size,
-                }));
+        center: usize,
+        in_cohort: &[bool],
+        phase: &mut PhaseResults<T>,
+    ) -> Vec<bool> {
+        let mut present = vec![false; self.size];
+        present[center] = true;
+        for src in 0..self.size {
+            if src == center || !in_cohort[src] {
+                continue;
+            }
+            match self.hop(op, src, center, true, 0) {
+                Ok(mail) => present[src] = self.receive(center, mail, &mut 0).is_some(),
+                Err(e) => phase[src] = Some(Err(e)),
             }
         }
-        true
+        present
+    }
+
+    /// The star fan-out every hub schedule ends with: `center` sends to
+    /// each other agreed-live rank in ascending order, skipping dead
+    /// ones, and a rank it reaches gets `reached(rank)`. If a send runs
+    /// out of retries the center leaves, every rank it had not reached
+    /// gets `RankDead` naming it, and the error is returned.
+    fn star_fan_out<T>(
+        &mut self,
+        op: &'static str,
+        center: usize,
+        live: &[usize],
+        in_cohort: &[bool],
+        phase: &mut PhaseResults<T>,
+        mut reached: impl FnMut(usize) -> Result<(T, u64), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        for &dst in live {
+            if dst == center || self.dead[dst] {
+                continue;
+            }
+            match self.hop(op, center, dst, true, 0) {
+                Ok(mail) => {
+                    if self.receive(dst, mail, &mut 0).is_some() {
+                        phase[dst] = Some(reached(dst));
+                    }
+                }
+                Err(e) => {
+                    cut_off(op, center, in_cohort, phase);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The rooted binomial fan-out `bcast` and `scatterv` share on the
+    /// ring/tree schedules, parents before children (ascending virtual
+    /// index): every cohort rank forwards `frame(present, child_vi)`
+    /// bytes to each child, `present` being whether the root's payload
+    /// reached it. A parent that died or left before sending degrades
+    /// its subtree to the poison frame. Outcomes are indexed by
+    /// virtual index.
+    fn tree_fan_out(
+        &mut self,
+        op: &'static str,
+        live: &[usize],
+        vroot: usize,
+        in_cohort: &[bool],
+        frame: impl Fn(bool, usize) -> u64,
+    ) -> Vec<Option<Result<Reach, RuntimeError>>> {
+        let q = live.len();
+        let abs = |v: usize| live[(v + vroot) % q];
+        let mut inbox: Vec<Option<Inflight>> = blanks(q);
+        let mut out = blanks(q);
+        for vi in 0..q {
+            let r = abs(vi);
+            if !in_cohort[r] {
+                continue;
+            }
+            let mut received = 0;
+            let present = vi == 0 || self.receive(r, inbox[vi].take(), &mut received) == Some(true);
+            let mut sent = 0;
+            let mut reach = Ok(());
+            for (_, child_vi) in collective::binomial_children(vi, q) {
+                let msg_len = frame(present, child_vi);
+                sent += msg_len;
+                match self.hop(op, r, abs(child_vi), present, msg_len) {
+                    Ok(mail) => inbox[child_vi] = mail,
+                    Err(e) => {
+                        reach = Err(e);
+                        break;
+                    }
+                }
+            }
+            out[vi] = Some(reach.map(|()| Reach {
+                present,
+                received,
+                sent,
+            }));
+        }
+        out
     }
 
     // ----- barrier ----------------------------------------------------
@@ -256,11 +403,6 @@ impl EventSim {
     /// Collective barrier across all running ranks (mirror of
     /// [`crate::Communicator::barrier`]).
     pub fn barrier(&mut self) -> RankResults<()> {
-        const OP: &str = "barrier";
-        let mut out: RankResults<()> = blanks(self.size);
-        let Some((members, _)) = self.collective_prologue(OP, &mut out) else {
-            return out;
-        };
         let resolved = self.policy.barrier.resolve_rooted(self.size);
         let live = self.agreed_live();
         let rounds = match resolved {
@@ -275,25 +417,30 @@ impl EventSim {
             Resolved::Ring | Resolved::Tree => collective::barrier_tree_rounds(&live),
         };
         let n_rounds = rounds.len() as u64;
-        // The barrier's charge is a first-deposit-wins default, never
-        // an overwrite (raw_barrier_arrive mirror).
-        if self.pending_charge.is_none() {
-            self.pending_charge = Some(charge_rounds(&rounds));
-        }
-        let gen = self.close_cohort(&members);
-        let mut phase: PhaseResults<()> = blanks(self.size);
-        for &(r, _) in &members {
-            phase[r] = Some(Ok(((), 0)));
-        }
-        self.collective_epilogue(OP, -1, resolved.name(), n_rounds, gen, &members, phase, &mut out);
-        out
+        self.collective(
+            "barrier",
+            None,
+            |_, _| n_rounds,
+            |sim, in_cohort, _| {
+                // The barrier's charge is a first-deposit-wins default,
+                // never an overwrite (raw_barrier_arrive mirror).
+                if sim.pending_charge.is_none() {
+                    sim.pending_charge = Some(charge_rounds(&rounds));
+                }
+                let phase = in_cohort
+                    .iter()
+                    .map(|&m| m.then_some(Ok(((), 0))))
+                    .collect();
+                Some((resolved, phase))
+            },
+        )
     }
 
     // ----- rootless all-gather core -----------------------------------
 
     /// Data phase shared by `allgatherv`, `allgatherv_available` and
     /// the ring/tree `allreduce` (mirror of the thread backend's
-    /// `allgather_slots`). `own` holds each cohort rank's encoded
+    /// `Allgather` machine). `own` holds each cohort rank's encoded
     /// contribution, absolute-rank-indexed.
     fn allgather_phase(
         &mut self,
@@ -303,21 +450,23 @@ impl EventSim {
         in_cohort: &[bool],
     ) -> PhaseResults<Arc<Slots>> {
         let mut phase: PhaseResults<Arc<Slots>> = blanks(self.size);
-        if self.size == 1 {
-            // Size-1 communicator shortcut: the thread backend returns
-            // the caller's own slot with zero bytes moved and no
-            // schedule deposit, before the resolution dispatch.
-            if in_cohort[0] {
-                if let Some(bytes) = own[0].clone() {
-                    phase[0] = Some(Ok((Arc::new(vec![Some(bytes)]), 0)));
-                }
+        let live = self.agreed_live();
+        if self.size == 1 || (live.len() == 1 && resolved != Resolved::Hub) {
+            // A size-1 communicator, or one agreed rank on the ring or
+            // tree: the rank's held vector is just its own slot, with
+            // zero bytes moved and no schedule deposit.
+            let r = live[0];
+            if in_cohort[r] {
+                let mut slots: Slots = vec![None; self.size];
+                slots[r] = own[r].clone();
+                phase[r] = Some(Ok((Arc::new(slots), 0)));
             }
             return phase;
         }
         match resolved {
-            Resolved::Hub => self.allgather_hub_phase(op, own, in_cohort, &mut phase),
-            Resolved::Ring => self.allgather_ring_phase(op, own, in_cohort, &mut phase),
-            Resolved::Tree => self.allgather_butterfly_phase(op, own, in_cohort, &mut phase),
+            Resolved::Hub => self.allgather_hub_phase(op, &live, own, in_cohort, &mut phase),
+            Resolved::Ring => self.allgather_ring_phase(op, &live, own, in_cohort, &mut phase),
+            Resolved::Tree => self.allgather_butterfly_phase(op, &live, own, in_cohort, &mut phase),
         }
         phase
     }
@@ -329,118 +478,44 @@ impl EventSim {
     fn allgather_hub_phase(
         &mut self,
         op: &'static str,
+        live: &[usize],
         own: &[Option<Vec<u8>>],
         in_cohort: &[bool],
         phase: &mut PhaseResults<Arc<Slots>>,
     ) {
         let size = self.size;
-        let live = self.agreed_live();
         let hub = live[0];
         if self.dead[hub] {
             // Hub death is fatal for the hub schedule: every leaf's
             // non-tolerant send to it fails.
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: hub }));
-                }
-            }
+            cut_off(op, hub, in_cohort, phase);
             return;
         }
-        // Pass 1 — leaf sends, ascending (each leaf's program sends
-        // immediately; the hub consumes later).
-        let mut fates: Vec<Option<SendFate>> = (0..size).map(|_| None).collect();
-        for src in 0..size {
-            if src != hub && in_cohort[src] {
-                fates[src] = Some(self.send_eval(op, src, hub));
-            }
-        }
-        // Pass 2 — the hub's `ThreadedComm::fan_in`, ascending src order.
-        let mut present = vec![false; size];
-        present[hub] = true;
-        let hub_err = self.collect_fan_in(op, hub, &fates, &mut present);
-        for (src, fate) in fates.into_iter().enumerate() {
-            if let Some(SendFate::Exhausted(e)) = fate {
-                phase[src] = Some(Err(e));
-            }
-        }
-        if let Some(e) = hub_err {
-            // The hub fail-stopped mid-collect: every leaf still
-            // waiting for the blob sees a dead sender.
-            phase[hub] = Some(Err(e));
-            for r in 0..size {
-                if r != hub && in_cohort[r] && phase[r].is_none() {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: hub }));
-                }
-            }
-            return;
-        }
-        // Blob fan-out. The blob bytes are never materialised — only
-        // their encoded length matters for clocks and accounting.
+        let present = self.star_fan_in(op, hub, in_cohort, phase);
+        // The blob bytes are never materialised — only their encoded
+        // length matters for clocks and accounting.
         let own_len = |r: usize| own[r].as_ref().map_or(0, |b| b.len() as u64);
-        let blob_len = bundle_len(
-            size,
-            (0..size).filter(|&r| present[r]).map(own_len),
-        );
-        let hub_own_len = own_len(hub);
-        let mut hub_moved = hub_own_len;
-        let mut fanout_err: Option<RuntimeError> = None;
-        let mut delivered = vec![false; size];
-        for &dst in &live {
-            if dst == hub {
-                continue;
-            }
-            if self.dead[dst] {
-                // send_tolerant: a dead destination's edge drops, but
-                // the hub still counts the bytes it pushed.
-                hub_moved += blob_len;
-                continue;
-            }
-            match self.send_eval(op, hub, dst) {
-                SendFate::Delivered { stamp, delay } => {
-                    hub_moved += blob_len;
-                    self.deliver(dst, stamp, delay);
-                    delivered[dst] = true;
-                }
-                SendFate::DeadDst => {
-                    hub_moved += blob_len;
-                }
-                SendFate::Exhausted(e) => {
-                    fanout_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let blob_len = bundle_len(size, (0..size).filter(|&r| present[r]).map(own_len));
         let slots: Slots = (0..size)
             .map(|r| if present[r] { own[r].clone() } else { None })
             .collect();
         let shared = Arc::new(slots);
-        if let Some(e) = fanout_err {
-            phase[hub] = Some(Err(e));
-        } else {
+        let sent = self.star_fan_out(op, hub, live, in_cohort, phase, |r| {
+            Ok((Arc::clone(&shared), own_len(r) + blob_len))
+        });
+        phase[hub] = Some(sent.map(|()| {
             let in_lens: Vec<u64> = live
                 .iter()
                 .map(|&r| if present[r] { own_len(r) } else { 0 })
                 .collect();
             let out_lens = vec![blob_len; live.len()];
             let rounds = vec![
-                collective::star_gather_round(&live, hub, &in_lens),
-                collective::star_scatter_round(&live, hub, &out_lens),
+                collective::star_gather_round(live, hub, &in_lens),
+                collective::star_scatter_round(live, hub, &out_lens),
             ];
             self.pending_charge = Some(charge_rounds(&rounds));
-            phase[hub] = Some(Ok((Arc::clone(&shared), hub_moved)));
-        }
-        for r in 0..size {
-            if r == hub || !in_cohort[r] || phase[r].is_some() {
-                continue;
-            }
-            if delivered[r] {
-                phase[r] = Some(Ok((Arc::clone(&shared), own_len(r) + blob_len)));
-            } else {
-                // The hub's program erred before reaching this leaf:
-                // it waits on an alive-but-silent sender and starves.
-                phase[r] = Some(Err(self.starve(op, r)));
-            }
-        }
+            (shared, own_len(hub) + blob_len * (live.len() as u64 - 1))
+        }));
     }
 
     /// Ring all-gather mirror. Takes the closed-form fast path when
@@ -451,24 +526,13 @@ impl EventSim {
     fn allgather_ring_phase(
         &mut self,
         op: &'static str,
+        live: &[usize],
         own: &[Option<Vec<u8>>],
         in_cohort: &[bool],
         phase: &mut PhaseResults<Arc<Slots>>,
     ) {
         let size = self.size;
-        let live = self.agreed_live();
         let q = live.len();
-        if q == 1 {
-            // One agreed rank: its held vector is just its own slot,
-            // and the thread backend deposits nothing.
-            let r = live[0];
-            if in_cohort[r] {
-                let mut slots: Slots = vec![None; size];
-                slots[r] = own[r].clone();
-                phase[r] = Some(Ok((Arc::new(slots), 0)));
-            }
-            return;
-        }
         let own_len: Vec<u64> = live
             .iter()
             .map(|&r| own[r].as_ref().map_or(0, |b| b.len() as u64))
@@ -510,23 +574,18 @@ impl EventSim {
         // General path: O(q²) presence replay (the fault/hole cases
         // the parity and survivor tests pin; large-p runs stay on the
         // fast path above).
-        let mut st: Vec<PState> = live
-            .iter()
-            .map(|&r| if in_cohort[r] { PState::Active } else { PState::Hole })
-            .collect();
-        let mut errs: Vec<Option<RuntimeError>> = (0..q).map(|_| None).collect();
+        let mut parts = Positions::new(live.iter().map(|&r| in_cohort[r]).collect());
         let mut has = vec![vec![false; q]; q];
         let mut moved = vec![0u64; q];
         for (pos, row) in has.iter_mut().enumerate() {
-            if st[pos] == PState::Active {
-                row[pos] = true;
-            }
+            row[pos] = parts.active[pos];
         }
         for k in 0..q - 1 {
-            // Pass 1 — every active rank sends its round-k block.
-            let mut inbox: Vec<Option<Inflight>> = (0..q).map(|_| None).collect();
+            // Every active rank sends its round-k block, then every
+            // active rank takes what its predecessor sent, if anything.
+            let mut inbox: Vec<Option<Inflight>> = blanks(q);
             for pos in 0..q {
-                if st[pos] != PState::Active {
+                if !parts.active[pos] {
                     continue;
                 }
                 let opos = (pos + q - k) % q;
@@ -534,70 +593,26 @@ impl EventSim {
                 let msg_len = framed_len(present, own_len[opos]);
                 moved[pos] += msg_len;
                 let next = (pos + 1) % q;
-                match self.send_eval(op, live[pos], live[next]) {
-                    SendFate::Delivered { stamp, delay } => {
-                        inbox[next] = Some(Inflight {
-                            present,
-                            stamp,
-                            delay,
-                            msg_len,
-                        });
-                    }
-                    SendFate::DeadDst => {}
-                    SendFate::Exhausted(e) => {
-                        st[pos] = PState::Failed;
-                        errs[pos] = Some(e);
-                    }
+                match self.hop(op, live[pos], live[next], present, msg_len) {
+                    Ok(mail) => inbox[next] = mail,
+                    Err(e) => parts.fail(pos, e),
                 }
             }
-            // Pass 2 — receives: a dead predecessor degrades, an
-            // alive-but-failed one starves the receiver.
             for pos in 0..q {
-                if st[pos] != PState::Active {
-                    continue;
-                }
-                let prev = (pos + q - 1) % q;
-                let orecv = (pos + q - 1 - k) % q;
-                match st[prev] {
-                    PState::Hole | PState::Starved => {}
-                    PState::Failed => {
-                        errs[pos] = Some(self.starve(op, live[pos]));
-                        st[pos] = PState::Starved;
-                    }
-                    PState::Active => {
-                        let m = inbox[pos].take().expect("active predecessor delivered");
-                        self.deliver(live[pos], m.stamp, m.delay);
-                        moved[pos] += m.msg_len;
-                        if m.present {
-                            has[pos][orecv] = true;
-                        }
-                    }
+                if parts.active[pos]
+                    && self.receive(live[pos], inbox[pos].take(), &mut moved[pos]) == Some(true)
+                {
+                    has[pos][(pos + q - 1 - k) % q] = true;
                 }
             }
         }
-        if st[0] == PState::Active {
+        if parts.active[0] {
             let lens: Vec<u64> = (0..q)
                 .map(|opos| framed_len(has[0][opos], own_len[opos]))
                 .collect();
-            self.pending_charge = Some(charge_rounds(&collective::ring_rounds(&live, &lens)));
+            self.pending_charge = Some(charge_rounds(&collective::ring_rounds(live, &lens)));
         }
-        for pos in 0..q {
-            match st[pos] {
-                PState::Hole => {}
-                PState::Active => {
-                    let mut slots: Slots = vec![None; size];
-                    for opos in 0..q {
-                        if has[pos][opos] {
-                            slots[live[opos]] = own[live[opos]].clone();
-                        }
-                    }
-                    phase[live[pos]] = Some(Ok((Arc::new(slots), moved[pos])));
-                }
-                PState::Failed | PState::Starved => {
-                    phase[live[pos]] = Some(Err(errs[pos].take().expect("failure recorded")));
-                }
-            }
-        }
+        presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
 
     /// Recursive-doubling all-gather mirror: fold-in from the extras,
@@ -609,22 +624,13 @@ impl EventSim {
     fn allgather_butterfly_phase(
         &mut self,
         op: &'static str,
+        live: &[usize],
         own: &[Option<Vec<u8>>],
         in_cohort: &[bool],
         phase: &mut PhaseResults<Arc<Slots>>,
     ) {
         let size = self.size;
-        let live = self.agreed_live();
         let q = live.len();
-        if q == 1 {
-            let r = live[0];
-            if in_cohort[r] {
-                let mut slots: Slots = vec![None; size];
-                slots[r] = own[r].clone();
-                phase[r] = Some(Ok((Arc::new(slots), 0)));
-            }
-            return;
-        }
         let q2 = collective::prev_pow2(q);
         let own_len: Vec<u64> = live
             .iter()
@@ -636,205 +642,71 @@ impl EventSim {
             && q == size
             && own_len.windows(2).all(|w| w[0] == w[1]);
         if uniform {
-            self.butterfly_fast(own, &live, q2, own_len[0], phase);
+            self.butterfly_fast(own, live, q2, own_len[0], phase);
             return;
         }
 
         // General path: presence rows over schedule positions,
         // replayed phase by phase in the thread ranks' program order.
-        let mut st: Vec<PState> = live
-            .iter()
-            .map(|&r| if in_cohort[r] { PState::Active } else { PState::Hole })
-            .collect();
-        let mut errs: Vec<Option<RuntimeError>> = (0..q).map(|_| None).collect();
+        // Each exchange is a send pass over `(src, dst)` position pairs
+        // followed by a receive pass that merges the rows sent.
+        let mut parts = Positions::new(live.iter().map(|&r| in_cohort[r]).collect());
         let mut has = vec![vec![false; q]; q];
         let mut moved = vec![0u64; q];
         for (pos, row) in has.iter_mut().enumerate() {
-            if st[pos] == PState::Active {
-                row[pos] = true;
-            }
+            row[pos] = parts.active[pos];
         }
-        let row_len = |row: &[bool], own_len: &[u64]| {
-            bundle_len(
-                size,
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p)
-                    .map(|(o, _)| own_len[o]),
-            )
-        };
-        // Phase A — extras fold their single slot into the core.
-        let mut inbox: Vec<Option<Inflight>> = (0..q).map(|_| None).collect();
-        for e in q2..q {
-            if st[e] != PState::Active {
-                continue;
-            }
-            let msg_len = row_len(&has[e], &own_len);
-            moved[e] += msg_len;
-            match self.send_eval(op, live[e], live[e - q2]) {
-                SendFate::Delivered { stamp, delay } => {
-                    inbox[e - q2] = Some(Inflight {
-                        present: true,
-                        stamp,
-                        delay,
-                        msg_len,
-                    });
+        let mut exchange = |sim: &mut Self, pairs: &[(usize, usize)]| {
+            let sent = has.clone();
+            let mut inbox: Vec<Option<Inflight>> = blanks(q);
+            for &(src, dst) in pairs {
+                if !parts.active[src] {
+                    continue;
                 }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(err) => {
-                    st[e] = PState::Failed;
-                    errs[e] = Some(err);
+                let msg_len =
+                    bundle_len(size, (0..q).filter(|&o| sent[src][o]).map(|o| own_len[o]));
+                moved[src] += msg_len;
+                match sim.hop(op, live[src], live[dst], true, msg_len) {
+                    Ok(mail) => inbox[dst] = mail,
+                    Err(e) => parts.fail(src, e),
                 }
             }
-        }
-        for pos in 0..q.min(q2) {
-            if st[pos] != PState::Active || pos + q2 >= q {
-                continue;
-            }
-            let e = pos + q2;
-            match st[e] {
-                PState::Hole | PState::Starved => {}
-                PState::Failed => {
-                    errs[pos] = Some(self.starve(op, live[pos]));
-                    st[pos] = PState::Starved;
-                }
-                PState::Active => {
-                    let m = inbox[pos].take().expect("active extra delivered");
-                    self.deliver(live[pos], m.stamp, m.delay);
-                    moved[pos] += m.msg_len;
-                    let (head, tail) = has.split_at_mut(e);
-                    for (mine, theirs) in head[pos].iter_mut().zip(&tail[0]) {
+            for &(src, dst) in pairs {
+                if parts.active[dst]
+                    && sim
+                        .receive(live[dst], inbox[dst].take(), &mut moved[dst])
+                        .is_some()
+                {
+                    for (mine, theirs) in has[dst].iter_mut().zip(&sent[src]) {
                         *mine |= *theirs;
                     }
                 }
             }
-        }
-        // Phase B — pairwise exchange rounds inside the core.
+        };
+        // Fold-in: the extras hand their slot to the core.
+        let folds: Vec<(usize, usize)> = (q2..q).map(|e| (e, e - q2)).collect();
+        exchange(self, &folds);
+        // Pairwise exchange rounds inside the core.
         let mut mask = 1usize;
         while mask < q2 {
-            let snap = has.clone();
-            let mut inbox: Vec<Option<Inflight>> = (0..q).map(|_| None).collect();
-            for pos in 0..q2 {
-                if st[pos] != PState::Active {
-                    continue;
-                }
-                let partner = pos ^ mask;
-                let msg_len = row_len(&snap[pos], &own_len);
-                moved[pos] += msg_len;
-                match self.send_eval(op, live[pos], live[partner]) {
-                    SendFate::Delivered { stamp, delay } => {
-                        inbox[partner] = Some(Inflight {
-                            present: true,
-                            stamp,
-                            delay,
-                            msg_len,
-                        });
-                    }
-                    SendFate::DeadDst => {}
-                    SendFate::Exhausted(err) => {
-                        st[pos] = PState::Failed;
-                        errs[pos] = Some(err);
-                    }
-                }
-            }
-            for pos in 0..q2 {
-                if st[pos] != PState::Active {
-                    continue;
-                }
-                let partner = pos ^ mask;
-                match st[partner] {
-                    PState::Hole | PState::Starved => {}
-                    PState::Failed => {
-                        errs[pos] = Some(self.starve(op, live[pos]));
-                        st[pos] = PState::Starved;
-                    }
-                    PState::Active => {
-                        let m = inbox[pos].take().expect("active partner delivered");
-                        self.deliver(live[pos], m.stamp, m.delay);
-                        moved[pos] += m.msg_len;
-                        for (o, theirs) in snap[partner].iter().enumerate() {
-                            if *theirs {
-                                has[pos][o] = true;
-                            }
-                        }
-                    }
-                }
-            }
+            let pairs: Vec<(usize, usize)> = (0..q2).map(|pos| (pos, pos ^ mask)).collect();
+            exchange(self, &pairs);
             mask <<= 1;
         }
-        // Phase C — fold the full result back out to the extras.
-        let mut inbox: Vec<Option<Inflight>> = (0..q).map(|_| None).collect();
-        for pos in 0..q.min(q2) {
-            if st[pos] != PState::Active || pos + q2 >= q {
-                continue;
-            }
-            let msg_len = row_len(&has[pos], &own_len);
-            moved[pos] += msg_len;
-            match self.send_eval(op, live[pos], live[pos + q2]) {
-                SendFate::Delivered { stamp, delay } => {
-                    inbox[pos + q2] = Some(Inflight {
-                        present: true,
-                        stamp,
-                        delay,
-                        msg_len,
-                    });
-                }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(err) => {
-                    st[pos] = PState::Failed;
-                    errs[pos] = Some(err);
-                }
-            }
-        }
-        for e in q2..q {
-            if st[e] != PState::Active {
-                continue;
-            }
-            let core = e - q2;
-            match st[core] {
-                PState::Hole | PState::Starved => {}
-                PState::Failed => {
-                    errs[e] = Some(self.starve(op, live[e]));
-                    st[e] = PState::Starved;
-                }
-                PState::Active => {
-                    let m = inbox[e].take().expect("active core delivered");
-                    self.deliver(live[e], m.stamp, m.delay);
-                    moved[e] += m.msg_len;
-                    let (head, tail) = has.split_at_mut(e);
-                    for (theirs, mine) in head[core].iter().zip(tail[0].iter_mut()) {
-                        *mine |= *theirs;
-                    }
-                }
-            }
-        }
-        if st[0] == PState::Active {
+        // Fold-out: the core hands the full result back to the extras.
+        let unfolds: Vec<(usize, usize)> = (q2..q).map(|e| (e - q2, e)).collect();
+        exchange(self, &unfolds);
+        if parts.active[0] {
             // Mirror: absent slots are charged at live[0]'s own
             // contribution length.
             let lens: Vec<u64> = (0..q)
                 .map(|o| if has[0][o] { own_len[o] } else { own_len[0] })
                 .collect();
             self.pending_charge = Some(charge_rounds(&collective::butterfly_rounds(
-                size, &live, &lens,
+                size, live, &lens,
             )));
         }
-        for pos in 0..q {
-            match st[pos] {
-                PState::Hole => {}
-                PState::Active => {
-                    let mut slots: Slots = vec![None; size];
-                    for opos in 0..q {
-                        if has[pos][opos] {
-                            slots[live[opos]] = own[live[opos]].clone();
-                        }
-                    }
-                    phase[live[pos]] = Some(Ok((Arc::new(slots), moved[pos])));
-                }
-                PState::Failed | PState::Starved => {
-                    phase[live[pos]] = Some(Err(errs[pos].take().expect("failure recorded")));
-                }
-            }
-        }
+        presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
 
     /// Fault-free butterfly fast path: Lamports and per-position slot
@@ -899,57 +771,45 @@ impl EventSim {
 
     // ----- rootless public ops ----------------------------------------
 
-    /// Shared prologue + data phase of the `allgatherv` variants:
-    /// encodes contributions, resolves the schedule (every cohort rank
-    /// must agree — mixed per-rank resolutions would deadlock the
-    /// thread backend and are rejected with a typed error), runs the
-    /// slot phase and closes the generation.
-    #[allow(clippy::type_complexity)] // internal plumbing tuple
-    fn allgatherv_slots<T: Wire, U>(
+    /// The `allgatherv` variants: encodes contributions, resolves the
+    /// schedule (every cohort rank must agree — mixed per-rank
+    /// resolutions would deadlock the thread backend and are rejected
+    /// with a typed error), runs the slot phase and `decode`s its
+    /// result.
+    fn allgather_decoded<T: Wire, X: Clone>(
         &mut self,
         op: &'static str,
         values: &[T],
-        out: &mut RankResults<U>,
-    ) -> Option<(
-        Vec<(usize, OpStart)>,
-        Resolved,
-        PhaseResults<Arc<Slots>>,
-        u64,
-        u64,
-    )> {
+        decode: impl Fn(&Slots) -> Result<X, RuntimeError>,
+    ) -> RankResults<X> {
         assert_eq!(values.len(), self.size, "one input value per rank");
-        let (members, in_cohort) = self.collective_prologue(op, out)?;
-        let mut own: Vec<Option<Vec<u8>>> = vec![None; self.size];
-        for &(r, _) in &members {
-            own[r] = Some(values[r].to_bytes());
-        }
-        let mut resolved: Option<Resolved> = None;
-        let mut mixed = false;
-        for &(r, _) in &members {
-            let len = own[r].as_ref().expect("cohort rank encoded").len() as u64;
-            let rr = self.policy.allgatherv.resolve_allgatherv(self.size, len);
-            match resolved {
-                None => resolved = Some(rr),
-                Some(prev) if prev.name() == rr.name() => {}
-                Some(_) => mixed = true,
-            }
-        }
-        if mixed {
-            for &(r, _) in &members {
-                self.halt(r);
-                out[r] = Some(Err(RuntimeError::App(format!(
-                    "{op}: contribution sizes straddle the auto ring/tree crossover, so \
-                     ranks resolve different schedules; the thread backend would deadlock \
-                     here (docs/RUNTIME.md §9)"
-                ))));
-            }
-            return None;
-        }
-        let resolved = resolved.expect("non-empty cohort");
-        let phase = self.allgather_phase(op, resolved, &own, &in_cohort);
-        let gen = self.close_cohort(&members);
-        let rounds = collective::rootless_rounds(resolved, self.agreed_live().len());
-        Some((members, resolved, phase, gen, rounds))
+        self.collective(
+            op,
+            None,
+            collective::rootless_rounds,
+            |sim, in_cohort, out| {
+                let own = encode(values, in_cohort);
+                let policy = sim.policy.allgatherv;
+                let mut resolutions = own
+                    .iter()
+                    .flatten()
+                    .map(|bytes| policy.resolve_allgatherv(sim.size, bytes.len() as u64));
+                let resolved = resolutions.next().expect("non-empty cohort");
+                if resolutions.any(|rr| rr != resolved) {
+                    for r in (0..sim.size).filter(|&r| in_cohort[r]) {
+                        sim.halt(r);
+                        out[r] = Some(Err(RuntimeError::App(format!(
+                            "{op}: contribution sizes straddle the auto ring/tree crossover, so \
+                             ranks resolve different schedules; the thread backend would deadlock \
+                             here (docs/RUNTIME.md §9)"
+                        ))));
+                    }
+                    return None;
+                }
+                let slots = sim.allgather_phase(op, resolved, &own, in_cohort);
+                Some((resolved, decode_shared(slots, decode)))
+            },
+        )
     }
 
     /// Strict all-gather (mirror of
@@ -959,37 +819,9 @@ impl EventSim {
     /// indexed; entries of non-running ranks are ignored.
     pub fn allgatherv<T: Wire>(&mut self, values: &[T]) -> RankResults<Arc<Vec<T>>> {
         const OP: &str = "allgatherv";
-        let mut out: RankResults<Arc<Vec<T>>> = blanks(self.size);
-        let Some((members, resolved, mut phase, gen, rounds)) =
-            self.allgatherv_slots(OP, values, &mut out)
-        else {
-            return out;
-        };
-        // Decode each distinct shared slot vector once (memoised by
-        // Arc identity); failure paths re-derive the exact per-rank
-        // error by replaying the ascending scan.
-        let mut memo: HashMap<*const Slots, Option<Arc<Vec<T>>>> = HashMap::new();
-        let mut decoded: PhaseResults<Arc<Vec<T>>> = blanks(self.size);
-        for r in 0..self.size {
-            let Some(entry) = phase[r].take() else { continue };
-            decoded[r] = Some(match entry {
-                Err(e) => Err(e),
-                Ok((slots, moved)) => {
-                    let good = memo
-                        .entry(Arc::as_ptr(&slots))
-                        .or_insert_with(|| strict_slots::<T>(OP, &slots).ok().map(Arc::new))
-                        .clone();
-                    match good {
-                        Some(arc) => Ok((arc, moved)),
-                        None => Err(strict_slots::<T>(OP, &slots)
-                            .err()
-                            .expect("memoised decode failure replays")),
-                    }
-                }
-            });
-        }
-        self.collective_epilogue(OP, -1, resolved.name(), rounds, gen, &members, decoded, &mut out);
-        out
+        self.allgather_decoded(OP, values, |slots| {
+            strict_slots::<T>(OP, slots).map(Arc::new)
+        })
     }
 
     /// Degradation-tolerant all-gather (mirror of
@@ -1000,34 +832,9 @@ impl EventSim {
         values: &[T],
     ) -> RankResults<Arc<Vec<Option<T>>>> {
         const OP: &str = "allgatherv";
-        let mut out: RankResults<Arc<Vec<Option<T>>>> = blanks(self.size);
-        let Some((members, resolved, mut phase, gen, rounds)) =
-            self.allgatherv_slots(OP, values, &mut out)
-        else {
-            return out;
-        };
-        let mut memo: HashMap<*const Slots, Option<Arc<Vec<Option<T>>>>> = HashMap::new();
-        let mut decoded: PhaseResults<Arc<Vec<Option<T>>>> = blanks(self.size);
-        for r in 0..self.size {
-            let Some(entry) = phase[r].take() else { continue };
-            decoded[r] = Some(match entry {
-                Err(e) => Err(e),
-                Ok((slots, moved)) => {
-                    let good = memo
-                        .entry(Arc::as_ptr(&slots))
-                        .or_insert_with(|| available_slots::<T>(OP, &slots).ok().map(Arc::new))
-                        .clone();
-                    match good {
-                        Some(arc) => Ok((arc, moved)),
-                        None => Err(available_slots::<T>(OP, &slots)
-                            .err()
-                            .expect("memoised decode failure replays")),
-                    }
-                }
-            });
-        }
-        self.collective_epilogue(OP, -1, resolved.name(), rounds, gen, &members, decoded, &mut out);
-        out
+        self.allgather_decoded(OP, values, |slots| {
+            available_slots::<T>(OP, slots).map(Arc::new)
+        })
     }
 
     /// All-reduce (mirror of [`crate::Communicator::allreduce`]):
@@ -1037,46 +844,23 @@ impl EventSim {
     pub fn allreduce(&mut self, values: &[f64], rop: ReduceOp) -> RankResults<f64> {
         const OP: &str = "allreduce";
         assert_eq!(values.len(), self.size, "one input value per rank");
-        let mut out: RankResults<f64> = blanks(self.size);
-        let Some((members, in_cohort)) = self.collective_prologue(OP, &mut out) else {
-            return out;
-        };
-        let mut own: Vec<Option<Vec<u8>>> = vec![None; self.size];
-        for &(r, _) in &members {
-            own[r] = Some(values[r].to_bytes());
-        }
-        let resolved = self.policy.allreduce.resolve_allreduce(self.size);
-        let phase: PhaseResults<f64> = match resolved {
-            Resolved::Hub => self.allreduce_hub_phase(OP, &own, &in_cohort, rop),
-            Resolved::Ring | Resolved::Tree => {
-                let mut slots_phase = self.allgather_phase(OP, resolved, &own, &in_cohort);
-                let mut memo: HashMap<*const Slots, Option<f64>> = HashMap::new();
-                let mut folded: PhaseResults<f64> = blanks(self.size);
-                for r in 0..self.size {
-                    let Some(entry) = slots_phase[r].take() else {
-                        continue;
-                    };
-                    folded[r] = Some(match entry {
-                        Err(e) => Err(e),
-                        Ok((slots, moved)) => {
-                            let hit = *memo
-                                .entry(Arc::as_ptr(&slots))
-                                .or_insert_with(|| fold_slots(OP, &slots, rop).ok());
-                            match hit {
-                                Some(v) => Ok((v, moved)),
-                                None => Err(fold_slots(OP, &slots, rop)
-                                    .expect_err("memoised fold failure replays")),
-                            }
-                        }
-                    });
-                }
-                folded
-            }
-        };
-        let gen = self.close_cohort(&members);
-        let rounds = collective::rootless_rounds(resolved, self.agreed_live().len());
-        self.collective_epilogue(OP, -1, resolved.name(), rounds, gen, &members, phase, &mut out);
-        out
+        self.collective(
+            OP,
+            None,
+            collective::rootless_rounds,
+            |sim, in_cohort, _| {
+                let own = encode(values, in_cohort);
+                let resolved = sim.policy.allreduce.resolve_allreduce(sim.size);
+                let phase = match resolved {
+                    Resolved::Hub => sim.allreduce_hub_phase(OP, &own, in_cohort, rop),
+                    Resolved::Ring | Resolved::Tree => decode_shared(
+                        sim.allgather_phase(OP, resolved, &own, in_cohort),
+                        |slots| fold_slots(OP, slots, rop),
+                    ),
+                };
+                Some((resolved, phase))
+            },
+        )
     }
 
     /// Hub all-reduce mirror: star fan-in of raw contributions, fold
@@ -1093,91 +877,29 @@ impl EventSim {
         let live = self.agreed_live();
         let hub = live[0];
         if self.dead[hub] {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: hub }));
-                }
-            }
+            cut_off(op, hub, in_cohort, &mut phase);
             return phase;
         }
-        // Pass 1 — leaf sends, ascending.
-        let mut fates: Vec<Option<SendFate>> = (0..size).map(|_| None).collect();
-        for src in 0..size {
-            if src != hub && in_cohort[src] {
-                fates[src] = Some(self.send_eval(op, src, hub));
-            }
-        }
-        // Pass 2 — the hub's `ThreadedComm::fan_in`, ascending src order.
-        let mut present = vec![false; size];
-        present[hub] = true;
-        let hub_err = self.collect_fan_in(op, hub, &fates, &mut present);
-        for (src, fate) in fates.into_iter().enumerate() {
-            if let Some(SendFate::Exhausted(e)) = fate {
-                phase[src] = Some(Err(e));
-            }
-        }
-        let hub_err = hub_err.or_else(|| {
-            // The hub folds before fanning out; a fold error ends its
-            // program and every waiting leaf starves.
-            let slots: Slots = (0..size)
-                .map(|r| if present[r] { own[r].clone() } else { None })
-                .collect();
-            fold_slots(op, &slots, rop).err()
-        });
-        if let Some(e) = hub_err {
-            phase[hub] = Some(Err(e));
-            for r in 0..size {
-                if r != hub && in_cohort[r] && phase[r].is_none() {
-                    phase[r] = Some(Err(self.starve(op, r)));
-                }
-            }
-            return phase;
-        }
+        let present = self.star_fan_in(op, hub, in_cohort, &mut phase);
         let slots: Slots = (0..size)
             .map(|r| if present[r] { own[r].clone() } else { None })
             .collect();
-        let folded = fold_slots(op, &slots, rop).expect("fold checked above");
-        // Fan-out of the 8-byte folded value, tolerant of dead
-        // destinations.
-        let mut fanout_err: Option<RuntimeError> = None;
-        let mut delivered = vec![false; size];
-        for &dst in &live {
-            if dst == hub || self.dead[dst] {
-                continue;
-            }
-            match self.send_eval(op, hub, dst) {
-                SendFate::Delivered { stamp, delay } => {
-                    self.deliver(dst, stamp, delay);
-                    delivered[dst] = true;
-                }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(e) => {
-                    fanout_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = fanout_err {
-            phase[hub] = Some(Err(e));
-        } else {
+        // The hub folds before fanning out; a fold error ends its part.
+        let folded = fold_slots(op, &slots, rop).and_then(|folded| {
+            self.star_fan_out(op, hub, &live, in_cohort, &mut phase, |_| Ok((folded, 16)))?;
             let lens = vec![8u64; live.len()];
             let rounds = vec![
                 collective::star_gather_round(&live, hub, &lens),
                 collective::star_scatter_round(&live, hub, &lens),
             ];
             self.pending_charge = Some(charge_rounds(&rounds));
-            phase[hub] = Some(Ok((folded, 8 * live.len() as u64)));
+            Ok((folded, 8 * live.len() as u64))
+        });
+        if folded.is_err() {
+            self.leave(hub);
+            cut_off(op, hub, in_cohort, &mut phase);
         }
-        for r in 0..size {
-            if r == hub || !in_cohort[r] || phase[r].is_some() {
-                continue;
-            }
-            if delivered[r] {
-                phase[r] = Some(Ok((folded, 16)));
-            } else {
-                phase[r] = Some(Err(self.starve(op, r)));
-            }
-        }
+        phase[hub] = Some(folded);
         phase
     }
 
@@ -1194,47 +916,34 @@ impl EventSim {
     ) -> RankResults<Option<Arc<Vec<Option<T>>>>> {
         const OP: &str = "gatherv";
         assert_eq!(values.len(), self.size, "one input value per rank");
-        let mut out: RankResults<Option<Arc<Vec<Option<T>>>>> = blanks(self.size);
-        if self.reject_invalid_root(OP, root, &mut out) {
-            return out;
-        }
-        let Some((members, in_cohort)) = self.collective_prologue(OP, &mut out) else {
-            return out;
-        };
-        let resolved = self.policy.gatherv.resolve_rooted(self.size);
-        let mut own: Vec<Option<Vec<u8>>> = vec![None; self.size];
-        for &(r, _) in &members {
-            own[r] = Some(values[r].to_bytes());
-        }
-        let mut raw: PhaseResults<Option<Slots>> = match resolved {
-            Resolved::Hub => self.gather_hub_phase(OP, root, &own, &in_cohort),
-            Resolved::Ring | Resolved::Tree => self.gather_tree_phase(OP, root, &own, &in_cohort),
-        };
-        let gen = self.close_cohort(&members);
-        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
-        let mut decoded: PhaseResults<Option<Arc<Vec<Option<T>>>>> = blanks(self.size);
-        for r in 0..self.size {
-            let Some(entry) = raw[r].take() else { continue };
-            decoded[r] = Some(match entry {
-                Err(e) => Err(e),
-                Ok((None, moved)) => Ok((None, moved)),
-                Ok((Some(slots), moved)) => match available_slots::<T>(OP, &slots) {
-                    Ok(v) => Ok((Some(Arc::new(v)), moved)),
-                    Err(e) => Err(e),
-                },
-            });
-        }
-        self.collective_epilogue(
+        self.collective(
             OP,
-            root as i64,
-            resolved.name(),
-            rounds,
-            gen,
-            &members,
-            decoded,
-            &mut out,
-        );
-        out
+            Some(root),
+            collective::rooted_rounds,
+            |sim, in_cohort, _| {
+                let resolved = sim.policy.gatherv.resolve_rooted(sim.size);
+                let own = encode(values, in_cohort);
+                let raw = match resolved {
+                    Resolved::Hub => sim.gather_hub_phase(OP, root, &own, in_cohort),
+                    Resolved::Ring | Resolved::Tree => {
+                        sim.gather_tree_phase(OP, root, &own, in_cohort)
+                    }
+                };
+                let decoded = raw
+                    .into_iter()
+                    .map(|entry| {
+                        entry.map(|res| {
+                            res.and_then(|(slots, moved)| match slots {
+                                None => Ok((None, moved)),
+                                Some(slots) => available_slots::<T>(OP, &slots)
+                                    .map(|v| (Some(Arc::new(v)), moved)),
+                            })
+                        })
+                    })
+                    .collect();
+                Some((resolved, decoded))
+            },
+        )
     }
 
     /// Strict gather (mirror of [`crate::Communicator::gatherv`]):
@@ -1284,30 +993,11 @@ impl EventSim {
         let size = self.size;
         let mut phase: PhaseResults<Option<Slots>> = blanks(size);
         if self.dead[root] {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
         let own_len = |r: usize| own[r].as_ref().map_or(0, |b| b.len() as u64);
-        // Pass 1 — leaf sends, ascending.
-        let mut fates: Vec<Option<SendFate>> = (0..size).map(|_| None).collect();
-        for src in 0..size {
-            if src != root && in_cohort[src] {
-                fates[src] = Some(self.send_eval(op, src, root));
-            }
-        }
-        // Pass 2 — the root's `ThreadedComm::fan_in`, ascending src order.
-        let mut present = vec![false; size];
-        present[root] = true;
-        let root_err = self.collect_fan_in(op, root, &fates, &mut present);
-        for (src, fate) in fates.into_iter().enumerate() {
-            if let Some(SendFate::Exhausted(e)) = fate {
-                phase[src] = Some(Err(e));
-            }
-        }
+        let present = self.star_fan_in(op, root, in_cohort, &mut phase);
         // Leaves are done the moment their send returns — a gather
         // has no fan-out for them to wait on.
         for r in 0..size {
@@ -1315,23 +1005,18 @@ impl EventSim {
                 phase[r] = Some(Ok((None, own_len(r))));
             }
         }
-        match root_err {
-            Some(e) => phase[root] = Some(Err(e)),
-            None => {
-                let live = self.agreed_live();
-                let lens: Vec<u64> = live
-                    .iter()
-                    .map(|&r| if present[r] { own_len(r) } else { 0 })
-                    .collect();
-                let moved = own_len(root) + lens.iter().sum::<u64>();
-                let slots: Slots = (0..size)
-                    .map(|r| if present[r] { own[r].clone() } else { None })
-                    .collect();
-                let rounds = vec![collective::star_gather_round(&live, root, &lens)];
-                self.pending_charge = Some(charge_rounds(&rounds));
-                phase[root] = Some(Ok((Some(slots), moved)));
-            }
-        }
+        let live = self.agreed_live();
+        let lens: Vec<u64> = live
+            .iter()
+            .map(|&r| if present[r] { own_len(r) } else { 0 })
+            .collect();
+        let moved = own_len(root) + lens.iter().sum::<u64>();
+        let slots: Slots = (0..size)
+            .map(|r| if present[r] { own[r].clone() } else { None })
+            .collect();
+        let rounds = vec![collective::star_gather_round(&live, root, &lens)];
+        self.pending_charge = Some(charge_rounds(&rounds));
+        phase[root] = Some(Ok((Some(slots), moved)));
         phase
     }
 
@@ -1351,11 +1036,7 @@ impl EventSim {
         let live = self.agreed_live();
         let q = live.len();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         };
         let abs = |v: usize| live[(v + vroot) % q];
@@ -1363,92 +1044,60 @@ impl EventSim {
         let mut members_of: Vec<Vec<usize>> = (0..q).map(|v| vec![abs(v)]).collect();
         let mut cnt: Vec<u64> = vec![1; q];
         let mut sum: Vec<u64> = (0..q).map(|v| own_len(abs(v))).collect();
-        let mut st: Vec<PState> = (0..q)
-            .map(|v| {
-                if in_cohort[abs(v)] {
-                    PState::Active
-                } else {
-                    PState::Hole
-                }
-            })
-            .collect();
-        let mut errs: Vec<Option<RuntimeError>> = (0..q).map(|_| None).collect();
+        let mut parts = Positions::new((0..q).map(|v| in_cohort[abs(v)]).collect());
         let mut moved: Vec<u64> = (0..q).map(|v| own_len(abs(v))).collect();
-        let mut inbox: Vec<Option<Inflight>> = (0..q).map(|_| None).collect();
+        let mut inbox: Vec<Option<Inflight>> = blanks(q);
         // Children have higher virtual indices, so one descending pass
         // sees every child's send before its parent consumes it.
         for vi in (0..q).rev() {
-            if st[vi] != PState::Active {
+            if !parts.active[vi] {
                 continue;
             }
             for &(_, child_vi) in collective::binomial_children(vi, q).iter().rev() {
-                match st[child_vi] {
-                    PState::Hole | PState::Starved => {}
-                    PState::Failed => {
-                        errs[vi] = Some(self.starve(op, abs(vi)));
-                        st[vi] = PState::Starved;
-                        break;
-                    }
-                    PState::Active => {
-                        let m = inbox[child_vi].take().expect("active child sent");
-                        self.deliver(abs(vi), m.stamp, m.delay);
-                        moved[vi] += m.msg_len;
-                        let kids = std::mem::take(&mut members_of[child_vi]);
-                        members_of[vi].extend(kids);
-                        let (c, s) = (cnt[child_vi], sum[child_vi]);
-                        cnt[vi] += c;
-                        sum[vi] += s;
-                    }
+                if self
+                    .receive(abs(vi), inbox[child_vi].take(), &mut moved[vi])
+                    .is_some()
+                {
+                    let kids = std::mem::take(&mut members_of[child_vi]);
+                    members_of[vi].extend(kids);
+                    let (c, s) = (cnt[child_vi], sum[child_vi]);
+                    cnt[vi] += c;
+                    sum[vi] += s;
                 }
             }
-            if st[vi] != PState::Active || vi == 0 {
+            let Some(parent) = collective::binomial_parent(vi) else {
                 continue;
-            }
-            let parent = collective::binomial_parent(vi).expect("vi > 0 has a parent");
+            };
             let msg_len = 8 + size as u64 + 8 * cnt[vi] + sum[vi];
             moved[vi] += msg_len;
-            match self.send_eval(op, abs(vi), abs(parent)) {
-                SendFate::Delivered { stamp, delay } => {
-                    inbox[vi] = Some(Inflight {
-                        present: true,
-                        stamp,
-                        delay,
-                        msg_len,
-                    });
-                }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(e) => {
-                    st[vi] = PState::Failed;
-                    errs[vi] = Some(e);
-                }
+            match self.hop(op, abs(vi), abs(parent), true, msg_len) {
+                Ok(mail) => inbox[vi] = mail,
+                Err(e) => parts.fail(vi, e),
             }
         }
         for vi in 0..q {
             let r = abs(vi);
-            match st[vi] {
-                PState::Hole => {}
-                PState::Active => {
-                    if vi == 0 {
-                        let mut slots: Slots = vec![None; size];
-                        for &m in &members_of[0] {
-                            slots[m] = own[m].clone();
-                        }
-                        let lens_by_vi: Vec<u64> = (0..q)
-                            .map(|v| slots[abs(v)].as_ref().map_or(0, |b| b.len() as u64))
-                            .collect();
-                        self.pending_charge =
-                            Some(charge_rounds(&collective::gatherv_rounds(
-                                size, &live, vroot, &lens_by_vi,
-                            )));
-                        phase[r] = Some(Ok((Some(slots), moved[0])));
-                    } else {
-                        phase[r] = Some(Ok((None, moved[vi])));
+            phase[r] = match parts.errs[vi].take() {
+                Some(e) => Some(Err(e)),
+                None if !parts.active[vi] => None,
+                None if vi > 0 => Some(Ok((None, moved[vi]))),
+                None => {
+                    let mut slots: Slots = vec![None; size];
+                    for &m in &members_of[0] {
+                        slots[m] = own[m].clone();
                     }
+                    let lens_by_vi: Vec<u64> = (0..q)
+                        .map(|v| slots[abs(v)].as_ref().map_or(0, |b| b.len() as u64))
+                        .collect();
+                    self.pending_charge = Some(charge_rounds(&collective::gatherv_rounds(
+                        size,
+                        &live,
+                        vroot,
+                        &lens_by_vi,
+                    )));
+                    Some(Ok((Some(slots), moved[0])))
                 }
-                PState::Failed | PState::Starved => {
-                    phase[r] = Some(Err(errs[vi].take().expect("failure recorded")));
-                }
-            }
+            };
         }
         phase
     }
@@ -1459,32 +1108,22 @@ impl EventSim {
     /// `RankDead { rank: root }`.
     pub fn bcast<T: Wire>(&mut self, root: usize, value: &T) -> RankResults<T> {
         const OP: &str = "bcast";
-        let mut out: RankResults<T> = blanks(self.size);
-        if self.reject_invalid_root(OP, root, &mut out) {
-            return out;
-        }
-        let Some((members, in_cohort)) = self.collective_prologue(OP, &mut out) else {
-            return out;
-        };
-        let resolved = self.policy.bcast.resolve_rooted(self.size);
-        let bytes = value.to_bytes();
-        let phase: PhaseResults<T> = match resolved {
-            Resolved::Hub => self.bcast_hub_phase(OP, root, &bytes, &in_cohort),
-            Resolved::Ring | Resolved::Tree => self.bcast_tree_phase(OP, root, &bytes, &in_cohort),
-        };
-        let gen = self.close_cohort(&members);
-        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
-        self.collective_epilogue(
+        self.collective(
             OP,
-            root as i64,
-            resolved.name(),
-            rounds,
-            gen,
-            &members,
-            phase,
-            &mut out,
-        );
-        out
+            Some(root),
+            collective::rooted_rounds,
+            |sim, in_cohort, _| {
+                let resolved = sim.policy.bcast.resolve_rooted(sim.size);
+                let bytes = value.to_bytes();
+                let phase = match resolved {
+                    Resolved::Hub => sim.bcast_hub_phase(OP, root, &bytes, in_cohort),
+                    Resolved::Ring | Resolved::Tree => {
+                        sim.bcast_tree_phase(OP, root, &bytes, in_cohort)
+                    }
+                };
+                Some((resolved, phase))
+            },
+        )
     }
 
     /// Hub broadcast mirror: the root fans the raw payload out to
@@ -1496,61 +1135,21 @@ impl EventSim {
         bytes: &[u8],
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
-        let size = self.size;
-        let mut phase: PhaseResults<T> = blanks(size);
+        let mut phase: PhaseResults<T> = blanks(self.size);
         if self.dead[root] {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
         let live = self.agreed_live();
         let blob_len = bytes.len() as u64;
-        let mut root_err: Option<RuntimeError> = None;
-        let mut delivered = vec![false; size];
-        for &dst in &live {
-            if dst == root || self.dead[dst] {
-                continue;
-            }
-            match self.send_eval(op, root, dst) {
-                SendFate::Delivered { stamp, delay } => {
-                    self.deliver(dst, stamp, delay);
-                    delivered[dst] = true;
-                }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(e) => {
-                    root_err = Some(e);
-                    break;
-                }
-            }
-        }
-        match root_err {
-            Some(e) => phase[root] = Some(Err(e)),
-            None => {
-                let lens = vec![blob_len; live.len()];
-                let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-                self.pending_charge = Some(charge_rounds(&rounds));
-                phase[root] = Some(match decode_as::<T>(op, bytes) {
-                    Ok(v) => Ok((v, blob_len)),
-                    Err(e) => Err(e),
-                });
-            }
-        }
-        for r in 0..size {
-            if r == root || !in_cohort[r] || phase[r].is_some() {
-                continue;
-            }
-            if delivered[r] {
-                phase[r] = Some(match decode_as::<T>(op, bytes) {
-                    Ok(v) => Ok((v, blob_len)),
-                    Err(e) => Err(e),
-                });
-            } else {
-                phase[r] = Some(Err(self.starve(op, r)));
-            }
-        }
+        let decoded = || decode_as::<T>(op, bytes).map(|v| (v, blob_len));
+        let sent = self.star_fan_out(op, root, &live, in_cohort, &mut phase, |_| decoded());
+        phase[root] = Some(sent.and_then(|()| {
+            let lens = vec![blob_len; live.len()];
+            let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
+            self.pending_charge = Some(charge_rounds(&rounds));
+            decoded()
+        }));
         phase
     }
 
@@ -1564,146 +1163,78 @@ impl EventSim {
         bytes: &[u8],
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
-        let size = self.size;
-        let mut phase: PhaseResults<T> = blanks(size);
+        let mut phase: PhaseResults<T> = blanks(self.size);
         let live = self.agreed_live();
-        let q = live.len();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         };
-        let abs = |v: usize| live[(v + vroot) % q];
         let blob_len = bytes.len() as u64;
-        let mut inbox: Vec<TreeMail> = vec![TreeMail::Degrade; q];
-        // Parents have lower virtual indices, so one ascending pass
-        // sees every parent's send before its child consumes it.
-        for vi in 0..q {
-            let r = abs(vi);
-            if !in_cohort[r] {
-                continue;
-            }
-            let present = if vi == 0 {
-                true
-            } else {
-                match inbox[vi] {
-                    TreeMail::Got {
-                        present,
-                        stamp,
-                        delay,
-                        ..
-                    } => {
-                        // A broadcast rank's `moved` counts only the
-                        // frame it forwards, never what it received.
-                        self.deliver(r, stamp, delay);
-                        present
-                    }
-                    TreeMail::Degrade => false,
-                    TreeMail::Starve => {
-                        phase[r] = Some(Err(self.starve(op, r)));
-                        continue;
-                    }
+        let reach = self.tree_fan_out(op, &live, vroot, in_cohort, |present, _| {
+            framed_len(present, blob_len)
+        });
+        if let Some(Ok(_)) = reach[0] {
+            self.pending_charge = Some(charge_rounds(&collective::bcast_rounds(
+                &live,
+                vroot,
+                framed_len(true, blob_len),
+            )));
+        }
+        for (vi, reach) in reach.into_iter().enumerate() {
+            // A broadcast rank's `moved` counts only the frame it
+            // forwards, never what it received.
+            phase[live[(vi + vroot) % live.len()]] = reach.map(|reach| {
+                let reach = reach?;
+                if !reach.present {
+                    return Err(RuntimeError::RankDead { op, rank: root });
                 }
-            };
-            let msg_len = framed_len(present, blob_len);
-            let mut err: Option<RuntimeError> = None;
-            let children = collective::binomial_children(vi, q);
-            for (i, &(_, child_vi)) in children.iter().enumerate() {
-                match self.send_eval(op, r, abs(child_vi)) {
-                    SendFate::Delivered { stamp, delay } => {
-                        inbox[child_vi] = TreeMail::Got {
-                            present,
-                            stamp,
-                            delay,
-                            msg_len,
-                        };
-                    }
-                    SendFate::DeadDst => {}
-                    SendFate::Exhausted(e) => {
-                        err = Some(e);
-                        for &(_, rest) in &children[i + 1..] {
-                            inbox[rest] = TreeMail::Starve;
-                        }
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = err {
-                phase[r] = Some(Err(e));
-                continue;
-            }
-            if vi == 0 {
-                self.pending_charge = Some(charge_rounds(&collective::bcast_rounds(
-                    &live, vroot, msg_len,
-                )));
-            }
-            phase[r] = Some(if present {
-                match decode_as::<T>(op, bytes) {
-                    Ok(v) => Ok((v, msg_len)),
-                    Err(e) => Err(e),
-                }
-            } else {
-                Err(RuntimeError::RankDead { op, rank: root })
+                decode_as::<T>(op, bytes).map(|v| (v, framed_len(true, blob_len)))
             });
         }
         phase
     }
 
     /// Scatter (mirror of [`crate::Communicator::scatterv`] with the
-    /// root's parts supplied): rank `r` receives `parts[r]`. A
-    /// wrong-arity `parts` is rejected by the root with
-    /// [`RuntimeError::SizeMismatch`] while everyone else starves,
-    /// exactly as the thread backend behaves.
+    /// root's parts supplied): rank `r` receives `parts[r]`. A root
+    /// whose `parts` has the wrong arity fails with
+    /// [`RuntimeError::SizeMismatch`] before sending anything and
+    /// leaves, exactly as the thread backend behaves; the phase then
+    /// runs around it as around a dead root.
     pub fn scatterv<T: Wire>(&mut self, root: usize, parts: &[T]) -> RankResults<T> {
         const OP: &str = "scatterv";
-        let mut out: RankResults<T> = blanks(self.size);
-        if self.reject_invalid_root(OP, root, &mut out) {
-            return out;
-        }
-        let Some((members, in_cohort)) = self.collective_prologue(OP, &mut out) else {
-            return out;
-        };
-        let resolved = self.policy.scatterv.resolve_rooted(self.size);
-        let phase: PhaseResults<T> = if in_cohort[root] && parts.len() != self.size {
-            // The root rejects the arity before any data moves; every
-            // other cohort rank waits on it and starves.
-            let mut phase: PhaseResults<T> = blanks(self.size);
-            phase[root] = Some(Err(RuntimeError::SizeMismatch {
-                op: OP,
-                expected: self.size,
-                got: parts.len(),
-            }));
-            for r in 0..self.size {
-                if r != root && in_cohort[r] {
-                    phase[r] = Some(Err(self.starve(OP, r)));
-                }
-            }
-            phase
-        } else {
-            let encoded: Vec<Vec<u8>> = parts.iter().map(Wire::to_bytes).collect();
-            match resolved {
-                Resolved::Hub => self.scatterv_hub_phase(OP, root, &encoded, &in_cohort),
-                Resolved::Ring | Resolved::Tree => {
-                    self.scatterv_tree_phase(OP, root, &encoded, &in_cohort)
-                }
-            }
-        };
-        let gen = self.close_cohort(&members);
-        let rounds = collective::rooted_rounds(resolved, self.agreed_live().len());
-        self.collective_epilogue(
+        self.collective(
             OP,
-            root as i64,
-            resolved.name(),
-            rounds,
-            gen,
-            &members,
-            phase,
-            &mut out,
-        );
-        out
+            Some(root),
+            collective::rooted_rounds,
+            |sim, in_cohort, _| {
+                let size = sim.size;
+                let resolved = sim.policy.scatterv.resolve_rooted(size);
+                let encoded: Vec<Vec<u8>> = parts.iter().map(Wire::to_bytes).collect();
+                let short = in_cohort[root] && parts.len() != size;
+                let without_root: Vec<bool>;
+                let in_cohort = if short {
+                    sim.leave(root);
+                    without_root = (0..size).map(|r| in_cohort[r] && r != root).collect();
+                    &without_root
+                } else {
+                    in_cohort
+                };
+                let mut phase = match resolved {
+                    Resolved::Hub => sim.scatterv_hub_phase(OP, root, &encoded, in_cohort),
+                    Resolved::Ring | Resolved::Tree => {
+                        sim.scatterv_tree_phase(OP, root, &encoded, in_cohort)
+                    }
+                };
+                if short {
+                    phase[root] = Some(Err(RuntimeError::SizeMismatch {
+                        op: OP,
+                        expected: size,
+                        got: parts.len(),
+                    }));
+                }
+                Some((resolved, phase))
+            },
+        )
     }
 
     /// Hub scatter mirror: the root pushes each live rank its own
@@ -1715,67 +1246,23 @@ impl EventSim {
         encoded: &[Vec<u8>],
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
-        let size = self.size;
-        let mut phase: PhaseResults<T> = blanks(size);
+        let mut phase: PhaseResults<T> = blanks(self.size);
         if self.dead[root] {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
         let live = self.agreed_live();
-        let mut sent = 0u64;
-        let mut root_err: Option<RuntimeError> = None;
-        let mut delivered = vec![false; size];
-        for &dst in &live {
-            if dst == root {
-                continue;
-            }
+        let part = |r: usize| decode_as::<T>(op, &encoded[r]).map(|v| (v, encoded[r].len() as u64));
+        let sent = self.star_fan_out(op, root, &live, in_cohort, &mut phase, part);
+        phase[root] = Some(sent.and_then(|()| {
+            let lens: Vec<u64> = live.iter().map(|&r| encoded[r].len() as u64).collect();
+            let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
+            self.pending_charge = Some(charge_rounds(&rounds));
             // The root counts the bytes it pushed whether or not the
             // destination survived to take them.
-            sent += encoded[dst].len() as u64;
-            if self.dead[dst] {
-                continue;
-            }
-            match self.send_eval(op, root, dst) {
-                SendFate::Delivered { stamp, delay } => {
-                    self.deliver(dst, stamp, delay);
-                    delivered[dst] = true;
-                }
-                SendFate::DeadDst => {}
-                SendFate::Exhausted(e) => {
-                    root_err = Some(e);
-                    break;
-                }
-            }
-        }
-        match root_err {
-            Some(e) => phase[root] = Some(Err(e)),
-            None => {
-                let lens: Vec<u64> = live.iter().map(|&r| encoded[r].len() as u64).collect();
-                let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-                self.pending_charge = Some(charge_rounds(&rounds));
-                phase[root] = Some(match decode_as::<T>(op, &encoded[root]) {
-                    Ok(v) => Ok((v, sent)),
-                    Err(e) => Err(e),
-                });
-            }
-        }
-        for r in 0..size {
-            if r == root || !in_cohort[r] || phase[r].is_some() {
-                continue;
-            }
-            if delivered[r] {
-                phase[r] = Some(match decode_as::<T>(op, &encoded[r]) {
-                    Ok(v) => Ok((v, encoded[r].len() as u64)),
-                    Err(e) => Err(e),
-                });
-            } else {
-                phase[r] = Some(Err(self.starve(op, r)));
-            }
-        }
+            let pushed = lens.iter().sum::<u64>() - encoded[root].len() as u64;
+            decode_as::<T>(op, &encoded[root]).map(|v| (v, pushed))
+        }));
         phase
     }
 
@@ -1795,11 +1282,7 @@ impl EventSim {
         let live = self.agreed_live();
         let q = live.len();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
-            for r in 0..size {
-                if in_cohort[r] {
-                    phase[r] = Some(Err(RuntimeError::RankDead { op, rank: root }));
-                }
-            }
+            cut_off(op, root, in_cohort, &mut phase);
             return phase;
         };
         let abs = |v: usize| live[(v + vroot) % q];
@@ -1817,104 +1300,62 @@ impl EventSim {
                 sum[vi] += asum;
             }
         }
-        let mut inbox: Vec<TreeMail> = vec![TreeMail::Degrade; q];
-        for vi in 0..q {
+        if in_cohort[root] {
+            // The root deposits at bundle-obtain time, before its
+            // first child send (thread mirror).
+            let lens_by_vi: Vec<u64> = (0..q).map(|v| encoded[abs(v)].len() as u64).collect();
+            self.pending_charge = Some(charge_rounds(&collective::scatterv_rounds(
+                size,
+                &live,
+                vroot,
+                &lens_by_vi,
+            )));
+        }
+        let reach = self.tree_fan_out(op, &live, vroot, in_cohort, |good, child_vi| {
+            if good {
+                8 + size as u64 + 8 * cnt[child_vi] + sum[child_vi]
+            } else {
+                8 + size as u64
+            }
+        });
+        for (vi, reach) in reach.into_iter().enumerate() {
             let r = abs(vi);
-            if !in_cohort[r] {
-                continue;
-            }
-            let mut moved = 0u64;
-            let good = if vi == 0 {
-                // The root deposits at bundle-obtain time, before its
-                // first child send (thread mirror).
-                let lens_by_vi: Vec<u64> =
-                    (0..q).map(|v| encoded[abs(v)].len() as u64).collect();
-                self.pending_charge = Some(charge_rounds(&collective::scatterv_rounds(
-                    size, &live, vroot, &lens_by_vi,
-                )));
-                true
-            } else {
-                match inbox[vi] {
-                    TreeMail::Got {
-                        present,
-                        stamp,
-                        delay,
-                        msg_len,
-                    } => {
-                        self.deliver(r, stamp, delay);
-                        moved += msg_len;
-                        present
-                    }
-                    TreeMail::Degrade => false,
-                    TreeMail::Starve => {
-                        phase[r] = Some(Err(self.starve(op, r)));
-                        continue;
-                    }
+            phase[r] = reach.map(|reach| {
+                let reach = reach?;
+                if !reach.present {
+                    return Err(RuntimeError::RankDead { op, rank: root });
                 }
-            };
-            let mut err: Option<RuntimeError> = None;
-            let children = collective::binomial_children(vi, q);
-            for (i, &(_, child_vi)) in children.iter().enumerate() {
-                let msg_len = if good {
-                    8 + size as u64 + 8 * cnt[child_vi] + sum[child_vi]
-                } else {
-                    8 + size as u64
-                };
-                moved += msg_len;
-                match self.send_eval(op, r, abs(child_vi)) {
-                    SendFate::Delivered { stamp, delay } => {
-                        inbox[child_vi] = TreeMail::Got {
-                            present: good,
-                            stamp,
-                            delay,
-                            msg_len,
-                        };
-                    }
-                    SendFate::DeadDst => {}
-                    SendFate::Exhausted(e) => {
-                        err = Some(e);
-                        for &(_, rest) in &children[i + 1..] {
-                            inbox[rest] = TreeMail::Starve;
-                        }
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = err {
-                phase[r] = Some(Err(e));
-                continue;
-            }
-            phase[r] = Some(if good {
-                match decode_as::<T>(op, &encoded[r]) {
-                    Ok(v) => Ok((v, moved)),
-                    Err(e) => Err(e),
-                }
-            } else {
-                Err(RuntimeError::RankDead { op, rank: root })
+                decode_as::<T>(op, &encoded[r]).map(|v| (v, reach.received + reach.sent))
             });
         }
         phase
     }
 }
 
-/// What one rooted-tree rank finds in its parent slot when its turn
-/// comes.
-#[derive(Clone, Copy)]
-enum TreeMail {
-    /// Delivered frame/bundle from the parent.
-    Got {
-        /// Whether the payload survived the root-to-here path.
-        present: bool,
-        /// Sender's Lamport stamp at send time.
-        stamp: u64,
-        /// Injected delivery delay, seconds.
-        delay: f64,
-        /// Framed message length, bytes.
-        msg_len: u64,
-    },
-    /// The parent died before sending: degrade to the poison frame.
-    Degrade,
-    /// The parent is alive but its program ended in an error: the
-    /// waiter hits the deadline and fail-stops.
-    Starve,
+/// Each position's outcome after a presence replay: its error, or the
+/// contributions its row holds.
+fn presence_outcomes(
+    size: usize,
+    live: &[usize],
+    own: &[Option<Vec<u8>>],
+    mut parts: Positions,
+    has: &[Vec<bool>],
+    moved: &[u64],
+    phase: &mut PhaseResults<Arc<Slots>>,
+) {
+    for (pos, &r) in live.iter().enumerate() {
+        phase[r] = match parts.errs[pos].take() {
+            Some(e) => Some(Err(e)),
+            None if !parts.active[pos] => None,
+            None => {
+                let mut slots: Slots = vec![None; size];
+                for (opos, &o) in live.iter().enumerate() {
+                    if has[pos][opos] {
+                        slots[o] = own[o].clone();
+                    }
+                }
+                Some(Ok((Arc::new(slots), moved[pos])))
+            }
+        };
+    }
 }

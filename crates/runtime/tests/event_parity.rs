@@ -3,9 +3,10 @@
 //! backend is deterministic — per-rank virtual clocks, every
 //! collective result, per-rank `comm`/`fault` trace streams, and the
 //! balancing executor's steps — across `hub`/`ring`/`tree`/`auto`,
-//! fault-free and under fail-stop rank death, at `p ∈ {1, 3, 4, 6,
-//! 16, 64}` (non-powers-of-two included so the binomial/butterfly
-//! edge cases are on the hook).
+//! fault-free, under fail-stop rank death and when a rank fails its
+//! part of a collective and leaves, at `p ∈ {1, 3, 4, 6, 16, 64}`
+//! (non-powers-of-two included so the binomial/butterfly edge cases
+//! are on the hook).
 //!
 //! This is the contract that makes `--sim-engine` a pure scale knob:
 //! switching engines never changes an answer or a virtual timestamp,
@@ -496,6 +497,197 @@ fn mid_phase_death_is_bit_identical() {
                         })
                         .collect()
                 },
+            );
+        }
+    }
+}
+
+// ----- a failed part: one lost edge per run ----------------------------
+
+/// The collectives the failed-part sweep runs, one per program.
+#[derive(Debug, Clone, Copy)]
+enum Coll {
+    Barrier,
+    Bcast,
+    Scatterv,
+    Gatherv,
+    GatherAvailable,
+    Allgatherv,
+    AllgathervAvailable,
+    Allreduce,
+}
+
+const COLLS: [Coll; 8] = [
+    Coll::Barrier,
+    Coll::Bcast,
+    Coll::Scatterv,
+    Coll::Gatherv,
+    Coll::GatherAvailable,
+    Coll::Allgatherv,
+    Coll::AllgathervAvailable,
+    Coll::Allreduce,
+];
+
+fn slots_bits<V: AsRef<[f64]>>(slots: &[Option<V>]) -> Vec<Option<Vec<u64>>> {
+    slots
+        .iter()
+        .map(|s| s.as_ref().map(|v| bits(v.as_ref())))
+        .collect()
+}
+
+/// One collective, thread side, its result written as a string so
+/// every collective compares through one type. The root's scatter
+/// parts are cut to `arity` entries.
+fn thread_one(
+    mut c: ThreadedComm,
+    coll: Coll,
+    root: usize,
+    arity: usize,
+) -> Result<String, RuntimeError> {
+    let rank = c.rank();
+    let seed = 0xFA11 ^ c.size() as u64;
+    let own = payload(seed, rank, 3);
+    Ok(match coll {
+        Coll::Barrier => c.barrier().map(|()| "()".to_owned())?,
+        Coll::Bcast => {
+            let value = (rank == root).then(|| payload(seed, root, 3));
+            format!("{:?}", bits(&c.bcast(root, value.as_ref())?))
+        }
+        Coll::Scatterv => {
+            let parts = (rank == root).then(|| scatter_parts(seed, c.size(), 3));
+            let parts = parts.as_deref().map(|p| &p[..arity]);
+            format!("{:?}", bits(&c.scatterv(root, parts)?))
+        }
+        Coll::Gatherv => {
+            let g = c.gatherv(root, &own)?;
+            format!(
+                "{:?}",
+                g.map(|g| g.iter().map(|v| bits(v)).collect::<Vec<_>>())
+            )
+        }
+        Coll::GatherAvailable => {
+            format!(
+                "{:?}",
+                c.gather_available(root, &own)?.map(|g| slots_bits(&g))
+            )
+        }
+        Coll::Allgatherv => {
+            let g = c.allgatherv(&own)?;
+            format!("{:?}", g.iter().map(|v| bits(v)).collect::<Vec<_>>())
+        }
+        Coll::AllgathervAvailable => format!("{:?}", slots_bits(&c.allgatherv_available(&own)?)),
+        Coll::Allreduce => format!(
+            "{}",
+            c.allreduce(contribution(&own, rank), ReduceOp::Sum)?
+                .to_bits()
+        ),
+    })
+}
+
+/// The same collective, event side.
+fn event_one(
+    sim: &mut EventSim,
+    coll: Coll,
+    root: usize,
+    arity: usize,
+) -> Vec<Result<String, RuntimeError>> {
+    let size = sim.size();
+    let seed = 0xFA11 ^ size as u64;
+    let own: Vec<Vec<f64>> = (0..size).map(|r| payload(seed, r, 3)).collect();
+    fn strings<T>(
+        res: RankResults<T>,
+        show: impl Fn(T) -> String,
+    ) -> Vec<Result<String, RuntimeError>> {
+        res.into_iter()
+            .map(|slot| slot.expect("every rank runs the one collective").map(&show))
+            .collect()
+    }
+    match coll {
+        Coll::Barrier => strings(sim.barrier(), |()| "()".to_owned()),
+        Coll::Bcast => strings(sim.bcast(root, &payload(seed, root, 3)), |v: Vec<f64>| {
+            format!("{:?}", bits(&v))
+        }),
+        Coll::Scatterv => {
+            let parts = scatter_parts(seed, size, 3);
+            strings(sim.scatterv(root, &parts[..arity]), |v: Vec<f64>| {
+                format!("{:?}", bits(&v))
+            })
+        }
+        Coll::Gatherv => strings(sim.gatherv(root, &own), |g| {
+            format!(
+                "{:?}",
+                g.map(|g| g.iter().map(|v| bits(v)).collect::<Vec<_>>())
+            )
+        }),
+        Coll::GatherAvailable => strings(sim.gather_available(root, &own), |g| {
+            format!("{:?}", g.map(|g| slots_bits(&g)))
+        }),
+        Coll::Allgatherv => strings(sim.allgatherv(&own), |g| {
+            format!("{:?}", g.iter().map(|v| bits(v)).collect::<Vec<_>>())
+        }),
+        Coll::AllgathervAvailable => strings(sim.allgatherv_available(&own), |g| {
+            format!("{:?}", slots_bits(&g))
+        }),
+        Coll::Allreduce => {
+            let xs: Vec<f64> = (0..size).map(|r| contribution(&own[r], r)).collect();
+            strings(sim.allreduce(&xs, ReduceOp::Sum), |v| {
+                format!("{}", v.to_bits())
+            })
+        }
+    }
+}
+
+/// The edges a sweep at `size` loses, root 0: root → leaf, leaf →
+/// root, an inner hop of the binomial tree (1 → 3), a ring neighbour
+/// (1 → 2) and a butterfly partner that is also a ring neighbour
+/// (2 → 3).
+fn lost_edges(size: usize) -> Vec<(&'static str, usize, usize)> {
+    let mut edges = vec![
+        ("root->leaf", 0, 2),
+        ("leaf->root", size - 1, 0),
+        ("ring neighbour", 1, 2),
+    ];
+    if size >= 4 {
+        edges.push(("inner tree hop", 1, 3));
+        edges.push(("butterfly partner", 2, 3));
+    }
+    edges
+}
+
+/// A failed part: each run loses every message of one edge with no
+/// retry, so the edge's sender fails inside the collective and leaves,
+/// and every peer waiting on it takes the dead-sender path — on both
+/// engines, to the same result, error, clock bit and trace event. A
+/// root that supplies the wrong number of scatter parts fails the
+/// same way before sending anything.
+#[test]
+fn a_failed_part_is_bit_identical() {
+    for &size in &[3usize, 4, 6, 16] {
+        for (name, policy) in policies() {
+            for (edge, src, dst) in lost_edges(size) {
+                let plan = FaultPlan::from_json(&format!(
+                    r#"{{"deadline": 0.5, "drops": [{{"src": {src}, "dst": {dst}, "max_retries": 0}}]}}"#
+                ))
+                .expect("valid plan");
+                for coll in COLLS {
+                    assert_parity(
+                        &format!("failed part p={size} {name} {coll:?} lost {edge} {src}->{dst}"),
+                        policy,
+                        plan.clone(),
+                        size,
+                        move |c| thread_one(c, coll, 0, size),
+                        move |sim| event_one(sim, coll, 0, size),
+                    );
+                }
+            }
+            let plan = FaultPlan::from_json(r#"{"deadline": 0.5}"#).expect("valid plan");
+            assert_parity(
+                &format!("failed part p={size} {name} scatterv root short of parts"),
+                policy,
+                plan,
+                size,
+                move |c| thread_one(c, Coll::Scatterv, 0, size - 1),
+                move |sim| event_one(sim, Coll::Scatterv, 0, size - 1),
             );
         }
     }

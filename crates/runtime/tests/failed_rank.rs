@@ -3,7 +3,9 @@
 //! process exits does, so every peer waiting on it gets
 //! [`RuntimeError::RankDead`] naming it before the plan's deadline,
 //! not [`RuntimeError::Timeout`] once it has passed. Each case runs on
-//! the thread backend and on the thread-backed sim.
+//! the thread backend and on the thread-backed sim, and each the event
+//! engine can express — a lost part of a collective, a failed send
+//! followed by the end of the program — on the event engine too.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,8 +13,8 @@ use std::time::{Duration, Instant};
 use fupermod_core::trace::{MemorySink, TraceEvent};
 use fupermod_platform::comm::LinkModel;
 use fupermod_runtime::{
-    run_ranks, AlgorithmPolicy, Communicator, FaultPlan, RuntimeConfig, RuntimeError,
-    ThreadedComm,
+    run_ranks, AlgorithmPolicy, Communicator, EventSim, FaultPlan, RuntimeConfig, RuntimeError,
+    SimEngine, ThreadedComm,
 };
 
 const RANKS: usize = 4;
@@ -27,6 +29,12 @@ fn backends() -> Vec<(&'static str, RuntimeConfig)> {
         ("thread", RuntimeConfig::thread()),
         ("sim", RuntimeConfig::sim(RANKS, LinkModel::ethernet())),
     ]
+}
+
+/// The event engine over the same topology as the sim backend.
+fn event_engine(config: RuntimeConfig) -> EventSim {
+    let config = config.with_engine(SimEngine::Event);
+    EventSim::from_config(&config, RANKS).expect("the event engine builds")
 }
 
 /// The plan that only sets the deadline.
@@ -98,6 +106,29 @@ fn a_rank_that_loses_its_part_of_a_collective_releases_its_peers() {
         }
         assert_released(label, &out, elapsed, &sink);
     }
+    let sink = Arc::new(MemorySink::new());
+    let mut sim = event_engine(
+        RuntimeConfig::sim(RANKS, LinkModel::ethernet())
+            .with_plan(lose_failing_sends())
+            .with_algorithms(AlgorithmPolicy::hub())
+            .with_trace(sink.clone()),
+    );
+    let started = Instant::now();
+    let values: Vec<u64> = (0..RANKS as u64).collect();
+    let out: Vec<Result<(), RuntimeError>> = sim
+        .allgatherv(&values)
+        .into_iter()
+        .map(|slot| slot.expect("every rank runs the allgatherv").map(drop))
+        .collect();
+    assert!(
+        matches!(
+            &out[FAILING],
+            Err(RuntimeError::RetriesExhausted { src: FAILING, .. })
+        ),
+        "event: rank {FAILING} got {:?}",
+        out[FAILING]
+    );
+    assert_released("event", &out, started.elapsed(), &sink);
 }
 
 /// A rank whose point-to-point send is lost returns its error, and
@@ -121,6 +152,24 @@ fn a_rank_whose_send_failed_leaves_when_its_handle_drops() {
         });
         assert_released(label, &out, started.elapsed(), &sink);
     }
+    // The event engine runs the programs one after the other: the
+    // failing rank's send and the end of its program come first.
+    let sink = Arc::new(MemorySink::new());
+    let mut sim = event_engine(
+        RuntimeConfig::sim(RANKS, LinkModel::ethernet())
+            .with_plan(lose_failing_sends())
+            .with_trace(sink.clone()),
+    );
+    let started = Instant::now();
+    let sent = sim.send(FAILING, 0, &1u64);
+    sim.halt(FAILING);
+    let out: Vec<Result<(), RuntimeError>> = (0..RANKS)
+        .map(|rank| match rank {
+            FAILING => sent.clone(),
+            _ => sim.recv::<u64>(rank, FAILING).map(drop),
+        })
+        .collect();
+    assert_released("event", &out, started.elapsed(), &sink);
 }
 
 /// A rank that panics mid-run leaves as its thread unwinds.

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example matmul_hetero`
 
 use fupermod::apps::matmul::{
-    build_device_models, partition_areas, run_threaded, simulate, MatMulConfig,
+    build_device_models, partition_areas, run_bcast, simulate, MatMulConfig,
 };
 use fupermod::apps::workload::random_matrix;
 use fupermod::core::model::{AkimaModel, Model};
@@ -19,6 +19,7 @@ use fupermod::core::partition::NumericalPartitioner;
 use fupermod::core::{CoreError, Precision};
 use fupermod::kernels::gemm::gemm_blocked;
 use fupermod::platform::{Platform, WorkloadProfile};
+use fupermod::runtime::{OverlapMode, RuntimeConfig};
 
 fn main() -> Result<(), CoreError> {
     let block = 8usize;
@@ -40,7 +41,15 @@ fn main() -> Result<(), CoreError> {
     let n = n_blocks_small as usize * block;
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
-    let c = run_threaded(&a, &b, block, &areas)?;
+    let c = run_bcast(
+        &a,
+        &b,
+        block,
+        &areas,
+        RuntimeConfig::thread(),
+        OverlapMode::Blocking,
+    )?
+    .product;
     let mut reference = vec![0.0; n * n];
     gemm_blocked(n, n, n, &a.data, &b.data, &mut reference);
     let max_err = c

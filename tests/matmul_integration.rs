@@ -3,7 +3,7 @@
 //! show the expected heterogeneous behaviour.
 
 use fupermod::apps::matmul::{
-    build_device_models, partition_areas, run_threaded, simulate, MatMulConfig,
+    build_device_models, partition_areas, run_bcast, simulate, MatMulConfig,
 };
 use fupermod::apps::workload::{random_matrix, DenseMatrix};
 use fupermod::core::model::{AkimaModel, Model, PiecewiseModel};
@@ -11,6 +11,21 @@ use fupermod::core::partition::{GeometricPartitioner, NumericalPartitioner};
 use fupermod::core::Precision;
 use fupermod::kernels::gemm::{gemm_blocked, gemm_naive};
 use fupermod::platform::{Platform, WorkloadProfile};
+use fupermod::runtime::{OverlapMode, RuntimeConfig};
+
+/// The product of a blocking run on worker threads.
+fn threaded(a: &DenseMatrix, b: &DenseMatrix, block: usize, areas: &[u64]) -> DenseMatrix {
+    run_bcast(
+        a,
+        b,
+        block,
+        areas,
+        RuntimeConfig::thread(),
+        OverlapMode::Blocking,
+    )
+    .unwrap()
+    .product
+}
 
 fn serial_product(a: &DenseMatrix, b: &DenseMatrix) -> Vec<f64> {
     let n = a.rows;
@@ -56,7 +71,7 @@ fn threaded_product_is_correct_for_model_derived_areas() {
             partition_areas(&NumericalPartitioner::default(), n_blocks, &akima_refs).unwrap(),
         ),
     ] {
-        let c = run_threaded(&a, &b, block, &areas).unwrap();
+        let c = threaded(&a, &b, block, &areas);
         let max_err = c
             .data
             .iter()
@@ -120,7 +135,7 @@ fn threaded_product_is_correct_for_many_process_counts() {
         // Skewed areas: process i gets weight i+1.
         let weights: Vec<f64> = (0..p).map(|i| (i + 1) as f64).collect();
         let areas = fupermod::num::apportion::largest_remainder(&weights, total).unwrap();
-        let c = run_threaded(&a, &b, block, &areas).unwrap();
+        let c = threaded(&a, &b, block, &areas);
         let max_err = c
             .data
             .iter()

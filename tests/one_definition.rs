@@ -238,6 +238,16 @@ const RULES: &[Rule] = &[
         bound: Bound::Lines(1),
     },
     Rule {
+        name: "one deadline outcome on the event engine: a receive nothing will satisfy (blocking_take)",
+        commit: "after 9613912",
+        needles: &[Needle::Text("RuntimeError::Timeout")],
+        roots: &["crates/runtime/src/sim"],
+        filter: Filter::Rs,
+        lines: Lines::NonTest,
+        allowed: Some(&["crates/runtime/src/sim/engine.rs"]),
+        bound: Bound::Lines(1),
+    },
+    Rule {
         name: "a file's tests come last: every item after the first #[cfg(test)] is gated by one",
         commit: "after b5cea3e",
         needles: &[Needle::Item],
