@@ -327,7 +327,6 @@ impl SimComm {
         if p == 1 {
             return Ok(());
         }
-        let total: f64 = bytes.iter().sum();
         let start = self.max_time();
         // Ring: p-1 steps; per step the largest in-flight chunk bounds
         // progress.
@@ -339,12 +338,14 @@ impl SimComm {
             self.clocks[r] = finish;
             self.note(r, before, finish, Activity::Communication);
         }
-        let _ = total;
         Ok(())
     }
 
     /// Charges an explicit per-hop collective schedule: `rounds` is a
-    /// sequence of rounds, each a list of `(src, dst, bytes)` hops.
+    /// sequence of rounds, each a list of `(src, dst, bytes)` hops,
+    /// whose transfers begin at `baseline` — the clocks the ranks
+    /// posted a nonblocking collective at — or, with `None`, at the
+    /// current clocks.
     ///
     /// Port model (single-port, full-duplex): within one round, every
     /// rank owns an independent send port and receive port; a hop
@@ -357,29 +358,45 @@ impl SimComm {
     /// because the two transfers use opposite ports.
     ///
     /// Hops within one round must be data-independent: a rank may
-    /// only forward bytes it already held when the round began.
-    /// Transfers that depend on an earlier hop belong in a later
-    /// round (the caller's schedule builders guarantee this). Clocks
-    /// advance at end of round, so later rounds see the dependency.
+    /// only forward bytes it already held when the round began
+    /// (the caller's schedule builders guarantee this). Both of a
+    /// rank's ports advance to its round finish before the next round.
+    ///
+    /// At each round's end a clock below its rank's round finish rises
+    /// to it, and [`comm_seconds`](Self::comm_seconds) grows by the
+    /// rise, so a rank that computed past its part since its baseline
+    /// pays only the exposed part. A baseline equal to the current
+    /// clocks charges exactly what `None` does, to the bit: ports start
+    /// at the clocks and no cost is negative, so after every round each
+    /// clock equals its rank's finish — the same additions, maxima and
+    /// rises in the same order either way.
     ///
     /// # Errors
     ///
-    /// Returns [`PlatformError::SizeMismatch`] if a hop names a rank
-    /// outside the communicator or a self-loop (`src == dst`).
-    pub fn schedule(&mut self, rounds: &[Vec<(usize, usize, f64)>]) -> Result<(), PlatformError> {
+    /// Returns [`PlatformError::SizeMismatch`], charging nothing, if
+    /// `baseline` does not have one entry per rank, or if a hop names
+    /// a rank outside the communicator or a self-loop (`src == dst`).
+    pub fn schedule(
+        &mut self,
+        baseline: Option<&[f64]>,
+        rounds: &[Vec<(usize, usize, f64)>],
+    ) -> Result<(), PlatformError> {
         let p = self.size();
-        for round in rounds {
-            for &(src, dst, _) in round {
-                if src >= p || dst >= p || src == dst {
-                    return Err(PlatformError::SizeMismatch {
-                        op: "schedule",
-                        expected: p,
-                        got: src.max(dst),
-                    });
-                }
+        if let Some(baseline) = baseline {
+            self.check_per_rank("schedule", baseline.len())?;
+        }
+        for &(src, dst, _) in rounds.iter().flatten() {
+            if src >= p || dst >= p || src == dst {
+                return Err(PlatformError::SizeMismatch {
+                    op: "schedule",
+                    expected: p,
+                    got: src.max(dst),
+                });
             }
-            let mut send_busy = self.clocks.clone();
-            let mut recv_busy = self.clocks.clone();
+        }
+        let mut send_busy = baseline.map_or_else(|| self.clocks.clone(), <[f64]>::to_vec);
+        let mut recv_busy = send_busy.clone();
+        for round in rounds {
             for &(src, dst, bytes) in round {
                 let cost = self.link.cost(bytes);
                 let begin = send_busy[src].max(recv_busy[dst]);
@@ -389,82 +406,14 @@ impl SimComm {
             }
             for r in 0..p {
                 let after = send_busy[r].max(recv_busy[r]);
+                send_busy[r] = after;
+                recv_busy[r] = after;
                 if after > self.clocks[r] {
                     let before = self.clocks[r];
                     self.comm_seconds += after - before;
                     self.clocks[r] = after;
                     self.note(r, before, after, Activity::Communication);
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges a per-hop collective schedule whose transfers began at
-    /// the clocks in `baseline` rather than at the current clocks —
-    /// the overlap-aware variant of [`schedule`](Self::schedule).
-    ///
-    /// A nonblocking collective posts while each participant's clock
-    /// reads `baseline[r]`, the network makes progress while ranks
-    /// compute, and at `wait` the finished schedule is merged back:
-    /// each rank's clock becomes the *later* of the time it finished
-    /// computing and the time its part of the schedule completed, so
-    /// communication that fits under the compute is hidden. Only the
-    /// exposed portion (the raise above the current clock) is added to
-    /// [`comm_seconds`](Self::comm_seconds).
-    ///
-    /// The port model inside the schedule is identical to
-    /// [`schedule`](Self::schedule): per round, independent
-    /// single-port full-duplex send/receive ports, hops sharing a port
-    /// serialising in list order, and a barrier between rounds (both
-    /// ports advance to the round's per-rank completion before the
-    /// next round begins).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::SizeMismatch`] if `baseline` does not
-    /// have one entry per rank, or if a hop names a rank outside the
-    /// communicator or a self-loop (`src == dst`).
-    pub fn schedule_from(
-        &mut self,
-        baseline: &[f64],
-        rounds: &[Vec<(usize, usize, f64)>],
-    ) -> Result<(), PlatformError> {
-        let p = self.size();
-        self.check_per_rank("schedule_from", baseline.len())?;
-        for round in rounds {
-            for &(src, dst, _) in round {
-                if src >= p || dst >= p || src == dst {
-                    return Err(PlatformError::SizeMismatch {
-                        op: "schedule_from",
-                        expected: p,
-                        got: src.max(dst),
-                    });
-                }
-            }
-        }
-        let mut send_busy = baseline.to_vec();
-        let mut recv_busy = baseline.to_vec();
-        for round in rounds {
-            for &(src, dst, bytes) in round {
-                let cost = self.link.cost(bytes);
-                let begin = send_busy[src].max(recv_busy[dst]);
-                let end = begin + cost;
-                send_busy[src] = end;
-                recv_busy[dst] = end;
-            }
-            for (s, v) in send_busy.iter_mut().zip(recv_busy.iter_mut()) {
-                let m = s.max(*v);
-                *s = m;
-                *v = m;
-            }
-        }
-        for (r, &after) in send_busy.iter().enumerate() {
-            if after > self.clocks[r] {
-                let before = self.clocks[r];
-                self.comm_seconds += after - before;
-                self.clocks[r] = after;
-                self.note(r, before, after, Activity::Communication);
             }
         }
         Ok(())
@@ -562,14 +511,12 @@ impl SimComm {
 
         let mut moved = 0u64;
         let mut busy = vec![0.0; self.size()];
-        let mut transfers = 0usize;
         while let (Some(&(s, have)), Some(&(d, need))) = (surplus.front(), deficit.front()) {
             let units = have.min(need);
             let cost = self.link.cost(units as f64 * bytes_per_unit);
             busy[s] += cost;
             busy[d] += cost;
             moved += units;
-            transfers += 1;
             if have == units {
                 surplus.pop_front();
             } else {
@@ -581,7 +528,6 @@ impl SimComm {
                 deficit.front_mut().expect("non-empty").1 -= units;
             }
         }
-        let _ = transfers;
 
         if moved > 0 {
             let start = self.max_time();
@@ -633,28 +579,32 @@ mod tests {
         };
         // Star fan-in: three hops into rank 0's receive port serialise.
         let mut c = SimComm::new(4, link);
-        c.schedule(&[vec![(1, 0, 0.0), (2, 0, 0.0), (3, 0, 0.0)]])
+        c.schedule(None, &[vec![(1, 0, 0.0), (2, 0, 0.0), (3, 0, 0.0)]])
             .unwrap();
         assert_eq!(c.time(0), 3.0, "hub receive port serialises");
         // Ring round: disjoint pairs proceed concurrently; a pairwise
         // exchange costs one link cost, not two.
         let mut c = SimComm::new(4, link);
-        c.schedule(&[vec![(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 0, 0.0)]])
-            .unwrap();
+        c.schedule(
+            None,
+            &[vec![(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 0, 0.0)]],
+        )
+        .unwrap();
         for r in 0..4 {
             assert_eq!(c.time(r), 1.0, "pipelined ring round costs one hop");
         }
         let mut c = SimComm::new(2, link);
-        c.schedule(&[vec![(0, 1, 0.0), (1, 0, 0.0)]]).unwrap();
+        c.schedule(None, &[vec![(0, 1, 0.0), (1, 0, 0.0)]]).unwrap();
         assert_eq!(c.max_time(), 1.0, "full-duplex exchange");
         // Rounds sequence: clocks advance between rounds.
         let mut c = SimComm::new(2, link);
-        c.schedule(&[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]]).unwrap();
+        c.schedule(None, &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+            .unwrap();
         assert_eq!(c.time(0), 2.0);
         // Invalid hops are rejected.
         let mut c = SimComm::new(2, link);
-        assert!(c.schedule(&[vec![(0, 2, 0.0)]]).is_err());
-        assert!(c.schedule(&[vec![(1, 1, 0.0)]]).is_err());
+        assert!(c.schedule(None, &[vec![(0, 2, 0.0)]]).is_err());
+        assert!(c.schedule(None, &[vec![(1, 1, 0.0)]]).is_err());
     }
 
     #[test]
@@ -665,7 +615,7 @@ mod tests {
             let rounds: Vec<Vec<(usize, usize, f64)>> = (0..7)
                 .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100.0 + k as f64)).collect())
                 .collect();
-            c.schedule(&rounds).unwrap();
+            c.schedule(None, &rounds).unwrap();
             (c.max_time(), c.comm_seconds())
         };
         let (t1, s1) = run();
@@ -689,7 +639,7 @@ mod tests {
         let rounds: Vec<Vec<(usize, usize, f64)>> = (0..q - 1)
             .map(|_| (0..q).map(|i| (i, (i + 1) % q, bytes)).collect())
             .collect();
-        exact.schedule(&rounds).unwrap();
+        exact.schedule(None, &rounds).unwrap();
         fast.charge_uniform_ring(bytes, q - 1);
         for r in 0..q {
             assert_eq!(
@@ -711,14 +661,18 @@ mod tests {
             .collect();
         let mut blocking = SimComm::new(8, LinkModel::ethernet());
         blocking.advance(3, 1e-3);
-        blocking.schedule(&rounds).unwrap();
+        blocking.schedule(None, &rounds).unwrap();
         let mut overlap = SimComm::new(8, LinkModel::ethernet());
         overlap.advance(3, 1e-3);
         let baseline: Vec<f64> = (0..8).map(|r| overlap.time(r)).collect();
-        overlap.schedule_from(&baseline, &rounds).unwrap();
+        overlap.schedule(Some(&baseline), &rounds).unwrap();
         for r in 0..8 {
             assert_eq!(blocking.time(r).to_bits(), overlap.time(r).to_bits());
         }
+        assert_eq!(
+            blocking.comm_seconds().to_bits(),
+            overlap.comm_seconds().to_bits()
+        );
     }
 
     #[test]
@@ -734,7 +688,7 @@ mod tests {
         c.advance(0, 5.0);
         c.advance(1, 5.0);
         let before = c.comm_seconds();
-        c.schedule_from(&baseline, &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+        c.schedule(Some(&baseline), &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
             .unwrap();
         assert_eq!(c.time(0), 5.0);
         assert_eq!(c.time(1), 5.0);
@@ -743,16 +697,17 @@ mod tests {
         let mut b = SimComm::new(2, link);
         b.advance(0, 5.0);
         b.advance(1, 5.0);
-        b.schedule(&[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]]).unwrap();
+        b.schedule(None, &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+            .unwrap();
         assert_eq!(b.time(0), 7.0);
     }
 
     #[test]
     fn schedule_from_rejects_bad_baseline_and_hops() {
         let mut c = SimComm::new(2, LinkModel::ethernet());
-        assert!(c.schedule_from(&[0.0], &[]).is_err());
-        assert!(c.schedule_from(&[0.0, 0.0], &[vec![(0, 2, 0.0)]]).is_err());
-        assert!(c.schedule_from(&[0.0, 0.0], &[vec![(1, 1, 0.0)]]).is_err());
+        assert!(c.schedule(Some(&[0.0]), &[]).is_err());
+        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(0, 2, 0.0)]]).is_err());
+        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(1, 1, 0.0)]]).is_err());
     }
 
     #[test]

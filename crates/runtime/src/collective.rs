@@ -564,10 +564,24 @@ pub fn butterfly_rounds_uniform(size: usize, live: &[usize], len: u64) -> Rounds
     rounds
 }
 
+/// The schedule a barrier's charge models: a zero-byte star fan-in
+/// and fan-out through the lowest live rank for the hub, else
+/// [`barrier_tree_rounds`].
+pub(crate) fn barrier_rounds(resolved: Resolved, live: &[usize]) -> Rounds {
+    if resolved != Resolved::Hub {
+        return barrier_tree_rounds(live);
+    }
+    let zeros = vec![0u64; live.len()];
+    vec![
+        star_gather_round(live, live[0], &zeros),
+        star_scatter_round(live, live[0], &zeros),
+    ]
+}
+
 /// Tree barrier schedule: a zero-byte binomial fan-in to the lowest
 /// live rank followed by a zero-byte binomial fan-out —
 /// `2 ceil(log2 q)` latency-only rounds.
-pub fn barrier_tree_rounds(live: &[usize]) -> Rounds {
+fn barrier_tree_rounds(live: &[usize]) -> Rounds {
     let q = live.len();
     let total = ceil_log2(q);
     let mut rounds: Rounds = vec![Vec::new(); 2 * total as usize];

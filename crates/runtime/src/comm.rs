@@ -40,7 +40,7 @@
 //!
 //! Schedules are built over the **agreed membership**: the live-rank
 //! list recorded by the completer of the last barrier generation
-//! (`PlaneState::agreed_alive`, internal), which is identical on every
+//! (the ledger's `agreed_alive`, internal), which is identical on every
 //! rank — no extra agreement round is needed because every collective
 //! already ends in a barrier. Deaths settled before the agreement are
 //! excluded from the schedule on all ranks consistently; deaths that
@@ -96,14 +96,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use fupermod_core::trace::{null_sink, TraceEvent, TraceSink};
+use fupermod_core::trace::{null_sink, TraceSink};
 use fupermod_platform::comm::{LinkModel, SimComm};
 
 use crate::collective::{
-    self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved, Rounds,
+    self, available_slots, fold_slots, strict_slots, AlgorithmPolicy, Resolved,
 };
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
+use crate::ledger::{self, fault, Begin, Charge, Hop, Ledger, Verdict};
 use crate::wire::{decode_as, Wire};
 
 pub mod request;
@@ -261,15 +262,6 @@ pub trait Communicator {
     ///
     /// As [`Communicator::allgatherv`].
     fn allreduce(&mut self, value: f64, op: ReduceOp) -> Result<f64, RuntimeError>;
-}
-
-/// Which clock a [`ThreadedComm`] runs on.
-#[derive(Debug, Clone)]
-enum ClockMode {
-    /// Wall clocks (real concurrency).
-    Wall,
-    /// Hockney virtual clocks driven by a [`SimComm`].
-    Sim,
 }
 
 /// Configuration for building a set of communicator handles.
@@ -439,29 +431,16 @@ fn new_plane(
     Arc::new(Plane {
         size,
         state: Mutex::new(PlaneState {
+            ledger: Ledger::new(size, plan, Arc::clone(&sink)),
             mail: (0..size).map(|_| VecDeque::new()).collect(),
-            dead: vec![false; size],
-            agreed_alive: vec![true; size],
             arrived: 0,
-            generation: 0,
-            lamport: vec![0; size],
-            pending_charge: None,
             overlap_base: vec![None; size],
             coll_pending: vec![false; size],
-            ops: vec![0; size],
-            delay_counts: vec![0; plan.delays.len()],
-            drop_counts: vec![0; plan.drops.len()],
             op_deadline: vec![None; size],
             wake_seq: 0,
         }),
         cv: Condvar::new(),
-        mode: if sim.is_some() {
-            ClockMode::Sim
-        } else {
-            ClockMode::Wall
-        },
         sim,
-        plan,
         deadline: Duration::from_secs_f64(deadline),
         deadline_secs: deadline,
         sink,
@@ -507,18 +486,12 @@ impl RuntimeHandle {
 
     /// Liveness snapshot.
     pub fn alive(&self) -> Vec<bool> {
-        let st = self.plane.lock();
-        st.dead.iter().map(|&d| !d).collect()
+        self.plane.lock().ledger.alive()
     }
 
     /// Ranks that have died, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
-        let st = self.plane.lock();
-        st.dead
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &d)| d.then_some(r))
-            .collect()
+        self.plane.lock().ledger.dead_ranks()
     }
 
     /// Maximum virtual time across ranks (sim backend only).
@@ -573,65 +546,17 @@ pub(crate) struct Envelope {
     pub(crate) vready: Option<f64>,
 }
 
-/// A virtual-time charge for one collective, deposited by its root
-/// (or the lowest agreed-live rank for rootless schedules) and applied
-/// atomically by the closing barrier's completer. Since PR 4 a charge
-/// *is* the collective's hop schedule — the exact `(src, dst, bytes)`
-/// rounds the data plane executed — replayed through
-/// [`SimComm::schedule`], so the Hockney clocks pay the real per-hop,
-/// per-round cost of the chosen algorithm (a hub star serialises at
-/// its root's ports; a ring pipelines; a tree finishes in
-/// `O(log p)` rounds).
-struct Charge {
-    rounds: Vec<Vec<(usize, usize, f64)>>,
-}
-
-/// Converts a pure [`collective`] schedule into a deposit-ready
-/// charge.
-fn charge_of(rounds: &Rounds) -> Charge {
-    Charge {
-        rounds: rounds
-            .iter()
-            .map(|r| r.iter().map(|&(s, d, b)| (s, d, b as f64)).collect())
-            .collect(),
-    }
-}
-
 pub(crate) struct PlaneState {
+    /// The books every engine keeps (see [`crate::ledger`]).
+    pub(crate) ledger: Ledger,
     pub(crate) mail: Vec<VecDeque<Envelope>>,
-    pub(crate) dead: Vec<bool>,
-    /// The membership recorded by the completer of the last barrier
-    /// generation, under the lock — identical for every rank of the
-    /// following generation. Collective schedules are built over
-    /// exactly this set, so a death that *settled* at a barrier
-    /// re-shapes every schedule consistently (no lost ring/tree hops
-    /// through the hole), while a death landing mid-operation only
-    /// degrades edges of the already-agreed structure (no divergent
-    /// snapshots, no stray mailbox traffic).
-    pub(crate) agreed_alive: Vec<bool>,
     pub(crate) arrived: usize,
-    pub(crate) generation: u64,
-    /// Per-rank Lamport clocks (schema v3). Every operation ticks its
-    /// rank's clock in `op_begin`, message delivery merges the
-    /// sender's piggybacked stamp, and a completing barrier
-    /// generation *joins* all live clocks to `max + 1` — so every
-    /// participant of one collective records the same stamp, and the
-    /// stamps are a schedule-independent function of the program's
-    /// communication structure (identical across the thread and sim
-    /// backends, which is what makes merged timelines deterministic).
-    pub(crate) lamport: Vec<u64>,
-    pending_charge: Option<Charge>,
     /// Per-rank virtual clock snapshots taken when a rank *posts* a
-    /// nonblocking collective ([`ThreadedComm::ibcast`]). The
-    /// completer of the closing barrier uses them as the baseline for
-    /// [`SimComm::schedule_from`], so the collective's hop plan is
-    /// charged from post time and communication that fits under the
-    /// compute between post and `wait` is hidden. `None` (the
-    /// blocking-path value) means "the schedule started at the
-    /// rank's current clock"; when every baseline equals the current
-    /// clock bit-for-bit the completer dispatches to the plain
-    /// [`SimComm::schedule`], so fault-free runs with no intervening
-    /// compute stay bit-identical to the blocking path.
+    /// nonblocking collective ([`ThreadedComm::ibcast`]): the closing
+    /// barrier's completer charges the collective's hop plan from
+    /// them, so communication that fits under the compute between
+    /// post and `wait` is hidden. `None` (the blocking-path value)
+    /// starts the rank's part at its current clock.
     overlap_base: Vec<Option<f64>>,
     /// Per-rank "a collective request is outstanding" flags. The
     /// barrier generation can only carry one collective per rank at a
@@ -640,17 +565,8 @@ pub(crate) struct PlaneState {
     /// ([`RuntimeError::RequestBusy`]) instead of a corrupted
     /// rendezvous.
     coll_pending: Vec<bool>,
-    ops: Vec<u64>,
-    delay_counts: Vec<u64>,
-    drop_counts: Vec<u64>,
-    /// Per-rank wall-clock deadline of the operation currently in
-    /// flight, anchored at `op_begin` (after any straggler charge).
-    /// Every blocking wait inside the same operation measures against
-    /// this one instant — a collective whose data phase needs several
-    /// sequential receives gets *one* deadline for the whole
-    /// operation, not one per receive — matching the anchoring `§8`
-    /// pins for nonblocking requests and shared verbatim by the
-    /// threaded and TCP backends.
+    /// Per-rank wall-clock deadline of the operation in flight (see
+    /// `ThreadedComm::op_deadline_at`).
     op_deadline: Vec<Option<Instant>>,
     /// Count of condvar notifications, bumped under this lock by
     /// [`Plane::notify`]. A waiter that cannot hold the lock from its
@@ -660,19 +576,12 @@ pub(crate) struct PlaneState {
     pub(crate) wake_seq: u64,
 }
 
-impl PlaneState {
-    pub(crate) fn live_count(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-}
-
 pub(crate) struct Plane {
     pub(crate) size: usize,
     pub(crate) state: Mutex<PlaneState>,
     pub(crate) cv: Condvar,
-    mode: ClockMode,
+    /// The virtual clocks of the sim backend; `None` runs on wall clocks.
     sim: Option<Mutex<SimComm>>,
-    pub(crate) plan: FaultPlan,
     pub(crate) deadline: Duration,
     pub(crate) deadline_secs: f64,
     pub(crate) sink: Arc<dyn TraceSink>,
@@ -696,87 +605,36 @@ impl Plane {
         self.cv.notify_all();
     }
 
-    pub(crate) fn fault(&self, rank: usize, kind: &str, peer: i64, attempt: u32, seconds: f64) {
-        fupermod_core::telemetry::record_fault(kind);
-        self.sink.record(&TraceEvent::Fault {
-            rank,
-            kind: kind.to_owned(),
-            peer,
-            attempt,
-            seconds,
-        });
-    }
-
-    /// Completes the current barrier generation: applies the pending
-    /// virtual-time charge (while holding the state lock, so charges
-    /// form one deterministic sequence) and wakes everyone. Over TCP,
-    /// where only the hub completes, the joined clock uses the hub's
-    /// per-rank Lamport views, which at completion time hold each live
-    /// peer's clock as stamped on its ARRIVE frame — exactly the value
-    /// the in-process join reads, so fault-free stamps stay identical
-    /// across backends.
+    /// Completes the current barrier generation: closes it in the
+    /// ledger, applies the deposited charge (while holding the state
+    /// lock, so charges form one deterministic sequence) and wakes
+    /// everyone. Over TCP, where only the hub completes, the joined
+    /// clock uses the hub's per-rank Lamport views, which at completion
+    /// time hold each live peer's clock as stamped on its ARRIVE frame
+    /// — exactly the value the in-process join reads, so fault-free
+    /// stamps stay identical across backends.
     fn complete_generation(&self, st: &mut PlaneState) {
         st.arrived = 0;
-        st.generation = st.generation.wrapping_add(1);
-        // Lamport join (schema v3): a completed barrier generation is
-        // a causal rendezvous of every live rank, so all live clocks
-        // jump to `max + 1` — symmetric in the completer, hence
-        // independent of *which* rank happened to arrive last.
-        let join = st.lamport.iter().copied().max().unwrap_or(0).wrapping_add(1);
-        for (c, &dead) in st.lamport.iter_mut().zip(&st.dead) {
-            if !dead {
-                *c = join;
-            }
-        }
-        // One write, under the lock, by the single completing rank:
-        // the membership agreement every schedule of the next
-        // generation is built from.
-        for (agreed, &dead) in st.agreed_alive.iter_mut().zip(&st.dead) {
-            *agreed = !dead;
-        }
+        let (join, charge) = st.ledger.close_generation();
         // No sim over TCP: a deposited charge has nothing to bill.
-        if let Some(charge) = st.pending_charge.take() {
-            if let Some(sim) = &self.sim {
-                let mut sim = sim.lock().expect("sim poisoned");
-                if st.overlap_base.iter().any(Option::is_some) {
-                    // At least one rank posted this collective
-                    // nonblocking: charge the hop plan from the
-                    // post-time baselines, so communication hidden
-                    // under compute costs no virtual time. A rank
-                    // with no snapshot (blocking participant, or a
-                    // post with no intervening compute) starts at its
-                    // current clock; when *every* baseline equals the
-                    // current clock the plain `schedule` path keeps
-                    // the charge bit-identical to the blocking one.
-                    let baseline: Vec<f64> = st
-                        .overlap_base
-                        .iter()
-                        .enumerate()
-                        .map(|(r, b)| b.unwrap_or_else(|| sim.time(r)))
-                        .collect();
-                    let unmoved = baseline
-                        .iter()
-                        .enumerate()
-                        .all(|(r, b)| b.to_bits() == sim.time(r).to_bits());
-                    if unmoved {
-                        sim.schedule(&charge.rounds)
-                    } else {
-                        sim.schedule_from(&baseline, &charge.rounds)
-                    }
-                    .expect("schedule hops use valid distinct ranks by construction");
-                } else {
-                    sim.schedule(&charge.rounds)
-                        .expect("schedule hops use valid distinct ranks by construction");
-                }
-            }
+        if let (Some(charge), Some(sim)) = (charge, &self.sim) {
+            let mut sim = sim.lock().expect("sim poisoned");
+            // A rank that posted this collective nonblocking is
+            // charged from its post-time clock; the others start at
+            // their current clocks, which charges them as `None` does.
+            let baseline: Option<Vec<f64>> =
+                st.overlap_base.iter().any(Option::is_some).then(|| {
+                    let at = |(r, b): (usize, &Option<f64>)| b.unwrap_or_else(|| sim.time(r));
+                    st.overlap_base.iter().enumerate().map(at).collect()
+                });
+            charge.apply(&mut sim, baseline.as_deref());
         }
         // The baselines belong to the generation that just closed;
         // never let them leak into the next collective's charge.
-        for b in st.overlap_base.iter_mut() {
-            *b = None;
-        }
+        st.overlap_base.fill(None);
         if let Some(net) = &self.net {
-            net.broadcast_release(st.generation, join, &st.agreed_alive, &st.dead);
+            let l = &st.ledger;
+            net.broadcast_release(l.generation, join, &l.agreed_alive, &l.dead);
         }
         self.notify(st);
     }
@@ -790,7 +648,7 @@ impl Plane {
     /// a RELEASE frame carrying the joined Lamport clock and the new
     /// agreed membership.
     pub(crate) fn maybe_complete(&self, st: &mut PlaneState) -> bool {
-        if st.arrived == 0 || st.arrived < st.live_count() {
+        if st.arrived == 0 || st.arrived < st.ledger.live_count() {
             return false;
         }
         self.complete_generation(st);
@@ -800,12 +658,10 @@ impl Plane {
     /// Marks `rank` dead (fail-stop), completes a barrier the death
     /// unblocks, and wakes every waiter.
     pub(crate) fn mark_dead(&self, st: &mut PlaneState, rank: usize) {
-        if st.dead[rank] {
-            return;
+        if st.ledger.kill(rank) {
+            self.maybe_complete(st);
+            self.notify(st);
         }
-        st.dead[rank] = true;
-        self.maybe_complete(st);
-        self.notify(st);
     }
 
     /// Charges `seconds` of injected latency to `rank`: virtual time
@@ -815,17 +671,9 @@ impl Plane {
         if seconds <= 0.0 {
             return;
         }
-        match self.mode {
-            ClockMode::Sim => {
-                if let Some(sim) = &self.sim {
-                    sim.lock().expect("sim poisoned").advance(rank, seconds);
-                }
-            }
-            ClockMode::Wall => {
-                std::thread::sleep(Duration::from_secs_f64(
-                    seconds.min(MAX_WALL_SLEEP_SECS),
-                ));
-            }
+        match &self.sim {
+            Some(sim) => sim.lock().expect("sim poisoned").advance(rank, seconds),
+            None => std::thread::sleep(Duration::from_secs_f64(seconds.min(MAX_WALL_SLEEP_SECS))),
         }
     }
 }
@@ -899,12 +747,12 @@ impl ThreadedComm {
         let Ok(mut st) = self.plane.state.lock() else {
             return;
         };
-        if st.dead[self.rank] {
+        if st.ledger.dead[self.rank] {
             return;
         }
         self.plane.mark_dead(&mut st, self.rank);
         drop(st);
-        self.plane.fault(self.rank, "disconnect", -1, 0, 0.0);
+        fault(&*self.plane.sink, self.rank, "disconnect", -1, 0, 0.0);
     }
 
     /// Whether `error` is this rank's failure: anything but a peer's
@@ -924,56 +772,29 @@ impl ThreadedComm {
     }
 
     fn check_rank(&self, op: &'static str, rank: usize) -> Result<(), RuntimeError> {
-        if rank >= self.plane.size {
-            return self.noted(Err(RuntimeError::InvalidRank {
-                op,
-                rank,
-                size: self.plane.size,
-            }));
-        }
-        Ok(())
+        self.noted(ledger::check_rank(op, rank, self.plane.size))
     }
 
-    /// Common op prologue: self-death check, op counting, scheduled
-    /// death, straggler latency. Returns the start stamps.
+    /// Common op prologue: the ledger's op begin under the lock, then
+    /// the straggler latency. Returns the start stamps.
     fn op_begin(&self, op: &'static str) -> Result<OpStart, RuntimeError> {
-        let plane = &self.plane;
-        let gen;
-        {
-            let mut st = plane.lock();
-            if st.dead[self.rank] {
-                return Err(RuntimeError::RankDead {
-                    op,
-                    rank: self.rank,
-                });
+        let (plane, rank) = (&self.plane, self.rank);
+        let mut st = plane.lock();
+        let (gen, straggle) = match st.ledger.begin(rank) {
+            Begin::Run { gen, straggle } => (gen, straggle),
+            Begin::Dead => return Err(RuntimeError::RankDead { op, rank }),
+            Begin::Dies => {
+                plane.mark_dead(&mut st, rank);
+                return Err(RuntimeError::RankDead { op, rank });
             }
-            st.ops[self.rank] += 1;
-            // Lamport tick: every operation is an event on its rank's
-            // clock (schema v3).
-            st.lamport[self.rank] = st.lamport[self.rank].wrapping_add(1);
-            gen = st.generation;
-            if let Some(after) = plane.plan.death_after(self.rank) {
-                if st.ops[self.rank] > after {
-                    plane.mark_dead(&mut st, self.rank);
-                    drop(st);
-                    plane.fault(self.rank, "death", -1, 0, 0.0);
-                    return Err(RuntimeError::RankDead {
-                        op,
-                        rank: self.rank,
-                    });
-                }
-            }
-        }
-        let straggle = plane.plan.straggler_comm_seconds(self.rank);
-        if straggle > 0.0 {
-            plane.fault(self.rank, "straggler", -1, 0, straggle);
-            plane.charge_latency(self.rank, straggle);
-        }
+        };
+        drop(st);
+        plane.charge_latency(rank, straggle);
         // Anchor the operation's one wall-clock deadline *after* the
         // straggler charge, so injected latency does not eat into the
         // budget the operation's blocking waits share.
         let wall = Instant::now();
-        plane.lock().op_deadline[self.rank] = Some(wall + plane.deadline);
+        plane.lock().op_deadline[rank] = Some(wall + plane.deadline);
         Ok(OpStart {
             wall,
             virt: self.virtual_time().unwrap_or(0.0),
@@ -994,11 +815,8 @@ impl ThreadedComm {
             .unwrap_or_else(|| Instant::now() + self.plane.deadline)
     }
 
-    /// Common op epilogue: emits the `comm` trace event with the
-    /// schema-v2 addendum `algorithm`/`rounds` fields describing the
-    /// schedule that carried the operation and the schema-v3 causal
-    /// `lamport`/`gen` stamps; also feeds the per-op latency
-    /// histogram ([`fupermod_core::telemetry::record_comm`]).
+    /// Common op epilogue: the `comm` trace event of the schedule that
+    /// carried the operation ([`ledger::comm`]).
     #[allow(clippy::too_many_arguments)] // one flat epilogue beats a one-shot struct
     fn op_end(
         &self,
@@ -1010,23 +828,15 @@ impl ThreadedComm {
         rounds: u64,
         gen: u64,
     ) {
-        let seconds = match self.plane.mode {
-            ClockMode::Wall => start.wall.elapsed().as_secs_f64(),
-            ClockMode::Sim => self.virtual_time().unwrap_or(0.0) - start.virt,
+        let seconds = match self.virtual_time() {
+            Some(now) => now - start.virt,
+            None => start.wall.elapsed().as_secs_f64(),
         };
-        let lamport = self.plane.lock().lamport[self.rank];
-        fupermod_core::telemetry::record_comm(op, seconds);
-        self.plane.sink.record(&TraceEvent::Comm {
-            rank: self.rank,
-            op: op.to_owned(),
-            peer,
-            bytes,
-            seconds,
-            algorithm: algorithm.to_owned(),
-            rounds,
-            lamport,
-            gen,
-        });
+        let lamport = self.plane.lock().ledger.lamport[self.rank];
+        let sink = &*self.plane.sink;
+        ledger::comm(
+            sink, self.rank, op, peer, bytes, seconds, algorithm, rounds, lamport, gen,
+        );
     }
 
     /// Fail-stop on a deadline violation. Over TCP the dying rank
@@ -1038,16 +848,16 @@ impl ThreadedComm {
         if let Some(net) = &self.plane.net {
             net.send_bye_all();
         }
-        self.plane
-            .fault(self.rank, "timeout", -1, 0, self.plane.deadline_secs);
+        let deadline = self.plane.deadline_secs;
+        fault(&*self.plane.sink, self.rank, "timeout", -1, 0, deadline);
         RuntimeError::Timeout {
             op,
             rank: self.rank,
-            deadline: self.plane.deadline_secs,
+            deadline,
         }
     }
 
-    /// Enqueues `bytes` to `dst`, evaluating drop and delay rules.
+    /// Enqueues `bytes` to `dst` under the ledger's send verdict.
     /// Does not charge virtual time (p2p charges happen at delivery;
     /// collective data phases are charged by their closing barrier).
     ///
@@ -1076,81 +886,44 @@ impl ThreadedComm {
     ) -> Result<(), RuntimeError> {
         let plane = &self.plane;
         let mut attempt: u32 = 0;
-        loop {
+        let (mut st, stamp, delay) = loop {
             let mut st = plane.lock();
-            if st.dead[self.rank] {
-                return Err(RuntimeError::RankDead {
-                    op,
-                    rank: self.rank,
-                });
-            }
-            if st.dead[dst] {
-                return Err(RuntimeError::RankDead { op, rank: dst });
-            }
-            let dropped = plane
-                .plan
-                .drop_verdict(&mut st.drop_counts, self.rank, dst, attempt);
-            if let Some((max_retries, backoff)) = dropped {
-                drop(st);
-                plane.fault(self.rank, "drop", dst as i64, attempt, 0.0);
-                if attempt >= max_retries {
-                    return Err(RuntimeError::RetriesExhausted {
-                        op,
-                        src: self.rank,
-                        dst,
-                        attempts: attempt + 1,
-                    });
-                }
-                attempt += 1;
-                plane.fault(self.rank, "retry", dst as i64, attempt, backoff);
-                plane.charge_latency(self.rank, backoff);
-                continue;
-            }
-            let delay = plane
-                .plan
-                .delay_seconds(&mut st.delay_counts, self.rank, dst);
-            // Causal stamp: the sender's clock at enqueue time,
-            // merged by the receiver at delivery.
-            let stamp = st.lamport[self.rank];
-            // Remote destination: the envelope travels as a DATA
-            // frame (stamp and generation in the header) and the
-            // peer's reader thread re-materialises it in the
-            // destination mailbox. Fault rules were already evaluated
-            // above — injection is sender-side over TCP.
-            if let Some(net) = &plane.net {
-                if dst != self.rank {
-                    let gen = st.generation;
+            match st.ledger.send(op, self.rank, dst, attempt) {
+                Verdict::Deliver { stamp, delay } => break (st, stamp, delay),
+                Verdict::Retry { backoff } => {
                     drop(st);
-                    if delay > 0.0 {
-                        plane.fault(self.rank, "delay", dst as i64, 0, delay);
-                    }
-                    return match net.send_data(dst, stamp, gen, delay, &bytes) {
-                        Ok(()) => Ok(()),
-                        Err(_) => {
-                            let mut st = plane.lock();
-                            plane.mark_dead(&mut st, dst);
-                            drop(st);
-                            plane.fault(self.rank, "disconnect", dst as i64, 0, 0.0);
-                            Err(RuntimeError::RankDead { op, rank: dst })
-                        }
-                    };
+                    plane.charge_latency(self.rank, backoff);
+                    attempt += 1;
                 }
+                Verdict::Failed(e) => return Err(e),
             }
-            st.mail[dst].push_back(Envelope {
-                src: self.rank,
-                bytes: bytes.into_owned(),
-                delay,
-                sent_at: Instant::now(),
-                lamport: stamp,
-                vready,
-            });
-            plane.notify(&mut st);
+        };
+        // Remote destination: the envelope travels as a DATA frame
+        // (stamp and generation in the header) and the peer's reader
+        // thread re-materialises it in the destination mailbox. Fault
+        // rules were already evaluated — injection is sender-side over
+        // TCP.
+        if let Some(net) = plane.net.as_ref().filter(|_| dst != self.rank) {
+            let gen = st.ledger.generation;
             drop(st);
-            if delay > 0.0 {
-                plane.fault(self.rank, "delay", dst as i64, 0, delay);
-            }
-            return Ok(());
+            return net.send_data(dst, stamp, gen, delay, &bytes).map_err(|_| {
+                let mut st = plane.lock();
+                plane.mark_dead(&mut st, dst);
+                drop(st);
+                fault(&*plane.sink, self.rank, "disconnect", dst as i64, 0, 0.0);
+                RuntimeError::RankDead { op, rank: dst }
+            });
         }
+        st.mail[dst].push_back(Envelope {
+            src: self.rank,
+            bytes: bytes.into_owned(),
+            delay,
+            sent_at: Instant::now(),
+            lamport: stamp,
+            vready,
+        });
+        plane.notify(&mut st);
+        Ok(())
     }
 
     /// Earliest remaining time until a delay-held message for this
@@ -1160,7 +933,7 @@ impl ThreadedComm {
     /// held message is pending (sim mode delivers immediately, so it
     /// never holds any).
     fn next_delay_wakeup(&self, st: &PlaneState) -> Option<Duration> {
-        if matches!(self.plane.mode, ClockMode::Sim) {
+        if self.plane.sim.is_some() {
             return None;
         }
         st.mail[self.rank]
@@ -1193,45 +966,31 @@ impl ThreadedComm {
     ) -> Result<Option<Vec<u8>>, RuntimeError> {
         let plane = &self.plane;
         let mut st = plane.lock();
-        if st.dead[self.rank] {
+        if st.ledger.dead[self.rank] {
             return Err(RuntimeError::RankDead {
                 op,
                 rank: self.rank,
             });
         }
         if let Some(idx) = st.mail[self.rank].iter().position(|e| e.src == src) {
-            let ready = match plane.mode {
-                ClockMode::Sim => true,
-                ClockMode::Wall => {
-                    let env = &st.mail[self.rank][idx];
-                    env.delay <= 0.0 || env.sent_at.elapsed().as_secs_f64() >= env.delay
-                }
-            };
-            if !ready {
+            let env = &st.mail[self.rank][idx];
+            let held = env.delay > 0.0 && env.sent_at.elapsed().as_secs_f64() < env.delay;
+            if held && plane.sim.is_none() {
                 return Ok(None);
             }
             let env = st.mail[self.rank].remove(idx).expect("index just found");
-            // Lamport merge: receipt happens-after the send, so the
-            // receiver's clock jumps past the stamp.
-            st.lamport[self.rank] = st.lamport[self.rank].max(env.lamport.wrapping_add(1));
-            drop(st);
-            if let Some(sim) = &plane.sim {
-                let mut sim = sim.lock().expect("sim poisoned");
-                if charge_p2p {
-                    match env.vready {
-                        // The sender was charged at post time; only
-                        // the receiver's clock moves at delivery.
-                        Some(ready_at) => sim.arrive(self.rank, ready_at),
-                        None => sim.send(src, self.rank, env.bytes.len() as f64),
-                    }
-                }
-                if env.delay > 0.0 {
-                    sim.advance(self.rank, env.delay);
-                }
-            }
+            let hop = charge_p2p.then_some(Hop {
+                src,
+                bytes: env.bytes.len(),
+                vready: env.vready,
+            });
+            // Lock order: plane state, then sim.
+            let mut sim = plane.sim.as_ref().map(|s| s.lock().expect("sim poisoned"));
+            st.ledger
+                .deliver(sim.as_deref_mut(), self.rank, env.lamport, env.delay, hop);
             return Ok(Some(env.bytes));
         }
-        if st.dead[src] {
+        if st.ledger.dead[src] {
             return Err(RuntimeError::RankDead { op, rank: src });
         }
         Ok(None)
@@ -1266,35 +1025,33 @@ impl ThreadedComm {
     ) -> Result<u64, RuntimeError> {
         let plane = &self.plane;
         let mut st = plane.lock();
-        if st.dead[self.rank] {
+        if st.ledger.dead[self.rank] {
             return Err(RuntimeError::RankDead {
                 op,
                 rank: self.rank,
             });
         }
         if let Some(charge) = default_charge {
-            if st.pending_charge.is_none() {
-                st.pending_charge = Some(charge);
-            }
+            st.ledger.offer(charge);
         }
-        let gen = st.generation;
+        let gen = st.ledger.generation;
         if let Some(net) = &plane.net {
             // TCP barrier: arrivals rendezvous at the hub (the lowest
             // agreed-live rank — the same rank the hub collective
             // schedules route through). The hub counts its own
             // arrival locally; everyone else announces theirs with an
             // ARRIVE frame stamped with the current Lamport clock.
-            let hub = crate::net::hub_of(&st.agreed_alive);
+            let hub = crate::net::hub_of(&st.ledger.agreed_alive);
             if self.rank == hub {
                 st.arrived += 1;
                 plane.maybe_complete(&mut st);
             } else {
-                let stamp = st.lamport[self.rank];
+                let stamp = st.ledger.lamport[self.rank];
                 net.send_arrive(hub, gen, stamp);
             }
         } else {
             st.arrived += 1;
-            if st.arrived >= st.live_count() {
+            if st.arrived >= st.ledger.live_count() {
                 plane.complete_generation(&mut st);
             }
         }
@@ -1314,7 +1071,7 @@ impl ThreadedComm {
         let plane = &self.plane;
         let mut st = plane.lock();
         loop {
-            if st.generation != gen {
+            if st.ledger.generation != gen {
                 return Ok(gen);
             }
             if plane.maybe_complete(&mut st) {
@@ -1340,7 +1097,7 @@ impl ThreadedComm {
     fn barrier_done(&self, gen: u64) -> bool {
         let plane = &self.plane;
         let mut st = plane.lock();
-        if st.generation != gen {
+        if st.ledger.generation != gen {
             return true;
         }
         plane.maybe_complete(&mut st)
@@ -1351,7 +1108,7 @@ impl ThreadedComm {
     fn deposit(&self, charge: Charge) {
         if self.plane.sim.is_some() {
             let mut st = self.plane.lock();
-            st.pending_charge = Some(charge);
+            st.ledger.deposit(charge);
         }
     }
 
@@ -1372,13 +1129,12 @@ impl ThreadedComm {
 
     /// The rank list every schedule of the current barrier generation
     /// is built over: the membership recorded at the last completed
-    /// generation (see [`PlaneState::agreed_alive`]). Ascending, and
+    /// generation (see [`Ledger::agreed_alive`]). Ascending, and
     /// identical on every rank of the generation — deaths that land
     /// *after* the agreement degrade edges of this fixed structure
     /// instead of re-shaping it divergently.
     fn agreed_live(&self) -> Vec<usize> {
-        let st = self.plane.lock();
-        Self::live_list(&st.agreed_alive)
+        self.plane.lock().ledger.agreed_live()
     }
 
     /// Position of this rank in the agreed live list. A rank that
@@ -1413,16 +1169,6 @@ impl ThreadedComm {
         let vi = self.agreed_pos(op, &tree)?;
         Ok((tree, vi))
     }
-
-    /// Live ranks of a snapshot, ascending (used to build charges
-    /// that skip dead edges).
-    fn live_list(alive: &[bool]) -> Vec<usize> {
-        alive
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &a)| a.then_some(r))
-            .collect()
-    }
 }
 
 impl Communicator for ThreadedComm {
@@ -1435,8 +1181,7 @@ impl Communicator for ThreadedComm {
     }
 
     fn alive(&self) -> Vec<bool> {
-        let st = self.plane.lock();
-        st.dead.iter().map(|&d| !d).collect()
+        self.plane.lock().ledger.alive()
     }
 
     fn send<T: Wire>(&mut self, dst: usize, value: &T) -> Result<(), RuntimeError> {
@@ -1479,20 +1224,9 @@ impl Communicator for ThreadedComm {
         // arriving rank offers its charge; the first deposit wins —
         // built over the agreed membership, so it is identical on
         // every rank of the generation.
-        let live = self.agreed_live();
-        let rounds = match resolved {
-            Resolved::Hub => {
-                let hub = live[0];
-                let zeros = vec![0u64; live.len()];
-                vec![
-                    collective::star_gather_round(&live, hub, &zeros),
-                    collective::star_scatter_round(&live, hub, &zeros),
-                ]
-            }
-            Resolved::Ring | Resolved::Tree => collective::barrier_tree_rounds(&live),
-        };
+        let rounds = collective::barrier_rounds(resolved, &self.agreed_live());
         let n_rounds = rounds.len() as u64;
-        let gen = self.noted(self.raw_barrier(OP, Some(charge_of(&rounds))))?;
+        let gen = self.noted(self.raw_barrier(OP, Some(Charge::of(&rounds))))?;
         self.op_end(OP, -1, 0, &start, resolved.name(), n_rounds, gen);
         Ok(())
     }

@@ -27,10 +27,9 @@
 //! * [`BcastRequest`] is a split collective: the closing barrier of
 //!   the underlying BSP collective is joined at post (root
 //!   broadcast) or during `wait`/`test`, and the
-//!   virtual-time hop plan is charged **from the post-time clocks**
-//!   ([`SimComm::schedule_from`](fupermod_platform::comm::SimComm))
-//!   when `wait` happens after intervening compute — communication
-//!   that fits under the compute costs no virtual time. Dropping it
+//!   virtual-time hop plan is charged **from the post-time clocks**,
+//!   so communication that fits under compute between post and
+//!   `wait` costs no virtual time. Dropping it
 //!   without `wait` completes it silently (result discarded), so
 //!   peers never deadlock at the closing barrier.
 //!
@@ -86,7 +85,8 @@ use crate::collective::{self, fold_slots, Resolved, Rounds, Slots};
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
-use super::{charge_of, OpStart, ReduceOp, ThreadedComm};
+use super::{OpStart, ReduceOp, ThreadedComm};
+use crate::ledger::Charge;
 
 /// A nonblocking operation in flight. Consume it with
 /// [`wait`](Request::wait) (block until complete) or
@@ -455,7 +455,7 @@ impl DataPhase for Bcast {
                 }
                 let lens = vec![bytes.len() as u64; live.len()];
                 let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(charge_of(&rounds));
+                comm.deposit(Charge::of(&rounds));
                 *moved = bytes.len() as u64;
                 Ok(Poll::Ready(bytes))
             }
@@ -486,7 +486,7 @@ impl DataPhase for Bcast {
                 }
                 if vi == 0 {
                     let rounds = collective::bcast_rounds(&tree, 0, msg.len() as u64);
-                    comm.deposit(charge_of(&rounds));
+                    comm.deposit(Charge::of(&rounds));
                 }
                 *moved = msg.len() as u64;
                 // `None`: somewhere on the root-to-here path a rank
@@ -570,7 +570,7 @@ impl DataPhase for Scatter {
                 }
                 let lens: Vec<u64> = live.iter().map(|&r| parts[r].len() as u64).collect();
                 let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(charge_of(&rounds));
+                comm.deposit(Charge::of(&rounds));
                 Ok(Poll::Ready(mem::take(&mut parts[comm.rank])))
             }
             (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root, false)? {
@@ -590,7 +590,7 @@ impl DataPhase for Scatter {
                         let lens_by_vi: Vec<u64> =
                             tree.iter().map(|&r| parts[r].len() as u64).collect();
                         let rounds = collective::scatterv_rounds(size, &tree, 0, &lens_by_vi);
-                        comm.deposit(charge_of(&rounds));
+                        comm.deposit(Charge::of(&rounds));
                         parts.into_iter().map(Some).collect()
                     }
                     (None, parent_vi) => {
@@ -678,7 +678,7 @@ impl DataPhase for Gather {
             let lens: Vec<u64> = live.iter().map(|&r| slot_len(&self.held[r])).collect();
             *moved = own_len + lens.iter().sum::<u64>();
             let rounds = vec![collective::star_gather_round(&live, self.root, &lens)];
-            comm.deposit(charge_of(&rounds));
+            comm.deposit(Charge::of(&rounds));
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         }
         // Ring/tree: the reverse binomial tree. Every rank merges its
@@ -701,7 +701,7 @@ impl DataPhase for Gather {
         let Some(parent_vi) = collective::binomial_parent(vi) else {
             let lens_by_vi: Vec<u64> = tree.iter().map(|&r| slot_len(&self.held[r])).collect();
             let rounds = collective::gatherv_rounds(size, &tree, 0, &lens_by_vi);
-            comm.deposit(charge_of(&rounds));
+            comm.deposit(Charge::of(&rounds));
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         };
         let msg = self.held.to_bytes();
@@ -836,7 +836,7 @@ impl Allgather {
     /// charge, every rank yields its slots.
     fn done(&mut self, comm: &ThreadedComm, rounds: impl FnOnce(&Self) -> Rounds) -> Poll<Slots> {
         if comm.rank == self.live[0] {
-            comm.deposit(charge_of(&rounds(self)));
+            comm.deposit(Charge::of(&rounds(self)));
         }
         Poll::Ready(mem::take(&mut self.held))
     }
@@ -1084,7 +1084,7 @@ impl DataPhase for HubReduce {
             collective::star_gather_round(&live, hub, &lens),
             collective::star_scatter_round(&live, hub, &lens),
         ];
-        comm.deposit(charge_of(&rounds));
+        comm.deposit(Charge::of(&rounds));
         *moved = 8 * live.len() as u64;
         Ok(Poll::Ready(folded))
     }

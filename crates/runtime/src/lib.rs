@@ -49,6 +49,7 @@ pub mod comm;
 pub mod error;
 pub mod executor;
 pub mod fault;
+mod ledger;
 pub mod net;
 pub mod sim;
 pub mod wire;

@@ -260,7 +260,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
     match f.kind {
         FrameKind::Data => {
             let mut st = plane.lock();
-            st.lamport[src] = st.lamport[src].max(f.lamport);
+            st.ledger.lamport[src] = st.ledger.lamport[src].max(f.lamport);
             st.mail[local].push_back(crate::comm::Envelope {
                 src,
                 bytes: f.payload,
@@ -274,7 +274,7 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
         }
         FrameKind::Arrive => {
             let mut st = plane.lock();
-            st.lamport[src] = st.lamport[src].max(f.lamport);
+            st.ledger.lamport[src] = st.ledger.lamport[src].max(f.lamport);
             st.arrived += 1;
             plane.maybe_complete(&mut st);
             plane.notify(&mut st);
@@ -285,21 +285,21 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
                 return false;
             };
             let mut st = plane.lock();
-            if bitmap.len() != st.dead.len() {
+            if bitmap.len() != st.ledger.dead.len() {
                 return false;
             }
-            st.generation = f.gen;
+            st.ledger.generation = f.gen;
             st.arrived = 0;
             for (r, &alive) in bitmap.iter().enumerate() {
                 if !alive {
-                    st.dead[r] = true;
+                    st.ledger.dead[r] = true;
                 } else {
                     // The joined clock, exactly as the in-process
                     // completer writes it for every live rank.
-                    st.lamport[r] = st.lamport[r].max(f.lamport);
+                    st.ledger.lamport[r] = st.ledger.lamport[r].max(f.lamport);
                 }
             }
-            st.agreed_alive = bitmap;
+            st.ledger.agreed_alive = bitmap;
             plane.notify(&mut st);
             true
         }
@@ -318,13 +318,13 @@ fn apply_frame(plane: &Arc<Plane>, src: usize, f: Frame, saw_bye: &mut bool) -> 
 fn disconnect(plane: &Arc<Plane>, src: usize, graceful: bool) {
     let local = plane.net.as_ref().expect("net plane").local;
     let mut st = plane.lock();
-    if st.dead[src] {
+    if st.ledger.dead[src] {
         return;
     }
     plane.mark_dead(&mut st, src);
     drop(st);
     if !graceful {
-        plane.fault(local, "disconnect", src as i64, 0, 0.0);
+        crate::ledger::fault(&*plane.sink, local, "disconnect", src as i64, 0, 0.0);
     }
 }
 

@@ -1,7 +1,6 @@
-//! The event interpreter: per-rank state machines, the binary-heap
-//! dispatch queue, and instruction-level mirrors of the thread
-//! backend's op lifecycle (`op_begin` / `op_end` / fault-plan send
-//! rules / Lamport delivery merge / barrier-generation join).
+//! The event interpreter: per-rank state machines and the
+//! binary-heap dispatch queue over the op lifecycle every engine
+//! shares ([`crate::ledger`]).
 //!
 //! Everything here is single-threaded: a "rank" is a handful of
 //! vector slots, and the only dynamically sized state is the live
@@ -12,13 +11,14 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use fupermod_core::trace::{TraceEvent, TraceSink};
+use fupermod_core::trace::TraceSink;
 use fupermod_platform::comm::SimComm;
 
 use crate::collective::AlgorithmPolicy;
 use crate::comm::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
+use crate::ledger::{self, Begin, Hop, Ledger, Verdict};
 use crate::sim::SimEngine;
 use crate::wire::Wire;
 
@@ -26,24 +26,7 @@ use crate::wire::Wire;
 /// participating (it had already died or halted on an earlier error).
 pub type RankResults<T> = Vec<Option<Result<T, RuntimeError>>>;
 
-/// A deposited virtual-time charge, applied when the generation
-/// completes (mirror of the thread backend's `pending_charge`).
-pub(super) enum ChargeSpec {
-    /// Explicit per-round `(src, dst, bytes)` hop plan.
-    Rounds(Vec<Vec<(usize, usize, f64)>>),
-    /// Closed-form uniform ring: `rounds` rounds of `bytes`-sized
-    /// nearest-neighbour hops from bit-identical clocks
-    /// ([`SimComm::charge_uniform_ring`]).
-    UniformRing {
-        /// Framed per-hop message size, bytes.
-        bytes: f64,
-        /// Number of ring rounds.
-        rounds: usize,
-    },
-}
-
-/// One undelivered message (mirror of the thread backend's mailbox
-/// envelope).
+/// One undelivered message.
 pub(super) struct Env {
     pub(super) bytes: Vec<u8>,
     /// Injected delivery delay charged to the receiver, seconds.
@@ -55,7 +38,7 @@ pub(super) struct Env {
     pub(super) vready: Option<f64>,
 }
 
-/// Everything an op mirror needs to finish: the start stamp for the
+/// Everything an op needs to finish: the start stamp for the
 /// trace event and the generation current when the op began.
 #[derive(Clone, Copy)]
 pub struct OpStart {
@@ -82,23 +65,6 @@ pub struct RecvTicket {
     pub(super) start: OpStart,
 }
 
-/// What happened to one collective-phase send (tolerant call sites
-/// map [`SendFate::DeadDst`] to "counted but lost").
-pub(super) enum SendFate {
-    /// Enqueued: deliver with [`EventSim::deliver`].
-    Delivered {
-        /// Sender's Lamport stamp at send time.
-        stamp: u64,
-        /// Injected delivery delay, seconds.
-        delay: f64,
-    },
-    /// The destination is dead (`RankDead { rank: dst }` on the
-    /// non-tolerant paths).
-    DeadDst,
-    /// A drop rule exhausted the retry budget.
-    Exhausted(RuntimeError),
-}
-
 /// The discrete-event simulation engine: every rank of the simulated
 /// communicator as a resumable state machine, dispatched from a
 /// binary-heap event queue in `(virtual clock, rank)` order.
@@ -108,31 +74,16 @@ pub(super) enum SendFate {
 pub struct EventSim {
     pub(super) size: usize,
     pub(super) sim: SimComm,
-    pub(super) plan: FaultPlan,
-    pub(super) sink: Arc<dyn TraceSink>,
     pub(super) policy: AlgorithmPolicy,
-    /// Fail-stop flags (mirror of `PlaneState::dead`).
-    pub(super) dead: Vec<bool>,
-    /// Membership agreed at the last completed generation.
-    pub(super) agreed_alive: Vec<bool>,
-    /// Schema-v3 Lamport clocks.
-    pub(super) lamport: Vec<u64>,
-    /// Per-rank op counters (death rules fire on these).
-    pub(super) ops: Vec<u64>,
-    /// Barrier generation counter.
-    pub(super) generation: u64,
-    /// Deterministic fault-rule counters (mirror order: rule index).
-    pub(super) delay_counts: Vec<u64>,
-    pub(super) drop_counts: Vec<u64>,
-    /// Charge deposited by the current collective's electing rank.
-    pub(super) pending_charge: Option<ChargeSpec>,
+    /// The books every engine keeps (see [`crate::ledger`]).
+    pub(super) ledger: Ledger,
     /// Point-to-point mailboxes, FIFO per `(src, dst)` pair.
     pub(super) mail: HashMap<(usize, usize), VecDeque<Env>>,
     /// Which ranks are still executing their program (false once a
     /// rank's program returned an error — dead or halted).
     pub(super) running: Vec<bool>,
     /// Whether an operation of the rank has failed: returned any error
-    /// but a peer's death (the mirror of `ThreadedComm`'s flag).
+    /// but a peer's death (as `ThreadedComm`'s flag).
     pub(super) failed: Vec<bool>,
     /// Dispatched event counter (op begins/ends, deliveries,
     /// coalesced fast-path rounds) for events/sec reporting.
@@ -145,7 +96,7 @@ impl std::fmt::Debug for EventSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventSim")
             .field("size", &self.size)
-            .field("generation", &self.generation)
+            .field("generation", &self.ledger.generation)
             .field("events", &self.events)
             .finish_non_exhaustive()
     }
@@ -164,17 +115,8 @@ impl EventSim {
         Self {
             size,
             sim,
-            delay_counts: vec![0; plan.delays.len()],
-            drop_counts: vec![0; plan.drops.len()],
-            plan,
-            sink,
             policy,
-            dead: vec![false; size],
-            agreed_alive: vec![true; size],
-            lamport: vec![0; size],
-            ops: vec![0; size],
-            generation: 0,
-            pending_charge: None,
+            ledger: Ledger::new(size, plan, sink),
             mail: HashMap::new(),
             running: vec![true; size],
             failed: vec![false; size],
@@ -237,16 +179,12 @@ impl EventSim {
 
     /// Liveness snapshot.
     pub fn alive(&self) -> Vec<bool> {
-        self.dead.iter().map(|&d| !d).collect()
+        self.ledger.alive()
     }
 
     /// Ranks that have died, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
-        self.dead
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &d)| d.then_some(r))
-            .collect()
+        self.ledger.dead_ranks()
     }
 
     /// Whether `rank`'s program is still executing (alive and no op
@@ -284,65 +222,39 @@ impl EventSim {
         result
     }
 
-    // ----- op lifecycle mirrors ---------------------------------------
+    // ----- op lifecycle ------------------------------------------------
 
-    pub(super) fn fault(&self, rank: usize, kind: &str, peer: i64, attempt: u32, seconds: f64) {
-        fupermod_core::telemetry::record_fault(kind);
-        self.sink.record(&TraceEvent::Fault {
-            rank,
-            kind: kind.to_owned(),
-            peer,
-            attempt,
-            seconds,
-        });
-    }
-
-    pub(super) fn check_rank(&self, op: &'static str, rank: usize) -> Result<(), RuntimeError> {
-        if rank >= self.size {
-            return Err(RuntimeError::InvalidRank {
-                op,
-                rank,
-                size: self.size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Common op prologue mirror: self-death check, op counting,
-    /// Lamport tick, scheduled death, straggler latency.
+    /// Common op prologue: the ledger's op begin, then the straggler
+    /// latency on the rank's clock.
     pub(super) fn op_begin(
         &mut self,
         op: &'static str,
         rank: usize,
     ) -> Result<OpStart, RuntimeError> {
-        if self.dead[rank] {
-            return Err(RuntimeError::RankDead { op, rank });
-        }
-        self.events += 1;
-        self.ops[rank] += 1;
-        self.lamport[rank] = self.lamport[rank].wrapping_add(1);
-        let gen = self.generation;
-        if let Some(after) = self.plan.death_after(rank) {
-            if self.ops[rank] > after {
+        let gen = match self.ledger.begin(rank) {
+            Begin::Run { gen, straggle } => {
+                if straggle > 0.0 {
+                    self.sim.advance(rank, straggle);
+                }
+                gen
+            }
+            Begin::Dead => return Err(RuntimeError::RankDead { op, rank }),
+            Begin::Dies => {
+                self.events += 1;
                 self.mark_dead(rank);
-                self.fault(rank, "death", -1, 0, 0.0);
                 return Err(RuntimeError::RankDead { op, rank });
             }
-        }
-        let straggle = self.plan.straggler_comm_seconds(rank);
-        if straggle > 0.0 {
-            self.fault(rank, "straggler", -1, 0, straggle);
-            self.sim.advance(rank, straggle);
-        }
+        };
+        self.events += 1;
         Ok(OpStart {
             virt: self.sim.time(rank),
             gen,
         })
     }
 
-    /// Common op epilogue mirror: latency metric + schema-v3 `comm`
-    /// trace event with the rank's post-op Lamport stamp.
-    #[allow(clippy::too_many_arguments)] // one flat epilogue, mirroring the thread backend's
+    /// Common op epilogue: the `comm` trace event
+    /// ([`ledger::comm`]) with the rank's post-op Lamport stamp.
+    #[allow(clippy::too_many_arguments)] // one flat epilogue, as the thread backend's
     pub(super) fn op_end(
         &mut self,
         rank: usize,
@@ -356,29 +268,17 @@ impl EventSim {
     ) {
         self.events += 1;
         let seconds = self.sim.time(rank) - start.virt;
-        let lamport = self.lamport[rank];
-        fupermod_core::telemetry::record_comm(op, seconds);
-        self.sink.record(&TraceEvent::Comm {
-            rank,
-            op: op.to_owned(),
-            peer,
-            bytes,
-            seconds,
-            algorithm: algorithm.to_owned(),
-            rounds,
-            lamport,
-            gen,
-        });
+        let (sink, lamport) = (&*self.ledger.sink, self.ledger.lamport[rank]);
+        ledger::comm(
+            sink, rank, op, peer, bytes, seconds, algorithm, rounds, lamport, gen,
+        );
     }
 
-    /// Fail-stop mirror. (The thread backend also completes a barrier
-    /// the death unblocks; engine cohorts complete synchronously, so
-    /// there is never a half-arrived barrier to finish here.)
+    /// Fail-stop. (The thread backend also completes a barrier the
+    /// death unblocks; engine cohorts complete synchronously, so there
+    /// is never a half-arrived barrier to finish here.)
     pub(super) fn mark_dead(&mut self, rank: usize) {
-        if self.dead[rank] {
-            return;
-        }
-        self.dead[rank] = true;
+        self.ledger.kill(rank);
         self.running[rank] = false;
     }
 
@@ -386,125 +286,49 @@ impl EventSim {
     /// and traces one `disconnect`, so every peer waiting on it takes
     /// the dead-sender path. A dead rank has nothing left to leave.
     pub(super) fn leave(&mut self, rank: usize) {
-        if !self.dead[rank] {
+        if !self.ledger.dead[rank] {
             self.mark_dead(rank);
-            self.fault(rank, "disconnect", -1, 0, 0.0);
+            ledger::fault(&*self.ledger.sink, rank, "disconnect", -1, 0, 0.0);
         }
     }
 
-    /// Completes the current barrier generation: Lamport join over
-    /// all clocks (dead ones included), membership agreement, and the
-    /// deposited virtual-time charge — one deterministic sequence,
-    /// exactly as the thread backend applies them under its lock.
+    /// Closes the current barrier generation in the ledger and bills
+    /// its deposited charge.
     pub(super) fn complete_generation(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        let join = self
-            .lamport
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .wrapping_add(1);
-        for (c, &dead) in self.lamport.iter_mut().zip(&self.dead) {
-            if !dead {
-                *c = join;
-            }
-        }
-        for (agreed, &dead) in self.agreed_alive.iter_mut().zip(&self.dead) {
-            *agreed = !dead;
-        }
-        if let Some(charge) = self.pending_charge.take() {
-            match charge {
-                ChargeSpec::Rounds(rounds) => self
-                    .sim
-                    .schedule(&rounds)
-                    .expect("schedule hops use valid distinct ranks by construction"),
-                ChargeSpec::UniformRing { bytes, rounds } => {
-                    self.sim.charge_uniform_ring(bytes, rounds);
-                }
-            }
+        if let (_, Some(charge)) = self.ledger.close_generation() {
+            charge.apply(&mut self.sim, None);
         }
     }
 
-    /// Ranks agreed alive at the last completed generation, ascending.
-    pub(super) fn agreed_live(&self) -> Vec<usize> {
-        self.agreed_alive
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &alive)| alive.then_some(r))
-            .collect()
-    }
-
-    // ----- fault-plan send machinery ----------------------------------
-
-    /// The raw-send mirror: drop rules with bounded exponential
-    /// backoff (each retry re-checks death), then delay rules, then
-    /// the Lamport stamp. Deterministic rule-counter order is the
-    /// call order, which cohort dispatch fixes (docs/RUNTIME.md §9).
-    ///
-    /// Does **not** enqueue — collective paths deliver through
-    /// [`EventSim::deliver`]; the p2p paths enqueue the returned
-    /// stamp/delay as a mailbox envelope.
-    pub(super) fn send_eval(
+    /// Walks one send to the ledger's verdict, each retry's backoff
+    /// charged to the sender's clock: the sender's stamp and the
+    /// injected delay, or the error. Does **not** enqueue — collective
+    /// paths deliver through the ledger, the p2p paths enqueue a
+    /// mailbox envelope.
+    pub(super) fn send_walk(
         &mut self,
         op: &'static str,
         src: usize,
         dst: usize,
-    ) -> SendFate {
+    ) -> Result<(u64, f64), RuntimeError> {
         let mut attempt: u32 = 0;
         loop {
-            if self.dead[src] {
-                return SendFate::Exhausted(RuntimeError::RankDead { op, rank: src });
-            }
-            if self.dead[dst] {
-                return SendFate::DeadDst;
-            }
-            let dropped = self
-                .plan
-                .drop_verdict(&mut self.drop_counts, src, dst, attempt);
-            if let Some((max_retries, backoff)) = dropped {
-                self.fault(src, "drop", dst as i64, attempt, 0.0);
-                if attempt >= max_retries {
-                    return SendFate::Exhausted(RuntimeError::RetriesExhausted {
-                        op,
-                        src,
-                        dst,
-                        attempts: attempt + 1,
-                    });
+            match self.ledger.send(op, src, dst, attempt) {
+                Verdict::Deliver { stamp, delay } => return Ok((stamp, delay)),
+                Verdict::Retry { backoff } => {
+                    if backoff > 0.0 {
+                        self.sim.advance(src, backoff);
+                    }
+                    attempt += 1;
                 }
-                attempt += 1;
-                self.fault(src, "retry", dst as i64, attempt, backoff);
-                if backoff > 0.0 {
-                    self.sim.advance(src, backoff);
-                }
-                continue;
+                Verdict::Failed(e) => return Err(e),
             }
-            let delay = self.plan.delay_seconds(&mut self.delay_counts, src, dst);
-            if delay > 0.0 {
-                self.fault(src, "delay", dst as i64, 0, delay);
-            }
-            return SendFate::Delivered {
-                stamp: self.lamport[src],
-                delay,
-            };
-        }
-    }
-
-    /// Receive-side mirror for collective deliveries: Lamport merge
-    /// plus the injected-delay charge (the delivery itself is costed
-    /// by the deposited schedule, never per message).
-    pub(super) fn deliver(&mut self, dst: usize, stamp: u64, delay: f64) {
-        self.events += 1;
-        let merged = self.lamport[dst].max(stamp.wrapping_add(1));
-        self.lamport[dst] = merged;
-        if delay > 0.0 {
-            self.sim.advance(dst, delay);
         }
     }
 
     // ----- point-to-point (mailbox) paths -----------------------------
 
-    /// Raw-send mirror that enqueues into the `(src, dst)` mailbox.
+    /// A send enqueued into the `(src, dst)` mailbox.
     pub(super) fn raw_send_at(
         &mut self,
         op: &'static str,
@@ -513,59 +337,49 @@ impl EventSim {
         bytes: Vec<u8>,
         vready: Option<f64>,
     ) -> Result<(), RuntimeError> {
-        match self.send_eval(op, src, dst) {
-            SendFate::Delivered { stamp, delay } => {
-                self.events += 1;
-                self.mail.entry((src, dst)).or_default().push_back(Env {
-                    bytes,
-                    delay,
-                    lamport: stamp,
-                    vready,
-                });
-                Ok(())
-            }
-            SendFate::DeadDst => Err(RuntimeError::RankDead { op, rank: dst }),
-            SendFate::Exhausted(e) => Err(e),
-        }
+        let (stamp, delay) = self.send_walk(op, src, dst)?;
+        self.events += 1;
+        self.mail.entry((src, dst)).or_default().push_back(Env {
+            bytes,
+            delay,
+            lamport: stamp,
+            vready,
+        });
+        Ok(())
     }
 
-    /// Nonblocking-receive mirror of the thread backend's `try_take`:
-    /// FIFO per `(src, dst)` pair, Lamport merge, Hockney charge
-    /// (post-time snapshot for `isend`, fresh hop otherwise), and the
-    /// injected-delay charge. `Ok(None)` means no mail yet with the
-    /// sender still alive.
+    /// One receive attempt, FIFO per `(src, dst)` pair: the ledger's
+    /// delivery with the point-to-point hop. `Ok(None)` means no mail
+    /// yet with the sender still alive.
     pub(super) fn try_take(
         &mut self,
         op: &'static str,
         rank: usize,
         src: usize,
-        charge_p2p: bool,
     ) -> Result<Option<Vec<u8>>, RuntimeError> {
-        if self.dead[rank] {
+        if self.ledger.dead[rank] {
             return Err(RuntimeError::RankDead { op, rank });
         }
-        if let Some(env) = self.mail.get_mut(&(src, rank)).and_then(VecDeque::pop_front) {
+        let mail = self.mail.get_mut(&(src, rank));
+        if let Some(env) = mail.and_then(VecDeque::pop_front) {
             self.events += 1;
-            self.lamport[rank] = self.lamport[rank].max(env.lamport.wrapping_add(1));
-            if charge_p2p {
-                match env.vready {
-                    Some(ready) => self.sim.arrive(rank, ready),
-                    None => self.sim.send(src, rank, env.bytes.len() as f64),
-                }
-            }
-            if env.delay > 0.0 {
-                self.sim.advance(rank, env.delay);
-            }
+            let hop = Hop {
+                src,
+                bytes: env.bytes.len(),
+                vready: env.vready,
+            };
+            let (sim, hop) = (Some(&mut self.sim), Some(hop));
+            self.ledger.deliver(sim, rank, env.lamport, env.delay, hop);
             return Ok(Some(env.bytes));
         }
-        if self.dead[src] {
+        if self.ledger.dead[src] {
             return Err(RuntimeError::RankDead { op, rank: src });
         }
         Ok(None)
     }
 
-    /// Blocking-receive mirror. In virtual time a message that has
-    /// not been produced by now never will be (the engine has already
+    /// Blocking receive. In virtual time a message that has not been
+    /// produced by now never will be (the engine has already
     /// dispatched every event that could produce it), so "would
     /// block" resolves immediately to the thread backend's deadline
     /// outcome: the waiter times out and is marked dead.
@@ -574,16 +388,16 @@ impl EventSim {
         op: &'static str,
         rank: usize,
         src: usize,
-        charge_p2p: bool,
     ) -> Result<Vec<u8>, RuntimeError> {
-        match self.try_take(op, rank, src, charge_p2p)? {
+        match self.try_take(op, rank, src)? {
             Some(bytes) => Ok(bytes),
             None => {
-                let deadline = self.plan.deadline.unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
+                let deadline = self.ledger.plan.deadline;
+                let deadline = deadline.unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
                 self.mark_dead(rank);
-                // Thread mirror: the timeout fault event carries no
+                // As on threads, the timeout fault event carries no
                 // peer (the waiter only knows its own deadline fired).
-                self.fault(rank, "timeout", -1, 0, deadline);
+                ledger::fault(&*self.ledger.sink, rank, "timeout", -1, 0, deadline);
                 Err(RuntimeError::Timeout {
                     op,
                     rank,
@@ -595,7 +409,7 @@ impl EventSim {
 
     // ----- public point-to-point API ----------------------------------
 
-    /// Blocking typed send mirror.
+    /// Blocking typed send.
     ///
     /// # Errors
     ///
@@ -603,7 +417,7 @@ impl EventSim {
     /// drop retries.
     pub fn send<T: Wire>(&mut self, src: usize, dst: usize, value: &T) -> Result<(), RuntimeError> {
         const OP: &str = "send";
-        let sent = self.check_rank(OP, dst).and_then(|()| {
+        let sent = ledger::check_rank(OP, dst, self.size).and_then(|()| {
             let start = self.op_begin(OP, src)?;
             let bytes = value.to_bytes();
             let n = bytes.len() as u64;
@@ -614,7 +428,7 @@ impl EventSim {
         self.noted(src, sent)
     }
 
-    /// Blocking typed receive mirror (charges the Hockney hop cost).
+    /// Blocking typed receive (charges the Hockney hop cost).
     ///
     /// # Errors
     ///
@@ -622,9 +436,9 @@ impl EventSim {
     /// failure, or timeout when no matching message exists.
     pub fn recv<T: Wire>(&mut self, rank: usize, src: usize) -> Result<T, RuntimeError> {
         const OP: &str = "recv";
-        let received = self.check_rank(OP, src).and_then(|()| {
+        let received = ledger::check_rank(OP, src, self.size).and_then(|()| {
             let start = self.op_begin(OP, rank)?;
-            let bytes = self.blocking_take(OP, rank, src, true)?;
+            let bytes = self.blocking_take(OP, rank, src)?;
             let value = crate::wire::decode_as::<T>(OP, &bytes)?;
             let n = bytes.len() as u64;
             self.op_end(rank, OP, src as i64, n, &start, "direct", 1, start.gen);
@@ -633,7 +447,7 @@ impl EventSim {
         self.noted(rank, received)
     }
 
-    /// Nonblocking send mirror: posts the message with a post-time
+    /// Nonblocking send: posts the message with a post-time
     /// clock snapshot (the receiver is charged `max(own clock, post
     /// snapshot + hop cost)` at completion, so overlapped compute
     /// hides communication exactly as on the thread backend).
@@ -641,8 +455,8 @@ impl EventSim {
     /// # Errors
     ///
     /// As [`EventSim::send`]. Note the sender's clock advances by the
-    /// post cost even when the destination is already dead — the
-    /// mirror of the thread backend's post-before-death-check order.
+    /// post cost even when the destination is already dead: the thread
+    /// backend, too, posts before it checks for death.
     pub fn isend<T: Wire>(
         &mut self,
         src: usize,
@@ -650,7 +464,7 @@ impl EventSim {
         value: &T,
     ) -> Result<SendTicket, RuntimeError> {
         const OP: &str = "isend";
-        let posted = self.check_rank(OP, dst).and_then(|()| {
+        let posted = ledger::check_rank(OP, dst, self.size).and_then(|()| {
             let start = self.op_begin(OP, src)?;
             let bytes = value.to_bytes();
             let n = bytes.len() as u64;
@@ -680,15 +494,15 @@ impl EventSim {
         );
     }
 
-    /// Posts a nonblocking receive (mirror: posting never fails on a
-    /// dead sender — death surfaces at the wait).
+    /// Posts a nonblocking receive (posting never fails on a dead
+    /// sender — death surfaces at the wait).
     ///
     /// # Errors
     ///
     /// Invalid rank, or the receiver itself is dead.
     pub fn irecv_post(&mut self, rank: usize, src: usize) -> Result<RecvTicket, RuntimeError> {
         const OP: &str = "irecv";
-        let posted = self.check_rank(OP, src).and_then(|()| {
+        let posted = ledger::check_rank(OP, src, self.size).and_then(|()| {
             let start = self.op_begin(OP, rank)?;
             Ok(RecvTicket { rank, src, start })
         });
@@ -705,7 +519,7 @@ impl EventSim {
         const OP: &str = "irecv";
         let rank = ticket.rank;
         let received = self
-            .blocking_take(OP, rank, ticket.src, true)
+            .blocking_take(OP, rank, ticket.src)
             .and_then(|bytes| {
                 let value = crate::wire::decode_as::<T>(OP, &bytes)?;
                 let n = bytes.len() as u64;
@@ -759,17 +573,9 @@ impl EventSim {
         (cohort, failed)
     }
 
-    /// Pops the cohort in final `(clock, rank)` order for epilogue
+    /// Sorts the cohort into final `(clock, rank)` order for epilogue
     /// dispatch.
-    pub(super) fn cohort_end_order(&mut self, cohort: &[(usize, OpStart)]) -> Vec<usize> {
-        debug_assert!(self.heap.is_empty());
-        for &(rank, _) in cohort {
-            self.heap.push(Reverse(self.clock_key(rank)));
-        }
-        let mut order = Vec::with_capacity(cohort.len());
-        while let Some(Reverse((_, rank))) = self.heap.pop() {
-            order.push(rank);
-        }
-        order
+    pub(super) fn cohort_end_order(&self, cohort: &mut Cohort) {
+        cohort.sort_unstable_by_key(|&(rank, _)| self.clock_key(rank));
     }
 }

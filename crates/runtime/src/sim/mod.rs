@@ -13,17 +13,20 @@
 //!
 //! # Contract
 //!
-//! [`EventSim`] mirrors the thread backend's op lifecycle instruction
-//! for instruction: `op_begin` (op count, Lamport tick, scheduled
-//! death, straggler latency), the fault-plan send rules (drop counts,
-//! bounded exponential backoff, delivery delays), the Lamport merge at
-//! delivery, the barrier-generation join and membership agreement, the
-//! deposited collective schedule charges, and the leave of a failed
-//! rank (`docs/RUNTIME.md` §3): inside a collective when its own part
-//! fails, and at [`EventSim::halt`] after an operation failed. On
-//! fault-free plans, under fail-stop death and when a rank fails, the
-//! virtual clocks it produces are **bit-identical** to the
-//! thread-backed sim (pinned by the `event_parity` integration tests at
+//! [`EventSim`] shares the thread backend's op lifecycle rather than
+//! mirroring it: both hold the same rank ledger (`crate::ledger`), so
+//! `op_begin` (op count, Lamport tick, scheduled death, straggler
+//! latency), the fault-plan send rules (drop counts, bounded
+//! exponential backoff, delivery delays), the Lamport merge at
+//! delivery, the barrier-generation join and membership agreement and
+//! the deposited collective schedule charges are one definition each.
+//! A failed rank leaves as on threads (`docs/RUNTIME.md` §3): inside a
+//! collective when its own part fails, and at [`EventSim::halt`] after
+//! an operation failed. What the engine writes on its own are the
+//! collective schedules and their dispatch order; on fault-free plans,
+//! under fail-stop death and when a rank fails, the virtual clocks
+//! they produce are **bit-identical** to the thread-backed sim (pinned
+//! by the `event_parity` integration tests at
 //! `p ∈ {1, 3, 4, 6, 16, 64}` across `hub`/`ring`/`tree`/`auto`); at
 //! large `p` closed-form fast paths
 //! (uniform-ring charge, `O(q log q)` butterfly schedule, subtree-sum

@@ -27,7 +27,8 @@ use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
-use super::engine::{ChargeSpec, EventSim, OpStart, RankResults, SendFate};
+use super::engine::{EventSim, RankResults};
+use crate::ledger::{self, Charge};
 
 /// Per-abs-rank data-phase outcome for the cohort: the payload plus
 /// the rank's `moved` byte count for its `comm` trace event.
@@ -36,17 +37,6 @@ type PhaseResults<T> = Vec<Option<Result<(T, u64), RuntimeError>>>;
 /// `vec![None; n]` for slot types whose payload is not `Clone`.
 fn blanks<T>(n: usize) -> Vec<Option<T>> {
     (0..n).map(|_| None).collect()
-}
-
-/// Converts a pure [`collective`] schedule into a deposit-ready
-/// charge (mirror of the thread backend's `charge_of`).
-fn charge_rounds(rounds: &collective::Rounds) -> ChargeSpec {
-    ChargeSpec::Rounds(
-        rounds
-            .iter()
-            .map(|r| r.iter().map(|&(s, d, b)| (s, d, b as f64)).collect())
-            .collect(),
-    )
 }
 
 /// Encoded length of an `Option<Vec<u8>>` frame: 1 tag byte, plus
@@ -157,8 +147,8 @@ impl EventSim {
     // ----- shared driver plumbing -------------------------------------
 
     /// The frame of every collective: an out-of-range root is rejected
-    /// exactly as the thread backend's `check_rank` does, before any op
-    /// accounting; `op_begin` fires for every running rank in `(clock,
+    /// by the ledger's rank check, as on the thread backend, before any
+    /// op accounting; `op_begin` fires for every running rank in `(clock,
     /// rank)` order; `phase` runs the data phase over the cohort and
     /// returns the schedule it ran (or `None` once it has settled every
     /// cohort rank's outcome in `out`); the closing generation
@@ -177,21 +167,16 @@ impl EventSim {
     ) -> RankResults<T> {
         let size = self.size;
         let mut out: RankResults<T> = blanks(size);
-        if let Some(root) = root.filter(|&root| root >= size) {
+        if let Some(Err(invalid)) = root.map(|root| ledger::check_rank(op, root, size)) {
             for (rank, slot) in out.iter_mut().enumerate() {
                 if self.running[rank] {
-                    let invalid = RuntimeError::InvalidRank {
-                        op,
-                        rank: root,
-                        size,
-                    };
-                    *slot = Some(self.noted(rank, Err(invalid)));
+                    *slot = Some(self.noted(rank, Err(invalid.clone())));
                     self.halt(rank);
                 }
             }
             return out;
         }
-        let (members, failed) = self.begin_cohort(op);
+        let (mut members, failed) = self.begin_cohort(op);
         for (rank, e) in failed {
             out[rank] = Some(Err(e));
         }
@@ -205,7 +190,8 @@ impl EventSim {
         // A rank that is agreed-alive but no longer running would
         // deadline-stall the thread backend; the engine surfaces a
         // typed error instead (docs/RUNTIME.md §9).
-        let ghost = (0..size).find(|&r| self.agreed_alive[r] && !self.dead[r] && !in_cohort[r]);
+        let ghost = (0..size)
+            .find(|&r| self.ledger.agreed_alive[r] && !self.ledger.dead[r] && !in_cohort[r]);
         if let Some(ghost) = ghost {
             for &(r, _) in &members {
                 self.halt(r);
@@ -221,25 +207,24 @@ impl EventSim {
         };
         // The generation completes iff at least one cohort rank is
         // still alive to arrive at the closing barrier.
-        let gen = self.generation;
-        if members.iter().any(|&(r, _)| !self.dead[r]) {
+        let gen = self.ledger.generation;
+        if members.iter().any(|&(r, _)| !self.ledger.dead[r]) {
             self.complete_generation();
         }
-        let rounds = rounds(resolved, self.agreed_alive.iter().filter(|&&a| a).count());
+        let agreed = self.ledger.agreed_alive.iter().filter(|&&a| a).count();
+        let rounds = rounds(resolved, agreed);
         let peer = root.map_or(-1, |r| r as i64);
         // Epilogues in final `(clock, rank)` order: a successful rank
         // emits its `comm` trace event, an errored one ends its
         // program (the mirror of `?`-propagation ending a rank
         // closure) without one.
-        let order = self.cohort_end_order(&members);
-        let starts: HashMap<usize, OpStart> = members.iter().copied().collect();
-        for rank in order {
+        self.cohort_end_order(&mut members);
+        for (rank, start) in members {
             match results[rank]
                 .take()
                 .expect("every cohort rank has a data-phase outcome")
             {
                 Ok((value, moved)) => {
-                    let start = starts[&rank];
                     self.op_end(rank, op, peer, moved, &start, resolved.name(), rounds, gen);
                     out[rank] = Some(Ok(value));
                 }
@@ -264,15 +249,15 @@ impl EventSim {
         present: bool,
         msg_len: u64,
     ) -> Result<Option<Inflight>, RuntimeError> {
-        match self.send_eval(op, src, dst) {
-            SendFate::Delivered { stamp, delay } => Ok(Some(Inflight {
+        match self.send_walk(op, src, dst) {
+            Ok((stamp, delay)) => Ok(Some(Inflight {
                 present,
                 stamp,
                 delay,
                 msg_len,
             })),
-            SendFate::DeadDst => Ok(None),
-            SendFate::Exhausted(e) => {
+            Err(RuntimeError::RankDead { rank, .. }) if rank == dst => Ok(None),
+            Err(e) => {
                 self.leave(src);
                 Err(e)
             }
@@ -285,7 +270,9 @@ impl EventSim {
     /// no mail came (the sender died or left first).
     fn receive(&mut self, rank: usize, mail: Option<Inflight>, moved: &mut u64) -> Option<bool> {
         let m = mail?;
-        self.deliver(rank, m.stamp, m.delay);
+        self.events += 1;
+        self.ledger
+            .deliver(Some(&mut self.sim), rank, m.stamp, m.delay, None);
         *moved += m.msg_len;
         Some(m.present)
     }
@@ -332,7 +319,7 @@ impl EventSim {
         mut reached: impl FnMut(usize) -> Result<(T, u64), RuntimeError>,
     ) -> Result<(), RuntimeError> {
         for &dst in live {
-            if dst == center || self.dead[dst] {
+            if dst == center || self.ledger.dead[dst] {
                 continue;
             }
             match self.hop(op, center, dst, true, 0) {
@@ -400,33 +387,18 @@ impl EventSim {
 
     // ----- barrier ----------------------------------------------------
 
-    /// Collective barrier across all running ranks (mirror of
+    /// Collective barrier across all running ranks (as
     /// [`crate::Communicator::barrier`]).
     pub fn barrier(&mut self) -> RankResults<()> {
         let resolved = self.policy.barrier.resolve_rooted(self.size);
-        let live = self.agreed_live();
-        let rounds = match resolved {
-            Resolved::Hub => {
-                let hub = live[0];
-                let zeros = vec![0u64; live.len()];
-                vec![
-                    collective::star_gather_round(&live, hub, &zeros),
-                    collective::star_scatter_round(&live, hub, &zeros),
-                ]
-            }
-            Resolved::Ring | Resolved::Tree => collective::barrier_tree_rounds(&live),
-        };
+        let rounds = collective::barrier_rounds(resolved, &self.ledger.agreed_live());
         let n_rounds = rounds.len() as u64;
         self.collective(
             "barrier",
             None,
             |_, _| n_rounds,
             |sim, in_cohort, _| {
-                // The barrier's charge is a first-deposit-wins default,
-                // never an overwrite (raw_barrier_arrive mirror).
-                if sim.pending_charge.is_none() {
-                    sim.pending_charge = Some(charge_rounds(&rounds));
-                }
+                sim.ledger.offer(Charge::of(&rounds));
                 let phase = in_cohort
                     .iter()
                     .map(|&m| m.then_some(Ok(((), 0))))
@@ -450,7 +422,7 @@ impl EventSim {
         in_cohort: &[bool],
     ) -> PhaseResults<Arc<Slots>> {
         let mut phase: PhaseResults<Arc<Slots>> = blanks(self.size);
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         if self.size == 1 || (live.len() == 1 && resolved != Resolved::Hub) {
             // A size-1 communicator, or one agreed rank on the ring or
             // tree: the rank's held vector is just its own slot, with
@@ -485,7 +457,7 @@ impl EventSim {
     ) {
         let size = self.size;
         let hub = live[0];
-        if self.dead[hub] {
+        if self.ledger.dead[hub] {
             // Hub death is fatal for the hub schedule: every leaf's
             // non-tolerant send to it fails.
             cut_off(op, hub, in_cohort, phase);
@@ -513,7 +485,7 @@ impl EventSim {
                 collective::star_gather_round(live, hub, &in_lens),
                 collective::star_scatter_round(live, hub, &out_lens),
             ];
-            self.pending_charge = Some(charge_rounds(&rounds));
+            self.ledger.deposit(Charge::of(&rounds));
             (shared, own_len(hub) + blob_len * (live.len() as u64 - 1))
         }));
     }
@@ -541,27 +513,27 @@ impl EventSim {
         // Fast path: every round moves the same framed block between
         // clock-synchronised neighbours, so Lamports, moved bytes and
         // the deposited charge all have closed forms.
-        let uniform = self.plan.drops.is_empty()
-            && self.plan.delays.is_empty()
+        let uniform = self.ledger.plan.drops.is_empty()
+            && self.ledger.plan.delays.is_empty()
             && q == size
             && own_len.windows(2).all(|w| w[0] == w[1])
             && {
                 let t0 = self.sim.time(0).to_bits();
                 (1..size).all(|r| self.sim.time(r).to_bits() == t0)
             }
-            && self.lamport.windows(2).all(|w| w[0] == w[1]);
+            && self.ledger.lamport.windows(2).all(|w| w[0] == w[1]);
         if uniform {
             let msg = 9 + own_len[0];
             let rounds = q - 1;
-            let joined = self.lamport[0].wrapping_add(rounds as u64);
-            for c in &mut self.lamport {
+            let joined = self.ledger.lamport[0].wrapping_add(rounds as u64);
+            for c in &mut self.ledger.lamport {
                 *c = joined;
             }
             self.events += rounds as u64;
             let moved = rounds as u64 * 2 * msg;
             let slots: Slots = (0..size).map(|r| own[r].clone()).collect();
             let shared = Arc::new(slots);
-            self.pending_charge = Some(ChargeSpec::UniformRing {
+            self.ledger.deposit(Charge::UniformRing {
                 bytes: msg as f64,
                 rounds,
             });
@@ -610,7 +582,8 @@ impl EventSim {
             let lens: Vec<u64> = (0..q)
                 .map(|opos| framed_len(has[0][opos], own_len[opos]))
                 .collect();
-            self.pending_charge = Some(charge_rounds(&collective::ring_rounds(live, &lens)));
+            self.ledger
+                .deposit(Charge::of(&collective::ring_rounds(live, &lens)));
         }
         presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
@@ -637,8 +610,8 @@ impl EventSim {
             .map(|&r| own[r].as_ref().map_or(0, |b| b.len() as u64))
             .collect();
 
-        let uniform = self.plan.drops.is_empty()
-            && self.plan.delays.is_empty()
+        let uniform = self.ledger.plan.drops.is_empty()
+            && self.ledger.plan.delays.is_empty()
             && q == size
             && own_len.windows(2).all(|w| w[0] == w[1]);
         if uniform {
@@ -702,9 +675,8 @@ impl EventSim {
             let lens: Vec<u64> = (0..q)
                 .map(|o| if has[0][o] { own_len[o] } else { own_len[0] })
                 .collect();
-            self.pending_charge = Some(charge_rounds(&collective::butterfly_rounds(
-                size, live, &lens,
-            )));
+            self.ledger
+                .deposit(Charge::of(&collective::butterfly_rounds(size, live, &lens)));
         }
         presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
@@ -724,7 +696,7 @@ impl EventSim {
         let size = self.size;
         let q = live.len();
         let esl = |c: u64| 8 + size as u64 + c * (8 + m);
-        let mut lam: Vec<u64> = live.iter().map(|&r| self.lamport[r]).collect();
+        let mut lam: Vec<u64> = live.iter().map(|&r| self.ledger.lamport[r]).collect();
         let mut cnt = vec![1u64; q];
         let mut moved = vec![0u64; q];
         // Fold-in.
@@ -756,14 +728,15 @@ impl EventSim {
             lam[e] = lam[e].max(lam[core].wrapping_add(1));
         }
         for (pos, &r) in live.iter().enumerate() {
-            self.lamport[r] = lam[pos];
+            self.ledger.lamport[r] = lam[pos];
         }
         self.events += u64::from(collective::ceil_log2(q2)) + if q > q2 { 2 } else { 0 };
         let slots: Slots = (0..size).map(|r| own[r].clone()).collect();
         let shared = Arc::new(slots);
-        self.pending_charge = Some(charge_rounds(&collective::butterfly_rounds_uniform(
-            size, live, m,
-        )));
+        self.ledger
+            .deposit(Charge::of(&collective::butterfly_rounds_uniform(
+                size, live, m,
+            )));
         for (pos, &r) in live.iter().enumerate() {
             phase[r] = Some(Ok((Arc::clone(&shared), moved[pos])));
         }
@@ -874,9 +847,9 @@ impl EventSim {
     ) -> PhaseResults<f64> {
         let size = self.size;
         let mut phase: PhaseResults<f64> = blanks(size);
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let hub = live[0];
-        if self.dead[hub] {
+        if self.ledger.dead[hub] {
             cut_off(op, hub, in_cohort, &mut phase);
             return phase;
         }
@@ -892,7 +865,7 @@ impl EventSim {
                 collective::star_gather_round(&live, hub, &lens),
                 collective::star_scatter_round(&live, hub, &lens),
             ];
-            self.pending_charge = Some(charge_rounds(&rounds));
+            self.ledger.deposit(Charge::of(&rounds));
             Ok((folded, 8 * live.len() as u64))
         });
         if folded.is_err() {
@@ -992,7 +965,7 @@ impl EventSim {
     ) -> PhaseResults<Option<Slots>> {
         let size = self.size;
         let mut phase: PhaseResults<Option<Slots>> = blanks(size);
-        if self.dead[root] {
+        if self.ledger.dead[root] {
             cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
@@ -1005,7 +978,7 @@ impl EventSim {
                 phase[r] = Some(Ok((None, own_len(r))));
             }
         }
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let lens: Vec<u64> = live
             .iter()
             .map(|&r| if present[r] { own_len(r) } else { 0 })
@@ -1015,7 +988,7 @@ impl EventSim {
             .map(|r| if present[r] { own[r].clone() } else { None })
             .collect();
         let rounds = vec![collective::star_gather_round(&live, root, &lens)];
-        self.pending_charge = Some(charge_rounds(&rounds));
+        self.ledger.deposit(Charge::of(&rounds));
         phase[root] = Some(Ok((Some(slots), moved)));
         phase
     }
@@ -1033,7 +1006,7 @@ impl EventSim {
     ) -> PhaseResults<Option<Slots>> {
         let size = self.size;
         let mut phase: PhaseResults<Option<Slots>> = blanks(size);
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let q = live.len();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
             cut_off(op, root, in_cohort, &mut phase);
@@ -1089,7 +1062,7 @@ impl EventSim {
                     let lens_by_vi: Vec<u64> = (0..q)
                         .map(|v| slots[abs(v)].as_ref().map_or(0, |b| b.len() as u64))
                         .collect();
-                    self.pending_charge = Some(charge_rounds(&collective::gatherv_rounds(
+                    self.ledger.deposit(Charge::of(&collective::gatherv_rounds(
                         size,
                         &live,
                         vroot,
@@ -1136,18 +1109,18 @@ impl EventSim {
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
         let mut phase: PhaseResults<T> = blanks(self.size);
-        if self.dead[root] {
+        if self.ledger.dead[root] {
             cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let blob_len = bytes.len() as u64;
         let decoded = || decode_as::<T>(op, bytes).map(|v| (v, blob_len));
         let sent = self.star_fan_out(op, root, &live, in_cohort, &mut phase, |_| decoded());
         phase[root] = Some(sent.and_then(|()| {
             let lens = vec![blob_len; live.len()];
             let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-            self.pending_charge = Some(charge_rounds(&rounds));
+            self.ledger.deposit(Charge::of(&rounds));
             decoded()
         }));
         phase
@@ -1164,7 +1137,7 @@ impl EventSim {
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
         let mut phase: PhaseResults<T> = blanks(self.size);
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
             cut_off(op, root, in_cohort, &mut phase);
             return phase;
@@ -1174,7 +1147,7 @@ impl EventSim {
             framed_len(present, blob_len)
         });
         if let Some(Ok(_)) = reach[0] {
-            self.pending_charge = Some(charge_rounds(&collective::bcast_rounds(
+            self.ledger.deposit(Charge::of(&collective::bcast_rounds(
                 &live,
                 vroot,
                 framed_len(true, blob_len),
@@ -1247,17 +1220,17 @@ impl EventSim {
         in_cohort: &[bool],
     ) -> PhaseResults<T> {
         let mut phase: PhaseResults<T> = blanks(self.size);
-        if self.dead[root] {
+        if self.ledger.dead[root] {
             cut_off(op, root, in_cohort, &mut phase);
             return phase;
         }
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let part = |r: usize| decode_as::<T>(op, &encoded[r]).map(|v| (v, encoded[r].len() as u64));
         let sent = self.star_fan_out(op, root, &live, in_cohort, &mut phase, part);
         phase[root] = Some(sent.and_then(|()| {
             let lens: Vec<u64> = live.iter().map(|&r| encoded[r].len() as u64).collect();
             let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-            self.pending_charge = Some(charge_rounds(&rounds));
+            self.ledger.deposit(Charge::of(&rounds));
             // The root counts the bytes it pushed whether or not the
             // destination survived to take them.
             let pushed = lens.iter().sum::<u64>() - encoded[root].len() as u64;
@@ -1279,7 +1252,7 @@ impl EventSim {
     ) -> PhaseResults<T> {
         let size = self.size;
         let mut phase: PhaseResults<T> = blanks(size);
-        let live = self.agreed_live();
+        let live = self.ledger.agreed_live();
         let q = live.len();
         let Some(vroot) = live.iter().position(|&r| r == root) else {
             cut_off(op, root, in_cohort, &mut phase);
@@ -1304,7 +1277,7 @@ impl EventSim {
             // The root deposits at bundle-obtain time, before its
             // first child send (thread mirror).
             let lens_by_vi: Vec<u64> = (0..q).map(|v| encoded[abs(v)].len() as u64).collect();
-            self.pending_charge = Some(charge_rounds(&collective::scatterv_rounds(
+            self.ledger.deposit(Charge::of(&collective::scatterv_rounds(
                 size,
                 &live,
                 vroot,

@@ -248,6 +248,21 @@ const RULES: &[Rule] = &[
         bound: Bound::Lines(1),
     },
     Rule {
+        name: "one op lifecycle: only the rank ledger applies the fault plan's rules (fault.rs defines them)",
+        commit: "after 2b404f9",
+        needles: &[
+            Needle::Text("death_after("),
+            Needle::Text("straggler_comm_seconds("),
+            Needle::Text("drop_verdict("),
+            Needle::Text("delay_seconds("),
+        ],
+        roots: &["crates/runtime/src"],
+        filter: Filter::Rs,
+        lines: Lines::NonTest,
+        allowed: Some(&["crates/runtime/src/fault.rs", "crates/runtime/src/ledger.rs"]),
+        bound: Bound::Files(2),
+    },
+    Rule {
         name: "a file's tests come last: every item after the first #[cfg(test)] is gated by one",
         commit: "after b5cea3e",
         needles: &[Needle::Item],
