@@ -110,6 +110,14 @@ impl LinkModel {
     }
 }
 
+/// One planned transfer of a collective schedule: `(src, dst, bytes)`
+/// between absolute ranks.
+pub type Hop = (usize, usize, u64);
+
+/// A collective schedule: rounds of data-independent hops, executed
+/// (and charged by [`SimComm::schedule`]) in order.
+pub type Rounds = Vec<Vec<Hop>>;
+
 /// What a rank was doing during a [`TraceEvent`] interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activity {
@@ -342,7 +350,7 @@ impl SimComm {
     }
 
     /// Charges an explicit per-hop collective schedule: `rounds` is a
-    /// sequence of rounds, each a list of `(src, dst, bytes)` hops,
+    /// sequence of rounds, each a list of `(src, dst, bytes)` [`Hop`]s,
     /// whose transfers begin at `baseline` — the clocks the ranks
     /// posted a nonblocking collective at — or, with `None`, at the
     /// current clocks.
@@ -379,7 +387,7 @@ impl SimComm {
     pub fn schedule(
         &mut self,
         baseline: Option<&[f64]>,
-        rounds: &[Vec<(usize, usize, f64)>],
+        rounds: &[Vec<Hop>],
     ) -> Result<(), PlatformError> {
         let p = self.size();
         if let Some(baseline) = baseline {
@@ -398,7 +406,7 @@ impl SimComm {
         let mut recv_busy = send_busy.clone();
         for round in rounds {
             for &(src, dst, bytes) in round {
-                let cost = self.link.cost(bytes);
+                let cost = self.link.cost(bytes as f64);
                 let begin = send_busy[src].max(recv_busy[dst]);
                 let end = begin + cost;
                 send_busy[src] = end;
@@ -579,32 +587,29 @@ mod tests {
         };
         // Star fan-in: three hops into rank 0's receive port serialise.
         let mut c = SimComm::new(4, link);
-        c.schedule(None, &[vec![(1, 0, 0.0), (2, 0, 0.0), (3, 0, 0.0)]])
+        c.schedule(None, &[vec![(1, 0, 0), (2, 0, 0), (3, 0, 0)]])
             .unwrap();
         assert_eq!(c.time(0), 3.0, "hub receive port serialises");
         // Ring round: disjoint pairs proceed concurrently; a pairwise
         // exchange costs one link cost, not two.
         let mut c = SimComm::new(4, link);
-        c.schedule(
-            None,
-            &[vec![(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 0, 0.0)]],
-        )
-        .unwrap();
+        c.schedule(None, &[vec![(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]])
+            .unwrap();
         for r in 0..4 {
             assert_eq!(c.time(r), 1.0, "pipelined ring round costs one hop");
         }
         let mut c = SimComm::new(2, link);
-        c.schedule(None, &[vec![(0, 1, 0.0), (1, 0, 0.0)]]).unwrap();
+        c.schedule(None, &[vec![(0, 1, 0), (1, 0, 0)]]).unwrap();
         assert_eq!(c.max_time(), 1.0, "full-duplex exchange");
         // Rounds sequence: clocks advance between rounds.
         let mut c = SimComm::new(2, link);
-        c.schedule(None, &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+        c.schedule(None, &[vec![(0, 1, 0)], vec![(1, 0, 0)]])
             .unwrap();
         assert_eq!(c.time(0), 2.0);
         // Invalid hops are rejected.
         let mut c = SimComm::new(2, link);
-        assert!(c.schedule(None, &[vec![(0, 2, 0.0)]]).is_err());
-        assert!(c.schedule(None, &[vec![(1, 1, 0.0)]]).is_err());
+        assert!(c.schedule(None, &[vec![(0, 2, 0)]]).is_err());
+        assert!(c.schedule(None, &[vec![(1, 1, 0)]]).is_err());
     }
 
     #[test]
@@ -612,8 +617,8 @@ mod tests {
         let run = || {
             let mut c = SimComm::new(8, LinkModel::ethernet());
             c.advance(3, 1e-3);
-            let rounds: Vec<Vec<(usize, usize, f64)>> = (0..7)
-                .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100.0 + k as f64)).collect())
+            let rounds: Rounds = (0..7)
+                .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100 + k as u64)).collect())
                 .collect();
             c.schedule(None, &rounds).unwrap();
             (c.max_time(), c.comm_seconds())
@@ -631,16 +636,16 @@ mod tests {
         // floating-point additions as replaying the explicit ring hop
         // plan, at a q large enough to exercise accumulated rounding.
         let q = 600;
-        let bytes = 1234.0;
+        let bytes = 1234;
         let mut exact = SimComm::new(q, LinkModel::ethernet());
         exact.advance(0, 0.125);
         exact.barrier(); // uniform non-zero starting clocks
         let mut fast = exact.clone();
-        let rounds: Vec<Vec<(usize, usize, f64)>> = (0..q - 1)
+        let rounds: Rounds = (0..q - 1)
             .map(|_| (0..q).map(|i| (i, (i + 1) % q, bytes)).collect())
             .collect();
         exact.schedule(None, &rounds).unwrap();
-        fast.charge_uniform_ring(bytes, q - 1);
+        fast.charge_uniform_ring(bytes as f64, q - 1);
         for r in 0..q {
             assert_eq!(
                 exact.time(r).to_bits(),
@@ -656,8 +661,8 @@ mod tests {
 
     #[test]
     fn schedule_from_current_clocks_matches_schedule() {
-        let rounds: Vec<Vec<(usize, usize, f64)>> = (0..7)
-            .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100.0 + k as f64)).collect())
+        let rounds: Rounds = (0..7)
+            .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100 + k as u64)).collect())
             .collect();
         let mut blocking = SimComm::new(8, LinkModel::ethernet());
         blocking.advance(3, 1e-3);
@@ -688,7 +693,7 @@ mod tests {
         c.advance(0, 5.0);
         c.advance(1, 5.0);
         let before = c.comm_seconds();
-        c.schedule(Some(&baseline), &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+        c.schedule(Some(&baseline), &[vec![(0, 1, 0)], vec![(1, 0, 0)]])
             .unwrap();
         assert_eq!(c.time(0), 5.0);
         assert_eq!(c.time(1), 5.0);
@@ -697,7 +702,7 @@ mod tests {
         let mut b = SimComm::new(2, link);
         b.advance(0, 5.0);
         b.advance(1, 5.0);
-        b.schedule(None, &[vec![(0, 1, 0.0)], vec![(1, 0, 0.0)]])
+        b.schedule(None, &[vec![(0, 1, 0)], vec![(1, 0, 0)]])
             .unwrap();
         assert_eq!(b.time(0), 7.0);
     }
@@ -706,8 +711,8 @@ mod tests {
     fn schedule_from_rejects_bad_baseline_and_hops() {
         let mut c = SimComm::new(2, LinkModel::ethernet());
         assert!(c.schedule(Some(&[0.0]), &[]).is_err());
-        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(0, 2, 0.0)]]).is_err());
-        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(1, 1, 0.0)]]).is_err());
+        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(0, 2, 0)]]).is_err());
+        assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(1, 1, 0)]]).is_err());
     }
 
     #[test]

@@ -41,6 +41,9 @@ use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
 
+/// A schedule's hops and rounds are the ones the clocks charge.
+pub use fupermod_platform::comm::{Hop, Rounds};
+
 /// Requested collective algorithm (per operation, see
 /// [`AlgorithmPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,13 +250,6 @@ impl Default for AlgorithmPolicy {
         Self::hub()
     }
 }
-
-/// One planned transfer: `(src, dst, bytes)` between absolute ranks.
-pub type Hop = (usize, usize, u64);
-
-/// A schedule: rounds of data-independent hops, executed (and
-/// virtually charged) in order.
-pub type Rounds = Vec<Vec<Hop>>;
 
 /// `ceil(log2 q)` — the binomial round count (`0` for `q <= 1`).
 pub fn ceil_log2(q: usize) -> u32 {

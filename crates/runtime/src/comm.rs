@@ -9,18 +9,19 @@
 //! * the **thread** backend times operations with wall clocks — real
 //!   in-process parallelism, the successor of the old
 //!   `fupermod_platform::ThreadComm` (since removed);
-//! * the **sim** backend additionally drives a Hockney-model
-//!   [`SimComm`] (`α + m/β` virtual clocks): every collective is
-//!   executed BSP-style (data phase, then a closing barrier) and the
-//!   barrier *completer* applies the collective's virtual-time charge
-//!   while holding the barrier lock, so for collective-structured
-//!   programs the virtual clocks are **deterministic** across runs and
-//!   thread schedules.
+//! * the **sim** backend additionally keeps Hockney-model virtual
+//!   clocks ([`SimComm`], `α + m/β`) in the plane's rank ledger
+//!   (`crate::ledger`), behind the plane's one lock: every collective
+//!   is executed BSP-style (data phase, then a closing barrier) and
+//!   the barrier *completer* has the ledger apply the collective's
+//!   virtual-time charge as it closes the generation, so for
+//!   collective-structured programs the virtual clocks are
+//!   **deterministic** across runs and thread schedules.
 //!
 //! Point-to-point charges in the sim backend are applied by the
-//! receiver at delivery; concurrent transfers over disjoint rank pairs
-//! commute, so p2p phases that only use disjoint pairs (or that are
-//! separated by barriers) stay deterministic too.
+//! ledger at the receiver's delivery; concurrent transfers over
+//! disjoint rank pairs commute, so p2p phases that only use disjoint
+//! pairs (or that are separated by barriers) stay deterministic too.
 //!
 //! # Collective algorithms
 //!
@@ -104,7 +105,7 @@ use crate::collective::{
 };
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
-use crate::ledger::{self, fault, Begin, Charge, Hop, Ledger, Verdict};
+use crate::ledger::{self, fault, Begin, Charge, Ledger, Verdict};
 use crate::wire::{decode_as, Wire};
 
 pub mod request;
@@ -386,11 +387,10 @@ impl RuntimeConfig {
     /// As [`RuntimeConfig::build`].
     pub fn build_with_handle(self, size: usize) -> (Vec<ThreadedComm>, RuntimeHandle) {
         assert!(size > 0, "communicator needs at least one rank");
-        let sim = self.sim.map(|sim| {
+        if let Some(sim) = &self.sim {
             assert_eq!(sim.size(), size, "sim size mismatch");
-            Mutex::new(sim)
-        });
-        let plane = new_plane(size, self.plan, self.sink, self.algorithms, sim, None);
+        }
+        let plane = new_plane(size, self.plan, self.sink, self.algorithms, self.sim, None);
         let comms = (0..size)
             .map(|rank| ThreadedComm {
                 rank,
@@ -417,30 +417,29 @@ pub(crate) fn build_net_plane(
 }
 
 /// The one constructor of the shared plane: in process (`net` is
-/// `None`, virtual clocks when `sim` is given) or fronting one rank of
-/// a TCP run (wall clocks).
+/// `None`, virtual clocks when `clocks` is given) or fronting one rank
+/// of a TCP run (wall clocks).
 fn new_plane(
     size: usize,
     plan: FaultPlan,
     sink: Arc<dyn TraceSink>,
     policy: AlgorithmPolicy,
-    sim: Option<Mutex<SimComm>>,
+    clocks: Option<SimComm>,
     net: Option<crate::net::NetPlane>,
 ) -> Arc<Plane> {
     let deadline = plan.deadline.unwrap_or(DEFAULT_DEADLINE_SECS);
     Arc::new(Plane {
         size,
+        clocked: clocks.is_some(),
         state: Mutex::new(PlaneState {
-            ledger: Ledger::new(size, plan, Arc::clone(&sink)),
+            ledger: Ledger::new(size, plan, Arc::clone(&sink), clocks),
             mail: (0..size).map(|_| VecDeque::new()).collect(),
             arrived: 0,
-            overlap_base: vec![None; size],
             coll_pending: vec![false; size],
             op_deadline: vec![None; size],
             wake_seq: 0,
         }),
         cv: Condvar::new(),
-        sim,
         deadline: Duration::from_secs_f64(deadline),
         deadline_secs: deadline,
         sink,
@@ -496,27 +495,19 @@ impl RuntimeHandle {
 
     /// Maximum virtual time across ranks (sim backend only).
     pub fn virtual_time(&self) -> Option<f64> {
-        self.plane
-            .sim
-            .as_ref()
-            .map(|s| s.lock().expect("sim poisoned").max_time())
+        self.plane.read_clocks(SimComm::max_time)
     }
 
     /// Total virtual seconds spent communicating (sim backend only).
     pub fn virtual_comm_seconds(&self) -> Option<f64> {
-        self.plane
-            .sim
-            .as_ref()
-            .map(|s| s.lock().expect("sim poisoned").comm_seconds())
+        self.plane.read_clocks(SimComm::comm_seconds)
     }
 
     /// Per-rank virtual clocks (sim backend only) — the quantity the
     /// event engine pins bit-identical in its parity tests.
     pub fn virtual_times(&self) -> Option<Vec<f64>> {
-        self.plane.sim.as_ref().map(|s| {
-            let sim = s.lock().expect("sim poisoned");
-            (0..self.plane.size).map(|r| sim.time(r)).collect()
-        })
+        self.plane
+            .read_clocks(|c| (0..c.size()).map(|r| c.time(r)).collect())
     }
 }
 
@@ -525,7 +516,7 @@ pub(crate) struct Envelope {
     pub(crate) bytes: Vec<u8>,
     /// Injected delivery delay, seconds (0 = none). Wall mode holds
     /// the message until `sent_at + delay`; sim mode delivers
-    /// immediately and charges the receiver's virtual clock.
+    /// immediately and the ledger charges the receiver's virtual clock.
     pub(crate) delay: f64,
     pub(crate) sent_at: Instant,
     /// Sender's Lamport clock at enqueue time (schema v3): the causal
@@ -535,14 +526,13 @@ pub(crate) struct Envelope {
     /// every schedule carries it without touching the codec.
     pub(crate) lamport: u64,
     /// Virtual instant at which this message is ready for delivery,
-    /// pre-computed by a nonblocking send ([`ThreadedComm::isend`])
-    /// which charged the sender's clock at *post* time. `None` for
-    /// blocking sends, whose Hockney p2p cost is charged whole at
-    /// delivery ([`SimComm::send`]); `Some` delivers via
-    /// [`SimComm::arrive`] without touching the sender's clock again,
-    /// keeping the sender's virtual timeline a function of its own
-    /// program order regardless of when the receiver drains the
-    /// mailbox.
+    /// returned by the ledger's `isend` post charge
+    /// ([`ThreadedComm::isend`]), which charged the sender's clock at
+    /// *post* time. `None` for blocking sends, whose Hockney p2p cost
+    /// the ledger charges whole at delivery; `Some` charges only the
+    /// receiver's clock, from this instant, keeping the sender's
+    /// virtual timeline a function of its own program order regardless
+    /// of when the receiver drains the mailbox.
     pub(crate) vready: Option<f64>,
 }
 
@@ -551,13 +541,6 @@ pub(crate) struct PlaneState {
     pub(crate) ledger: Ledger,
     pub(crate) mail: Vec<VecDeque<Envelope>>,
     pub(crate) arrived: usize,
-    /// Per-rank virtual clock snapshots taken when a rank *posts* a
-    /// nonblocking collective ([`ThreadedComm::ibcast`]): the closing
-    /// barrier's completer charges the collective's hop plan from
-    /// them, so communication that fits under the compute between
-    /// post and `wait` is hidden. `None` (the blocking-path value)
-    /// starts the rank's part at its current clock.
-    overlap_base: Vec<Option<f64>>,
     /// Per-rank "a collective request is outstanding" flags. The
     /// barrier generation can only carry one collective per rank at a
     /// time, so posting a second nonblocking collective before
@@ -580,8 +563,10 @@ pub(crate) struct Plane {
     pub(crate) size: usize,
     pub(crate) state: Mutex<PlaneState>,
     pub(crate) cv: Condvar,
-    /// The virtual clocks of the sim backend; `None` runs on wall clocks.
-    sim: Option<Mutex<SimComm>>,
+    /// Whether the ledger holds virtual clocks (the sim backend) —
+    /// fixed when the plane is built, so a wall-clock path reads it
+    /// without taking the lock.
+    clocked: bool,
     pub(crate) deadline: Duration,
     pub(crate) deadline_secs: f64,
     pub(crate) sink: Arc<dyn TraceSink>,
@@ -597,6 +582,15 @@ impl Plane {
         self.state.lock().expect("runtime plane poisoned")
     }
 
+    /// Reads the ledger's clocks; `None` on a wall-clock plane, which
+    /// is not locked for it.
+    fn read_clocks<T>(&self, read: impl FnOnce(&SimComm) -> T) -> Option<T> {
+        if !self.clocked {
+            return None;
+        }
+        self.lock().ledger.clocks().map(read)
+    }
+
     /// Wakes every waiter: each change a blocked rank may be waiting
     /// for (mail, a completed generation, a death) goes through here,
     /// so [`PlaneState::wake_seq`] counts them all.
@@ -606,8 +600,8 @@ impl Plane {
     }
 
     /// Completes the current barrier generation: closes it in the
-    /// ledger, applies the deposited charge (while holding the state
-    /// lock, so charges form one deterministic sequence) and wakes
+    /// ledger, which applies the deposited charge (under the state
+    /// lock, so charges form one deterministic sequence), and wakes
     /// everyone. Over TCP, where only the hub completes, the joined
     /// clock uses the hub's per-rank Lamport views, which at completion
     /// time hold each live peer's clock as stamped on its ARRIVE frame
@@ -615,23 +609,7 @@ impl Plane {
     /// stamps stay identical across backends.
     fn complete_generation(&self, st: &mut PlaneState) {
         st.arrived = 0;
-        let (join, charge) = st.ledger.close_generation();
-        // No sim over TCP: a deposited charge has nothing to bill.
-        if let (Some(charge), Some(sim)) = (charge, &self.sim) {
-            let mut sim = sim.lock().expect("sim poisoned");
-            // A rank that posted this collective nonblocking is
-            // charged from its post-time clock; the others start at
-            // their current clocks, which charges them as `None` does.
-            let baseline: Option<Vec<f64>> =
-                st.overlap_base.iter().any(Option::is_some).then(|| {
-                    let at = |(r, b): (usize, &Option<f64>)| b.unwrap_or_else(|| sim.time(r));
-                    st.overlap_base.iter().enumerate().map(at).collect()
-                });
-            charge.apply(&mut sim, baseline.as_deref());
-        }
-        // The baselines belong to the generation that just closed;
-        // never let them leak into the next collective's charge.
-        st.overlap_base.fill(None);
+        let join = st.ledger.close_generation();
         if let Some(net) = &self.net {
             let l = &st.ledger;
             net.broadcast_release(l.generation, join, &l.agreed_alive, &l.dead);
@@ -663,18 +641,13 @@ impl Plane {
             self.notify(st);
         }
     }
+}
 
-    /// Charges `seconds` of injected latency to `rank`: virtual time
-    /// in sim mode, a (capped) wall sleep in thread mode. Call
-    /// without holding the state lock in wall mode.
-    fn charge_latency(&self, rank: usize, seconds: f64) {
-        if seconds <= 0.0 {
-            return;
-        }
-        match &self.sim {
-            Some(sim) => sim.lock().expect("sim poisoned").advance(rank, seconds),
-            None => std::thread::sleep(Duration::from_secs_f64(seconds.min(MAX_WALL_SLEEP_SECS))),
-        }
+/// Sleeps the injected latency a wall-clock plane's ledger returned
+/// (capped). Call without holding the state lock.
+fn wall_sleep(seconds: f64) {
+    if seconds > 0.0 {
+        std::thread::sleep(Duration::from_secs_f64(seconds.min(MAX_WALL_SLEEP_SECS)));
     }
 }
 
@@ -730,10 +703,7 @@ impl ThreadedComm {
     /// This rank's current virtual time (sim backend; `None` on the
     /// thread backend).
     pub fn virtual_time(&self) -> Option<f64> {
-        self.plane
-            .sim
-            .as_ref()
-            .map(|s| s.lock().expect("sim poisoned").time(self.rank))
+        self.plane.read_clocks(|c| c.time(self.rank))
     }
 
     /// Marks this failed rank dead and traces a `disconnect`, unless it
@@ -775,29 +745,33 @@ impl ThreadedComm {
         self.noted(ledger::check_rank(op, rank, self.plane.size))
     }
 
-    /// Common op prologue: the ledger's op begin under the lock, then
-    /// the straggler latency. Returns the start stamps.
+    /// Common op prologue: the ledger's op begin under the lock (the
+    /// straggler latency charged, or slept outside the lock on wall
+    /// clocks). Returns the start stamps.
     fn op_begin(&self, op: &'static str) -> Result<OpStart, RuntimeError> {
         let (plane, rank) = (&self.plane, self.rank);
         let mut st = plane.lock();
-        let (gen, straggle) = match st.ledger.begin(rank) {
-            Begin::Run { gen, straggle } => (gen, straggle),
+        let (gen, sleep) = match st.ledger.begin(rank) {
+            Begin::Run { gen, sleep } => (gen, sleep),
             Begin::Dead => return Err(RuntimeError::RankDead { op, rank }),
             Begin::Dies => {
                 plane.mark_dead(&mut st, rank);
                 return Err(RuntimeError::RankDead { op, rank });
             }
         };
-        drop(st);
-        plane.charge_latency(rank, straggle);
+        if sleep > 0.0 {
+            drop(st);
+            wall_sleep(sleep);
+            st = plane.lock();
+        }
         // Anchor the operation's one wall-clock deadline *after* the
-        // straggler charge, so injected latency does not eat into the
+        // straggler latency, so injected latency does not eat into the
         // budget the operation's blocking waits share.
         let wall = Instant::now();
-        plane.lock().op_deadline[rank] = Some(wall + plane.deadline);
+        st.op_deadline[rank] = Some(wall + plane.deadline);
         Ok(OpStart {
             wall,
-            virt: self.virtual_time().unwrap_or(0.0),
+            virt: st.ledger.clocks().map_or(0.0, |c| c.time(rank)),
             gen,
         })
     }
@@ -828,11 +802,12 @@ impl ThreadedComm {
         rounds: u64,
         gen: u64,
     ) {
-        let seconds = match self.virtual_time() {
-            Some(now) => now - start.virt,
-            None => start.wall.elapsed().as_secs_f64(),
-        };
-        let lamport = self.plane.lock().ledger.lamport[self.rank];
+        let wall = start.wall.elapsed().as_secs_f64();
+        let st = self.plane.lock();
+        let now = st.ledger.clocks().map(|c| c.time(self.rank));
+        let seconds = now.map_or(wall, |now| now - start.virt);
+        let lamport = st.ledger.lamport[self.rank];
+        drop(st);
         let sink = &*self.plane.sink;
         ledger::comm(
             sink, self.rank, op, peer, bytes, seconds, algorithm, rounds, lamport, gen,
@@ -857,9 +832,9 @@ impl ThreadedComm {
         }
     }
 
-    /// Enqueues `bytes` to `dst` under the ledger's send verdict.
-    /// Does not charge virtual time (p2p charges happen at delivery;
-    /// collective data phases are charged by their closing barrier).
+    /// Enqueues `bytes` to `dst` under the ledger's send verdict, which
+    /// charges any retry backoff. Charges no hop (p2p hops are charged
+    /// at delivery; collective data phases by their closing barrier).
     ///
     /// `bytes` may be borrowed: a socket only reads it, so a fan-out
     /// passes `&msg` once per destination without cloning. A mailbox
@@ -870,29 +845,32 @@ impl ThreadedComm {
         dst: usize,
         bytes: impl Into<Cow<'a, [u8]>>,
     ) -> Result<(), RuntimeError> {
-        self.raw_send_at(op, dst, bytes.into(), None)
+        self.raw_send_at(op, dst, bytes.into(), false)
     }
 
-    /// [`raw_send`](Self::raw_send) with an optional pre-computed
-    /// virtual readiness instant (set by [`isend`](Self::isend), which
-    /// charges the sender's clock at post time — see
+    /// [`raw_send`](Self::raw_send), with the ledger's `isend` post
+    /// charge first when `post` is set ([`isend`](Self::isend); see
     /// [`Envelope::vready`]).
     fn raw_send_at(
         &self,
         op: &'static str,
         dst: usize,
         bytes: Cow<'_, [u8]>,
-        vready: Option<f64>,
+        post: bool,
     ) -> Result<(), RuntimeError> {
         let plane = &self.plane;
         let mut attempt: u32 = 0;
+        let mut vready = None;
         let (mut st, stamp, delay) = loop {
             let mut st = plane.lock();
+            if post && attempt == 0 {
+                vready = st.ledger.post(self.rank, dst, bytes.len());
+            }
             match st.ledger.send(op, self.rank, dst, attempt) {
                 Verdict::Deliver { stamp, delay } => break (st, stamp, delay),
-                Verdict::Retry { backoff } => {
+                Verdict::Retry { sleep } => {
                     drop(st);
-                    plane.charge_latency(self.rank, backoff);
+                    wall_sleep(sleep);
                     attempt += 1;
                 }
                 Verdict::Failed(e) => return Err(e),
@@ -933,7 +911,7 @@ impl ThreadedComm {
     /// held message is pending (sim mode delivers immediately, so it
     /// never holds any).
     fn next_delay_wakeup(&self, st: &PlaneState) -> Option<Duration> {
-        if self.plane.sim.is_some() {
+        if self.plane.clocked {
             return None;
         }
         st.mail[self.rank]
@@ -975,19 +953,12 @@ impl ThreadedComm {
         if let Some(idx) = st.mail[self.rank].iter().position(|e| e.src == src) {
             let env = &st.mail[self.rank][idx];
             let held = env.delay > 0.0 && env.sent_at.elapsed().as_secs_f64() < env.delay;
-            if held && plane.sim.is_none() {
+            if held && !plane.clocked {
                 return Ok(None);
             }
             let env = st.mail[self.rank].remove(idx).expect("index just found");
-            let hop = charge_p2p.then_some(Hop {
-                src,
-                bytes: env.bytes.len(),
-                vready: env.vready,
-            });
-            // Lock order: plane state, then sim.
-            let mut sim = plane.sim.as_ref().map(|s| s.lock().expect("sim poisoned"));
-            st.ledger
-                .deliver(sim.as_deref_mut(), self.rank, env.lamport, env.delay, hop);
+            let p2p = charge_p2p.then_some((src, env.bytes.len(), env.vready));
+            st.ledger.deliver(self.rank, env.lamport, env.delay, p2p);
             return Ok(Some(env.bytes));
         }
         if st.ledger.dead[src] {
@@ -1106,9 +1077,8 @@ impl ThreadedComm {
     /// Deposits a virtual-time charge for the closing barrier's
     /// completer to apply (no-op on the wall-clock backend).
     fn deposit(&self, charge: Charge) {
-        if self.plane.sim.is_some() {
-            let mut st = self.plane.lock();
-            st.ledger.deposit(charge);
+        if self.plane.clocked {
+            self.plane.lock().ledger.deposit(charge);
         }
     }
 
@@ -1226,7 +1196,7 @@ impl Communicator for ThreadedComm {
         // every rank of the generation.
         let rounds = collective::barrier_rounds(resolved, &self.agreed_live());
         let n_rounds = rounds.len() as u64;
-        let gen = self.noted(self.raw_barrier(OP, Some(Charge::of(&rounds))))?;
+        let gen = self.noted(self.raw_barrier(OP, Some(Charge::Rounds(rounds))))?;
         self.op_end(OP, -1, 0, &start, resolved.name(), n_rounds, gen);
         Ok(())
     }

@@ -291,8 +291,8 @@ impl<'c, P: DataPhase> Split<'c, P> {
                 return Err(e);
             }
         };
-        if overlap {
-            comm.note_overlap_base();
+        if overlap && comm.plane.clocked {
+            comm.plane.lock().ledger.note_overlap_base(comm.rank);
         }
         Ok(Self {
             comm,
@@ -455,7 +455,7 @@ impl DataPhase for Bcast {
                 }
                 let lens = vec![bytes.len() as u64; live.len()];
                 let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(Charge::of(&rounds));
+                comm.deposit(Charge::Rounds(rounds));
                 *moved = bytes.len() as u64;
                 Ok(Poll::Ready(bytes))
             }
@@ -486,7 +486,7 @@ impl DataPhase for Bcast {
                 }
                 if vi == 0 {
                     let rounds = collective::bcast_rounds(&tree, 0, msg.len() as u64);
-                    comm.deposit(Charge::of(&rounds));
+                    comm.deposit(Charge::Rounds(rounds));
                 }
                 *moved = msg.len() as u64;
                 // `None`: somewhere on the root-to-here path a rank
@@ -570,7 +570,7 @@ impl DataPhase for Scatter {
                 }
                 let lens: Vec<u64> = live.iter().map(|&r| parts[r].len() as u64).collect();
                 let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(Charge::of(&rounds));
+                comm.deposit(Charge::Rounds(rounds));
                 Ok(Poll::Ready(mem::take(&mut parts[comm.rank])))
             }
             (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root, false)? {
@@ -590,7 +590,7 @@ impl DataPhase for Scatter {
                         let lens_by_vi: Vec<u64> =
                             tree.iter().map(|&r| parts[r].len() as u64).collect();
                         let rounds = collective::scatterv_rounds(size, &tree, 0, &lens_by_vi);
-                        comm.deposit(Charge::of(&rounds));
+                        comm.deposit(Charge::Rounds(rounds));
                         parts.into_iter().map(Some).collect()
                     }
                     (None, parent_vi) => {
@@ -678,7 +678,7 @@ impl DataPhase for Gather {
             let lens: Vec<u64> = live.iter().map(|&r| slot_len(&self.held[r])).collect();
             *moved = own_len + lens.iter().sum::<u64>();
             let rounds = vec![collective::star_gather_round(&live, self.root, &lens)];
-            comm.deposit(Charge::of(&rounds));
+            comm.deposit(Charge::Rounds(rounds));
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         }
         // Ring/tree: the reverse binomial tree. Every rank merges its
@@ -701,7 +701,7 @@ impl DataPhase for Gather {
         let Some(parent_vi) = collective::binomial_parent(vi) else {
             let lens_by_vi: Vec<u64> = tree.iter().map(|&r| slot_len(&self.held[r])).collect();
             let rounds = collective::gatherv_rounds(size, &tree, 0, &lens_by_vi);
-            comm.deposit(Charge::of(&rounds));
+            comm.deposit(Charge::Rounds(rounds));
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         };
         let msg = self.held.to_bytes();
@@ -836,7 +836,7 @@ impl Allgather {
     /// charge, every rank yields its slots.
     fn done(&mut self, comm: &ThreadedComm, rounds: impl FnOnce(&Self) -> Rounds) -> Poll<Slots> {
         if comm.rank == self.live[0] {
-            comm.deposit(Charge::of(&rounds(self)));
+            comm.deposit(Charge::Rounds(rounds(self)));
         }
         Poll::Ready(mem::take(&mut self.held))
     }
@@ -1084,7 +1084,7 @@ impl DataPhase for HubReduce {
             collective::star_gather_round(&live, hub, &lens),
             collective::star_scatter_round(&live, hub, &lens),
         ];
-        comm.deposit(Charge::of(&rounds));
+        comm.deposit(Charge::Rounds(rounds));
         *moved = 8 * live.len() as u64;
         Ok(Poll::Ready(folded))
     }
@@ -1116,14 +1116,9 @@ impl ThreadedComm {
         let start = self.op_begin(OP)?;
         let bytes = value.to_bytes();
         let bytes_len = bytes.len() as u64;
-        // Charge the sender's virtual clock now (post time); the
-        // receiver pays the rest at delivery via `SimComm::arrive`.
-        let vready = self.plane.sim.as_ref().map(|s| {
-            s.lock()
-                .expect("sim poisoned")
-                .post_send(self.rank, dst, bytes.len() as f64)
-        });
-        self.noted(self.raw_send_at(OP, dst, bytes.into(), vready))?;
+        // The ledger charges the sender's virtual clock at post; the
+        // receiver pays the rest at delivery.
+        self.noted(self.raw_send_at(OP, dst, bytes.into(), true))?;
         Ok(SendRequest {
             comm: self,
             start,
@@ -1208,8 +1203,8 @@ impl ThreadedComm {
                 "advance_compute: seconds must be finite and >= 0 (got {seconds})"
             ))));
         }
-        if let Some(sim) = &self.plane.sim {
-            sim.lock().expect("sim poisoned").advance(self.rank, seconds);
+        if self.plane.clocked {
+            self.plane.lock().ledger.compute(self.rank, seconds);
         }
         Ok(())
     }
@@ -1372,19 +1367,6 @@ impl ThreadedComm {
     /// Releases the outstanding-collective-request slot.
     fn coll_release(&self) {
         self.plane.lock().coll_pending[self.rank] = false;
-    }
-
-    /// Records this rank's post-time virtual clock as the overlap
-    /// baseline the closing barrier's completer charges the
-    /// collective schedule from (sim backend only).
-    fn note_overlap_base(&self) {
-        if let Some(sim) = &self.plane.sim {
-            // Lock order: plane state, then sim — the same order the
-            // barrier completer uses.
-            let mut st = self.plane.lock();
-            let t = sim.lock().expect("sim poisoned").time(self.rank);
-            st.overlap_base[self.rank] = Some(t);
-        }
     }
 
     /// Delivers the next message from `src` (per-pair FIFO, Hockney p2p

@@ -1,23 +1,26 @@
 //! The rank ledger: the per-rank state of an operation's lifecycle,
-//! and the one definition of each rule over it.
+//! the virtual clocks, and the one definition of each rule over them.
 //!
 //! Every engine keeps the same books: who is dead, the membership the
 //! last barrier generation agreed, Lamport clocks, op counts, the
-//! generation counter, the fault-rule counters and the schedule charge
-//! the collective in flight deposited. The threaded and TCP planes
-//! hold a [`Ledger`] in their `PlaneState` and apply its rules under
-//! the plane lock they already hold; the event engine holds one
-//! outright. What an engine keeps beside it is only its own: condvars,
-//! wall deadlines, sleeps and frames on the planes; the event count
-//! and the cohort heap on the engine.
+//! generation counter, the fault-rule counters, the schedule charge
+//! the collective in flight deposited and, on a simulated run, the
+//! virtual clocks ([`SimComm`]) with the overlap baselines of a
+//! nonblocking collective. The threaded and TCP planes hold a
+//! [`Ledger`] in their `PlaneState` and apply its rules under the plane
+//! lock they already hold, the thread plane's one lock; the event
+//! engine holds one outright. What an engine keeps beside it is only
+//! its own: condvars, wall deadlines, sleeps and frames on the planes;
+//! the event count and the cohort heap on the engine.
 //!
 //! The rules are op begin ([`Ledger::begin`]), the send verdict
-//! ([`Ledger::send`]), delivery ([`Ledger::deliver`]), generation
-//! close ([`Ledger::close_generation`]), the rank check
-//! ([`check_rank`]) and the `fault` and `comm` trace events ([`fault`],
-//! [`comm`]) with their metrics. A rule that injects latency traces
-//! it and returns the seconds for the engine to charge on its own
-//! clock (a virtual advance, or a wall sleep outside the lock).
+//! ([`Ledger::send`]), the `isend` post charge ([`Ledger::post`]),
+//! delivery ([`Ledger::deliver`]), compute ([`Ledger::compute`]),
+//! generation close ([`Ledger::close_generation`]), the rank check
+//! ([`check_rank`]) and the `fault` and `comm` trace events
+//! ([`fault`], [`comm`]) with their metrics. A rule charges the clocks where it decides the
+//! charge; only a wall-clock plane, which has no clocks, gets injected
+//! latency back as the seconds for a wall sleep outside the lock.
 
 use std::sync::Arc;
 
@@ -29,15 +32,15 @@ use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 
 /// A collective's virtual-time charge, deposited during its data
-/// phase by its root (or the lowest agreed-live rank) and applied when
-/// its closing barrier generation completes, so the charges of a run
-/// form one deterministic sequence.
+/// phase by its root (or the lowest agreed-live rank) and applied by
+/// [`Ledger::close_generation`] when its closing barrier generation
+/// completes, so the charges of a run form one deterministic sequence.
 pub(crate) enum Charge {
-    /// The collective's hop schedule: the `(src, dst, bytes)` rounds
-    /// the data phase ran, replayed through [`SimComm::schedule`] so
-    /// the clocks pay the real per-hop, per-round cost of the chosen
-    /// algorithm.
-    Rounds(Vec<Vec<(usize, usize, f64)>>),
+    /// The collective's hop schedule as its builder returned it: the
+    /// `(src, dst, bytes)` rounds the data phase ran, replayed through
+    /// [`SimComm::schedule`] so the clocks pay the real per-hop,
+    /// per-round cost of the chosen algorithm.
+    Rounds(Rounds),
     /// Closed-form uniform ring from bit-identical clocks (the event
     /// engine's fast path, [`SimComm::charge_uniform_ring`]).
     UniformRing {
@@ -48,38 +51,12 @@ pub(crate) enum Charge {
     },
 }
 
-impl Charge {
-    /// The charge of a pure [`crate::collective`] schedule.
-    pub(crate) fn of(rounds: &Rounds) -> Self {
-        Charge::Rounds(
-            rounds
-                .iter()
-                .map(|r| r.iter().map(|&(s, d, b)| (s, d, b as f64)).collect())
-                .collect(),
-        )
-    }
-
-    /// Bills the charge to `sim`. With a `baseline` (a rank's clock
-    /// when it posted the collective nonblocking) the hop plan starts
-    /// there, so communication hidden under compute costs nothing.
-    pub(crate) fn apply(self, sim: &mut SimComm, baseline: Option<&[f64]>) {
-        match self {
-            Charge::Rounds(rounds) => sim
-                .schedule(baseline, &rounds)
-                .expect("schedule hops use valid distinct ranks by construction"),
-            Charge::UniformRing { bytes, rounds } => {
-                debug_assert!(baseline.is_none(), "no overlap on the engine");
-                sim.charge_uniform_ring(bytes, rounds);
-            }
-        }
-    }
-}
-
 /// What [`Ledger::begin`] decided for one operation.
 pub(crate) enum Begin {
     /// The operation runs: `gen` is the generation current at its
-    /// start, and the rank is charged `straggle` seconds first.
-    Run { gen: u64, straggle: f64 },
+    /// start. A wall-clock plane sleeps the straggler's `sleep`
+    /// seconds first (0 on the clocks, which were charged).
+    Run { gen: u64, sleep: f64 },
     /// The rank was dead already.
     Dead,
     /// The rank's scheduled death fires on this operation (traced):
@@ -92,20 +69,12 @@ pub(crate) enum Verdict {
     /// Deliver the message, stamped with the sender's Lamport clock
     /// and held `delay` injected seconds.
     Deliver { stamp: u64, delay: f64 },
-    /// The attempt was dropped: charge the sender `backoff` seconds
-    /// and try again.
-    Retry { backoff: f64 },
+    /// The attempt was dropped: try again, on a wall-clock plane after
+    /// sleeping the backoff's `sleep` seconds (0 on the clocks, which
+    /// were charged).
+    Retry { sleep: f64 },
     /// An endpoint is dead, or the drop rule exhausted its retries.
     Failed(RuntimeError),
-}
-
-/// The Hockney hop a point-to-point delivery pays itself: `bytes`
-/// from `src`, or from `vready` on when an `isend` charged its sender
-/// at post time. (A collective's edges are charged by its schedule.)
-pub(crate) struct Hop {
-    pub(crate) src: usize,
-    pub(crate) bytes: usize,
-    pub(crate) vready: Option<f64>,
 }
 
 /// The per-rank books of one communicator (see the module docs).
@@ -134,11 +103,27 @@ pub(crate) struct Ledger {
     delay_counts: Vec<u64>,
     /// The charge of the collective in flight.
     pending_charge: Option<Charge>,
+    /// The virtual clocks: `Some` on the sim backend and the event
+    /// engine, `None` on the wall-clock planes.
+    clocks: Option<SimComm>,
+    /// Per-rank clock snapshots taken when a rank posts a nonblocking
+    /// collective ([`Ledger::note_overlap_base`]): the generation close
+    /// charges the collective's schedule from them, so communication
+    /// that fits under the compute between post and `wait` is hidden.
+    /// Empty until a rank of the open generation posts one; a rank
+    /// without a snapshot starts at its current clock.
+    overlap_base: Vec<Option<f64>>,
 }
 
 impl Ledger {
-    /// The books of `size` fresh ranks under `plan`, tracing to `sink`.
-    pub(crate) fn new(size: usize, plan: FaultPlan, sink: Arc<dyn TraceSink>) -> Self {
+    /// The books of `size` fresh ranks under `plan`, tracing to `sink`,
+    /// on the virtual `clocks` if given (of `size` ranks).
+    pub(crate) fn new(
+        size: usize,
+        plan: FaultPlan,
+        sink: Arc<dyn TraceSink>,
+        clocks: Option<SimComm>,
+    ) -> Self {
         Self {
             drop_counts: vec![0; plan.drops.len()],
             delay_counts: vec![0; plan.delays.len()],
@@ -150,12 +135,31 @@ impl Ledger {
             generation: 0,
             ops: vec![0; size],
             pending_charge: None,
+            clocks,
+            overlap_base: Vec::new(),
         }
+    }
+
+    /// The virtual clocks, `None` on a wall-clock plane.
+    pub(crate) fn clocks(&self) -> Option<&SimComm> {
+        self.clocks.as_ref()
+    }
+
+    /// Charges `seconds` to `rank`'s clock, or, with no clocks,
+    /// returns them for a wall sleep.
+    fn charge(&mut self, rank: usize, seconds: f64) -> f64 {
+        let Some(clocks) = &mut self.clocks else {
+            return seconds;
+        };
+        if seconds > 0.0 {
+            clocks.advance(rank, seconds);
+        }
+        0.0
     }
 
     /// Op begin: the self-death check, the op count, the Lamport tick
     /// (every operation is an event on its rank's clock), the
-    /// scheduled death and the straggler latency.
+    /// scheduled death and the straggler latency, charged.
     pub(crate) fn begin(&mut self, rank: usize) -> Begin {
         if self.dead[rank] {
             return Begin::Dead;
@@ -173,7 +177,7 @@ impl Ledger {
         }
         Begin::Run {
             gen: self.generation,
-            straggle,
+            sleep: self.charge(rank, straggle),
         }
     }
 
@@ -184,10 +188,10 @@ impl Ledger {
 
     /// Send verdict for attempt `attempt` (from 0) of `src → dst`:
     /// both endpoints alive, then the drop rules — each drop retried
-    /// after a backoff that doubles per attempt, until the rule's
-    /// budget runs out — then the delay rules, then the sender's
-    /// stamp. Rule counters tick in call order, which the caller
-    /// fixes (`docs/RUNTIME.md` §9).
+    /// after a backoff that doubles per attempt, charged to the sender,
+    /// until the rule's budget runs out — then the delay rules, then
+    /// the sender's stamp. Rule counters tick in call order, which the
+    /// caller fixes (`docs/RUNTIME.md` §9).
     pub(crate) fn send(
         &mut self,
         op: &'static str,
@@ -216,7 +220,9 @@ impl Ledger {
                 });
             }
             fault(&*self.sink, src, "retry", peer, attempt + 1, backoff);
-            return Verdict::Retry { backoff };
+            return Verdict::Retry {
+                sleep: self.charge(src, backoff),
+            };
         }
         let delay = self.plan.delay_seconds(&mut self.delay_counts, src, dst);
         if delay > 0.0 {
@@ -228,27 +234,54 @@ impl Ledger {
         }
     }
 
+    /// The `isend` post charge of `bytes` from `src` to `dst`: the
+    /// sender pays one latency now, and the message is ready at the
+    /// returned instant, from which [`Ledger::deliver`] charges the
+    /// receiver. `None` on a wall-clock plane.
+    pub(crate) fn post(&mut self, src: usize, dst: usize, bytes: usize) -> Option<f64> {
+        let clocks = self.clocks.as_mut()?;
+        Some(clocks.post_send(src, dst, bytes as f64))
+    }
+
     /// Delivery at `dst` of a message stamped `stamp`: the Lamport
-    /// merge (receipt happens after the send), then, on a virtual
-    /// clock, the point-to-point `hop` and the injected `delay`.
+    /// merge (receipt happens after the send), then, on the clocks, the
+    /// Hockney hop of a point-to-point message and the injected `delay`
+    /// (a wall-clock plane held the message instead). `p2p` is the
+    /// message's `(src, bytes, vready)`: its hop is charged whole, or
+    /// from `vready` on when an `isend` charged its sender at post time
+    /// ([`Ledger::post`]). A collective's edges pass `None`: its
+    /// schedule is charged at generation close.
     pub(crate) fn deliver(
         &mut self,
-        sim: Option<&mut SimComm>,
         dst: usize,
         stamp: u64,
         delay: f64,
-        hop: Option<Hop>,
+        p2p: Option<(usize, usize, Option<f64>)>,
     ) {
         self.lamport[dst] = self.lamport[dst].max(stamp.wrapping_add(1));
-        let Some(sim) = sim else { return };
-        if let Some(hop) = hop {
-            match hop.vready {
-                Some(ready) => sim.arrive(dst, ready),
-                None => sim.send(hop.src, dst, hop.bytes as f64),
+        if let (Some(clocks), Some((src, bytes, vready))) = (&mut self.clocks, p2p) {
+            match vready {
+                Some(ready) => clocks.arrive(dst, ready),
+                None => clocks.send(src, dst, bytes as f64),
             }
         }
-        if delay > 0.0 {
-            sim.advance(dst, delay);
+        self.charge(dst, delay);
+    }
+
+    /// Credits `seconds` of local computation to `rank`'s clock. A
+    /// wall-clock plane computes for real, so it has nothing to credit.
+    pub(crate) fn compute(&mut self, rank: usize, seconds: f64) {
+        self.charge(rank, seconds);
+    }
+
+    /// Records `rank`'s clock as the baseline the collective it posts
+    /// nonblocking is charged from (no-op without clocks).
+    pub(crate) fn note_overlap_base(&mut self, rank: usize) {
+        if let Some(clocks) = &self.clocks {
+            if self.overlap_base.is_empty() {
+                self.overlap_base = vec![None; clocks.size()];
+            }
+            self.overlap_base[rank] = Some(clocks.time(rank));
         }
     }
 
@@ -266,8 +299,8 @@ impl Ledger {
     /// Generation close: the Lamport join — every live clock jumps to
     /// the maximum over all clocks plus one, symmetric in whichever
     /// rank closes —, the membership agreement and the deposited
-    /// charge, which the engine applies. Returns the joined clock.
-    pub(crate) fn close_generation(&mut self) -> (u64, Option<Charge>) {
+    /// charge, applied to the clocks. Returns the joined clock.
+    pub(crate) fn close_generation(&mut self) -> u64 {
         self.generation = self.generation.wrapping_add(1);
         let join = self.lamport.iter().max().map_or(1, |m| m.wrapping_add(1));
         for (r, &dead) in self.dead.iter().enumerate() {
@@ -276,7 +309,29 @@ impl Ledger {
                 self.lamport[r] = join;
             }
         }
-        (join, self.pending_charge.take())
+        // The baselines belong to the generation that closes here;
+        // none leaks into the next collective's charge.
+        let bases = std::mem::take(&mut self.overlap_base);
+        let (Some(charge), Some(clocks)) = (self.pending_charge.take(), &mut self.clocks) else {
+            return join;
+        };
+        // A rank that posted this collective nonblocking is charged
+        // from its post-time clock; the others start at their current
+        // clocks, which charges them as no baseline does.
+        let baseline: Option<Vec<f64>> = (!bases.is_empty()).then(|| {
+            let at = |(r, b): (usize, &Option<f64>)| b.unwrap_or_else(|| clocks.time(r));
+            bases.iter().enumerate().map(at).collect()
+        });
+        match charge {
+            Charge::Rounds(rounds) => clocks
+                .schedule(baseline.as_deref(), &rounds)
+                .expect("schedule hops use valid distinct ranks by construction"),
+            Charge::UniformRing { bytes, rounds } => {
+                debug_assert!(baseline.is_none(), "no overlap on the engine");
+                clocks.charge_uniform_ring(bytes, rounds);
+            }
+        }
+        join
     }
 
     /// Liveness snapshot.

@@ -18,7 +18,7 @@ use crate::collective::AlgorithmPolicy;
 use crate::comm::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
-use crate::ledger::{self, Begin, Hop, Ledger, Verdict};
+use crate::ledger::{self, Begin, Ledger, Verdict};
 use crate::sim::SimEngine;
 use crate::wire::Wire;
 
@@ -33,8 +33,8 @@ pub(super) struct Env {
     pub(super) delay: f64,
     /// Sender's Lamport stamp at send time.
     pub(super) lamport: u64,
-    /// Post-time clock snapshot for `isend` (charged with
-    /// [`SimComm::arrive`] instead of a fresh [`SimComm::send`]).
+    /// Ready instant from an `isend`'s post charge: delivery charges
+    /// the receiver from it instead of the whole hop.
     pub(super) vready: Option<f64>,
 }
 
@@ -73,9 +73,9 @@ pub struct RecvTicket {
 /// `docs/RUNTIME.md` §9 for ordering/determinism details.
 pub struct EventSim {
     pub(super) size: usize,
-    pub(super) sim: SimComm,
     pub(super) policy: AlgorithmPolicy,
-    /// The books every engine keeps (see [`crate::ledger`]).
+    /// The books every engine keeps, the virtual clocks among them
+    /// (see [`crate::ledger`]).
     pub(super) ledger: Ledger,
     /// Point-to-point mailboxes, FIFO per `(src, dst)` pair.
     pub(super) mail: HashMap<(usize, usize), VecDeque<Env>>,
@@ -114,9 +114,8 @@ impl EventSim {
         let size = sim.size();
         Self {
             size,
-            sim,
             policy,
-            ledger: Ledger::new(size, plan, sink),
+            ledger: Ledger::new(size, plan, sink, Some(sim)),
             mail: HashMap::new(),
             running: vec![true; size],
             failed: vec![false; size],
@@ -162,19 +161,25 @@ impl EventSim {
         self.size
     }
 
+    /// The ledger's virtual clocks, which the engine always has.
+    pub(super) fn clocks(&self) -> &SimComm {
+        self.ledger.clocks().expect("the engine has clocks")
+    }
+
     /// Per-rank virtual clocks, seconds.
     pub fn virtual_times(&self) -> Vec<f64> {
-        (0..self.size).map(|r| self.sim.time(r)).collect()
+        let clocks = self.clocks();
+        (0..self.size).map(|r| clocks.time(r)).collect()
     }
 
     /// Maximum virtual time across ranks.
     pub fn max_time(&self) -> f64 {
-        self.sim.max_time()
+        self.clocks().max_time()
     }
 
     /// Total virtual seconds spent communicating.
     pub fn comm_seconds(&self) -> f64 {
-        self.sim.comm_seconds()
+        self.clocks().comm_seconds()
     }
 
     /// Liveness snapshot.
@@ -224,20 +229,15 @@ impl EventSim {
 
     // ----- op lifecycle ------------------------------------------------
 
-    /// Common op prologue: the ledger's op begin, then the straggler
-    /// latency on the rank's clock.
+    /// Common op prologue: the ledger's op begin, which charges the
+    /// straggler latency.
     pub(super) fn op_begin(
         &mut self,
         op: &'static str,
         rank: usize,
     ) -> Result<OpStart, RuntimeError> {
         let gen = match self.ledger.begin(rank) {
-            Begin::Run { gen, straggle } => {
-                if straggle > 0.0 {
-                    self.sim.advance(rank, straggle);
-                }
-                gen
-            }
+            Begin::Run { gen, .. } => gen,
             Begin::Dead => return Err(RuntimeError::RankDead { op, rank }),
             Begin::Dies => {
                 self.events += 1;
@@ -247,7 +247,7 @@ impl EventSim {
         };
         self.events += 1;
         Ok(OpStart {
-            virt: self.sim.time(rank),
+            virt: self.clocks().time(rank),
             gen,
         })
     }
@@ -267,7 +267,7 @@ impl EventSim {
         gen: u64,
     ) {
         self.events += 1;
-        let seconds = self.sim.time(rank) - start.virt;
+        let seconds = self.clocks().time(rank) - start.virt;
         let (sink, lamport) = (&*self.ledger.sink, self.ledger.lamport[rank]);
         ledger::comm(
             sink, rank, op, peer, bytes, seconds, algorithm, rounds, lamport, gen,
@@ -292,17 +292,9 @@ impl EventSim {
         }
     }
 
-    /// Closes the current barrier generation in the ledger and bills
-    /// its deposited charge.
-    pub(super) fn complete_generation(&mut self) {
-        if let (_, Some(charge)) = self.ledger.close_generation() {
-            charge.apply(&mut self.sim, None);
-        }
-    }
-
-    /// Walks one send to the ledger's verdict, each retry's backoff
-    /// charged to the sender's clock: the sender's stamp and the
-    /// injected delay, or the error. Does **not** enqueue — collective
+    /// Walks one send to the ledger's verdict, which charges each
+    /// retry's backoff to the sender's clock: the sender's stamp and
+    /// the injected delay, or the error. Does **not** enqueue — collective
     /// paths deliver through the ledger, the p2p paths enqueue a
     /// mailbox envelope.
     pub(super) fn send_walk(
@@ -315,12 +307,7 @@ impl EventSim {
         loop {
             match self.ledger.send(op, src, dst, attempt) {
                 Verdict::Deliver { stamp, delay } => return Ok((stamp, delay)),
-                Verdict::Retry { backoff } => {
-                    if backoff > 0.0 {
-                        self.sim.advance(src, backoff);
-                    }
-                    attempt += 1;
-                }
+                Verdict::Retry { .. } => attempt += 1,
                 Verdict::Failed(e) => return Err(e),
             }
         }
@@ -363,13 +350,8 @@ impl EventSim {
         let mail = self.mail.get_mut(&(src, rank));
         if let Some(env) = mail.and_then(VecDeque::pop_front) {
             self.events += 1;
-            let hop = Hop {
-                src,
-                bytes: env.bytes.len(),
-                vready: env.vready,
-            };
-            let (sim, hop) = (Some(&mut self.sim), Some(hop));
-            self.ledger.deliver(sim, rank, env.lamport, env.delay, hop);
+            let p2p = Some((src, env.bytes.len(), env.vready));
+            self.ledger.deliver(rank, env.lamport, env.delay, p2p);
             return Ok(Some(env.bytes));
         }
         if self.ledger.dead[src] {
@@ -468,8 +450,8 @@ impl EventSim {
             let start = self.op_begin(OP, src)?;
             let bytes = value.to_bytes();
             let n = bytes.len() as u64;
-            let ready = self.sim.post_send(src, dst, bytes.len() as f64);
-            self.raw_send_at(OP, src, dst, bytes, Some(ready))?;
+            let ready = self.ledger.post(src, dst, bytes.len());
+            self.raw_send_at(OP, src, dst, bytes, ready)?;
             Ok(SendTicket {
                 rank: src,
                 dst,
@@ -545,7 +527,7 @@ impl EventSim {
     /// clocks compare identically to their bit patterns, and the rank
     /// index breaks ties deterministically.
     pub(super) fn clock_key(&self, rank: usize) -> (u64, usize) {
-        (self.sim.time(rank).to_bits(), rank)
+        (self.clocks().time(rank).to_bits(), rank)
     }
 
     /// Dispatches `op_begin` for every running rank in `(clock,

@@ -14,18 +14,22 @@
 //! # Contract
 //!
 //! [`EventSim`] shares the thread backend's op lifecycle rather than
-//! mirroring it: both hold the same rank ledger (`crate::ledger`), so
-//! `op_begin` (op count, Lamport tick, scheduled death, straggler
-//! latency), the fault-plan send rules (drop counts, bounded
-//! exponential backoff, delivery delays), the Lamport merge at
+//! mirroring it: both hold the same rank ledger (`crate::ledger`),
+//! which also holds the virtual clocks and applies every charge to
+//! them where its rule decides it, so `op_begin` (op count, Lamport
+//! tick, scheduled death, straggler latency), the fault-plan send
+//! rules (drop counts, bounded exponential backoff, delivery delays),
+//! the `isend` post charge, the Lamport merge and hop charge at
 //! delivery, the barrier-generation join and membership agreement and
-//! the deposited collective schedule charges are one definition each.
+//! the deposited collective schedule charges are one definition each,
+//! and the engine moves no clock itself.
 //! A failed rank leaves as on threads (`docs/RUNTIME.md` §3): inside a
 //! collective when its own part fails, and at [`EventSim::halt`] after
 //! an operation failed. What the engine writes on its own are the
 //! collective schedules and their dispatch order; on fault-free plans,
-//! under fail-stop death and when a rank fails, the virtual clocks
-//! they produce are **bit-identical** to the thread-backed sim (pinned
+//! under fail-stop death, when a rank fails and under pair-scoped
+//! injected latency, the virtual clocks they produce are
+//! **bit-identical** to the thread-backed sim (pinned
 //! by the `event_parity` integration tests at
 //! `p ∈ {1, 3, 4, 6, 16, 64}` across `hub`/`ring`/`tree`/`auto`); at
 //! large `p` closed-form fast paths

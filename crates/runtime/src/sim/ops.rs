@@ -209,7 +209,7 @@ impl EventSim {
         // still alive to arrive at the closing barrier.
         let gen = self.ledger.generation;
         if members.iter().any(|&(r, _)| !self.ledger.dead[r]) {
-            self.complete_generation();
+            self.ledger.close_generation();
         }
         let agreed = self.ledger.agreed_alive.iter().filter(|&&a| a).count();
         let rounds = rounds(resolved, agreed);
@@ -271,8 +271,7 @@ impl EventSim {
     fn receive(&mut self, rank: usize, mail: Option<Inflight>, moved: &mut u64) -> Option<bool> {
         let m = mail?;
         self.events += 1;
-        self.ledger
-            .deliver(Some(&mut self.sim), rank, m.stamp, m.delay, None);
+        self.ledger.deliver(rank, m.stamp, m.delay, None);
         *moved += m.msg_len;
         Some(m.present)
     }
@@ -398,7 +397,7 @@ impl EventSim {
             None,
             |_, _| n_rounds,
             |sim, in_cohort, _| {
-                sim.ledger.offer(Charge::of(&rounds));
+                sim.ledger.offer(Charge::Rounds(rounds));
                 let phase = in_cohort
                     .iter()
                     .map(|&m| m.then_some(Ok(((), 0))))
@@ -485,7 +484,7 @@ impl EventSim {
                 collective::star_gather_round(live, hub, &in_lens),
                 collective::star_scatter_round(live, hub, &out_lens),
             ];
-            self.ledger.deposit(Charge::of(&rounds));
+            self.ledger.deposit(Charge::Rounds(rounds));
             (shared, own_len(hub) + blob_len * (live.len() as u64 - 1))
         }));
     }
@@ -518,8 +517,9 @@ impl EventSim {
             && q == size
             && own_len.windows(2).all(|w| w[0] == w[1])
             && {
-                let t0 = self.sim.time(0).to_bits();
-                (1..size).all(|r| self.sim.time(r).to_bits() == t0)
+                let clocks = self.clocks();
+                let t0 = clocks.time(0).to_bits();
+                (1..size).all(|r| clocks.time(r).to_bits() == t0)
             }
             && self.ledger.lamport.windows(2).all(|w| w[0] == w[1]);
         if uniform {
@@ -583,7 +583,7 @@ impl EventSim {
                 .map(|opos| framed_len(has[0][opos], own_len[opos]))
                 .collect();
             self.ledger
-                .deposit(Charge::of(&collective::ring_rounds(live, &lens)));
+                .deposit(Charge::Rounds(collective::ring_rounds(live, &lens)));
         }
         presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
@@ -676,7 +676,7 @@ impl EventSim {
                 .map(|o| if has[0][o] { own_len[o] } else { own_len[0] })
                 .collect();
             self.ledger
-                .deposit(Charge::of(&collective::butterfly_rounds(size, live, &lens)));
+                .deposit(Charge::Rounds(collective::butterfly_rounds(size, live, &lens)));
         }
         presence_outcomes(size, live, own, parts, &has, &moved, phase);
     }
@@ -734,7 +734,7 @@ impl EventSim {
         let slots: Slots = (0..size).map(|r| own[r].clone()).collect();
         let shared = Arc::new(slots);
         self.ledger
-            .deposit(Charge::of(&collective::butterfly_rounds_uniform(
+            .deposit(Charge::Rounds(collective::butterfly_rounds_uniform(
                 size, live, m,
             )));
         for (pos, &r) in live.iter().enumerate() {
@@ -865,7 +865,7 @@ impl EventSim {
                 collective::star_gather_round(&live, hub, &lens),
                 collective::star_scatter_round(&live, hub, &lens),
             ];
-            self.ledger.deposit(Charge::of(&rounds));
+            self.ledger.deposit(Charge::Rounds(rounds));
             Ok((folded, 8 * live.len() as u64))
         });
         if folded.is_err() {
@@ -988,7 +988,7 @@ impl EventSim {
             .map(|r| if present[r] { own[r].clone() } else { None })
             .collect();
         let rounds = vec![collective::star_gather_round(&live, root, &lens)];
-        self.ledger.deposit(Charge::of(&rounds));
+        self.ledger.deposit(Charge::Rounds(rounds));
         phase[root] = Some(Ok((Some(slots), moved)));
         phase
     }
@@ -1062,7 +1062,7 @@ impl EventSim {
                     let lens_by_vi: Vec<u64> = (0..q)
                         .map(|v| slots[abs(v)].as_ref().map_or(0, |b| b.len() as u64))
                         .collect();
-                    self.ledger.deposit(Charge::of(&collective::gatherv_rounds(
+                    self.ledger.deposit(Charge::Rounds(collective::gatherv_rounds(
                         size,
                         &live,
                         vroot,
@@ -1120,7 +1120,7 @@ impl EventSim {
         phase[root] = Some(sent.and_then(|()| {
             let lens = vec![blob_len; live.len()];
             let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-            self.ledger.deposit(Charge::of(&rounds));
+            self.ledger.deposit(Charge::Rounds(rounds));
             decoded()
         }));
         phase
@@ -1147,7 +1147,7 @@ impl EventSim {
             framed_len(present, blob_len)
         });
         if let Some(Ok(_)) = reach[0] {
-            self.ledger.deposit(Charge::of(&collective::bcast_rounds(
+            self.ledger.deposit(Charge::Rounds(collective::bcast_rounds(
                 &live,
                 vroot,
                 framed_len(true, blob_len),
@@ -1230,7 +1230,7 @@ impl EventSim {
         phase[root] = Some(sent.and_then(|()| {
             let lens: Vec<u64> = live.iter().map(|&r| encoded[r].len() as u64).collect();
             let rounds = vec![collective::star_scatter_round(&live, root, &lens)];
-            self.ledger.deposit(Charge::of(&rounds));
+            self.ledger.deposit(Charge::Rounds(rounds));
             // The root counts the bytes it pushed whether or not the
             // destination survived to take them.
             let pushed = lens.iter().sum::<u64>() - encoded[root].len() as u64;
@@ -1277,7 +1277,7 @@ impl EventSim {
             // The root deposits at bundle-obtain time, before its
             // first child send (thread mirror).
             let lens_by_vi: Vec<u64> = (0..q).map(|v| encoded[abs(v)].len() as u64).collect();
-            self.ledger.deposit(Charge::of(&collective::scatterv_rounds(
+            self.ledger.deposit(Charge::Rounds(collective::scatterv_rounds(
                 size,
                 &live,
                 vroot,

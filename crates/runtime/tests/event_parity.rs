@@ -12,7 +12,7 @@
 //! switching engines never changes an answer or a virtual timestamp,
 //! only how many ranks fit in one host (see `docs/RUNTIME.md` §9).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fupermod_core::dynamic::DynamicContext;
@@ -23,8 +23,8 @@ use fupermod_core::{CoreError, Point};
 use fupermod_platform::comm::LinkModel;
 use fupermod_runtime::sim::RankResults;
 use fupermod_runtime::{
-    run_ranks, run_to_balance_distributed_with, AlgorithmPolicy, Communicator, EventSim,
-    FaultPlan, OverlapMode, ReduceOp, RuntimeConfig, RuntimeError, SimEngine, ThreadedComm,
+    run_ranks, run_to_balance_distributed_with, AlgorithmPolicy, Communicator, EventSim, FaultPlan,
+    OverlapMode, ReduceOp, Request, RuntimeConfig, RuntimeError, SimEngine, ThreadedComm,
 };
 use proptest::prelude::*;
 
@@ -88,6 +88,17 @@ fn streams(events: Vec<TraceEvent>) -> BTreeMap<Option<usize>, Vec<String>> {
     out
 }
 
+/// The kinds of `fault` event in `events`.
+fn fault_kinds(events: &[TraceEvent]) -> BTreeSet<String> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Fault { kind, .. } => Some(kind.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
 /// What one rank observed from a full sweep of the collective API,
 /// floats stored as bits so equality is bitwise. Errors are compared
 /// by display string.
@@ -112,7 +123,7 @@ fn scatter_parts(seed: u64, size: usize, len: usize) -> Vec<Vec<f64>> {
 
 /// The fault-free program, thread side.
 fn thread_sweep(
-    mut c: ThreadedComm,
+    c: &mut ThreadedComm,
     seed: u64,
     root: usize,
     len: usize,
@@ -233,6 +244,11 @@ fn event_sweep(
         .collect()
 }
 
+/// What [`assert_parity`] leaves for a caller to check further: the
+/// total comm seconds of the thread and the event run, and the kinds
+/// of `fault` event the thread run traced.
+type Charged = (f64, f64, BTreeSet<String>);
+
 /// Runs one scenario on both engines and asserts full parity: results
 /// (or errors, by display string) per rank, virtual clocks bitwise,
 /// per-rank trace streams verbatim, and total comm seconds to 1e-9
@@ -244,7 +260,8 @@ fn assert_parity<T, FT, FE>(
     size: usize,
     thread_prog: FT,
     event_prog: FE,
-) where
+) -> Charged
+where
     T: std::fmt::Debug + PartialEq + Send,
     FT: Fn(ThreadedComm) -> Result<T, RuntimeError> + Sync,
     FE: FnOnce(&mut EventSim) -> Vec<Result<T, RuntimeError>>,
@@ -294,11 +311,14 @@ fn assert_parity<T, FT, FE>(
         ((thread_comm - event_comm) / denom).abs() <= 1e-9,
         "{label}: comm_seconds differ: thread={thread_comm:.12e} event={event_comm:.12e}"
     );
+    let t_events = t_sink.take();
+    let faults = fault_kinds(&t_events);
     assert_eq!(
-        streams(t_sink.take()),
+        streams(t_events),
         streams(e_sink.take()),
         "{label}: per-rank trace streams differ"
     );
+    (thread_comm, event_comm, faults)
 }
 
 /// The tentpole pin: full collective sweeps at `p ∈ {1, 3, 4, 6, 16,
@@ -316,7 +336,7 @@ fn fault_free_sweeps_are_bit_identical() {
                 policy,
                 FaultPlan::default(),
                 size,
-                move |c| thread_sweep(c, seed, root, len),
+                move |mut c| thread_sweep(&mut c, seed, root, len),
                 move |sim| event_sweep(sim, seed, root, len),
             );
         }
@@ -711,8 +731,9 @@ fn make_ctx(total: u64, eps: f64, size: usize) -> DynamicContext {
 /// Runs the balancing loop on both engines under `plan` and asserts
 /// the outcomes line up: same steps (bitwise observations), same
 /// final sizes, same dead ranks, same per-rank error strings, same
-/// virtual makespan bits, same per-rank trace streams.
-fn assert_balance_parity(label: &str, plan: FaultPlan, mode: OverlapMode) {
+/// virtual makespan bits, same per-rank trace streams. Returns the
+/// kinds of `fault` event the thread run traced.
+fn assert_balance_parity(label: &str, plan: FaultPlan, mode: OverlapMode) -> BTreeSet<String> {
     let size = 4;
     let run = |engine: SimEngine| {
         let sink = Arc::new(MemorySink::new());
@@ -752,11 +773,13 @@ fn assert_balance_parity(label: &str, plan: FaultPlan, mode: OverlapMode) {
         ev.to_bits(),
         "{label}: virtual makespan differs: thread={tv:.9e} event={ev:.9e}"
     );
+    let faults = fault_kinds(&t_events);
     assert_eq!(
         streams(t_events),
         streams(e_events),
         "{label}: per-rank trace streams differ"
     );
+    faults
 }
 
 #[test]
@@ -809,6 +832,150 @@ fn balance_three_rank_fixture_converges_on_event_engine() {
     assert!(outcome.converged());
     assert_eq!(outcome.final_sizes, vec![400, 100, 200]);
     assert!(outcome.rank_errors.iter().all(Option::is_none));
+}
+
+// ----- injected latency: a straggler, a retried drop, a delay ---------
+
+/// A plan that injects time on each path that charges it: rank
+/// `size - 1` straggles every operation, every second attempt on the
+/// `0 → 1` edge is dropped and retried after a backoff, and every
+/// message on the `1 → 0` edge is delayed. Each rule names one rank or
+/// one pair, so the thread backend ticks it deterministically
+/// (`docs/RUNTIME.md` §9).
+fn charged_plan(size: usize) -> FaultPlan {
+    FaultPlan::from_json(&format!(
+        r#"{{"deadline": 20.0,
+            "stragglers": [{{"rank": {}, "comm_seconds": 0.003, "compute_factor": 1.5}}],
+            "drops": [{{"src": 0, "dst": 1, "every": 2, "max_retries": 2, "backoff_seconds": 0.001}}],
+            "delays": [{{"src": 1, "dst": 0, "seconds": 0.002}}]}}"#,
+        size - 1
+    ))
+    .expect("valid plan")
+}
+
+/// The fault kinds a run under [`charged_plan`] must trace: a row
+/// whose rules never fire pins nothing.
+const CHARGED: [&str; 4] = ["straggler", "drop", "retry", "delay"];
+
+fn fired(label: &str, faults: &BTreeSet<String>) {
+    for kind in CHARGED {
+        assert!(faults.contains(kind), "{label}: no `{kind}` fault fired");
+    }
+}
+
+/// Payload of the point-to-point exchange that follows the sweep.
+fn p2p_payload(seed: u64, rank: usize, len: usize) -> Vec<f64> {
+    payload(seed ^ 0x9292, rank, len)
+}
+
+/// The charged program, thread side: the sweep, then a nonblocking
+/// exchange over both faulted edges in causal order — rank 0 posts to
+/// rank 1, which answers once it holds the message, so no two
+/// deliveries race — then a barrier. Each rank returns its sweep and
+/// the bits the exchange delivered to it.
+fn thread_charged(
+    mut c: ThreadedComm,
+    seed: u64,
+    root: usize,
+    len: usize,
+) -> Result<(Sweep, Vec<u64>), RuntimeError> {
+    let sweep = thread_sweep(&mut c, seed, root, len)?;
+    let own = p2p_payload(seed, c.rank(), len);
+    let got = match c.rank() {
+        0 => {
+            let sent = c.isend(1, &own)?;
+            let got: Vec<f64> = c.irecv(1)?.wait()?;
+            sent.wait()?;
+            bits(&got)
+        }
+        1 => {
+            let got: Vec<f64> = c.irecv(0)?.wait()?;
+            c.isend(0, &own)?.wait()?;
+            bits(&got)
+        }
+        _ => Vec::new(),
+    };
+    c.barrier()?;
+    Ok((sweep, got))
+}
+
+/// The charged program, event side: each rank's operations in the
+/// thread side's order.
+fn event_charged(
+    sim: &mut EventSim,
+    seed: u64,
+    root: usize,
+    len: usize,
+) -> Vec<Result<(Sweep, Vec<u64>), RuntimeError>> {
+    let size = sim.size();
+    let sweeps = event_sweep(sim, seed, root, len);
+    let mut got = vec![Vec::new(); size];
+    let mut exchange = || -> Result<(), RuntimeError> {
+        let sent0 = sim.isend(0, 1, &p2p_payload(seed, 0, len))?;
+        let recv0 = sim.irecv_post(0, 1)?;
+        let recv1 = sim.irecv_post(1, 0)?;
+        got[1] = bits(&sim.irecv_wait::<Vec<f64>>(recv1)?);
+        let sent1 = sim.isend(1, 0, &p2p_payload(seed, 1, len))?;
+        sim.isend_wait(sent1);
+        got[0] = bits(&sim.irecv_wait::<Vec<f64>>(recv0)?);
+        sim.isend_wait(sent0);
+        Ok(())
+    };
+    exchange().expect("the plan's retries and delays never fail a send");
+    let mut acc = Acc::new(size);
+    acc.put(sim.barrier(), |_, ()| {});
+    sweeps
+        .into_iter()
+        .zip(got)
+        .enumerate()
+        .map(|(r, (sweep, got))| match acc.err[r].take() {
+            Some(e) => Err(e),
+            None => Ok((sweep?, got)),
+        })
+        .collect()
+}
+
+/// Injected latency lands on the same clocks: under [`charged_plan`]
+/// the straggler's seconds, each retry's backoff and each delivery
+/// delay are charged alike on both engines — results, clocks, comm
+/// seconds and per-rank trace streams bit for bit. (No fast path
+/// runs under a plan with drops or delays, so the comm seconds add up
+/// in one order on both.)
+#[test]
+fn injected_latency_is_bit_identical() {
+    for &size in &[3usize, 4, 16] {
+        for (name, policy) in policies() {
+            let label = format!("charged p={size} {name}");
+            let seed = 0xC4A2 ^ (size as u64) << 8;
+            let root = (size - 1).min(2);
+            let (thread_comm, event_comm, faults) = assert_parity(
+                &label,
+                policy,
+                charged_plan(size),
+                size,
+                move |c| thread_charged(c, seed, root, 7),
+                move |sim| event_charged(sim, seed, root, 7),
+            );
+            assert_eq!(
+                thread_comm.to_bits(),
+                event_comm.to_bits(),
+                "{label}: comm_seconds differ: thread={thread_comm:.12e} event={event_comm:.12e}"
+            );
+            fired(&label, &faults);
+        }
+    }
+}
+
+/// The balancing loop under [`charged_plan`], blocking and overlapped.
+#[test]
+fn balance_under_injected_latency_matches() {
+    for (label, mode) in [
+        ("balance charged blocking", OverlapMode::Blocking),
+        ("balance charged overlapped", OverlapMode::Overlapped),
+    ] {
+        let faults = assert_balance_parity(label, charged_plan(4), mode);
+        fired(label, &faults);
+    }
 }
 
 // ----- satellite: Hockney closed form + survivor agreement at p=1024 --

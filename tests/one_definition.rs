@@ -263,6 +263,24 @@ const RULES: &[Rule] = &[
         bound: Bound::Files(2),
     },
     Rule {
+        name: "one clock owner: only the rank ledger moves a virtual clock",
+        commit: "after 55a5224",
+        needles: &[
+            Needle::Text(".schedule("),
+            Needle::Text(".charge_uniform_ring("),
+            Needle::Text(".post_send("),
+            Needle::Text(".arrive("),
+            // `SimComm::advance` takes a rank and seconds; a split
+            // collective's `advance()` takes nothing and moves no clock.
+            Needle::TextWithout(".advance(", ".advance()"),
+        ],
+        roots: &["crates/runtime/src"],
+        filter: Filter::Rs,
+        lines: Lines::NonTest,
+        allowed: Some(&["crates/runtime/src/ledger.rs"]),
+        bound: Bound::Files(1),
+    },
+    Rule {
         name: "a file's tests come last: every item after the first #[cfg(test)] is gated by one",
         commit: "after b5cea3e",
         needles: &[Needle::Item],
