@@ -13,13 +13,9 @@
 //!   (paper §4.4, Fig. 4): rows redistributed between iterations from
 //!   partial functional performance models built out of the
 //!   application's own iteration times.
-//! * [`heat`] — explicit 2D heat diffusion with halo exchange, the
-//!   "computer simulation" class of application from the paper's
-//!   introduction, balanced the same way.
 //! * [`workload`] — deterministic generators for the linear systems and
 //!   matrices the applications run on.
 
-pub mod heat;
 pub mod jacobi;
 pub mod matmul;
 pub mod workload;

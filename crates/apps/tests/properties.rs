@@ -1,11 +1,8 @@
 //! Property-based tests for the applications: the distributed matmul
-//! is correct for *arbitrary* area splits, and the heat stencil obeys
-//! the discrete maximum principle for arbitrary initial data.
+//! is correct for *arbitrary* area splits.
 
-use fupermod_apps::heat::{run as heat_run, HeatConfig};
 use fupermod_apps::matmul::run_bcast;
 use fupermod_apps::workload::{random_matrix, DenseMatrix};
-use fupermod_core::partition::GeometricPartitioner;
 use fupermod_kernels::gemm::gemm_blocked;
 use fupermod_platform::Platform;
 use fupermod_runtime::{OverlapMode, RuntimeConfig};
@@ -44,63 +41,6 @@ proptest! {
         let reference = serial_product(&a, &b);
         for (x, y) in c.data.iter().zip(&reference) {
             prop_assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn heat_obeys_the_discrete_maximum_principle(
-        seed in 0u64..1000,
-        steps in 1usize..15,
-    ) {
-        let (rows, cols) = (12usize, 10usize);
-        let initial = random_matrix(rows, cols, seed).data;
-        let lo = initial.iter().cloned().fold(0.0_f64, f64::min);
-        let hi = initial.iter().cloned().fold(0.0_f64, f64::max);
-        let platform = Platform::uniform(2, seed);
-        let report = heat_run(
-            &initial,
-            rows,
-            &platform,
-            Box::new(GeometricPartitioner::default()),
-            &HeatConfig {
-                cols,
-                nu: 0.25,
-                steps,
-                eps_balance: 0.05,
-                balance: true,
-            },
-        )
-        .unwrap();
-        // With zero Dirichlet boundaries the range can only contract
-        // towards [min(0, lo), max(0, hi)].
-        for v in &report.grid {
-            prop_assert!(*v >= lo - 1e-12 && *v <= hi + 1e-12, "escaped: {v}");
-        }
-    }
-
-    #[test]
-    fn heat_conserves_row_ownership(
-        seed in 0u64..100,
-    ) {
-        let (rows, cols) = (40usize, 16usize);
-        let initial = random_matrix(rows, cols, seed).data;
-        let platform = Platform::two_speed(1, 2, seed);
-        let report = heat_run(
-            &initial,
-            rows,
-            &platform,
-            Box::new(GeometricPartitioner::default()),
-            &HeatConfig {
-                cols,
-                nu: 0.2,
-                steps: 10,
-                eps_balance: 0.05,
-                balance: true,
-            },
-        )
-        .unwrap();
-        for rec in &report.steps {
-            prop_assert_eq!(rec.sizes.iter().sum::<u64>(), rows as u64);
         }
     }
 }

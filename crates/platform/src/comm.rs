@@ -21,12 +21,10 @@ use serde::{Deserialize, Serialize};
 
 /// Error produced by the communication substrate.
 ///
-/// Historically the per-rank byte-count paths (`allgatherv`,
-/// `redistribute`) and the in-process
-/// point-to-point operations panicked on malformed input or a
-/// disconnected peer; they now surface these conditions as typed
-/// errors so callers (in particular long-running dynamic-balancing
-/// loops) can degrade gracefully instead of poisoning worker threads.
+/// The per-rank byte-count paths (`allgatherv`, `redistribute`)
+/// surface malformed input as typed errors, so callers (in particular
+/// long-running dynamic-balancing loops) can degrade gracefully instead
+/// of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlatformError {
@@ -38,14 +36,6 @@ pub enum PlatformError {
         expected: usize,
         /// Length actually supplied.
         got: usize,
-    },
-    /// A peer hung up: its communicator handle was dropped before the
-    /// operation could complete.
-    Disconnected {
-        /// Operation that observed the hang-up.
-        op: &'static str,
-        /// Rank of the handle that observed it.
-        rank: usize,
     },
     /// A redistribution would create or destroy computation units.
     UnitsNotConserved {
@@ -63,9 +53,6 @@ impl std::fmt::Display for PlatformError {
                 f,
                 "{op}: per-rank vector has {got} entries but the communicator has {expected} ranks"
             ),
-            PlatformError::Disconnected { op, rank } => {
-                write!(f, "{op}: peer of rank {rank} disconnected")
-            }
             PlatformError::UnitsNotConserved { old, new } => write!(
                 f,
                 "redistribution must conserve units (old total {old}, new total {new})"
@@ -262,19 +249,11 @@ impl SimComm {
         }
     }
 
-    /// Point-to-point transfer of `bytes` bytes. The receiver cannot
-    /// finish before the sender has sent; the sender pays one latency
-    /// (eager send).
-    pub fn send(&mut self, src: usize, dst: usize, bytes: f64) {
-        let ready = self.post_send(src, dst, bytes);
-        self.arrive(dst, ready);
-    }
-
-    /// Sender half of [`send`](Self::send): charges `src` one link
-    /// latency (eager send) and returns the virtual instant at which
-    /// the message is ready for delivery at `dst`. Used by nonblocking
-    /// sends, which charge the sender at *post* time and let the
-    /// receiver complete the transfer later with
+    /// Sender half of a point-to-point transfer of `bytes` bytes:
+    /// charges `src` one link latency (eager send) and returns the
+    /// virtual instant at which the message is ready for delivery at
+    /// `dst`, `latency + bytes / bandwidth` after `src`'s clock. The
+    /// receiver completes the transfer later with
     /// [`arrive`](Self::arrive). A self-send charges nothing and is
     /// ready immediately.
     pub fn post_send(&mut self, src: usize, dst: usize, bytes: f64) -> f64 {
@@ -294,11 +273,11 @@ impl SimComm {
         ready
     }
 
-    /// Receiver half of [`send`](Self::send): delivers a message that
-    /// became ready at virtual instant `ready` (as returned by
+    /// Receiver half of a point-to-point transfer: delivers a message
+    /// that became ready at virtual instant `ready` (as returned by
     /// [`post_send`](Self::post_send)), advancing `dst`'s clock to the
-    /// later of its own time and `ready`. `send(src, dst, b)` is
-    /// exactly `post_send` followed by `arrive`.
+    /// later of its own time and `ready`, so the receiver cannot finish
+    /// before the sender has sent.
     pub fn arrive(&mut self, dst: usize, ready: f64) {
         let before = self.clocks[dst];
         self.clocks[dst] = self.clocks[dst].max(ready);
@@ -715,25 +694,23 @@ mod tests {
         assert!(c.schedule(Some(&[0.0, 0.0]), &[vec![(1, 1, 0)]]).is_err());
     }
 
+    /// `post_send` then `arrive` is the Hockney send: the sender pays
+    /// one latency, the receiver finishes at the sender's clock plus
+    /// the link cost.
     #[test]
     fn post_send_then_arrive_matches_send() {
         let link = LinkModel {
             latency_sec: 0.5,
             bytes_per_sec: 1e6,
         };
-        let mut whole = SimComm::new(2, link);
-        whole.advance(0, 2.0);
-        whole.send(0, 1, 1e6);
         let mut split = SimComm::new(2, link);
         split.advance(0, 2.0);
         let ready = split.post_send(0, 1, 1e6);
+        assert_eq!(ready.to_bits(), (2.0 + link.cost(1e6)).to_bits());
         split.arrive(1, ready);
-        assert_eq!(whole.time(0).to_bits(), split.time(0).to_bits());
-        assert_eq!(whole.time(1).to_bits(), split.time(1).to_bits());
-        assert_eq!(
-            whole.comm_seconds().to_bits(),
-            split.comm_seconds().to_bits()
-        );
+        assert_eq!(split.time(0).to_bits(), (2.0f64 + 0.5).to_bits());
+        assert_eq!(split.time(1).to_bits(), ready.to_bits());
+        assert_eq!(split.comm_seconds().to_bits(), ready.to_bits());
         // Delivery later than readiness costs the receiver nothing.
         split.advance(1, 10.0);
         let t = split.time(1);
@@ -751,7 +728,8 @@ mod tests {
         };
         let mut c = SimComm::new(2, link);
         c.advance(0, 2.0);
-        c.send(0, 1, 1e6);
+        let ready = c.post_send(0, 1, 1e6);
+        c.arrive(1, ready);
         assert!((c.time(1) - 3.5).abs() < 1e-12);
     }
 
@@ -801,7 +779,8 @@ mod tests {
         let mut c = SimComm::new(2, LinkModel::ethernet());
         c.enable_trace();
         c.advance(0, 1.0);
-        c.send(0, 1, 1e6);
+        let ready = c.post_send(0, 1, 1e6);
+        c.arrive(1, ready);
         c.barrier();
         let trace = c.trace();
         assert!(trace
@@ -831,7 +810,8 @@ mod tests {
         c.enable_trace();
         for i in 0..5 {
             c.advance(i % 3, 0.5 + i as f64 * 0.1);
-            c.send(i % 3, (i + 1) % 3, 1e5);
+            let ready = c.post_send(i % 3, (i + 1) % 3, 1e5);
+            c.arrive((i + 1) % 3, ready);
             c.barrier();
         }
         for rank in 0..3 {

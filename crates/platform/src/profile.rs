@@ -52,7 +52,8 @@ enum ProfileKind {
     /// One unit is one row of an `N`-column Jacobi system (matrix row +
     /// vectors).
     JacobiSweep { columns: usize },
-    /// Fully parametric linear profile for synthetic studies.
+    /// Fully parametric linear profile for the unit tests.
+    #[cfg(test)]
     Linear {
         flops_per_unit: f64,
         bytes_per_unit: f64,
@@ -90,6 +91,7 @@ impl WorkloadProfile {
     /// Fully parametric linear profile: `flops_per_unit` flops,
     /// `bytes_per_unit` resident bytes (plus `fixed_bytes`), and
     /// `transfer_per_unit` transferred bytes per unit.
+    #[cfg(test)]
     pub fn linear(
         flops_per_unit: f64,
         bytes_per_unit: f64,
@@ -138,6 +140,7 @@ impl WorkloadProfile {
                     transfer_bytes: 8.0 * d,
                 }
             }
+            #[cfg(test)]
             ProfileKind::Linear {
                 flops_per_unit,
                 bytes_per_unit,

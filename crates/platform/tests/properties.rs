@@ -24,7 +24,10 @@ proptest! {
             match (a + b) % 4 {
                 0 | 2 => comm.advance(a, amount),
                 1 => comm.barrier(),
-                _ => comm.send(a, b, amount * 1e6),
+                _ => {
+                    let ready = comm.post_send(a, b, amount * 1e6);
+                    comm.arrive(b, ready);
+                }
             }
             let now = comm.max_time();
             prop_assert!(now >= last_max - 1e-12, "clock regressed");

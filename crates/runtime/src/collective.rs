@@ -37,6 +37,8 @@
 //! is what keeps the three algorithms bitwise identical (see
 //! `Communicator::allreduce`).
 
+use std::borrow::Borrow;
+
 use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
@@ -315,8 +317,18 @@ fn abs_rank(live: &[usize], vroot: usize, vi: usize) -> usize {
 /// `size`-rank communicator where the `Some` slots hold `some_lens`
 /// bytes each: 8-byte length prefix, one tag byte per slot, and an
 /// 8-byte length prefix plus payload per `Some`.
-pub fn encoded_slots_len(size: usize, some_lens: &[u64]) -> u64 {
-    8 + size as u64 + some_lens.iter().map(|n| 8 + n).sum::<u64>()
+pub fn encoded_slots_len<L: Borrow<u64>>(
+    size: usize,
+    some_lens: impl IntoIterator<Item = L>,
+) -> u64 {
+    8 + size as u64 + some_lens.into_iter().map(|n| 8 + n.borrow()).sum::<u64>()
+}
+
+/// Encoded length of one `Option<Vec<u8>>` frame: the tag byte alone
+/// for `None`, plus the 8-byte length prefix and the payload for a
+/// `Some` of `payload` bytes.
+pub(crate) fn framed_len(payload: Option<u64>) -> u64 {
+    payload.map_or(1, |n| 9 + n)
 }
 
 /// Binomial broadcast schedule: `blob` bytes flow root-outward,
@@ -469,7 +481,7 @@ pub fn butterfly_rounds(size: usize, live: &[usize], lens_by_pos: &[u64]) -> Rou
                     (
                         live[e],
                         live[e - q2],
-                        encoded_slots_len(size, &[lens_by_pos[e]]),
+                        encoded_slots_len(size, [lens_by_pos[e]]),
                     )
                 })
                 .collect(),
@@ -531,7 +543,7 @@ pub fn butterfly_rounds_uniform(size: usize, live: &[usize], len: u64) -> Rounds
     if q > q2 {
         rounds.push(
             (q2..q)
-                .map(|e| (live[e], live[e - q2], encoded_slots_len(size, &[len])))
+                .map(|e| (live[e], live[e - q2], encoded_slots_len(size, [len])))
                 .collect(),
         );
     }
@@ -907,6 +919,6 @@ mod tests {
     fn encoded_slots_len_matches_manual_encoding() {
         // 4-rank communicator, two Some slots of 3 and 0 bytes:
         // 8 (vec len) + 4 (tags) + (8+3) + (8+0).
-        assert_eq!(encoded_slots_len(4, &[3, 0]), 8 + 4 + 11 + 8);
+        assert_eq!(encoded_slots_len(4, [3, 0]), 8 + 4 + 11 + 8);
     }
 }

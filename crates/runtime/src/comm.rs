@@ -525,14 +525,14 @@ pub(crate) struct Envelope {
     /// envelope, not the payload, so every `Wire`-encoded message of
     /// every schedule carries it without touching the codec.
     pub(crate) lamport: u64,
-    /// Virtual instant at which this message is ready for delivery,
-    /// returned by the ledger's `isend` post charge
-    /// ([`ThreadedComm::isend`]), which charged the sender's clock at
-    /// *post* time. `None` for blocking sends, whose Hockney p2p cost
-    /// the ledger charges whole at delivery; `Some` charges only the
-    /// receiver's clock, from this instant, keeping the sender's
-    /// virtual timeline a function of its own program order regardless
-    /// of when the receiver drains the mailbox.
+    /// Virtual instant at which this point-to-point message is ready
+    /// for delivery, returned by the ledger's post charge, which
+    /// charged the sender's clock at its `send` or `isend`. Delivery
+    /// charges only the receiver's clock, from this instant, keeping
+    /// the sender's virtual timeline a function of its own program
+    /// order regardless of when the receiver drains the mailbox.
+    /// `None` on a wall-clock plane and for a collective's edges, whose
+    /// schedule is charged at generation close.
     pub(crate) vready: Option<f64>,
 }
 
@@ -832,9 +832,9 @@ impl ThreadedComm {
         }
     }
 
-    /// Enqueues `bytes` to `dst` under the ledger's send verdict, which
-    /// charges any retry backoff. Charges no hop (p2p hops are charged
-    /// at delivery; collective data phases by their closing barrier).
+    /// Enqueues a collective edge's `bytes` to `dst` under the ledger's
+    /// send verdict, which charges any retry backoff. Charges no hop:
+    /// collective data phases are charged by their closing barrier.
     ///
     /// `bytes` may be borrowed: a socket only reads it, so a fan-out
     /// passes `&msg` once per destination without cloning. A mailbox
@@ -848,9 +848,9 @@ impl ThreadedComm {
         self.raw_send_at(op, dst, bytes.into(), false)
     }
 
-    /// [`raw_send`](Self::raw_send), with the ledger's `isend` post
-    /// charge first when `post` is set ([`isend`](Self::isend); see
-    /// [`Envelope::vready`]).
+    /// [`raw_send`](Self::raw_send), with the ledger's point-to-point
+    /// post charge first when `post` is set (`send` and
+    /// [`isend`](Self::isend); see [`Envelope::vready`]).
     fn raw_send_at(
         &self,
         op: &'static str,
@@ -931,17 +931,11 @@ impl ThreadedComm {
     /// `src` (per-pair FIFO): `Ok(Some(bytes))` delivers it (Lamport
     /// merge, virtual-clock charge), `Ok(None)` means nothing is
     /// deliverable *yet* — no message, or a fault-injected delivery
-    /// delay still running. `charge_p2p` applies the Hockney p2p cost
-    /// at delivery (`recv`/`irecv`); collective data phases pass
-    /// `false` and are charged by their closing barrier instead. A
-    /// message already enqueued by a now-dead sender is still
-    /// delivered (posthumous delivery).
-    fn try_take(
-        &self,
-        op: &'static str,
-        src: usize,
-        charge_p2p: bool,
-    ) -> Result<Option<Vec<u8>>, RuntimeError> {
+    /// delay still running. A point-to-point message charges its
+    /// receiver from its [`Envelope::vready`]. A message already
+    /// enqueued by a now-dead sender is still delivered (posthumous
+    /// delivery).
+    fn try_take(&self, op: &'static str, src: usize) -> Result<Option<Vec<u8>>, RuntimeError> {
         let plane = &self.plane;
         let mut st = plane.lock();
         if st.ledger.dead[self.rank] {
@@ -957,8 +951,7 @@ impl ThreadedComm {
                 return Ok(None);
             }
             let env = st.mail[self.rank].remove(idx).expect("index just found");
-            let p2p = charge_p2p.then_some((src, env.bytes.len(), env.vready));
-            st.ledger.deliver(self.rank, env.lamport, env.delay, p2p);
+            st.ledger.deliver(self.rank, env.lamport, env.delay, env.vready);
             return Ok(Some(env.bytes));
         }
         if st.ledger.dead[src] {
@@ -1160,7 +1153,7 @@ impl Communicator for ThreadedComm {
         let start = self.op_begin(OP)?;
         let bytes = value.to_bytes();
         let n = bytes.len() as u64;
-        self.noted(self.raw_send(OP, dst, bytes))?;
+        self.noted(self.raw_send_at(OP, dst, bytes.into(), true))?;
         self.op_end(OP, dst as i64, n, &start, "direct", 1, start.gen);
         Ok(())
     }

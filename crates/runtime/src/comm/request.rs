@@ -222,7 +222,7 @@ impl<T: Wire> Request for RecvRequest<'_, T> {
 
     fn test(self) -> Result<Progress<Self>, RuntimeError> {
         const OP: &str = "irecv";
-        match self.comm.noted(self.comm.try_take(OP, self.src, true))? {
+        match self.comm.noted(self.comm.try_take(OP, self.src))? {
             Some(bytes) => self.finish(&bytes).map(Progress::Ready),
             None => Ok(Progress::Pending(self)),
         }
@@ -394,6 +394,9 @@ impl<'c, P: DataPhase> Split<'c, P> {
     ) -> Result<O, RuntimeError> {
         self.done = true;
         self.comm.coll_release();
+        if self.comm.plane.clocked {
+            self.comm.plane.lock().ledger.settle(self.comm.rank);
+        }
         let raw = self.comm.noted(self.data.take().expect("the data phase has ended"))?;
         let gen = self.comm.noted(fence)?;
         let out = self.comm.noted(decode(raw))?;
@@ -459,7 +462,7 @@ impl DataPhase for Bcast {
                 *moved = bytes.len() as u64;
                 Ok(Poll::Ready(bytes))
             }
-            Resolved::Hub => Ok(match comm.try_take(op, self.root, false)? {
+            Resolved::Hub => Ok(match comm.try_take(op, self.root)? {
                 Some(bytes) => {
                     *moved = bytes.len() as u64;
                     Poll::Ready(bytes)
@@ -573,7 +576,7 @@ impl DataPhase for Scatter {
                 comm.deposit(Charge::Rounds(rounds));
                 Ok(Poll::Ready(mem::take(&mut parts[comm.rank])))
             }
-            (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root, false)? {
+            (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root)? {
                 Some(bytes) => {
                     *moved = bytes.len() as u64;
                     Poll::Ready(bytes)
@@ -841,16 +844,12 @@ impl Allgather {
         Poll::Ready(mem::take(&mut self.held))
     }
 
-    /// Per-position payload lengths for the charge, `hole` standing in
-    /// for a lost contribution.
-    fn lens(&self, hole: u64, present: impl Fn(u64) -> u64) -> Vec<u64> {
+    /// Per-position message lengths for the charge: `len` of each held
+    /// contribution's payload length, `None` for a lost one.
+    fn lens(&self, len: impl Fn(Option<u64>) -> u64) -> Vec<u64> {
         self.live
             .iter()
-            .map(|&r| {
-                self.held[r]
-                    .as_ref()
-                    .map_or(hole, |b| present(b.len() as u64))
-            })
+            .map(|&r| len(self.held[r].as_ref().map(|b| b.len() as u64)))
             .collect()
     }
 }
@@ -920,7 +919,7 @@ impl DataPhase for Allgather {
         match self.at {
             At::Start => unreachable!("left above"),
             At::HubLeaf => {
-                let Some(blob) = comm.try_take(op, self.live[0], false)? else {
+                let Some(blob) = comm.try_take(op, self.live[0])? else {
                     return Ok(Poll::Pending);
                 };
                 *moved += blob.len() as u64;
@@ -951,7 +950,7 @@ impl DataPhase for Allgather {
                     let hub = ag.live[0];
                     let out_lens = vec![blob.len() as u64; q];
                     vec![
-                        collective::star_gather_round(&ag.live, hub, &ag.lens(0, |n| n)),
+                        collective::star_gather_round(&ag.live, hub, &ag.lens(|n| n.unwrap_or(0))),
                         collective::star_scatter_round(&ag.live, hub, &out_lens),
                     ]
                 }))
@@ -972,10 +971,9 @@ impl DataPhase for Allgather {
                         self.send_block(comm, op, moved, k)?;
                     }
                 }
-                // Framed block sizes: 1 tag byte, plus 8 length bytes
-                // and the payload for a present block.
+                // A ring block travels framed.
                 Ok(self.done(comm, |ag| {
-                    collective::ring_rounds(&ag.live, &ag.lens(1, |n| 9 + n))
+                    collective::ring_rounds(&ag.live, &ag.lens(collective::framed_len))
                 }))
             }
             At::BflyFold => {
@@ -1022,7 +1020,7 @@ impl DataPhase for Allgather {
                 }
                 let hole = self.own_len;
                 Ok(self.done(comm, |ag| {
-                    collective::butterfly_rounds(size, &ag.live, &ag.lens(hole, |n| n))
+                    collective::butterfly_rounds(size, &ag.live, &ag.lens(|n| n.unwrap_or(hole)))
                 }))
             }
         }
@@ -1064,7 +1062,7 @@ impl DataPhase for HubReduce {
             if let Some(own) = self.held[comm.rank].take() {
                 comm.raw_send(op, hub, own)?;
             }
-            let Some(bytes) = comm.try_take(op, hub, false)? else {
+            let Some(bytes) = comm.try_take(op, hub)? else {
                 return Ok(Poll::Pending);
             };
             *moved = 16;
@@ -1322,7 +1320,7 @@ impl ThreadedComm {
         op: &'static str,
         src: usize,
     ) -> Result<Poll<Option<Vec<u8>>>, RuntimeError> {
-        match self.try_take(op, src, false) {
+        match self.try_take(op, src) {
             Ok(Some(bytes)) => Ok(Poll::Ready(Some(bytes))),
             Ok(None) => Ok(Poll::Pending),
             Err(RuntimeError::RankDead { rank, .. }) if rank == src => Ok(Poll::Ready(None)),
@@ -1369,10 +1367,10 @@ impl ThreadedComm {
         self.plane.lock().coll_pending[self.rank] = false;
     }
 
-    /// Delivers the next message from `src` (per-pair FIFO, Hockney p2p
-    /// charge at delivery), waiting up to `deadline_at` the way the
-    /// machines wait: [`try_take`](Self::try_take), then
-    /// [`park`](Self::park).
+    /// Delivers the next message from `src` (per-pair FIFO, the
+    /// receiver's half of a p2p hop charged at delivery), waiting up
+    /// to `deadline_at` the way the machines wait:
+    /// [`try_take`](Self::try_take), then [`park`](Self::park).
     pub(super) fn raw_recv_deadline(
         &self,
         op: &'static str,
@@ -1381,7 +1379,7 @@ impl ThreadedComm {
     ) -> Result<Vec<u8>, RuntimeError> {
         loop {
             let seen = self.wake_seq();
-            if let Some(bytes) = self.try_take(op, src, true)? {
+            if let Some(bytes) = self.try_take(op, src)? {
                 return Ok(bytes);
             }
             self.park(op, deadline_at, seen)?;
@@ -1444,7 +1442,7 @@ mod tests {
         for _ in 0..20 {
             let seen = waiter.wake_seq();
             assert_eq!(
-                waiter.try_take("test", 1, false),
+                waiter.try_take("test", 1),
                 Ok(None),
                 "the failed poll"
             );
@@ -1456,7 +1454,7 @@ mod tests {
                 .park("test", deadline_at, seen)
                 .expect("deadline is far");
             best = best.min(parked.elapsed());
-            assert_eq!(waiter.try_take("test", 1, false), Ok(Some(vec![7u8])));
+            assert_eq!(waiter.try_take("test", 1), Ok(Some(vec![7u8])));
             if best < Duration::from_millis(5) {
                 break;
             }

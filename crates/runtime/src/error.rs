@@ -5,7 +5,6 @@ use std::error::Error;
 use std::fmt;
 
 use fupermod_core::json::MemberError;
-use fupermod_platform::PlatformError;
 
 /// Error type of the `fupermod-runtime` message-passing layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,8 +96,6 @@ pub enum RuntimeError {
     Net(String),
     /// A fault plan could not be parsed or validated.
     InvalidPlan(String),
-    /// The platform substrate rejected an operation.
-    Platform(PlatformError),
     /// An application closure running on a rank failed.
     App(String),
 }
@@ -135,32 +132,18 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Net(msg) => write!(f, "tcp transport: {msg}"),
             RuntimeError::InvalidPlan(msg) => write!(f, "invalid fault plan: {msg}"),
-            RuntimeError::Platform(e) => write!(f, "platform error: {e}"),
             RuntimeError::App(msg) => write!(f, "application error: {msg}"),
         }
     }
 }
 
-impl Error for RuntimeError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            RuntimeError::Platform(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl Error for RuntimeError {}
 
 /// A fault plan's member that did not read: JSON reaches the runtime
 /// only as a fault plan.
 impl From<MemberError> for RuntimeError {
     fn from(e: MemberError) -> Self {
         RuntimeError::InvalidPlan(e.to_string())
-    }
-}
-
-impl From<PlatformError> for RuntimeError {
-    fn from(e: PlatformError) -> Self {
-        RuntimeError::Platform(e)
     }
 }
 
@@ -177,8 +160,8 @@ mod tests {
         };
         let text = e.to_string();
         assert!(text.contains("recv") && text.contains('3') && text.contains("2.5"));
-        assert!(RuntimeError::from(PlatformError::Disconnected { op: "send", rank: 1 })
+        assert!(RuntimeError::InvalidPlan("no deadline".into())
             .to_string()
-            .contains("platform"));
+            .contains("fault plan"));
     }
 }

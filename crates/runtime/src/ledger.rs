@@ -14,7 +14,7 @@
 //! the event count and the cohort heap on the engine.
 //!
 //! The rules are op begin ([`Ledger::begin`]), the send verdict
-//! ([`Ledger::send`]), the `isend` post charge ([`Ledger::post`]),
+//! ([`Ledger::send`]), the point-to-point post charge ([`Ledger::post`]),
 //! delivery ([`Ledger::deliver`]), compute ([`Ledger::compute`]),
 //! generation close ([`Ledger::close_generation`]), the rank check
 //! ([`check_rank`]) and the `fault` and `comm` trace events
@@ -113,6 +113,10 @@ pub(crate) struct Ledger {
     /// Empty until a rank of the open generation posts one; a rank
     /// without a snapshot starts at its current clock.
     overlap_base: Vec<Option<f64>>,
+    /// Per rank, the instant its nonblocking collective finishes, set
+    /// by the generation close and charged by the rank itself at its
+    /// completion ([`Ledger::settle`]).
+    overlap_finish: Vec<Option<f64>>,
 }
 
 impl Ledger {
@@ -137,6 +141,7 @@ impl Ledger {
             pending_charge: None,
             clocks,
             overlap_base: Vec::new(),
+            overlap_finish: Vec::new(),
         }
     }
 
@@ -234,10 +239,11 @@ impl Ledger {
         }
     }
 
-    /// The `isend` post charge of `bytes` from `src` to `dst`: the
-    /// sender pays one latency now, and the message is ready at the
-    /// returned instant, from which [`Ledger::deliver`] charges the
-    /// receiver. `None` on a wall-clock plane.
+    /// The post charge of a point-to-point send of `bytes` from `src`
+    /// to `dst`, blocking or not: the sender pays one latency at its
+    /// own send, and the message is ready at the returned instant, from
+    /// which [`Ledger::deliver`] charges the receiver. `None` on a
+    /// wall-clock plane.
     pub(crate) fn post(&mut self, src: usize, dst: usize, bytes: usize) -> Option<f64> {
         let clocks = self.clocks.as_mut()?;
         Some(clocks.post_send(src, dst, bytes as f64))
@@ -245,25 +251,15 @@ impl Ledger {
 
     /// Delivery at `dst` of a message stamped `stamp`: the Lamport
     /// merge (receipt happens after the send), then, on the clocks, the
-    /// Hockney hop of a point-to-point message and the injected `delay`
-    /// (a wall-clock plane held the message instead). `p2p` is the
-    /// message's `(src, bytes, vready)`: its hop is charged whole, or
-    /// from `vready` on when an `isend` charged its sender at post time
-    /// ([`Ledger::post`]). A collective's edges pass `None`: its
-    /// schedule is charged at generation close.
-    pub(crate) fn deliver(
-        &mut self,
-        dst: usize,
-        stamp: u64,
-        delay: f64,
-        p2p: Option<(usize, usize, Option<f64>)>,
-    ) {
+    /// receiver's half of a point-to-point hop — from the instant
+    /// `ready` its send's [`Ledger::post`] returned — and the injected
+    /// `delay` (a wall-clock plane held the message instead). A
+    /// collective's edges carry no `ready`: its schedule is charged at
+    /// generation close.
+    pub(crate) fn deliver(&mut self, dst: usize, stamp: u64, delay: f64, ready: Option<f64>) {
         self.lamport[dst] = self.lamport[dst].max(stamp.wrapping_add(1));
-        if let (Some(clocks), Some((src, bytes, vready))) = (&mut self.clocks, p2p) {
-            match vready {
-                Some(ready) => clocks.arrive(dst, ready),
-                None => clocks.send(src, dst, bytes as f64),
-            }
+        if let (Some(clocks), Some(ready)) = (&mut self.clocks, ready) {
+            clocks.arrive(dst, ready);
         }
         self.charge(dst, delay);
     }
@@ -282,6 +278,18 @@ impl Ledger {
                 self.overlap_base = vec![None; clocks.size()];
             }
             self.overlap_base[rank] = Some(clocks.time(rank));
+        }
+    }
+
+    /// Completion of `rank`'s nonblocking collective: its clock rises
+    /// to the finish instant the generation close computed for it, so
+    /// compute credited since its post hides the transfer whichever
+    /// thread closed the generation, and when (no-op for a rank with
+    /// no such instant).
+    pub(crate) fn settle(&mut self, rank: usize) {
+        let finish = self.overlap_finish.get_mut(rank).and_then(Option::take);
+        if let (Some(clocks), Some(finish)) = (&mut self.clocks, finish) {
+            clocks.arrive(rank, finish);
         }
     }
 
@@ -315,19 +323,33 @@ impl Ledger {
         let (Some(charge), Some(clocks)) = (self.pending_charge.take(), &mut self.clocks) else {
             return join;
         };
-        // A rank that posted this collective nonblocking is charged
-        // from its post-time clock; the others start at their current
-        // clocks, which charges them as no baseline does.
-        let baseline: Option<Vec<f64>> = (!bases.is_empty()).then(|| {
-            let at = |(r, b): (usize, &Option<f64>)| b.unwrap_or_else(|| clocks.time(r));
-            bases.iter().enumerate().map(at).collect()
-        });
+        const VALID: &str = "schedule hops use valid distinct ranks by construction";
         match charge {
-            Charge::Rounds(rounds) => clocks
-                .schedule(baseline.as_deref(), &rounds)
-                .expect("schedule hops use valid distinct ranks by construction"),
+            Charge::Rounds(rounds) if bases.is_empty() => {
+                clocks.schedule(None, &rounds).expect(VALID)
+            }
+            // A rank that posted this collective nonblocking starts its
+            // transfers at its post-time clock and settles its finish at
+            // its own completion, so what it computed in between does
+            // not depend on when this close runs; the others wait inside
+            // the collective and are charged now, from their current
+            // clocks. The finishes are the port model's on a world of
+            // zero clocks, which it leaves at each rank's finish.
+            Charge::Rounds(rounds) => {
+                let at = |(r, b): (usize, &Option<f64>)| b.unwrap_or_else(|| clocks.time(r));
+                let baseline: Vec<f64> = bases.iter().enumerate().map(at).collect();
+                let mut world = SimComm::new(baseline.len(), clocks.link());
+                world.schedule(Some(&baseline), &rounds).expect(VALID);
+                self.overlap_finish = vec![None; baseline.len()];
+                for (r, base) in bases.iter().enumerate() {
+                    match base {
+                        Some(_) => self.overlap_finish[r] = Some(world.time(r)),
+                        None => clocks.arrive(r, world.time(r)),
+                    }
+                }
+            }
             Charge::UniformRing { bytes, rounds } => {
-                debug_assert!(baseline.is_none(), "no overlap on the engine");
+                debug_assert!(bases.is_empty(), "no overlap on the engine");
                 clocks.charge_uniform_ring(bytes, rounds);
             }
         }

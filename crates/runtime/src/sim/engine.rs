@@ -33,8 +33,8 @@ pub(super) struct Env {
     pub(super) delay: f64,
     /// Sender's Lamport stamp at send time.
     pub(super) lamport: u64,
-    /// Ready instant from an `isend`'s post charge: delivery charges
-    /// the receiver from it instead of the whole hop.
+    /// Ready instant from the send's post charge (`send` or `isend`):
+    /// delivery charges the receiver from it.
     pub(super) vready: Option<f64>,
 }
 
@@ -350,8 +350,8 @@ impl EventSim {
         let mail = self.mail.get_mut(&(src, rank));
         if let Some(env) = mail.and_then(VecDeque::pop_front) {
             self.events += 1;
-            let p2p = Some((src, env.bytes.len(), env.vready));
-            self.ledger.deliver(rank, env.lamport, env.delay, p2p);
+            self.ledger
+                .deliver(rank, env.lamport, env.delay, env.vready);
             return Ok(Some(env.bytes));
         }
         if self.ledger.dead[src] {
@@ -403,7 +403,8 @@ impl EventSim {
             let start = self.op_begin(OP, src)?;
             let bytes = value.to_bytes();
             let n = bytes.len() as u64;
-            self.raw_send_at(OP, src, dst, bytes, None)?;
+            let ready = self.ledger.post(src, dst, bytes.len());
+            self.raw_send_at(OP, src, dst, bytes, ready)?;
             self.op_end(src, OP, dst as i64, n, &start, "direct", 1, start.gen);
             Ok(())
         });

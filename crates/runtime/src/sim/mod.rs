@@ -19,8 +19,8 @@
 //! them where its rule decides it, so `op_begin` (op count, Lamport
 //! tick, scheduled death, straggler latency), the fault-plan send
 //! rules (drop counts, bounded exponential backoff, delivery delays),
-//! the `isend` post charge, the Lamport merge and hop charge at
-//! delivery, the barrier-generation join and membership agreement and
+//! the point-to-point post charge, the Lamport merge and receiver
+//! charge at delivery, the barrier-generation join and membership agreement and
 //! the deposited collective schedule charges are one definition each,
 //! and the engine moves no clock itself.
 //! A failed rank leaves as on threads (`docs/RUNTIME.md` §3): inside a

@@ -22,7 +22,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::collective::{self, available_slots, fold_slots, strict_slots, Resolved, Slots};
+use crate::collective::{
+    self, available_slots, encoded_slots_len, fold_slots, framed_len, strict_slots, Resolved, Slots,
+};
 use crate::comm::ReduceOp;
 use crate::error::RuntimeError;
 use crate::wire::{decode_as, Wire};
@@ -37,23 +39,6 @@ type PhaseResults<T> = Vec<Option<Result<(T, u64), RuntimeError>>>;
 /// `vec![None; n]` for slot types whose payload is not `Clone`.
 fn blanks<T>(n: usize) -> Vec<Option<T>> {
     (0..n).map(|_| None).collect()
-}
-
-/// Encoded length of an `Option<Vec<u8>>` frame: 1 tag byte, plus
-/// length prefix and payload when present.
-fn framed_len(present: bool, payload_len: u64) -> u64 {
-    if present {
-        9 + payload_len
-    } else {
-        1
-    }
-}
-
-/// Encoded length of a [`Slots`] bundle with the given present-slot
-/// payload lengths (`Vec` length prefix + one tag byte per slot +
-/// length prefix and payload per present slot).
-fn bundle_len(size: usize, present: impl Iterator<Item = u64>) -> u64 {
-    8 + size as u64 + present.map(|n| 8 + n).sum::<u64>()
 }
 
 /// Each cohort rank's encoded contribution, absolute-rank-indexed.
@@ -466,7 +451,7 @@ impl EventSim {
         // The blob bytes are never materialised — only their encoded
         // length matters for clocks and accounting.
         let own_len = |r: usize| own[r].as_ref().map_or(0, |b| b.len() as u64);
-        let blob_len = bundle_len(size, (0..size).filter(|&r| present[r]).map(own_len));
+        let blob_len = encoded_slots_len(size, (0..size).filter(|&r| present[r]).map(own_len));
         let slots: Slots = (0..size)
             .map(|r| if present[r] { own[r].clone() } else { None })
             .collect();
@@ -523,7 +508,7 @@ impl EventSim {
             }
             && self.ledger.lamport.windows(2).all(|w| w[0] == w[1]);
         if uniform {
-            let msg = 9 + own_len[0];
+            let msg = framed_len(Some(own_len[0]));
             let rounds = q - 1;
             let joined = self.ledger.lamport[0].wrapping_add(rounds as u64);
             for c in &mut self.ledger.lamport {
@@ -562,7 +547,7 @@ impl EventSim {
                 }
                 let opos = (pos + q - k) % q;
                 let present = has[pos][opos];
-                let msg_len = framed_len(present, own_len[opos]);
+                let msg_len = framed_len(present.then_some(own_len[opos]));
                 moved[pos] += msg_len;
                 let next = (pos + 1) % q;
                 match self.hop(op, live[pos], live[next], present, msg_len) {
@@ -580,7 +565,7 @@ impl EventSim {
         }
         if parts.active[0] {
             let lens: Vec<u64> = (0..q)
-                .map(|opos| framed_len(has[0][opos], own_len[opos]))
+                .map(|opos| framed_len(has[0][opos].then_some(own_len[opos])))
                 .collect();
             self.ledger
                 .deposit(Charge::Rounds(collective::ring_rounds(live, &lens)));
@@ -637,7 +622,7 @@ impl EventSim {
                     continue;
                 }
                 let msg_len =
-                    bundle_len(size, (0..q).filter(|&o| sent[src][o]).map(|o| own_len[o]));
+                    encoded_slots_len(size, (0..q).filter(|&o| sent[src][o]).map(|o| own_len[o]));
                 moved[src] += msg_len;
                 match sim.hop(op, live[src], live[dst], true, msg_len) {
                     Ok(mail) => inbox[dst] = mail,
@@ -1144,13 +1129,13 @@ impl EventSim {
         };
         let blob_len = bytes.len() as u64;
         let reach = self.tree_fan_out(op, &live, vroot, in_cohort, |present, _| {
-            framed_len(present, blob_len)
+            framed_len(present.then_some(blob_len))
         });
         if let Some(Ok(_)) = reach[0] {
             self.ledger.deposit(Charge::Rounds(collective::bcast_rounds(
                 &live,
                 vroot,
-                framed_len(true, blob_len),
+                framed_len(Some(blob_len)),
             )));
         }
         for (vi, reach) in reach.into_iter().enumerate() {
@@ -1161,7 +1146,7 @@ impl EventSim {
                 if !reach.present {
                     return Err(RuntimeError::RankDead { op, rank: root });
                 }
-                decode_as::<T>(op, bytes).map(|v| (v, framed_len(true, blob_len)))
+                decode_as::<T>(op, bytes).map(|v| (v, framed_len(Some(blob_len))))
             });
         }
         phase

@@ -13,7 +13,9 @@
 //! only how many ranks fit in one host (see `docs/RUNTIME.md` §9).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
+use std::time::Duration;
 
 use fupermod_core::dynamic::DynamicContext;
 use fupermod_core::model::{Model, PiecewiseModel};
@@ -978,6 +980,173 @@ fn balance_under_injected_latency_matches() {
     }
 }
 
+// ----- blocking point-to-point: one charge rule ----------------------
+
+/// The blocking point-to-point program, thread side: a ring — each
+/// rank sends to its successor, then receives from its predecessor —
+/// then a ping-pong on the `0 → 1` and `1 → 0` edges in causal order,
+/// then a barrier. Each rank returns the bits it received.
+fn thread_blocking(mut c: ThreadedComm, seed: u64, len: usize) -> Result<Vec<u64>, RuntimeError> {
+    let (rank, size) = (c.rank(), c.size());
+    let own = p2p_payload(seed, rank, len);
+    c.send((rank + 1) % size, &own)?;
+    let mut got: Vec<f64> = c.recv((rank + size - 1) % size)?;
+    match rank {
+        0 => {
+            c.send(1, &own)?;
+            got.extend(c.recv::<Vec<f64>>(1)?);
+        }
+        1 => {
+            let back: Vec<f64> = c.recv(0)?;
+            c.send(0, &back)?;
+            got.extend(back);
+        }
+        _ => {}
+    }
+    c.barrier()?;
+    Ok(bits(&got))
+}
+
+/// The blocking point-to-point program, event side: each rank's
+/// operations in the thread side's order, every receive after its send.
+fn event_blocking(
+    sim: &mut EventSim,
+    seed: u64,
+    len: usize,
+) -> Vec<Result<Vec<u64>, RuntimeError>> {
+    let size = sim.size();
+    let mut got = vec![Vec::new(); size];
+    let mut exchange = || -> Result<(), RuntimeError> {
+        for r in 0..size {
+            sim.send(r, (r + 1) % size, &p2p_payload(seed, r, len))?;
+        }
+        for (r, got) in got.iter_mut().enumerate() {
+            *got = sim.recv::<Vec<f64>>(r, (r + size - 1) % size)?;
+        }
+        sim.send(0, 1, &p2p_payload(seed, 0, len))?;
+        let back: Vec<f64> = sim.recv(1, 0)?;
+        sim.send(1, 0, &back)?;
+        got[1].extend_from_slice(&back);
+        got[0].extend(sim.recv::<Vec<f64>>(0, 1)?);
+        Ok(())
+    };
+    exchange().expect("the plan's retries and delays never fail a send");
+    let mut acc = Acc::new(size);
+    acc.put(sim.barrier(), |_, ()| {});
+    got.iter()
+        .enumerate()
+        .map(|(r, got)| match acc.err[r].take() {
+            Some(e) => Err(e),
+            None => Ok(bits(got)),
+        })
+        .collect()
+}
+
+/// Blocking `send`/`recv` is bit-identical on both engines, fault-free
+/// and under [`charged_plan`]: a blocking send charges its sender at
+/// its own send, as `isend` does, so its `comm` event no longer
+/// depends on when the receiver takes the message.
+#[test]
+fn blocking_point_to_point_is_bit_identical() {
+    for &size in &[2usize, 3, 4, 16] {
+        let seed = 0xB10C ^ (size as u64) << 8;
+        for (kind, plan) in [
+            ("fault-free", FaultPlan::none()),
+            ("charged", charged_plan(size)),
+        ] {
+            let label = format!("blocking p2p {kind} p={size}");
+            let (_, _, faults) = assert_parity(
+                &label,
+                AlgorithmPolicy::auto(),
+                plan,
+                size,
+                move |c| thread_blocking(c, seed, 9),
+                move |sim| event_blocking(sim, seed, 9),
+            );
+            if kind == "charged" {
+                fired(&label, &faults);
+            }
+        }
+    }
+}
+
+/// One digest per trace stream of [`streams`].
+fn stream_digests(events: Vec<TraceEvent>) -> BTreeMap<Option<usize>, u64> {
+    streams(events)
+        .into_iter()
+        .map(|(rank, lines)| {
+            let mut h = DefaultHasher::new();
+            lines.hash(&mut h);
+            (rank, h.finish())
+        })
+        .collect()
+}
+
+/// Runs `prog` once on the thread-backed sim at `size` ranks: the
+/// final clocks as bits and the digest of each rank's trace stream.
+fn thread_digests<F>(size: usize, prog: F) -> (Vec<u64>, BTreeMap<Option<usize>, u64>)
+where
+    F: Fn(ThreadedComm) -> Result<(), RuntimeError> + Sync,
+{
+    let sink = Arc::new(MemorySink::new());
+    let (comms, handle) = RuntimeConfig::sim(size, LinkModel::ethernet())
+        .with_trace(sink.clone())
+        .build_with_handle(size);
+    for (rank, out) in run_ranks(comms, prog).into_iter().enumerate() {
+        out.unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
+    }
+    let clocks = handle.virtual_times().expect("sim backend has clocks");
+    (bits(&clocks), stream_digests(sink.take()))
+}
+
+/// The charge order of a blocking send does not depend on which
+/// receiver takes its message first: rank 0 sends 100 doubles to rank
+/// 1, then to rank 2, and one of the two receivers is late by a wall
+/// sleep. Both orders end with one clock vector and one stream per rank.
+#[test]
+fn blocking_send_charges_are_independent_of_receive_order() {
+    let run = |late: usize| {
+        thread_digests(3, move |mut c| {
+            let rank = c.rank();
+            if rank == 0 {
+                let msg = vec![0.25f64; 100];
+                c.send(1, &msg)?;
+                return c.send(2, &msg);
+            }
+            if rank == late {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            c.recv::<Vec<f64>>(0).map(drop)
+        })
+    };
+    let (clocks1, streams1) = run(1);
+    let (clocks2, streams2) = run(2);
+    assert_eq!(clocks1, clocks2, "final clocks depend on the receive order");
+    assert_eq!(
+        streams1, streams2,
+        "trace streams depend on the receive order"
+    );
+}
+
+/// A 2-rank blocking exchange, run 200 times on the thread-backed
+/// sim, gives one set of stream digests.
+#[test]
+fn blocking_exchange_streams_are_reproducible() {
+    let mut seen = BTreeSet::new();
+    for _ in 0..200 {
+        seen.insert(thread_digests(2, |mut c| {
+            if c.rank() == 0 {
+                c.send(1, &[1.5f64; 8].to_vec())?;
+                c.recv::<Vec<f64>>(1).map(drop)
+            } else {
+                let got: Vec<f64> = c.recv(0)?;
+                c.send(0, &got)
+            }
+        }));
+    }
+    assert_eq!(seen.len(), 1, "{} distinct runs of one program", seen.len());
+}
+
 // ----- satellite: Hockney closed form + survivor agreement at p=1024 --
 
 proptest! {
@@ -1006,7 +1175,8 @@ proptest! {
             let got: Vec<u8> = sim.recv(dst, src).expect("recv on live ranks");
             prop_assert_eq!(got.len(), n);
             // Closed form, in the engine's own charge order: the
-            // sender half runs when the receiver takes the message.
+            // sender half runs at its send, the receiver half when it
+            // takes the message.
             let m = (8 + n) as f64;
             let ready = clock[src] + link.cost(m);
             clock[src] += link.latency_sec;

@@ -478,6 +478,52 @@ fn advance_compute_overlaps_collective_cost() {
     }
 }
 
+/// The overlap charge of a collective request lands at the request's
+/// own `wait`, whichever rank closes the generation and when: rank 0
+/// posts an `ibcast`, computes and waits, once with the other ranks
+/// late (the generation closes after its compute) and once with
+/// itself late (before its compute), held apart by wall sleeps. Both
+/// orders end with one clock vector and one trace stream per rank.
+#[test]
+fn overlap_charge_is_independent_of_who_closes_the_generation() {
+    for policy in all_policies() {
+        let run = |root_late: bool| {
+            let sink = Arc::new(MemorySink::new());
+            let (comms, handle) = RuntimeConfig::sim(4, LinkModel::ethernet())
+                .with_algorithms(policy)
+                .with_trace(sink.clone())
+                .build_with_handle(4);
+            let nap = || std::thread::sleep(std::time::Duration::from_millis(20));
+            let out = run_ranks(comms, |c| -> Result<(), RuntimeError> {
+                let root = c.rank() == 0;
+                if !root && !root_late {
+                    nap();
+                }
+                let payload = vec![3u64; 4096];
+                let req = c.ibcast::<Vec<u64>>(0, root.then_some(&payload))?;
+                if root && root_late {
+                    nap();
+                }
+                c.advance_compute(0.5)?;
+                req.wait().map(drop)
+            });
+            out.into_iter().for_each(|r| r.unwrap());
+            let clocks = handle.virtual_times().expect("sim backend keeps clocks");
+            let mut streams: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+            for event in sink.take() {
+                if let TraceEvent::Comm { rank, .. } = &event {
+                    streams.entry(*rank).or_default().push(event.to_jsonl());
+                }
+            }
+            (
+                clocks.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                streams,
+            )
+        };
+        assert_eq!(run(true), run(false), "{policy:?}");
+    }
+}
+
 /// Soak for `park`'s poll→sleep hand-off (`docs/PERFORMANCE.md`): a
 /// wake-up landing between a failed poll and the sleep used to cost
 /// the waiter a full 50 ms tick. Two threaded ranks run 50 000

@@ -471,7 +471,7 @@ fn net_counters_child() {
         + 7u64.to_bytes().len() as u64
         + payload(1, 0, PANEL).to_bytes().len() as u64
         + slot
-        + encoded_slots_len(2, &[slot; 2]);
+        + encoded_slots_len(2, [slot; 2]);
     for dir in ["tx", "rx"] {
         assert_eq!(counter("net_frames_total", dir), frames, "frames {dir}");
         assert_eq!(

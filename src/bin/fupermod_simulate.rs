@@ -2,7 +2,7 @@
 //! simulated platform from the command line.
 //!
 //! ```text
-//! Usage: fupermod_simulate --app matmul|jacobi|heat|balance
+//! Usage: fupermod_simulate --app matmul|jacobi|balance
 //!                          [--platform NAME] [--ranks P] [--seed S] [--size N]
 //!                          [--algorithm even|constant|geometric|numerical]
 //!                          [--parallelism N]
@@ -22,7 +22,7 @@
 //!                   P > 512 rather than spawning that many OS threads
 //!   --seed          platform/workload seed (default: 1)
 //!   --size          problem size: matmul = blocks per side (default 128),
-//!                   jacobi/heat = rows (default 600),
+//!                   jacobi = rows (default 600),
 //!                   balance = work units (default 100000)
 //!   --algorithm     partitioning algorithm (default: geometric)
 //!   --parallelism   (matmul only) model-build worker threads (default: 1
@@ -66,7 +66,6 @@
 //!   --gantt yes     (matmul only) dump the Gantt-style activity CSV to stderr
 //! ```
 
-use fupermod::apps::heat::{run_traced as heat_run, sine_mode, HeatConfig};
 use fupermod::apps::jacobi::{run_traced as jacobi_run, JacobiConfig};
 use fupermod::apps::matmul::{
     build_device_models_with, simulate, simulate_traced, MatMulConfig,
@@ -76,7 +75,7 @@ use fupermod::cli;
 use fupermod::core::model::{AkimaModel, Model};
 use fupermod::core::trace::{null_sink, TraceSink};
 use fupermod::core::Precision;
-use fupermod::platform::{LinkModel, WorkloadProfile};
+use fupermod::platform::WorkloadProfile;
 
 use std::sync::Arc;
 
@@ -110,7 +109,7 @@ fn main() {
     let min_size = match app {
         "matmul" => 1,
         // One row per rank.
-        "jacobi" | "heat" => platform.size() as u64,
+        "jacobi" => platform.size() as u64,
         _ => 0,
     };
     if let Some(n) = args.value::<u64>("size").filter(|&n| n < min_size) {
@@ -218,30 +217,6 @@ fn main() {
                 report.makespan
             );
             if let Some(last) = report.iterations.last() {
-                println!("final row distribution: {:?}", last.sizes);
-            }
-        }
-        "heat" => {
-            let rows: usize = args.value_or("size", 600);
-            let cfg = HeatConfig::default();
-            let initial = sine_mode(rows, cfg.cols);
-            let platform = platform.with_link(LinkModel::infiniband());
-            let report = heat_run(
-                &initial,
-                rows,
-                &platform,
-                cli::pick_partitioner(algorithm),
-                &cfg,
-                events.clone(),
-            )
-            .unwrap_or_else(fail("heat run failed"));
-            println!("platform: {}", platform.name());
-            println!(
-                "{} steps, makespan {:.4} s",
-                report.steps.len(),
-                report.makespan
-            );
-            if let Some(last) = report.steps.last() {
                 println!("final row distribution: {:?}", last.sizes);
             }
         }
@@ -371,7 +346,7 @@ fn main() {
             }
         }
         other => cli::exit_usage(format_args!(
-            "--app must be matmul, jacobi, heat or balance (got '{other}')"
+            "--app must be matmul, jacobi or balance (got '{other}')"
         )),
     }
     cli::finish_trace(sink.as_ref());
