@@ -150,39 +150,12 @@ pub fn simulate(
     areas: &[u64],
     cfg: &MatMulConfig,
 ) -> Result<SimReport, CoreError> {
-    let mut comm = SimComm::new(platform.size(), platform.link());
-    simulate_on(platform, areas, cfg, &mut comm)
-}
-
-/// Like [`simulate`], but additionally returns the Gantt-style
-/// [`TraceEvent`](fupermod_platform::TraceEvent) timeline of the run —
-/// per-rank compute/communication/idle intervals.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_traced(
-    platform: &Platform,
-    areas: &[u64],
-    cfg: &MatMulConfig,
-) -> Result<(SimReport, Vec<fupermod_platform::TraceEvent>), CoreError> {
-    let mut comm = SimComm::new(platform.size(), platform.link());
-    comm.enable_trace();
-    let report = simulate_on(platform, areas, cfg, &mut comm)?;
-    Ok((report, comm.trace().to_vec()))
-}
-
-fn simulate_on(
-    platform: &Platform,
-    areas: &[u64],
-    cfg: &MatMulConfig,
-    comm: &mut SimComm,
-) -> Result<SimReport, CoreError> {
     assert_eq!(areas.len(), platform.size(), "one area per device");
     let partition = column_partition(cfg.n_blocks, areas)?;
     let profile = WorkloadProfile::matrix_update(cfg.block);
     let bytes_per_block = (cfg.block * cfg.block * 8) as f64;
     let p = platform.size();
+    let mut comm = SimComm::new(p, platform.link());
     let rounds = (usize::BITS - (p.max(2) - 1).leading_zeros()) as f64;
 
     let mut iter_compute_times = vec![0.0; p];
@@ -217,7 +190,7 @@ fn simulate_on(
     Ok(SimReport {
         total_time: comm.max_time(),
         iter_compute_times,
-        comm_seconds: comm_secs + comm.comm_seconds(),
+        comm_seconds: comm_secs,
         half_perimeters: partition.sum_half_perimeters(),
         partition,
     })
@@ -507,30 +480,6 @@ mod tests {
         assert!(report.total_time > 0.0);
         assert!(report.comm_seconds > 0.0);
         assert_eq!(report.partition.rects().len(), 4);
-    }
-
-    #[test]
-    fn traced_simulation_matches_untraced_and_covers_timeline() {
-        use fupermod_platform::Activity;
-        let platform = Platform::two_speed(1, 1, 33);
-        let cfg = MatMulConfig {
-            n_blocks: 16,
-            block: 16,
-        };
-        let areas = vec![160, 96];
-        let plain = simulate(&platform, &areas, &cfg).unwrap();
-        let (traced, trace) = simulate_traced(&platform, &areas, &cfg).unwrap();
-        assert_eq!(plain.total_time, traced.total_time);
-        assert!(!trace.is_empty());
-        // Compute time recorded for both ranks; intervals within range.
-        for rank in 0..2 {
-            assert!(trace
-                .iter()
-                .any(|e| e.rank == rank && e.activity == Activity::Compute));
-        }
-        for e in &trace {
-            assert!(e.end > e.start && e.end <= traced.total_time + 1e-12);
-        }
     }
 
     #[test]

@@ -122,10 +122,14 @@ impl Args {
             .unwrap_or_else(|| exit_usage(format_args!("--{key} is required")))
     }
 
-    /// Exits with status 2 naming a flag or switch not in `known`.
+    /// Exits with status 2 naming a flag or switch not in `known`, or,
+    /// for the retired `--trace-format`, its replacement.
     pub fn reject_unknown(&self, known: &[&str]) {
         let mut given = self.values.keys().chain(&self.switches);
         if let Some(key) = given.find(|k| !known.contains(&k.as_str())) {
+            if key == "trace-format" {
+                trace_format_removed();
+            }
             exit_usage(format_args!("unknown option --{key}"));
         }
     }
@@ -358,10 +362,7 @@ pub fn runtime_config(
 /// 1 when the directory or file cannot be created.
 pub fn open_trace_sink(args: &Args, name: &str, rank: Option<usize>) -> Option<Arc<dyn TraceSink>> {
     if args.get("trace-format").is_some() {
-        exit_usage(
-            "--trace-format was removed: a trace file is JSONL; \
-             run `fupermod_tracetool export --format csv FILE` for the CSV view",
-        );
+        trace_format_removed();
     }
     let path = trace_path(args, name, rank);
     telemetry::open_run_trace(path.as_deref()).unwrap_or_else(|e| {
@@ -371,6 +372,15 @@ pub fn open_trace_sink(args: &Args, name: &str, rank: Option<usize>) -> Option<A
         );
         std::process::exit(1);
     })
+}
+
+/// Exits with status 2 on the retired `--trace-format` flag, naming
+/// its replacement.
+fn trace_format_removed() -> ! {
+    exit_usage(
+        "--trace-format was removed: a trace file is JSONL; \
+         run `fupermod_tracetool export --format csv FILE` for the CSV view",
+    )
 }
 
 /// The file [`open_trace_sink`] writes, creating its directory in the

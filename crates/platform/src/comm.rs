@@ -12,8 +12,7 @@
 //! *Real* (wall-clock) execution lives in `fupermod-runtime`: the
 //! threaded backend (`ThreadedComm`) multiplexes ranks as OS threads
 //! in one process, and the TCP backend (`TcpComm`) runs one rank per
-//! process over sockets. The old `ThreadComm` shim that used to live
-//! here has been removed; port callers to those backends.
+//! process over sockets.
 
 use std::collections::VecDeque;
 
@@ -105,38 +104,11 @@ pub type Hop = (usize, usize, u64);
 /// (and charged by [`SimComm::schedule`]) in order.
 pub type Rounds = Vec<Vec<Hop>>;
 
-/// What a rank was doing during a [`TraceEvent`] interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Activity {
-    /// Local computation (an [`SimComm::advance`]).
-    Compute,
-    /// Sending/receiving or waiting inside a communication operation.
-    Communication,
-    /// Waiting at a barrier.
-    Idle,
-}
-
-/// One interval of a rank's virtual timeline, recorded when tracing is
-/// enabled with [`SimComm::enable_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// The rank whose timeline this interval belongs to.
-    pub rank: usize,
-    /// Interval start, in virtual seconds.
-    pub start: f64,
-    /// Interval end, in virtual seconds.
-    pub end: f64,
-    /// What the rank was doing.
-    pub activity: Activity,
-}
-
 /// Simulated message-passing world with per-rank virtual clocks.
 ///
 /// All operations are driven from a single thread; "time" is virtual.
 /// Collective operations have synchronising semantics matching their
-/// MPI counterparts. With [`SimComm::enable_trace`] every clock
-/// movement is recorded as a [`TraceEvent`], yielding a Gantt-style
-/// timeline of the simulated run.
+/// MPI counterparts.
 ///
 /// # Examples
 ///
@@ -153,8 +125,6 @@ pub struct TraceEvent {
 pub struct SimComm {
     clocks: Vec<f64>,
     link: LinkModel,
-    comm_seconds: f64,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl SimComm {
@@ -169,35 +139,6 @@ impl SimComm {
         Self {
             clocks: vec![0.0; size],
             link,
-            comm_seconds: 0.0,
-            trace: None,
-        }
-    }
-
-    /// Starts recording a [`TraceEvent`] timeline (clears any previous
-    /// trace).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded timeline, empty unless
-    /// [`enable_trace`](Self::enable_trace) was called.
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Records one interval of `rank`'s timeline (no-op when tracing is
-    /// off or the interval is empty).
-    fn note(&mut self, rank: usize, start: f64, end: f64, activity: Activity) {
-        if end > start {
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent {
-                    rank,
-                    start,
-                    end,
-                    activity,
-                });
-            }
         }
     }
 
@@ -221,12 +162,6 @@ impl SimComm {
         self.clocks.iter().fold(0.0, |m, c| m.max(*c))
     }
 
-    /// Total virtual seconds spent inside communication operations,
-    /// summed over ranks (a communication-volume diagnostic).
-    pub fn comm_seconds(&self) -> f64 {
-        self.comm_seconds
-    }
-
     /// Rank `rank` computes for `dt` seconds.
     ///
     /// # Panics
@@ -234,18 +169,14 @@ impl SimComm {
     /// Panics if `dt` is negative or not finite.
     pub fn advance(&mut self, rank: usize, dt: f64) {
         assert!(dt.is_finite() && dt >= 0.0, "dt must be finite and >= 0");
-        let before = self.clocks[rank];
         self.clocks[rank] += dt;
-        self.note(rank, before, before + dt, Activity::Compute);
     }
 
     /// Synchronises every rank to the latest clock.
     pub fn barrier(&mut self) {
         let max = self.max_time();
-        for r in 0..self.clocks.len() {
-            let before = self.clocks[r];
-            self.clocks[r] = max;
-            self.note(r, before, max, Activity::Idle);
+        for c in &mut self.clocks {
+            *c = max;
         }
     }
 
@@ -262,14 +193,7 @@ impl SimComm {
         }
         let link = self.link;
         let ready = self.clocks[src] + link.cost(bytes);
-        let src_before = self.clocks[src];
         self.clocks[src] += link.latency_sec;
-        self.note(
-            src,
-            src_before,
-            src_before + link.latency_sec,
-            Activity::Communication,
-        );
         ready
     }
 
@@ -279,11 +203,7 @@ impl SimComm {
     /// later of its own time and `ready`, so the receiver cannot finish
     /// before the sender has sent.
     pub fn arrive(&mut self, dst: usize, ready: f64) {
-        let before = self.clocks[dst];
         self.clocks[dst] = self.clocks[dst].max(ready);
-        self.comm_seconds += self.clocks[dst] - before;
-        let dst_after = self.clocks[dst];
-        self.note(dst, before, dst_after, Activity::Communication);
     }
 
     /// Checks that a per-rank byte vector matches the communicator
@@ -319,11 +239,8 @@ impl SimComm {
         // progress.
         let worst_chunk = bytes.iter().fold(0.0_f64, |m, b| m.max(*b));
         let finish = start + (p as f64 - 1.0) * self.link().cost(worst_chunk);
-        for r in 0..p {
-            let before = self.clocks[r];
-            self.comm_seconds += finish - before;
-            self.clocks[r] = finish;
-            self.note(r, before, finish, Activity::Communication);
+        for c in &mut self.clocks {
+            *c = finish;
         }
         Ok(())
     }
@@ -350,8 +267,7 @@ impl SimComm {
     /// rank's ports advance to its round finish before the next round.
     ///
     /// At each round's end a clock below its rank's round finish rises
-    /// to it, and [`comm_seconds`](Self::comm_seconds) grows by the
-    /// rise, so a rank that computed past its part since its baseline
+    /// to it, so a rank that computed past its part since its baseline
     /// pays only the exposed part. A baseline equal to the current
     /// clocks charges exactly what `None` does, to the bit: ports start
     /// at the clocks and no cost is negative, so after every round each
@@ -396,10 +312,7 @@ impl SimComm {
                 send_busy[r] = after;
                 recv_busy[r] = after;
                 if after > self.clocks[r] {
-                    let before = self.clocks[r];
-                    self.comm_seconds += after - before;
                     self.clocks[r] = after;
-                    self.note(r, before, after, Activity::Communication);
                 }
             }
         }
@@ -420,14 +333,6 @@ impl SimComm {
     /// plan — each round every rank begins at the shared clock `x` and
     /// ends at `fl(x + cost)` — so the resulting clocks are
     /// **bit-identical** to the explicit replay.
-    /// [`comm_seconds`](Self::comm_seconds) is accumulated as
-    /// `fl(round_delta) × p` per round, which is mathematically equal
-    /// to the explicit replay's per-rank accumulation but not
-    /// guaranteed bit-identical (the replay performs `p` separate
-    /// additions per round); `comm_seconds` is a diagnostic, not part
-    /// of the bit-parity contract. When tracing is enabled each rank
-    /// gets one coalesced [`Activity::Communication`] interval spanning
-    /// all rounds instead of one per round.
     ///
     /// # Panics
     ///
@@ -442,18 +347,12 @@ impl SimComm {
             "charge_uniform_ring requires bit-identical per-rank clocks"
         );
         let cost = link.cost(bytes);
-        let p = self.clocks.len() as f64;
         let mut x = start;
         for _ in 0..rounds {
-            let next = x + cost;
-            self.comm_seconds += (next - x) * p;
-            x = next;
+            x += cost;
         }
         for c in &mut self.clocks {
             *c = x;
-        }
-        for r in 0..self.clocks.len() {
-            self.note(r, start, x, Activity::Communication);
         }
     }
 
@@ -522,11 +421,8 @@ impl SimComm {
                 .iter()
                 .map(|b| start + b)
                 .fold(0.0_f64, f64::max);
-            for r in 0..self.clocks.len() {
-                let before = self.clocks[r];
-                self.comm_seconds += finish - before;
-                self.clocks[r] = finish;
-                self.note(r, before, finish, Activity::Communication);
+            for c in &mut self.clocks {
+                *c = finish;
             }
         }
         Ok(moved)
@@ -600,13 +496,13 @@ mod tests {
                 .map(|k| (0..8).map(|i| (i, (i + 1) % 8, 100 + k as u64)).collect())
                 .collect();
             c.schedule(None, &rounds).unwrap();
-            (c.max_time(), c.comm_seconds())
+            (0..8).map(|r| c.time(r).to_bits()).collect::<Vec<_>>()
         };
-        let (t1, s1) = run();
-        let (t2, s2) = run();
-        assert!(t1 > 0.0 && s1 > 0.0);
-        assert_eq!(t1.to_bits(), t2.to_bits());
-        assert_eq!(s1.to_bits(), s2.to_bits());
+        let clocks = run();
+        assert_eq!(clocks, run());
+        // Every rank's clock carries its comm seconds past the 1 ms of
+        // compute rank 3 did.
+        assert!(clocks.iter().all(|&t| f64::from_bits(t) > 1e-3));
     }
 
     #[test]
@@ -632,10 +528,6 @@ mod tests {
                 "rank {r} clock diverged"
             );
         }
-        // comm_seconds is mathematically equal but accumulated in a
-        // different association order — approximate agreement only.
-        let rel = (exact.comm_seconds() - fast.comm_seconds()).abs() / exact.comm_seconds();
-        assert!(rel < 1e-9, "comm_seconds diverged by {rel}");
     }
 
     #[test]
@@ -653,10 +545,6 @@ mod tests {
         for r in 0..8 {
             assert_eq!(blocking.time(r).to_bits(), overlap.time(r).to_bits());
         }
-        assert_eq!(
-            blocking.comm_seconds().to_bits(),
-            overlap.comm_seconds().to_bits()
-        );
     }
 
     #[test]
@@ -671,12 +559,11 @@ mod tests {
         let baseline = vec![0.0, 0.0];
         c.advance(0, 5.0);
         c.advance(1, 5.0);
-        let before = c.comm_seconds();
         c.schedule(Some(&baseline), &[vec![(0, 1, 0)], vec![(1, 0, 0)]])
             .unwrap();
+        // Fully hidden → no exposed cost.
         assert_eq!(c.time(0), 5.0);
         assert_eq!(c.time(1), 5.0);
-        assert_eq!(c.comm_seconds(), before); // fully hidden → no exposed cost
         // The same schedule charged blocking-style costs 2 s on top.
         let mut b = SimComm::new(2, link);
         b.advance(0, 5.0);
@@ -710,14 +597,11 @@ mod tests {
         split.arrive(1, ready);
         assert_eq!(split.time(0).to_bits(), (2.0f64 + 0.5).to_bits());
         assert_eq!(split.time(1).to_bits(), ready.to_bits());
-        assert_eq!(split.comm_seconds().to_bits(), ready.to_bits());
         // Delivery later than readiness costs the receiver nothing.
         split.advance(1, 10.0);
         let t = split.time(1);
-        let s = split.comm_seconds();
         split.arrive(1, t - 1.0);
         assert_eq!(split.time(1), t);
-        assert_eq!(split.comm_seconds(), s);
     }
 
     #[test]
@@ -772,55 +656,6 @@ mod tests {
         assert!(c.redistribute(&[1, 2], &[1, 2, 0], 8.0).is_err());
         // Clocks untouched by any rejected call.
         assert_eq!(c.max_time(), 0.0);
-    }
-
-    #[test]
-    fn trace_records_compute_comm_and_idle() {
-        let mut c = SimComm::new(2, LinkModel::ethernet());
-        c.enable_trace();
-        c.advance(0, 1.0);
-        let ready = c.post_send(0, 1, 1e6);
-        c.arrive(1, ready);
-        c.barrier();
-        let trace = c.trace();
-        assert!(trace
-            .iter()
-            .any(|e| e.rank == 0 && e.activity == Activity::Compute));
-        assert!(trace
-            .iter()
-            .any(|e| e.rank == 1 && e.activity == Activity::Communication));
-        // Intervals are well-formed and within the clock range.
-        for e in trace {
-            assert!(e.end > e.start);
-            assert!(e.end <= c.max_time() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn trace_is_off_by_default_and_cheap() {
-        let mut c = SimComm::new(2, LinkModel::ethernet());
-        c.advance(0, 1.0);
-        c.barrier();
-        assert!(c.trace().is_empty());
-    }
-
-    #[test]
-    fn per_rank_trace_is_time_ordered() {
-        let mut c = SimComm::new(3, LinkModel::ethernet());
-        c.enable_trace();
-        for i in 0..5 {
-            c.advance(i % 3, 0.5 + i as f64 * 0.1);
-            let ready = c.post_send(i % 3, (i + 1) % 3, 1e5);
-            c.arrive((i + 1) % 3, ready);
-            c.barrier();
-        }
-        for rank in 0..3 {
-            let mut last_end = 0.0;
-            for e in c.trace().iter().filter(|e| e.rank == rank) {
-                assert!(e.start >= last_end - 1e-12, "overlap on rank {rank}");
-                last_end = e.end;
-            }
-        }
     }
 
     #[test]

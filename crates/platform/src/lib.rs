@@ -20,9 +20,10 @@
 //! * [`device`] — device models and their ground-truth time functions,
 //!   plus a seeded multiplicative noise model so repeated "measurements"
 //!   behave like real benchmarks.
-//! * [`comm`] — a Hockney-model (`α + m/β`) simulated message-passing
-//!   layer with per-rank virtual clocks, and a real thread-backed
-//!   communicator with the same interface for in-process parallel runs.
+//! * [`comm`] — the Hockney (`α + m/β`) link model, the hop types of a
+//!   collective schedule, and [`SimComm`], the per-rank virtual clocks
+//!   those hops are charged to. Real (wall-clock) communication lives
+//!   in `fupermod-runtime`.
 //! * [`cluster`] — ready-made testbeds used across the experiments.
 
 pub mod cluster;
@@ -31,6 +32,6 @@ pub mod device;
 pub mod profile;
 
 pub use cluster::Platform;
-pub use comm::{Activity, LinkModel, PlatformError, SimComm, TraceEvent};
+pub use comm::{LinkModel, PlatformError, SimComm};
 pub use device::{Device, DeviceSpec};
 pub use profile::WorkloadProfile;

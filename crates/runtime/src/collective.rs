@@ -46,8 +46,8 @@ use crate::wire::{decode_as, Wire};
 /// A schedule's hops and rounds are the ones the clocks charge.
 pub use fupermod_platform::comm::{Hop, Rounds};
 
-/// Requested collective algorithm (per operation, see
-/// [`AlgorithmPolicy`]).
+/// Requested collective algorithm (see [`AlgorithmPolicy`]); each
+/// operation resolves it to a [`Resolved`] schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Route through the lowest live rank: serialised star schedule.
@@ -190,35 +190,19 @@ impl Resolved {
     }
 }
 
-/// Per-operation algorithm selection, configured via
-/// `RuntimeConfig::with_algorithms` (CLI: `--collectives`).
+/// The collective algorithm of a communicator, configured via
+/// `RuntimeConfig::with_algorithms` (CLI: `--collectives`). Every
+/// operation reads the one [`Algorithm`] and resolves it by its own
+/// rule from `(p, bytes)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmPolicy {
-    /// Schedule for `barrier`.
-    pub barrier: Algorithm,
-    /// Schedule for `bcast`.
-    pub bcast: Algorithm,
-    /// Schedule for `scatterv`.
-    pub scatterv: Algorithm,
-    /// Schedule for `gatherv` / `gather_available`.
-    pub gatherv: Algorithm,
-    /// Schedule for `allgatherv` / `allgatherv_available`.
-    pub allgatherv: Algorithm,
-    /// Schedule for `allreduce`.
-    pub allreduce: Algorithm,
+    pub(crate) algorithm: Algorithm,
 }
 
 impl AlgorithmPolicy {
     /// Every operation on the given algorithm.
     pub fn uniform(algorithm: Algorithm) -> Self {
-        Self {
-            barrier: algorithm,
-            bcast: algorithm,
-            scatterv: algorithm,
-            gatherv: algorithm,
-            allgatherv: algorithm,
-            allreduce: algorithm,
-        }
+        Self { algorithm }
     }
 
     /// The compatibility default: everything hub-routed.
@@ -321,7 +305,16 @@ pub fn encoded_slots_len<L: Borrow<u64>>(
     size: usize,
     some_lens: impl IntoIterator<Item = L>,
 ) -> u64 {
-    8 + size as u64 + some_lens.into_iter().map(|n| 8 + n.borrow()).sum::<u64>()
+    let (count, payload) = some_lens
+        .into_iter()
+        .fold((0, 0), |(c, s), n| (c + 1, s + n.borrow()));
+    bundle_len(size, count, payload)
+}
+
+/// [`encoded_slots_len`] in closed form, from the number of `Some`
+/// slots and their payload bytes in all.
+pub(crate) fn bundle_len(size: usize, count: u64, payload: u64) -> u64 {
+    8 + size as u64 + 8 * count + payload
 }
 
 /// Encoded length of one `Option<Vec<u8>>` frame: the tag byte alone
@@ -555,18 +548,14 @@ pub fn butterfly_rounds_uniform(size: usize, live: &[usize], len: u64) -> Rounds
                 // Extras attached inside the window [base, base+mask).
                 let attached = (base + mask).min(extras).saturating_sub(base);
                 let held = (mask + attached) as u64;
-                (
-                    live[pos],
-                    live[pos ^ mask],
-                    8 + size as u64 + held * (8 + len),
-                )
+                (live[pos], live[pos ^ mask], bundle_len(size, held, held * len))
             })
             .collect();
         rounds.push(round);
         mask <<= 1;
     }
     if q > q2 {
-        let full = 8 + size as u64 + q as u64 * (8 + len);
+        let full = bundle_len(size, q as u64, q as u64 * len);
         rounds.push((q2..q).map(|e| (live[e - q2], live[e], full)).collect());
     }
     rounds
@@ -584,6 +573,16 @@ pub(crate) fn barrier_rounds(resolved: Resolved, live: &[usize]) -> Rounds {
         star_gather_round(live, live[0], &zeros),
         star_scatter_round(live, live[0], &zeros),
     ]
+}
+
+/// Round count of [`barrier_rounds`] over `live` agreed-live ranks,
+/// for the trace addendum: the hub's fan-in and fan-out, or the
+/// tree's `2 ceil(log2 q)`.
+pub(crate) fn barrier_round_count(resolved: Resolved, live: usize) -> u64 {
+    match resolved {
+        Resolved::Hub => 2,
+        Resolved::Ring | Resolved::Tree => 2 * u64::from(ceil_log2(live)),
+    }
 }
 
 /// Tree barrier schedule: a zero-byte binomial fan-in to the lowest
@@ -896,6 +895,19 @@ mod tests {
     }
 
     #[test]
+    fn barrier_round_count_is_the_schedule_length() {
+        for q in 1..=64 {
+            for resolved in [Resolved::Hub, Resolved::Tree] {
+                assert_eq!(
+                    barrier_round_count(resolved, q),
+                    barrier_rounds(resolved, &live(q)).len() as u64,
+                    "{resolved:?} q={q}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn auto_resolution_crossovers() {
         assert_eq!(Algorithm::Auto.resolve_rooted(2), Resolved::Hub);
         assert_eq!(Algorithm::Auto.resolve_rooted(3), Resolved::Tree);
@@ -920,5 +932,25 @@ mod tests {
         // 4-rank communicator, two Some slots of 3 and 0 bytes:
         // 8 (vec len) + 4 (tags) + (8+3) + (8+0).
         assert_eq!(encoded_slots_len(4, [3, 0]), 8 + 4 + 11 + 8);
+        // Random bundles, holes included: both forms are the encoding.
+        let mut state = 0x5107_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for size in 1..=64 {
+            for _ in 0..8 {
+                let slots: Slots = (0..size)
+                    .map(|_| (next(3) > 0).then(|| vec![0u8; next(40) as usize]))
+                    .collect();
+                let lens: Vec<u64> = slots.iter().flatten().map(|s| s.len() as u64).collect();
+                let encoded = slots.to_bytes().len() as u64;
+                assert_eq!(encoded_slots_len(size, &lens), encoded);
+                let payload = lens.iter().sum();
+                assert_eq!(bundle_len(size, lens.len() as u64, payload), encoded);
+            }
+        }
     }
 }

@@ -498,11 +498,6 @@ impl RuntimeHandle {
         self.plane.read_clocks(SimComm::max_time)
     }
 
-    /// Total virtual seconds spent communicating (sim backend only).
-    pub fn virtual_comm_seconds(&self) -> Option<f64> {
-        self.plane.read_clocks(SimComm::comm_seconds)
-    }
-
     /// Per-rank virtual clocks (sim backend only) — the quantity the
     /// event engine pins bit-identical in its parity tests.
     pub fn virtual_times(&self) -> Option<Vec<f64>> {
@@ -1068,9 +1063,11 @@ impl ThreadedComm {
     }
 
     /// Deposits a virtual-time charge for the closing barrier's
-    /// completer to apply (no-op on the wall-clock backend).
-    fn deposit(&self, charge: Charge) {
+    /// completer to apply. The wall-clock backend has no clocks, so it
+    /// never builds the charge.
+    fn deposit(&self, charge: impl FnOnce() -> Charge) {
         if self.plane.clocked {
+            let charge = charge();
             self.plane.lock().ledger.deposit(charge);
         }
     }
@@ -1179,17 +1176,21 @@ impl Communicator for ThreadedComm {
     fn barrier(&mut self) -> Result<(), RuntimeError> {
         const OP: &str = "barrier";
         let start = self.op_begin(OP)?;
-        let resolved = self.plane.policy.barrier.resolve_rooted(self.plane.size);
+        let resolved = self.plane.policy.algorithm.resolve_rooted(self.plane.size);
         // The data-plane barrier is the sense-reversing generation
         // itself; the *charge* models the message schedule a real
         // barrier would run (star fan-in/fan-out for the hub,
-        // zero-byte binomial fan-in/fan-out for the tree). Every
-        // arriving rank offers its charge; the first deposit wins —
-        // built over the agreed membership, so it is identical on
-        // every rank of the generation.
-        let rounds = collective::barrier_rounds(resolved, &self.agreed_live());
-        let n_rounds = rounds.len() as u64;
-        let gen = self.noted(self.raw_barrier(OP, Some(Charge::Rounds(rounds))))?;
+        // zero-byte binomial fan-in/fan-out for the tree). On a clocked
+        // plane every arriving rank offers its charge; the first
+        // deposit wins — built over the agreed membership, so it is
+        // identical on every rank of the generation.
+        let live = self.agreed_live();
+        let n_rounds = collective::barrier_round_count(resolved, live.len());
+        let charge = self
+            .plane
+            .clocked
+            .then(|| Charge::Rounds(collective::barrier_rounds(resolved, &live)));
+        let gen = self.noted(self.raw_barrier(OP, charge))?;
         self.op_end(OP, -1, 0, &start, resolved.name(), n_rounds, gen);
         Ok(())
     }
@@ -1266,7 +1267,7 @@ impl Communicator for ThreadedComm {
 
     fn allreduce(&mut self, value: f64, op: ReduceOp) -> Result<f64, RuntimeError> {
         const OP: &str = "allreduce";
-        let resolved = self.plane.policy.allreduce.resolve_allreduce(self.plane.size);
+        let resolved = self.plane.policy.algorithm.resolve_allreduce(self.plane.size);
         // Every schedule gathers the raw contributions and folds them
         // through [`fold_slots`] — the pinned rank-ascending order that
         // keeps results bitwise identical across hub, ring and tree
@@ -1434,7 +1435,6 @@ mod tests {
             r.unwrap();
         }
         assert!(handle.virtual_time().unwrap() > 0.0);
-        assert!(handle.virtual_comm_seconds().unwrap() > 0.0);
     }
 
     #[test]

@@ -456,9 +456,10 @@ impl DataPhase for Bcast {
                 for &dst in live.iter().filter(|&&dst| dst != comm.rank) {
                     comm.send_tolerant(op, dst, &bytes)?;
                 }
-                let lens = vec![bytes.len() as u64; live.len()];
-                let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(Charge::Rounds(rounds));
+                comm.deposit(|| {
+                    let lens = vec![bytes.len() as u64; live.len()];
+                    Charge::Rounds(vec![collective::star_scatter_round(&live, self.root, &lens)])
+                });
                 *moved = bytes.len() as u64;
                 Ok(Poll::Ready(bytes))
             }
@@ -488,8 +489,9 @@ impl DataPhase for Bcast {
                     comm.send_tolerant(op, tree[child_vi], &msg)?;
                 }
                 if vi == 0 {
-                    let rounds = collective::bcast_rounds(&tree, 0, msg.len() as u64);
-                    comm.deposit(Charge::Rounds(rounds));
+                    comm.deposit(|| {
+                        Charge::Rounds(collective::bcast_rounds(&tree, 0, msg.len() as u64))
+                    });
                 }
                 *moved = msg.len() as u64;
                 // `None`: somewhere on the root-to-here path a rank
@@ -571,9 +573,10 @@ impl DataPhase for Scatter {
                     *moved += parts[dst].len() as u64;
                     comm.send_tolerant(op, dst, &parts[dst])?;
                 }
-                let lens: Vec<u64> = live.iter().map(|&r| parts[r].len() as u64).collect();
-                let rounds = vec![collective::star_scatter_round(&live, self.root, &lens)];
-                comm.deposit(Charge::Rounds(rounds));
+                comm.deposit(|| {
+                    let lens: Vec<u64> = live.iter().map(|&r| parts[r].len() as u64).collect();
+                    Charge::Rounds(vec![collective::star_scatter_round(&live, self.root, &lens)])
+                });
                 Ok(Poll::Ready(mem::take(&mut parts[comm.rank])))
             }
             (Resolved::Hub, None) => Ok(match comm.try_take(op, self.root)? {
@@ -590,10 +593,11 @@ impl DataPhase for Scatter {
                 let q = tree.len();
                 let mut slots: Slots = match (parts, collective::binomial_parent(vi)) {
                     (Some(parts), _) => {
-                        let lens_by_vi: Vec<u64> =
-                            tree.iter().map(|&r| parts[r].len() as u64).collect();
-                        let rounds = collective::scatterv_rounds(size, &tree, 0, &lens_by_vi);
-                        comm.deposit(Charge::Rounds(rounds));
+                        comm.deposit(|| {
+                            let lens_by_vi: Vec<u64> =
+                                tree.iter().map(|&r| parts[r].len() as u64).collect();
+                            Charge::Rounds(collective::scatterv_rounds(size, &tree, 0, &lens_by_vi))
+                        });
                         parts.into_iter().map(Some).collect()
                     }
                     (None, parent_vi) => {
@@ -678,10 +682,12 @@ impl DataPhase for Gather {
                 return Ok(Poll::Pending);
             }
             let live = comm.agreed_live();
-            let lens: Vec<u64> = live.iter().map(|&r| slot_len(&self.held[r])).collect();
-            *moved = own_len + lens.iter().sum::<u64>();
-            let rounds = vec![collective::star_gather_round(&live, self.root, &lens)];
-            comm.deposit(Charge::Rounds(rounds));
+            let lens = || live.iter().map(|&r| slot_len(&self.held[r]));
+            *moved = own_len + lens().sum::<u64>();
+            comm.deposit(|| {
+                let lens: Vec<u64> = lens().collect();
+                Charge::Rounds(vec![collective::star_gather_round(&live, self.root, &lens)])
+            });
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         }
         // Ring/tree: the reverse binomial tree. Every rank merges its
@@ -702,9 +708,10 @@ impl DataPhase for Gather {
         }
         *moved += own_len;
         let Some(parent_vi) = collective::binomial_parent(vi) else {
-            let lens_by_vi: Vec<u64> = tree.iter().map(|&r| slot_len(&self.held[r])).collect();
-            let rounds = collective::gatherv_rounds(size, &tree, 0, &lens_by_vi);
-            comm.deposit(Charge::Rounds(rounds));
+            comm.deposit(|| {
+                let lens_by_vi: Vec<u64> = tree.iter().map(|&r| slot_len(&self.held[r])).collect();
+                Charge::Rounds(collective::gatherv_rounds(size, &tree, 0, &lens_by_vi))
+            });
             return Ok(Poll::Ready(Some(mem::take(&mut self.held))));
         };
         let msg = self.held.to_bytes();
@@ -839,7 +846,7 @@ impl Allgather {
     /// charge, every rank yields its slots.
     fn done(&mut self, comm: &ThreadedComm, rounds: impl FnOnce(&Self) -> Rounds) -> Poll<Slots> {
         if comm.rank == self.live[0] {
-            comm.deposit(Charge::Rounds(rounds(self)));
+            comm.deposit(|| Charge::Rounds(rounds(self)));
         }
         Poll::Ready(mem::take(&mut self.held))
     }
@@ -1077,12 +1084,13 @@ impl DataPhase for HubReduce {
         for &dst in &live[1..] {
             comm.send_tolerant(op, dst, &bytes)?;
         }
-        let lens = vec![8u64; live.len()];
-        let rounds = vec![
-            collective::star_gather_round(&live, hub, &lens),
-            collective::star_scatter_round(&live, hub, &lens),
-        ];
-        comm.deposit(Charge::Rounds(rounds));
+        comm.deposit(|| {
+            let lens = vec![8u64; live.len()];
+            Charge::Rounds(vec![
+                collective::star_gather_round(&live, hub, &lens),
+                collective::star_scatter_round(&live, hub, &lens),
+            ])
+        });
         *moved = 8 * live.len() as u64;
         Ok(Poll::Ready(folded))
     }
@@ -1217,7 +1225,7 @@ impl ThreadedComm {
         overlap: bool,
     ) -> Result<Split<'_, Bcast>, RuntimeError> {
         self.check_rank(op, root)?;
-        let resolved = self.plane.policy.bcast.resolve_rooted(self.plane.size);
+        let resolved = self.plane.policy.algorithm.resolve_rooted(self.plane.size);
         Split::post(self, op, overlap, || Bcast {
             root,
             resolved,
@@ -1235,7 +1243,7 @@ impl ThreadedComm {
     ) -> Result<Split<'_, Scatter>, RuntimeError> {
         self.check_rank(op, root)?;
         let size = self.plane.size;
-        let resolved = self.plane.policy.scatterv.resolve_rooted(size);
+        let resolved = self.plane.policy.algorithm.resolve_rooted(size);
         Split::post(self, op, false, || Scatter {
             root,
             resolved,
@@ -1261,7 +1269,7 @@ impl ThreadedComm {
         value: &T,
     ) -> Result<Split<'_, Gather>, RuntimeError> {
         self.check_rank(op, root)?;
-        let resolved = self.plane.policy.gatherv.resolve_rooted(self.plane.size);
+        let resolved = self.plane.policy.algorithm.resolve_rooted(self.plane.size);
         Split::post(self, op, false, || Gather {
             root,
             resolved,
@@ -1301,8 +1309,7 @@ impl ThreadedComm {
 
     /// The policy's all-gather schedule for a `len`-byte contribution.
     pub(super) fn allgatherv_schedule(&self, len: u64) -> Resolved {
-        let policy = self.plane.policy.allgatherv;
-        policy.resolve_allgatherv(self.plane.size, len)
+        self.plane.policy.algorithm.resolve_allgatherv(self.plane.size, len)
     }
 
     /// A slot vector holding only this rank's contribution `own`.

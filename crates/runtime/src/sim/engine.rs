@@ -177,11 +177,6 @@ impl EventSim {
         self.clocks().max_time()
     }
 
-    /// Total virtual seconds spent communicating.
-    pub fn comm_seconds(&self) -> f64 {
-        self.clocks().comm_seconds()
-    }
-
     /// Liveness snapshot.
     pub fn alive(&self) -> Vec<bool> {
         self.ledger.alive()

@@ -374,9 +374,10 @@ impl EventSim {
     /// Collective barrier across all running ranks (as
     /// [`crate::Communicator::barrier`]).
     pub fn barrier(&mut self) -> RankResults<()> {
-        let resolved = self.policy.barrier.resolve_rooted(self.size);
-        let rounds = collective::barrier_rounds(resolved, &self.ledger.agreed_live());
-        let n_rounds = rounds.len() as u64;
+        let resolved = self.policy.algorithm.resolve_rooted(self.size);
+        let live = self.ledger.agreed_live();
+        let n_rounds = collective::barrier_round_count(resolved, live.len());
+        let rounds = collective::barrier_rounds(resolved, &live);
         self.collective(
             "barrier",
             None,
@@ -680,7 +681,7 @@ impl EventSim {
     ) {
         let size = self.size;
         let q = live.len();
-        let esl = |c: u64| 8 + size as u64 + c * (8 + m);
+        let esl = |c: u64| collective::bundle_len(size, c, c * m);
         let mut lam: Vec<u64> = live.iter().map(|&r| self.ledger.lamport[r]).collect();
         let mut cnt = vec![1u64; q];
         let mut moved = vec![0u64; q];
@@ -747,11 +748,11 @@ impl EventSim {
             collective::rootless_rounds,
             |sim, in_cohort, out| {
                 let own = encode(values, in_cohort);
-                let policy = sim.policy.allgatherv;
+                let algorithm = sim.policy.algorithm;
                 let mut resolutions = own
                     .iter()
                     .flatten()
-                    .map(|bytes| policy.resolve_allgatherv(sim.size, bytes.len() as u64));
+                    .map(|bytes| algorithm.resolve_allgatherv(sim.size, bytes.len() as u64));
                 let resolved = resolutions.next().expect("non-empty cohort");
                 if resolutions.any(|rr| rr != resolved) {
                     for r in (0..sim.size).filter(|&r| in_cohort[r]) {
@@ -808,7 +809,7 @@ impl EventSim {
             collective::rootless_rounds,
             |sim, in_cohort, _| {
                 let own = encode(values, in_cohort);
-                let resolved = sim.policy.allreduce.resolve_allreduce(sim.size);
+                let resolved = sim.policy.algorithm.resolve_allreduce(sim.size);
                 let phase = match resolved {
                     Resolved::Hub => sim.allreduce_hub_phase(OP, &own, in_cohort, rop),
                     Resolved::Ring | Resolved::Tree => decode_shared(
@@ -879,7 +880,7 @@ impl EventSim {
             Some(root),
             collective::rooted_rounds,
             |sim, in_cohort, _| {
-                let resolved = sim.policy.gatherv.resolve_rooted(sim.size);
+                let resolved = sim.policy.algorithm.resolve_rooted(sim.size);
                 let own = encode(values, in_cohort);
                 let raw = match resolved {
                     Resolved::Hub => sim.gather_hub_phase(OP, root, &own, in_cohort),
@@ -1026,7 +1027,7 @@ impl EventSim {
             let Some(parent) = collective::binomial_parent(vi) else {
                 continue;
             };
-            let msg_len = 8 + size as u64 + 8 * cnt[vi] + sum[vi];
+            let msg_len = collective::bundle_len(size, cnt[vi], sum[vi]);
             moved[vi] += msg_len;
             match self.hop(op, abs(vi), abs(parent), true, msg_len) {
                 Ok(mail) => inbox[vi] = mail,
@@ -1071,7 +1072,7 @@ impl EventSim {
             Some(root),
             collective::rooted_rounds,
             |sim, in_cohort, _| {
-                let resolved = sim.policy.bcast.resolve_rooted(sim.size);
+                let resolved = sim.policy.algorithm.resolve_rooted(sim.size);
                 let bytes = value.to_bytes();
                 let phase = match resolved {
                     Resolved::Hub => sim.bcast_hub_phase(OP, root, &bytes, in_cohort),
@@ -1166,7 +1167,7 @@ impl EventSim {
             collective::rooted_rounds,
             |sim, in_cohort, _| {
                 let size = sim.size;
-                let resolved = sim.policy.scatterv.resolve_rooted(size);
+                let resolved = sim.policy.algorithm.resolve_rooted(size);
                 let encoded: Vec<Vec<u8>> = parts.iter().map(Wire::to_bytes).collect();
                 let short = in_cohort[root] && parts.len() != size;
                 let without_root: Vec<bool>;
@@ -1271,9 +1272,9 @@ impl EventSim {
         }
         let reach = self.tree_fan_out(op, &live, vroot, in_cohort, |good, child_vi| {
             if good {
-                8 + size as u64 + 8 * cnt[child_vi] + sum[child_vi]
+                collective::bundle_len(size, cnt[child_vi], sum[child_vi])
             } else {
-                8 + size as u64
+                collective::bundle_len(size, 0, 0)
             }
         });
         for (vi, reach) in reach.into_iter().enumerate() {

@@ -246,15 +246,11 @@ fn event_sweep(
         .collect()
 }
 
-/// What [`assert_parity`] leaves for a caller to check further: the
-/// total comm seconds of the thread and the event run, and the kinds
-/// of `fault` event the thread run traced.
-type Charged = (f64, f64, BTreeSet<String>);
-
 /// Runs one scenario on both engines and asserts full parity: results
 /// (or errors, by display string) per rank, virtual clocks bitwise,
-/// per-rank trace streams verbatim, and total comm seconds to 1e-9
-/// relative (its accumulation order differs between engines).
+/// and per-rank trace streams verbatim (each op's `comm` seconds
+/// among them). Returns the kinds of `fault` event the thread run
+/// traced.
 fn assert_parity<T, FT, FE>(
     label: &str,
     policy: AlgorithmPolicy,
@@ -262,7 +258,7 @@ fn assert_parity<T, FT, FE>(
     size: usize,
     thread_prog: FT,
     event_prog: FE,
-) -> Charged
+) -> BTreeSet<String>
 where
     T: std::fmt::Debug + PartialEq + Send,
     FT: Fn(ThreadedComm) -> Result<T, RuntimeError> + Sync,
@@ -276,7 +272,6 @@ where
         .build_with_handle(size);
     let thread_out = run_ranks(comms, &thread_prog);
     let thread_times = handle.virtual_times().expect("sim backend has clocks");
-    let thread_comm = handle.virtual_comm_seconds().expect("sim backend");
 
     let e_sink = Arc::new(MemorySink::new());
     let config = RuntimeConfig::sim(size, LinkModel::ethernet())
@@ -287,7 +282,6 @@ where
     let mut sim = EventSim::from_config(&config, size).expect("event engine builds");
     let event_out = event_prog(&mut sim);
     let event_times = sim.virtual_times();
-    let event_comm = sim.comm_seconds();
 
     assert_eq!(thread_out.len(), event_out.len(), "{label}: rank count");
     for (rank, (t, e)) in thread_out.iter().zip(event_out.iter()).enumerate() {
@@ -308,11 +302,6 @@ where
             "{label}: rank {rank} virtual clock differs: thread={a:.9e} event={b:.9e}"
         );
     }
-    let denom = thread_comm.abs().max(1e-30);
-    assert!(
-        ((thread_comm - event_comm) / denom).abs() <= 1e-9,
-        "{label}: comm_seconds differ: thread={thread_comm:.12e} event={event_comm:.12e}"
-    );
     let t_events = t_sink.take();
     let faults = fault_kinds(&t_events);
     assert_eq!(
@@ -320,7 +309,7 @@ where
         streams(e_sink.take()),
         "{label}: per-rank trace streams differ"
     );
-    (thread_comm, event_comm, faults)
+    faults
 }
 
 /// The tentpole pin: full collective sweeps at `p ∈ {1, 3, 4, 6, 16,
@@ -939,10 +928,8 @@ fn event_charged(
 
 /// Injected latency lands on the same clocks: under [`charged_plan`]
 /// the straggler's seconds, each retry's backoff and each delivery
-/// delay are charged alike on both engines — results, clocks, comm
-/// seconds and per-rank trace streams bit for bit. (No fast path
-/// runs under a plan with drops or delays, so the comm seconds add up
-/// in one order on both.)
+/// delay are charged alike on both engines — results, clocks and
+/// per-rank trace streams bit for bit.
 #[test]
 fn injected_latency_is_bit_identical() {
     for &size in &[3usize, 4, 16] {
@@ -950,18 +937,13 @@ fn injected_latency_is_bit_identical() {
             let label = format!("charged p={size} {name}");
             let seed = 0xC4A2 ^ (size as u64) << 8;
             let root = (size - 1).min(2);
-            let (thread_comm, event_comm, faults) = assert_parity(
+            let faults = assert_parity(
                 &label,
                 policy,
                 charged_plan(size),
                 size,
                 move |c| thread_charged(c, seed, root, 7),
                 move |sim| event_charged(sim, seed, root, 7),
-            );
-            assert_eq!(
-                thread_comm.to_bits(),
-                event_comm.to_bits(),
-                "{label}: comm_seconds differ: thread={thread_comm:.12e} event={event_comm:.12e}"
             );
             fired(&label, &faults);
         }
@@ -1055,7 +1037,7 @@ fn blocking_point_to_point_is_bit_identical() {
             ("charged", charged_plan(size)),
         ] {
             let label = format!("blocking p2p {kind} p={size}");
-            let (_, _, faults) = assert_parity(
+            let faults = assert_parity(
                 &label,
                 AlgorithmPolicy::auto(),
                 plan,

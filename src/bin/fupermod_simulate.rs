@@ -63,13 +63,12 @@
 //!   --trace-dir     like --trace, but write DIR/fupermod_simulate.trace.jsonl,
 //!                   creating DIR if needed (FUPERMOD_TRACE_DIR in the
 //!                   environment acts the same)
-//!   --gantt yes     (matmul only) dump the Gantt-style activity CSV to stderr
+//!
+//! Any other option exits with status 2.
 //! ```
 
 use fupermod::apps::jacobi::{run_traced as jacobi_run, JacobiConfig};
-use fupermod::apps::matmul::{
-    build_device_models_with, simulate, simulate_traced, MatMulConfig,
-};
+use fupermod::apps::matmul::{build_device_models_with, simulate, MatMulConfig};
 use fupermod::apps::workload::dominant_system;
 use fupermod::cli;
 use fupermod::core::model::{AkimaModel, Model};
@@ -81,6 +80,28 @@ use std::sync::Arc;
 
 fn main() {
     let args = cli::Args::parse();
+    args.reject_unknown(&[
+        "app",
+        "platform",
+        "ranks",
+        "p",
+        "seed",
+        "size",
+        "algorithm",
+        "parallelism",
+        "runtime",
+        "fault-plan",
+        "sim-engine",
+        "collectives",
+        "pipeline",
+        "overlap",
+        "transport",
+        "rank-id",
+        "world",
+        "rendezvous",
+        "trace",
+        "trace-dir",
+    ]);
     let app = args.get_or("app", "");
     let seed: u64 = args.value_or("seed", 1);
     let ranks = cli::ranks(&args);
@@ -180,18 +201,8 @@ fn main() {
                 .partition_traced(n_blocks * n_blocks, &refs, events.as_ref())
                 .unwrap_or_else(fail("partition failed"));
             let areas = dist.sizes();
-            let want_gantt = args.get("gantt") == Some("yes");
-            let report = if want_gantt {
-                let (report, gantt) = simulate_traced(&platform, &areas, &cfg)
-                    .unwrap_or_else(fail("simulation failed"));
-                eprintln!("rank,start,end,activity");
-                for e in &gantt {
-                    eprintln!("{},{:.6},{:.6},{:?}", e.rank, e.start, e.end, e.activity);
-                }
-                report
-            } else {
-                simulate(&platform, &areas, &cfg).unwrap_or_else(fail("simulation failed"))
-            };
+            let report =
+                simulate(&platform, &areas, &cfg).unwrap_or_else(fail("simulation failed"));
             println!("platform: {}", platform.name());
             println!("areas: {areas:?}");
             println!("total simulated time: {:.4} s", report.total_time);

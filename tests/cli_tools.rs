@@ -254,21 +254,32 @@ fn simulate_rejects_a_deadline_no_duration_can_hold() {
 /// stderr line and a non-zero exit, not a panic and its backtrace.
 #[test]
 fn simulate_fails_runs_it_cannot_do_without_a_panic() {
-    const COMMANDS: [&str; 4] = [
-        r#"--app balance --ranks 2 --fault-plan {"drops":[{"max_retries":0}]}"#,
-        r#"--app matmul --pipeline blocking --runtime sim --size 4 --fault-plan {"deaths":[{"rank":1,"after_ops":0}]}"#,
-        "--app jacobi --size 2 --ranks 4",
-        "--app matmul --size 0",
+    // (command line, exit status, text its one stderr line carries)
+    const COMMANDS: [(&str, i32, &str); 5] = [
+        (
+            r#"--app balance --ranks 2 --fault-plan {"drops":[{"max_retries":0}]}"#,
+            1,
+            "",
+        ),
+        (
+            r#"--app matmul --pipeline blocking --runtime sim --size 4 --fault-plan {"deaths":[{"rank":1,"after_ops":0}]}"#,
+            1,
+            "",
+        ),
+        ("--app jacobi --size 2 --ranks 4", 2, ""),
+        ("--app matmul --size 0", 2, ""),
+        ("--app matmul --gantt yes", 2, "unknown option --gantt"),
     ];
-    for args in COMMANDS {
+    for (args, code, needle) in COMMANDS {
         let out = Command::new(SIMULATE)
             .args(args.split(' '))
             .env("RUST_BACKTRACE", "1")
             .output()
             .expect("simulate failed to launch");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args} succeeded");
+        assert_eq!(out.status.code(), Some(code), "{args}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args}: {stderr}");
+        assert!(stderr.contains(needle), "{args}: {stderr}");
         assert!(
             !stderr.contains("panicked") && !stderr.contains("backtrace"),
             "{args}: {stderr}"

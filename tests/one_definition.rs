@@ -652,10 +652,6 @@ const NO_OTHER_USER: &[(&str, &str)] = &[
         "the bit-identity oracle of gemm_blocked; FIG2 runs it through MatMulKernel::with_naive_gemm",
     ),
     (
-        "crates/runtime/src/comm.rs::virtual_comm_seconds",
-        "event_parity.rs holds the event engine's comm seconds to the thread-backed sim's with it",
-    ),
-    (
         "crates/runtime/src/comm.rs::virtual_times",
         "the thread-backed sim's per-rank clocks, which event_parity.rs and requests.rs compare",
     ),
