@@ -1097,6 +1097,11 @@ impl ThreadedComm {
         self.plane.lock().ledger.agreed_live()
     }
 
+    /// `agreed_live().len()`, without building the list.
+    fn agreed_count(&self) -> usize {
+        self.plane.lock().ledger.agreed_count()
+    }
+
     /// Position of this rank in the agreed live list. A rank that
     /// reaches a collective data phase passed its `op_begin` liveness
     /// check, and fail-stop death is permanent, so it was alive at
@@ -1184,12 +1189,11 @@ impl Communicator for ThreadedComm {
         // plane every arriving rank offers its charge; the first
         // deposit wins — built over the agreed membership, so it is
         // identical on every rank of the generation.
-        let live = self.agreed_live();
-        let n_rounds = collective::barrier_round_count(resolved, live.len());
+        let n_rounds = collective::barrier_round_count(resolved, self.agreed_count());
         let charge = self
             .plane
             .clocked
-            .then(|| Charge::Rounds(collective::barrier_rounds(resolved, &live)));
+            .then(|| Charge::Rounds(collective::barrier_rounds(resolved, &self.agreed_live())));
         let gen = self.noted(self.raw_barrier(OP, charge))?;
         self.op_end(OP, -1, 0, &start, resolved.name(), n_rounds, gen);
         Ok(())

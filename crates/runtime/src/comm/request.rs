@@ -400,7 +400,7 @@ impl<'c, P: DataPhase> Split<'c, P> {
         let raw = self.comm.noted(self.data.take().expect("the data phase has ended"))?;
         let gen = self.comm.noted(fence)?;
         let out = self.comm.noted(decode(raw))?;
-        let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_live().len());
+        let (peer, resolved, rounds) = self.phase.describe(self.comm.agreed_count());
         self.comm.op_end(
             self.op,
             peer,

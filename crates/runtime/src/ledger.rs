@@ -371,6 +371,12 @@ impl Ledger {
         ranks_where(&self.agreed_alive)
     }
 
+    /// How many ranks were agreed alive at the last closed generation:
+    /// `agreed_live().len()`, counted in place.
+    pub(crate) fn agreed_count(&self) -> usize {
+        self.agreed_alive.iter().filter(|&&a| a).count()
+    }
+
     /// How many ranks are alive.
     pub(crate) fn live_count(&self) -> usize {
         self.dead.iter().filter(|&&d| !d).count()

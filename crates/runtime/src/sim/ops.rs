@@ -196,8 +196,7 @@ impl EventSim {
         if members.iter().any(|&(r, _)| !self.ledger.dead[r]) {
             self.ledger.close_generation();
         }
-        let agreed = self.ledger.agreed_alive.iter().filter(|&&a| a).count();
-        let rounds = rounds(resolved, agreed);
+        let rounds = rounds(resolved, self.ledger.agreed_count());
         let peer = root.map_or(-1, |r| r as i64);
         // Epilogues in final `(clock, rank)` order: a successful rank
         // emits its `comm` trace event, an errored one ends its

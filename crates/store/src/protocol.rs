@@ -136,13 +136,13 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
             // One shared `kernel` and `config` for every member.
             let kernel: Arc<str> = fields.take::<String>("kernel")?.into();
             let config: Arc<str> = fields.take::<String>("config")?.into();
-            let keys = fingerprints
-                .into_iter()
-                .map(|fp| match fp {
-                    Json::Str(fp) => Ok(StoreKey::new(fp, Arc::clone(&kernel), Arc::clone(&config))),
-                    _ => Err(mistyped()),
-                })
-                .collect::<Result<_, _>>()?;
+            let mut keys = Vec::with_capacity(fingerprints.len());
+            for fp in fingerprints {
+                let Json::Str(fp) = fp else {
+                    return Err(mistyped());
+                };
+                keys.push(StoreKey::new(fp, Arc::clone(&kernel), Arc::clone(&config)));
+            }
             Ok(Request::Partition {
                 keys,
                 total: fields.take("total")?,
@@ -368,7 +368,7 @@ mod tests {
         match r {
             Request::Partition { keys, total, algorithm } => {
                 assert_eq!(keys.len(), 2);
-                assert_eq!(&*keys[0].fingerprint, "a");
+                assert_eq!(keys[0].fingerprint(), "a");
                 assert_eq!(total, 1000);
                 assert_eq!(algorithm, "geometric");
             }
@@ -445,7 +445,7 @@ mod tests {
         let quoted = quote("a\"b\\c\nd\te\u{1}f");
         let line = format!("{{\"op\":\"lookup\",\"fingerprint\":{quoted},\"kernel\":\"k\",\"config\":\"c\"}}");
         match parse_request(&line).unwrap() {
-            Request::Lookup { key } => assert_eq!(&*key.fingerprint, "a\"b\\c\nd\te\u{1}f"),
+            Request::Lookup { key } => assert_eq!(key.fingerprint(), "a\"b\\c\nd\te\u{1}f"),
             other => panic!("wrong request: {other:?}"),
         }
     }

@@ -10,7 +10,7 @@ use fupermod_core::telemetry::{Counter, Gauge, Registry};
 use fupermod_core::Point;
 
 use crate::entry::{EntryConfig, IngestOutcome, ModelEntry};
-use crate::plan::{Plan, PlanCache, PlanKey};
+use crate::plan::{Plan, PlanCache, PlanKey, PlanQuery};
 use crate::{StoreError, StoreKey};
 
 /// Configuration of a [`ModelStore`].
@@ -279,8 +279,8 @@ impl ModelStore {
 
     /// Shows `visit` every member's entry (with the member's rank),
     /// shard by shard: each shard lock is taken at most once and never
-    /// while another is held. `homes[rank]` is member `rank`'s shard
-    /// index, computed once per request by the caller.
+    /// while another is held. A member's shard is read from its stored
+    /// hash, and each member is looked up once.
     ///
     /// # Errors
     ///
@@ -289,19 +289,22 @@ impl ModelStore {
     fn visit_members(
         &self,
         members: &[StoreKey],
-        homes: &[usize],
         mut visit: impl FnMut(usize, &ModelEntry),
     ) -> Result<(), StoreError> {
         let mut missing = usize::MAX;
+        let mut unvisited = members.len();
         for (home, shard) in self.shards.iter().enumerate() {
-            if !homes.contains(&home) {
-                continue;
+            if unvisited == 0 {
+                break;
             }
-            let shard = shard.lock().expect("store shard poisoned");
+            let mut locked = None;
             for (rank, key) in members.iter().enumerate() {
-                if homes[rank] != home {
+                if self.shard_index(key) != home {
                     continue;
                 }
+                let shard =
+                    locked.get_or_insert_with(|| shard.lock().expect("store shard poisoned"));
+                unvisited -= 1;
                 match shard.get(key) {
                     Some(entry) => visit(rank, entry),
                     None => missing = missing.min(rank),
@@ -447,22 +450,21 @@ impl ModelStore {
         if members.is_empty() {
             return Err(StoreError::UnknownKey("<empty member list>".to_owned()));
         }
-        let homes: Vec<usize> = members.iter().map(|k| self.shard_index(k)).collect();
         // Hot path: stamp epochs only — a cache hit never touches a
-        // model.
-        let mut plan_key = PlanKey {
-            members: members.iter().map(|key| (key.clone(), 0)).collect(),
+        // model, and finds its plan without cloning a key.
+        let mut epochs = vec![0u64; members.len()];
+        self.visit_members(members, |rank, entry| epochs[rank] = entry.epoch())?;
+        let query = PlanQuery {
+            members,
+            epochs: &epochs,
             total,
-            algorithm: algorithm.to_owned(),
+            algorithm,
         };
-        self.visit_members(members, &homes, |rank, entry| {
-            plan_key.members[rank].1 = entry.epoch();
-        })?;
         if let Some(plan) = self
             .plans
             .lock()
             .expect("plan cache poisoned")
-            .get(&plan_key)
+            .get_query(&query)
         {
             self.metrics.plan_hits.inc();
             return Ok((plan, true));
@@ -475,8 +477,8 @@ impl ModelStore {
         // outside every lock; an ingest meanwhile refreshes a copy
         // (`ModelEntry` is copy-on-write).
         let mut models: Vec<Option<Arc<AkimaModel>>> = vec![None; members.len()];
-        self.visit_members(members, &homes, |rank, entry| {
-            plan_key.members[rank].1 = entry.epoch();
+        self.visit_members(members, |rank, entry| {
+            epochs[rank] = entry.epoch();
             models[rank] = Some(Arc::clone(entry.shared_model()));
         })?;
         let refs: Vec<&dyn Model> = models
@@ -488,11 +490,16 @@ impl ModelStore {
         // an ingest refreshes its model in place again.
         drop(models);
         let plan = Arc::new(Plan::new(dist));
+        let key = PlanKey {
+            members: members.iter().cloned().zip(epochs).collect(),
+            total,
+            algorithm: algorithm.to_owned(),
+        };
         let evicted = self
             .plans
             .lock()
             .expect("plan cache poisoned")
-            .insert(plan_key, Arc::clone(&plan));
+            .insert(key, Arc::clone(&plan));
         if evicted > 0 {
             self.metrics.plan_evictions.add(evicted);
         }

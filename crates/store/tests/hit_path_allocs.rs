@@ -56,13 +56,16 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 /// What a request may allocate besides its members: the reader's
-/// object, field names and the growth steps of its arrays, the shared
-/// `kernel`/`config`, the algorithm name.
-const PARSE_CONSTANT: usize = 40;
-/// Everything a cache hit may allocate: the lookup key (member list +
-/// algorithm name), the shard index list, the partitioner box, the
-/// response line and its growth.
-const HIT_BUDGET: usize = 8;
+/// object, field names and the growth steps of its `fingerprints`
+/// array, the shared `kernel`/`config`, the algorithm name, and the
+/// key list, sized once from that array: 17, 20 and 22 at 8, 64 and
+/// 256 members.
+const PARSE_CONSTANT: usize = 22;
+/// Everything a cache hit may allocate: the members' epoch list, the
+/// partitioner box, the response line and its two growth steps. The
+/// plan is found by a digest of the keys' stored hashes and checked
+/// against the request in place, so no key is built or cloned.
+const HIT_BUDGET: usize = 5;
 
 #[test]
 fn a_cached_partition_allocates_per_request_not_per_member() {

@@ -83,7 +83,7 @@ fn a_partition_miss_allocates_per_request_not_per_member() {
         }
         let quoted: Vec<String> = keys
             .iter()
-            .map(|k| format!("\"{}\"", k.fingerprint))
+            .map(|k| format!("\"{}\"", k.fingerprint()))
             .collect();
         let line = format!(
             "{{\"op\":\"partition\",\"fingerprints\":[{}],\"kernel\":\"gemm\",\"config\":\"default\",\"total\":100000,\"algorithm\":\"numerical\"}}",

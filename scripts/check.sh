@@ -28,8 +28,8 @@ run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # the daemon and the harness run and where the optimiser is free to
 # reorder anything the language lets it:
 # - store: the cached-partition path allocates at most twice per member
-#   to parse and a constant number of times to answer from the plan
-#   cache (hit_path_allocs.rs) — a count a noisy host cannot blur the
+#   to parse and five times, whatever the member count, to answer from
+#   the plan cache (hit_path_allocs.rs) — a count a noisy host cannot blur the
 #   way it blurs the serve_read timing; a plan-cache miss shares the
 #   member models instead of cloning them, so it allocates the same
 #   number of times at 8, 64 and 256 members (miss_path_allocs.rs);

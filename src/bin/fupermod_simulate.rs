@@ -9,7 +9,7 @@
 //!                          [--runtime thread|sim] [--fault-plan SPEC]
 //!                          [--sim-engine thread|event]
 //!                          [--collectives hub|ring|tree|auto]
-//!                          [--pipeline blocking|overlapped] [--overlap yes]
+//!                          [--pipeline blocking|overlapped] [--overlap yes|no]
 //!                          [--transport local|tcp] [--rank-id K] [--world N]
 //!                          [--rendezvous HOST:PORT]
 //!                          [--trace PATH | --trace-dir DIR]
@@ -46,10 +46,11 @@
 //!                   docs/RUNTIME.md)
 //!   --collectives   (balance, matmul --pipeline) collective schedules:
 //!                   hub (default), ring, tree or auto (see docs/RUNTIME.md §6)
-//!   --overlap yes   (balance only) post measurement receives before the
-//!                   root's own measurement and push shares with eager
-//!                   isends — nonblocking requests instead of blocking
-//!                   collectives (see docs/RUNTIME.md §8)
+//!   --overlap       (balance only) `yes` posts measurement receives
+//!                   before the root's own measurement and pushes shares
+//!                   with eager isends — nonblocking requests instead of
+//!                   blocking collectives (see docs/RUNTIME.md §8); `no`
+//!                   (default) runs blocking; any other value exits 2
 //!   --transport     (balance only) local (default: all ranks are threads
 //!                   of this process) or tcp (this process drives ONE rank
 //!                   of a multi-process job over sockets; launch one
@@ -239,10 +240,12 @@ fn main() {
             let total: u64 = args.value_or("size", 100_000);
             let profile = WorkloadProfile::matrix_update(16);
             let size = platform.size();
-            let mode = if args.get("overlap") == Some("yes") {
-                OverlapMode::Overlapped
-            } else {
-                OverlapMode::Blocking
+            let mode = match args.get_or("overlap", "no") {
+                "yes" => OverlapMode::Overlapped,
+                "no" => OverlapMode::Blocking,
+                other => cli::exit_usage(format_args!(
+                    "--overlap must be yes or no (got '{other}')"
+                )),
             };
             let make_ctx = || {
                 let models: Vec<Box<dyn Model>> = (0..size)

@@ -255,7 +255,7 @@ fn simulate_rejects_a_deadline_no_duration_can_hold() {
 #[test]
 fn simulate_fails_runs_it_cannot_do_without_a_panic() {
     // (command line, exit status, text its one stderr line carries)
-    const COMMANDS: [(&str, i32, &str); 5] = [
+    const COMMANDS: [(&str, i32, &str); 6] = [
         (
             r#"--app balance --ranks 2 --fault-plan {"drops":[{"max_retries":0}]}"#,
             1,
@@ -269,6 +269,7 @@ fn simulate_fails_runs_it_cannot_do_without_a_panic() {
         ("--app jacobi --size 2 --ranks 4", 2, ""),
         ("--app matmul --size 0", 2, ""),
         ("--app matmul --gantt yes", 2, "unknown option --gantt"),
+        ("--app balance --runtime sim --size 20000 --overlap yess", 2, "--overlap"),
     ];
     for (args, code, needle) in COMMANDS {
         let out = Command::new(SIMULATE)

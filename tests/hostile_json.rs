@@ -177,7 +177,7 @@ fn megabyte_strings_parse_and_unterminated_ones_do_not() {
 
     let line = format!(r#"{{"op":"lookup","fingerprint":"{big}","kernel":"k","config":"c"}}"#);
     match parse_request(&line) {
-        Ok(Request::Lookup { key }) => assert_eq!(key.fingerprint.len(), 1 << 20),
+        Ok(Request::Lookup { key }) => assert_eq!(key.fingerprint().len(), 1 << 20),
         other => panic!("{other:?}"),
     }
     // A megabyte where a tag belongs is a typed error, not a crash.
